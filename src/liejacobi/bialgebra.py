@@ -35,6 +35,8 @@ from liejacobi.liealg import (
     ValidationReport,
     abelian,
     center,
+    change_basis,
+    coordinates,
     derived_algebra,
     direct_product,
     dual_label,
@@ -43,8 +45,10 @@ from liejacobi.liealg import (
     is_derivation,
     killing_form,
     one_cocycles,
+    restrict,
+    restrict_bivector,
 )
-from liejacobi.linalg import ZERO, invert, mat_vec, nullspace, solve
+from liejacobi.linalg import ZERO, invert, mat_vec, nullspace, solve, transpose
 from liejacobi.schouten import (
     check_cocycle,
     ce_differential,
@@ -441,25 +445,6 @@ def glb_from_cocycle(g: LieAlgebra, phi: Form) -> GeneralizedBialgebra:
     return b
 
 
-def _restrict_bivector(r: Multivector, basis_vectors: list) -> Multivector | None:
-    """Coordinates of r in the wedge basis of the given subspace vectors."""
-    m = len(basis_vectors)
-    n = r.dim
-    pairs = list(combinations(range(m), 2))
-    ambient = list(combinations(range(n), 2))
-    cols = []
-    for (a, b) in pairs:
-        w = wedge(basis_vectors[a], basis_vectors[b])
-        cols.append([w.coefficient(idx) for idx in ambient])
-    matrix = [[cols[c][row] for c in range(len(pairs))] for row in range(len(ambient))]
-    target = [r.coefficient(idx) for idx in ambient]
-    sol = solve(matrix, target)
-    if sol is None:
-        return None
-    return Multivector.from_terms(m, 2, {pairs[k]: sol[0][k]
-                                         for k in range(len(pairs)) if sol[0][k] != 0})
-
-
 def _solve_cocycle_with_values(g: LieAlgebra, constraints: list) -> Form:
     """Deterministic 1-cocycle of g taking prescribed values on given vectors.
 
@@ -510,7 +495,7 @@ def build_first_kind(g: LieAlgebra, h: Subspace, r: Multivector,
         if m:
             failures.append("r is degenerate on h")
     else:
-        restricted = _restrict_bivector(r, basis_vectors)
+        restricted = restrict_bivector(r, h.rows)
         if restricted is None:
             failures.append("r does not lie in the second exterior power of h")
         else:
@@ -801,45 +786,30 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
 
     # contact reduction: ker(lee) carries the contact form -i(y0w) Omega
     eta_bar = -contract(y0w, ls.omega2)
-    kernel_rows = [list(row) for row in nullspace([ls.lee.coeffs()])]
+    kernel_rows = nullspace([ls.lee.coeffs()])
     derived = derived_algebra(h)
     if derived.rank != 3 or Subspace.from_vectors(h.dim, kernel_rows).rows != derived.rows:
         raise ValueError("kernel of the lee form does not match the derived algebra")
-    kernel_vectors = [Multivector.from_coeffs(row) for row in kernel_rows]
-    structure = {}
-    for a in range(3):
-        for c in range(a + 1, 3):
-            bracket = h.bracket(kernel_vectors[a], kernel_vectors[c])
-            sol = solve([[kernel_rows[p][i] for p in range(3)] for i in range(h.dim)],
-                        bracket.coeffs())
-            if sol is None:
-                raise ValueError("kernel of the lee form is not bracket-closed")
-            value = Multivector.from_coeffs(sol[0])
-            if not value.is_zero():
-                structure[(a, c)] = value
-    h_prime = LieAlgebra(f"{h.name}.red", 3, ("e1", "e2", "e3"), structure)
-    eta_prime = Form.from_coeffs([pair(eta_bar, v) for v in kernel_vectors])
+    h_prime = restrict(h, kernel_rows, f"{h.name}.red")
+    eta_prime = Form.from_coeffs([pair(eta_bar, Multivector.from_coeffs(row))
+                                  for row in kernel_rows])
     reduced = contact_to_jacobi(ContactStructure(h_prime, eta_prime))
 
     # r' = r + y0w ^ x0 restricts to the reduced contact pair
     r_prime = char.pair.r + wedge(y0w, char.pair.x0)
-    restricted = _restrict_bivector(r_prime, kernel_vectors)
-    x0_sol = solve([[kernel_rows[p][i] for p in range(3)] for i in range(h.dim)],
-                   char.pair.x0.coeffs())
-    if restricted is None or x0_sol is None:
+    restricted = restrict_bivector(r_prime, kernel_rows)
+    x0_coords = coordinates(kernel_rows, char.pair.x0.coeffs())
+    if restricted is None or x0_coords is None:
         raise ValueError("contact reduction left the kernel of the lee form")
-    if reduced.r != restricted or reduced.x0 != Multivector.from_coeffs(x0_sol[0]):
+    if reduced.r != restricted or reduced.x0 != Multivector.from_coeffs(x0_coords):
         raise ValueError("contact reduction does not reproduce the restricted pair")
 
-    t1, t2, t3 = su2_triple(h_prime)
-    lift = lambda v: Multivector.from_coeffs(
-        [sum(v.coeffs()[p] * kernel_rows[p][i] for p in range(3)) for i in range(h.dim)])
-    triple_h = (lift(t1), lift(t2), lift(t3))
-    lam_sol = solve([[(-t).coeffs()[i] for t in triple_h] for i in range(h.dim)],
-                    char.pair.x0.coeffs())
-    if lam_sol is None:
+    kernel = LinearMap.from_columns(kernel_rows)
+    triple_h = tuple(kernel.apply_element(t) for t in su2_triple(h_prime))
+    lam_coords = coordinates([(-t).coeffs() for t in triple_h], char.pair.x0.coeffs())
+    if lam_coords is None:
         raise ValueError("x0 does not lie in the span of the triple")
-    lambdas = tuple(lam_sol[0])
+    lambdas = tuple(lam_coords)
     if not _lambda_form_check(char, triple_h, e4_res, lambdas):
         raise ValueError("restricted pair does not take the standard three-parameter form")
     to_ambient = lambda v: Multivector.from_coeffs(incl.apply(v.coeffs()))
@@ -856,53 +826,16 @@ def _classify_semidirect(b: GeneralizedBialgebra) -> SemidirectCertificate:
     theta_raw_form = Form.from_coeffs(theta_raw)
     scale = pair(theta_raw_form, b.x0)
     theta0 = theta_raw_form.scale(Fraction(1) / scale)
-    kernel_rows = [list(row) for row in nullspace([theta0.coeffs()])]
+    kernel_rows = nullspace([theta0.coeffs()])
     m = n - 1
     if len(kernel_rows) != m:
         raise ValueError("theta0 does not have a hyperplane kernel")
-    kernel_vectors = [Multivector.from_coeffs(row) for row in kernel_rows]
-    express = lambda target: solve([[kernel_rows[p][i] for p in range(m)] for i in range(n)],
-                                   list(target))
+    h = restrict(g, kernel_rows, f"{g.name}.factor")
 
-    structure = {}
-    for a in range(m):
-        for c in range(a + 1, m):
-            bracket = g.bracket(kernel_vectors[a], kernel_vectors[c])
-            sol = express(bracket.coeffs())
-            if sol is None:
-                raise ValueError("kernel of theta0 is not bracket-closed")
-            value = Multivector.from_coeffs(sol[0])
-            if not value.is_zero():
-                structure[(a, c)] = value
-    h = LieAlgebra(f"{g.name}.factor", m, tuple(f"e{a + 1}" for a in range(m)), structure)
-
-    # adapted coordinates: kernel basis followed by x0
-    columns = [list(v.coeffs()) for v in kernel_vectors] + [list(b.x0.coeffs())]
-    p_matrix = [[columns[c][row] for c in range(n)] for row in range(n)]
-    p_inv = invert(p_matrix)
-    # dual basis transforms contravariantly: adapted dual brackets via p_inv rows
-    adapted_dual = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = [ZERO] * n
-            for a in range(n):
-                ca = p_inv[i][a]
-                if ca == 0:
-                    continue
-                for c in range(n):
-                    cc = p_inv[j][c]
-                    if cc == 0:
-                        continue
-                    if a == c:
-                        continue
-                    bracket = gs.bracket_basis(*(a, c) if a < c else (c, a))
-                    sign = 1 if a < c else -1
-                    for (t,), val in bracket.terms.items():
-                        total[t] += sign * ca * cc * val
-            adapted = mat_vec([[p_matrix[r][col] for r in range(n)] for col in range(n)], total)
-            value = Multivector.from_coeffs(adapted)
-            if not value.is_zero():
-                adapted_dual[(i, j)] = value
+    # adapted coordinates: kernel basis followed by x0; the dual basis
+    # transforms contravariantly, by the inverse transpose
+    p_matrix = transpose(kernel_rows + [b.x0.coeffs()])
+    adapted_dual = change_basis(gs, transpose(invert(p_matrix))).structure
 
     dual_structure = {}
     psi_star_rows = []
@@ -929,19 +862,10 @@ def _classify_semidirect(b: GeneralizedBialgebra) -> SemidirectCertificate:
                         dual_structure)
 
     rebuilt = build_semidirect_glb(h, h_star, psi)
-    adapted_primal = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vi = Multivector.from_coeffs([p_matrix[r][i] for r in range(n)])
-            vj = Multivector.from_coeffs([p_matrix[r][j] for r in range(n)])
-            bracket = g.bracket(vi, vj)
-            sol = solve(p_matrix, bracket.coeffs())
-            value = Multivector.from_coeffs(sol[0])
-            if not value.is_zero():
-                adapted_primal[(i, j)] = value
-    if adapted_primal != dict(rebuilt.g.structure) or adapted_dual != dict(rebuilt.g_star.structure):
+    adapted_primal = change_basis(g, p_matrix).structure
+    if adapted_primal != rebuilt.g.structure or adapted_dual != rebuilt.g_star.structure:
         raise ValueError("semidirect reconstruction does not match the input")
-    inclusion = LinearMap.from_columns([list(v.coeffs()) for v in kernel_vectors])
+    inclusion = LinearMap.from_columns(kernel_rows)
     return SemidirectCertificate(theta0, h, h_star, psi, inclusion)
 
 

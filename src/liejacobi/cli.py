@@ -65,16 +65,20 @@ def _catalog_entry(name: str):
         raise UsageError(str(exc)) from exc
 
 
-def _algebra_of(entry) -> LieAlgebra:
-    if isinstance(entry, LieAlgebra):
-        return entry
-    if isinstance(entry, YbData):
-        return entry.g
-    if isinstance(entry, GeneralizedBialgebra):
-        return entry.g
-    if isinstance(entry, JacobiPair):
-        return entry.algebra
-    raise UsageError(f"catalog entry is a {type(entry).__name__}, not an algebra")
+_ALGEBRAS = {
+    LieAlgebra: lambda g: (g,),
+    JacobiPair: lambda jp: (jp.algebra,),
+    YbData: lambda y: (y.g,),
+    GeneralizedBialgebra: lambda b: (b.g, b.g_star),
+    ContactStructure: lambda cs: (cs.algebra,),
+    LcsStructure: lambda ls: (ls.algebra,),
+}
+
+
+def _algebras_of(obj) -> tuple:
+    """The algebras a document or catalog entry carries; () for bare elements."""
+    get = _ALGEBRAS.get(type(obj))
+    return get(obj) if get else ()
 
 
 def _element_file(path: str, g: LieAlgebra, want: type, what: str):
@@ -96,11 +100,15 @@ def _load_algebra(args) -> tuple[LieAlgebra, object]:
         return obj, None
     if getattr(args, "name", None):
         entry = _catalog_entry(args.name)
-        return _algebra_of(entry), entry
+        algebras = _algebras_of(entry)
+        if not algebras:
+            raise UsageError(f"catalog entry is a {type(entry).__name__}, not an algebra")
+        return algebras[0], entry
     raise UsageError("provide --algebra FILE or --name NAME")
 
 
-def _load_pair(args) -> JacobiPair:
+def _load_pair(args) -> tuple[JacobiPair, object]:
+    """Resolve the algebra and the pair; returns (pair, catalog entry or None)."""
     g, entry = _load_algebra(args)
     r = x0 = None
     if isinstance(entry, YbData):
@@ -117,17 +125,14 @@ def _load_pair(args) -> JacobiPair:
     if x0 is None:
         x0 = Multivector.zero(g.dim, 1)
     try:
-        return JacobiPair(g, r, x0)
+        return JacobiPair(g, r, x0), entry
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _load_yb(args) -> YbData:
-    jp = _load_pair(args)
-    phi0 = None
-    entry = _catalog_entry(args.name) if getattr(args, "name", None) else None
-    if isinstance(entry, YbData):
-        phi0 = entry.phi0
+    jp, entry = _load_pair(args)
+    phi0 = entry.phi0 if isinstance(entry, YbData) else None
     if getattr(args, "phi0", None):
         phi0 = _element_file(args.phi0, jp.algebra, Form, "--phi0")
     if phi0 is None:
@@ -172,45 +177,27 @@ def _emit(args, document: dict | None, report: dict, text: str) -> None:
 # subcommand handlers; each returns the exit code
 
 def _cmd_validate(args) -> int:
-    if getattr(args, "glb", None) or (
-            getattr(args, "name", None)
-            and isinstance(_catalog_entry(args.name), GeneralizedBialgebra)):
+    entry = None
+    if getattr(args, "name", None) and not getattr(args, "glb", None):
+        entry = _catalog_entry(args.name)
+    if entry is not None and (isinstance(entry, GeneralizedBialgebra)
+                              or not getattr(args, "algebra", None)):
+        obj = entry
+    elif getattr(args, "glb", None) or getattr(args, "algebra", None):
         try:
-            b = _load_glb(args)
+            obj = _load_glb(args) if getattr(args, "glb", None) else _parse_file(args.algebra)
         except UsageError as exc:
             _emit(args, None, {"passed": False, "error": str(exc)},
                   f"invalid: {exc}")
             return 1
-        reports = [b.g.validate(), b.g_star.validate()]
-        document = _doc(b)
     else:
-        if getattr(args, "algebra", None):
-            try:
-                obj = _parse_file(args.algebra)
-            except UsageError as exc:
-                _emit(args, None, {"passed": False, "error": str(exc)},
-                      f"invalid: {exc}")
-                return 1
-        elif getattr(args, "name", None):
-            obj = _catalog_entry(args.name)
-        else:
-            raise UsageError("provide --algebra FILE, --glb FILE or --name NAME")
-        document = _doc(obj) if not isinstance(obj, (Multivector, Form)) else None
-        if isinstance(obj, LieAlgebra):
-            reports = [obj.validate()]
-        elif isinstance(obj, JacobiPair):
-            reports = [obj.algebra.validate()]
-        elif isinstance(obj, YbData):
-            reports = [obj.g.validate()]
-        elif isinstance(obj, GeneralizedBialgebra):
-            reports = [obj.g.validate(), obj.g_star.validate()]
-        elif isinstance(obj, ContactStructure):
-            reports = [obj.algebra.validate()]
-        elif isinstance(obj, LcsStructure):
-            reports = [obj.algebra.validate()]
-        else:
-            _emit(args, None, {"passed": True}, "document is schema-valid")
-            return 0
+        raise UsageError("provide --algebra FILE, --glb FILE or --name NAME")
+    algebras = _algebras_of(obj)
+    if not algebras:
+        _emit(args, None, {"passed": True}, "document is schema-valid")
+        return 0
+    reports = [g.validate() for g in algebras]
+    document = _doc(obj)
     passed = all(rep.passed for rep in reports)
     violations = []
     for rep in reports:
@@ -226,7 +213,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_jacobi_check(args) -> int:
-    jp = _load_pair(args)
+    jp, _ = _load_pair(args)
     rep = check_jacobi(jp)
     labels = list(jp.algebra.basis_labels)
     report = {"passed": rep.passed,
@@ -237,14 +224,14 @@ def _cmd_jacobi_check(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    jp = _load_pair(args)
+    jp, _ = _load_pair(args)
     value = rank(jp)
     _emit(args, _doc(jp), {"rank": value}, f"rank = {value}")
     return 0
 
 
 def _cmd_char_sub(args) -> int:
-    jp = _load_pair(args)
+    jp, _ = _load_pair(args)
     try:
         cs = characteristic_subalgebra(jp)
     except ValueError as exc:
@@ -277,7 +264,7 @@ def _cmd_contact(args) -> int:
                 f"r = {jp.r.render(labels)}")
         _emit(args, _doc(jp), report, text)
         return 0
-    jp = _load_pair(args)
+    jp, _ = _load_pair(args)
     try:
         structure = jacobi_to_contact(jp)
     except ValueError as exc:
@@ -310,7 +297,7 @@ def _cmd_lcs(args) -> int:
                 f"x0 = {jp.x0.render(labels)}")
         _emit(args, _doc(jp), report, text)
         return 0
-    jp = _load_pair(args)
+    jp, _ = _load_pair(args)
     try:
         structure = jacobi_to_lcs(jp)
     except ValueError as exc:
@@ -459,7 +446,11 @@ def _cmd_glb_classify(args) -> int:
 
 def _cmd_coboundary_solve(args) -> int:
     b = _load_glb(args)
-    solutions = solve_coboundary(b)
+    try:
+        solutions = solve_coboundary(b)
+    except ValueError as exc:
+        _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
+        return 1
     labels = list(b.g.basis_labels)
     report = {"empty": solutions.is_empty,
               "particular": (None if solutions.particular is None

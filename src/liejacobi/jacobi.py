@@ -12,10 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from liejacobi.exterior import Form, Multivector, contract, evaluate, pair, wedge, wedge_power
-from liejacobi.liealg import LieAlgebra, LinearMap, Subspace, abelian, direct_product
+from liejacobi.liealg import (
+    LieAlgebra,
+    LinearMap,
+    Subspace,
+    abelian,
+    coordinates,
+    direct_product,
+    restrict,
+    restrict_bivector,
+)
 from liejacobi.linalg import ZERO, invert, mat_vec, solve
 from liejacobi.schouten import ce_differential, schouten
 
@@ -85,7 +93,7 @@ def sharp(obj: JacobiPair | Multivector) -> LinearMap:
 
 
 def _span_with_x0(jp: JacobiPair) -> Subspace:
-    vectors = [row for row in sharp(jp).transpose().rows]
+    vectors = sharp(jp).transpose().rows
     vectors.append(jp.x0.coeffs())
     return Subspace.from_vectors(jp.algebra.dim, vectors)
 
@@ -111,11 +119,6 @@ class CharacteristicSubalgebra:
     inclusion: LinearMap
 
 
-def _express_in(h_vectors: list[list[Fraction]], coeffs: list[Fraction]):
-    cols = [[h_vectors[a][i] for a in range(len(h_vectors))] for i in range(len(coeffs))]
-    return solve(cols, list(coeffs))
-
-
 def characteristic_subalgebra(jp: JacobiPair) -> CharacteristicSubalgebra:
     """im(#_r) + <X0> with the bracket, r and X0 re-expressed in its basis.
 
@@ -129,45 +132,15 @@ def characteristic_subalgebra(jp: JacobiPair) -> CharacteristicSubalgebra:
     sub = _span_with_x0(jp)
     m = sub.rank
     h_vectors = [list(row) for row in sub.rows]
-    structure = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            bracket = g.bracket(Multivector.from_coeffs(h_vectors[a]),
-                                Multivector.from_coeffs(h_vectors[b]))
-            sol = _express_in(h_vectors, bracket.coeffs())
-            if sol is None:
-                raise ValueError(
-                    "characteristic subspace is not bracket-closed: "
-                    f"[{Multivector.from_coeffs(h_vectors[a]).render(g.basis_labels)}, "
-                    f"{Multivector.from_coeffs(h_vectors[b]).render(g.basis_labels)}] = "
-                    f"{bracket.render(g.basis_labels)} lies outside"
-                )
-            value = Multivector.from_coeffs(sol[0])
-            if not value.is_zero():
-                structure[(a, b)] = value
-    restricted = LieAlgebra(f"{g.name}.char", m, tuple(f"e{a + 1}" for a in range(m)), structure)
-
-    r_terms = {}
-    if not jp.r.is_zero():
-        # r lives in Lambda^2 of the subspace whenever the pair is valid:
-        # solve for its coordinates against the wedge basis of h.
-        pairs = list(combinations(range(m), 2))
-        ambient = list(combinations(range(g.dim), 2))
-        cols = []
-        for (a, b) in pairs:
-            w = wedge(Multivector.from_coeffs(h_vectors[a]), Multivector.from_coeffs(h_vectors[b]))
-            cols.append([w.coefficient(idx) for idx in ambient])
-        matrix = [[cols[c][row] for c in range(len(pairs))] for row in range(len(ambient))]
-        target = [jp.r.coefficient(idx) for idx in ambient]
-        sol = solve(matrix, target)
-        if sol is None:
-            raise ValueError("r does not lie in the second exterior power of the characteristic subspace")
-        r_terms = {pairs[c]: sol[0][c] for c in range(len(pairs)) if sol[0][c] != 0}
-    r_h = Multivector.from_terms(m, 2, r_terms) if m >= 2 else Multivector.zero(max(m, 0), min(2, max(m, 0)))
-    x0_sol = _express_in(h_vectors, jp.x0.coeffs()) if m else None
-    if m and x0_sol is None:
+    restricted = restrict(g, h_vectors, f"{g.name}.char")
+    # r lives in Lambda^2 of the subspace whenever the pair is valid
+    r_h = restrict_bivector(jp.r, h_vectors) if m >= 2 else Multivector.zero(m, min(2, m))
+    if r_h is None:
+        raise ValueError("r does not lie in the second exterior power of the characteristic subspace")
+    x0_coords = coordinates(h_vectors, jp.x0.coeffs()) if m else None
+    if m and x0_coords is None:
         raise ValueError("x0 does not lie in the characteristic subspace")
-    x0_h = Multivector.from_coeffs(x0_sol[0]) if m else Multivector.zero(0, 0)
+    x0_h = Multivector.from_coeffs(x0_coords) if m else Multivector.zero(0, 0)
     restricted_pair = JacobiPair(restricted, r_h, x0_h)
     tag = "contact" if m % 2 else "lcs"
     inclusion = LinearMap.from_columns(h_vectors) if m else LinearMap.from_rows([[] for _ in range(g.dim)])
@@ -269,8 +242,7 @@ def jacobi_to_contact(jp: JacobiPair) -> ContactStructure:
     n = g.dim
     if n % 2 == 0 or rank(jp) != n:
         raise ValueError("jacobi pair does not have full odd rank")
-    sharp_cols = [contract(Form.basis(n, j), jp.r).coeffs() for j in range(n)]
-    rows = [list(col) for col in sharp_cols]
+    rows = sharp(jp).transpose().rows
     rhs = [ZERO for _ in rows]
     rows.append(jp.x0.coeffs())
     rhs.append(Fraction(1))

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import combinations
+from typing import Iterable, Mapping, Sequence
 
 from liejacobi import linalg
 from liejacobi.exterior import Form, Multivector, evaluate, pair, wedge
@@ -482,3 +483,48 @@ def change_basis(g: LieAlgebra, columns: Matrix, name: str | None = None,
             if not v.is_zero():
                 structure[(i, j)] = v
     return LieAlgebra(name or g.name, n, labels or standard_labels(n), structure)
+
+
+def coordinates(basis: Sequence[Sequence], v: Iterable) -> list[Fraction] | None:
+    """Coordinates of v in the given independent vectors, or None outside their span."""
+    v = list(v)
+    sol = linalg.solve([[b[i] for b in basis] for i in range(len(v))], v)
+    return None if sol is None else sol[0]
+
+
+def restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str) -> LieAlgebra:
+    """Bracket of g on the span of independent vectors, in that basis.
+
+    A span that is not bracket-closed raises ValueError naming the witness
+    bracket.
+    """
+    vectors = [Multivector.from_coeffs(b) for b in basis]
+    m = len(basis)
+    structure: dict[tuple[int, int], Multivector] = {}
+    for a in range(m):
+        for b in range(a + 1, m):
+            bracket = g.bracket(vectors[a], vectors[b])
+            coords = coordinates(basis, bracket.coeffs())
+            if coords is None:
+                labels = g.basis_labels
+                raise ValueError(
+                    f"span is not bracket-closed: [{vectors[a].render(labels)}, "
+                    f"{vectors[b].render(labels)}] = {bracket.render(labels)} lies outside")
+            value = Multivector.from_coeffs(coords)
+            if not value.is_zero():
+                structure[(a, b)] = value
+    return LieAlgebra(name, m, standard_labels(m), structure)
+
+
+def restrict_bivector(r: Multivector, basis: Iterable[Iterable]) -> Multivector | None:
+    """Coordinates of r in the wedge basis of independent vectors, or None
+    when r does not lie in the second exterior power of their span."""
+    vectors = [Multivector.from_coeffs(b) for b in basis]
+    pairs = list(combinations(range(len(vectors)), 2))
+    wedges = [wedge(vectors[a], vectors[b]) for a, b in pairs]
+    ambient = list(combinations(range(r.dim), 2))
+    coords = coordinates([[w.coefficient(idx) for idx in ambient] for w in wedges],
+                         [r.coefficient(idx) for idx in ambient])
+    if coords is None:
+        return None
+    return Multivector.from_terms(len(vectors), 2, dict(zip(pairs, coords)))

@@ -142,7 +142,7 @@ def invert(a: Matrix) -> Matrix:
 
 
 def determinant(a: Matrix) -> Fraction:
-    """Determinant by fraction-free elimination on a copy."""
+    """Determinant by Gaussian elimination with Fraction pivots on a copy."""
     n = len(a)
     m = copy_matrix(a)
     det = ONE

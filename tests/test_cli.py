@@ -1,10 +1,12 @@
 """Command line behavior: exit codes, text goldens, machine format, --out."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from helpers import fm, mv, vec
+from liejacobi.bialgebra import GeneralizedBialgebra
 from liejacobi.catalog import catalog, catalog_names
 from liejacobi.cli import main
 from liejacobi.documents import parse, serialize
@@ -261,6 +263,20 @@ def test_coboundary_solve(capsys):
     assert code == 0
     assert payload["report"]["empty"] is True
     assert payload["report"]["particular"] is None
+
+
+def test_coboundary_solve_rejects_non_bialgebra(tmp_path, capsys):
+    # schema-valid, but [e^1,e^4]* = 3 e^4 breaks the bialgebra conditions
+    b = catalog("noncob4_53")
+    structure = dict(b.g_star.structure)
+    structure[(0, 3)] = structure[(0, 3)].scale(3)
+    broken = GeneralizedBialgebra(b.g, replace(b.g_star, structure=structure), b.phi0, b.x0)
+    path = write(tmp_path, "broken.json", broken)
+    code, out, err = run(capsys, "coboundary-solve", "--glb", path, "--format", "machine")
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert report["passed"] is False and "not a generalized bialgebra" in report["error"]
+    assert "Traceback" not in out + err
 
 
 def test_catalog_listing_and_entry(tmp_path, capsys):

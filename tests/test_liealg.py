@@ -16,6 +16,7 @@ from liejacobi.liealg import (
     center,
     central_extension,
     change_basis,
+    coordinates,
     derivations,
     derived_algebra,
     direct_product,
@@ -24,9 +25,12 @@ from liejacobi.liealg import (
     is_derivation,
     killing_form,
     one_cocycles,
+    restrict,
+    restrict_bivector,
     semidirect_by_derivation,
     standard_labels,
 )
+from liejacobi.linalg import transpose
 
 
 def test_constructor_rejects_malformed_input():
@@ -225,6 +229,31 @@ def test_change_basis_preserves_structure():
     assert h.validate().passed
     from liejacobi.linalg import determinant
     assert determinant(killing_form(h).rows) == determinant(killing_form(g).rows)
+
+
+def test_restrict_full_basis_matches_change_basis():
+    p = [[1, 0, 1], [0, 1, 0], [0, 1, 1]]
+    q = [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 2], [0, 0, 0, 1, 0], [0, 0, 1, 0, 1]]
+    for g, cols in ((catalog("su2"), p), (heisenberg(2), q)):
+        cols = [[Fraction(x) for x in row] for row in cols]
+        h = restrict(g, transpose(cols), "h")
+        assert h.structure == change_basis(g, cols).structure
+        assert h.basis_labels == standard_labels(g.dim)
+
+
+def test_restrict_rejects_span_that_is_not_closed():
+    with pytest.raises(ValueError, match=r"not bracket-closed: \[e1, e2\] = e3 lies outside"):
+        restrict(catalog("su2"), [[1, 0, 0], [0, 1, 0]], "h")
+
+
+def test_coordinates_and_restrict_bivector():
+    basis = [[1, 1, 0], [0, 1, 1]]
+    assert coordinates(basis, [2, 5, 3]) == [2, 3]
+    assert coordinates(basis, [1, 0, 0]) is None
+    # e1 ^ e2 + e1 ^ e3 + e2 ^ e3 = (e1 + e2) ^ (e2 + e3)
+    r = mv(3, 2, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+    assert restrict_bivector(r.scale(4), basis) == mv(2, 2, {(0, 1): 4})
+    assert restrict_bivector(mv(3, 2, {(0, 1): 1}), basis) is None
 
 
 def test_subspace_membership():
