@@ -44,7 +44,6 @@ from liejacobi.liealg import (
     is_compact,
     is_derivation,
     killing_form,
-    one_cocycles,
     restrict,
     restrict_bivector,
 )
@@ -244,18 +243,22 @@ def _coadjoint(g: LieAlgebra, x: Multivector, alpha: Form) -> Form:
     return Form.from_coeffs(coeffs)
 
 
+def _sharp_images(sharp_map: LinearMap) -> list[Multivector]:
+    # #_r(e^i) for every basis covector e^i: the columns of the matrix
+    return [Multivector.from_coeffs(col) for col in zip(*sharp_map.matrix)]
+
+
 def dual_bracket_adjoint_route(g: LieAlgebra, phi0: Form, r: Multivector,
                                x0: Multivector) -> dict:
     """Dual structure constants via coadjoint operators:
     [a,b]* = coad_{#r b} a - coad_{#r a} b + r(a,b) phi0 + i(x0)(a^b)."""
     n = g.dim
-    sharp_map = sharp(r)
+    images = _sharp_images(sharp(r))
     structure = {}
     for i in range(n):
         for j in range(i + 1, n):
             ei, ej = g.basis_form(i), g.basis_form(j)
-            si = Multivector.from_coeffs(sharp_map.apply(ei.coeffs()))
-            sj = Multivector.from_coeffs(sharp_map.apply(ej.coeffs()))
+            si, sj = images[i], images[j]
             value = (_coadjoint(g, sj, ei) - _coadjoint(g, si, ej)
                      + phi0.scale(pair(wedge(ei, ej), r))
                      + contract(x0, wedge(ei, ej)))
@@ -353,12 +356,11 @@ def build_from_jacobi(y: YbData) -> JacobiBuildResult:
     dual = build_dual_bracket(y)
     bialgebra = GeneralizedBialgebra(g, dual, y.phi0, y.x0)
     sharp_map = sharp(y.r)
+    images = _sharp_images(sharp_map)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             lhs = sharp_map.apply_element(dual.bracket_basis(i, j))
-            si = Multivector.from_coeffs(sharp_map.apply(g.basis_form(i).coeffs()))
-            sj = Multivector.from_coeffs(sharp_map.apply(g.basis_form(j).coeffs()))
-            rhs = -g.bracket(si, sj)
+            rhs = -g.bracket(images[i], images[j])
             if Multivector.from_coeffs(lhs.coeffs()) != rhs:
                 raise ValueError("sharp map is not a homomorphism; construction is inconsistent")
     full_even = g.dim % 2 == 0 and rank(jp) == g.dim
@@ -599,6 +601,11 @@ def extract_jacobi(b: GeneralizedBialgebra, y0: Multivector) -> ExtractionResult
     report = check_glb(b)
     if not report.passed:
         raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
+    return _extract_checked(b, y0)
+
+
+def _extract_checked(b: GeneralizedBialgebra, y0: Multivector) -> ExtractionResult:
+    # extract_jacobi after check_glb(b) has passed
     g = b.g
     if not center(g).contains_element(y0):
         raise ValueError("y0 must be central in g")
@@ -895,7 +902,7 @@ def classify_compact(b: GeneralizedBialgebra) -> ClassificationResult:
     if scale == 0:
         raise ValueError("phi0 vanishes on its dual vector; no unit central vector exists")
     y0 = Multivector.from_coeffs([c / scale for c in y_raw])
-    extraction = extract_jacobi(b, y0)
+    extraction = _extract_checked(b, y0)
     char = extraction.characteristic
     m = char.subspace.rank
 

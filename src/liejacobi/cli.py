@@ -22,7 +22,7 @@ from liejacobi.bialgebra import (
     unit_center_vector,
 )
 from liejacobi.catalog import catalog, catalog_names
-from liejacobi.documents import DocumentError, parse, serialize, to_document
+from liejacobi.documents import DocumentError, parse, to_document
 from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import (
     ContactStructure,

@@ -134,7 +134,7 @@ def characteristic_subalgebra(jp: JacobiPair) -> CharacteristicSubalgebra:
     h_vectors = [list(row) for row in sub.rows]
     restricted = restrict(g, h_vectors, f"{g.name}.char")
     # r lives in Lambda^2 of the subspace whenever the pair is valid
-    r_h = restrict_bivector(jp.r, h_vectors) if m >= 2 else Multivector.zero(m, min(2, m))
+    r_h = restrict_bivector(jp.r, h_vectors)
     if r_h is None:
         raise ValueError("r does not lie in the second exterior power of the characteristic subspace")
     x0_coords = coordinates(h_vectors, jp.x0.coeffs()) if m else None

@@ -1,20 +1,24 @@
 """Finite-dimensional Lie algebras given by rational structure constants.
 
 A LieAlgebra stores brackets of basis pairs (i, j) for i < j only; the rest
-follows by antisymmetry.  Structural computations (center, derived algebra,
-cocycles, derivations, Killing form, compactness) reduce to exact rational
-linear algebra.
+follows by antisymmetry.  Each algebra also keeps one table of its structure
+constants c_ij^k, built once from that read-only mapping, from which the
+bracket, the Killing form and the Schouten and Chevalley-Eilenberg sums are
+read.  Structural computations (center, derived algebra, cocycles,
+derivations, compactness) reduce to exact rational linear algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from liejacobi import linalg
-from liejacobi.exterior import Form, Multivector, evaluate, pair, wedge
+from liejacobi.exterior import Form, Multivector, evaluate, wedge
 from liejacobi.linalg import ZERO, Matrix, frac
 
 
@@ -34,8 +38,11 @@ class LieAlgebra:
     """Lie algebra over the rationals, described by structure constants.
 
     structure maps (i, j) with i < j to the bracket [e_i, e_j] as a grade-1
-    multivector; absent pairs bracket to zero.  Construction does not check
-    the Jacobi identity; use validate() for that.
+    multivector; absent pairs bracket to zero.  Construction copies it into a
+    read-only mapping, so the structure-constant table `_ad`, built on first
+    use, cannot go stale; dataclasses.replace builds a new algebra with its
+    own table.  Construction does not check the Jacobi identity; use
+    validate() for that.
     """
 
     name: str
@@ -55,6 +62,21 @@ class LieAlgebra:
                 raise ValueError(f"structure value for {(i, j)} must be a grade-1 multivector")
             if value.is_zero():
                 raise ValueError("zero brackets must be omitted")
+        object.__setattr__(self, "structure", MappingProxyType(dict(self.structure)))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; copy and pickle through the constructor
+        return (LieAlgebra, (self.name, self.dim, self.basis_labels, dict(self.structure)))
+
+    @cached_property
+    def _ad(self) -> tuple[dict[int, dict[tuple[int], Fraction]], ...]:
+        """_ad[i][j] holds the terms {(k,): c_ij^k} of [e_i, e_j], for both
+        orders of every nonzero pair; zero pairs are absent."""
+        ad: tuple[dict, ...] = tuple({} for _ in range(self.dim))
+        for (i, j), value in self.structure.items():
+            ad[i][j] = dict(value.terms)
+            ad[j][i] = {k: -c for k, c in value.terms.items()}
+        return ad
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, brackets: Mapping[tuple[int, int], Iterable],
@@ -89,23 +111,27 @@ class LieAlgebra:
         return Form.basis(self.dim, i)
 
     def bracket_basis(self, i: int, j: int) -> Multivector:
-        if i == j:
-            return self.zero_vector()
-        if i < j:
-            return self.structure.get((i, j), self.zero_vector())
-        v = self.structure.get((j, i))
-        return -v if v is not None else self.zero_vector()
+        return Multivector(self.dim, 1, dict(self._ad[i].get(j, {})))
 
     def bracket(self, x: Multivector, y: Multivector) -> Multivector:
         """Bilinear extension of the basis brackets to grade-1 elements."""
         if x.grade != 1 or y.grade != 1:
             raise ValueError("bracket arguments must have grade 1")
-        out = self.zero_vector()
+        acc: dict[tuple[int], Fraction] = {}
         for (i,), a in x.terms.items():
+            row = self._ad[i]
             for (j,), b in y.terms.items():
-                if i != j:
-                    out = out + (a * b) * self.bracket_basis(i, j)
-        return out
+                terms = row.get(j)
+                if terms is None:
+                    continue
+                ab = a * b
+                for k, c in terms.items():
+                    v = acc.get(k, ZERO) + ab * c
+                    if v == 0:
+                        acc.pop(k, None)
+                    else:
+                        acc[k] = v
+        return Multivector(self.dim, 1, acc)
 
     def ad_matrix(self, x: Multivector) -> Matrix:
         """Matrix of ad_x = [x, .] over the basis (columns are images)."""
@@ -257,7 +283,7 @@ class LinearMap:
         return len(self.matrix)
 
     def apply(self, coeffs: Iterable) -> list[Fraction]:
-        return linalg.mat_vec(self.rows, [frac(c) for c in coeffs])
+        return linalg.mat_vec(self.matrix, [frac(c) for c in coeffs])
 
     def apply_element(self, e):
         if e.is_zero():
@@ -328,14 +354,21 @@ def derivations(g: LieAlgebra) -> list[LinearMap]:
 
 
 def killing_form(g: LieAlgebra) -> LinearMap:
-    """K(x, y) = trace(ad_x ad_y), as a symmetric matrix over the basis."""
+    """K(x, y) = trace(ad_x ad_y), as a symmetric matrix over the basis.
+
+    Summed from the structure constants: K_ij = sum_{m,l} c_im^l c_jl^m.
+    """
     n = g.dim
-    ads = [g.ad_matrix(g.basis_vector(i)) for i in range(n)]
+    ad = g._ad
     k = linalg.zeros(n, n)
     for i in range(n):
         for j in range(i, n):
-            prod = linalg.mat_mul(ads[i], ads[j])
-            tr = sum((prod[t][t] for t in range(n)), ZERO)
+            tr = ZERO
+            for m, terms in ad[i].items():      # [e_i, e_m] = sum_l c_im^l e_l
+                for (l,), a in terms.items():
+                    back = ad[j].get(l)         # [e_j, e_l] = sum_m c_jl^m e_m
+                    if back is not None and (m,) in back:
+                        tr += a * back[(m,)]
             k[i][j] = tr
             k[j][i] = tr
     return LinearMap.from_rows(k)
@@ -518,8 +551,14 @@ def restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str) -> LieAlgebra:
 
 def restrict_bivector(r: Multivector, basis: Iterable[Iterable]) -> Multivector | None:
     """Coordinates of r in the wedge basis of independent vectors, or None
-    when r does not lie in the second exterior power of their span."""
+    when r does not lie in the second exterior power of their span.
+
+    A span of fewer than two vectors holds only r = 0, returned as the
+    top-grade zero Multivector.zero(m, m), the convention wedge uses.
+    """
     vectors = [Multivector.from_coeffs(b) for b in basis]
+    if len(vectors) < 2:
+        return Multivector.zero(len(vectors), len(vectors)) if r.is_zero() else None
     pairs = list(combinations(range(len(vectors)), 2))
     wedges = [wedge(vectors[a], vectors[b]) for a, b in pairs]
     ambient = list(combinations(range(r.dim), 2))

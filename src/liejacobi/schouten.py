@@ -41,8 +41,8 @@ def schouten(g: LieAlgebra, p: Multivector, q: Multivector) -> Multivector:
         for qi, b in q.terms.items():
             for ipos in range(k):
                 for jpos in range(kp):
-                    bracket = g.bracket_basis(pi[ipos], qi[jpos])
-                    if bracket.is_zero():
+                    bracket = g._ad[pi[ipos]].get(qi[jpos])
+                    if bracket is None:
                         continue
                     pos_sign = -1 if (ipos + jpos) % 2 else 1
                     rest_p = pi[:ipos] + pi[ipos + 1:]
@@ -51,7 +51,7 @@ def schouten(g: LieAlgebra, p: Multivector, q: Multivector) -> Multivector:
                     if merge_sign == 0:
                         continue
                     base = front * pos_sign * merge_sign * a * b
-                    for (m,), c in bracket.terms.items():
+                    for (m,), c in bracket.items():
                         full, ins_sign = merge_sorted((m,), rest)
                         if ins_sign == 0:
                             continue
@@ -116,12 +116,12 @@ def ce_differential(source: LieAlgebra, element: _Element) -> _Element:
         total = ZERO
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
-                bracket = source.bracket_basis(big[a], big[b])
-                if bracket.is_zero():
+                bracket = source._ad[big[a]].get(big[b])
+                if bracket is None:
                     continue
                 rest = big[:a] + big[a + 1:b] + big[b + 1:]
                 pos_sign = -1 if (a + b) % 2 else 1
-                for (m,), c in bracket.terms.items():
+                for (m,), c in bracket.items():
                     val = element.coefficient((m,) + rest)
                     if val != 0:
                         total += pos_sign * c * val

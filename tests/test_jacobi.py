@@ -117,6 +117,18 @@ def test_characteristic_subalgebra_zero_pair():
     assert cs.tag == "lcs"
 
 
+def test_characteristic_subalgebra_rank_one():
+    # r = 0, x0 = e5 on heisenberg(1,2): the line through x0, with the
+    # top-grade zero as its restricted r
+    g = heisenberg(2)
+    cs = characteristic_subalgebra(JacobiPair(g, Multivector.zero(5, 2), vec(5, 4)))
+    assert cs.subspace.rank == 1 and cs.tag == "contact"
+    assert cs.algebra.dim == 1 and not cs.algebra.structure
+    assert cs.pair.r.dim == 1 and cs.pair.r.grade == 1 and cs.pair.r.is_zero()
+    assert cs.pair.x0 == vec(1, 0)
+    assert cs.inclusion.matrix == ((0,), (0,), (0,), (0,), (1,))
+
+
 def test_characteristic_subalgebra_contact_tag():
     y = catalog("solvable3_51")
     cs = characteristic_subalgebra(JacobiPair(y.g, y.r, y.x0))

@@ -1,11 +1,16 @@
 """Lie algebra layer: constructors, validation, invariants, constructions."""
 
+import copy
+import pickle
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import fm, mv, vec
-from liejacobi.catalog import catalog, heisenberg
+from helpers import fm, mv, random_fraction, vec
+from liejacobi.bialgebra import GeneralizedBialgebra, check_glb
+from liejacobi.catalog import catalog, catalog_names, heisenberg
 from liejacobi.exterior import Multivector
 from liejacobi.liealg import (
     LieAlgebra,
@@ -30,7 +35,7 @@ from liejacobi.liealg import (
     semidirect_by_derivation,
     standard_labels,
 )
-from liejacobi.linalg import transpose
+from liejacobi.linalg import ZERO, identity, mat_mul, transpose
 
 
 def test_constructor_rejects_malformed_input():
@@ -254,6 +259,96 @@ def test_coordinates_and_restrict_bivector():
     r = mv(3, 2, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
     assert restrict_bivector(r.scale(4), basis) == mv(2, 2, {(0, 1): 4})
     assert restrict_bivector(mv(3, 2, {(0, 1): 1}), basis) is None
+
+
+def test_restrict_bivector_on_spans_below_two():
+    assert restrict_bivector(mv(3, 2, {}), [[1, 1, 0]]) == Multivector.zero(1, 1)
+    assert restrict_bivector(mv(3, 2, {}), [[1, 1, 0]]).grade == 1
+    assert restrict_bivector(mv(3, 2, {}), []).grade == 0
+    assert restrict_bivector(mv(3, 2, {(0, 1): 1}), [[1, 1, 0]]) is None
+    assert restrict_bivector(mv(3, 2, {(0, 1): 1}), []) is None
+
+
+def _catalog_algebras():
+    algebras = [heisenberg(n) for n in (1, 2, 3)] + [abelian(3)]
+    for name in catalog_names():
+        if "(" in name:
+            continue
+        entry = catalog(name)
+        if isinstance(entry, LieAlgebra):
+            algebras.append(entry)
+        elif isinstance(entry, GeneralizedBialgebra):
+            algebras += [entry.g, entry.g_star]
+        else:
+            algebras.append(entry.g)
+    return algebras
+
+
+def _dense_unimodular(n: int, seed: int):
+    """Columns of a dense integer matrix with determinant 1 (lower times upper unit triangular)."""
+    rng = random.Random(seed)
+    lower, upper = identity(n), identity(n)
+    for i in range(n):
+        for j in range(i):
+            lower[i][j] = Fraction(rng.choice((-2, -1, 1, 2)))
+            upper[j][i] = Fraction(rng.choice((-2, -1, 1, 2)))
+    return mat_mul(lower, upper)
+
+
+def _dense_killing(g: LieAlgebra):
+    # the reference route: tr(ad_{e_i} ad_{e_j}) through dense matrix products
+    ads = [g.ad_matrix(g.basis_vector(i)) for i in range(g.dim)]
+    return tuple(tuple(sum((row[t] for t, row in enumerate(mat_mul(ads[i], ads[j]))), ZERO)
+                       for j in range(g.dim)) for i in range(g.dim))
+
+
+def test_killing_form_matches_dense_ad_route():
+    su2_r2 = direct_product(catalog("su2"), abelian(2))
+    algebras = _catalog_algebras() + [
+        change_basis(su2_r2, _dense_unimodular(5, 1)),
+        change_basis(heisenberg(3), _dense_unimodular(7, 2)),
+    ]
+    for g in algebras:
+        assert killing_form(g).matrix == _dense_killing(g), g.name
+    # the dense bases are dense enough to exercise every table entry
+    assert all(len(v.terms) > 1 for v in algebras[-1].structure.values())
+    assert killing_form(algebras[-2]).is_symmetric()
+    assert any(x != 0 for row in killing_form(algebras[-2]).matrix for x in row)
+
+
+def test_bracket_matches_basis_expansion():
+    rng = random.Random(7)
+    for g in _catalog_algebras() + [change_basis(heisenberg(2), _dense_unimodular(5, 3))]:
+        for _ in range(5):
+            a = [random_fraction(rng) for _ in range(g.dim)]
+            b = [random_fraction(rng) for _ in range(g.dim)]
+            expected = g.zero_vector()
+            for i in range(g.dim):
+                for j in range(g.dim):
+                    expected = expected + (a[i] * b[j]) * g.bracket_basis(i, j)
+            x, y = Multivector.from_coeffs(a), Multivector.from_coeffs(b)
+            assert g.bracket(x, y) == expected, g.name
+
+
+def test_structure_is_read_only_and_replace_builds_a_new_table():
+    g = catalog("su2")
+    with pytest.raises(TypeError):
+        g.structure[(0, 1)] = vec(3, 0)
+    source = {(0, 1): vec(3, 2)}
+    h = LieAlgebra("h", 3, standard_labels(3), source)
+    source[(0, 2)] = vec(3, 1)          # the algebra keeps its own copy
+    assert list(h.structure) == [(0, 1)] and h.bracket(vec(3, 0), vec(3, 2)).is_zero()
+    for copied in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert copied == g and copied.bracket(vec(3, 0), vec(3, 1)) == vec(3, 2)
+    # the same change as the broken-dual CLI case, after the table was built
+    b = catalog("noncob4_53")
+    assert check_glb(b).passed
+    structure = dict(b.g_star.structure)
+    structure[(0, 3)] = structure[(0, 3)].scale(3)
+    broken_star = replace(b.g_star, structure=structure)
+    assert broken_star.bracket(vec(4, 0), vec(4, 3)) == vec(4, 3).scale(3)
+    assert b.g_star.bracket(vec(4, 0), vec(4, 3)) == vec(4, 3)
+    assert not check_glb(GeneralizedBialgebra(b.g, broken_star, b.phi0, b.x0)).passed
 
 
 def test_subspace_membership():
