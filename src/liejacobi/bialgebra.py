@@ -138,7 +138,8 @@ def check_glb(b: GeneralizedBialgebra) -> GlbReport:
     x0_res = ce_differential(gs, b.x0)
 
     bracket_entries = []
-    d_basis = [_dual_twisted_differential(b, g.basis_vector(i)) for i in range(n)]
+    d_star = [ce_differential(gs, g.basis_vector(i)) for i in range(n)]
+    d_basis = [d + wedge(b.x0, g.basis_vector(i)) for i, d in enumerate(d_star)]
     for i in range(n):
         for j in range(i + 1, n):
             lhs = _dual_twisted_differential(b, g.bracket_basis(i, j))
@@ -152,8 +153,7 @@ def check_glb(b: GeneralizedBialgebra) -> GlbReport:
 
     contraction_entries = []
     for i in range(n):
-        res = contract(b.phi0, ce_differential(gs, g.basis_vector(i))) \
-            + schouten(g, b.x0, g.basis_vector(i))
+        res = contract(b.phi0, d_star[i]) + schouten(g, b.x0, g.basis_vector(i))
         if not res.is_zero():
             contraction_entries.append((i, res))
 
@@ -406,9 +406,9 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
             basis_r = Multivector.from_terms(n, 2, {(a, c): 1})
             image = schouten(g, x, basis_r) - basis_r.scale(phi_x)
             columns.append(image)
-        for t in targets:
-            rows.append([col.coefficient(t) for col in columns])
-            rhs.append(lhs.coefficient(t))
+        for t in targets:    # sorted, so the stored coefficient needs no sign
+            rows.append([col.terms.get(t, ZERO) for col in columns])
+            rhs.append(lhs.terms.get(t, ZERO))
     solution = solve(rows, rhs)
     if solution is None:
         return CoboundarySolutions(None, tuple())
@@ -693,8 +693,7 @@ def su2_triple(g: LieAlgebra) -> tuple[Multivector, Multivector, Multivector]:
         if v1 is None:
             continue
         e1 = Multivector.from_coeffs(v1)
-        complement = nullspace([[k.value(v1, [Fraction(1 if i == j else 0) for j in range(3)])
-                                 for i in range(3)]])
+        complement = nullspace([k.transpose().apply(v1)])   # v1^T K, as a row
         if len(complement) != 2:
             continue
         ok = True
@@ -828,8 +827,7 @@ def _classify_semidirect(b: GeneralizedBialgebra) -> SemidirectCertificate:
     g, gs = b.g, b.g_star
     n = g.dim
     bform = invariant_scalar_product(g)
-    theta_raw = [bform.value(b.x0.coeffs(), [Fraction(1 if i == j else 0) for j in range(n)])
-                 for i in range(n)]
+    theta_raw = bform.transpose().apply(b.x0.coeffs())   # x0^T B, as a row
     theta_raw_form = Form.from_coeffs(theta_raw)
     scale = pair(theta_raw_form, b.x0)
     theta0 = theta_raw_form.scale(Fraction(1) / scale)

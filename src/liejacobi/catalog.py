@@ -1,9 +1,9 @@
 """Prebuilt algebras and structure bundles, addressable by name.
 
 Fixed-dimension entries are constructed once per call; abelian(n) and
-heisenberg(1,n) take the parameter inside the name.  Entries come in three
-shapes: plain algebras, Yang-Baxter bundles (algebra, phi0, r, x0), and full
-generalized bialgebras.
+heisenberg(1,n) take the parameter inside the name, up to dimension
+liealg.MAX_DIM.  Entries come in three shapes: plain algebras, Yang-Baxter
+bundles (algebra, phi0, r, x0), and full generalized bialgebras.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from liejacobi.bialgebra import (
 )
 from liejacobi.exterior import Form, Multivector
 from liejacobi.liealg import (
+    MAX_DIM,
     LieAlgebra,
     Subspace,
     abelian,
@@ -127,6 +128,12 @@ _ABELIAN = re.compile(r"abelian\((\d+)\)\Z")
 _HEISENBERG = re.compile(r"heisenberg\(1,(\d+)\)\Z")
 
 
+def _within_limit(name: str, dim: int) -> None:
+    if dim > MAX_DIM:
+        raise ValueError(f"catalog name {name!r} asks for dimension {dim}, "
+                         f"above the limit MAX_DIM = {MAX_DIM}")
+
+
 def catalog_names() -> list[str]:
     return sorted(_FIXED) + ["abelian(n)", "heisenberg(1,n)"]
 
@@ -141,9 +148,13 @@ def catalog(name: str):
         return _FIXED[name]()
     m = _ABELIAN.match(name)
     if m:
-        return abelian(int(m.group(1)))
+        n = int(m.group(1))
+        _within_limit(name, n)
+        return abelian(n)
     m = _HEISENBERG.match(name)
     if m:
-        return heisenberg(int(m.group(1)))
+        n = int(m.group(1))
+        _within_limit(name, 2 * n + 1)
+        return heisenberg(n)
     raise ValueError(f"unknown catalog name {name!r}; available: "
                      + ", ".join(catalog_names()))

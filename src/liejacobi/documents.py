@@ -14,7 +14,7 @@ from fractions import Fraction
 from liejacobi.bialgebra import GeneralizedBialgebra, YbData
 from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import ContactStructure, JacobiPair, LcsStructure
-from liejacobi.liealg import LieAlgebra
+from liejacobi.liealg import MAX_DIM, LieAlgebra
 
 
 class DocumentError(ValueError):
@@ -107,6 +107,9 @@ def _parse_algebra(obj: dict, path: str) -> LieAlgebra:
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise DocumentError(f"{path}.dim", "expected a nonnegative integer")
+    if dim > MAX_DIM:
+        raise DocumentError(f"{path}.dim",
+                            f"dimension {dim} exceeds the limit MAX_DIM = {MAX_DIM}")
     labels = _Labels(obj["basis"], f"{path}.basis")
     if len(labels.names) != dim:
         raise DocumentError(f"{path}.basis", f"{len(labels.names)} labels for dim {dim}")

@@ -4,18 +4,38 @@ Multivectors and forms are maps from strictly increasing index tuples to
 nonzero rational coefficients.  All normalization (index sorting, sign
 bookkeeping, dropping zeros) happens at construction, so equality is plain
 dictionary comparison.  A grade-0 element is a scalar stored under the empty
-index; an empty term map is the zero element of any grade.
+index; an empty term map is the zero element of any grade.  `numerators`
+writes a term map as integers over one common denominator, the form in
+which the structure-constant kernels take their arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from liejacobi.linalg import ZERO, frac
 
 Index = tuple[int, ...]
+
+
+def numerators(terms: Mapping[object, Fraction]) -> tuple[dict, int]:
+    """The terms as integers over one common denominator.
+
+    Returns (nums, den) with terms[k] == nums[k] / den and den the lcm of
+    the denominators (1 for no terms).  The structure-constant kernels sum
+    products of such numerators in int arithmetic and build one Fraction
+    per output coefficient, instead of one per multiply-add.
+    """
+    # folded one denominator at a time: lcm(*...) allocates an argument
+    # tuple per call, and on dense dim-7 inputs those made the resident set
+    # of a long run grow op after op
+    den = 1
+    for c in terms.values():
+        den = lcm(den, c.denominator)
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 def sort_index(idx: Iterable[int]) -> tuple[Index, int]:

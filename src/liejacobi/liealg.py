@@ -2,10 +2,13 @@
 
 A LieAlgebra stores brackets of basis pairs (i, j) for i < j only; the rest
 follows by antisymmetry.  Each algebra also keeps one table of its structure
-constants c_ij^k, built once from that read-only mapping, from which the
-bracket, the Killing form and the Schouten and Chevalley-Eilenberg sums are
-read.  Structural computations (center, derived algebra, cocycles,
-derivations, compactness) reduce to exact rational linear algebra.
+constants, built once from that read-only mapping: integers N_ij^k over one
+common denominator den (the lcm of all the algebra's denominators), with
+c_ij^k = N_ij^k / den.  The bracket, the Jacobi identity, the Killing form
+and the Schouten and Chevalley-Eilenberg sums are summed from it in int
+arithmetic, with one Fraction built per output coefficient.  Structural
+computations (center, derived algebra, cocycles, derivations, compactness)
+reduce to exact rational linear algebra.
 """
 
 from __future__ import annotations
@@ -14,12 +17,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from liejacobi import linalg
-from liejacobi.exterior import Form, Multivector, evaluate, wedge
+from liejacobi.exterior import Form, Multivector, evaluate, numerators, wedge
 from liejacobi.linalg import ZERO, Matrix, frac
+
+# Largest algebra dimension accepted from documents and catalog names.  The
+# Jacobi check is O(dim^3) and derivations solves for dim^2 unknowns, so an
+# unbounded dimension lets one input run for hours; the paper's examples
+# have dim <= 4 and the scaling series stop near 12.
+MAX_DIM = 32
 
 
 def dual_label(label: str) -> str:
@@ -39,10 +49,10 @@ class LieAlgebra:
 
     structure maps (i, j) with i < j to the bracket [e_i, e_j] as a grade-1
     multivector; absent pairs bracket to zero.  Construction copies it into a
-    read-only mapping, so the structure-constant table `_ad`, built on first
-    use, cannot go stale; dataclasses.replace builds a new algebra with its
-    own table.  Construction does not check the Jacobi identity; use
-    validate() for that.
+    read-only mapping, so the integer structure-constant table `_ad`, built
+    on first use, cannot go stale; dataclasses.replace builds a new algebra
+    with its own table.  Construction does not check the Jacobi identity;
+    use validate() for that.
     """
 
     name: str
@@ -69,14 +79,22 @@ class LieAlgebra:
         return (LieAlgebra, (self.name, self.dim, self.basis_labels, dict(self.structure)))
 
     @cached_property
-    def _ad(self) -> tuple[dict[int, dict[tuple[int], Fraction]], ...]:
-        """_ad[i][j] holds the terms {(k,): c_ij^k} of [e_i, e_j], for both
-        orders of every nonzero pair; zero pairs are absent."""
-        ad: tuple[dict, ...] = tuple({} for _ in range(self.dim))
+    def _ad(self) -> tuple[int, tuple[dict[int, dict[int, int]], ...]]:
+        """(den, table): table[i][j] maps k to the integer N_ij^k, where
+        c_ij^k = N_ij^k / den, for both orders of every nonzero pair; zero
+        pairs are absent and den is the lcm of all the denominators."""
+        # numerators() inlined: a public call made only on first use would make
+        # the calls of one operation depend on whether the table was built
+        den = 1
+        for value in self.structure.values():
+            for c in value.terms.values():
+                den = lcm(den, c.denominator)
+        table: tuple[dict, ...] = tuple({} for _ in range(self.dim))
         for (i, j), value in self.structure.items():
-            ad[i][j] = dict(value.terms)
-            ad[j][i] = {k: -c for k, c in value.terms.items()}
-        return ad
+            row = {k: c.numerator * (den // c.denominator) for (k,), c in value.terms.items()}
+            table[i][j] = row
+            table[j][i] = {k: -num for k, num in row.items()}
+        return den, table
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, brackets: Mapping[tuple[int, int], Iterable],
@@ -110,28 +128,32 @@ class LieAlgebra:
     def basis_form(self, i: int) -> Form:
         return Form.basis(self.dim, i)
 
+    def _vector(self, acc: dict[int, int], scale: int) -> Multivector:
+        # the grade-1 element sum_k (acc[k] / scale) e_k
+        return Multivector(self.dim, 1, {(k,): Fraction(v, scale) for k, v in acc.items() if v})
+
     def bracket_basis(self, i: int, j: int) -> Multivector:
-        return Multivector(self.dim, 1, dict(self._ad[i].get(j, {})))
+        den, table = self._ad
+        return self._vector(table[i].get(j, {}), den)
 
     def bracket(self, x: Multivector, y: Multivector) -> Multivector:
         """Bilinear extension of the basis brackets to grade-1 elements."""
         if x.grade != 1 or y.grade != 1:
             raise ValueError("bracket arguments must have grade 1")
-        acc: dict[tuple[int], Fraction] = {}
-        for (i,), a in x.terms.items():
-            row = self._ad[i]
-            for (j,), b in y.terms.items():
+        den, table = self._ad
+        xs, dx = numerators(x.terms)
+        ys, dy = numerators(y.terms)
+        acc: dict[int, int] = {}
+        for (i,), a in xs.items():
+            row = table[i]
+            for (j,), b in ys.items():
                 terms = row.get(j)
                 if terms is None:
                     continue
                 ab = a * b
                 for k, c in terms.items():
-                    v = acc.get(k, ZERO) + ab * c
-                    if v == 0:
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = v
-        return Multivector(self.dim, 1, acc)
+                    acc[k] = acc.get(k, 0) + ab * c
+        return self._vector(acc, dx * dy * den)
 
     def ad_matrix(self, x: Multivector) -> Matrix:
         """Matrix of ad_x = [x, .] over the basis (columns are images)."""
@@ -139,17 +161,23 @@ class LieAlgebra:
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def validate(self) -> "ValidationReport":
-        """Check the Jacobi identity on all basis triples."""
+        """Check the Jacobi identity on all basis triples.
+
+        The residual [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] has
+        e_m-coefficient sum_l c_ab^l c_lc^m over the three cyclic (a, b, c),
+        summed as integers over den^2.
+        """
+        den, table = self._ad
         violations = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    ei, ej, ek = map(self.basis_vector, (i, j, k))
-                    res = (self.bracket(self.bracket(ei, ej), ek)
-                           + self.bracket(self.bracket(ej, ek), ei)
-                           + self.bracket(self.bracket(ek, ei), ej))
-                    if not res.is_zero():
-                        violations.append(((i, j, k), res))
+        for i, j, k in combinations(range(self.dim), 3):
+            acc: dict[int, int] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, x in table[a].get(b, {}).items():
+                    for m, y in table[l].get(c, {}).items():
+                        acc[m] = acc.get(m, 0) + x * y
+            res = self._vector(acc, den * den)
+            if not res.is_zero():
+                violations.append(((i, j, k), res))
         return ValidationReport(self, tuple(violations))
 
     def rename(self, name: str) -> "LieAlgebra":
@@ -356,21 +384,20 @@ def derivations(g: LieAlgebra) -> list[LinearMap]:
 def killing_form(g: LieAlgebra) -> LinearMap:
     """K(x, y) = trace(ad_x ad_y), as a symmetric matrix over the basis.
 
-    Summed from the structure constants: K_ij = sum_{m,l} c_im^l c_jl^m.
+    Summed from the integer table: K_ij = sum_{m,l} N_im^l N_jl^m / den^2.
     """
     n = g.dim
-    ad = g._ad
+    den, table = g._ad
     k = linalg.zeros(n, n)
     for i in range(n):
         for j in range(i, n):
-            tr = ZERO
-            for m, terms in ad[i].items():      # [e_i, e_m] = sum_l c_im^l e_l
-                for (l,), a in terms.items():
-                    back = ad[j].get(l)         # [e_j, e_l] = sum_m c_jl^m e_m
-                    if back is not None and (m,) in back:
-                        tr += a * back[(m,)]
-            k[i][j] = tr
-            k[j][i] = tr
+            tr = 0
+            for m, terms in table[i].items():   # [e_i, e_m] = sum_l c_im^l e_l
+                for l, a in terms.items():
+                    back = table[j].get(l)      # [e_j, e_l] = sum_m c_jl^m e_m
+                    if back is not None and m in back:
+                        tr += a * back[m]
+            k[i][j] = k[j][i] = Fraction(tr, den * den)
     return LinearMap.from_rows(k)
 
 
@@ -398,7 +425,9 @@ class CompactnessReport:
 
 
 def _restrict_bilinear(b: LinearMap, vectors: list[list[Fraction]]) -> Matrix:
-    return [[b.value(v, w) for w in vectors] for v in vectors]
+    """Gram matrix v^T B w over the vectors, with B w computed once per w."""
+    images = [b.apply(w) for w in vectors]
+    return [[sum((x * y for x, y in zip(v, bw)), ZERO) for bw in images] for v in vectors]
 
 
 def is_compact(g: LieAlgebra) -> CompactnessReport:
@@ -425,13 +454,13 @@ def invariant_scalar_product(g: LieAlgebra) -> LinearMap:
         raise ValueError(f"{g.name} is not of compact type")
     basis = [list(r) for r in report.derived.rows] + [list(r) for r in report.center.rows]
     nd = report.derived.rank
-    k = killing_form(g)
+    on_derived = _restrict_bilinear(killing_form(g), basis[:nd])
     n = g.dim
     b_adapted = linalg.zeros(n, n)
     for i in range(n):
         for j in range(n):
             if i < nd and j < nd:
-                b_adapted[i][j] = -k.value(basis[i], basis[j])
+                b_adapted[i][j] = -on_derived[i][j]
             elif i == j:
                 b_adapted[i][j] = Fraction(1)
     p = linalg.transpose(basis)  # columns are the adapted basis vectors

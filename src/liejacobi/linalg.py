@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows, entries are fractions.Fraction.  Sizes here are
-tiny (algebra dimensions rarely exceed 8), so plain Gaussian elimination is
-the right tool; no care is taken about asymptotics.
+small (algebra dimensions rarely exceed 8), so plain Gaussian elimination is
+the right tool.  rref touches only the nonzero columns of each pivot row,
+which keeps the tall, mostly zero systems of solve_coboundary cheap.
 """
 
 from __future__ import annotations
@@ -79,11 +80,14 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        m[r] = pivot = [x * inv for x in m[r]]
+        support = [j for j in range(c, cols) if pivot[j] != 0]
         for i in range(rows):
             if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(cols)]
+                # x - f * 0 = x exactly, so only the pivot row's support changes
+                row, f = m[i], m[i][c]
+                for j in support:
+                    row[j] -= f * pivot[j]
         pivots.append(c)
         r += 1
     return m, pivots

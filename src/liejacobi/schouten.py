@@ -7,6 +7,11 @@ and the twisted bracket by a closed 1-form phi adds the correction
   [P, P']_phi = [P, P'] + (-1)^{k+1}(k-1) P^(i(phi)P') - (k'-1) (i(phi)P)^P'.
 On grade-1 arguments both brackets restrict to the Lie bracket; a grade-0
 argument makes the untwisted bracket vanish (the algebra sits over a point).
+
+schouten and ce_differential sum over the algebra's integer structure-constant
+table: their arguments are written as integers over a common denominator
+(exterior.numerators), the products are summed in int arithmetic, and one
+Fraction is built per output coefficient.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from liejacobi.exterior import Form, Multivector, _Element, contract, merge_sorted, pair, wedge
+from liejacobi.exterior import (Form, Multivector, _Element, contract, merge_sorted,
+                                numerators, pair, wedge)
 from liejacobi.liealg import LieAlgebra
 from liejacobi.linalg import ZERO, frac
 
@@ -36,12 +42,15 @@ def schouten(g: LieAlgebra, p: Multivector, q: Multivector) -> Multivector:
     if k == 0 or kp == 0:
         return out
     front = 1 if k % 2 else -1  # (-1)^{k+1}
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for pi, a in p.terms.items():
-        for qi, b in q.terms.items():
+    den, table = g._ad
+    ps, dp = numerators(p.terms)
+    qs, dq = numerators(q.terms)
+    acc: dict[tuple[int, ...], int] = {}
+    for pi, a in ps.items():
+        for qi, b in qs.items():
             for ipos in range(k):
                 for jpos in range(kp):
-                    bracket = g._ad[pi[ipos]].get(qi[jpos])
+                    bracket = table[pi[ipos]].get(qi[jpos])
                     if bracket is None:
                         continue
                     pos_sign = -1 if (ipos + jpos) % 2 else 1
@@ -51,16 +60,13 @@ def schouten(g: LieAlgebra, p: Multivector, q: Multivector) -> Multivector:
                     if merge_sign == 0:
                         continue
                     base = front * pos_sign * merge_sign * a * b
-                    for (m,), c in bracket.items():
+                    for m, c in bracket.items():
                         full, ins_sign = merge_sorted((m,), rest)
                         if ins_sign == 0:
                             continue
-                        v = acc.get(full, ZERO) + base * ins_sign * c
-                        if v == 0:
-                            acc.pop(full, None)
-                        else:
-                            acc[full] = v
-    return Multivector(g.dim, out_grade, acc)
+                        acc[full] = acc.get(full, 0) + base * ins_sign * c
+    scale = dp * dq * den
+    return Multivector(g.dim, out_grade, {idx: Fraction(v, scale) for idx, v in acc.items() if v})
 
 
 def check_cocycle(source: LieAlgebra, cocycle: _Element) -> None:
@@ -111,22 +117,26 @@ def ce_differential(source: LieAlgebra, element: _Element) -> _Element:
     k = element.grade
     if element.is_zero() or k >= n:
         return type(element).zero(n, min(k + 1, n))
+    den, table = source._ad
+    nums, dw = numerators(element.terms)
+    scale = dw * den
     acc: dict[tuple[int, ...], Fraction] = {}
     for big in combinations(range(n), k + 1):
-        total = ZERO
+        total = 0
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
-                bracket = source._ad[big[a]].get(big[b])
+                bracket = table[big[a]].get(big[b])
                 if bracket is None:
                     continue
                 rest = big[:a] + big[a + 1:b] + big[b + 1:]
                 pos_sign = -1 if (a + b) % 2 else 1
-                for (m,), c in bracket.items():
-                    val = element.coefficient((m,) + rest)
-                    if val != 0:
-                        total += pos_sign * c * val
-        if total != 0:
-            acc[big] = total
+                for m, c in bracket.items():
+                    # w(e_m, rest) = ins_sign * w(full), full the sorted index
+                    full, ins_sign = merge_sorted((m,), rest)
+                    if ins_sign:
+                        total += pos_sign * ins_sign * c * nums.get(full, 0)
+        if total:
+            acc[big] = Fraction(total, scale)
     return type(element)(n, k + 1, acc)
 
 

@@ -11,6 +11,7 @@ from liejacobi.catalog import catalog, catalog_names
 from liejacobi.cli import main
 from liejacobi.documents import parse, serialize
 from liejacobi.exterior import Form
+from liejacobi.liealg import MAX_DIM
 
 
 def run(capsys, *argv):
@@ -321,3 +322,20 @@ def test_heisenberg_parameterized_names(capsys):
     assert code == 1      # weak hypotheses only; jacobi residual is nonzero
     code, out, _ = run(capsys, "rank", "--name", "abelian(4)")
     assert code == 0 and "rank = 0" in out
+
+
+def test_oversized_inputs_exit_two(tmp_path, capsys):
+    # each of these would run O(dim^3) Jacobi checks without the limit
+    with pytest.raises(ValueError, match="above the limit"):
+        catalog(f"abelian({MAX_DIM + 1})")
+    for name in ("abelian(33)", "abelian(100000)", "heisenberg(1,16)"):
+        code, out, err = run(capsys, "validate", "--name", name)
+        assert code == 2 and out == "" and f"MAX_DIM = {MAX_DIM}" in err, name
+    n = MAX_DIM + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "algebra", "name": "big", "dim": n,
+                                "basis": [f"e{i + 1}" for i in range(n)], "brackets": []}))
+    code, _, err = run(capsys, "rank", "--algebra", str(path))
+    assert code == 2 and "MAX_DIM" in err
+    assert catalog(f"abelian({MAX_DIM})").dim == MAX_DIM
+    assert catalog("heisenberg(1,15)").dim == 31

@@ -18,6 +18,7 @@ from liejacobi.documents import (
 )
 from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import ContactStructure, JacobiPair, LcsStructure
+from liejacobi.liealg import MAX_DIM
 
 
 def _sample_objects():
@@ -116,6 +117,19 @@ def test_parse_rejects_bad_algebra_entries():
     doc["dim"] = -1
     with pytest.raises(DocumentError, match="nonnegative"):
         parse(json.dumps(doc))
+
+
+def test_parse_rejects_dimension_above_limit():
+    n = MAX_DIM + 1
+    doc = {"kind": "algebra", "name": "big", "dim": n,
+           "basis": [f"e{i + 1}" for i in range(n)], "brackets": []}
+    with pytest.raises(DocumentError, match=f"exceeds the limit MAX_DIM = {MAX_DIM}"):
+        parse(json.dumps(doc))
+    doc["dim"] = 10 ** 9        # rejected before the labels are read
+    with pytest.raises(DocumentError, match="MAX_DIM"):
+        parse(json.dumps(doc))
+    doc.update(dim=MAX_DIM, basis=doc["basis"][:MAX_DIM])
+    assert parse(json.dumps(doc)).dim == MAX_DIM
 
 
 def test_parse_keeps_jacobi_check_lazy():

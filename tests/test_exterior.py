@@ -13,6 +13,7 @@ from liejacobi.exterior import (
     contract,
     evaluate,
     evaluate_on,
+    numerators,
     pair,
     sort_index,
     wedge,
@@ -183,6 +184,12 @@ def test_element_arithmetic_and_zero_handling():
     assert a.scale(Fraction(0)).is_zero()
     assert a.coefficient((1, 2)) == -2
     assert a.coefficient((0, 2)) == 0
+
+
+def test_numerators_share_one_denominator():
+    terms = {(0,): Fraction(1, 2), (1,): Fraction(-1, 3), (2,): Fraction(5, 7), (3,): Fraction(4)}
+    assert numerators(terms) == ({(0,): 21, (1,): -14, (2,): 30, (3,): 168}, 42)
+    assert numerators({}) == ({}, 1)
 
 
 def test_grade_mixing_rejected():

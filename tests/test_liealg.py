@@ -5,10 +5,19 @@ import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from helpers import fm, mv, random_fraction, vec
+from helpers import (
+    bracket_reference,
+    fm,
+    jacobiator_reference,
+    mixed_algebras,
+    mv,
+    random_fraction,
+    vec,
+)
 from liejacobi.bialgebra import GeneralizedBialgebra, check_glb
 from liejacobi.catalog import catalog, catalog_names, heisenberg
 from liejacobi.exterior import Multivector
@@ -81,6 +90,27 @@ def test_validate_accepts_catalog_and_flags_seeded_violation():
     assert not report.passed
     assert report.violations[0][0] == (0, 1, 2)
     assert "fails" in report.describe()
+
+
+def test_validate_matches_bracket_composition():
+    lie, non_lie = mixed_algebras()
+    for g in lie + non_lie:
+        expected = tuple(((i, j, k), res) for i, j, k in combinations(range(g.dim), 3)
+                         if not (res := jacobiator_reference(g, i, j, k)).is_zero())
+        assert g.validate().violations == expected, g.name
+        assert g.validate().passed == (g in lie)
+    # the residuals carry the mixed denominators
+    assert any(c.denominator > 1 for g in non_lie for _, res in g.validate().violations
+               for c in res.terms.values())
+
+
+def test_table_holds_integers_over_the_lcm():
+    g = LieAlgebra.from_brackets("t", 3, {(0, 1): [Fraction(1, 2), 0, Fraction(5, 7)],
+                                          (1, 2): [0, Fraction(2, 3), 0]})
+    den, table = g._ad
+    assert den == 42
+    assert table[0][1] == {0: 21, 2: 30} and table[1][0] == {0: -21, 2: -30}
+    assert table[1][2] == {1: 28} and 2 not in table[0]
 
 
 def test_center_derived_annihilator():
@@ -304,7 +334,8 @@ def _dense_killing(g: LieAlgebra):
 
 def test_killing_form_matches_dense_ad_route():
     su2_r2 = direct_product(catalog("su2"), abelian(2))
-    algebras = _catalog_algebras() + [
+    lie, non_lie = mixed_algebras()
+    algebras = lie + non_lie + _catalog_algebras() + [
         change_basis(su2_r2, _dense_unimodular(5, 1)),
         change_basis(heisenberg(3), _dense_unimodular(7, 2)),
     ]
@@ -314,11 +345,16 @@ def test_killing_form_matches_dense_ad_route():
     assert all(len(v.terms) > 1 for v in algebras[-1].structure.values())
     assert killing_form(algebras[-2]).is_symmetric()
     assert any(x != 0 for row in killing_form(algebras[-2]).matrix for x in row)
+    # the mixed denominators reach the form
+    assert any(x.denominator > 1 for g in lie + non_lie for row in killing_form(g).matrix
+               for x in row)
 
 
 def test_bracket_matches_basis_expansion():
     rng = random.Random(7)
-    for g in _catalog_algebras() + [change_basis(heisenberg(2), _dense_unimodular(5, 3))]:
+    lie, non_lie = mixed_algebras()
+    for g in (_catalog_algebras() + [change_basis(heisenberg(2), _dense_unimodular(5, 3))]
+              + lie + non_lie):
         for _ in range(5):
             a = [random_fraction(rng) for _ in range(g.dim)]
             b = [random_fraction(rng) for _ in range(g.dim)]
@@ -327,7 +363,7 @@ def test_bracket_matches_basis_expansion():
                 for j in range(g.dim):
                     expected = expected + (a[i] * b[j]) * g.bracket_basis(i, j)
             x, y = Multivector.from_coeffs(a), Multivector.from_coeffs(b)
-            assert g.bracket(x, y) == expected, g.name
+            assert g.bracket(x, y) == expected == bracket_reference(g, x, y), g.name
 
 
 def test_structure_is_read_only_and_replace_builds_a_new_table():

@@ -38,6 +38,41 @@ def test_rref_idempotent_and_pivots_unit():
             assert all(m[i][c] == 0 for i in range(len(m)) if i != r)
 
 
+def _dense_rref(a):
+    # the textbook elimination, rewriting every entry of every updated row
+    m = [row[:] for row in a]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def test_rref_on_sparse_rows_matches_dense_elimination():
+    # tall, mostly zero systems like the coboundary solve, including zero
+    # rows, zero columns and pivot rows with a single nonzero entry
+    rng = random.Random(31)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 6)
+        density = rng.choice((0.0, 0.1, 0.25, 0.5))
+        a = [[Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)) if rng.random() < density
+              else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+        before = [row[:] for row in a]
+        assert rref(a) == _dense_rref(a)
+        assert a == before          # the input is not touched
+    unit = [[Fraction(0), Fraction(2), Fraction(0)], [Fraction(1), Fraction(4), Fraction(0)],
+            [Fraction(0), Fraction(0), Fraction(0)]]
+    assert rref(unit) == ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], [0, 1])
+
+
 def test_solve_satisfies_system_and_nullspace():
     rng = random.Random(7)
     for _ in range(60):

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fm, mv, random_element, vec
+from helpers import (
+    ce_differential_reference,
+    fm,
+    mixed_algebras,
+    mv,
+    random_element,
+    schouten_reference,
+    vec,
+)
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.exterior import Form, Multivector, contract, evaluate, wedge
 from liejacobi.liealg import LieAlgebra, abelian, standard_labels
@@ -37,6 +45,26 @@ def test_ce_differential_grade1_oracle():
                     x, y = vec(n, a), vec(n, b)
                     from liejacobi.exterior import pair
                     assert evaluate(d_eta, x, y) == -pair(eta, g.bracket(x, y))
+
+
+def test_ce_differential_matches_coefficient_route():
+    rng = random.Random(9)
+    lie, non_lie = mixed_algebras()
+    for g in lie + non_lie:
+        for grade in range(g.dim + 1):
+            for cls in (Form, Multivector):
+                w = random_element(rng, cls, g.dim, grade, terms=3, bound=7)
+                assert ce_differential(g, w) == ce_differential_reference(g, w), (g.name, grade)
+
+
+def test_schouten_matches_decomposable_expansion():
+    rng = random.Random(13)
+    lie, non_lie = mixed_algebras()
+    for g in lie + non_lie:
+        for _ in range(6):
+            p = random_element(rng, Multivector, g.dim, rng.randint(0, 3), terms=2, bound=7)
+            q = random_element(rng, Multivector, g.dim, rng.randint(0, 3), terms=2, bound=7)
+            assert schouten(g, p, q) == schouten_reference(g, p, q), g.name
 
 
 def test_ce_differential_su2_golden():
