@@ -29,6 +29,7 @@ from liejacobi.jacobi import (
     sharp,
 )
 from liejacobi.liealg import (
+    CompactnessReport,
     LieAlgebra,
     LinearMap,
     Subspace,
@@ -37,7 +38,6 @@ from liejacobi.liealg import (
     center,
     change_basis,
     coordinates,
-    derived_algebra,
     direct_product,
     dual_label,
     invariant_scalar_product,
@@ -47,7 +47,7 @@ from liejacobi.liealg import (
     restrict,
     restrict_bivector,
 )
-from liejacobi.linalg import ZERO, invert, mat_vec, nullspace, solve, transpose
+from liejacobi.linalg import ZERO, invert, nullspace, solve, transpose
 from liejacobi.schouten import (
     check_cocycle,
     ce_differential,
@@ -471,10 +471,11 @@ def _solve_cocycle_with_values(g: LieAlgebra, constraints: list) -> Form:
     return Form.from_coeffs(sol[0])
 
 
-def _require_compact(g: LieAlgebra) -> None:
+def _require_compact(g: LieAlgebra) -> CompactnessReport:
     report = is_compact(g)
     if not report.compact:
         raise ValueError(f"{g.name} is not of compact type: " + report.describe())
+    return report
 
 
 def build_first_kind(g: LieAlgebra, h: Subspace, r: Multivector,
@@ -601,13 +602,14 @@ def extract_jacobi(b: GeneralizedBialgebra, y0: Multivector) -> ExtractionResult
     report = check_glb(b)
     if not report.passed:
         raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
-    return _extract_checked(b, y0)
+    return _extract_checked(b, y0, center(b.g))
 
 
-def _extract_checked(b: GeneralizedBialgebra, y0: Multivector) -> ExtractionResult:
-    # extract_jacobi after check_glb(b) has passed
+def _extract_checked(b: GeneralizedBialgebra, y0: Multivector,
+                     center_g: Subspace) -> ExtractionResult:
+    # extract_jacobi after check_glb(b) has passed; center_g is center(b.g)
     g = b.g
-    if not center(g).contains_element(y0):
+    if not center_g.contains_element(y0):
         raise ValueError("y0 must be central in g")
     if pair(b.phi0, y0) != 1:
         raise ValueError("y0 must satisfy phi0(y0) = 1")
@@ -760,9 +762,13 @@ class ClassificationResult:
         return f"kind: {self.kind}"
 
 
-def _b_dual_vector(b_form: LinearMap, form_coeffs) -> list:
-    """Vector v with B(v, .) = the given covector."""
-    return mat_vec(invert(b_form.rows), list(form_coeffs))
+def _b_dual_cocycle(center_g: Subspace, phi: Form) -> Multivector:
+    """v with B(v, .) = phi, for the invariant scalar product B and a 1-cocycle
+    phi: phi kills [g, g], and B is the identity on the RREF center rows z_k
+    and orthogonal to [g, g], so v = sum_k phi(z_k) z_k."""
+    values = [pair(phi, z) for z in center_g.elements()]
+    return Multivector.from_coeffs([sum((a * z[i] for a, z in zip(values, center_g.rows)), ZERO)
+                                    for i in range(center_g.dim)])
 
 
 def _lambda_form_check(char: CharacteristicSubalgebra, e_triple, e4,
@@ -775,17 +781,15 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
     char = extraction.characteristic
     h = char.algebra
     incl = char.inclusion
-    _require_compact(h)
+    compact_h = _require_compact(h)
     ls = jacobi_to_lcs(char.pair)
     phi0_h = Form.from_coeffs([pair(b.phi0, incl.apply_element(h.basis_vector(a)))
                                for a in range(h.dim)])
     if ls.lee != -phi0_h:
         raise ValueError("lee form of the restricted pair differs from -phi0")
-    b_h = invariant_scalar_product(h)
-    y0w_raw = _b_dual_vector(b_h, ls.lee.coeffs())
-    scale = pair(ls.lee, Multivector.from_coeffs(y0w_raw))
-    y0w = Multivector.from_coeffs([c / scale for c in y0w_raw])
-    center_h = center(h)
+    y0w_raw = _b_dual_cocycle(compact_h.center, ls.lee)
+    y0w = y0w_raw.scale(Fraction(1) / pair(ls.lee, y0w_raw))
+    center_h = compact_h.center
     if center_h.rank != 1 or not center_h.contains_element(y0w):
         raise ValueError("restricted algebra does not have the expected 1-dimensional center")
     e4_res = -y0w
@@ -793,7 +797,7 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
     # contact reduction: ker(lee) carries the contact form -i(y0w) Omega
     eta_bar = -contract(y0w, ls.omega2)
     kernel_rows = nullspace([ls.lee.coeffs()])
-    derived = derived_algebra(h)
+    derived = compact_h.derived
     if derived.rank != 3 or Subspace.from_vectors(h.dim, kernel_rows).rows != derived.rows:
         raise ValueError("kernel of the lee form does not match the derived algebra")
     h_prime = restrict(h, kernel_rows, f"{h.name}.red")
@@ -884,23 +888,21 @@ def classify_compact(b: GeneralizedBialgebra) -> ClassificationResult:
     phi0 = 0, x0 != 0 the algebra splits off the line through x0 and the
     dual is a semidirect product encoded by a derivation.
     """
-    _require_compact(b.g)
+    compact = _require_compact(b.g)
     report = check_glb(b)
     if not report.passed:
         raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
-    g = b.g
     if b.phi0.is_zero() and b.x0.is_zero():
         return ClassificationResult("lie-bialgebra", None, None, None)
     if b.phi0.is_zero():
         return ClassificationResult("phi0-zero-semidirect", None, None, _classify_semidirect(b))
 
-    bform = invariant_scalar_product(g)
-    y_raw = _b_dual_vector(bform, b.phi0.coeffs())
-    scale = pair(b.phi0, Multivector.from_coeffs(y_raw))
+    y_raw = _b_dual_cocycle(compact.center, b.phi0)
+    scale = pair(b.phi0, y_raw)
     if scale == 0:
         raise ValueError("phi0 vanishes on its dual vector; no unit central vector exists")
-    y0 = Multivector.from_coeffs([c / scale for c in y_raw])
-    extraction = _extract_checked(b, y0)
+    y0 = y_raw.scale(Fraction(1) / scale)
+    extraction = _extract_checked(b, y0, compact.center)
     char = extraction.characteristic
     m = char.subspace.rank
 

@@ -4,6 +4,12 @@ Exit codes are total: 0 when all requested checks pass, 1 when a check
 fails (a report is still emitted), 2 for input or usage errors.  With
 --format machine the output is the result document plus a "report" object
 whose entries are exact serialized residuals, never bare booleans.
+
+Handlers return the code of a check that ran and raise otherwise; main maps
+UsageError and OSError to exit 2 (only validate reports a malformed document
+as a failed check) and ValueError, such as failed hypotheses or a result too
+long to print, to the exit-1 report {"passed": false, "error": ...}.  The
+argument parser is built once, at import.
 """
 
 import argparse
@@ -22,7 +28,7 @@ from liejacobi.bialgebra import (
     unit_center_vector,
 )
 from liejacobi.catalog import catalog, catalog_names
-from liejacobi.documents import DocumentError, parse, to_document
+from liejacobi.documents import DocumentError, LimitError, parse, to_document
 from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import (
     ContactStructure,
@@ -187,6 +193,8 @@ def _cmd_validate(args) -> int:
         try:
             obj = _load_glb(args) if getattr(args, "glb", None) else _parse_file(args.algebra)
         except UsageError as exc:
+            if isinstance(exc.__cause__, LimitError):
+                raise   # past the documented limits: an input error, not a verdict
             _emit(args, None, {"passed": False, "error": str(exc)},
                   f"invalid: {exc}")
             return 1
@@ -232,11 +240,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_char_sub(args) -> int:
     jp, _ = _load_pair(args)
-    try:
-        cs = characteristic_subalgebra(jp)
-    except ValueError as exc:
-        _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
-        return 1
+    cs = characteristic_subalgebra(jp)
     inclusion = [[str(c) for c in row] for row in cs.inclusion.rows]
     report = {"passed": True, "tag": cs.tag, "dim": cs.algebra.dim,
               "inclusion": inclusion}
@@ -250,12 +254,7 @@ def _cmd_contact(args) -> int:
     g, _ = _load_algebra(args)
     if getattr(args, "eta", None):
         eta = _element_file(args.eta, g, Form, "--eta")
-        try:
-            structure = ContactStructure(g, eta)
-            jp = contact_to_jacobi(structure)
-        except (TypeError, ValueError) as exc:
-            _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
-            return 1
+        jp = contact_to_jacobi(ContactStructure(g, eta))
         labels = list(g.basis_labels)
         report = {"passed": True,
                   "reeb": _doc(jp.x0, labels=labels),
@@ -265,11 +264,7 @@ def _cmd_contact(args) -> int:
         _emit(args, _doc(jp), report, text)
         return 0
     jp, _ = _load_pair(args)
-    try:
-        structure = jacobi_to_contact(jp)
-    except ValueError as exc:
-        _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
-        return 1
+    structure = jacobi_to_contact(jp)
     duals = list(g.dual_labels)
     report = {"passed": True, "eta": _doc(structure.eta, labels=duals)}
     _emit(args, _doc(structure), report,
@@ -283,12 +278,7 @@ def _cmd_lcs(args) -> int:
         omega2 = _element_file(args.omega, g, Form, "--omega")
         lee = (_element_file(args.lee, g, Form, "--lee")
                if getattr(args, "lee", None) else Form.zero(g.dim, 1))
-        try:
-            structure = LcsStructure(g, omega2, lee)
-            jp = lcs_to_jacobi(structure)
-        except (TypeError, ValueError) as exc:
-            _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
-            return 1
+        jp = lcs_to_jacobi(LcsStructure(g, omega2, lee))
         labels = list(g.basis_labels)
         report = {"passed": True,
                   "r": _doc(jp.r, labels=labels),
@@ -298,11 +288,7 @@ def _cmd_lcs(args) -> int:
         _emit(args, _doc(jp), report, text)
         return 0
     jp, _ = _load_pair(args)
-    try:
-        structure = jacobi_to_lcs(jp)
-    except ValueError as exc:
-        _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
-        return 1
+    structure = jacobi_to_lcs(jp)
     duals = list(g.dual_labels)
     report = {"passed": True,
               "omega": _doc(structure.omega2, labels=duals),
@@ -332,22 +318,14 @@ def _yb_report(rep) -> dict:
 
 def _cmd_yb_check(args) -> int:
     y = _load_yb(args)
-    try:
-        rep = check_yb_hypotheses(y)
-    except ValueError as exc:
-        _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
-        return 1
+    rep = check_yb_hypotheses(y)
     _emit(args, _doc(y), _yb_report(rep), rep.describe())
     return 0 if rep.passed else 1
 
 
 def _cmd_yb_build(args) -> int:
     y = _load_yb(args)
-    try:
-        dual = build_dual_bracket(y)
-    except ValueError as exc:
-        _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
-        return 1
+    dual = build_dual_bracket(y)
     duals = list(dual.basis_labels)
     brackets = []
     for (i, j), value in sorted(dual.structure.items()):
@@ -391,11 +369,7 @@ def _cmd_glb_extract(args) -> int:
     if y0 is None:
         raise UsageError("no central y0 with phi0(y0) = 1 exists; "
                          "extraction is undefined for this bialgebra")
-    try:
-        result = extract_jacobi(b, y0)
-    except ValueError as exc:
-        _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
-        return 1
+    result = extract_jacobi(b, y0)
     labels = list(b.g.basis_labels)
     report = {"passed": True,
               "y0": _doc(y0, labels=labels),
@@ -432,11 +406,7 @@ def _cmd_glb_classify(args) -> int:
     if not rep.passed:
         _emit(args, _doc(b), _glb_report(rep), rep.describe())
         return 1
-    try:
-        result = classify_compact(b)
-    except ValueError as exc:
-        _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
-        return 1
+    result = classify_compact(b)
     report = {"passed": True, **_certificate_report(result)}
     if result.y0 is not None:
         report["y0"] = _doc(result.y0, labels=list(b.g.basis_labels))
@@ -446,11 +416,7 @@ def _cmd_glb_classify(args) -> int:
 
 def _cmd_coboundary_solve(args) -> int:
     b = _load_glb(args)
-    try:
-        solutions = solve_coboundary(b)
-    except ValueError as exc:
-        _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
-        return 1
+    solutions = solve_coboundary(b)
     labels = list(b.g.basis_labels)
     report = {"empty": solutions.is_empty,
               "particular": (None if solutions.particular is None
@@ -541,20 +507,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
         return _HANDLERS[args.subcommand](args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except ValueError as exc:
+        _emit(args, None, {"passed": False, "error": str(exc)}, str(exc))
+        return 1
 
 
 def console_main() -> None:

@@ -9,12 +9,14 @@ makes serialize(parse(text)) a byte-level fixed point on well-formed files.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from math import lcm
 
 from liejacobi.bialgebra import GeneralizedBialgebra, YbData
 from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import ContactStructure, JacobiPair, LcsStructure
-from liejacobi.liealg import MAX_DIM, LieAlgebra
+from liejacobi.liealg import MAX_DIGITS, MAX_DIM, LieAlgebra
 
 
 class DocumentError(ValueError):
@@ -25,13 +27,39 @@ class DocumentError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
+class LimitError(DocumentError):
+    """A document past MAX_DIM or MAX_DIGITS, refused before any check runs."""
+
+
+_RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text, path: str) -> Fraction:
+    """A rational written "p" or "p/q" with at most MAX_DIGITS digits each,
+    counted before conversion; Fraction's exponent form ("1e999999999")
+    could denote an integer of any size."""
     if not isinstance(text, str):
         raise DocumentError(path, "rationals must be strings like \"3\" or \"-1/2\"")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise DocumentError(path, f"not a rational: {text!r}")
+    if any(len(digits) > MAX_DIGITS for digits in match.groups("")):
+        raise LimitError(path, f"rational has more than MAX_DIGITS = {MAX_DIGITS} digits "
+                                  "in its numerator or denominator")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         raise DocumentError(path, f"not a rational: {text!r}") from None
+
+
+def _fold_denominator(den: int, q: Fraction, path: str) -> int:
+    """lcm(den, q.denominator), folded over one algebra or element; it bounds
+    sums of repeated entries too."""
+    den = lcm(den, q.denominator)
+    if den >= 10 ** MAX_DIGITS:
+        raise LimitError(path, f"common denominator has more than MAX_DIGITS = "
+                                  f"{MAX_DIGITS} digits")
+    return den
 
 
 def render_rational(q: Fraction) -> str:
@@ -84,15 +112,19 @@ class _Labels:
         return self.index[name]
 
 
-def _parse_value_list(value, labels: _Labels, path: str) -> list[Fraction]:
-    """Coefficient list from [{"basis": label, "coeff": rational}] entries."""
+def _parse_value_list(value, labels: _Labels, path: str,
+                      den: int = 1) -> tuple[list[Fraction], int]:
+    """Coefficient list from [{"basis": label, "coeff": rational}] entries,
+    and the common denominator den folded over them."""
     coeffs = [Fraction(0)] * len(labels.names)
     for k, entry in enumerate(_expect_list(value, path)):
         here = f"{path}[{k}]"
         obj = _expect_object(entry, here, {"basis": True, "coeff": True})
         i = labels.resolve(obj["basis"], f"{here}.basis")
-        coeffs[i] += parse_rational(obj["coeff"], f"{here}.coeff")
-    return coeffs
+        coeff = parse_rational(obj["coeff"], f"{here}.coeff")
+        den = _fold_denominator(den, coeff, f"{here}.coeff")
+        coeffs[i] += coeff
+    return coeffs, den
 
 
 def _render_value_list(coeffs, labels) -> list[dict]:
@@ -108,12 +140,12 @@ def _parse_algebra(obj: dict, path: str) -> LieAlgebra:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise DocumentError(f"{path}.dim", "expected a nonnegative integer")
     if dim > MAX_DIM:
-        raise DocumentError(f"{path}.dim",
-                            f"dimension {dim} exceeds the limit MAX_DIM = {MAX_DIM}")
+        raise LimitError(f"{path}.dim", f"dimension {dim} exceeds the limit MAX_DIM = {MAX_DIM}")
     labels = _Labels(obj["basis"], f"{path}.basis")
     if len(labels.names) != dim:
         raise DocumentError(f"{path}.basis", f"{len(labels.names)} labels for dim {dim}")
     structure = {}
+    den = 1
     for k, entry in enumerate(_expect_list(obj["brackets"], f"{path}.brackets")):
         here = f"{path}.brackets[{k}]"
         bracket = _expect_object(entry, here, {"i": True, "j": True, "value": True})
@@ -125,7 +157,7 @@ def _parse_algebra(obj: dict, path: str) -> LieAlgebra:
             raise DocumentError(here, "i must precede j in basis order")
         if (i, j) in structure:
             raise DocumentError(here, "duplicate bracket entry")
-        coeffs = _parse_value_list(bracket["value"], labels, f"{here}.value")
+        coeffs, den = _parse_value_list(bracket["value"], labels, f"{here}.value", den)
         value = Multivector.from_coeffs(coeffs)
         if not value.is_zero():
             structure[(i, j)] = value
@@ -160,6 +192,7 @@ def _parse_element(obj: dict, path: str, kind: str, labels: _Labels | None) -> F
         raise DocumentError(path, "element document needs a \"basis\" field here")
     dim = len(labels.names)
     raw: dict[tuple[int, ...], Fraction] = {}
+    den = 1
     for k, entry in enumerate(_expect_list(obj["terms"], f"{path}.terms")):
         here = f"{path}.terms[{k}]"
         term = _expect_object(entry, here, {"index": True, "coeff": True})
@@ -171,6 +204,7 @@ def _parse_element(obj: dict, path: str, kind: str, labels: _Labels | None) -> F
         if len(set(idx)) != len(idx):
             raise DocumentError(f"{here}.index", "repeated index")
         coeff = parse_rational(term["coeff"], f"{here}.coeff")
+        den = _fold_denominator(den, coeff, f"{here}.coeff")
         raw[idx] = raw.get(idx, Fraction(0)) + coeff
     cls = Form if kind == "form" else Multivector
     try:
@@ -229,8 +263,8 @@ def _parse_glb(obj: dict, path: str) -> GeneralizedBialgebra:
     g_star = _parse_algebra(obj["g_star"], "g_star")
     duals = _Labels(list(g_star.basis_labels), "")
     labels = _Labels(list(g.basis_labels), "")
-    phi0 = Form.from_coeffs(_parse_value_list(obj["phi0"], duals, "phi0"))
-    x0 = Multivector.from_coeffs(_parse_value_list(obj["x0"], labels, "x0"))
+    phi0 = Form.from_coeffs(_parse_value_list(obj["phi0"], duals, "phi0")[0])
+    x0 = Multivector.from_coeffs(_parse_value_list(obj["x0"], labels, "x0")[0])
     try:
         return GeneralizedBialgebra(g, g_star, phi0, x0)
     except (TypeError, ValueError) as exc:
@@ -313,6 +347,8 @@ def parse(text: str, labels=None, dual_labels=None):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("", f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:     # huge int literal, deep nesting
+        raise DocumentError("", f"unreadable JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentError("", "expected a top-level object")
     kind = obj.get("kind")
@@ -322,7 +358,7 @@ def parse(text: str, labels=None, dual_labels=None):
     if kind == "form":
         context = _Labels(list(dual_labels), "") if dual_labels is not None else None
         return _parse_element(obj, "", "form", context)
-    if kind in _PARSERS:
+    if isinstance(kind, str) and kind in _PARSERS:
         return _PARSERS[kind](obj, "")
     raise DocumentError("kind", f"unknown document kind {kind!r}")
 

@@ -31,6 +31,12 @@ from liejacobi.linalg import ZERO, Matrix, frac
 # have dim <= 4 and the scaling series stop near 12.
 MAX_DIM = 32
 
+# Largest number of decimal digits in a document rational's numerator or
+# denominator, and in the common denominator of one algebra's or element's
+# coefficients, which would otherwise grow with their number.  It bounds the
+# integers the structure-constant kernels start from.
+MAX_DIGITS = 100
+
 
 def dual_label(label: str) -> str:
     """Dual basis label: e1 -> e^1, x -> x^."""
@@ -113,12 +119,6 @@ class LieAlgebra:
     def dual_labels(self) -> tuple[str, ...]:
         return tuple(dual_label(x) for x in self.basis_labels)
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.basis_labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown basis label {label!r}") from None
-
     def zero_vector(self) -> Multivector:
         return Multivector.zero(self.dim, 1)
 
@@ -154,11 +154,6 @@ class LieAlgebra:
                 for k, c in terms.items():
                     acc[k] = acc.get(k, 0) + ab * c
         return self._vector(acc, dx * dy * den)
-
-    def ad_matrix(self, x: Multivector) -> Matrix:
-        """Matrix of ad_x = [x, .] over the basis (columns are images)."""
-        cols = [self.bracket(x, self.basis_vector(j)).coeffs() for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def validate(self) -> "ValidationReport":
         """Check the Jacobi identity on all basis triples.
@@ -321,9 +316,6 @@ class LinearMap:
     def transpose(self) -> "LinearMap":
         return LinearMap.from_rows(linalg.transpose(self.rows))
 
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap.from_rows(linalg.mat_mul(self.rows, other.rows))
-
     def add(self, other: "LinearMap") -> "LinearMap":
         return LinearMap.from_rows(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
@@ -447,26 +439,20 @@ def invariant_scalar_product(g: LieAlgebra) -> LinearMap:
     """Ad-invariant positive definite product on a compact-type algebra.
 
     Minus the Killing form on the derived algebra, the standard product on the
-    chosen center basis, and the two blocks orthogonal to each other.
+    chosen center basis, and the two blocks orthogonal to each other.  The
+    Killing form vanishes on the center, so B = -K + Q^T Q, where Q holds the
+    center rows of the inverse of the adapted basis (derived rows, then
+    center rows).
     """
     report = is_compact(g)
     if not report.compact:
         raise ValueError(f"{g.name} is not of compact type")
     basis = [list(r) for r in report.derived.rows] + [list(r) for r in report.center.rows]
-    nd = report.derived.rank
-    on_derived = _restrict_bilinear(killing_form(g), basis[:nd])
+    q = linalg.invert(linalg.transpose(basis))[report.derived.rank:]
+    k = killing_form(g).matrix
     n = g.dim
-    b_adapted = linalg.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            if i < nd and j < nd:
-                b_adapted[i][j] = -on_derived[i][j]
-            elif i == j:
-                b_adapted[i][j] = Fraction(1)
-    p = linalg.transpose(basis)  # columns are the adapted basis vectors
-    p_inv = linalg.invert(p)
-    b = linalg.mat_mul(linalg.transpose(p_inv), linalg.mat_mul(b_adapted, p_inv))
-    return LinearMap.from_rows(b)
+    return LinearMap.from_rows(
+        [[sum((row[i] * row[j] for row in q), -k[i][j]) for j in range(n)] for i in range(n)])
 
 
 def direct_product(g: LieAlgebra, h: LieAlgebra, name: str | None = None) -> LieAlgebra:

@@ -1,6 +1,6 @@
 """Shared shorthand for building exact elements in tests, seeded algebras with
 mixed denominators, and Fraction reference routes for the structure-constant
-kernels."""
+kernels and the invariant scalar product."""
 
 import random
 from fractions import Fraction
@@ -8,8 +8,17 @@ from itertools import combinations
 
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.exterior import Form, Multivector, wedge
-from liejacobi.liealg import LieAlgebra, change_basis, standard_labels
-from liejacobi.linalg import determinant
+from liejacobi.liealg import (
+    LieAlgebra,
+    LinearMap,
+    abelian,
+    change_basis,
+    direct_product,
+    is_compact,
+    killing_form,
+    standard_labels,
+)
+from liejacobi.linalg import determinant, invert, mat_mul, mat_vec, transpose, zeros
 
 
 def mv(dim, grade, terms):
@@ -88,6 +97,13 @@ def bracket_reference(g, x, y):
     return out
 
 
+def ad_matrix(g, x):
+    """Matrix of ad_x = [x, .] over the basis (columns are images), from
+    reference brackets."""
+    cols = [bracket_reference(g, x, g.basis_vector(j)).coeffs() for j in range(g.dim)]
+    return [[cols[j][i] for j in range(g.dim)] for i in range(g.dim)]
+
+
 def jacobiator_reference(g, i, j, k):
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] by bracket composition."""
     ei, ej, ek = map(g.basis_vector, (i, j, k))
@@ -134,3 +150,48 @@ def schouten_reference(g, p, q):
                     sign = (-1) ** (k + 1 + ipos + jpos)
                     out = out + term.scale(sign * a * b)
     return out
+
+
+# Reference routes for the invariant scalar product B of a compact-type
+# algebra and for B-duals of covectors: the adapted-basis congruence and a
+# matrix inverse, which the library replaced by closed forms.
+
+def compact_algebras():
+    """Compact-type algebras: su2, u2, the bases of the three compact catalog
+    bialgebras, su2 x R^2 and su2 x su2 x R^2, each also in a seeded rational
+    basis."""
+    rng = random.Random(2002)
+    su2 = catalog("su2")
+    out = []
+    for g in (su2, catalog("u2"), *(catalog(name).g for name in
+                                    ("firstkind4", "secondkind4", "thirdkind_u2")),
+              direct_product(su2, abelian(2)), direct_product(direct_product(su2, su2), abelian(2))):
+        p = None
+        while p is None or determinant(p) == 0:
+            p = [[mixed_fraction(rng) for _ in range(g.dim)] for _ in range(g.dim)]
+        out += [g, change_basis(g, p, name=f"{g.name}.mixed")]
+    return out
+
+
+def invariant_scalar_product_reference(g):
+    """P^-T diag(-K_d, I) P^-1, where the columns of P are the derived rows,
+    then the center rows, and K_d is the Killing form on the derived rows."""
+    report = is_compact(g)
+    basis = [list(r) for r in report.derived.rows] + [list(r) for r in report.center.rows]
+    nd, n = report.derived.rank, g.dim
+    k = killing_form(g).rows
+    b_adapted = zeros(n, n)
+    for i in range(n):
+        for j in range(n):
+            if i < nd and j < nd:
+                b_adapted[i][j] = -sum(basis[i][a] * k[a][c] * basis[j][c]
+                                       for a in range(n) for c in range(n))
+            elif i == j:
+                b_adapted[i][j] = Fraction(1)
+    p_inv = invert(transpose(basis))
+    return LinearMap.from_rows(mat_mul(transpose(p_inv), mat_mul(b_adapted, p_inv)))
+
+
+def b_dual_reference(b_form, covector):
+    """Vector v with B(v, .) = covector, by inverting the matrix of B."""
+    return mat_vec(invert(b_form.rows), list(covector))

@@ -4,8 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fm, mv, vec
+from helpers import (
+    b_dual_reference,
+    compact_algebras,
+    fm,
+    invariant_scalar_product_reference,
+    mv,
+    vec,
+)
 from liejacobi.bialgebra import (
+    _b_dual_cocycle,
     GeneralizedBialgebra,
     YbData,
     build_dual_bracket,
@@ -34,8 +42,10 @@ from liejacobi.liealg import (
     LinearMap,
     Subspace,
     abelian,
+    center,
     change_basis,
     direct_product,
+    one_cocycles,
     standard_labels,
 )
 from liejacobi.schouten import ce_differential, schouten
@@ -562,3 +572,20 @@ def test_every_catalog_entry_passes_its_validator():
             assert check_yb_hypotheses(entry).passed, name
         else:
             assert entry.validate().passed, name
+
+
+def test_b_dual_of_cocycle_matches_inverse_route():
+    # B^-1 phi = sum_k phi(z_k) z_k over the center rows, for every 1-cocycle phi
+    for g in compact_algebras():
+        b_ref = invariant_scalar_product_reference(g)
+        z = center(g)
+        cocycles = [list(row) for row in one_cocycles(g).rows]
+        cocycles.append([sum(Fraction(k + 2, 3) * row[i] for k, row in enumerate(cocycles))
+                         for i in range(g.dim)])
+        for phi in cocycles:
+            assert _b_dual_cocycle(z, Form.from_coeffs(phi)).coeffs() == b_dual_reference(b_ref, phi)
+    for name in ("firstkind4", "secondkind4", "thirdkind_u2"):
+        b = catalog(name)
+        y = b_dual_reference(invariant_scalar_product_reference(b.g), b.phi0.coeffs())
+        scale = pair(b.phi0, Multivector.from_coeffs(y))
+        assert classify_compact(b).y0 == Multivector.from_coeffs([c / scale for c in y])

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import fm, mv, vec
 from liejacobi.bialgebra import GeneralizedBialgebra
+from liejacobi import documents, liealg
 from liejacobi.catalog import catalog, catalog_names
 from liejacobi.cli import main
 from liejacobi.documents import parse, serialize
@@ -339,3 +340,57 @@ def test_oversized_inputs_exit_two(tmp_path, capsys):
     assert code == 2 and "MAX_DIM" in err
     assert catalog(f"abelian({MAX_DIM})").dim == MAX_DIM
     assert catalog("heisenberg(1,15)").dim == 31
+
+
+def _long_denominator_algebra(tmp_path, digits):
+    # [e1,e2] = e3/q, [e1,e3] = e1/q breaks Jacobi; the residual's
+    # coefficient 1/q^2 has twice the digits of q
+    q = "7" * digits
+    doc = {"kind": "algebra", "name": "long", "dim": 3, "basis": ["e1", "e2", "e3"],
+           "brackets": [
+               {"i": "e1", "j": "e2", "value": [{"basis": "e3", "coeff": f"1/{q}"}]},
+               {"i": "e1", "j": "e3", "value": [{"basis": "e1", "coeff": f"1/{q}"}]}]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("text, validate_code", [
+    (None, 2),                                              # 3000-digit denominators
+    ('{"kind": "algebra", "name": "x", "dim": 1' + "0" * 5000 + ', "basis": [], "brackets": []}', 1),
+    ("[" * 100000 + "]" * 100000, 1),
+    (json.dumps({"kind": "algebra", "name": "x", "dim": 2, "basis": ["e1", "e2"], "brackets": [
+        {"i": "e1", "j": "e2", "value": [{"basis": "e1", "coeff": "1e999999"}]}]}), 1),
+], ids=["long-rationals", "long-json-integer", "deep-json", "exponent"])
+def test_hostile_documents_are_input_errors(tmp_path, capsys, text, validate_code):
+    # validate reports a malformed document as invalid (exit 1) and refuses
+    # one past the limits (exit 2); the other subcommands refuse both
+    if text is None:
+        path = _long_denominator_algebra(tmp_path, 3000)
+    else:
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+    for sub in ("validate", "rank"):
+        for fmt in ("text", "machine"):
+            code, out, err = run(capsys, sub, "--algebra", str(path), "--format", fmt)
+            assert "Traceback" not in err
+            if sub == "validate" and validate_code == 1:
+                assert code == 1
+                assert ("invalid" in out if fmt == "text"
+                        else json.loads(out)["report"]["passed"] is False)
+            else:
+                assert code == 2 and out == "" and err.startswith("error: ")
+    if text is None:
+        assert f"MAX_DIGITS = {liealg.MAX_DIGITS}" in err
+
+
+def test_result_past_the_int_string_limit_is_a_report(tmp_path, capsys, monkeypatch):
+    # the input cap lifted, so that the Jacobi residual cannot be rendered
+    monkeypatch.setattr(documents, "MAX_DIGITS", 4300, raising=False)
+    path = _long_denominator_algebra(tmp_path, 3000)
+    code, out, err = run(capsys, "validate", "--algebra", path)
+    assert code == 1 and "Exceeds the limit" in out and "Traceback" not in err
+    code, payload = machine(capsys, "validate", "--algebra", path)
+    assert code == 1
+    assert payload["kind"] == "report" and payload["report"]["passed"] is False
+    assert "Exceeds the limit" in payload["report"]["error"]

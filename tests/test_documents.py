@@ -10,6 +10,7 @@ from liejacobi.bialgebra import GeneralizedBialgebra, YbData, build_dual_bracket
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.documents import (
     DocumentError,
+    LimitError,
     parse,
     parse_rational,
     render_rational,
@@ -18,7 +19,7 @@ from liejacobi.documents import (
 )
 from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import ContactStructure, JacobiPair, LcsStructure
-from liejacobi.liealg import MAX_DIM
+from liejacobi.liealg import MAX_DIGITS, MAX_DIM
 
 
 def _sample_objects():
@@ -90,6 +91,9 @@ def test_parse_rejects_unknown_and_missing_fields():
     del doc["basis"]
     with pytest.raises(DocumentError, match="missing field 'basis'"):
         parse(json.dumps(doc))
+    for kind in ([], {}, 3):
+        with pytest.raises(DocumentError, match="unknown document kind"):
+            parse(json.dumps(dict(_su2_doc(), kind=kind)))
 
 
 def test_parse_rejects_bad_algebra_entries():
@@ -132,6 +136,35 @@ def test_parse_rejects_dimension_above_limit():
     assert parse(json.dumps(doc)).dim == MAX_DIM
 
 
+def test_parse_rejects_rationals_above_digit_limit():
+    long = "7" * (MAX_DIGITS + 1)
+    for text in (long, f"1/{long}", f"-{long}/3"):
+        with pytest.raises(LimitError, match=f"MAX_DIGITS = {MAX_DIGITS}"):
+            parse_rational(text, "x")
+    edge = "7" * MAX_DIGITS
+    assert parse_rational(f"-{edge}/{edge}", "x") == -1
+    # 2^200 and 3^120 fit the limit, their lcm does not: in one algebra,
+    # in one element, and summed into one coefficient
+    p, q = f"1/{2 ** 200}", f"1/{3 ** 120}"
+    assert len(str(2 ** 200 * 3 ** 120)) > MAX_DIGITS
+    doc = _su2_doc()
+    doc["brackets"][0]["value"][0]["coeff"] = p
+    doc["brackets"][1]["value"][0]["coeff"] = q
+    with pytest.raises(LimitError, match="common denominator"):
+        parse(json.dumps(doc))
+    doc = _su2_doc()
+    doc["brackets"][0]["value"] = [{"basis": "e3", "coeff": p}, {"basis": "e3", "coeff": q}]
+    with pytest.raises(LimitError, match="common denominator"):
+        parse(json.dumps(doc))
+    element = {"kind": "multivector", "grade": 1, "basis": ["e1", "e2"],
+               "terms": [{"index": ["e1"], "coeff": p}, {"index": ["e2"], "coeff": q}]}
+    with pytest.raises(LimitError, match="common denominator"):
+        parse(json.dumps(element))
+    element["terms"][1]["index"] = ["e1"]
+    with pytest.raises(LimitError, match="common denominator"):
+        parse(json.dumps(element))
+
+
 def test_parse_keeps_jacobi_check_lazy():
     # schema-valid but mathematically broken algebras parse; validate() reports
     doc = {"kind": "algebra", "name": "bad", "dim": 3,
@@ -156,6 +189,10 @@ def test_parse_rejects_bad_rationals():
     doc["brackets"][0]["value"][0]["coeff"] = 1
     with pytest.raises(DocumentError, match="must be strings"):
         parse(json.dumps(doc))
+    # only "p" and "p/q": the exponent form would denote huge integers
+    for text in ("1e5", "1e999999999", "0.5", " 2", "1_000", "", "1/-2", "٣"):
+        with pytest.raises(DocumentError, match="not a rational"):
+            parse_rational(text, "x")
 
 
 def test_parse_rejects_bad_element_terms():

@@ -13,7 +13,6 @@ import io
 import runpy
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -37,18 +36,14 @@ def _captured(fn) -> tuple[str, str]:
 
 def cli_battery() -> str:
     chunks = []
-    # cli.main builds its argument parser on every call, which costs more
-    # than most commands here; one parser serves the whole battery
-    parser = cli._build_parser()
-    with mock.patch.object(cli, "_build_parser", lambda: parser):
-        for sub in cli._FLAG_SETS:
-            for name in NAMES:
-                for fmt in ("text", "machine"):
-                    argv = [sub, "--name", name, "--format", fmt]
-                    code = []
-                    out, err = _captured(lambda: code.append(cli.main(argv)))
-                    chunks.append(f"$ {' '.join(argv)}\n[exit {code[0]}]\n"
-                                  f"{out}[stderr]\n{err}")
+    for sub in cli._FLAG_SETS:
+        for name in NAMES:
+            for fmt in ("text", "machine"):
+                argv = [sub, "--name", name, "--format", fmt]
+                code = []
+                out, err = _captured(lambda: code.append(cli.main(argv)))
+                chunks.append(f"$ {' '.join(argv)}\n[exit {code[0]}]\n"
+                              f"{out}[stderr]\n{err}")
     return "".join(chunks)
 
 

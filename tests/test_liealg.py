@@ -10,8 +10,11 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    ad_matrix,
     bracket_reference,
+    compact_algebras,
     fm,
+    invariant_scalar_product_reference,
     jacobiator_reference,
     mixed_algebras,
     mv,
@@ -204,6 +207,12 @@ def test_invariant_scalar_product():
         invariant_scalar_product(catalog("sl2r"))
 
 
+def test_invariant_scalar_product_matches_adapted_route():
+    # -K + Q^T Q equals the congruence P^-T diag(-K_d, I) P^-1 exactly
+    for g in compact_algebras():
+        assert invariant_scalar_product(g) == invariant_scalar_product_reference(g), g.name
+
+
 def test_direct_product_brackets():
     g = direct_product(catalog("su2"), abelian(2))
     assert g.dim == 5
@@ -327,7 +336,7 @@ def _dense_unimodular(n: int, seed: int):
 
 def _dense_killing(g: LieAlgebra):
     # the reference route: tr(ad_{e_i} ad_{e_j}) through dense matrix products
-    ads = [g.ad_matrix(g.basis_vector(i)) for i in range(g.dim)]
+    ads = [ad_matrix(g, g.basis_vector(i)) for i in range(g.dim)]
     return tuple(tuple(sum((row[t] for t, row in enumerate(mat_mul(ads[i], ads[j]))), ZERO)
                        for j in range(g.dim)) for i in range(g.dim))
 
