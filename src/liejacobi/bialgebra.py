@@ -132,6 +132,11 @@ class GlbReport:
 
 def check_glb(b: GeneralizedBialgebra) -> GlbReport:
     """Verify both cocycle conditions and the three compatibility identities."""
+    return _check_glb(b)[0]
+
+
+def _check_glb(b: GeneralizedBialgebra) -> tuple[GlbReport, list[Multivector]]:
+    # check_glb, also handing over d_basis[i] = d_{*X0}(e_i) for each i
     g, gs = b.g, b.g_star
     n = g.dim
     phi_res = ce_differential(g, b.phi0)
@@ -158,7 +163,7 @@ def check_glb(b: GeneralizedBialgebra) -> GlbReport:
             contraction_entries.append((i, res))
 
     return GlbReport(b, g.validate(), gs.validate(), phi_res, x0_res,
-                     tuple(bracket_entries), pairing_value, tuple(contraction_entries))
+                     tuple(bracket_entries), pairing_value, tuple(contraction_entries)), d_basis
 
 
 @dataclass(frozen=True)
@@ -388,28 +393,12 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
     coefficients of r; the full affine solution set is returned because the
     generator is never unique.
     """
-    report = check_glb(b)
+    report, d_basis = _check_glb(b)
     if not report.passed:
         raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
-    g = b.g
-    n = g.dim
+    n = b.g.dim
     unknowns = list(combinations(range(n), 2))
-    targets = list(combinations(range(n), 2))
-    rows = []
-    rhs = []
-    for i in range(n):
-        x = g.basis_vector(i)
-        phi_x = pair(b.phi0, x)
-        lhs = _dual_twisted_differential(b, x)
-        columns = []
-        for (a, c) in unknowns:
-            basis_r = Multivector.from_terms(n, 2, {(a, c): 1})
-            image = schouten(g, x, basis_r) - basis_r.scale(phi_x)
-            columns.append(image)
-        for t in targets:    # sorted, so the stored coefficient needs no sign
-            rows.append([col.terms.get(t, ZERO) for col in columns])
-            rhs.append(lhs.terms.get(t, ZERO))
-    solution = solve(rows, rhs)
+    solution = solve(*_coboundary_system(b, d_basis))
     if solution is None:
         return CoboundarySolutions(None, tuple())
     particular, homogeneous = solution
@@ -418,6 +407,50 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
                                              for k in range(len(unknowns)) if coeffs[k] != 0})
     return CoboundarySolutions(to_bivector(particular),
                                tuple(to_bivector(h) for h in homogeneous))
+
+
+def _coboundary_system(b: GeneralizedBialgebra, d_basis: list[Multivector]) -> tuple[list, list]:
+    """(rows, rhs) of [e_i, r] - phi0(e_i) r = d_basis[i] over the coefficients
+    of r, one row per i and target e_p^e_q, one column per e_a^e_c, both in
+    combinations order.
+
+    Read from the integer table of g:
+      [e_i, e_a^e_c] = [e_i, e_a]^e_c + e_a^[e_i, e_c],
+    with phi0(e_i) subtracted on the diagonal.
+    """
+    n = b.g.dim
+    den, table = b.g._ad
+    pairs = list(combinations(range(n), 2))
+    position = {t: k for k, t in enumerate(pairs)}
+    width = len(pairs)
+    acc: dict[tuple[int, int], int] = {}     # (row, column) -> numerator over den
+
+    def add(i, p, q, col, v):
+        # v e_p^e_q in the block of e_i, column col, written on the sorted pair
+        if p < q:
+            key = (i * width + position[p, q], col)
+            acc[key] = acc.get(key, 0) + v
+        elif p > q:
+            key = (i * width + position[q, p], col)
+            acc[key] = acc.get(key, 0) - v
+
+    for i in range(n):
+        for col, (a, c) in enumerate(pairs):
+            for m, v in table[i].get(a, {}).items():     # [e_i, e_a]^e_c
+                add(i, m, c, col, v)
+            for m, v in table[i].get(c, {}).items():     # e_a^[e_i, e_c]
+                add(i, a, m, col, v)
+    rows = [[ZERO] * width for _ in range(n * width)]
+    for (row, col), v in acc.items():
+        if v:
+            rows[row][col] = Fraction(v, den)
+    for i in range(n):
+        phi_i = b.phi0.terms.get((i,), ZERO)
+        if phi_i:
+            for k in range(width):
+                rows[i * width + k][k] -= phi_i
+    rhs = [d.terms.get(t, ZERO) for d in d_basis for t in pairs]
+    return rows, rhs
 
 
 def glb_from_cocycle(g: LieAlgebra, phi: Form) -> GeneralizedBialgebra:

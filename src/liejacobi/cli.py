@@ -97,20 +97,25 @@ def _element_file(path: str, g: LieAlgebra, want: type, what: str):
 
 
 def _load_algebra(args) -> tuple[LieAlgebra, object]:
-    """Resolve --algebra / --name into (algebra, catalog entry or None)."""
+    """Resolve --algebra / --name into (algebra, catalog entry or None) for
+    the subcommands on a pair (r, x0), whose 2-vector r needs dimension 2."""
     if getattr(args, "algebra", None):
-        obj = _parse_file(args.algebra)
-        if not isinstance(obj, LieAlgebra):
+        g, entry = _parse_file(args.algebra), None
+        if not isinstance(g, LieAlgebra):
             raise UsageError(f"{args.algebra}: expected an algebra document, "
-                             f"found kind {type(obj).__name__.lower()}")
-        return obj, None
-    if getattr(args, "name", None):
+                             f"found kind {type(g).__name__.lower()}")
+    elif getattr(args, "name", None):
         entry = _catalog_entry(args.name)
         algebras = _algebras_of(entry)
         if not algebras:
             raise UsageError(f"catalog entry is a {type(entry).__name__}, not an algebra")
-        return algebras[0], entry
-    raise UsageError("provide --algebra FILE or --name NAME")
+        g = algebras[0]
+    else:
+        raise UsageError("provide --algebra FILE or --name NAME")
+    if g.dim < 2:
+        raise UsageError(f"algebra {g.name!r} has dimension {g.dim}; "
+                         "a pair (r, x0) needs dimension at least 2")
+    return g, entry
 
 
 def _load_pair(args) -> tuple[JacobiPair, object]:

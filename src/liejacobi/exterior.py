@@ -4,38 +4,32 @@ Multivectors and forms are maps from strictly increasing index tuples to
 nonzero rational coefficients.  All normalization (index sorting, sign
 bookkeeping, dropping zeros) happens at construction, so equality is plain
 dictionary comparison.  A grade-0 element is a scalar stored under the empty
-index; an empty term map is the zero element of any grade.  `numerators`
-writes a term map as integers over one common denominator, the form in
-which the structure-constant kernels take their arguments.
+index; an empty term map is the zero element of any grade.
+
+Every element also has one integer form, known only to this module: the
+numerators over D, the lcm of the reduced denominators of its coefficients
+(D = 1 for zero).  The kernels here, element arithmetic and the
+structure-constant sums of `liealg` and `schouten` read that form, sum in
+int arithmetic and return results through `_Element._from_ints`, which
+reduces the sums by one gcd and builds one Fraction per output coefficient.
+The form of a kernel output is known when it is built; that of an element
+built from Fractions is computed on first use and kept.  `terms` is
+read-only, so the kept form cannot go stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from liejacobi.linalg import ZERO, frac
+from liejacobi.linalg import ONE, ZERO, frac
 
 Index = tuple[int, ...]
 
-
-def numerators(terms: Mapping[object, Fraction]) -> tuple[dict, int]:
-    """The terms as integers over one common denominator.
-
-    Returns (nums, den) with terms[k] == nums[k] / den and den the lcm of
-    the denominators (1 for no terms).  The structure-constant kernels sum
-    products of such numerators in int arithmetic and build one Fraction
-    per output coefficient, instead of one per multiply-add.
-    """
-    # folded one denominator at a time: lcm(*...) allocates an argument
-    # tuple per call, and on dense dim-7 inputs those made the resident set
-    # of a long run grow op after op
-    den = 1
-    for c in terms.values():
-        den = lcm(den, c.denominator)
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+_set = object.__setattr__
 
 
 def sort_index(idx: Iterable[int]) -> tuple[Index, int]:
@@ -81,40 +75,102 @@ def merge_sorted(a: Index, b: Index) -> tuple[Index, int]:
     return tuple(out), sign
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _Element:
-    """Shared implementation for multivectors and forms."""
+    """Shared implementation for multivectors and forms.
+
+    The constructor copies `terms` into a read-only mapping, so a caller's
+    later change to its dict cannot reach the element.
+    """
 
     dim: int
     grade: int
-    terms: Mapping[Index, Fraction] = field(default_factory=dict)
+    terms: Mapping[Index, Fraction]
+
+    _form = None    # (nums, den), the integer form, once known; see _ints
+
+    def __init__(self, dim: int, grade: int, terms: Mapping[Index, Fraction] | None = None):
+        _set(self, "dim", dim)
+        _set(self, "grade", grade)
+        _set(self, "terms", MappingProxyType(dict(terms or {})))
+        self.__post_init__()
+
+    @classmethod
+    def _new(cls, dim: int, grade: int, terms: dict, form=None):
+        # constructor for a dict built here that nobody else holds: wrapped,
+        # not copied, and validated like any other
+        self = object.__new__(cls)
+        _set(self, "dim", dim)
+        _set(self, "grade", grade)
+        _set(self, "terms", MappingProxyType(terms))
+        if form is not None:
+            _set(self, "_form", form)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _from_ints(cls, dim: int, grade: int, acc: dict, scale: int):
+        """The element with coefficients acc[idx] / scale, scale > 0; zero
+        entries of acc are dropped."""
+        nums = {idx: v for idx, v in acc.items() if v}
+        g = scale
+        for v in nums.values():
+            if g == 1:
+                break
+            g = gcd(g, v)
+        if g != 1:
+            scale //= g
+            nums = {idx: v // g for idx, v in nums.items()}
+        return cls._new(dim, grade, {idx: Fraction(v, scale) for idx, v in nums.items()},
+                        (nums, scale))
+
+    def _ints(self) -> tuple[dict, int]:
+        """(nums, den) with terms[idx] == nums[idx] / den, den the lcm of the
+        reduced denominators; the caller must not change nums."""
+        form = self._form
+        if form is None:
+            den = 1
+            for c in self.terms.values():
+                den = lcm(den, c.denominator)
+            form = ({idx: c.numerator * (den // c.denominator) for idx, c in self.terms.items()},
+                    den)
+            _set(self, "_form", form)
+        return form
 
     def __post_init__(self):
-        if not 0 <= self.grade <= self.dim:
-            raise ValueError(f"grade {self.grade} out of range for dimension {self.dim}")
+        # validation of every element, whichever constructor built it
+        dim, grade = self.dim, self.grade
+        if not 0 <= grade <= dim:
+            raise ValueError(f"grade {grade} out of range for dimension {dim}")
         for idx, c in self.terms.items():
-            if len(idx) != self.grade:
-                raise ValueError(f"index {idx} does not match grade {self.grade}")
-            if list(idx) != sorted(set(idx)):
-                raise ValueError(f"index {idx} is not strictly increasing")
-            if any(not 0 <= i < self.dim for i in idx):
-                raise ValueError(f"index {idx} out of range for dimension {self.dim}")
-            if c == 0:
+            if len(idx) != grade:
+                raise ValueError(f"index {idx} does not match grade {grade}")
+            for t in range(1, grade):
+                if idx[t - 1] >= idx[t]:
+                    raise ValueError(f"index {idx} is not strictly increasing")
+            # increasing, so the first and last entries bound the rest
+            if grade and (idx[0] < 0 or idx[-1] >= dim):
+                raise ValueError(f"index {idx} out of range for dimension {dim}")
+            if not c:
                 raise ValueError("zero coefficients must be dropped")
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; copy and pickle through the constructor
+        return (type(self), (self.dim, self.grade, dict(self.terms)))
 
     @classmethod
     def zero(cls, dim: int, grade: int = 0):
-        return cls(dim, grade, {})
+        return cls._new(dim, grade, {})
 
     @classmethod
     def scalar(cls, dim: int, value) -> "_Element":
         c = frac(value)
-        return cls(dim, 0, {(): c} if c != 0 else {})
+        return cls._new(dim, 0, {(): c} if c != 0 else {})
 
     @classmethod
     def basis(cls, dim: int, i: int):
         """The i-th basis element, as a grade-1 element."""
-        return cls(dim, 1, {(i,): Fraction(1)})
+        return cls._new(dim, 1, {(i,): ONE}, ({(i,): 1}, 1))
 
     @classmethod
     def from_terms(cls, dim: int, grade: int, raw: Mapping[Iterable[int], object]):
@@ -128,13 +184,13 @@ class _Element:
             if sign == 0:
                 continue
             acc[key] = acc.get(key, ZERO) + sign * coeff
-        return cls(dim, grade, {k: v for k, v in acc.items() if v != 0})
+        return cls._new(dim, grade, {k: v for k, v in acc.items() if v != 0})
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable) -> "_Element":
         """Grade-1 element from a coefficient list over the basis."""
         cs = [frac(c) for c in coeffs]
-        return cls(len(cs), 1, {(i,): c for i, c in enumerate(cs) if c != 0})
+        return cls._new(len(cs), 1, {(i,): c for i, c in enumerate(cs) if c != 0})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -161,7 +217,7 @@ class _Element:
             return NotImplemented
         if not self.terms and not other.terms:
             return True
-        return self.grade == other.grade and dict(self.terms) == dict(other.terms)
+        return self.grade == other.grade and self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -172,33 +228,44 @@ class _Element:
             raise ValueError("dimension mismatch")
 
     def __add__(self, other):
+        return self._add(other, 1)
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def _add(self, other, sign: int):
+        # self + sign * other
         self._check_compatible(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
+        if not self.terms:
+            return other if sign == 1 else -other
+        if not other.terms:
             return self
         if self.grade != other.grade:
             raise ValueError(f"cannot add grade {self.grade} to grade {other.grade}")
-        acc = dict(self.terms)
-        for idx, c in other.terms.items():
-            v = acc.get(idx, ZERO) + c
-            if v == 0:
-                acc.pop(idx, None)
-            else:
-                acc[idx] = v
-        return type(self)(self.dim, self.grade, acc)
+        na, da = self._ints()
+        nb, db = other._ints()
+        scale = lcm(da, db)
+        fa, fb = scale // da, sign * (scale // db)
+        acc = {idx: v * fa for idx, v in na.items()}
+        for idx, v in nb.items():
+            acc[idx] = acc.get(idx, 0) + v * fb
+        return type(self)._from_ints(self.dim, self.grade, acc, scale)
 
     def __neg__(self):
-        return type(self)(self.dim, self.grade, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        form = self._form
+        if form is not None:
+            form = ({idx: -v for idx, v in form[0].items()}, form[1])
+        return type(self)._new(self.dim, self.grade,
+                               {k: -v for k, v in self.terms.items()}, form)
 
     def scale(self, c):
         f = frac(c)
         if f == 0:
             return type(self).zero(self.dim, self.grade)
-        return type(self)(self.dim, self.grade, {k: f * v for k, v in self.terms.items()})
+        nums, den = self._ints()
+        p = f.numerator
+        return type(self)._from_ints(self.dim, self.grade, {k: p * v for k, v in nums.items()},
+                                     den * f.denominator)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -243,18 +310,15 @@ def wedge(a: _Element, b: _Element) -> _Element:
     grade = a.grade + b.grade
     if grade > a.dim:
         return type(a).zero(a.dim, a.dim)
-    acc: dict[Index, Fraction] = {}
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
+    na, da = a._ints()
+    nb, db = b._ints()
+    acc: dict[Index, int] = {}
+    for ia, ca in na.items():
+        for ib, cb in nb.items():
             merged, sign = merge_sorted(ia, ib)
-            if sign == 0:
-                continue
-            v = acc.get(merged, ZERO) + sign * ca * cb
-            if v == 0:
-                acc.pop(merged, None)
-            else:
-                acc[merged] = v
-    return type(a)(a.dim, grade, acc)
+            if sign:
+                acc[merged] = acc.get(merged, 0) + sign * ca * cb
+    return type(a)._from_ints(a.dim, grade, acc, da * db)
 
 
 def wedge_power(a: _Element, k: int) -> _Element:
@@ -282,20 +346,20 @@ def contract(one: _Element, target: _Element) -> _Element:
         raise ValueError("can only contract with a grade-1 element")
     if target.grade == 0:
         return type(target).zero(target.dim, 0)
-    acc: dict[Index, Fraction] = {}
-    for idx, c in target.terms.items():
+    if not one.terms:
+        return type(target).zero(target.dim, target.grade - 1)
+    n1, d1 = one._ints()
+    nt, dt = target._ints()
+    acc: dict[Index, int] = {}
+    for idx, c in nt.items():
         for pos, i in enumerate(idx):
-            ci = one.terms.get((i,), ZERO)
-            if ci == 0:
+            ci = n1.get((i,))
+            if ci is None:
                 continue
             rest = idx[:pos] + idx[pos + 1 :]
-            sign = -1 if pos % 2 else 1
-            v = acc.get(rest, ZERO) + sign * ci * c
-            if v == 0:
-                acc.pop(rest, None)
-            else:
-                acc[rest] = v
-    return type(target)(target.dim, target.grade - 1, acc)
+            v = ci * c
+            acc[rest] = acc.get(rest, 0) + (-v if pos % 2 else v)
+    return type(target)._from_ints(target.dim, target.grade - 1, acc, d1 * dt)
 
 
 def pair(omega: Form, p: Multivector) -> Fraction:
@@ -312,10 +376,14 @@ def pair(omega: Form, p: Multivector) -> Fraction:
         return ZERO
     if omega.grade != p.grade:
         raise ValueError("grade mismatch")
-    total = ZERO
-    for idx, c in omega.terms.items():
-        total += c * p.terms.get(idx, ZERO)
-    return total
+    no, do = omega._ints()
+    np_, dp = p._ints()
+    total = 0
+    for idx, c in no.items():
+        v = np_.get(idx)
+        if v is not None:
+            total += c * v
+    return Fraction(total, do * dp)
 
 
 def evaluate(omega: Form, *vectors: Multivector) -> Fraction:

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from liejacobi import linalg
-from liejacobi.exterior import Form, Multivector, evaluate, numerators, wedge
+from liejacobi.exterior import Form, Multivector, evaluate, wedge
 from liejacobi.linalg import ZERO, Matrix, frac
 
 # Largest algebra dimension accepted from documents and catalog names.  The
@@ -89,15 +89,16 @@ class LieAlgebra:
         """(den, table): table[i][j] maps k to the integer N_ij^k, where
         c_ij^k = N_ij^k / den, for both orders of every nonzero pair; zero
         pairs are absent and den is the lcm of all the denominators."""
-        # numerators() inlined: a public call made only on first use would make
-        # the calls of one operation depend on whether the table was built
+        # built from the values' private integer forms: a public call made only
+        # on first use would make the traced calls of one operation depend on
+        # whether the table was already built
         den = 1
         for value in self.structure.values():
-            for c in value.terms.values():
-                den = lcm(den, c.denominator)
+            den = lcm(den, value._ints()[1])
         table: tuple[dict, ...] = tuple({} for _ in range(self.dim))
         for (i, j), value in self.structure.items():
-            row = {k: c.numerator * (den // c.denominator) for (k,), c in value.terms.items()}
+            nums, d = value._ints()
+            row = {k: num * (den // d) for (k,), num in nums.items()}
             table[i][j] = row
             table[j][i] = {k: -num for k, num in row.items()}
         return den, table
@@ -130,7 +131,7 @@ class LieAlgebra:
 
     def _vector(self, acc: dict[int, int], scale: int) -> Multivector:
         # the grade-1 element sum_k (acc[k] / scale) e_k
-        return Multivector(self.dim, 1, {(k,): Fraction(v, scale) for k, v in acc.items() if v})
+        return Multivector._from_ints(self.dim, 1, {(k,): v for k, v in acc.items()}, scale)
 
     def bracket_basis(self, i: int, j: int) -> Multivector:
         den, table = self._ad
@@ -141,8 +142,8 @@ class LieAlgebra:
         if x.grade != 1 or y.grade != 1:
             raise ValueError("bracket arguments must have grade 1")
         den, table = self._ad
-        xs, dx = numerators(x.terms)
-        ys, dy = numerators(y.terms)
+        xs, dx = x._ints()
+        ys, dy = y._ints()
         acc: dict[int, int] = {}
         for (i,), a in xs.items():
             row = table[i]

@@ -9,18 +9,16 @@ On grade-1 arguments both brackets restrict to the Lie bracket; a grade-0
 argument makes the untwisted bracket vanish (the algebra sits over a point).
 
 schouten and ce_differential sum over the algebra's integer structure-constant
-table: their arguments are written as integers over a common denominator
-(exterior.numerators), the products are summed in int arithmetic, and one
-Fraction is built per output coefficient.
+table: they read their arguments' integer forms (numerators over a common
+denominator, see exterior), sum the products in int arithmetic, and build one
+Fraction per output coefficient.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
-from liejacobi.exterior import (Form, Multivector, _Element, contract, merge_sorted,
-                                numerators, pair, wedge)
+from liejacobi.exterior import Form, Multivector, _Element, contract, merge_sorted, pair, wedge
 from liejacobi.liealg import LieAlgebra
 from liejacobi.linalg import ZERO, frac
 
@@ -43,8 +41,8 @@ def schouten(g: LieAlgebra, p: Multivector, q: Multivector) -> Multivector:
         return out
     front = 1 if k % 2 else -1  # (-1)^{k+1}
     den, table = g._ad
-    ps, dp = numerators(p.terms)
-    qs, dq = numerators(q.terms)
+    ps, dp = p._ints()
+    qs, dq = q._ints()
     acc: dict[tuple[int, ...], int] = {}
     for pi, a in ps.items():
         for qi, b in qs.items():
@@ -65,8 +63,7 @@ def schouten(g: LieAlgebra, p: Multivector, q: Multivector) -> Multivector:
                         if ins_sign == 0:
                             continue
                         acc[full] = acc.get(full, 0) + base * ins_sign * c
-    scale = dp * dq * den
-    return Multivector(g.dim, out_grade, {idx: Fraction(v, scale) for idx, v in acc.items() if v})
+    return Multivector._from_ints(g.dim, out_grade, acc, dp * dq * den)
 
 
 def check_cocycle(source: LieAlgebra, cocycle: _Element) -> None:
@@ -118,9 +115,8 @@ def ce_differential(source: LieAlgebra, element: _Element) -> _Element:
     if element.is_zero() or k >= n:
         return type(element).zero(n, min(k + 1, n))
     den, table = source._ad
-    nums, dw = numerators(element.terms)
-    scale = dw * den
-    acc: dict[tuple[int, ...], Fraction] = {}
+    nums, dw = element._ints()
+    acc: dict[tuple[int, ...], int] = {}
     for big in combinations(range(n), k + 1):
         total = 0
         for a in range(k + 1):
@@ -136,8 +132,8 @@ def ce_differential(source: LieAlgebra, element: _Element) -> _Element:
                     if ins_sign:
                         total += pos_sign * ins_sign * c * nums.get(full, 0)
         if total:
-            acc[big] = Fraction(total, scale)
-    return type(element)(n, k + 1, acc)
+            acc[big] = total
+    return type(element)._from_ints(n, k + 1, acc, dw * den)
 
 
 def twisted_differential(source: LieAlgebra, cocycle: _Element, element: _Element,

@@ -1,13 +1,14 @@
 """Shared shorthand for building exact elements in tests, seeded algebras with
-mixed denominators, and Fraction reference routes for the structure-constant
-kernels and the invariant scalar product."""
+mixed denominators, and Fraction reference routes for the exterior and
+structure-constant kernels, the coboundary system and the invariant scalar
+product."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
 from liejacobi.catalog import catalog, heisenberg
-from liejacobi.exterior import Form, Multivector, wedge
+from liejacobi.exterior import Form, Multivector, pair, sort_index, wedge
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
@@ -19,6 +20,7 @@ from liejacobi.liealg import (
     standard_labels,
 )
 from liejacobi.linalg import determinant, invert, mat_mul, mat_vec, transpose, zeros
+from liejacobi.schouten import ce_differential, schouten
 
 
 def mv(dim, grade, terms):
@@ -52,6 +54,56 @@ def random_element(rng: random.Random, cls, dim, grade, terms=2, bound=3):
         idx = tuple(sorted(rng.sample(range(dim), grade)))
         out = out + cls.from_terms(dim, grade, {idx: random_fraction(rng, bound)})
     return out
+
+
+# Reference routes for the exterior kernels, which sum integer forms: term by
+# term Fraction arithmetic, with results built by the public constructor.
+
+def _collect(cls, dim, grade, pieces):
+    acc = {}
+    for idx, c in pieces:
+        acc[idx] = acc.get(idx, Fraction(0)) + c
+    return cls(dim, grade, {idx: c for idx, c in acc.items() if c})
+
+
+def wedge_reference(a, b):
+    grade = a.grade + b.grade
+    if grade > a.dim:
+        return type(a).zero(a.dim, a.dim)
+    pieces = []
+    for ia, ca in a.terms.items():
+        for ib, cb in b.terms.items():
+            idx, sign = sort_index(ia + ib)
+            if sign:
+                pieces.append((idx, sign * ca * cb))
+    return _collect(type(a), a.dim, grade, pieces)
+
+
+def add_reference(a, b):
+    if not a.terms:
+        return b
+    if not b.terms:
+        return a
+    return _collect(type(a), a.dim, a.grade, [*a.terms.items(), *b.terms.items()])
+
+
+def scale_reference(a, c):
+    if c == 0:
+        return type(a).zero(a.dim, a.grade)
+    return type(a)(a.dim, a.grade, {idx: c * v for idx, v in a.terms.items()})
+
+
+def contract_reference(one, target):
+    """i(one)(x_1^..^x_k) = sum_j (-1)^j one(x_j) x_1^..(no j)..^x_k, j from 0."""
+    if target.grade == 0:
+        return type(target).zero(target.dim, 0)
+    pieces = [(idx[:pos] + idx[pos + 1:], (-1) ** pos * one.coefficient((i,)) * c)
+              for idx, c in target.terms.items() for pos, i in enumerate(idx)]
+    return _collect(type(target), target.dim, target.grade - 1, pieces)
+
+
+def pair_reference(omega, p):
+    return sum((c * p.coefficient(idx) for idx, c in omega.terms.items()), Fraction(0))
 
 
 # Algebras whose structure constants have mixed coprime denominators, so that
@@ -150,6 +202,29 @@ def schouten_reference(g, p, q):
                     sign = (-1) ** (k + 1 + ipos + jpos)
                     out = out + term.scale(sign * a * b)
     return out
+
+
+# Reference route for the linear system of solve_coboundary: columns are the
+# images [e_i, r] - phi0(e_i) r of the basis 2-vectors r through schouten, and
+# the right side is d_{*X0}(e_i) = d_* e_i + X0^e_i.
+
+def coboundary_system_reference(b):
+    g = b.g
+    n = g.dim
+    pairs = list(combinations(range(n), 2))
+    rows, rhs = [], []
+    for i in range(n):
+        x = g.basis_vector(i)
+        phi_x = pair(b.phi0, x)
+        lhs = ce_differential(b.g_star, x) + wedge(b.x0, x)
+        columns = []
+        for ac in pairs:
+            basis_r = Multivector.from_terms(n, 2, {ac: 1})
+            columns.append(schouten(g, x, basis_r) - basis_r.scale(phi_x))
+        for t in pairs:
+            rows.append([col.coefficient(t) for col in columns])
+            rhs.append(lhs.coefficient(t))
+    return rows, rhs
 
 
 # Reference routes for the invariant scalar product B of a compact-type

@@ -1,19 +1,25 @@
 """Dual-bracket construction, bialgebra checks, builders and classification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
     b_dual_reference,
+    coboundary_system_reference,
     compact_algebras,
     fm,
     invariant_scalar_product_reference,
+    mixed_algebras,
+    mixed_fraction,
     mv,
     vec,
 )
 from liejacobi.bialgebra import (
     _b_dual_cocycle,
+    _check_glb,
+    _coboundary_system,
     GeneralizedBialgebra,
     YbData,
     build_dual_bracket,
@@ -258,6 +264,26 @@ def test_solve_coboundary_requires_valid_input():
     bad = GeneralizedBialgebra(nb.g, nb.g_star, Form.basis(4, 0), nb.x0)
     with pytest.raises(ValueError):
         solve_coboundary(bad)
+
+
+def test_coboundary_system_matches_schouten_route():
+    # every catalog bialgebra, built and prebuilt, then seeded quadruples on
+    # algebras with mixed denominators, Lie or not, with random phi0 and x0
+    cases = [glb_of(name) for name in ("solvable3_51", "h11", "semidirect4_53")]
+    cases += [catalog(name) for name in ("noncob4_53", "firstkind4", "secondkind4",
+                                         "thirdkind_u2")]
+    assert any(b.g.structure and not b.phi0.is_zero() for b in cases)
+    for b in cases:
+        report, d_basis = _check_glb(b)
+        assert report.passed
+        assert _coboundary_system(b, d_basis) == coboundary_system_reference(b)
+    rng = random.Random(71)
+    lie, non_lie = mixed_algebras()
+    for g in lie + non_lie:
+        g_star = rng.choice([h for h in lie + non_lie if h.dim == g.dim])
+        vector = lambda cls: cls.from_coeffs([mixed_fraction(rng) for _ in range(g.dim)])
+        b = GeneralizedBialgebra(g, g_star, vector(Form), vector(Multivector))
+        assert _coboundary_system(b, _check_glb(b)[1]) == coboundary_system_reference(b)
 
 
 def test_glb_from_cocycle_golden():

@@ -150,6 +150,20 @@ def test_dimension_mismatch_is_usage_error(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("dim", [0, 1])
+def test_pair_subcommands_refuse_dimension_below_two(tmp_path, capsys, dim):
+    # r is a 2-vector, so these inputs are usage errors, not failed checks
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"kind": "algebra", "name": "tiny", "dim": dim,
+                                "basis": [f"e{i + 1}" for i in range(dim)], "brackets": []}))
+    for sub in ("rank", "jacobi-check", "char-sub", "contact", "lcs", "yb-check", "yb-build"):
+        for fmt in ("text", "machine"):
+            code, out, err = run(capsys, sub, "--algebra", str(path), "--format", fmt)
+            assert code == 2 and out == "" and f"has dimension {dim};" in err, sub
+    code, _, err = run(capsys, "rank", "--name", f"abelian({dim})")
+    assert code == 2 and f"has dimension {dim};" in err
+
+
 def test_contact_both_directions(tmp_path, capsys):
     g = catalog("su2")
     algebra = write(tmp_path, "g.json", g)

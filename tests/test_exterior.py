@@ -1,19 +1,33 @@
 """Exterior algebra oracles: permutation signs, determinant pairing, contraction."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from helpers import cov, fm, mv, random_element, vec
+from helpers import (
+    add_reference,
+    contract_reference,
+    cov,
+    fm,
+    mv,
+    pair_reference,
+    random_element,
+    random_fraction,
+    scale_reference,
+    vec,
+    wedge_reference,
+)
 from liejacobi.exterior import (
     Form,
     Multivector,
     contract,
     evaluate,
     evaluate_on,
-    numerators,
     pair,
     sort_index,
     wedge,
@@ -188,8 +202,68 @@ def test_element_arithmetic_and_zero_handling():
 
 def test_numerators_share_one_denominator():
     terms = {(0,): Fraction(1, 2), (1,): Fraction(-1, 3), (2,): Fraction(5, 7), (3,): Fraction(4)}
-    assert numerators(terms) == ({(0,): 21, (1,): -14, (2,): 30, (3,): 168}, 42)
-    assert numerators({}) == ({}, 1)
+    assert Multivector(4, 1, terms)._ints() == ({(0,): 21, (1,): -14, (2,): 30, (3,): 168}, 42)
+    assert Multivector.zero(4, 1)._ints() == ({}, 1)
+
+
+def _assert_canonical(e):
+    # the kept integer form is the one a fresh element computes from its terms
+    nums, den = e._ints()
+    assert (nums, den) == type(e)(e.dim, e.grade, dict(e.terms))._ints()
+    assert den == lcm(1, *(c.denominator for c in e.terms.values()))
+    assert gcd(den, *nums.values()) == 1
+
+
+def test_kernels_match_fraction_reference_routes():
+    rng = random.Random(67)
+    for _ in range(150):
+        dim = rng.randint(2, 5)
+        cls = rng.choice((Multivector, Form))
+        other = Form if cls is Multivector else Multivector
+        mixed = lambda kind, grade: random_element(rng, kind, dim, grade, terms=3, bound=7)
+        a = mixed(cls, rng.randint(0, 3))
+        b = mixed(cls, rng.randint(0, 3))
+        same = mixed(cls, a.grade)
+        one = mixed(other, 1)
+        c = random_fraction(rng, 7)
+        results = [(wedge(a, b), wedge_reference(a, b)),
+                   (a + same, add_reference(a, same)),
+                   (a - same, add_reference(a, scale_reference(same, -1))),
+                   (-a, scale_reference(a, -1)),
+                   (a.scale(c), scale_reference(a, c)),
+                   (contract(one, a), contract_reference(one, a))]
+        for got, expected in results:
+            assert got == expected and got.grade == expected.grade
+            _assert_canonical(got)
+        form, vector = (a, mixed(Multivector, a.grade)) if cls is Form \
+            else (mixed(Form, a.grade), a)
+        assert pair(form, vector) == pair_reference(form, vector)
+
+
+def test_terms_are_read_only_and_copied():
+    d = {(0,): 1}
+    m = Multivector(2, 1, d)
+    d[(1,)] = Fraction(0)
+    d[(0,)] = Fraction(5)
+    assert dict(m.terms) == {(0,): 1}
+    assert m.coeffs() == [1, 0]
+    with pytest.raises(TypeError):
+        m.terms[(1,)] = Fraction(1)
+    with pytest.raises(TypeError):
+        wedge(vec(3, 0), vec(3, 1)).terms[(0, 2)] = Fraction(1)
+
+
+def test_elements_survive_pickle_and_deepcopy():
+    p = mv(4, 2, {(0, 1): Fraction(1, 2), (2, 3): Fraction(-5, 3)})
+    f = fm(4, 1, {(1,): Fraction(2, 7)})
+    for e in (p, f, Form.zero(4, 2)):
+        e._ints()
+        for copied in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert type(copied) is type(e) and copied == e and copied.grade == e.grade
+            assert copied._ints() == e._ints()
+            with pytest.raises(TypeError):
+                copied.terms[(0, 1)] = Fraction(1)
+    assert pickle.loads(pickle.dumps(p)) + p == p.scale(2)
 
 
 def test_grade_mixing_rejected():

@@ -11,18 +11,21 @@ from itertools import combinations
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import coboundary_system_reference
 from liejacobi.bialgebra import (
+    _check_glb,
+    _coboundary_system,
     GeneralizedBialgebra,
     YbData,
     build_dual_bracket,
-    check_glb,
     check_yb_hypotheses,
     dual_bracket_adjoint_route,
     dual_bracket_pointwise_route,
+    solve_coboundary,
 )
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.exterior import Form, Multivector, contract, wedge
-from liejacobi.liealg import abelian, direct_product, one_cocycles
+from liejacobi.liealg import abelian, coordinates, direct_product, one_cocycles
 from liejacobi.schouten import (
     ce_differential,
     schouten,
@@ -210,5 +213,15 @@ def test_hypothesis_passing_bundles_build_valid_bialgebras(pair, data):
     assume(check_yb_hypotheses(y).passed)
     dual = build_dual_bracket(y)
     assert dual.validate().passed
-    assert check_glb(GeneralizedBialgebra(g, dual, phi0, x0)).passed
+    b = GeneralizedBialgebra(g, dual, phi0, x0)
+    report, d_basis = _check_glb(b)
+    assert report.passed
     _dual_differential_identity(y, dual)
+    # Yang-Baxter round trip: r solves d_{*X0} = ad_{(phi0,1)}(.)(r)
+    assert _coboundary_system(b, d_basis) == coboundary_system_reference(b)
+    sols = solve_coboundary(b)
+    assert not sols.is_empty
+    pairs = list(combinations(range(g.dim), 2))
+    offset = [(r - sols.particular).coefficient(t) for t in pairs]
+    assert coordinates([[h.coefficient(t) for t in pairs] for h in sols.homogeneous],
+                       offset) is not None
