@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 
 from liejacobi.exterior import Form, Multivector, contract, evaluate_on, pair, wedge
@@ -53,7 +53,7 @@ from liejacobi.schouten import (
     ce_differential,
     schouten,
     twisted_ad,
-    twisted_schouten,
+    twisted_differential,
 )
 
 
@@ -78,11 +78,6 @@ class GeneralizedBialgebra:
             raise TypeError("x0 must be a vector of g")
         if not self.x0.is_zero() and self.x0.grade != 1:
             raise ValueError("x0 must have grade 1")
-
-
-def _dual_twisted_differential(b: GeneralizedBialgebra, p: Multivector) -> Multivector:
-    # d_{*X0} P = d_* P + X0 ^ P, with d_* the differential of the dual bracket.
-    return ce_differential(b.g_star, p) + wedge(b.x0, p)
 
 
 @dataclass(frozen=True)
@@ -145,11 +140,18 @@ def _check_glb(b: GeneralizedBialgebra) -> tuple[GlbReport, list[Multivector]]:
     bracket_entries = []
     d_star = [ce_differential(gs, g.basis_vector(i)) for i in range(n)]
     d_basis = [d + wedge(b.x0, g.basis_vector(i)) for i, d in enumerate(d_star)]
+    phi = [b.phi0.terms.get((i,), ZERO) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = _dual_twisted_differential(b, g.bracket_basis(i, j))
-            rhs = (twisted_schouten(g, b.phi0, g.basis_vector(i), d_basis[j], verify_cocycle=False)
-                   - twisted_schouten(g, b.phi0, g.basis_vector(j), d_basis[i], verify_cocycle=False))
+            # d_{*X0} is linear: d_{*X0}[e_i, e_j] = sum_k c_ij^k d_basis[k]
+            lhs = Multivector.zero(n, 2)
+            for (k,), c in g.bracket_basis(i, j).terms.items():
+                lhs = lhs + d_basis[k].scale(c)
+            # [e_i, P]_{phi0} = [e_i, P] - phi0(e_i) P.  twisted_schouten
+            # refuses a phi0 that is not a 1-cocycle; this report states that
+            # failure as a residual instead.
+            rhs = (schouten(g, g.basis_vector(i), d_basis[j]) - d_basis[j].scale(phi[i])
+                   - schouten(g, g.basis_vector(j), d_basis[i]) + d_basis[i].scale(phi[j]))
             res = lhs - rhs
             if not res.is_zero():
                 bracket_entries.append(((i, j), res))
@@ -242,12 +244,6 @@ def check_yb_hypotheses(y: YbData) -> YbReport:
                     schouten(g, y.x0, y.r), vector, tuple(vector_entries))
 
 
-def _coadjoint(g: LieAlgebra, x: Multivector, alpha: Form) -> Form:
-    # (coad_x alpha)(y) = -alpha([x, y])
-    coeffs = [-pair(alpha, g.bracket(x, g.basis_vector(k))) for k in range(g.dim)]
-    return Form.from_coeffs(coeffs)
-
-
 def _sharp_images(sharp_map: LinearMap) -> list[Multivector]:
     # #_r(e^i) for every basis covector e^i: the columns of the matrix
     return [Multivector.from_coeffs(col) for col in zip(*sharp_map.matrix)]
@@ -256,15 +252,17 @@ def _sharp_images(sharp_map: LinearMap) -> list[Multivector]:
 def dual_bracket_adjoint_route(g: LieAlgebra, phi0: Form, r: Multivector,
                                x0: Multivector) -> dict:
     """Dual structure constants via coadjoint operators:
-    [a,b]* = coad_{#r b} a - coad_{#r a} b + r(a,b) phi0 + i(x0)(a^b)."""
+    [a,b]* = coad_{#r b} a - coad_{#r a} b + r(a,b) phi0 + i(x0)(a^b),
+    with coad_x alpha = -alpha([x, .]) = i(x) d alpha."""
     n = g.dim
     images = _sharp_images(sharp(r))
+    d_forms = [ce_differential(g, g.basis_form(i)) for i in range(n)]
     structure = {}
     for i in range(n):
         for j in range(i + 1, n):
             ei, ej = g.basis_form(i), g.basis_form(j)
             si, sj = images[i], images[j]
-            value = (_coadjoint(g, sj, ei) - _coadjoint(g, si, ej)
+            value = (contract(sj, d_forms[i]) - contract(si, d_forms[j])
                      + phi0.scale(pair(wedge(ei, ej), r))
                      + contract(x0, wedge(ei, ej)))
             if not value.is_zero():
@@ -463,12 +461,7 @@ def glb_from_cocycle(g: LieAlgebra, phi: Form) -> GeneralizedBialgebra:
     n = g.dim
     if not isinstance(phi, Form) or phi.dim != n or (not phi.is_zero() and phi.grade != 1):
         raise TypeError("phi must be a 1-form on g")
-    violations = [(i, j) for i in range(n) for j in range(i + 1, n)
-                  if pair(phi, g.bracket_basis(i, j)) != 0]
-    if violations:
-        i, j = violations[0]
-        raise ValueError(f"phi is not a 1-cocycle: nonzero on the bracket of "
-                         f"({g.basis_labels[i]}, {g.basis_labels[j]})")
+    check_cocycle(g, phi)
     base = abelian(n, name=f"{g.name}.base")
     dual = LieAlgebra(f"{g.name}.cocycle*", n, tuple(dual_label(l) for l in base.basis_labels),
                       g.structure)
@@ -486,15 +479,8 @@ def _solve_cocycle_with_values(g: LieAlgebra, constraints: list) -> Form:
     `constraints` is a list of (vector coefficients, value) pairs; raises if
     the combined linear system has no solution.
     """
-    n = g.dim
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket = g.bracket_basis(i, j)
-            if not bracket.is_zero():
-                rows.append(bracket.coeffs())
-                rhs.append(ZERO)
+    rows = [v.coeffs() for v in g.structure.values()]
+    rhs = [ZERO] * len(rows)
     for coeffs, value in constraints:
         rows.append(list(coeffs))
         rhs.append(value)
@@ -646,7 +632,7 @@ def _extract_checked(b: GeneralizedBialgebra, y0: Multivector,
         raise ValueError("y0 must be central in g")
     if pair(b.phi0, y0) != 1:
         raise ValueError("y0 must satisfy phi0(y0) = 1")
-    r = -_dual_twisted_differential(b, y0)
+    r = -twisted_differential(b.g_star, b.x0, y0)    # x0 is a 1-cocycle: check_glb passed
     if contract(b.phi0, r) != b.x0:
         raise ValueError("extraction failed: i(phi0) r differs from x0")
     jp = JacobiPair(g, r, b.x0)
@@ -660,17 +646,13 @@ def _extract_checked(b: GeneralizedBialgebra, y0: Multivector,
 
 
 def unit_center_vector(g: LieAlgebra, phi0: Form) -> Multivector | None:
-    """Deterministic central vector with phi0-value 1, if one exists."""
-    rows = [list(row) for row in center(g).rows]
-    if not rows:
-        return None
-    values = [pair(phi0, Multivector.from_coeffs(row)) for row in rows]
-    sol = solve([values], [Fraction(1)])
-    if sol is None:
-        return None
-    coeffs = [sum(sol[0][k] * rows[k][i] for k in range(len(rows)))
-              for i in range(g.dim)]
-    return Multivector.from_coeffs(coeffs)
+    """Deterministic central vector with phi0-value 1, if one exists:
+    z / phi0(z) for the first center row z with phi0(z) != 0."""
+    for z in center(g).elements():
+        value = pair(phi0, z)
+        if value != 0:
+            return z.scale(Fraction(1) / value)
+    return None
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -684,20 +666,12 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _candidate_vectors(dim: int, bound: int = 2):
-    """Small integer coefficient vectors in a deterministic order."""
-    seen = set()
+    """Small integer coefficient vectors in a deterministic order: by
+    max-norm radius, then lexicographically."""
     for radius in range(1, bound + 1):
-        values = range(-radius, radius + 1)
-        def rec(prefix):
-            if len(prefix) == dim:
-                t = tuple(prefix)
-                if any(t) and t not in seen and max(abs(v) for v in t) == radius:
-                    seen.add(t)
-                    yield t
-                return
-            for v in values:
-                yield from rec(prefix + [v])
-        yield from rec([])
+        for t in product(range(-radius, radius + 1), repeat=dim):
+            if max(map(abs, t)) == radius:
+                yield t
 
 
 def su2_triple(g: LieAlgebra) -> tuple[Multivector, Multivector, Multivector]:
@@ -804,12 +778,6 @@ def _b_dual_cocycle(center_g: Subspace, phi: Form) -> Multivector:
                                     for i in range(center_g.dim)])
 
 
-def _lambda_form_check(char: CharacteristicSubalgebra, e_triple, e4,
-                       lambdas) -> bool:
-    r_expected, x0_expected = third_kind_pair(*e_triple, e4, lambdas)
-    return r_expected == char.pair.r and x0_expected == char.pair.x0
-
-
 def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> ThirdKindCertificate:
     char = extraction.characteristic
     h = char.algebra
@@ -853,7 +821,8 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
     if lam_coords is None:
         raise ValueError("x0 does not lie in the span of the triple")
     lambdas = tuple(lam_coords)
-    if not _lambda_form_check(char, triple_h, e4_res, lambdas):
+    r_expected, x0_expected = third_kind_pair(*triple_h, e4_res, lambdas)
+    if r_expected != char.pair.r or x0_expected != char.pair.x0:
         raise ValueError("restricted pair does not take the standard three-parameter form")
     to_ambient = lambda v: Multivector.from_coeffs(incl.apply(v.coeffs()))
     return ThirdKindCertificate(char, tuple(to_ambient(t) for t in triple_h),

@@ -87,12 +87,16 @@ def _algebras_of(obj) -> tuple:
     return get(obj) if get else ()
 
 
-def _element_file(path: str, g: LieAlgebra, want: type, what: str):
+def _element_file(path: str, g: LieAlgebra, want: type, grade: int, what: str):
+    """The element document at path for the flag `what`, of the kind, the
+    dimension and the grade that flag needs; an empty element counts too."""
     obj = _parse_file(path, labels=g.basis_labels, dual_labels=g.dual_labels)
     if not isinstance(obj, want):
         raise UsageError(f"{path}: {what} must be a {want.__name__.lower()} document")
     if obj.dim != g.dim:
         raise UsageError(f"{path}: {what} has dimension {obj.dim}, algebra has {g.dim}")
+    if obj.grade != grade:
+        raise UsageError(f"{path}: {what} has grade {obj.grade}, {what} needs grade {grade}")
     return obj
 
 
@@ -128,9 +132,9 @@ def _load_pair(args) -> tuple[JacobiPair, object]:
         raise UsageError(f"catalog entry {args.name!r} is a generalized bialgebra; "
                          "use the glb-* subcommands")
     if getattr(args, "r", None):
-        r = _element_file(args.r, g, Multivector, "--r")
+        r = _element_file(args.r, g, Multivector, 2, "--r")
     if getattr(args, "x0", None):
-        x0 = _element_file(args.x0, g, Multivector, "--x0")
+        x0 = _element_file(args.x0, g, Multivector, 1, "--x0")
     if r is None:
         r = Multivector.zero(g.dim, 2)
     if x0 is None:
@@ -145,7 +149,7 @@ def _load_yb(args) -> YbData:
     jp, entry = _load_pair(args)
     phi0 = entry.phi0 if isinstance(entry, YbData) else None
     if getattr(args, "phi0", None):
-        phi0 = _element_file(args.phi0, jp.algebra, Form, "--phi0")
+        phi0 = _element_file(args.phi0, jp.algebra, Form, 1, "--phi0")
     if phi0 is None:
         phi0 = Form.zero(jp.algebra.dim, 1)
     try:
@@ -258,7 +262,7 @@ def _cmd_char_sub(args) -> int:
 def _cmd_contact(args) -> int:
     g, _ = _load_algebra(args)
     if getattr(args, "eta", None):
-        eta = _element_file(args.eta, g, Form, "--eta")
+        eta = _element_file(args.eta, g, Form, 1, "--eta")
         jp = contact_to_jacobi(ContactStructure(g, eta))
         labels = list(g.basis_labels)
         report = {"passed": True,
@@ -280,8 +284,8 @@ def _cmd_contact(args) -> int:
 def _cmd_lcs(args) -> int:
     g, _ = _load_algebra(args)
     if getattr(args, "omega", None):
-        omega2 = _element_file(args.omega, g, Form, "--omega")
-        lee = (_element_file(args.lee, g, Form, "--lee")
+        omega2 = _element_file(args.omega, g, Form, 2, "--omega")
+        lee = (_element_file(args.lee, g, Form, 1, "--lee")
                if getattr(args, "lee", None) else Form.zero(g.dim, 1))
         jp = lcs_to_jacobi(LcsStructure(g, omega2, lee))
         labels = list(g.basis_labels)

@@ -8,6 +8,10 @@ and the twisted bracket by a closed 1-form phi adds the correction
 On grade-1 arguments both brackets restrict to the Lie bracket; a grade-0
 argument makes the untwisted bracket vanish (the algebra sits over a point).
 
+The twisted operations (twisted_schouten, twisted_differential, twisted_ad)
+are defined for a closed twisting 1-form only: each one checks it with
+check_cocycle and raises ValueError otherwise.
+
 schouten and ce_differential sum over the algebra's integer structure-constant
 table: they read their arguments' integer forms (numerators over a common
 denominator, see exterior), sum the products in int arithmetic, and build one
@@ -78,17 +82,15 @@ def check_cocycle(source: LieAlgebra, cocycle: _Element) -> None:
             raise ValueError(f"not a 1-cocycle: value {val} on the bracket of ({li}, {lj})")
 
 
-def twisted_schouten(g: LieAlgebra, phi: Form, p: Multivector, q: Multivector,
-                     verify_cocycle: bool = True) -> Multivector:
+def twisted_schouten(g: LieAlgebra, phi: Form, p: Multivector, q: Multivector) -> Multivector:
     """Schouten bracket twisted by a closed 1-form phi.
 
     Adds the two contraction corrections to the plain bracket; for grade-1
     arguments with a grade-0 second slot this reduces to multiplication by
-    phi(X), the anchor of the twist.  Callers that report cocycle failures
-    themselves can pass verify_cocycle=False to keep the formula total.
+    phi(X), the anchor of the twist.  phi must be a 1-cocycle of g: it is
+    checked, and a violation raises ValueError.
     """
-    if verify_cocycle:
-        check_cocycle(g, phi)
+    check_cocycle(g, phi)
     k, kp = p.grade, q.grade
     out = schouten(g, p, q)
     if not p.is_zero() and not contract(phi, q).is_zero():
@@ -136,14 +138,13 @@ def ce_differential(source: LieAlgebra, element: _Element) -> _Element:
     return type(element)._from_ints(n, k + 1, acc, dw * den)
 
 
-def twisted_differential(source: LieAlgebra, cocycle: _Element, element: _Element,
-                         verify_cocycle: bool = True) -> _Element:
+def twisted_differential(source: LieAlgebra, cocycle: _Element, element: _Element) -> _Element:
     """d_twisted = d + cocycle ^ . ; squares to zero exactly because the
-    twisting element is a closed 1-form (checked eagerly by default)."""
+    twisting element is a 1-cocycle of source: it is checked, and a violation
+    raises ValueError."""
     if type(cocycle) is not type(element):
         raise TypeError("cocycle and element must live on the same side")
-    if verify_cocycle:
-        check_cocycle(source, cocycle)
+    check_cocycle(source, cocycle)
     return ce_differential(source, element) + wedge(cocycle, element)
 
 

@@ -1,14 +1,18 @@
 """Shared shorthand for building exact elements in tests, seeded algebras with
-mixed denominators, and Fraction reference routes for the exterior and
-structure-constant kernels, the coboundary system and the invariant scalar
-product."""
+mixed denominators, maps induced on exterior powers, and reference routes for
+the exterior and structure-constant kernels, the coboundary system, the
+bracket compatibility of check_glb, the coadjoint dual bracket and the
+invariant scalar product."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+from liejacobi.bialgebra import GeneralizedBialgebra
 from liejacobi.catalog import catalog, heisenberg
-from liejacobi.exterior import Form, Multivector, pair, sort_index, wedge
+from liejacobi.exterior import Form, Multivector, contract, pair, sort_index, wedge
+from liejacobi.jacobi import sharp
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
@@ -20,7 +24,7 @@ from liejacobi.liealg import (
     standard_labels,
 )
 from liejacobi.linalg import determinant, invert, mat_mul, mat_vec, transpose, zeros
-from liejacobi.schouten import ce_differential, schouten
+from liejacobi.schouten import ce_differential, schouten, twisted_schouten
 
 
 def mv(dim, grade, terms):
@@ -54,6 +58,29 @@ def random_element(rng: random.Random, cls, dim, grade, terms=2, bound=3):
         idx = tuple(sorted(rng.sample(range(dim), grade)))
         out = out + cls.from_terms(dim, grade, {idx: random_fraction(rng, bound)})
     return out
+
+
+def induced(matrix, element):
+    """Image of element under the map on exterior powers induced by the linear
+    map whose matrix columns are the images of the basis elements."""
+    cls, n = type(element), element.dim
+    images = [cls.from_coeffs([row[a] for row in matrix]) for a in range(n)]
+    out = cls.zero(n, element.grade)
+    for idx, c in element.terms.items():
+        term = cls.scalar(n, c)
+        for a in idx:
+            term = wedge(term, images[a])
+        out = out + term
+    return out
+
+
+def broken_noncob():
+    """noncob4_53 with [e^1,e^4]* = 3 e^4: schema-valid, but it breaks the
+    bialgebra conditions, so check_glb has nonzero residuals."""
+    b = catalog("noncob4_53")
+    structure = dict(b.g_star.structure)
+    structure[(0, 3)] = structure[(0, 3)].scale(3)
+    return GeneralizedBialgebra(b.g, replace(b.g_star, structure=structure), b.phi0, b.x0)
 
 
 # Reference routes for the exterior kernels, which sum integer forms: term by
@@ -115,16 +142,21 @@ def mixed_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
 
 
+def random_basis(rng: random.Random, n: int) -> list:
+    """Seeded invertible n x n matrix of mixed-denominator fractions."""
+    p = None
+    while p is None or determinant(p) == 0:
+        p = [[mixed_fraction(rng) for _ in range(n)] for _ in range(n)]
+    return p
+
+
 def mixed_algebras():
     """(Lie algebras, non-Lie brackets), seeded, with mixed denominators."""
     rng = random.Random(2001)
     lie = []
     for g in (catalog("su2"), catalog("sl2r"), catalog("u2"), heisenberg(2),
               catalog("semidirect4_53").g):
-        p = None
-        while p is None or determinant(p) == 0:
-            p = [[mixed_fraction(rng) for _ in range(g.dim)] for _ in range(g.dim)]
-        lie.append(change_basis(g, p, name=f"{g.name}.mixed"))
+        lie.append(change_basis(g, random_basis(rng, g.dim), name=f"{g.name}.mixed"))
     non_lie = []
     for dim in (3, 4, 4, 5, 6):
         structure = {}
@@ -227,6 +259,47 @@ def coboundary_system_reference(b):
     return rows, rhs
 
 
+# Reference routes for check_glb's bracket compatibility and for the adjoint
+# route of the dual bracket, which the library computes by linearity of
+# d_{*X0} and by coad_x alpha = i(x) d alpha: here d_{*X0} is applied to each
+# bracket [e_i, e_j], the twisted bracket is twisted_schouten, and the
+# coadjoint action takes one bracket and one pairing per basis vector.
+
+def bracket_compat_reference(b):
+    """((i, j), residual) entries, nonzero only, of
+    d_{*X0}[e_i, e_j] - [e_i, d_{*X0} e_j]_{phi0} + [e_j, d_{*X0} e_i]_{phi0};
+    phi0 must be a 1-cocycle of b.g."""
+    g = b.g
+    d = lambda p: ce_differential(b.g_star, p) + wedge(b.x0, p)
+    entries = []
+    for i, j in combinations(range(g.dim), 2):
+        ei, ej = g.basis_vector(i), g.basis_vector(j)
+        res = (d(g.bracket_basis(i, j)) - twisted_schouten(g, b.phi0, ei, d(ej))
+               + twisted_schouten(g, b.phi0, ej, d(ei)))
+        if not res.is_zero():
+            entries.append(((i, j), res))
+    return tuple(entries)
+
+
+def coadjoint_reference(g, x, alpha):
+    """(coad_x alpha)(e_k) = -alpha([x, e_k])."""
+    return Form.from_coeffs([-pair(alpha, g.bracket(x, g.basis_vector(k))) for k in range(g.dim)])
+
+
+def dual_bracket_adjoint_reference(g, phi0, r, x0):
+    """[a,b]* = coad_{#r b} a - coad_{#r a} b + r(a,b) phi0 + i(x0)(a^b) on
+    basis covectors, nonzero entries only."""
+    images = [Multivector.from_coeffs(col) for col in zip(*sharp(r).matrix)]
+    structure = {}
+    for i, j in combinations(range(g.dim), 2):
+        ei, ej = g.basis_form(i), g.basis_form(j)
+        value = (coadjoint_reference(g, images[j], ei) - coadjoint_reference(g, images[i], ej)
+                 + phi0.scale(pair(wedge(ei, ej), r)) + contract(x0, wedge(ei, ej)))
+        if not value.is_zero():
+            structure[(i, j)] = Multivector.from_coeffs(value.coeffs())
+    return structure
+
+
 # Reference routes for the invariant scalar product B of a compact-type
 # algebra and for B-duals of covectors: the adapted-basis congruence and a
 # matrix inverse, which the library replaced by closed forms.
@@ -241,10 +314,7 @@ def compact_algebras():
     for g in (su2, catalog("u2"), *(catalog(name).g for name in
                                     ("firstkind4", "secondkind4", "thirdkind_u2")),
               direct_product(su2, abelian(2)), direct_product(direct_product(su2, su2), abelian(2))):
-        p = None
-        while p is None or determinant(p) == 0:
-            p = [[mixed_fraction(rng) for _ in range(g.dim)] for _ in range(g.dim)]
-        out += [g, change_basis(g, p, name=f"{g.name}.mixed")]
+        out += [g, change_basis(g, random_basis(rng, g.dim), name=f"{g.name}.mixed")]
     return out
 
 

@@ -7,13 +7,19 @@ import pytest
 
 from helpers import (
     b_dual_reference,
+    bracket_compat_reference,
+    broken_noncob,
     coboundary_system_reference,
     compact_algebras,
+    dual_bracket_adjoint_reference,
     fm,
+    induced,
     invariant_scalar_product_reference,
     mixed_algebras,
     mixed_fraction,
     mv,
+    random_basis,
+    random_element,
     vec,
 )
 from liejacobi.bialgebra import (
@@ -54,6 +60,7 @@ from liejacobi.liealg import (
     one_cocycles,
     standard_labels,
 )
+from liejacobi.linalg import invert, transpose
 from liejacobi.schouten import ce_differential, schouten
 
 F = Fraction
@@ -63,6 +70,33 @@ SU2 = catalog("su2")
 def glb_of(name):
     y = catalog(name)
     return GeneralizedBialgebra(y.g, build_dual_bracket(y), y.phi0, y.x0)
+
+
+def catalog_bialgebras():
+    """The seven catalog bialgebras: three built from Yang-Baxter data, four
+    prebuilt."""
+    return ([glb_of(name) for name in ("solvable3_51", "h11", "semidirect4_53")]
+            + [catalog(name) for name in ("noncob4_53", "firstkind4", "secondkind4",
+                                          "thirdkind_u2")])
+
+
+def seeded_quadruples(rng, cocycle_phi0=False):
+    """Quadruples on the algebras with mixed denominators, Lie or not, with a
+    dual of the same dimension, a random x0 and a random phi0, or a random
+    1-cocycle phi0 of g when cocycle_phi0 is set."""
+    lie, non_lie = mixed_algebras()
+    out = []
+    for g in lie + non_lie:
+        g_star = rng.choice([h for h in lie + non_lie if h.dim == g.dim])
+        vector = lambda cls: cls.from_coeffs([mixed_fraction(rng) for _ in range(g.dim)])
+        if cocycle_phi0:
+            phi0 = Form.zero(g.dim, 1)
+            for row in one_cocycles(g).rows:
+                phi0 = phi0 + Form.from_coeffs(row).scale(mixed_fraction(rng))
+        else:
+            phi0 = vector(Form)
+        out.append(GeneralizedBialgebra(g, g_star, phi0, vector(Multivector)))
+    return out
 
 
 def test_check_glb_noncob_golden():
@@ -267,23 +301,94 @@ def test_solve_coboundary_requires_valid_input():
 
 
 def test_coboundary_system_matches_schouten_route():
-    # every catalog bialgebra, built and prebuilt, then seeded quadruples on
-    # algebras with mixed denominators, Lie or not, with random phi0 and x0
-    cases = [glb_of(name) for name in ("solvable3_51", "h11", "semidirect4_53")]
-    cases += [catalog(name) for name in ("noncob4_53", "firstkind4", "secondkind4",
-                                         "thirdkind_u2")]
+    # every catalog bialgebra, then seeded quadruples on algebras with mixed
+    # denominators, Lie or not, with random phi0 and x0
+    cases = catalog_bialgebras()
     assert any(b.g.structure and not b.phi0.is_zero() for b in cases)
     for b in cases:
         report, d_basis = _check_glb(b)
         assert report.passed
         assert _coboundary_system(b, d_basis) == coboundary_system_reference(b)
-    rng = random.Random(71)
-    lie, non_lie = mixed_algebras()
-    for g in lie + non_lie:
-        g_star = rng.choice([h for h in lie + non_lie if h.dim == g.dim])
-        vector = lambda cls: cls.from_coeffs([mixed_fraction(rng) for _ in range(g.dim)])
-        b = GeneralizedBialgebra(g, g_star, vector(Form), vector(Multivector))
+    for b in seeded_quadruples(random.Random(71)):
         assert _coboundary_system(b, _check_glb(b)[1]) == coboundary_system_reference(b)
+
+
+def test_bracket_compat_matches_per_pair_route():
+    # check_glb sums d_{*X0} over the structure constants and twists the
+    # bracket inline; the reference applies d_{*X0} to each bracket and calls
+    # twisted_schouten, which needs a 1-cocycle phi0
+    cases = catalog_bialgebras() + [broken_noncob()]
+    cases += seeded_quadruples(random.Random(72), cocycle_phi0=True)
+    assert sum(bool(check_glb(b).bracket_compat) for b in cases) >= 5
+    assert any(b.g.structure and not b.phi0.is_zero() and check_glb(b).bracket_compat
+               for b in cases)
+    for b in cases:
+        assert check_glb(b).bracket_compat == bracket_compat_reference(b), b.g.name
+
+
+def test_dual_bracket_adjoint_route_matches_reference():
+    # the library's coad_x alpha = i(x) d alpha against one bracket and one
+    # pairing per basis vector, on the Yang-Baxter catalog data and on seeded
+    # mixed-denominator 2-vectors r over every quadruple
+    rng = random.Random(73)
+    cases = [(y.g, y.phi0, y.r, y.x0)
+             for y in map(catalog, ("solvable3_51", "h11", "semidirect4_53"))]
+    for b in catalog_bialgebras() + [broken_noncob()] + seeded_quadruples(rng):
+        r = random_element(rng, Multivector, b.g.dim, 2, terms=3, bound=7)
+        cases.append((b.g, b.phi0, r, b.x0))
+    for g, phi0, r, x0 in cases:
+        assert (dual_bracket_adjoint_route(g, phi0, r, x0)
+                == dual_bracket_adjoint_reference(g, phi0, r, x0)), g.name
+
+
+def test_check_glb_is_covariant_under_change_basis():
+    # each residual is a tensor: bracket compatibility is bilinear in the pair
+    # (e_i, e_j), contraction compatibility linear in e_i, both with vector
+    # values, so the moved residuals are the transformed ones
+    rng = random.Random(74)
+    nb = catalog("noncob4_53")
+    cases = catalog_bialgebras() + [
+        broken_noncob(),
+        GeneralizedBialgebra(nb.g, nb.g_star, nb.phi0, nb.x0 + vec(4, 3)),
+        GeneralizedBialgebra(nb.g, nb.g_star, Form.basis(4, 0), nb.x0)]
+    failing = 0
+    for b in cases:
+        n = b.g.dim
+        p = random_basis(rng, n)
+        p_inv = invert(p)
+        # the quadruple in the basis given by the columns of P: g via P, g*
+        # via P^-T, phi0 pulled back by P^T and x0 pushed by P^-1
+        report = check_glb(b)
+        moved = check_glb(GeneralizedBialgebra(
+            change_basis(b.g, p), change_basis(b.g_star, transpose(p_inv)),
+            induced(transpose(p), b.phi0), induced(p_inv, b.x0)))
+        assert moved.passed == report.passed
+        failing += not report.passed
+        assert moved.phi0_cocycle == induced(transpose(p), report.phi0_cocycle)
+        assert moved.x0_cocycle == induced(p_inv, report.x0_cocycle)
+        assert moved.pairing == report.pairing
+        old = dict(report.bracket_compat)
+        expected = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                value = Multivector.zero(n, 2)
+                for (a, c), res in old.items():
+                    value = value + res.scale(p[a][i] * p[c][j] - p[c][i] * p[a][j])
+                value = induced(p_inv, value)
+                if not value.is_zero():
+                    expected.append(((i, j), value))
+        assert moved.bracket_compat == tuple(expected)
+        old = dict(report.contraction_compat)
+        expected = []
+        for i in range(n):
+            value = Multivector.zero(n, 1)
+            for a, res in old.items():
+                value = value + res.scale(p[a][i])
+            value = induced(p_inv, value)
+            if not value.is_zero():
+                expected.append((i, value))
+        assert moved.contraction_compat == tuple(expected)
+    assert failing == 3
 
 
 def test_glb_from_cocycle_golden():

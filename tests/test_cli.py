@@ -1,17 +1,15 @@
 """Command line behavior: exit codes, text goldens, machine format, --out."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from helpers import fm, mv, vec
-from liejacobi.bialgebra import GeneralizedBialgebra
+from helpers import broken_noncob, fm, mv, vec
 from liejacobi import documents, liealg
 from liejacobi.catalog import catalog, catalog_names
 from liejacobi.cli import main
 from liejacobi.documents import parse, serialize
-from liejacobi.exterior import Form
+from liejacobi.exterior import Form, Multivector
 from liejacobi.liealg import MAX_DIM
 
 
@@ -164,6 +162,35 @@ def test_pair_subcommands_refuse_dimension_below_two(tmp_path, capsys, dim):
     assert code == 2 and f"has dimension {dim};" in err
 
 
+@pytest.mark.parametrize("sub, flag, grade, needs, nonzero", [
+    ("rank", "--r", 0, 2, False),
+    ("char-sub", "--r", 3, 2, False),
+    ("contact", "--r", 0, 2, False),
+    ("yb-build", "--r", 3, 2, False),
+    ("rank", "--x0", 0, 1, False),
+    ("yb-check", "--phi0", 0, 1, False),
+    ("contact", "--eta", 2, 1, True),
+    ("lcs", "--omega", 1, 2, True),
+    ("lcs", "--lee", 0, 1, False),
+    ("lcs", "--lee", 2, 1, True),
+])
+def test_wrong_grade_element_is_usage_error(tmp_path, capsys, sub, flag, grade, needs, nonzero):
+    # an element of the wrong grade is refused by the flag that reads it,
+    # whether or not it is zero
+    named = sub == "yb-check"
+    g = catalog("h11").g if named else catalog("su2")
+    cls = Form if flag in ("--phi0", "--eta", "--omega", "--lee") else Multivector
+    element = cls.from_terms(3, grade, {tuple(range(grade)): 1}) if nonzero else cls.zero(3, grade)
+    path = write(tmp_path, "element.json", element,
+                 g.dual_labels if cls is Form else g.basis_labels)
+    argv = [sub, "--name", "h11"] if named else [sub, "--algebra", write(tmp_path, "g.json", g)]
+    if flag == "--lee":
+        argv += ["--omega", write(tmp_path, "omega.json", fm(3, 2, {(0, 1): 1}), g.dual_labels)]
+    code, out, err = run(capsys, *argv, flag, path)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert f"{flag} has grade {grade}, {flag} needs grade {needs}" in err
+
+
 def test_contact_both_directions(tmp_path, capsys):
     g = catalog("su2")
     algebra = write(tmp_path, "g.json", g)
@@ -282,12 +309,7 @@ def test_coboundary_solve(capsys):
 
 
 def test_coboundary_solve_rejects_non_bialgebra(tmp_path, capsys):
-    # schema-valid, but [e^1,e^4]* = 3 e^4 breaks the bialgebra conditions
-    b = catalog("noncob4_53")
-    structure = dict(b.g_star.structure)
-    structure[(0, 3)] = structure[(0, 3)].scale(3)
-    broken = GeneralizedBialgebra(b.g, replace(b.g_star, structure=structure), b.phi0, b.x0)
-    path = write(tmp_path, "broken.json", broken)
+    path = write(tmp_path, "broken.json", broken_noncob())
     code, out, err = run(capsys, "coboundary-solve", "--glb", path, "--format", "machine")
     assert code == 1
     report = json.loads(out)["report"]

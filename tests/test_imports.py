@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level function or class is used somewhere in the library.
 
-The package's __init__.py is left out: it imports names to re-export them.
+The package's __init__.py is left out of the import check: it imports names
+to re-export them.
 """
 
 import ast
@@ -8,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "liejacobi").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "liejacobi").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +39,29 @@ def test_unused_import_is_reported():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private(sources: list[str]) -> list[str]:
+    """Private module-level functions and classes that no source refers to,
+    by name or as an attribute."""
+    defined, used = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(defined - used)
+
+
+def test_unreferenced_private_is_reported():
+    assert unreferenced_private(["def _a(): pass\nclass _B: pass\ndef _c(): _a()\n",
+                                 "x = m._c\n"]) == ["_B"]
+
+
+def test_no_unreferenced_private_helpers():
+    assert unreferenced_private([p.read_text() for p in PACKAGE]) == []

@@ -8,15 +8,18 @@ import pytest
 from helpers import (
     ce_differential_reference,
     fm,
+    induced,
     mixed_algebras,
     mv,
+    random_basis,
     random_element,
     schouten_reference,
     vec,
 )
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.exterior import Form, Multivector, contract, evaluate, wedge
-from liejacobi.liealg import LieAlgebra, abelian, standard_labels
+from liejacobi.liealg import LieAlgebra, abelian, change_basis, standard_labels
+from liejacobi.linalg import invert, transpose
 from liejacobi.schouten import (
     ce_differential,
     check_cocycle,
@@ -65,6 +68,27 @@ def test_schouten_matches_decomposable_expansion():
             p = random_element(rng, Multivector, g.dim, rng.randint(0, 3), terms=2, bound=7)
             q = random_element(rng, Multivector, g.dim, rng.randint(0, 3), terms=2, bound=7)
             assert schouten(g, p, q) == schouten_reference(g, p, q), g.name
+
+
+def test_schouten_and_ce_differential_are_covariant():
+    # in the basis given by the columns of P, multivectors transform by P^-1
+    # and forms by P^T; both operations commute with these maps, on Lie and
+    # non-Lie brackets alike
+    rng = random.Random(31)
+    lie, non_lie = mixed_algebras()
+    for g in lie + non_lie:
+        n = g.dim
+        p = random_basis(rng, n)
+        to_vectors, to_forms = invert(p), transpose(p)
+        moved = change_basis(g, p)
+        for _ in range(4):
+            a = random_element(rng, Multivector, n, rng.randint(1, 3), terms=2, bound=7)
+            b = random_element(rng, Multivector, n, rng.randint(1, 3), terms=2, bound=7)
+            assert (schouten(moved, induced(to_vectors, a), induced(to_vectors, b))
+                    == induced(to_vectors, schouten(g, a, b))), g.name
+            w = random_element(rng, Form, n, rng.randint(0, n), terms=3, bound=7)
+            assert (ce_differential(moved, induced(to_forms, w))
+                    == induced(to_forms, ce_differential(g, w))), g.name
 
 
 def test_ce_differential_su2_golden():
@@ -191,6 +215,8 @@ def test_twisted_schouten_rejects_non_cocycle():
     g = catalog("su2")     # perfect: only the zero cocycle
     with pytest.raises(ValueError):
         twisted_schouten(g, Form.basis(3, 0), vec(3, 0), vec(3, 1))
+    with pytest.raises(ValueError):
+        twisted_differential(g, Form.basis(3, 0), Form.basis(3, 1))
     with pytest.raises(ValueError):
         check_cocycle(g, Form.basis(3, 0))
 
