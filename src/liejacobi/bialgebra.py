@@ -300,8 +300,8 @@ def build_dual_bracket(y: YbData) -> LieAlgebra:
     """Assemble the dual Lie algebra from Yang-Baxter data.
 
     Requires the hypotheses to pass; the result is cross-checked against the
-    pointwise evaluation route, validated, and the assembled quadruple must
-    pass check_glb.
+    pointwise evaluation route, and the assembled quadruple must pass
+    check_glb, which also checks the Jacobi identity of the dual bracket.
     """
     report = check_yb_hypotheses(y)
     if not report.passed:
@@ -312,9 +312,6 @@ def build_dual_bracket(y: YbData) -> LieAlgebra:
     if structure != other:
         raise ValueError("dual bracket routes disagree; construction is inconsistent")
     dual = LieAlgebra(f"{g.name}*", g.dim, g.dual_labels, structure)
-    validation = dual.validate()
-    if not validation.passed:
-        raise ValueError("dual bracket fails the Jacobi identity: " + validation.describe())
     glb_report = check_glb(GeneralizedBialgebra(g, dual, y.phi0, y.x0))
     if not glb_report.passed:
         raise ValueError("assembled pair is not a generalized bialgebra:\n"
@@ -665,10 +662,10 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _candidate_vectors(dim: int, bound: int = 2):
-    """Small integer coefficient vectors in a deterministic order: by
-    max-norm radius, then lexicographically."""
-    for radius in range(1, bound + 1):
+def _candidate_vectors(dim: int):
+    """Integer coefficient vectors of max-norm 1 or 2 in a deterministic
+    order: by max-norm, then lexicographically."""
+    for radius in (1, 2):
         for t in product(range(-radius, radius + 1), repeat=dim):
             if max(map(abs, t)) == radius:
                 yield t

@@ -28,7 +28,7 @@ from liejacobi.bialgebra import (
     unit_center_vector,
 )
 from liejacobi.catalog import catalog, catalog_names
-from liejacobi.documents import DocumentError, LimitError, parse, to_document
+from liejacobi.documents import DocumentError, LimitError, algebras_of, parse, to_document
 from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import (
     ContactStructure,
@@ -71,25 +71,26 @@ def _catalog_entry(name: str):
         raise UsageError(str(exc)) from exc
 
 
-_ALGEBRAS = {
-    LieAlgebra: lambda g: (g,),
-    JacobiPair: lambda jp: (jp.algebra,),
-    YbData: lambda y: (y.g,),
-    GeneralizedBialgebra: lambda b: (b.g, b.g_star),
-    ContactStructure: lambda cs: (cs.algebra,),
-    LcsStructure: lambda ls: (ls.algebra,),
+# flag -> (help text, element kind, grade); kind and grade are None for
+# flags that do not name an element document
+_FLAGS = {
+    "algebra": ("algebra document file", None, None),
+    "glb": ("generalized bialgebra document file", None, None),
+    "name": ("catalog entry name", None, None),
+    "r": ("2-vector document file", Multivector, 2),
+    "x0": ("vector document file", Multivector, 1),
+    "phi0": ("1-form document file", Form, 1),
+    "eta": ("contact 1-form document file", Form, 1),
+    "omega": ("2-form document file", Form, 2),
+    "lee": ("Lee 1-form document file", Form, 1),
 }
 
 
-def _algebras_of(obj) -> tuple:
-    """The algebras a document or catalog entry carries; () for bare elements."""
-    get = _ALGEBRAS.get(type(obj))
-    return get(obj) if get else ()
-
-
-def _element_file(path: str, g: LieAlgebra, want: type, grade: int, what: str):
-    """The element document at path for the flag `what`, of the kind, the
-    dimension and the grade that flag needs; an empty element counts too."""
+def _element_file(args, flag: str, g: LieAlgebra):
+    """The element document given by --flag, of the kind, the dimension and
+    the grade that flag needs; an empty element counts too."""
+    _, want, grade = _FLAGS[flag]
+    path, what = getattr(args, flag), f"--{flag}"
     obj = _parse_file(path, labels=g.basis_labels, dual_labels=g.dual_labels)
     if not isinstance(obj, want):
         raise UsageError(f"{path}: {what} must be a {want.__name__.lower()} document")
@@ -110,7 +111,7 @@ def _load_algebra(args) -> tuple[LieAlgebra, object]:
                              f"found kind {type(g).__name__.lower()}")
     elif getattr(args, "name", None):
         entry = _catalog_entry(args.name)
-        algebras = _algebras_of(entry)
+        algebras = algebras_of(entry)
         if not algebras:
             raise UsageError(f"catalog entry is a {type(entry).__name__}, not an algebra")
         g = algebras[0]
@@ -132,9 +133,9 @@ def _load_pair(args) -> tuple[JacobiPair, object]:
         raise UsageError(f"catalog entry {args.name!r} is a generalized bialgebra; "
                          "use the glb-* subcommands")
     if getattr(args, "r", None):
-        r = _element_file(args.r, g, Multivector, 2, "--r")
+        r = _element_file(args, "r", g)
     if getattr(args, "x0", None):
-        x0 = _element_file(args.x0, g, Multivector, 1, "--x0")
+        x0 = _element_file(args, "x0", g)
     if r is None:
         r = Multivector.zero(g.dim, 2)
     if x0 is None:
@@ -149,7 +150,7 @@ def _load_yb(args) -> YbData:
     jp, entry = _load_pair(args)
     phi0 = entry.phi0 if isinstance(entry, YbData) else None
     if getattr(args, "phi0", None):
-        phi0 = _element_file(args.phi0, jp.algebra, Form, 1, "--phi0")
+        phi0 = _element_file(args, "phi0", jp.algebra)
     if phi0 is None:
         phi0 = Form.zero(jp.algebra.dim, 1)
     try:
@@ -209,7 +210,7 @@ def _cmd_validate(args) -> int:
             return 1
     else:
         raise UsageError("provide --algebra FILE, --glb FILE or --name NAME")
-    algebras = _algebras_of(obj)
+    algebras = algebras_of(obj)
     if not algebras:
         _emit(args, None, {"passed": True}, "document is schema-valid")
         return 0
@@ -262,7 +263,7 @@ def _cmd_char_sub(args) -> int:
 def _cmd_contact(args) -> int:
     g, _ = _load_algebra(args)
     if getattr(args, "eta", None):
-        eta = _element_file(args.eta, g, Form, 1, "--eta")
+        eta = _element_file(args, "eta", g)
         jp = contact_to_jacobi(ContactStructure(g, eta))
         labels = list(g.basis_labels)
         report = {"passed": True,
@@ -284,8 +285,8 @@ def _cmd_contact(args) -> int:
 def _cmd_lcs(args) -> int:
     g, _ = _load_algebra(args)
     if getattr(args, "omega", None):
-        omega2 = _element_file(args.omega, g, Form, 2, "--omega")
-        lee = (_element_file(args.lee, g, Form, 1, "--lee")
+        omega2 = _element_file(args, "omega", g)
+        lee = (_element_file(args, "lee", g)
                if getattr(args, "lee", None) else Form.zero(g.dim, 1))
         jp = lcs_to_jacobi(LcsStructure(g, omega2, lee))
         labels = list(g.basis_labels)
@@ -456,48 +457,22 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "jacobi-check": _cmd_jacobi_check,
-    "rank": _cmd_rank,
-    "char-sub": _cmd_char_sub,
-    "contact": _cmd_contact,
-    "lcs": _cmd_lcs,
-    "yb-check": _cmd_yb_check,
-    "yb-build": _cmd_yb_build,
-    "glb-check": _cmd_glb_check,
-    "glb-extract": _cmd_glb_extract,
-    "glb-classify": _cmd_glb_classify,
-    "coboundary-solve": _cmd_coboundary_solve,
-    "catalog": _cmd_catalog,
-}
-
-_FLAG_SETS = {
-    "validate": ("algebra", "glb", "name"),
-    "jacobi-check": ("algebra", "name", "r", "x0"),
-    "rank": ("algebra", "name", "r", "x0"),
-    "char-sub": ("algebra", "name", "r", "x0"),
-    "contact": ("algebra", "name", "r", "x0", "eta"),
-    "lcs": ("algebra", "name", "r", "x0", "omega", "lee"),
-    "yb-check": ("algebra", "name", "r", "x0", "phi0"),
-    "yb-build": ("algebra", "name", "r", "x0", "phi0"),
-    "glb-check": ("glb", "name"),
-    "glb-extract": ("glb", "name"),
-    "glb-classify": ("glb", "name"),
-    "coboundary-solve": ("glb", "name"),
-    "catalog": ("name",),
-}
-
-_FLAG_HELP = {
-    "algebra": "algebra document file",
-    "glb": "generalized bialgebra document file",
-    "name": "catalog entry name",
-    "r": "2-vector document file",
-    "x0": "vector document file",
-    "phi0": "1-form document file",
-    "eta": "contact 1-form document file",
-    "omega": "2-form document file",
-    "lee": "Lee 1-form document file",
+# subcommand -> (handler, flags); --help and the golden CLI battery follow
+# this order
+_SUBCOMMANDS = {
+    "validate": (_cmd_validate, ("algebra", "glb", "name")),
+    "jacobi-check": (_cmd_jacobi_check, ("algebra", "name", "r", "x0")),
+    "rank": (_cmd_rank, ("algebra", "name", "r", "x0")),
+    "char-sub": (_cmd_char_sub, ("algebra", "name", "r", "x0")),
+    "contact": (_cmd_contact, ("algebra", "name", "r", "x0", "eta")),
+    "lcs": (_cmd_lcs, ("algebra", "name", "r", "x0", "omega", "lee")),
+    "yb-check": (_cmd_yb_check, ("algebra", "name", "r", "x0", "phi0")),
+    "yb-build": (_cmd_yb_build, ("algebra", "name", "r", "x0", "phi0")),
+    "glb-check": (_cmd_glb_check, ("glb", "name")),
+    "glb-extract": (_cmd_glb_extract, ("glb", "name")),
+    "glb-classify": (_cmd_glb_classify, ("glb", "name")),
+    "coboundary-solve": (_cmd_coboundary_solve, ("glb", "name")),
+    "catalog": (_cmd_catalog, ("name",)),
 }
 
 
@@ -507,10 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact checks for jacobi structures and generalized "
                     "Lie bialgebras over rational structure constants")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, flags in _FLAG_SETS.items():
+    for name, (_, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
-            p.add_argument(f"--{flag}", help=_FLAG_HELP[flag])
+            p.add_argument(f"--{flag}", help=_FLAGS[flag][0])
         p.add_argument("--out", help="write the result document to this file")
         p.add_argument("--format", choices=("text", "machine"), default="text")
     return parser
@@ -525,7 +500,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _HANDLERS[args.subcommand](args)
+        return _SUBCOMMANDS[args.subcommand][0](args)
     except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

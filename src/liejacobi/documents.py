@@ -177,8 +177,9 @@ def _render_algebra(g: LieAlgebra) -> dict:
             "basis": list(g.basis_labels), "brackets": brackets}
 
 
-def _parse_element(obj: dict, path: str, kind: str, labels: _Labels | None) -> Form | Multivector:
-    """Element document; `labels` supplies context when "basis" is absent."""
+def _parse_element(obj: dict, path: str, cls: type, labels: _Labels | None) -> Form | Multivector:
+    """Element document of class cls; `labels` supplies context when "basis" is absent."""
+    kind = cls.__name__.lower()
     _expect_object(obj, path, {"kind": True, "grade": True, "basis": False, "terms": True})
     declared = _expect_str(obj["kind"], f"{path}.kind")
     if declared != kind:
@@ -206,7 +207,6 @@ def _parse_element(obj: dict, path: str, kind: str, labels: _Labels | None) -> F
         coeff = parse_rational(term["coeff"], f"{here}.coeff")
         den = _fold_denominator(den, coeff, f"{here}.coeff")
         raw[idx] = raw.get(idx, Fraction(0)) + coeff
-    cls = Form if kind == "form" else Multivector
     try:
         return cls.from_terms(dim, grade, raw)
     except ValueError as exc:
@@ -214,7 +214,6 @@ def _parse_element(obj: dict, path: str, kind: str, labels: _Labels | None) -> F
 
 
 def _render_element(e, labels, standalone: bool = False) -> dict:
-    kind = "form" if isinstance(e, Form) else "multivector"
     if labels is None:
         raise TypeError("element documents need basis labels")
     names = list(labels)
@@ -222,118 +221,87 @@ def _render_element(e, labels, standalone: bool = False) -> dict:
     for idx in sorted(e.terms):
         terms.append({"index": [names[i] for i in idx],
                       "coeff": render_rational(e.terms[idx])})
-    out = {"kind": kind, "grade": e.grade}
+    out = {"kind": type(e).__name__.lower(), "grade": e.grade}
     if standalone:
         out["basis"] = names
     out["terms"] = terms
     return out
 
 
-def _parse_jacobi(obj: dict, path: str) -> JacobiPair:
-    _expect_object(obj, path, {"kind": True, "algebra": True, "r": True, "x0": True})
-    g = _parse_algebra(obj["algebra"], "algebra")
-    labels = _Labels(list(g.basis_labels), "")
-    r = _parse_element(obj["r"], "r", "multivector", labels)
-    x0 = _parse_element(obj["x0"], "x0", "multivector", labels)
-    try:
-        return JacobiPair(g, r, x0)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(path, str(exc)) from None
+# Field shapes: a nested algebra; the glb's optional "name", written as the
+# name of the algebra under the attribute and ignored on parse; or an element
+# (class, position of the algebra in the bundle, its labels attribute, bare),
+# read from an element document, or from a bare value list when bare is True.
+_ALGEBRA = "algebra"
+_NAME = "name"
+_VECTORS = (Multivector, 0, "basis_labels", False)
+_FORMS = (Form, 0, "dual_labels", False)
 
-
-def _parse_yb(obj: dict, path: str) -> YbData:
-    _expect_object(obj, path, {"kind": True, "algebra": True, "r": True,
-                               "x0": True, "phi0": True})
-    g = _parse_algebra(obj["algebra"], "algebra")
-    labels = _Labels(list(g.basis_labels), "")
-    duals = _Labels(list(g.dual_labels), "")
-    r = _parse_element(obj["r"], "r", "multivector", labels)
-    x0 = _parse_element(obj["x0"], "x0", "multivector", labels)
-    phi0 = _parse_element(obj["phi0"], "phi0", "form", duals)
-    try:
-        return YbData(g, phi0, r, x0)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(path, str(exc)) from None
-
-
-def _parse_glb(obj: dict, path: str) -> GeneralizedBialgebra:
-    _expect_object(obj, path, {"kind": True, "name": False, "g": True,
-                               "g_star": True, "phi0": True, "x0": True})
-    g = _parse_algebra(obj["g"], "g")
-    g_star = _parse_algebra(obj["g_star"], "g_star")
-    duals = _Labels(list(g_star.basis_labels), "")
-    labels = _Labels(list(g.basis_labels), "")
-    phi0 = Form.from_coeffs(_parse_value_list(obj["phi0"], duals, "phi0")[0])
-    x0 = Multivector.from_coeffs(_parse_value_list(obj["x0"], labels, "x0")[0])
-    try:
-        return GeneralizedBialgebra(g, g_star, phi0, x0)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(path, str(exc)) from None
-
-
-def _parse_contact(obj: dict, path: str) -> ContactStructure:
-    _expect_object(obj, path, {"kind": True, "algebra": True, "eta": True})
-    g = _parse_algebra(obj["algebra"], "algebra")
-    duals = _Labels(list(g.dual_labels), "")
-    eta = _parse_element(obj["eta"], "eta", "form", duals)
-    try:
-        return ContactStructure(g, eta)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(path, str(exc)) from None
-
-
-def _parse_lcs(obj: dict, path: str) -> LcsStructure:
-    _expect_object(obj, path, {"kind": True, "algebra": True, "omega": True, "lee": True})
-    g = _parse_algebra(obj["algebra"], "algebra")
-    duals = _Labels(list(g.dual_labels), "")
-    omega = _parse_element(obj["omega"], "omega", "form", duals)
-    lee = _parse_element(obj["lee"], "lee", "form", duals)
-    try:
-        return LcsStructure(g, omega, lee)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(path, str(exc)) from None
-
-
-def _render_jacobi(jp: JacobiPair) -> dict:
-    labels = jp.algebra.basis_labels
-    return {"kind": "jacobi", "algebra": _render_algebra(jp.algebra),
-            "r": _render_element(jp.r, labels), "x0": _render_element(jp.x0, labels)}
-
-
-def _render_yb(y: YbData) -> dict:
-    labels = y.g.basis_labels
-    return {"kind": "yb", "algebra": _render_algebra(y.g),
-            "r": _render_element(y.r, labels), "x0": _render_element(y.x0, labels),
-            "phi0": _render_element(y.phi0, y.g.dual_labels)}
-
-
-def _render_glb(b: GeneralizedBialgebra) -> dict:
-    return {"kind": "glb", "name": b.g.name,
-            "g": _render_algebra(b.g), "g_star": _render_algebra(b.g_star),
-            "phi0": _render_value_list(b.phi0.coeffs(), b.g_star.basis_labels),
-            "x0": _render_value_list(b.x0.coeffs(), b.g.basis_labels)}
-
-
-def _render_contact(cs: ContactStructure) -> dict:
-    return {"kind": "contact", "algebra": _render_algebra(cs.algebra),
-            "eta": _render_element(cs.eta, cs.algebra.dual_labels)}
-
-
-def _render_lcs(ls: LcsStructure) -> dict:
-    duals = ls.algebra.dual_labels
-    return {"kind": "lcs", "algebra": _render_algebra(ls.algebra),
-            "omega": _render_element(ls.omega2, duals),
-            "lee": _render_element(ls.lee, duals)}
-
-
-_PARSERS = {
-    "algebra": _parse_algebra,
-    "jacobi": _parse_jacobi,
-    "yb": _parse_yb,
-    "glb": _parse_glb,
-    "contact": _parse_contact,
-    "lcs": _parse_lcs,
+# bundle kind -> (class, fields as (document key, attribute, shape) in document order)
+_KINDS = {
+    "jacobi": (JacobiPair, (("algebra", "algebra", _ALGEBRA), ("r", "r", _VECTORS),
+                            ("x0", "x0", _VECTORS))),
+    "yb": (YbData, (("algebra", "g", _ALGEBRA), ("r", "r", _VECTORS),
+                    ("x0", "x0", _VECTORS), ("phi0", "phi0", _FORMS))),
+    "glb": (GeneralizedBialgebra, (("name", "g", _NAME), ("g", "g", _ALGEBRA),
+                                   ("g_star", "g_star", _ALGEBRA),
+                                   ("phi0", "phi0", (Form, 1, "basis_labels", True)),
+                                   ("x0", "x0", (Multivector, 0, "basis_labels", True)))),
+    "contact": (ContactStructure, (("algebra", "algebra", _ALGEBRA), ("eta", "eta", _FORMS))),
+    "lcs": (LcsStructure, (("algebra", "algebra", _ALGEBRA), ("omega", "omega2", _FORMS),
+                           ("lee", "lee", _FORMS))),
 }
+_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
+
+
+def _parse_bundle(obj: dict, kind: str):
+    cls, fields = _KINDS[kind]
+    _expect_object(obj, "", {"kind": True, **{key: shape is not _NAME
+                                              for key, _, shape in fields}})
+    values, algebras, lookups = {}, [], {}
+    for key, attr, shape in fields:
+        if shape is _ALGEBRA:
+            values[attr] = _parse_algebra(obj[key], key)
+            algebras.append(values[attr])
+        elif shape is not _NAME:
+            element, pos, side, bare = shape
+            if (pos, side) not in lookups:
+                lookups[pos, side] = _Labels(list(getattr(algebras[pos], side)), "")
+            labels = lookups[pos, side]
+            values[attr] = (element.from_coeffs(_parse_value_list(obj[key], labels, key)[0])
+                            if bare else _parse_element(obj[key], key, element, labels))
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError("", str(exc)) from None
+
+
+def _render_bundle(obj, kind: str) -> dict:
+    out = {"kind": kind}
+    algebras = []
+    for key, attr, shape in _KINDS[kind][1]:
+        value = getattr(obj, attr)
+        if shape is _NAME:
+            out[key] = value.name
+        elif shape is _ALGEBRA:
+            out[key] = _render_algebra(value)
+            algebras.append(value)
+        else:
+            _, pos, side, bare = shape
+            labels = getattr(algebras[pos], side)
+            out[key] = (_render_value_list(value.coeffs(), labels) if bare
+                        else _render_element(value, labels))
+    return out
+
+
+def algebras_of(obj) -> tuple:
+    """The algebras a document object carries, in document order; () for elements."""
+    if isinstance(obj, LieAlgebra):
+        return (obj,)
+    kind = _KIND_OF.get(type(obj))
+    if kind is None:
+        return ()
+    return tuple(getattr(obj, attr) for _, attr, shape in _KINDS[kind][1] if shape is _ALGEBRA)
 
 
 def parse(text: str, labels=None, dual_labels=None):
@@ -354,12 +322,14 @@ def parse(text: str, labels=None, dual_labels=None):
     kind = obj.get("kind")
     if kind == "multivector":
         context = _Labels(list(labels), "") if labels is not None else None
-        return _parse_element(obj, "", "multivector", context)
+        return _parse_element(obj, "", Multivector, context)
     if kind == "form":
         context = _Labels(list(dual_labels), "") if dual_labels is not None else None
-        return _parse_element(obj, "", "form", context)
-    if isinstance(kind, str) and kind in _PARSERS:
-        return _PARSERS[kind](obj, "")
+        return _parse_element(obj, "", Form, context)
+    if kind == "algebra":
+        return _parse_algebra(obj, "")
+    if isinstance(kind, str) and kind in _KINDS:
+        return _parse_bundle(obj, kind)
     raise DocumentError("kind", f"unknown document kind {kind!r}")
 
 
@@ -367,16 +337,8 @@ def to_document(obj, labels=None) -> dict:
     """The JSON-ready dict for a domain object; `labels` names element indices."""
     if isinstance(obj, LieAlgebra):
         return _render_algebra(obj)
-    if isinstance(obj, JacobiPair):
-        return _render_jacobi(obj)
-    if isinstance(obj, YbData):
-        return _render_yb(obj)
-    if isinstance(obj, GeneralizedBialgebra):
-        return _render_glb(obj)
-    if isinstance(obj, ContactStructure):
-        return _render_contact(obj)
-    if isinstance(obj, LcsStructure):
-        return _render_lcs(obj)
+    if type(obj) in _KIND_OF:
+        return _render_bundle(obj, _KIND_OF[type(obj)])
     if isinstance(obj, (Form, Multivector)):
         return _render_element(obj, labels, standalone=True)
     raise TypeError(f"no document form for {type(obj).__name__}")

@@ -6,12 +6,16 @@ bookkeeping, dropping zeros) happens at construction, so equality is plain
 dictionary comparison.  A grade-0 element is a scalar stored under the empty
 index; an empty term map is the zero element of any grade.
 
-Every element also has one integer form, known only to this module: the
-numerators over D, the lcm of the reduced denominators of its coefficients
-(D = 1 for zero).  The kernels here, element arithmetic and the
-structure-constant sums of `liealg` and `schouten` read that form, sum in
-int arithmetic and return results through `_Element._from_ints`, which
-reduces the sums by one gcd and builds one Fraction per output coefficient.
+Every element also has one integer form: the numerators over D, the lcm of
+the reduced denominators of its coefficients (D = 1 for zero).  It is
+private to the library, not to this module: `liealg` and `schouten` read
+it with `_ints` and build from it with `_from_ints` (in `liealg`, for the
+integer structure-constant table `_ad` and `_vector`), and
+`bialgebra._coboundary_system` reads that table, `g._ad`.  The kernels
+here, element arithmetic and the structure-constant sums of `liealg` and
+`schouten` sum in int arithmetic and return results through
+`_Element._from_ints`, which reduces the sums by one gcd and builds one
+Fraction per output coefficient.
 The form of a kernel output is known when it is built; that of an element
 built from Fractions is computed on first use and kept.  `terms` is
 read-only, so the kept form cannot go stale.

@@ -516,8 +516,7 @@ def semidirect_by_derivation(h: LieAlgebra, psi: LinearMap, name: str | None = N
     return LieAlgebra(name or f"{h.name}:line", n, standard_labels(n), structure)
 
 
-def change_basis(g: LieAlgebra, columns: Matrix, name: str | None = None,
-                 labels: tuple[str, ...] | None = None) -> LieAlgebra:
+def change_basis(g: LieAlgebra, columns: Matrix, name: str | None = None) -> LieAlgebra:
     """Structure constants in a new basis; columns are the new basis vectors."""
     p = [list(r) for r in columns]
     p_inv = linalg.invert(p)
@@ -531,7 +530,7 @@ def change_basis(g: LieAlgebra, columns: Matrix, name: str | None = None,
             v = Multivector.from_coeffs(linalg.mat_vec(p_inv, br.coeffs()))
             if not v.is_zero():
                 structure[(i, j)] = v
-    return LieAlgebra(name or g.name, n, labels or standard_labels(n), structure)
+    return LieAlgebra(name or g.name, n, standard_labels(n), structure)
 
 
 def coordinates(basis: Sequence[Sequence], v: Iterable) -> list[Fraction] | None:

@@ -135,9 +135,9 @@ def docdir(tmp_path_factory):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_contract_on_hostile_documents(docdir, data):
-    sub = data.draw(st.sampled_from(sorted(cli._FLAG_SETS)))
+    sub = data.draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
     argv = [sub]
-    for flag in cli._FLAG_SETS[sub]:
+    for flag in cli._SUBCOMMANDS[sub][1]:
         if data.draw(st.booleans()):
             continue
         if flag == "name":

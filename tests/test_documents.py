@@ -9,8 +9,10 @@ from helpers import fm, mv, vec
 from liejacobi.bialgebra import GeneralizedBialgebra, YbData, build_dual_bracket
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.documents import (
+    _KINDS,
     DocumentError,
     LimitError,
+    algebras_of,
     parse,
     parse_rational,
     render_rational,
@@ -41,6 +43,20 @@ def test_serialize_byte_fixed_point():
     for obj in _sample_objects():
         text = serialize(obj)
         assert serialize(parse(text)) == text
+
+
+def test_every_bundle_kind_has_a_round_tripping_sample():
+    samples = _sample_objects()
+    kinds = {to_document(obj)["kind"] for obj in samples}
+    assert set(_KINDS) <= kinds, "a bundle kind has no sample"
+    for obj in samples:
+        text = serialize(obj)
+        assert serialize(parse(text)) == text
+        doc = json.loads(text)
+        nested = tuple(parse(json.dumps(v)) for v in doc.values()
+                       if isinstance(v, dict) and v.get("kind") == "algebra")
+        assert algebras_of(obj) == (nested if doc["kind"] != "algebra" else (obj,))
+    assert algebras_of(Form.basis(3, 0)) == ()
 
 
 def test_standalone_elements_need_labels():

@@ -36,7 +36,7 @@ def _captured(fn) -> tuple[str, str]:
 
 def cli_battery() -> str:
     chunks = []
-    for sub in cli._FLAG_SETS:
+    for sub in cli._SUBCOMMANDS:
         for name in NAMES:
             for fmt in ("text", "machine"):
                 argv = [sub, "--name", name, "--format", fmt]
