@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt
+from math import isqrt, lcm
 
 from liejacobi.exterior import Form, Multivector, contract, evaluate_on, pair, wedge
 from liejacobi.jacobi import (
@@ -131,41 +131,101 @@ def check_glb(b: GeneralizedBialgebra) -> GlbReport:
 
 
 def _check_glb(b: GeneralizedBialgebra) -> tuple[GlbReport, list[Multivector]]:
-    # check_glb, also handing over d_basis[i] = d_{*X0}(e_i) for each i
+    # check_glb, also handing over d_basis[i] = d_{*X0}(e_i) for each i.  The
+    # residuals are summed as integers from the structure-constant tables;
+    # an element is built only for a nonzero residual.
     g, gs = b.g, b.g_star
-    n = g.dim
-    phi_res = ce_differential(g, b.phi0)
-    x0_res = ce_differential(gs, b.x0)
+    d_basis = _d_basis(b)
+    phi, dphi = b.phi0._ints()
+    phi = [phi.get((i,), 0) for i in range(g.dim)]     # phi0(e_i) = phi[i] / dphi
+    return GlbReport(b, g.validate(), gs.validate(), ce_differential(g, b.phi0),
+                     ce_differential(gs, b.x0), _bracket_compat(g, phi, dphi, d_basis),
+                     pair(b.phi0, b.x0), _contraction_compat(b, phi, dphi)), d_basis
 
-    bracket_entries = []
-    d_star = [ce_differential(gs, g.basis_vector(i)) for i in range(n)]
-    d_basis = [d + wedge(b.x0, g.basis_vector(i)) for i, d in enumerate(d_star)]
-    phi = [b.phi0.terms.get((i,), ZERO) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # d_{*X0} is linear: d_{*X0}[e_i, e_j] = sum_k c_ij^k d_basis[k]
-            lhs = Multivector.zero(n, 2)
-            for (k,), c in g.bracket_basis(i, j).terms.items():
-                lhs = lhs + d_basis[k].scale(c)
-            # [e_i, P]_{phi0} = [e_i, P] - phi0(e_i) P.  twisted_schouten
-            # refuses a phi0 that is not a 1-cocycle; this report states that
-            # failure as a residual instead.
-            rhs = (schouten(g, g.basis_vector(i), d_basis[j]) - d_basis[j].scale(phi[i])
-                   - schouten(g, g.basis_vector(j), d_basis[i]) + d_basis[i].scale(phi[j]))
-            res = lhs - rhs
-            if not res.is_zero():
-                bracket_entries.append(((i, j), res))
 
-    pairing_value = pair(b.phi0, b.x0)
+def _d_basis(b: GeneralizedBialgebra) -> list[Multivector]:
+    """d_{*X0}(e_i) = d_*(e_i) + X0^e_i for each i, where
+    d_*(e_i) = -sum_{a<b} c*_ab^i e_a^e_b is column i of the table of g*."""
+    n = b.g.dim
+    dens = b.g_star._ad[0]
+    xs, dx = b.x0._ints()
+    out = []
+    for i, column in enumerate(b.g_star._columns):
+        acc = {(a, c): -dx * v for a, c, v in column}
+        for (l,), v in xs.items():
+            if l != i:
+                key, v = ((l, i), v) if l < i else ((i, l), -v)
+                acc[key] = acc.get(key, 0) + dens * v
+        out.append(Multivector._from_ints(n, min(2, n), acc, dens * dx))
+    return out
 
-    contraction_entries = []
-    for i in range(n):
-        res = contract(b.phi0, d_star[i]) + schouten(g, b.x0, g.basis_vector(i))
-        if not res.is_zero():
-            contraction_entries.append((i, res))
 
-    return GlbReport(b, g.validate(), gs.validate(), phi_res, x0_res,
-                     tuple(bracket_entries), pairing_value, tuple(contraction_entries)), d_basis
+def _bracket_compat(g: LieAlgebra, phi: list[int], dphi: int, d_basis) -> tuple:
+    """((i, j), residual) entries, nonzero only, of
+      d_{*X0}[e_i, e_j] - [e_i, d_basis[j]]_{phi0} + [e_j, d_basis[i]]_{phi0},
+    with [e_i, P]_{phi0} = [e_i, P] - phi0(e_i) P and d_{*X0} linear:
+    d_{*X0}[e_i, e_j] = sum_k c_ij^k d_basis[k].  twisted_schouten refuses a
+    phi0 that is not a 1-cocycle; this states that failure as a residual.
+    Summed as integers over den * L * dphi, L the lcm of the d_basis
+    denominators."""
+    den, table = g._ad
+    forms = [d._ints() for d in d_basis]
+    scale = lcm(1, *(dd for _, dd in forms))
+    d = [{idx: v * (scale // dd) for idx, v in nums.items()} for nums, dd in forms]
+    entries = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            acc: dict[tuple[int, int], int] = {}
+            for k, c in table[i].get(j, {}).items():
+                c *= dphi
+                for idx, v in d[k].items():
+                    acc[idx] = acc.get(idx, 0) + c * v
+            # - [e_i, d_j] + phi_i d_j + [e_j, d_i] - phi_j d_i, with
+            # [e_s, e_a^e_c] = [e_s, e_a]^e_c + e_a^[e_s, e_c]
+            for s, t, sign in ((i, j, -1), (j, i, 1)):
+                row = table[s]
+                twist = -sign * den * phi[s]
+                if not row and not twist:
+                    continue
+                for (a, c), v in d[t].items():
+                    if twist:
+                        acc[a, c] = acc.get((a, c), 0) + twist * v
+                    w = sign * dphi * v
+                    for m, x in row.get(a, {}).items():
+                        if m != c:
+                            key, x = ((m, c), x) if m < c else ((c, m), -x)
+                            acc[key] = acc.get(key, 0) + w * x
+                    for m, x in row.get(c, {}).items():
+                        if m != a:
+                            key, x = ((a, m), x) if a < m else ((m, a), -x)
+                            acc[key] = acc.get(key, 0) + w * x
+            if any(acc.values()):
+                entries.append(((i, j), Multivector._from_ints(g.dim, 2, acc, den * scale * dphi)))
+    return tuple(entries)
+
+
+def _contraction_compat(b: GeneralizedBialgebra, phi: list[int], dphi: int) -> tuple:
+    """(i, residual) entries, nonzero only, of i(phi0) d_*(e_i) + [X0, e_i],
+    where i(phi0)(e_a^e_b) = phi0(e_a) e_b - phi0(e_b) e_a.  Summed as
+    integers over den * den* * dphi * dx from the two tables."""
+    den, table = b.g._ad
+    dens = b.g_star._ad[0]
+    xs, dx = b.x0._ints()
+    entries = []
+    for i, column in enumerate(b.g_star._columns):
+        acc: dict[int, int] = {}
+        for a, c, v in column:
+            v *= den * dx
+            acc[c] = acc.get(c, 0) - v * phi[a]
+            acc[a] = acc.get(a, 0) + v * phi[c]
+        for (l,), v in xs.items():
+            v *= dens * dphi
+            for m, x in table[l].get(i, {}).items():
+                acc[m] = acc.get(m, 0) + v * x
+        if any(acc.values()):
+            entries.append((i, Multivector._from_ints(
+                b.g.dim, 1, {(m,): v for m, v in acc.items()}, den * dens * dphi * dx)))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)

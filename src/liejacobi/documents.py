@@ -229,9 +229,10 @@ def _render_element(e, labels, standalone: bool = False) -> dict:
 
 
 # Field shapes: a nested algebra; the glb's optional "name", written as the
-# name of the algebra under the attribute and ignored on parse; or an element
-# (class, position of the algebra in the bundle, its labels attribute, bare),
-# read from an element document, or from a bare value list when bare is True.
+# name of the algebra under the attribute and refused on parse unless equal to
+# it; or an element (class, position of the algebra in the bundle, its labels
+# attribute, bare), read from an element document, or from a bare value list
+# when bare is True.
 _ALGEBRA = "algebra"
 _NAME = "name"
 _VECTORS = (Multivector, 0, "basis_labels", False)
@@ -270,6 +271,11 @@ def _parse_bundle(obj: dict, kind: str):
             labels = lookups[pos, side]
             values[attr] = (element.from_coeffs(_parse_value_list(obj[key], labels, key)[0])
                             if bare else _parse_element(obj[key], key, element, labels))
+    for key, attr, shape in fields:
+        if shape is _NAME and key in obj:
+            name, expected = _expect_str(obj[key], key), values[attr].name
+            if name != expected:
+                raise DocumentError(key, f"{name!r} is not the name {expected!r} of {attr}")
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:

@@ -8,14 +8,17 @@ index; an empty term map is the zero element of any grade.
 
 Every element also has one integer form: the numerators over D, the lcm of
 the reduced denominators of its coefficients (D = 1 for zero).  It is
-private to the library, not to this module: `liealg` and `schouten` read
-it with `_ints` and build from it with `_from_ints` (in `liealg`, for the
-integer structure-constant table `_ad` and `_vector`), and
-`bialgebra._coboundary_system` reads that table, `g._ad`.  The kernels
-here, element arithmetic and the structure-constant sums of `liealg` and
-`schouten` sum in int arithmetic and return results through
-`_Element._from_ints`, which reduces the sums by one gcd and builds one
-Fraction per output coefficient.
+private to the library, not to this module.  Its readers, with `_ints`, and
+builders, with `_from_ints`, outside this module are:
+  - `liealg`: the integer structure-constant table `_ad`, its column view
+    `_columns`, `_vector` and the Jacobi check `validate`;
+  - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
+  - `bialgebra`: `_check_glb` (d_{*X0} on the basis and the compatibility
+    residuals, read from the tables of g and g*) and `_coboundary_system`.
+The kernels here, element arithmetic and the structure-constant sums of
+`liealg`, `schouten` and `bialgebra` sum in int arithmetic and return
+results through `_Element._from_ints`, which reduces the sums by one gcd and
+builds one Fraction per output coefficient.
 The form of a kernel output is known when it is built; that of an element
 built from Fractions is computed on first use and kept.  `terms` is
 read-only, so the kept form cannot go stale.

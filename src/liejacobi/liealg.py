@@ -4,11 +4,12 @@ A LieAlgebra stores brackets of basis pairs (i, j) for i < j only; the rest
 follows by antisymmetry.  Each algebra also keeps one table of its structure
 constants, built once from that read-only mapping: integers N_ij^k over one
 common denominator den (the lcm of all the algebra's denominators), with
-c_ij^k = N_ij^k / den.  The bracket, the Jacobi identity, the Killing form
-and the Schouten and Chevalley-Eilenberg sums are summed from it in int
-arithmetic, with one Fraction built per output coefficient.  Structural
-computations (center, derived algebra, cocycles, derivations, compactness)
-reduce to exact rational linear algebra.
+c_ij^k = N_ij^k / den, and a column view of it listing the nonzero N_ij^k
+of each k.  The bracket, the Jacobi identity, the Killing form, the Schouten
+and Chevalley-Eilenberg sums and the bialgebra compatibility residuals are
+summed from them in int arithmetic, with one Fraction built per output
+coefficient.  Structural computations (center, derived algebra, cocycles,
+derivations, compactness) reduce to exact rational linear algebra.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ class LieAlgebra:
 
     structure maps (i, j) with i < j to the bracket [e_i, e_j] as a grade-1
     multivector; absent pairs bracket to zero.  Construction copies it into a
-    read-only mapping, so the integer structure-constant table `_ad`, built
-    on first use, cannot go stale; dataclasses.replace builds a new algebra
-    with its own table.  Construction does not check the Jacobi identity;
+    read-only mapping, so the integer structure-constant table `_ad` and its
+    column view `_columns`, built on first use, cannot go stale;
+    dataclasses.replace builds a new algebra with its own table.  Construction does not check the Jacobi identity;
     use validate() for that.
     """
 
@@ -102,6 +103,19 @@ class LieAlgebra:
             table[i][j] = row
             table[j][i] = {k: -num for k, num in row.items()}
         return den, table
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Column view of `_ad`: columns[k] lists (i, j, N_ij^k) for i < j,
+        one entry per nonzero c_ij^k, over the same den."""
+        # read from the table only, for the reason given in _ad
+        columns: tuple[list, ...] = tuple([] for _ in range(self.dim))
+        for i, row in enumerate(self._ad[1]):
+            for j, terms in row.items():
+                if i < j:
+                    for k, num in terms.items():
+                        columns[k].append((i, j, num))
+        return tuple(tuple(col) for col in columns)
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, brackets: Mapping[tuple[int, int], Iterable],
@@ -166,14 +180,15 @@ class LieAlgebra:
         den, table = self._ad
         violations = []
         for i, j, k in combinations(range(self.dim), 3):
-            acc: dict[int, int] = {}
+            acc = [0] * self.dim
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for l, x in table[a].get(b, {}).items():
-                    for m, y in table[l].get(c, {}).items():
-                        acc[m] = acc.get(m, 0) + x * y
-            res = self._vector(acc, den * den)
-            if not res.is_zero():
-                violations.append(((i, j, k), res))
+                    lc = table[l].get(c)
+                    if lc is not None:
+                        for m, y in lc.items():
+                            acc[m] += x * y
+            if any(acc):
+                violations.append(((i, j, k), self._vector(dict(enumerate(acc)), den * den)))
         return ValidationReport(self, tuple(violations))
 
     def rename(self, name: str) -> "LieAlgebra":

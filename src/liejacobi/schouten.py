@@ -12,15 +12,19 @@ The twisted operations (twisted_schouten, twisted_differential, twisted_ad)
 are defined for a closed twisting 1-form only: each one checks it with
 check_cocycle and raises ValueError otherwise.
 
-schouten and ce_differential sum over the algebra's integer structure-constant
-table: they read their arguments' integer forms (numerators over a common
-denominator, see exterior), sum the products in int arithmetic, and build one
-Fraction per output coefficient.
+schouten, ce_differential and check_cocycle sum over the algebra's integer
+structure-constant table: they read their arguments' integer forms
+(numerators over a common denominator, see exterior), sum the products in int
+arithmetic, and build one Fraction per output coefficient.  ce_differential
+is the derivation extension of d e^m = -sum_{a<b} c_ab^m e^a^e^b over the
+table's columns (LieAlgebra._columns), driven by the terms of its argument:
+d of a basis element is one column, read with no sum over the basis.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect
+from fractions import Fraction
 
 from liejacobi.exterior import Form, Multivector, _Element, contract, merge_sorted, pair, wedge
 from liejacobi.liealg import LieAlgebra
@@ -71,15 +75,20 @@ def schouten(g: LieAlgebra, p: Multivector, q: Multivector) -> Multivector:
 
 
 def check_cocycle(source: LieAlgebra, cocycle: _Element) -> None:
-    """cocycle must vanish on all brackets of the source algebra."""
+    """cocycle must vanish on all brackets of the source algebra; the first
+    violating bracket in `structure` order is named."""
     if cocycle.grade != 1 and not cocycle.is_zero():
         raise ValueError("cocycle must have grade 1")
-    coeffs = cocycle.coeffs() if not cocycle.is_zero() else [ZERO] * source.dim
-    for (i, j), v in source.structure.items():
-        val = sum((c * x for c, x in zip(v.coeffs(), coeffs)), ZERO)
-        if val != 0:
+    if cocycle.is_zero():
+        return
+    den, table = source._ad
+    nums, dc = cocycle._ints()
+    for i, j in source.structure:
+        total = sum(c * nums.get((k,), 0) for k, c in table[i][j].items())
+        if total:
             li, lj = source.basis_labels[i], source.basis_labels[j]
-            raise ValueError(f"not a 1-cocycle: value {val} on the bracket of ({li}, {lj})")
+            raise ValueError(f"not a 1-cocycle: value {Fraction(total, den * dc)} "
+                             f"on the bracket of ({li}, {lj})")
 
 
 def twisted_schouten(g: LieAlgebra, phi: Form, p: Multivector, q: Multivector) -> Multivector:
@@ -109,6 +118,9 @@ def ce_differential(source: LieAlgebra, element: _Element) -> _Element:
     function on it (a Form when source brackets vectors, a Multivector when
     source is a dual algebra bracketing covectors).  Degree k goes to k+1:
       (d w)(x_0, .., x_k) = sum_{i<j} (-1)^{i+j} w([x_i, x_j], x_0, ..no i..no j.., x_k).
+    It is summed as the derivation extension of d e^m = -sum_{a<b} c_ab^m e^a^e^b,
+      d(e^{i_0}^..^e^{i_{k-1}}) = sum_p (-1)^p d(e^{i_p}) ^ (the rest),
+    term by term over the element, reading column m of the table.
     """
     n = source.dim
     if element.dim != n:
@@ -116,26 +128,22 @@ def ce_differential(source: LieAlgebra, element: _Element) -> _Element:
     k = element.grade
     if element.is_zero() or k >= n:
         return type(element).zero(n, min(k + 1, n))
-    den, table = source._ad
+    columns = source._columns
     nums, dw = element._ints()
     acc: dict[tuple[int, ...], int] = {}
-    for big in combinations(range(n), k + 1):
-        total = 0
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                bracket = table[big[a]].get(big[b])
-                if bracket is None:
+    for idx, v in nums.items():
+        for p, m in enumerate(idx):
+            rest = idx[:p] + idx[p + 1:]
+            base = v if p % 2 else -v       # -(-1)^p v
+            for a, b, c in columns[m]:
+                if a in rest or b in rest:
                     continue
-                rest = big[:a] + big[a + 1:b] + big[b + 1:]
-                pos_sign = -1 if (a + b) % 2 else 1
-                for m, c in bracket.items():
-                    # w(e_m, rest) = ins_sign * w(full), full the sorted index
-                    full, ins_sign = merge_sorted((m,), rest)
-                    if ins_sign:
-                        total += pos_sign * ins_sign * c * nums.get(full, 0)
-        if total:
-            acc[big] = total
-    return type(element)._from_ints(n, k + 1, acc, dw * den)
+                # e^a^e^b^rest sorted: e^b passes pb entries of rest, e^a passes pa
+                pa, pb = bisect(rest, a), bisect(rest, b)
+                full = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
+                t = base * c
+                acc[full] = acc.get(full, 0) + (-t if (pa + pb) % 2 else t)
+    return type(element)._from_ints(n, k + 1, acc, dw * source._ad[0])
 
 
 def twisted_differential(source: LieAlgebra, cocycle: _Element, element: _Element) -> _Element:

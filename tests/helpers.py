@@ -1,8 +1,8 @@
 """Shared shorthand for building exact elements in tests, seeded algebras with
 mixed denominators, maps induced on exterior powers, and reference routes for
 the exterior and structure-constant kernels, the coboundary system, the
-bracket compatibility of check_glb, the coadjoint dual bracket and the
-invariant scalar product."""
+bracket and contraction compatibilities of check_glb, the coadjoint dual
+bracket and the invariant scalar product."""
 
 import random
 from dataclasses import replace
@@ -48,6 +48,12 @@ def cov(dim, i):
 
 def random_fraction(rng: random.Random, bound=3) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def dense_element(rng: random.Random, cls, dim, grade):
+    """Element with a nonzero mixed-denominator coefficient on every index."""
+    coeff = lambda: Fraction(rng.choice((-5, -3, -1, 1, 2, 4)), rng.choice((1, 2, 3, 7)))
+    return cls(dim, grade, {idx: coeff() for idx in combinations(range(dim), grade)})
 
 
 def random_element(rng: random.Random, cls, dim, grade, terms=2, bound=3):
@@ -197,7 +203,7 @@ def jacobiator_reference(g, i, j, k):
 
 def ce_differential_reference(source, element):
     """(d w)(x_0..x_k) = sum_{a<b} (-1)^{a+b} w([x_a, x_b], x_0..no a..no b..x_k),
-    read coefficient by coefficient."""
+    read coefficient by coefficient over every (k+1)-subset of the basis."""
     n, k = source.dim, element.grade
     if element.is_zero() or k >= n:
         return type(element).zero(n, min(k + 1, n))
@@ -259,11 +265,13 @@ def coboundary_system_reference(b):
     return rows, rhs
 
 
-# Reference routes for check_glb's bracket compatibility and for the adjoint
-# route of the dual bracket, which the library computes by linearity of
-# d_{*X0} and by coad_x alpha = i(x) d alpha: here d_{*X0} is applied to each
-# bracket [e_i, e_j], the twisted bracket is twisted_schouten, and the
-# coadjoint action takes one bracket and one pairing per basis vector.
+# Reference routes for check_glb's compatibility residuals and for the
+# adjoint route of the dual bracket, which the library sums as integers from
+# the structure-constant tables, by linearity of d_{*X0}, and by
+# coad_x alpha = i(x) d alpha: here d_{*X0} is applied to each bracket
+# [e_i, e_j], the twisted bracket is twisted_schouten (for a 1-cocycle phi0)
+# or the plain bracket minus phi0(e_i) P (for any phi0), and the coadjoint
+# action takes one bracket and one pairing per basis vector.
 
 def bracket_compat_reference(b):
     """((i, j), residual) entries, nonzero only, of
@@ -278,6 +286,35 @@ def bracket_compat_reference(b):
                + twisted_schouten(g, b.phi0, ej, d(ei)))
         if not res.is_zero():
             entries.append(((i, j), res))
+    return tuple(entries)
+
+
+def bracket_compat_plain_reference(b):
+    """The same entries for any phi0, with the plain bracket:
+    [e_i, P]_{phi0} = schouten(g, e_i, P) - phi0(e_i) P, and d_* by the
+    subset loop."""
+    g = b.g
+    d = lambda p: ce_differential_reference(b.g_star, p) + wedge_reference(b.x0, p)
+    twisted = lambda x, p: schouten(g, x, p) - p.scale(pair_reference(b.phi0, x))
+    entries = []
+    for i, j in combinations(range(g.dim), 2):
+        ei, ej = g.basis_vector(i), g.basis_vector(j)
+        res = d(bracket_reference(g, ei, ej)) - twisted(ei, d(ej)) + twisted(ej, d(ei))
+        if not res.is_zero():
+            entries.append(((i, j), res))
+    return tuple(entries)
+
+
+def contraction_compat_reference(b):
+    """(i, residual) entries, nonzero only, of i(phi0) d_*(e_i) + [X0, e_i]."""
+    g = b.g
+    entries = []
+    for i in range(g.dim):
+        ei = g.basis_vector(i)
+        res = (contract_reference(b.phi0, ce_differential_reference(b.g_star, ei))
+               + bracket_reference(g, b.x0, ei))
+        if not res.is_zero():
+            entries.append((i, res))
     return tuple(entries)
 
 

@@ -8,7 +8,7 @@ import functools
 from fractions import Fraction
 from itertools import product
 
-from helpers import fm, mv, vec
+from helpers import mv, vec
 from liejacobi.bialgebra import (
     YbData,
     build_dual_bracket,

@@ -7,10 +7,13 @@ import pytest
 
 from helpers import (
     b_dual_reference,
+    bracket_compat_plain_reference,
     bracket_compat_reference,
     broken_noncob,
+    ce_differential_reference,
     coboundary_system_reference,
     compact_algebras,
+    contraction_compat_reference,
     dual_bracket_adjoint_reference,
     fm,
     induced,
@@ -324,6 +327,27 @@ def test_bracket_compat_matches_per_pair_route():
                for b in cases)
     for b in cases:
         assert check_glb(b).bracket_compat == bracket_compat_reference(b), b.g.name
+
+
+def test_bracket_compat_with_a_non_cocycle_phi0_matches_plain_route():
+    # a phi0 that is not a 1-cocycle is reported as a residual, not refused:
+    # the reference twists the plain bracket, [e_i, P] - phi0(e_i) P
+    nb = catalog("noncob4_53")
+    cases = [GeneralizedBialgebra(nb.g, nb.g_star, Form.basis(4, 0), nb.x0)]
+    cases += [b for b in seeded_quadruples(random.Random(75))
+              if not ce_differential_reference(b.g, b.phi0).is_zero()]
+    assert len(cases) >= 9
+    assert all(check_glb(b).bracket_compat for b in cases)
+    for b in cases:
+        assert check_glb(b).bracket_compat == bracket_compat_plain_reference(b), b.g.name
+
+
+def test_contraction_compat_matches_reference():
+    cases = catalog_bialgebras() + [broken_noncob()]
+    cases += seeded_quadruples(random.Random(76)) + seeded_quadruples(random.Random(77), True)
+    assert sum(bool(check_glb(b).contraction_compat) for b in cases) >= 10
+    for b in cases:
+        assert check_glb(b).contraction_compat == contraction_compat_reference(b), b.g.name
 
 
 def test_dual_bracket_adjoint_route_matches_reference():

@@ -110,6 +110,15 @@ def test_validate_element_schema_only(tmp_path, capsys):
     assert code == 0 and "schema-valid" in out
 
 
+def test_glb_document_with_a_foreign_name_is_usage_error(capsys, tmp_path):
+    doc = documents.to_document(catalog("noncob4_53"))
+    doc["name"] = "other"
+    path = tmp_path / "glb.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "glb-check", "--glb", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ") and ": name: " in err
+
+
 def test_validate_glb_by_name(capsys):
     code, payload = machine(capsys, "validate", "--name", "noncob4_53")
     assert code == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import fm, mv, vec
-from liejacobi.bialgebra import GeneralizedBialgebra, YbData, build_dual_bracket
+from liejacobi.bialgebra import GeneralizedBialgebra, build_dual_bracket
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.documents import (
     _KINDS,
@@ -19,7 +19,7 @@ from liejacobi.documents import (
     serialize,
     to_document,
 )
-from liejacobi.exterior import Form, Multivector
+from liejacobi.exterior import Form
 from liejacobi.jacobi import ContactStructure, JacobiPair, LcsStructure
 from liejacobi.liealg import MAX_DIGITS, MAX_DIM
 
@@ -253,6 +253,22 @@ def test_glb_document_shape():
     bad["g_star"]["basis"] = bad["g_star"]["basis"][:3]
     with pytest.raises(DocumentError):
         parse(json.dumps(bad))
+
+
+@pytest.mark.parametrize("name", [5, {"x": [1]}, "other"], ids=["number", "object", "string"])
+def test_glb_name_must_be_the_base_algebra_name(name):
+    doc = to_document(catalog("noncob4_53"))
+    doc["name"] = name
+    with pytest.raises(DocumentError) as info:
+        parse(json.dumps(doc))
+    assert info.value.path == "name"
+
+
+def test_glb_name_is_optional():
+    b = catalog("noncob4_53")
+    doc = to_document(b)
+    del doc["name"]
+    assert parse(json.dumps(doc)) == b
 
 
 def test_assembled_bialgebra_documents_roundtrip():

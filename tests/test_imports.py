@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private module-level function or class is used somewhere in the library.
+"""Every name a library module, test module or script imports is used in
+that module, and every private module-level function or class is used
+somewhere in the library.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "liejacobi").glob("*.py"))
-SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "liejacobi").glob("*.py"))
+SOURCES = ([p for p in PACKAGE if p.name != "__init__.py"]
+           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,14 +32,16 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_scan_sees_the_modules():
-    assert {p.name for p in SOURCES} >= {"liealg.py", "bialgebra.py", "cli.py"}
+    assert {p.name for p in SOURCES} >= {"liealg.py", "bialgebra.py", "cli.py", "helpers.py",
+                                         "test_imports.py", "contact_sweep.py"}
 
 
 def test_unused_import_is_reported():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == ["b", "os"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: p.name if p in PACKAGE else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import fm, mv, vec
 from liejacobi.catalog import catalog, heisenberg
-from liejacobi.exterior import Form, Multivector, pair, wedge
+from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import (
     ContactStructure,
     JacobiPair,

@@ -7,9 +7,11 @@ import pytest
 
 from helpers import (
     ce_differential_reference,
+    dense_element,
     fm,
     induced,
     mixed_algebras,
+    mixed_fraction,
     mv,
     random_basis,
     random_element,
@@ -17,7 +19,7 @@ from helpers import (
     vec,
 )
 from liejacobi.catalog import catalog, heisenberg
-from liejacobi.exterior import Form, Multivector, contract, evaluate, wedge
+from liejacobi.exterior import Form, Multivector, contract, evaluate, pair, wedge
 from liejacobi.liealg import LieAlgebra, abelian, change_basis, standard_labels
 from liejacobi.linalg import invert, transpose
 from liejacobi.schouten import (
@@ -46,18 +48,62 @@ def test_ce_differential_grade1_oracle():
             for a in range(n):
                 for b in range(n):
                     x, y = vec(n, a), vec(n, b)
-                    from liejacobi.exterior import pair
                     assert evaluate(d_eta, x, y) == -pair(eta, g.bracket(x, y))
 
 
-def test_ce_differential_matches_coefficient_route():
-    rng = random.Random(9)
+def _differential_algebras():
+    """The mixed-denominator Lie and non-Lie algebras and heisenberg(1,3) in
+    a seeded basis, whose table is dense."""
     lie, non_lie = mixed_algebras()
-    for g in lie + non_lie:
+    h = heisenberg(3)
+    return lie + non_lie + [change_basis(h, random_basis(random.Random(10), h.dim))]
+
+
+def test_ce_differential_matches_coefficient_route():
+    # the derivation extension against the (k+1)-subset sum, on sparse and
+    # fully dense elements of every grade
+    rng = random.Random(9)
+    for g in _differential_algebras():
         for grade in range(g.dim + 1):
             for cls in (Form, Multivector):
-                w = random_element(rng, cls, g.dim, grade, terms=3, bound=7)
-                assert ce_differential(g, w) == ce_differential_reference(g, w), (g.name, grade)
+                for w in (random_element(rng, cls, g.dim, grade, terms=3, bound=7),
+                          dense_element(rng, cls, g.dim, grade)):
+                    assert ce_differential(g, w) == ce_differential_reference(g, w), g.name
+
+
+def test_ce_differential_of_a_basis_element_is_a_column():
+    # d e^m = -sum_{a<b} c_ab^m e^a^e^b, read from the Fraction structure
+    for g in _differential_algebras():
+        for cls in (Form, Multivector):
+            for m in range(g.dim):
+                column = {ab: -value.coefficient((m,)) for ab, value in g.structure.items()}
+                assert ce_differential(g, cls.basis(g.dim, m)) == cls.from_terms(g.dim, 2, column)
+
+
+def test_check_cocycle_names_the_first_violation_in_structure_order():
+    # structure inserted in reverse basis order, so that the first violating
+    # pair in structure order is not the first in sorted order
+    rng = random.Random(12)
+    g = mixed_algebras()[1][2]
+    g = LieAlgebra("reversed", g.dim, g.basis_labels, dict(reversed(g.structure.items())))
+    assert list(g.structure) != sorted(g.structure)
+    unsorted_first = 0
+    for _ in range(20):
+        phi = Form.from_coeffs([mixed_fraction(rng) for _ in range(g.dim)])
+        values = [((i, j), sum((c * phi.coefficient((k,)) for (k,), c in v.terms.items()),
+                               Fraction(0)))
+                  for (i, j), v in g.structure.items()]
+        bad = [(ij, val) for ij, val in values if val]
+        if not bad:
+            check_cocycle(g, phi)
+            continue
+        (i, j), val = bad[0]
+        unsorted_first += (i, j) != min(ij for ij, _ in bad)
+        li, lj = g.basis_labels[i], g.basis_labels[j]
+        with pytest.raises(ValueError) as info:
+            check_cocycle(g, phi)
+        assert str(info.value) == f"not a 1-cocycle: value {val} on the bracket of ({li}, {lj})"
+    assert unsorted_first >= 5
 
 
 def test_schouten_matches_decomposable_expansion():
