@@ -47,6 +47,7 @@ from liejacobi.liealg import (
     restrict,
     restrict_bivector,
 )
+from liejacobi import linalg
 from liejacobi.linalg import ZERO, invert, nullspace, solve, transpose
 from liejacobi.schouten import (
     check_cocycle,
@@ -424,8 +425,8 @@ def build_from_jacobi(y: YbData) -> JacobiBuildResult:
             if Multivector.from_coeffs(lhs.coeffs()) != rhs:
                 raise ValueError("sharp map is not a homomorphism; construction is inconsistent")
     full_even = g.dim % 2 == 0 and rank(jp) == g.dim
-    if full_even:
-        invert(sharp_map.rows)   # raises if singular; cannot happen at full rank
+    if full_even and linalg.rank(sharp_map.rows) != g.dim:
+        raise ValueError("matrix is singular")   # cannot happen at full rank
     return JacobiBuildResult(bialgebra, SharpCertificate(True, full_even))
 
 
@@ -579,9 +580,7 @@ def build_first_kind(g: LieAlgebra, h: Subspace, r: Multivector,
             failures.append("r does not lie in the second exterior power of h")
         else:
             # nondegeneracy on h: the restricted sharp matrix must be invertible
-            try:
-                invert(sharp(restricted).rows)
-            except ValueError:
+            if linalg.rank(sharp(restricted).rows) != m:
                 failures.append("r is degenerate on h")
     if phi0.is_zero():
         failures.append("phi0 must be nonzero")
@@ -968,12 +967,7 @@ def classify_compact(b: GeneralizedBialgebra) -> ClassificationResult:
     if b.x0.is_zero():
         h = char.algebra
         abelian_ok = not h.structure
-        nondeg = True
-        if m:
-            try:
-                invert(sharp(char.pair.r).rows)
-            except ValueError:
-                nondeg = False
+        nondeg = linalg.rank(sharp(char.pair.r).rows) == m
         if not abelian_ok or not nondeg:
             raise ValueError("extraction contradicts the first-kind normal form")
         return ClassificationResult("first", y0, extraction,

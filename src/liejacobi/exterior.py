@@ -11,7 +11,8 @@ the reduced denominators of its coefficients (D = 1 for zero).  It is
 private to the library, not to this module.  Its readers, with `_ints`, and
 builders, with `_from_ints`, outside this module are:
   - `liealg`: the integer structure-constant table `_ad`, its column view
-    `_columns`, `_vector` and the Jacobi check `validate`;
+    `_columns`, `_vector`, the Jacobi check `validate` and
+    `LinearMap.apply_element`;
   - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
   - `bialgebra`: `_check_glb` (d_{*X0} on the basis and the compatibility
     residuals, read from the tables of g and g*) and `_coboundary_system`.

@@ -218,8 +218,7 @@ def contact_to_jacobi(cs: ContactStructure) -> JacobiPair:
     x0 = Multivector.from_coeffs(mat_vec(binv, eta.coeffs()))
     if not contract(x0, d_eta).is_zero() or pair(eta, x0) != 1:
         raise ValueError("flat map inversion did not produce the Reeb vector")
-    inverse_images = [Multivector.from_coeffs(mat_vec(binv, Form.basis(n, i).coeffs()))
-                      for i in range(n)]
+    inverse_images = [Multivector.from_coeffs([row[i] for row in binv]) for i in range(n)]
     terms = {}
     for i in range(n):
         for j in range(i + 1, n):

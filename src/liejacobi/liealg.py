@@ -9,7 +9,9 @@ of each k.  The bracket, the Jacobi identity, the Killing form, the Schouten
 and Chevalley-Eilenberg sums and the bialgebra compatibility residuals are
 summed from them in int arithmetic, with one Fraction built per output
 coefficient.  Structural computations (center, derived algebra, cocycles,
-derivations, compactness) reduce to exact rational linear algebra.
+derivations, compactness) reduce to the integer kernel of linalg, and a
+linear map applies its matrix, kept as integers over one common
+denominator, in int arithmetic too.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -292,7 +295,11 @@ def one_cocycles(g: LieAlgebra) -> Subspace:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Linear map between coordinate spaces; matrix columns are basis images."""
+    """Linear map between coordinate spaces; matrix columns are basis images.
+
+    The matrix is read-only, so its integer form `_ints`, built on first
+    use, cannot go stale.
+    """
 
     matrix: tuple[tuple[Fraction, ...], ...]
 
@@ -321,13 +328,28 @@ class LinearMap:
     def codomain_dim(self) -> int:
         return len(self.matrix)
 
+    @cached_property
+    def _ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, rows): the matrix as integers over one common denominator
+        den, the lcm of its denominators."""
+        nums, den = linalg._integers([x for row in self.matrix for x in row])
+        n = self.domain_dim
+        return den, tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(self.codomain_dim))
+
     def apply(self, coeffs: Iterable) -> list[Fraction]:
-        return linalg.mat_vec(self.matrix, [frac(c) for c in coeffs])
+        support, nums, d = linalg._sparse([frac(c) for c in coeffs])
+        den, rows = self._ints
+        return [Fraction(sum(map(mul, [row[j] for j in support], nums)), den * d) for row in rows]
 
     def apply_element(self, e):
         if e.is_zero():
             return type(e).zero(self.codomain_dim, 1)
-        return type(e).from_coeffs(self.apply(e.coeffs()))
+        if e.grade != 1:
+            raise ValueError("a linear map applies to grade-1 elements")
+        nums, d = e._ints()
+        den, rows = self._ints
+        acc = {(i,): sum(row[k] * x for (k,), x in nums.items()) for i, row in enumerate(rows)}
+        return type(e)._from_ints(self.codomain_dim, 1, acc, den * d)
 
     def transpose(self) -> "LinearMap":
         return LinearMap.from_rows(linalg.transpose(self.rows))
@@ -339,9 +361,6 @@ class LinearMap:
     def scale(self, c) -> "LinearMap":
         f = frac(c)
         return LinearMap.from_rows([[f * x for x in row] for row in self.rows])
-
-    def is_symmetric(self) -> bool:
-        return self.rows == linalg.transpose(self.rows)
 
     def value(self, x_coeffs: Iterable, y_coeffs: Iterable) -> Fraction:
         """Bilinear form value when the matrix is square: x^T M y."""
@@ -433,9 +452,13 @@ class CompactnessReport:
 
 
 def _restrict_bilinear(b: LinearMap, vectors: list[list[Fraction]]) -> Matrix:
-    """Gram matrix v^T B w over the vectors, with B w computed once per w."""
-    images = [b.apply(w) for w in vectors]
-    return [[sum((x * y for x, y in zip(v, bw)), ZERO) for bw in images] for v in vectors]
+    """Gram matrix v^T B w over the vectors, summed in int with B w computed
+    once per w."""
+    den, rows = b._ints
+    ints = [linalg._integers(v) for v in vectors]
+    images = [[sum(map(mul, row, nums)) for row in rows] for nums, _ in ints]
+    return [[Fraction(sum(map(mul, nv, bw)), den * dv * dw) for bw, (_, dw) in zip(images, ints)]
+            for nv, dv in ints]
 
 
 def is_compact(g: LieAlgebra) -> CompactnessReport:

@@ -1,14 +1,27 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed with integers.
 
-Matrices are lists of rows, entries are fractions.Fraction.  Sizes here are
-small (algebra dimensions rarely exceed 8), so plain Gaussian elimination is
-the right tool.  rref touches only the nonzero columns of each pivot row,
-which keeps the tall, mostly zero systems of solve_coboundary cheap.
+Matrices are lists of rows and vectors are lists; entries are
+fractions.Fraction (ints are accepted), and every result entry is a Fraction.
+
+rref runs one fraction-free elimination kernel, `_echelon`, and rank,
+row_space_basis, nullspace, solve and invert read their answers from rref.
+The kernel keeps each row as its nonzero entries scaled to integers by the
+lcm of their denominators, eliminates by cross-multiplication and divides
+every updated row by its content, so no row carries a common factor.  Rows
+wait in buckets keyed by their leading column: a column no row starts at
+costs nothing, which keeps the tall, mostly zero systems of
+solve_coboundary cheap.  Fractions are built only for the output, each
+entry of a pivot row over its pivot.  The reduced row echelon form is
+unique, so this is exactly the form that elimination over Fraction gives.
+mat_vec sums in int too, and the LDL^T of is_definite uses Bareiss's exact
+division (Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -39,10 +52,6 @@ def identity(n: int) -> Matrix:
     return m
 
 
-def copy_matrix(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     if not a:
         return []
@@ -60,37 +69,91 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def _integers(xs) -> tuple[list[int], int]:
+    """(nums, den): den is the lcm of the denominators of the rationals xs
+    and nums[i] = xs[i] * den."""
+    den = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _sparse(v) -> tuple[list[int], list[int], int]:
+    """(support, nums, den): the indices of the nonzero entries of v and
+    those entries as integers over den, the lcm of their denominators."""
+    support = [j for j, x in enumerate(v) if x]
+    nums, den = _integers([v[j] for j in support])
+    return support, nums, den
+
+
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a]
+    """a v, summed in int over the nonzero entries of v only."""
+    support, nums, den = _sparse(v)
+    out = []
+    for row in a:
+        ints, d = _integers([row[j] for j in support])
+        out.append(Fraction(sum(map(mul, ints, nums)), d * den))
+    return out
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
+    """Primitive form of pivot[c] * row - row[c] * pivot, which is zero at c;
+    the two factors are first divided by their gcd."""
+    g = gcd(pivot[c], row[c])
+    p, f = pivot[c] // g, row[c] // g
+    out = {j: p * x for j, x in row.items()} if p != 1 else dict(row)
+    for j, y in pivot.items():
+        v = out.get(j, 0) - f * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out) if out else out
+
+
+def _echelon(a: Matrix) -> tuple[list[dict[int, int]], list[int]]:
+    """Integer form of rref(a): (rows, pivots), with rows[k] a primitive
+    sparse row {column: nonzero int} whose entries over rows[k][pivots[k]]
+    are row k of rref(a)."""
+    waiting: dict[int, list[dict[int, int]]] = {}    # leading column -> rows
+    for row in a:
+        support, nums, _ = _sparse(row)
+        if support:
+            waiting.setdefault(support[0], []).append(_primitive(dict(zip(support, nums))))
+    rows: list[dict[int, int]] = []
+    pivots: list[int] = []
+    while waiting:
+        c = min(waiting)
+        bucket = waiting.pop(c)
+        pivot = min(bucket, key=len)
+        for row in bucket:
+            if row is not pivot:
+                row = _eliminate(row, pivot, c)
+                if row:
+                    waiting.setdefault(min(row), []).append(row)
+        rows = [_eliminate(row, pivot, c) if c in row else row for row in rows]
+        rows.append(pivot)
+        pivots.append(c)
+    return rows, pivots
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (new matrix, pivot column list)."""
-    m = copy_matrix(a)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = pivot = [x * inv for x in m[r]]
-        support = [j for j in range(c, cols) if pivot[j] != 0]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                # x - f * 0 = x exactly, so only the pivot row's support changes
-                row, f = m[i], m[i][c]
-                for j in support:
-                    row[j] -= f * pivot[j]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    if not a:
+        return [], []
+    rows, pivots = _echelon(a)
+    cols = len(a[0])
+    out = []
+    for row, c in zip(rows, pivots):
+        v = [ZERO] * cols
+        p = row[c]
+        for j, x in row.items():
+            v[j] = Fraction(x, p)
+        out.append(v)
+    return out + zeros(len(a) - len(out), cols), pivots
 
 
 def rank(a: Matrix) -> int:
@@ -100,18 +163,14 @@ def rank(a: Matrix) -> int:
 def row_space_basis(a: Matrix) -> Matrix:
     """Nonzero rows of the reduced echelon form: a canonical basis of the row space."""
     m, pivots = rref(a)
-    return [m[i] for i in range(len(pivots))]
+    return m[:len(pivots)]
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of {x : a x = 0}, one vector per free column."""
-    if not a:
-        return []
-    cols = len(a[0])
-    m, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+def _null_basis(m: Matrix, pivots: list[int], cols: int) -> list[Vector]:
+    """Nullspace basis of the first cols columns of a reduced echelon form,
+    one vector per free column below cols."""
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [ZERO] * cols
         v[fc] = ONE
         for r, pc in enumerate(pivots):
@@ -120,50 +179,39 @@ def nullspace(a: Matrix) -> list[Vector]:
     return basis
 
 
+def nullspace(a: Matrix) -> list[Vector]:
+    """Basis of {x : a x = 0}, one vector per free column."""
+    if not a:
+        return []
+    return _null_basis(*rref(a), len(a[0]))
+
+
 def solve(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
-    """Full solution set of a x = b: (particular, nullspace basis), or None if inconsistent."""
+    """Full solution set of a x = b: (particular, nullspace basis), or None if inconsistent.
+
+    One elimination of [a | b]: for a consistent system its first columns
+    are the reduced echelon form of a, so they also give the nullspace.
+    """
     if not a:
         return ([], []) if all(x == 0 for x in b) else None
     cols = len(a[0])
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    m, pivots = rref(aug)
-    if cols in pivots:
+    m, pivots = rref([[*row, bi] for row, bi in zip(a, b)])
+    if pivots and pivots[-1] == cols:
         return None
     x = [ZERO] * cols
     for r, pc in enumerate(pivots):
         x[pc] = m[r][cols]
-    return x, nullspace(a)
+    return x, _null_basis(m, pivots, cols)
 
 
 def invert(a: Matrix) -> Matrix:
     """Inverse of a square matrix; raises ValueError when singular."""
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    m, pivots = rref(aug)
-    if pivots[: n if len(pivots) >= n else len(pivots)] != list(range(n)):
+    eye = identity(n)
+    m, pivots = rref([[*row, *e] for row, e in zip(a, eye)])
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [m[i][n:] for i in range(n)]
-
-
-def determinant(a: Matrix) -> Fraction:
-    """Determinant by Gaussian elimination with Fraction pivots on a copy."""
-    n = len(a)
-    m = copy_matrix(a)
-    det = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [m[i][j] - f * m[c][j] for j in range(n)]
-    return det
+    return [row[n:] for row in m]
 
 
 def is_definite(a: Matrix, positive: bool) -> tuple[bool, list[Fraction]]:
@@ -174,25 +222,29 @@ def is_definite(a: Matrix, positive: bool) -> tuple[bool, list[Fraction]]:
     definite diagonal matrix); a definite matrix always offers a usable
     diagonal pivot at every step, so hitting none disproves definiteness.
     Returns (verdict, pivot list as witness).
+
+    The elimination runs on den * a, den the lcm of the denominators, with
+    Bareiss's exact division by the previous pivot prev: the Schur
+    complement of a is then m / (prev * den), entry by entry.
     """
     n = len(a)
-    m = copy_matrix(a)
+    nums, den = _integers([x for row in a for x in row])
+    m = [nums[i * n:(i + 1) * n] for i in range(n)]
     alive = list(range(n))
     pivots: list[Fraction] = []
-    want = 1 if positive else -1
+    prev = 1
     while alive:
-        k = next((i for i in alive if (m[i][i] > 0) == (want > 0) and m[i][i] != 0), None)
+        k = next((i for i in alive if m[i][i] and ((m[i][i] > 0) == (prev > 0)) == positive),
+                 None)
         if k is None:
             return False, pivots
-        d = m[k][k]
-        pivots.append(d)
+        p = m[k][k]
+        pivots.append(Fraction(p, prev * den))
         alive.remove(k)
-        row_k = m[k][:]     # snapshot: the updates below must not see the zeroing
+        row_k = m[k]
         for i in alive:
-            f = m[i][k] / d
-            if f != 0:
-                for j in alive:
-                    m[i][j] -= f * row_k[j]
-            m[i][k] = ZERO
-            m[k][i] = ZERO
+            row, f = m[i], m[i][k]
+            for j in alive:
+                row[j] = (p * row[j] - f * row_k[j]) // prev
+        prev = p
     return True, pivots

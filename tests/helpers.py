@@ -2,7 +2,7 @@
 mixed denominators, maps induced on exterior powers, and reference routes for
 the exterior and structure-constant kernels, the coboundary system, the
 bracket and contraction compatibilities of check_glb, the coadjoint dual
-bracket and the invariant scalar product."""
+bracket, the invariant scalar product and the integer linear-algebra kernel."""
 
 import random
 from dataclasses import replace
@@ -23,7 +23,7 @@ from liejacobi.liealg import (
     killing_form,
     standard_labels,
 )
-from liejacobi.linalg import determinant, invert, mat_mul, mat_vec, transpose, zeros
+from liejacobi.linalg import ONE, ZERO, invert, mat_mul, mat_vec, transpose, zeros
 from liejacobi.schouten import ce_differential, schouten, twisted_schouten
 
 
@@ -377,3 +377,111 @@ def invariant_scalar_product_reference(g):
 def b_dual_reference(b_form, covector):
     """Vector v with B(v, .) = covector, by inverting the matrix of B."""
     return mat_vec(invert(b_form.rows), list(covector))
+
+
+# Reference routes for the integer kernel of linalg: Gaussian elimination,
+# matrix-vector products, determinants and the LDL^T definiteness test in
+# Fraction arithmetic, entry by entry.
+
+def rref_reference(a):
+    """Gauss-Jordan elimination over Fraction; (matrix, pivot columns)."""
+    m = [row[:] for row in a]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = ONE / m[r][c]
+        m[r] = pivot = [x * inv for x in m[r]]
+        support = [j for j in range(c, cols) if pivot[j] != 0]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                row, f = m[i], m[i][c]
+                for j in support:
+                    row[j] -= f * pivot[j]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def nullspace_reference(a):
+    m, pivots = rref_reference(a)
+    cols = len(a[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [ZERO] * cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def solve_reference(a, b):
+    """(particular, nullspace basis) from the RREF of [a | b], or None."""
+    cols = len(a[0])
+    m, pivots = rref_reference([row + [bi] for row, bi in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [ZERO] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][cols]
+    return x, nullspace_reference(a)
+
+
+def mat_vec_reference(a, v):
+    return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a]
+
+
+def determinant(a):
+    """Determinant by Gaussian elimination with Fraction pivots on a copy."""
+    n = len(a)
+    m = [row[:] for row in a]
+    det = ONE
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = ONE / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [m[i][j] - f * m[c][j] for j in range(n)]
+    return det
+
+
+def is_definite_reference(a, positive):
+    """LDL^T with symmetric pivoting over Fraction: the first alive diagonal
+    entry of the wanted sign is the next pivot; (verdict, pivots)."""
+    n = len(a)
+    m = [row[:] for row in a]
+    alive = list(range(n))
+    pivots = []
+    want = 1 if positive else -1
+    while alive:
+        k = next((i for i in alive if (m[i][i] > 0) == (want > 0) and m[i][i] != 0), None)
+        if k is None:
+            return False, pivots
+        d = m[k][k]
+        pivots.append(d)
+        alive.remove(k)
+        row_k = m[k][:]
+        for i in alive:
+            f = m[i][k] / d
+            if f != 0:
+                for j in alive:
+                    m[i][j] -= f * row_k[j]
+            m[i][k] = ZERO
+            m[k][i] = ZERO
+    return True, pivots

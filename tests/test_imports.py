@@ -1,6 +1,6 @@
 """Every name a library module, test module or script imports is used in
-that module, and every private module-level function or class is used
-somewhere in the library.
+that module, every private module-level function or class is used
+somewhere in the library, and every linalg name the benchmark uses exists.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -10,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from liejacobi import linalg
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "liejacobi").glob("*.py"))
@@ -70,3 +72,38 @@ def test_unreferenced_private_is_reported():
 
 def test_no_unreferenced_private_helpers():
     assert unreferenced_private([p.read_text() for p in PACKAGE]) == []
+
+
+def benchmark_linalg_names() -> set[str]:
+    """linalg names that benchmarks/workloads.py calls through its module
+    handle (self.linalg, or a local name bound to it) and that
+    benchmarks/tracer.py names in span strings such as "linalg.rref"."""
+    names = set()
+    tree = ast.parse((ROOT / "benchmarks" / "workloads.py").read_text())
+    handles = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts) if isinstance(value, ast.Tuple)
+                     and isinstance(target, ast.Tuple) else [(target, value)])
+            for t, v in pairs:
+                if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "linalg":
+                    handles.add(t.id)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if ((isinstance(owner, ast.Name) and owner.id in handles)
+                    or (isinstance(owner, ast.Attribute) and owner.attr == "linalg")):
+                names.add(node.attr)
+    tree = ast.parse((ROOT / "benchmarks" / "tracer.py").read_text())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.startswith("linalg.")):
+            names.add(node.value.split(".")[1])
+    return names
+
+
+def test_benchmark_linalg_names_exist():
+    names = benchmark_linalg_names()
+    assert {"identity", "mat_mul", "invert", "rref"} <= names
+    assert [name for name in sorted(names) if not callable(getattr(linalg, name, None))] == []

@@ -1,10 +1,12 @@
 """Jacobi pairs, rank, characteristic subalgebra, contact and l.c.s. dictionaries."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from helpers import fm, mv, vec
+from helpers import fm, mixed_fraction, mv, random_basis, vec
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import (
@@ -21,7 +23,7 @@ from liejacobi.jacobi import (
     rank,
     sharp,
 )
-from liejacobi.liealg import abelian, direct_product
+from liejacobi.liealg import abelian, change_basis, direct_product, one_cocycles
 
 
 def _su2_contact_pair(l1, l2, l3):
@@ -196,6 +198,64 @@ def test_contact_roundtrips():
         assert back.eta == cs.eta
         again = contact_to_jacobi(back)
         assert again.r == jp.r and again.x0 == jp.x0
+
+
+def _random_contact_structures():
+    """Two seeded contact forms on each of five algebras, each algebra in a
+    seeded mixed-denominator basis."""
+    rng = random.Random(2027)
+    out = []
+    for g in (catalog("su2"), catalog("sl2r"), heisenberg(1), heisenberg(2),
+              catalog("solvable3_51").g):
+        h = change_basis(g, random_basis(rng, g.dim), name=f"{g.name}.mixed")
+        found = []
+        for _ in range(100):
+            try:
+                found.append(ContactStructure(h, Form.from_coeffs(
+                    [mixed_fraction(rng) for _ in range(h.dim)])))
+            except ValueError:
+                continue     # eta ^ (d eta)^k = 0
+            if len(found) == 2:
+                break
+        assert len(found) == 2, g.name
+        out += found
+    return out
+
+
+def test_contact_roundtrips_on_random_algebras():
+    for cs in _random_contact_structures():
+        jp = contact_to_jacobi(cs)
+        assert check_jacobi(jp).passed and rank(jp) == cs.algebra.dim
+        assert jacobi_to_contact(jp).eta == cs.eta
+
+
+def test_lcs_roundtrips_on_random_algebras():
+    rng = random.Random(2028)
+    cases = []
+    # every 2-form on an abelian algebra is closed, so a nondegenerate one is
+    # symplectic
+    for n in (2, 4, 6):
+        for _ in range(100):
+            omega = Form.from_terms(n, 2, {ij: mixed_fraction(rng)
+                                           for ij in combinations(range(n), 2)})
+            try:
+                cases.append(LcsStructure(abelian(n), omega, Form.zero(n, 1)))
+                break
+            except ValueError:
+                continue     # degenerate
+    # dim 2: any nonzero 2-form with a closed Lee form
+    sol = change_basis(catalog("solvable2"), random_basis(rng, 2), name="solvable2.mixed")
+    lee = one_cocycles(sol).elements()[0].scale(mixed_fraction(rng) or 1)
+    cases.append(LcsStructure(sol, fm(2, 2, {(0, 1): Fraction(-3, 7)}), lee))
+    # l.c.s. pairs with a nonzero Lee form from contact pairs times a line
+    for cs in _random_contact_structures()[::3]:
+        cases.append(jacobi_to_lcs(lcs_from_contact_times_line(contact_to_jacobi(cs))))
+    for ls in cases:
+        jp = lcs_to_jacobi(ls)
+        assert check_jacobi(jp).passed and rank(jp) == ls.algebra.dim
+        back = jacobi_to_lcs(jp)
+        assert back.omega2 == ls.omega2 and back.lee == ls.lee
+    assert len(cases) == 8 and sum(not ls.lee.is_zero() for ls in cases) >= 4
 
 
 def test_contact_rejects_degenerate_form():

@@ -13,21 +13,26 @@ from helpers import (
     ad_matrix,
     bracket_reference,
     compact_algebras,
+    determinant,
     fm,
     invariant_scalar_product_reference,
+    is_definite_reference,
     jacobiator_reference,
+    mat_vec_reference,
     mixed_algebras,
+    mixed_fraction,
     mv,
     random_fraction,
     vec,
 )
 from liejacobi.bialgebra import GeneralizedBialgebra, check_glb
 from liejacobi.catalog import catalog, catalog_names, heisenberg
-from liejacobi.exterior import Multivector
+from liejacobi.exterior import Form, Multivector
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
     Subspace,
+    _restrict_bilinear,
     abelian,
     annihilator,
     center,
@@ -175,6 +180,39 @@ def test_compactness_judgements():
     assert "negative definite on derived: False" in is_compact(catalog("sl2r")).describe()
 
 
+def test_linear_map_integer_form_matches_fraction_products():
+    # apply and apply_element sum over the map's integer form; the reference
+    # multiplies Fractions entry by entry
+    rng = random.Random(47)
+    for rows, cols in ((3, 3), (4, 2), (2, 5), (1, 1)):
+        a = [[mixed_fraction(rng) for _ in range(cols)] for _ in range(rows)]
+        f = LinearMap.from_rows(a)
+        for v in ([mixed_fraction(rng) for _ in range(cols)], [ZERO] * cols,
+                  [Fraction(10 ** 90 + 1, 7)] + [ZERO] * (cols - 1)):
+            image = mat_vec_reference(a, v)
+            assert f.apply(v) == image
+            assert all(type(x) is Fraction for x in f.apply(v))
+            for cls in (Multivector, Form):
+                assert f.apply_element(cls.from_coeffs(v)) == cls.from_coeffs(image)
+    with pytest.raises(ValueError):
+        f.apply_element(Multivector.from_terms(2, 2, {(0, 1): 1}))
+
+
+def test_gram_matrices_and_killing_pivots_match_fraction_route():
+    verdicts = set()
+    for g in compact_algebras() + mixed_algebras()[0]:
+        report = is_compact(g)
+        verdicts.add(report.killing_definite)
+        k = killing_form(g)
+        vectors = [list(r) for r in report.derived.rows]
+        gram = [[sum((v[i] * k.matrix[i][j] * w[j] for i in range(g.dim) for j in range(g.dim)),
+                     ZERO) for w in vectors] for v in vectors]
+        assert _restrict_bilinear(k, vectors) == gram
+        assert ((report.killing_definite, list(report.killing_pivots))
+                == is_definite_reference(gram, positive=False))
+    assert verdicts == {True, False}
+
+
 def test_compactness_survives_change_of_basis():
     # congruence must not fool the Killing criterion
     p = [[Fraction(x) for x in row] for row in ((1, 1, 0), (0, 1, 1), (0, 0, 1))]
@@ -271,7 +309,6 @@ def test_change_basis_preserves_structure():
     p = [[Fraction(x) for x in row] for row in ((1, 0, 1), (0, 1, 0), (0, 1, 1))]
     h = change_basis(g, p)
     assert h.validate().passed
-    from liejacobi.linalg import determinant
     assert determinant(killing_form(h).rows) == determinant(killing_form(g).rows)
 
 
@@ -352,8 +389,9 @@ def test_killing_form_matches_dense_ad_route():
         assert killing_form(g).matrix == _dense_killing(g), g.name
     # the dense bases are dense enough to exercise every table entry
     assert all(len(v.terms) > 1 for v in algebras[-1].structure.values())
-    assert killing_form(algebras[-2]).is_symmetric()
-    assert any(x != 0 for row in killing_form(algebras[-2]).matrix for x in row)
+    k = killing_form(algebras[-2]).rows
+    assert k == transpose(k)
+    assert any(x != 0 for row in k for x in row)
     # the mixed denominators reach the form
     assert any(x.denominator > 1 for g in lie + non_lie for row in killing_form(g).matrix
                for x in row)

@@ -1,12 +1,22 @@
-"""Exact linear algebra over Fraction: oracles against independent recomputation."""
+"""Exact linear algebra over the rationals: the integer kernel against the
+Fraction reference routes, sympy and independent recomputation."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from liejacobi.linalg import (
+from helpers import (
     determinant,
+    is_definite_reference,
+    mat_vec_reference,
+    mixed_fraction,
+    nullspace_reference,
+    rref_reference,
+    solve_reference,
+)
+from liejacobi.linalg import (
+    ZERO,
     identity,
     invert,
     is_definite,
@@ -14,6 +24,7 @@ from liejacobi.linalg import (
     mat_vec,
     nullspace,
     rank,
+    row_space_basis,
     rref,
     solve,
     transpose,
@@ -176,3 +187,141 @@ def test_is_definite_rejects_semidefinite():
     indefinite = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
     assert not is_definite(indefinite, positive=True)[0]
     assert not is_definite(indefinite, positive=False)[0]
+
+
+# The integer kernel against the Fraction reference routes, compared with ==
+# and checked to return Fraction entries, on mixed-denominator,
+# rank-deficient, tall sparse, empty and 100-digit inputs.
+
+def _huge(rng):
+    return Fraction(rng.randrange(-10 ** 100, 10 ** 100), rng.randrange(1, 10 ** 100))
+
+
+def _oracle_matrices():
+    rng = random.Random(2026)
+    mats = [[[]], [[ZERO, ZERO]], [[ZERO] * 3, [ZERO] * 3], [[Fraction(5)]]]
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        a = [[mixed_fraction(rng) for _ in range(cols)] for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.5:
+            a[-1] = [2 * x - y / 3 for x, y in zip(a[0], a[1])]    # rank deficient
+        mats.append(a)
+    for density in (0.05, 0.2):
+        mats.append([[mixed_fraction(rng) if rng.random() < density else ZERO
+                      for _ in range(12)] for _ in range(60)])
+    # the coboundary system of an abelian base: a zero 147 x 21 coefficient
+    # block with a right-hand side that is nonzero in 129 of 147 rows
+    rhs = [ZERO] * 18 + [mixed_fraction(rng) or Fraction(1) for _ in range(129)]
+    rng.shuffle(rhs)
+    mats.append([[ZERO] * 21 + [x] for x in rhs])
+    for rows, cols in ((3, 3), (4, 6), (6, 6)):
+        mats.append([[_huge(rng) for _ in range(cols)] for _ in range(rows)])
+    return mats
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_kernel_matches_fraction_reference():
+    outcomes = set()
+    for a in _oracle_matrices():
+        m, pivots = rref(a)
+        assert (m, pivots) == rref_reference(a), a
+        assert _all_fractions(m)
+        assert rank(a) == len(pivots)
+        assert row_space_basis(a) == m[:len(pivots)]
+        assert nullspace(a) == nullspace_reference(a)
+        assert _all_fractions(nullspace(a))
+        if len(a[0]) < 2:
+            continue
+        # the last column as the right-hand side of the other columns
+        coeffs, b = [row[:-1] for row in a], [row[-1] for row in a]
+        for rhs in (b, [ZERO] * len(b)):
+            got = solve(coeffs, rhs)
+            assert got == solve_reference(coeffs, rhs), a
+            if got is not None:
+                assert _all_fractions([got[0]]) and _all_fractions(got[1])
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_empty_inputs():
+    assert rref([]) == ([], [])
+    assert rank([]) == 0 and row_space_basis([]) == [] and nullspace([]) == []
+    assert invert([]) == []
+    assert solve([], []) == ([], []) and solve([], [Fraction(1)]) is None
+    assert mat_vec([], [Fraction(1)]) == []
+    assert is_definite([], positive=True) == (True, [])
+
+
+def test_mat_vec_matches_fraction_reference():
+    rng = random.Random(41)
+    for a in _oracle_matrices():
+        cols = len(a[0])
+        for v in ([mixed_fraction(rng) for _ in range(cols)], [ZERO] * cols,
+                  [_huge(rng) if rng.random() < 0.3 else ZERO for _ in range(cols)]):
+            got = mat_vec(a, v)
+            assert got == mat_vec_reference(a, v)
+            assert _all_fractions([got])
+
+
+def _symmetric_cases():
+    rng = random.Random(43)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        big = rng.random() < 0.2
+        p = [[_huge(rng) if big else mixed_fraction(rng) for _ in range(n)] for _ in range(n)]
+        d = [rng.choice((-2, -1, 0, 1, 3)) for _ in range(n)]
+        if rng.random() < 0.5:
+            d = [abs(x) or 1 for x in d] if rng.random() < 0.5 else [-abs(x) or -1 for x in d]
+        cases.append([[sum(p[k][i] * d[k] * p[k][j] for k in range(n)) for j in range(n)]
+                      for i in range(n)])
+    return cases
+
+
+def test_is_definite_matches_fraction_reference():
+    verdicts = set()
+    for a in _symmetric_cases():
+        for positive in (True, False):
+            got = is_definite(a, positive)
+            assert got == is_definite_reference(a, positive)
+            assert all(type(x) is Fraction for x in got[1])
+            verdicts.add((positive, got[0], len(got[1]) > 1))
+    # definite and indefinite verdicts of both signs, with several pivots
+    assert {(True, True, True), (False, True, True), (True, False, True),
+            (False, False, True)} <= verdicts
+
+
+# sympy, installed for the tests only, as an independent oracle
+
+def _sympy_matrix(sympy, a):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a])
+
+
+def _from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def test_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    square = {True: 0, False: 0}     # invertible or singular square inputs seen
+    for a in _oracle_matrices():
+        if not a[0]:
+            continue
+        s = _sympy_matrix(sympy, a)
+        m, pivots = s.rref()
+        assert rref(a) == ([[_from_sympy(x) for x in m.row(i)] for i in range(m.rows)],
+                           list(pivots)), a
+        assert nullspace(a) == [[_from_sympy(x) for x in v] for v in s.nullspace()], a
+        if len(a) == len(a[0]):
+            invertible = s.rank() == len(a)
+            square[invertible] += 1
+            if invertible:
+                inv = s.inv()
+                assert invert(a) == [[_from_sympy(x) for x in inv.row(i)] for i in range(inv.rows)]
+            else:
+                with pytest.raises(ValueError):
+                    invert(a)
+    assert min(square.values()) > 0
