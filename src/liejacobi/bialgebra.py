@@ -131,17 +131,18 @@ def check_glb(b: GeneralizedBialgebra) -> GlbReport:
     return _check_glb(b)[0]
 
 
-def _check_glb(b: GeneralizedBialgebra) -> tuple[GlbReport, list[Multivector]]:
-    # check_glb, also handing over d_basis[i] = d_{*X0}(e_i) for each i.  The
-    # residuals are summed as integers from the structure-constant tables;
+def _check_glb(b: GeneralizedBialgebra) -> tuple[GlbReport, list[Multivector], list[dict]]:
+    # check_glb, also handing over d_basis[i] = d_{*X0}(e_i) and the action rho
+    # of _twisted_ad.  The residuals are summed as integers from the tables;
     # an element is built only for a nonzero residual.
     g, gs = b.g, b.g_star
     d_basis = _d_basis(b)
     phi, dphi = b.phi0._ints()
     phi = [phi.get((i,), 0) for i in range(g.dim)]     # phi0(e_i) = phi[i] / dphi
+    rho = _twisted_ad(g, phi, dphi)
     return GlbReport(b, g.validate(), gs.validate(), ce_differential(g, b.phi0),
-                     ce_differential(gs, b.x0), _bracket_compat(g, phi, dphi, d_basis),
-                     pair(b.phi0, b.x0), _contraction_compat(b, phi, dphi)), d_basis
+                     ce_differential(gs, b.x0), _bracket_compat(g, dphi, rho, d_basis),
+                     pair(b.phi0, b.x0), _contraction_compat(b, phi, dphi)), d_basis, rho
 
 
 def _d_basis(b: GeneralizedBialgebra) -> list[Multivector]:
@@ -161,10 +162,37 @@ def _d_basis(b: GeneralizedBialgebra) -> list[Multivector]:
     return out
 
 
-def _bracket_compat(g: LieAlgebra, phi: list[int], dphi: int, d_basis) -> tuple:
+def _twisted_ad(g: LieAlgebra, phi: list[int], dphi: int) -> list[dict]:
+    """The action X.P = [X, P] - phi0(X) P of g on 2-vectors, phi0(e_i) =
+    phi[i] / dphi: rho[i][(a, c)] = {(p, q): N}, a < c, p < q, N != 0, with
+      e_i.(e_a^e_c) = [e_i, e_a]^e_c + e_a^[e_i, e_c] - phi0(e_i) e_a^e_c
+                    = sum N e_p^e_q / (den * dphi);
+    rho[i] is empty when e_i acts by zero (empty table row, phi0(e_i) = 0)."""
+    den, table = g._ad
+    rho = []
+    for i, row in enumerate(table):
+        twist = -den * phi[i]
+        block = {}
+        if row or twist:
+            for a, c in combinations(range(g.dim), 2):
+                acc = {(a, c): twist}
+                for m, x in row.get(a, {}).items():     # [e_i, e_a]^e_c
+                    if m != c:
+                        key, x = ((m, c), x) if m < c else ((c, m), -x)
+                        acc[key] = acc.get(key, 0) + dphi * x
+                for m, x in row.get(c, {}).items():     # e_a^[e_i, e_c]
+                    if m != a:
+                        key, x = ((a, m), x) if a < m else ((m, a), -x)
+                        acc[key] = acc.get(key, 0) + dphi * x
+                block[a, c] = {key: v for key, v in acc.items() if v}
+        rho.append(block)
+    return rho
+
+
+def _bracket_compat(g: LieAlgebra, dphi: int, rho: list[dict], d_basis) -> tuple:
     """((i, j), residual) entries, nonzero only, of
-      d_{*X0}[e_i, e_j] - [e_i, d_basis[j]]_{phi0} + [e_j, d_basis[i]]_{phi0},
-    with [e_i, P]_{phi0} = [e_i, P] - phi0(e_i) P and d_{*X0} linear:
+      d_{*X0}[e_i, e_j] - e_i.d_basis[j] + e_j.d_basis[i],
+    with the action of _twisted_ad and d_{*X0} linear:
     d_{*X0}[e_i, e_j] = sum_k c_ij^k d_basis[k].  twisted_schouten refuses a
     phi0 that is not a 1-cocycle; this states that failure as a residual.
     Summed as integers over den * L * dphi, L the lcm of the d_basis
@@ -181,25 +209,11 @@ def _bracket_compat(g: LieAlgebra, phi: list[int], dphi: int, d_basis) -> tuple:
                 c *= dphi
                 for idx, v in d[k].items():
                     acc[idx] = acc.get(idx, 0) + c * v
-            # - [e_i, d_j] + phi_i d_j + [e_j, d_i] - phi_j d_i, with
-            # [e_s, e_a^e_c] = [e_s, e_a]^e_c + e_a^[e_s, e_c]
             for s, t, sign in ((i, j, -1), (j, i, 1)):
-                row = table[s]
-                twist = -sign * den * phi[s]
-                if not row and not twist:
-                    continue
-                for (a, c), v in d[t].items():
-                    if twist:
-                        acc[a, c] = acc.get((a, c), 0) + twist * v
-                    w = sign * dphi * v
-                    for m, x in row.get(a, {}).items():
-                        if m != c:
-                            key, x = ((m, c), x) if m < c else ((c, m), -x)
-                            acc[key] = acc.get(key, 0) + w * x
-                    for m, x in row.get(c, {}).items():
-                        if m != a:
-                            key, x = ((a, m), x) if a < m else ((m, a), -x)
-                            acc[key] = acc.get(key, 0) + w * x
+                if rho[s]:      # else e_s acts by zero
+                    for ac, v in d[t].items():
+                        for key, x in rho[s][ac].items():
+                            acc[key] = acc.get(key, 0) + sign * v * x
             if any(acc.values()):
                 entries.append(((i, j), Multivector._from_ints(g.dim, 2, acc, den * scale * dphi)))
     return tuple(entries)
@@ -449,12 +463,12 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
     coefficients of r; the full affine solution set is returned because the
     generator is never unique.
     """
-    report, d_basis = _check_glb(b)
+    report, d_basis, rho = _check_glb(b)
     if not report.passed:
         raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
     n = b.g.dim
     unknowns = list(combinations(range(n), 2))
-    solution = solve(*_coboundary_system(b, d_basis))
+    solution = solve(*_coboundary_system(b, d_basis, rho))
     if solution is None:
         return CoboundarySolutions(None, tuple())
     particular, homogeneous = solution
@@ -465,46 +479,20 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
                                tuple(to_bivector(h) for h in homogeneous))
 
 
-def _coboundary_system(b: GeneralizedBialgebra, d_basis: list[Multivector]) -> tuple[list, list]:
-    """(rows, rhs) of [e_i, r] - phi0(e_i) r = d_basis[i] over the coefficients
-    of r, one row per i and target e_p^e_q, one column per e_a^e_c, both in
-    combinations order.
-
-    Read from the integer table of g:
-      [e_i, e_a^e_c] = [e_i, e_a]^e_c + e_a^[e_i, e_c],
-    with phi0(e_i) subtracted on the diagonal.
-    """
-    n = b.g.dim
-    den, table = b.g._ad
-    pairs = list(combinations(range(n), 2))
+def _coboundary_system(b: GeneralizedBialgebra, d_basis: list[Multivector],
+                       rho: list[dict]) -> tuple[list, list]:
+    """(rows, rhs) of e_i.r = d_basis[i] over the coefficients of r, with the
+    action rho of _twisted_ad: one row per i and target e_p^e_q, one column
+    per e_a^e_c, both in combinations order."""
+    pairs = list(combinations(range(b.g.dim), 2))
     position = {t: k for k, t in enumerate(pairs)}
     width = len(pairs)
-    acc: dict[tuple[int, int], int] = {}     # (row, column) -> numerator over den
-
-    def add(i, p, q, col, v):
-        # v e_p^e_q in the block of e_i, column col, written on the sorted pair
-        if p < q:
-            key = (i * width + position[p, q], col)
-            acc[key] = acc.get(key, 0) + v
-        elif p > q:
-            key = (i * width + position[q, p], col)
-            acc[key] = acc.get(key, 0) - v
-
-    for i in range(n):
-        for col, (a, c) in enumerate(pairs):
-            for m, v in table[i].get(a, {}).items():     # [e_i, e_a]^e_c
-                add(i, m, c, col, v)
-            for m, v in table[i].get(c, {}).items():     # e_a^[e_i, e_c]
-                add(i, a, m, col, v)
-    rows = [[ZERO] * width for _ in range(n * width)]
-    for (row, col), v in acc.items():
-        if v:
-            rows[row][col] = Fraction(v, den)
-    for i in range(n):
-        phi_i = b.phi0.terms.get((i,), ZERO)
-        if phi_i:
-            for k in range(width):
-                rows[i * width + k][k] -= phi_i
+    scale = b.g._ad[0] * b.phi0._ints()[1]
+    rows = [[ZERO] * width for _ in range(len(rho) * width)]
+    for i, block in enumerate(rho):
+        for ac, image in block.items():
+            for pq, x in image.items():
+                rows[i * width + position[pq]][position[ac]] = Fraction(x, scale)
     rhs = [d.terms.get(t, ZERO) for d in d_basis for t in pairs]
     return rows, rhs
 
@@ -950,6 +938,11 @@ def classify_compact(b: GeneralizedBialgebra) -> ClassificationResult:
     report = check_glb(b)
     if not report.passed:
         raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
+    return _classify_checked(b, compact)
+
+
+def _classify_checked(b: GeneralizedBialgebra, compact: CompactnessReport) -> ClassificationResult:
+    # classify_compact after check_glb(b) has passed; compact is is_compact(b.g)
     if b.phi0.is_zero() and b.x0.is_zero():
         return ClassificationResult("lie-bialgebra", None, None, None)
     if b.phi0.is_zero():

@@ -19,10 +19,10 @@ import sys
 from liejacobi.bialgebra import (
     GeneralizedBialgebra,
     YbData,
+    _classify_checked,
     build_dual_bracket,
     check_glb,
     check_yb_hypotheses,
-    classify_compact,
     extract_jacobi,
     solve_coboundary,
     unit_center_vector,
@@ -416,7 +416,7 @@ def _cmd_glb_classify(args) -> int:
     if not rep.passed:
         _emit(args, _doc(b), _glb_report(rep), rep.describe())
         return 1
-    result = classify_compact(b)
+    result = _classify_checked(b, compactness)
     report = {"passed": True, **_certificate_report(result)}
     if result.y0 is not None:
         report["y0"] = _doc(result.y0, labels=list(b.g.basis_labels))

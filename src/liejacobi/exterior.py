@@ -14,8 +14,9 @@ builders, with `_from_ints`, outside this module are:
     `_columns`, `_vector`, the Jacobi check `validate` and
     `LinearMap.apply_element`;
   - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
-  - `bialgebra`: `_check_glb` (d_{*X0} on the basis and the compatibility
-    residuals, read from the tables of g and g*) and `_coboundary_system`.
+  - `bialgebra`: `_twisted_ad` (the action X.P = [X, P] - phi0(X) P of g on
+    2-vectors, which `_coboundary_system` also reads) and `_check_glb`
+    (d_{*X0} and the compatibility residuals, read from the tables of g, g*).
 The kernels here, element arithmetic and the structure-constant sums of
 `liealg`, `schouten` and `bialgebra` sum in int arithmetic and return
 results through `_Element._from_ints`, which reduces the sums by one gcd and

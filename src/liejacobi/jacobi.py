@@ -24,6 +24,7 @@ from liejacobi.liealg import (
     restrict,
     restrict_bivector,
 )
+from liejacobi import linalg
 from liejacobi.linalg import ZERO, invert, mat_vec, solve
 from liejacobi.schouten import ce_differential, schouten
 
@@ -188,7 +189,8 @@ class LcsStructure:
             raise TypeError("lee must be a 1-form on the algebra")
         if not self.lee.is_zero() and self.lee.grade != 1:
             raise ValueError("lee must have grade 1")
-        if wedge_power(self.omega2, n // 2).is_zero():
+        # omega2^k != 0 exactly when the flat matrix has full rank
+        if linalg.rank(_flat_matrix(self.omega2)) < n:
             raise ValueError("omega2 is degenerate: omega2^k = 0")
         if not ce_differential(self.algebra, self.lee).is_zero():
             raise ValueError("lee form is not a 1-cocycle")
@@ -256,18 +258,19 @@ def jacobi_to_contact(jp: JacobiPair) -> ContactStructure:
     return cs
 
 
-def _flat_lcs(ls: LcsStructure) -> LinearMap:
-    # b_Omega(X) = i(X) Omega in dual coordinates.
-    g = ls.algebra
-    cols = [contract(Multivector.basis(g.dim, j), ls.omega2).coeffs() for j in range(g.dim)]
-    return LinearMap.from_columns(cols)
+def _flat_matrix(omega2: Form) -> list[list[Fraction]]:
+    # b_Omega(X) = i(X) Omega in dual coordinates: b[i][j] = Omega(e_j, e_i)
+    rows = [[ZERO] * omega2.dim for _ in range(omega2.dim)]
+    for (a, c), w in omega2.terms.items():
+        rows[a][c], rows[c][a] = -w, w
+    return rows
 
 
 def lcs_to_jacobi(ls: LcsStructure) -> JacobiPair:
     """X0 = b^{-1}(lee) and r with #_r = -b^{-1} for the 2-form's flat map b."""
     g = ls.algebra
     n = g.dim
-    binv = invert(_flat_lcs(ls).rows)
+    binv = invert(_flat_matrix(ls.omega2))
     x0 = Multivector.from_coeffs(mat_vec(binv, ls.lee.coeffs()))
     terms = {}
     for i in range(n):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,7 @@ from liejacobi.bialgebra import (
     _b_dual_cocycle,
     _check_glb,
     _coboundary_system,
+    _twisted_ad,
     GeneralizedBialgebra,
     YbData,
     build_dual_bracket,
@@ -59,6 +61,7 @@ from liejacobi.liealg import (
     abelian,
     center,
     change_basis,
+    coordinates,
     direct_product,
     one_cocycles,
     standard_labels,
@@ -309,11 +312,11 @@ def test_coboundary_system_matches_schouten_route():
     cases = catalog_bialgebras()
     assert any(b.g.structure and not b.phi0.is_zero() for b in cases)
     for b in cases:
-        report, d_basis = _check_glb(b)
+        report, d_basis, rho = _check_glb(b)
         assert report.passed
-        assert _coboundary_system(b, d_basis) == coboundary_system_reference(b)
+        assert _coboundary_system(b, d_basis, rho) == coboundary_system_reference(b)
     for b in seeded_quadruples(random.Random(71)):
-        assert _coboundary_system(b, _check_glb(b)[1]) == coboundary_system_reference(b)
+        assert _coboundary_system(b, *_check_glb(b)[1:]) == coboundary_system_reference(b)
 
 
 def test_bracket_compat_matches_per_pair_route():
@@ -340,6 +343,59 @@ def test_bracket_compat_with_a_non_cocycle_phi0_matches_plain_route():
     assert all(check_glb(b).bracket_compat for b in cases)
     for b in cases:
         assert check_glb(b).bracket_compat == bracket_compat_plain_reference(b), b.g.name
+
+
+def test_twisted_ad_matches_schouten_route():
+    # rho[i][(a, c)] over den * dphi is e_i.(e_a^e_c) = [e_i, e_a^e_c] -
+    # phi0(e_i) e_a^e_c, here through schouten; phi0 a 1-cocycle of g or not
+    cases = catalog_bialgebras() + [broken_noncob(),
+                                    glb_from_cocycle(heisenberg(2), Form.basis(5, 0))]
+    cases += seeded_quadruples(random.Random(76), cocycle_phi0=True)
+    cases += seeded_quadruples(random.Random(77))
+    assert any(b.phi0._ints()[1] > 1 for b in cases)
+    assert any(not ce_differential_reference(b.g, b.phi0).is_zero() for b in cases)
+    skipped = 0
+    for b in cases:
+        g, n = b.g, b.g.dim
+        phi, dphi = b.phi0._ints()
+        phi = [phi.get((i,), 0) for i in range(n)]
+        rho = _twisted_ad(g, phi, dphi)
+        scale = g._ad[0] * dphi
+        assert len(rho) == n
+        for i in range(n):
+            x = g.basis_vector(i)
+            if not g._ad[1][i] and not phi[i]:
+                assert rho[i] == {}
+                skipped += 1
+            for ac in combinations(range(n), 2):
+                p = Multivector.from_terms(n, 2, {ac: 1})
+                image = rho[i].get(ac, {})
+                assert all(image.values()) and all(a < c for a, c in image)
+                got = Multivector.from_terms(n, 2, {pq: Fraction(v, scale)
+                                                    for pq, v in image.items()})
+                assert got == schouten(g, x, p) - p.scale(pair(b.phi0, x)), (g.name, i, ac)
+    assert skipped >= 5
+
+
+def test_solve_coboundary_contains_the_extracted_r():
+    # bases with phi0 != 0, all but firstkind4's and secondkind4's
+    # non-abelian: the r that extraction recovers solves d_{*X0}(e_i) = e_i.r
+    rng = random.Random(78)
+    g = direct_product(SU2, abelian(2), name="su2xR2")
+    cases = [build_third_kind(g, vec(5, 0), vec(5, 1), vec(5, 2), vec(5, 3),
+                              [mixed_fraction(rng) or 1 for _ in range(3)]) for _ in range(3)]
+    cases.append(build_second_kind(g, vec(5, 0), vec(5, 3), F(2, 3), F(-5, 7), 0))
+    cases += [catalog(name) for name in ("firstkind4", "secondkind4", "thirdkind_u2")]
+    assert sum(bool(b.g.structure) for b in cases) == 5
+    for b in cases:
+        assert not b.phi0.is_zero()
+        r = classify_compact(b).extraction.pair.r
+        sols = solve_coboundary(b)
+        assert not sols.is_empty
+        pairs = list(combinations(range(b.g.dim), 2))
+        offset = [(r - sols.particular).coefficient(t) for t in pairs]
+        assert coordinates([[h.coefficient(t) for t in pairs] for h in sols.homogeneous],
+                           offset) is not None
 
 
 def test_contraction_compat_matches_reference():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import broken_noncob, fm, mv, vec
-from liejacobi import documents, liealg
+from liejacobi import bialgebra, cli, documents, liealg
 from liejacobi.catalog import catalog, catalog_names
 from liejacobi.cli import main
 from liejacobi.documents import parse, serialize
@@ -300,6 +300,30 @@ def test_glb_classify_kinds(capsys):
     assert code == 0
     assert payload["report"]["kind"] == "second"
     assert {"lam", "lam1", "lam2"} <= set(payload["report"])
+
+
+def test_glb_classify_checks_once(capsys, monkeypatch, tmp_path):
+    # one compactness report of the base and one check_glb per command,
+    # across the CLI and the library it calls; read from documents, since
+    # the catalog's builders run their own checks
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(x):
+            calls.append((name, x.name if name == "is_compact" else x.g.name))
+            return fn(x)
+        return wrapper
+    for module in (cli, bialgebra):
+        for name in ("is_compact", "check_glb"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in ("firstkind4", "secondkind4", "thirdkind_u2"):
+        b = catalog(name)
+        path = write(tmp_path, f"{name}.json", b)
+        calls.clear()
+        code, _, _ = run(capsys, "glb-classify", "--glb", path)
+        assert code == 0
+        assert [c for c in calls if c[1] == b.g.name] == [("is_compact", b.g.name),
+                                                          ("check_glb", b.g.name)], name
 
 
 def test_glb_classify_noncompact_is_usage_error(capsys):

@@ -1,6 +1,8 @@
 """Every name a library module, test module or script imports is used in
 that module, every private module-level function or class is used
-somewhere in the library, and every linalg name the benchmark uses exists.
+somewhere in the library, only the modules that exterior names touch the
+integer form of elements and tables, and every linalg name the benchmark
+uses exists.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -72,6 +74,34 @@ def test_unreferenced_private_is_reported():
 
 def test_no_unreferenced_private_helpers():
     assert unreferenced_private([p.read_text() for p in PACKAGE]) == []
+
+
+# The integer form: element numerators (_ints, _from_ints), the integer
+# structure-constant table (_ad) and its column view (_columns).  exterior's
+# docstring lists the modules that may read and build it.
+INTEGER_FORM = {"_ints", "_from_ints", "_ad", "_columns"}
+INTEGER_FORM_MODULES = {"exterior.py", "liealg.py", "schouten.py", "bialgebra.py"}
+
+
+def integer_form_uses(source: str) -> list[str]:
+    """Integer-form names a source touches, as names or attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in INTEGER_FORM:
+            names.add(name)
+    return sorted(names)
+
+
+def test_integer_form_use_is_reported():
+    assert integer_form_uses("den = g._ad[0]\nnums, d = e._ints()\n_columns = 1\n") == [
+        "_ad", "_columns", "_ints"]
+    assert integer_form_uses("e.terms\n") == []
+
+
+def test_integer_form_stays_in_its_modules():
+    users = {p.name for p in PACKAGE if integer_form_uses(p.read_text())}
+    assert users == INTEGER_FORM_MODULES
 
 
 def benchmark_linalg_names() -> set[str]:

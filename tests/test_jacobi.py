@@ -7,8 +7,9 @@ from itertools import combinations
 import pytest
 
 from helpers import fm, mixed_fraction, mv, random_basis, vec
+from liejacobi import jacobi, linalg
 from liejacobi.catalog import catalog, heisenberg
-from liejacobi.exterior import Form, Multivector
+from liejacobi.exterior import Form, Multivector, wedge, wedge_power
 from liejacobi.jacobi import (
     ContactStructure,
     JacobiPair,
@@ -256,6 +257,56 @@ def test_lcs_roundtrips_on_random_algebras():
         back = jacobi_to_lcs(jp)
         assert back.omega2 == ls.omega2 and back.lee == ls.lee
     assert len(cases) == 8 and sum(not ls.lee.is_zero() for ls in cases) >= 4
+
+
+def test_lcs_rank_test_matches_wedge_power():
+    # omega^(n/2) != 0 exactly when the flat matrix of omega has full rank, in
+    # even dimension n; on an abelian algebra every 2-form is closed, so
+    # LcsStructure refuses exactly the degenerate ones
+    rng = random.Random(2029)
+    counts = {True: 0, False: 0}
+    for case in range(240):
+        n = (2, 4, 6, 8)[case % 4]
+        if case % 3:
+            # k decomposable terms: rank 2k at most, so degenerate for k < n/2
+            omega = Form.zero(n, 2)
+            for _ in range(rng.randint(1, n // 2)):
+                a, b = (Form.from_coeffs([mixed_fraction(rng) for _ in range(n)]) for _ in "ab")
+                omega = omega + wedge(a, b)
+        else:
+            omega = Form.from_terms(n, 2, {ij: mixed_fraction(rng)
+                                           for ij in combinations(range(n), 2)
+                                           if rng.random() < 0.4})
+        if omega.is_zero():
+            continue
+        degenerate = wedge_power(omega, n // 2).is_zero()
+        counts[degenerate] += 1
+        assert (linalg.rank(jacobi._flat_matrix(omega)) < n) == degenerate
+        try:
+            LcsStructure(abelian(n), omega, Form.zero(n, 1))
+            assert not degenerate
+        except ValueError as exc:
+            assert degenerate and str(exc) == "omega2 is degenerate: omega2^k = 0"
+    assert sum(counts.values()) >= 200 and min(counts.values()) >= 50
+
+
+def test_lcs_dense_dim16_skips_the_wedge_power(monkeypatch):
+    # nondegeneracy is a rank test: a dense dim-16 form takes no 8th power
+    def refuse(*args):
+        raise AssertionError("wedge_power called")
+    monkeypatch.setattr(jacobi, "wedge_power", refuse)
+    rng = random.Random(2030)
+    n = 16
+    omega = Form.from_terms(n, 2, {ij: mixed_fraction(rng) or 1
+                                   for ij in combinations(range(n), 2)})
+    ls = LcsStructure(abelian(n), omega, Form.zero(n, 1))
+    jp = lcs_to_jacobi(ls)
+    assert rank(jp) == n and jp.x0.is_zero()
+    assert jacobi_to_lcs(jp).omega2 == omega
+    # the same form with e^16 dropped is degenerate
+    cut = Form.from_terms(n, 2, {ij: c for ij, c in omega.terms.items() if n - 1 not in ij})
+    with pytest.raises(ValueError, match=r"omega2 is degenerate: omega2\^k = 0"):
+        LcsStructure(abelian(n), cut, Form.zero(n, 1))
 
 
 def test_contact_rejects_degenerate_form():
