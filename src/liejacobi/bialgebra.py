@@ -16,12 +16,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
 
-from liejacobi.exterior import Form, Multivector, contract, evaluate_on, pair, wedge
+from liejacobi.exterior import Form, Multivector, contract, pair, wedge
 from liejacobi.jacobi import (
+    _characteristic_checked,
     CharacteristicSubalgebra,
     ContactStructure,
     JacobiPair,
-    characteristic_subalgebra,
     check_jacobi,
     contact_to_jacobi,
     jacobi_to_lcs,
@@ -319,52 +319,88 @@ def check_yb_hypotheses(y: YbData) -> YbReport:
                     schouten(g, y.x0, y.r), vector, tuple(vector_entries))
 
 
-def _sharp_images(sharp_map: LinearMap) -> list[Multivector]:
-    # #_r(e^i) for every basis covector e^i: the columns of the matrix
-    return [Multivector.from_coeffs(col) for col in zip(*sharp_map.matrix)]
+def _check_route_args(g: LieAlgebra, phi0: Form, r: Multivector, x0: Multivector) -> None:
+    # the dual-bracket routes take their arguments apart by index, so a wrong
+    # dimension or grade must be refused before it can be misread
+    n = g.dim
+    for name, e, kind, grade in (("phi0", phi0, Form, 1), ("r", r, Multivector, 2),
+                                 ("x0", x0, Multivector, 1)):
+        if not isinstance(e, kind):
+            raise TypeError(f"{name} must be a {kind.__name__.lower()}")
+        if e.dim != n:
+            raise ValueError(f"{name} must have dimension {n}")
+        if not e.is_zero() and e.grade != grade:
+            raise ValueError(f"{name} must have grade {grade}")
+
+
+def _bivector_matrix(r: Multivector) -> tuple[list[list[int]], int]:
+    """(R, dr): r(e^a, e^b) = R[a][b] / dr, R antisymmetric, so that
+    (#_r e^a)_b = R[a][b] / dr."""
+    n = r.dim
+    nums, dr = r._ints()
+    rows = [[0] * n for _ in range(n)]
+    for (a, b), v in nums.items():
+        rows[a][b], rows[b][a] = v, -v
+    return rows, dr
 
 
 def dual_bracket_adjoint_route(g: LieAlgebra, phi0: Form, r: Multivector,
                                x0: Multivector) -> dict:
     """Dual structure constants via coadjoint operators:
     [a,b]* = coad_{#r b} a - coad_{#r a} b + r(a,b) phi0 + i(x0)(a^b),
-    with coad_x alpha = -alpha([x, .]) = i(x) d alpha."""
+    with coad_x alpha = -alpha([x, .]) = i(x) d alpha.
+
+    Summed as integers from the table's columns: d e^i = -sum_{a<b} c_ab^i
+    e^a^e^b, i(s)(e^a^e^b) = s_a e^b - s_b e^a and (#_r e^j)_m = r(e^j, e^m),
+    over den * dr * dphi * dx."""
+    _check_route_args(g, phi0, r, x0)
     n = g.dim
-    images = _sharp_images(sharp(r))
-    d_forms = [ce_differential(g, g.basis_form(i)) for i in range(n)]
+    den = g._ad[0]
+    columns = g._columns
+    rr, dr = _bivector_matrix(r)
+    phis, dphi = phi0._ints()
+    xs, dx = x0._ints()
+    x = [xs.get((m,), 0) for m in range(n)]
+    f_coad, f_phi, f_x = dphi * dx, den * dx, den * dr * dphi
     structure = {}
     for i in range(n):
         for j in range(i + 1, n):
-            ei, ej = g.basis_form(i), g.basis_form(j)
-            si, sj = images[i], images[j]
-            value = (contract(sj, d_forms[i]) - contract(si, d_forms[j])
-                     + phi0.scale(pair(wedge(ei, ej), r))
-                     + contract(x0, wedge(ei, ej)))
-            if not value.is_zero():
-                structure[(i, j)] = Multivector.from_coeffs(value.coeffs())
+            acc = [0] * n
+            # coad_{#r e^j} e^i - coad_{#r e^i} e^j, coad_s e^k = i(s) d e^k
+            for k, s, sign in ((i, rr[j], f_coad), (j, rr[i], -f_coad)):
+                for a, b, c in columns[k]:
+                    c *= sign
+                    acc[b] -= c * s[a]
+                    acc[a] += c * s[b]
+            r_ij = rr[i][j] * f_phi
+            if r_ij:
+                for (m,), v in phis.items():
+                    acc[m] += r_ij * v
+            acc[j] += x[i] * f_x
+            acc[i] -= x[j] * f_x
+            if any(acc):
+                structure[(i, j)] = Multivector._from_ints(
+                    n, 1, {(m,): v for m, v in enumerate(acc)}, den * dr * dphi * dx)
     return structure
 
 
 def dual_bracket_pointwise_route(g: LieAlgebra, phi0: Form, r: Multivector,
                                  x0: Multivector) -> dict:
     """Dual structure constants by evaluation on basis vectors:
-    [a,b]*(X) = -[X,r](a,b) + r(a,b) phi0(X) + a(x0) b(X) - b(x0) a(X)."""
+    [a,b]*(X) = -[X,r](a,b) + r(a,b) phi0(X) + a(x0) b(X) - b(x0) a(X),
+    with [e_k, r] and phi0(e_k) computed once per k."""
+    _check_route_args(g, phi0, r, x0)
     n = g.dim
+    brackets = [schouten(g, g.basis_vector(k), r).terms for k in range(n)]
+    phi = [phi0.terms.get((k,), ZERO) for k in range(n)]
+    x = [x0.terms.get((k,), ZERO) for k in range(n)]
     structure = {}
     for i in range(n):
         for j in range(i + 1, n):
-            ei, ej = g.basis_form(i), g.basis_form(j)
-            r_ij = pair(wedge(ei, ej), r)
-            a_x0, b_x0 = pair(ei, x0), pair(ej, x0)
-            coeffs = []
-            for k in range(n):
-                x = g.basis_vector(k)
-                v = -evaluate_on(schouten(g, x, r), ei, ej) + r_ij * pair(phi0, x)
-                if k == j:
-                    v += a_x0
-                if k == i:
-                    v -= b_x0
-                coeffs.append(v)
+            r_ij = r.terms.get((i, j), ZERO)
+            coeffs = [r_ij * phi[k] - brackets[k].get((i, j), ZERO) for k in range(n)]
+            coeffs[j] += x[i]
+            coeffs[i] -= x[j]
             value = Multivector.from_coeffs(coeffs)
             if not value.is_zero():
                 structure[(i, j)] = value
@@ -430,18 +466,37 @@ def build_from_jacobi(y: YbData) -> JacobiBuildResult:
         raise ValueError("jacobi construction preconditions fail:\n  " + "\n  ".join(failures))
     dual = build_dual_bracket(y)
     bialgebra = GeneralizedBialgebra(g, dual, y.phi0, y.x0)
-    sharp_map = sharp(y.r)
-    images = _sharp_images(sharp_map)
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = sharp_map.apply_element(dual.bracket_basis(i, j))
-            rhs = -g.bracket(images[i], images[j])
-            if Multivector.from_coeffs(lhs.coeffs()) != rhs:
-                raise ValueError("sharp map is not a homomorphism; construction is inconsistent")
+    _check_sharp_homomorphism(g, dual, y.r)
     full_even = g.dim % 2 == 0 and rank(jp) == g.dim
-    if full_even and linalg.rank(sharp_map.rows) != g.dim:
+    if full_even and linalg.rank(sharp(y.r).rows) != g.dim:
         raise ValueError("matrix is singular")   # cannot happen at full rank
     return JacobiBuildResult(bialgebra, SharpCertificate(True, full_even))
+
+
+def _check_sharp_homomorphism(g: LieAlgebra, dual: LieAlgebra, r: Multivector) -> None:
+    """Raise unless #_r [e^i, e^j]* = -[#_r e^i, #_r e^j] for all i < j.
+    With #_r e^a = sum_m R[a][m] e_m / dr, both sides are summed as integers
+    over den* * den * dr^2 from the two tables."""
+    rr, dr = _bivector_matrix(r)
+    dens, dual_table = dual._ad
+    den, table = g._ad
+    n = g.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = [0] * n
+            for k, c in dual_table[i].get(j, {}).items():
+                c *= den * dr
+                for m, v in enumerate(rr[k]):
+                    acc[m] += c * v
+            for a, u in enumerate(rr[i]):
+                if u:
+                    for b, terms in table[a].items():
+                        uv = dens * u * rr[j][b]
+                        if uv:
+                            for m, c in terms.items():
+                                acc[m] += uv * c
+            if any(acc):
+                raise ValueError("sharp map is not a homomorphism; construction is inconsistent")
 
 
 @dataclass(frozen=True)
@@ -686,7 +741,7 @@ def _extract_checked(b: GeneralizedBialgebra, y0: Multivector,
     rebuilt = dual_bracket_adjoint_route(g, b.phi0, r, b.x0)
     if rebuilt != dict(b.g_star.structure):
         raise ValueError("extraction failed: dual bracket does not match the rebuilt one")
-    return ExtractionResult(jp, characteristic_subalgebra(jp))
+    return ExtractionResult(jp, _characteristic_checked(jp))
 
 
 def unit_center_vector(g: LieAlgebra, phi0: Form) -> Multivector | None:

@@ -15,8 +15,12 @@ builders, with `_from_ints`, outside this module are:
     `LinearMap.apply_element`;
   - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
   - `bialgebra`: `_twisted_ad` (the action X.P = [X, P] - phi0(X) P of g on
-    2-vectors, which `_coboundary_system` also reads) and `_check_glb`
-    (d_{*X0} and the compatibility residuals, read from the tables of g, g*).
+    2-vectors, which `_coboundary_system` also reads), `_check_glb`
+    (d_{*X0} and the compatibility residuals, read from the tables of g, g*),
+    the adjoint kernel `dual_bracket_adjoint_route` (the dual bracket from
+    the columns of g and the forms of r, phi0, X0) and the certificate
+    `_check_sharp_homomorphism` (-#_r a homomorphism g* -> g, from both
+    tables).
 The kernels here, element arithmetic and the structure-constant sums of
 `liealg`, `schouten` and `bialgebra` sum in int arithmetic and return
 results through `_Element._from_ints`, which reduces the sums by one gcd and

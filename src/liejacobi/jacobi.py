@@ -129,6 +129,11 @@ def characteristic_subalgebra(jp: JacobiPair) -> CharacteristicSubalgebra:
     report = check_jacobi(jp)
     if not report.passed:
         raise ValueError("not a jacobi pair:\n" + report.describe())
+    return _characteristic_checked(jp)
+
+
+def _characteristic_checked(jp: JacobiPair) -> CharacteristicSubalgebra:
+    # characteristic_subalgebra after check_jacobi(jp) has passed
     g = jp.algebra
     sub = _span_with_x0(jp)
     m = sub.rank

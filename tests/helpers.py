@@ -1,8 +1,9 @@
 """Shared shorthand for building exact elements in tests, seeded algebras with
 mixed denominators, maps induced on exterior powers, and reference routes for
 the exterior and structure-constant kernels, the coboundary system, the
-bracket and contraction compatibilities of check_glb, the coadjoint dual
-bracket, the invariant scalar product and the integer linear-algebra kernel."""
+bracket and contraction compatibilities of check_glb, the coadjoint and
+pointwise dual brackets, the sharp-map homomorphism certificate, the
+invariant scalar product and the integer linear-algebra kernel."""
 
 import random
 from dataclasses import replace
@@ -11,7 +12,7 @@ from itertools import combinations
 
 from liejacobi.bialgebra import GeneralizedBialgebra
 from liejacobi.catalog import catalog, heisenberg
-from liejacobi.exterior import Form, Multivector, contract, pair, sort_index, wedge
+from liejacobi.exterior import Form, Multivector, contract, evaluate_on, pair, sort_index, wedge
 from liejacobi.jacobi import sharp
 from liejacobi.liealg import (
     LieAlgebra,
@@ -335,6 +336,38 @@ def dual_bracket_adjoint_reference(g, phi0, r, x0):
         if not value.is_zero():
             structure[(i, j)] = Multivector.from_coeffs(value.coeffs())
     return structure
+
+
+def dual_bracket_pointwise_reference(g, phi0, r, x0):
+    """[a,b]*(X) = -[X,r](a,b) + r(a,b) phi0(X) + a(x0) b(X) - b(x0) a(X),
+    one schouten(g, e_k, r) per (i, j, k), nonzero entries only."""
+    structure = {}
+    for i, j in combinations(range(g.dim), 2):
+        ei, ej = g.basis_form(i), g.basis_form(j)
+        r_ij = pair(wedge(ei, ej), r)
+        coeffs = []
+        for k in range(g.dim):
+            x = g.basis_vector(k)
+            v = -evaluate_on(schouten(g, x, r), ei, ej) + r_ij * pair(phi0, x)
+            if k == j:
+                v += pair(ei, x0)
+            if k == i:
+                v -= pair(ej, x0)
+            coeffs.append(v)
+        value = Multivector.from_coeffs(coeffs)
+        if not value.is_zero():
+            structure[(i, j)] = value
+    return structure
+
+
+def sharp_homomorphism_reference(g, dual, r):
+    """#_r [e^i, e^j]* == -[#_r e^i, #_r e^j] for every pair, through the
+    public sharp map and brackets."""
+    sharp_map = sharp(r)
+    images = [Multivector.from_coeffs(col) for col in zip(*sharp_map.matrix)]
+    return all(sharp_map.apply_element(dual.bracket_basis(i, j))
+               == -g.bracket(images[i], images[j])
+               for i, j in combinations(range(g.dim), 2))
 
 
 # Reference routes for the invariant scalar product B of a compact-type

@@ -16,6 +16,7 @@ from helpers import (
     compact_algebras,
     contraction_compat_reference,
     dual_bracket_adjoint_reference,
+    dual_bracket_pointwise_reference,
     fm,
     induced,
     invariant_scalar_product_reference,
@@ -24,11 +25,13 @@ from helpers import (
     mv,
     random_basis,
     random_element,
+    sharp_homomorphism_reference,
     vec,
 )
 from liejacobi.bialgebra import (
     _b_dual_cocycle,
     _check_glb,
+    _check_sharp_homomorphism,
     _coboundary_system,
     _twisted_ad,
     GeneralizedBialgebra,
@@ -51,9 +54,10 @@ from liejacobi.bialgebra import (
     third_kind_pair,
     unit_center_vector,
 )
+from liejacobi import bialgebra, jacobi
 from liejacobi.catalog import catalog, catalog_names, heisenberg
 from liejacobi.exterior import Form, Multivector, pair, wedge
-from liejacobi.jacobi import ContactStructure, contact_to_jacobi
+from liejacobi.jacobi import ContactStructure, check_jacobi, contact_to_jacobi
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
@@ -419,6 +423,129 @@ def test_dual_bracket_adjoint_route_matches_reference():
     for g, phi0, r, x0 in cases:
         assert (dual_bracket_adjoint_route(g, phi0, r, x0)
                 == dual_bracket_adjoint_reference(g, phi0, r, x0)), g.name
+
+
+def dual_route_cases(rng):
+    """(g, phi0, r, x0) on the Yang-Baxter catalog data and on seeded
+    mixed-denominator 2-vectors r over every quadruple, each also with r = 0,
+    x0 = 0 and phi0 = 0."""
+    cases = [(y.g, y.phi0, y.r, y.x0)
+             for y in map(catalog, ("solvable3_51", "h11", "semidirect4_53"))]
+    for b in catalog_bialgebras() + [broken_noncob()] + seeded_quadruples(rng):
+        r = random_element(rng, Multivector, b.g.dim, 2, terms=3, bound=7)
+        cases.append((b.g, b.phi0, r, b.x0))
+    out = []
+    for g, phi0, r, x0 in cases:
+        n = g.dim
+        out += [(g, phi0, r, x0), (g, phi0, Multivector.zero(n, 2), x0),
+                (g, phi0, r, Multivector.zero(n, 1)), (g, Form.zero(n, 1), r, x0)]
+    return out
+
+
+def test_dual_bracket_routes_match_both_references():
+    # the integer kernel and the once-per-k pointwise route against the
+    # per-pair coadjoint route and the per-(i, j, k) pointwise route
+    cases = dual_route_cases(random.Random(78))
+    assert sum(bool(dual_bracket_adjoint_reference(*case)) for case in cases) >= 40
+    for g, phi0, r, x0 in cases:
+        expected = dual_bracket_adjoint_reference(g, phi0, r, x0)
+        assert dual_bracket_pointwise_reference(g, phi0, r, x0) == expected, g.name
+        assert dual_bracket_adjoint_route(g, phi0, r, x0) == expected, g.name
+        assert dual_bracket_pointwise_route(g, phi0, r, x0) == expected, g.name
+
+
+def test_dual_bracket_routes_refuse_malformed_arguments():
+    y = catalog("solvable3_51")
+    bad = [(y.phi0, mv(4, 2, {(0, 1): 1}), y.x0),      # r of another dimension
+           (y.phi0, vec(3, 0), y.x0),                   # r of grade 1
+           (y.phi0, y.r, mv(3, 2, {(0, 1): 1})),        # x0 of grade 2
+           (Form.basis(4, 0), y.r, y.x0)]               # phi0 of another dimension
+    for route in (dual_bracket_adjoint_route, dual_bracket_pointwise_route):
+        for phi0, r, x0 in bad:
+            with pytest.raises(ValueError):
+                route(y.g, phi0, r, x0)
+
+
+def test_pointwise_route_calls_schouten_once_per_basis_vector(monkeypatch):
+    calls = []
+
+    def counting(g, p, q):
+        calls.append(p)
+        return schouten(g, p, q)
+
+    monkeypatch.setattr(bialgebra, "schouten", counting)
+    rng = random.Random(79)
+    g = direct_product(SU2, abelian(2), name="su2xR2")
+    r = random_element(rng, Multivector, 5, 2, terms=4, bound=7)
+    phi0, x0 = Form.basis(5, 3), -vec(5, 0)
+    structure = dual_bracket_pointwise_route(g, phi0, r, x0)
+    assert len(calls) == g.dim
+    assert structure == dual_bracket_pointwise_reference(g, phi0, r, x0)
+
+
+def sharp_certificate_holds(g, dual, r):
+    try:
+        _check_sharp_homomorphism(g, dual, r)
+    except ValueError as exc:
+        assert str(exc) == "sharp map is not a homomorphism; construction is inconsistent"
+        return False
+    return True
+
+
+def test_sharp_certificate_matches_reference():
+    # duals that pass (the Jacobi families and the extracted compact pairs),
+    # each with one structure constant doubled and with a random r
+    rng = random.Random(80)
+    triples = []
+    for g, r, x0 in ((catalog("u2"), mv(4, 2, {(1, 2): 1, (0, 3): 1}), -vec(4, 0)),
+                     (catalog("gl2r"), mv(4, 2, {(1, 2): 1, (0, 3): 1}), -vec(4, 0)),
+                     (abelian(4), mv(4, 2, {(0, 1): 1}), -vec(4, 0))):
+        phi0 = Form.basis(4, 3) if g.structure else Form.basis(4, 1)
+        triples.append((g, build_from_jacobi(YbData(g, phi0, r, x0)).bialgebra.g_star, r))
+    for name in ("firstkind4", "secondkind4", "thirdkind_u2"):
+        b = catalog(name)
+        triples.append((b.g, b.g_star, extract_jacobi(b, unit_center_vector(b.g, b.phi0)).pair.r))
+    cases = []
+    for g, dual, r in triples:
+        cases.append((g, dual, r))
+        for key, value in dual.structure.items():
+            structure = dict(dual.structure)
+            structure[key] = value.scale(2)
+            cases.append((g, LieAlgebra(dual.name, dual.dim, dual.basis_labels, structure), r))
+        cases.append((g, dual, random_element(rng, Multivector, g.dim, 2, terms=3, bound=7)))
+    verdicts = [sharp_homomorphism_reference(*case) for case in cases]
+    assert sum(verdicts) >= 6 and verdicts.count(False) >= 10
+    for case, verdict in zip(cases, verdicts):
+        assert sharp_certificate_holds(*case) == verdict, case[0].name
+
+
+def test_build_from_jacobi_refuses_a_wrong_dual(monkeypatch):
+    # a dual that fails the certificate, handed over as if built
+    y = YbData(catalog("u2"), Form.basis(4, 3), mv(4, 2, {(1, 2): 1, (0, 3): 1}), -vec(4, 0))
+    dual = build_dual_bracket(y)
+    structure = dict(dual.structure)
+    structure[(1, 2)] = structure[(1, 2)].scale(2)
+    wrong = LieAlgebra(dual.name, dual.dim, dual.basis_labels, structure)
+    monkeypatch.setattr(bialgebra, "build_dual_bracket", lambda _: wrong)
+    with pytest.raises(ValueError, match="^sharp map is not a homomorphism; "
+                                         "construction is inconsistent$"):
+        build_from_jacobi(y)
+
+
+def test_extraction_checks_the_jacobi_pair_once(monkeypatch):
+    calls = []
+
+    def counting(jp):
+        calls.append(jp)
+        return check_jacobi(jp)
+
+    monkeypatch.setattr(bialgebra, "check_jacobi", counting)
+    monkeypatch.setattr(jacobi, "check_jacobi", counting)
+    for name in ("firstkind4", "secondkind4", "thirdkind_u2"):
+        b = catalog(name)
+        calls.clear()
+        extract_jacobi(b, unit_center_vector(b.g, b.phi0))
+        assert len(calls) == 1, name
 
 
 def test_check_glb_is_covariant_under_change_basis():

@@ -1,8 +1,8 @@
 """Every name a library module, test module or script imports is used in
 that module, every private module-level function or class is used
 somewhere in the library, only the modules that exterior names touch the
-integer form of elements and tables, and every linalg name the benchmark
-uses exists.
+integer form of elements and tables, the pointwise dual-bracket route reads
+none of it, and every linalg name the benchmark uses exists.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -102,6 +102,28 @@ def test_integer_form_use_is_reported():
 def test_integer_form_stays_in_its_modules():
     users = {p.name for p in PACKAGE if integer_form_uses(p.read_text())}
     assert users == INTEGER_FORM_MODULES
+
+
+def function_references(source: str, name: str) -> set[str]:
+    """Names and attributes the module-level function `name` refers to."""
+    node = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+            if isinstance(n, (ast.Attribute, ast.Name))}
+
+
+def test_function_references_are_reported():
+    assert function_references("def f(g):\n    return h(g._ad)\ndef h(): pass\n", "f") == {
+        "g", "h", "_ad"}
+
+
+def test_pointwise_dual_route_stays_off_the_integer_tables():
+    # the pointwise route cross-checks the integer kernel of the adjoint
+    # route, so it goes through schouten and never reads a table itself
+    names = function_references((ROOT / "src" / "liejacobi" / "bialgebra.py").read_text(),
+                                "dual_bracket_pointwise_route")
+    assert "schouten" in names
+    assert names.isdisjoint(INTEGER_FORM)
 
 
 def benchmark_linalg_names() -> set[str]:
