@@ -48,7 +48,7 @@ from liejacobi.liealg import (
     restrict_bivector,
 )
 from liejacobi import linalg
-from liejacobi.linalg import ZERO, invert, nullspace, solve, transpose
+from liejacobi.linalg import ZERO, invert, nullspace, solve, solve_rows, transpose
 from liejacobi.schouten import (
     check_cocycle,
     ce_differential,
@@ -523,7 +523,7 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
         raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
     n = b.g.dim
     unknowns = list(combinations(range(n), 2))
-    solution = solve(*_coboundary_system(b, d_basis, rho))
+    solution = solve_rows(_coboundary_system(b, d_basis, rho)[0], len(unknowns))
     if solution is None:
         return CoboundarySolutions(None, tuple())
     particular, homogeneous = solution
@@ -535,21 +535,32 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
 
 
 def _coboundary_system(b: GeneralizedBialgebra, d_basis: list[Multivector],
-                       rho: list[dict]) -> tuple[list, list]:
-    """(rows, rhs) of e_i.r = d_basis[i] over the coefficients of r, with the
-    action rho of _twisted_ad: one row per i and target e_p^e_q, one column
-    per e_a^e_c, both in combinations order."""
+                       rho: list[dict]) -> tuple[list[dict[int, int]], list[int]]:
+    """(rows, scales) of e_i.r = d_basis[i] over the coefficients of r, with
+    the action rho of _twisted_ad: one sparse integer row {column: int} per
+    i and target e_p^e_q, one column per e_a^e_c, both in combinations
+    order, and the right-hand side in column width, the number of pairs.
+    rows[k] over scales[k] is the equation: rho over den * dphi and
+    d_basis[i] over its denominator dd_i give row (i, pq) =
+    {col(ac): x * dd_i, width: num_pq * den * dphi} over den * dphi * dd_i."""
     pairs = list(combinations(range(b.g.dim), 2))
     position = {t: k for k, t in enumerate(pairs)}
     width = len(pairs)
     scale = b.g._ad[0] * b.phi0._ints()[1]
-    rows = [[ZERO] * width for _ in range(len(rho) * width)]
-    for i, block in enumerate(rho):
+    rows: list[dict[int, int]] = []
+    scales: list[int] = []
+    for block, d in zip(rho, d_basis):
+        nums, dd = d._ints()
+        block_rows: list[dict[int, int]] = [{} for _ in pairs]
         for ac, image in block.items():
+            col = position[ac]
             for pq, x in image.items():
-                rows[i * width + position[pq]][position[ac]] = Fraction(x, scale)
-    rhs = [d.terms.get(t, ZERO) for d in d_basis for t in pairs]
-    return rows, rhs
+                block_rows[position[pq]][col] = x * dd
+        for pq, v in nums.items():
+            block_rows[position[pq]][width] = v * scale
+        rows += block_rows
+        scales += [scale * dd] * width
+    return rows, scales
 
 
 def glb_from_cocycle(g: LieAlgebra, phi: Form) -> GeneralizedBialgebra:

@@ -15,8 +15,9 @@ builders, with `_from_ints`, outside this module are:
     `LinearMap.apply_element`;
   - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
   - `bialgebra`: `_twisted_ad` (the action X.P = [X, P] - phi0(X) P of g on
-    2-vectors, which `_coboundary_system` also reads), `_check_glb`
-    (d_{*X0} and the compatibility residuals, read from the tables of g, g*),
+    2-vectors), `_check_glb` (d_{*X0} and the compatibility residuals, read
+    from the tables of g, g*), `_coboundary_system` (the integer rows of
+    solve_coboundary, from that action and the forms of d_{*X0}(e_i)),
     the adjoint kernel `dual_bracket_adjoint_route` (the dual bracket from
     the columns of g and the forms of r, phi0, X0) and the certificate
     `_check_sharp_homomorphism` (-#_r a homomorphism g* -> g, from both

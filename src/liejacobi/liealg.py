@@ -8,10 +8,12 @@ c_ij^k = N_ij^k / den, and a column view of it listing the nonzero N_ij^k
 of each k.  The bracket, the Jacobi identity, the Killing form, the Schouten
 and Chevalley-Eilenberg sums and the bialgebra compatibility residuals are
 summed from them in int arithmetic, with one Fraction built per output
-coefficient.  Structural computations (center, derived algebra, cocycles,
-derivations, compactness) reduce to the integer kernel of linalg, and a
-linear map applies its matrix, kept as integers over one common
-denominator, in int arithmetic too.
+coefficient.  The Jacobi identity is summed once per algebra and kept with
+the table; validate builds its report from those sums on every call.
+Structural computations (center, derived algebra, cocycles, derivations,
+compactness) reduce to the integer kernel of linalg, and a linear map
+applies its matrix, kept as integers over one common denominator, in int
+arithmetic too.
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ class LieAlgebra:
 
     structure maps (i, j) with i < j to the bracket [e_i, e_j] as a grade-1
     multivector; absent pairs bracket to zero.  Construction copies it into a
-    read-only mapping, so the integer structure-constant table `_ad` and its
-    column view `_columns`, built on first use, cannot go stale;
-    dataclasses.replace builds a new algebra with its own table.  Construction does not check the Jacobi identity;
-    use validate() for that.
+    read-only mapping, so the integer structure-constant table `_ad`, its
+    column view `_columns` and the Jacobi sums `_jacobiator`, built on first
+    use, cannot go stale; dataclasses.replace, rename and pickling build a
+    new algebra with its own.  Construction does not check the Jacobi
+    identity; use validate() for that.
     """
 
     name: str
@@ -120,6 +123,26 @@ class LieAlgebra:
                         columns[k].append((i, j, num))
         return tuple(tuple(col) for col in columns)
 
+    @cached_property
+    def _jacobiator(self) -> tuple[tuple[tuple[int, int, int], dict[int, int]], ...]:
+        """((i, j, k), {m: N}) for each basis triple i < j < k whose residual
+        [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = sum_m N e_m / den^2
+        is nonzero: N is sum_l N_ab^l N_lc^m over the three cyclic (a, b, c)."""
+        # read from the table only, for the reason given in _ad
+        table = self._ad[1]
+        entries = []
+        for i, j, k in combinations(range(self.dim), 3):
+            acc = [0] * self.dim
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, x in table[a].get(b, {}).items():
+                    lc = table[l].get(c)
+                    if lc is not None:
+                        for m, y in lc.items():
+                            acc[m] += x * y
+            if any(acc):
+                entries.append(((i, j, k), dict(enumerate(acc))))
+        return tuple(entries)
+
     @classmethod
     def from_brackets(cls, name: str, dim: int, brackets: Mapping[tuple[int, int], Iterable],
                       labels: tuple[str, ...] | None = None) -> "LieAlgebra":
@@ -176,23 +199,12 @@ class LieAlgebra:
     def validate(self) -> "ValidationReport":
         """Check the Jacobi identity on all basis triples.
 
-        The residual [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] has
-        e_m-coefficient sum_l c_ab^l c_lc^m over the three cyclic (a, b, c),
-        summed as integers over den^2.
+        The residuals are the sums of `_jacobiator`, made elements afresh on
+        every call.
         """
-        den, table = self._ad
-        violations = []
-        for i, j, k in combinations(range(self.dim), 3):
-            acc = [0] * self.dim
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for l, x in table[a].get(b, {}).items():
-                    lc = table[l].get(c)
-                    if lc is not None:
-                        for m, y in lc.items():
-                            acc[m] += x * y
-            if any(acc):
-                violations.append(((i, j, k), self._vector(dict(enumerate(acc)), den * den)))
-        return ValidationReport(self, tuple(violations))
+        den = self._ad[0]
+        return ValidationReport(self, tuple((ijk, self._vector(acc, den * den))
+                                            for ijk, acc in self._jacobiator))
 
     def rename(self, name: str) -> "LieAlgebra":
         return LieAlgebra(name, self.dim, self.basis_labels, self.structure)

@@ -3,18 +3,22 @@
 Matrices are lists of rows and vectors are lists; entries are
 fractions.Fraction (ints are accepted), and every result entry is a Fraction.
 
-rref runs one fraction-free elimination kernel, `_echelon`, and rank,
-row_space_basis, nullspace, solve and invert read their answers from rref.
-The kernel keeps each row as its nonzero entries scaled to integers by the
-lcm of their denominators, eliminates by cross-multiplication and divides
-every updated row by its content, so no row carries a common factor.  Rows
-wait in buckets keyed by their leading column: a column no row starts at
-costs nothing, which keeps the tall, mostly zero systems of
-solve_coboundary cheap.  Fractions are built only for the output, each
-entry of a pivot row over its pivot.  The reduced row echelon form is
-unique, so this is exactly the form that elimination over Fraction gives.
-mat_vec sums in int too, and the LDL^T of is_definite uses Bareiss's exact
-division (Math. Comp. 22, 1968).
+One fraction-free elimination kernel, `_echelon`, works on sparse integer
+rows {column: nonzero int}; rref, rank, row_space_basis, nullspace, solve,
+solve_rows and invert read their answers from it.  A Fraction matrix
+enters the kernel through one front end that scales each row's nonzero
+entries to integers by the lcm of their denominators; solve_rows takes
+rows that are integers already, as solve_coboundary builds them from the
+integer tables, with the right-hand side in column cols.  The kernel
+eliminates by cross-multiplication and divides every updated row by its
+content, so no row carries a common factor.  Rows wait in buckets keyed by
+their leading column: a column no row starts at costs nothing, and solve
+and solve_rows stop as soon as the smallest leading column left is the
+right-hand side's, since the system is then inconsistent.  Fractions are
+built only for the output, each entry of a pivot row over its pivot.  The
+reduced row echelon form is unique, so this is exactly the form that
+elimination over Fraction gives.  mat_vec sums in int too, and the LDL^T
+of is_definite uses Bareiss's exact division (Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -114,38 +118,52 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, 
     return _primitive(out) if out else out
 
 
-def _echelon(a: Matrix) -> tuple[list[dict[int, int]], list[int]]:
-    """Integer form of rref(a): (rows, pivots), with rows[k] a primitive
-    sparse row {column: nonzero int} whose entries over rows[k][pivots[k]]
-    are row k of rref(a)."""
-    waiting: dict[int, list[dict[int, int]]] = {}    # leading column -> rows
+def _rows(a: Matrix):
+    """The rows of a as sparse integer rows {column: nonzero int}: each row's
+    nonzero entries scaled by the lcm of their denominators (zero rows
+    dropped)."""
     for row in a:
         support, nums, _ = _sparse(row)
         if support:
-            waiting.setdefault(support[0], []).append(_primitive(dict(zip(support, nums))))
-    rows: list[dict[int, int]] = []
+            yield dict(zip(support, nums))
+
+
+def _echelon(rows, stop: int) -> tuple[list[dict[int, int]], list[int]] | None:
+    """Reduced echelon form of sparse integer rows {column: nonzero int}:
+    (rows, pivots), with rows[k] a primitive row whose entries over
+    rows[k][pivots[k]] are row k of the reduced row echelon form.  None as
+    soon as a row leads at column `stop`, once every column below it is
+    eliminated."""
+    waiting: dict[int, list[dict[int, int]]] = {}    # leading column -> rows
+    for row in rows:
+        if row:
+            waiting.setdefault(min(row), []).append(row)
+    out: list[dict[int, int]] = []
     pivots: list[int] = []
     while waiting:
         c = min(waiting)
+        if c == stop:
+            return None
         bucket = waiting.pop(c)
-        pivot = min(bucket, key=len)
+        shortest = min(bucket, key=len)
+        pivot = _primitive(shortest)    # eliminated rows come out primitive anyway
         for row in bucket:
-            if row is not pivot:
+            if row is not shortest:
                 row = _eliminate(row, pivot, c)
                 if row:
                     waiting.setdefault(min(row), []).append(row)
-        rows = [_eliminate(row, pivot, c) if c in row else row for row in rows]
-        rows.append(pivot)
+        out = [_eliminate(row, pivot, c) if c in row else row for row in out]
+        out.append(pivot)
         pivots.append(c)
-    return rows, pivots
+    return out, pivots
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (new matrix, pivot column list)."""
     if not a:
         return [], []
-    rows, pivots = _echelon(a)
     cols = len(a[0])
+    rows, pivots = _echelon(_rows(a), cols)
     out = []
     for row, c in zip(rows, pivots):
         v = [ZERO] * cols
@@ -166,15 +184,15 @@ def row_space_basis(a: Matrix) -> Matrix:
     return m[:len(pivots)]
 
 
-def _null_basis(m: Matrix, pivots: list[int], cols: int) -> list[Vector]:
-    """Nullspace basis of the first cols columns of a reduced echelon form,
-    one vector per free column below cols."""
+def _null_basis(rows: list[dict[int, int]], pivots: list[int], cols: int) -> list[Vector]:
+    """Nullspace basis of the first cols columns of an integer reduced
+    echelon form from _echelon, one vector per free column below cols."""
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [ZERO] * cols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row.get(fc, 0), row[pc])
         basis.append(v)
     return basis
 
@@ -183,25 +201,36 @@ def nullspace(a: Matrix) -> list[Vector]:
     """Basis of {x : a x = 0}, one vector per free column."""
     if not a:
         return []
-    return _null_basis(*rref(a), len(a[0]))
+    cols = len(a[0])
+    return _null_basis(*_echelon(_rows(a), cols), cols)
 
 
 def solve(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
-    """Full solution set of a x = b: (particular, nullspace basis), or None if inconsistent.
-
-    One elimination of [a | b]: for a consistent system its first columns
-    are the reduced echelon form of a, so they also give the nullspace.
-    """
+    """Full solution set of a x = b: (particular, nullspace basis), or None if inconsistent."""
     if not a:
         return ([], []) if all(x == 0 for x in b) else None
     cols = len(a[0])
-    m, pivots = rref([[*row, bi] for row, bi in zip(a, b)])
-    if pivots and pivots[-1] == cols:
+    return solve_rows(_rows([*row, bi] for row, bi in zip(a, b)), cols)
+
+
+def solve_rows(rows, cols: int) -> tuple[Vector, list[Vector]] | None:
+    """solve on integer rows: rows are sparse {column: nonzero int} rows of
+    [a | b], the right-hand side in column cols, and the result is what
+    solve returns on the same rows as Fractions.
+
+    One elimination of [a | b], which stops when the right-hand side
+    column leads a row (inconsistent).  For a consistent system its first
+    columns are the reduced echelon form of a, so they also give the
+    nullspace.
+    """
+    reduced = _echelon(rows, cols)
+    if reduced is None:
         return None
+    rows, pivots = reduced
     x = [ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][cols]
-    return x, _null_basis(m, pivots, cols)
+    for row, pc in zip(rows, pivots):
+        x[pc] = Fraction(row.get(cols, 0), row[pc])
+    return x, _null_basis(rows, pivots, cols)
 
 
 def invert(a: Matrix) -> Matrix:

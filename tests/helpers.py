@@ -17,6 +17,7 @@ from liejacobi.jacobi import sharp
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
+    ValidationReport,
     abelian,
     change_basis,
     direct_product,
@@ -195,11 +196,31 @@ def ad_matrix(g, x):
     return [[cols[j][i] for j in range(g.dim)] for i in range(g.dim)]
 
 
-def jacobiator_reference(g, i, j, k):
+def bracket_jacobiator_reference(g, i, j, k):
     """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] by bracket composition."""
     ei, ej, ek = map(g.basis_vector, (i, j, k))
     br = lambda x, y: bracket_reference(g, x, y)
     return br(br(ei, ej), ek) + br(br(ej, ek), ei) + br(br(ek, ei), ej)
+
+
+def jacobiator_reference(g):
+    """validate's report summed afresh on every call: sum_l c_ab^l c_lc^m
+    over the three cyclic (a, b, c) of each basis triple, in int over den^2
+    from the table, one element per nonzero residual."""
+    den, table = g._ad
+    violations = []
+    for i, j, k in combinations(range(g.dim), 3):
+        acc = [0] * g.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in table[a].get(b, {}).items():
+                lc = table[l].get(c)
+                if lc is not None:
+                    for m, y in lc.items():
+                        acc[m] += x * y
+        if any(acc):
+            violations.append(((i, j, k), Multivector._from_ints(
+                g.dim, 1, {(m,): v for m, v in enumerate(acc)}, den * den)))
+    return ValidationReport(g, tuple(violations))
 
 
 def ce_differential_reference(source, element):
@@ -246,6 +267,16 @@ def schouten_reference(g, p, q):
 # Reference route for the linear system of solve_coboundary: columns are the
 # images [e_i, r] - phi0(e_i) r of the basis 2-vectors r through schouten, and
 # the right side is d_{*X0}(e_i) = d_* e_i + X0^e_i.
+
+def rational_system(rows, scales, width):
+    """(matrix, rhs) of the sparse integer rows of _coboundary_system, each
+    divided by its row scale, the right-hand side read from column width.
+    Every stored entry must be a nonzero int, as solve_rows requires."""
+    assert all(type(v) is int and v for row in rows for v in row.values())
+    assert all(type(s) is int and s > 0 for s in scales) and len(scales) == len(rows)
+    return ([[Fraction(row.get(j, 0), s) for j in range(width)] for row, s in zip(rows, scales)],
+            [Fraction(row.get(width, 0), s) for row, s in zip(rows, scales)])
+
 
 def coboundary_system_reference(b):
     g = b.g

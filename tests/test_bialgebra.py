@@ -25,7 +25,9 @@ from helpers import (
     mv,
     random_basis,
     random_element,
+    rational_system,
     sharp_homomorphism_reference,
+    solve_reference,
     vec,
 )
 from liejacobi.bialgebra import (
@@ -34,6 +36,7 @@ from liejacobi.bialgebra import (
     _check_sharp_homomorphism,
     _coboundary_system,
     _twisted_ad,
+    CoboundarySolutions,
     GeneralizedBialgebra,
     YbData,
     build_dual_bracket,
@@ -54,7 +57,7 @@ from liejacobi.bialgebra import (
     third_kind_pair,
     unit_center_vector,
 )
-from liejacobi import bialgebra, jacobi
+from liejacobi import bialgebra, jacobi, linalg
 from liejacobi.catalog import catalog, catalog_names, heisenberg
 from liejacobi.exterior import Form, Multivector, pair, wedge
 from liejacobi.jacobi import ContactStructure, check_jacobi, contact_to_jacobi
@@ -315,12 +318,53 @@ def test_coboundary_system_matches_schouten_route():
     # denominators, Lie or not, with random phi0 and x0
     cases = catalog_bialgebras()
     assert any(b.g.structure and not b.phi0.is_zero() for b in cases)
+    width = lambda b: b.g.dim * (b.g.dim - 1) // 2
     for b in cases:
         report, d_basis, rho = _check_glb(b)
         assert report.passed
-        assert _coboundary_system(b, d_basis, rho) == coboundary_system_reference(b)
+        system = rational_system(*_coboundary_system(b, d_basis, rho), width(b))
+        assert system == coboundary_system_reference(b)
     for b in seeded_quadruples(random.Random(71)):
-        assert _coboundary_system(b, *_check_glb(b)[1:]) == coboundary_system_reference(b)
+        system = rational_system(*_coboundary_system(b, *_check_glb(b)[1:]), width(b))
+        assert system == coboundary_system_reference(b)
+
+
+def _dense_coboundary_solutions(b):
+    """solve_coboundary by the dense route: linalg.solve on the Fraction
+    system of coboundary_system_reference, which the reference elimination
+    confirms, mapped to 2-vectors."""
+    n = b.g.dim
+    pairs = list(combinations(range(n), 2))
+    system = coboundary_system_reference(b)
+    solution = linalg.solve(*system)
+    assert solution == solve_reference(*system)
+    if solution is None:
+        return CoboundarySolutions(None, ())
+    to_bivector = lambda coeffs: mv(n, 2, dict(zip(pairs, coeffs)))
+    particular, homogeneous = solution
+    return CoboundarySolutions(to_bivector(particular), tuple(map(to_bivector, homogeneous)))
+
+
+def test_solve_coboundary_matches_dense_route():
+    # the non-degenerate third-kind series su2^k x R^2 (triple in the first
+    # su2, e4 the first R direction), dim 5 to 14, and the catalog bialgebras
+    g = SU2
+    for k in range(1, 5):
+        base = direct_product(g, abelian(2))
+        n = base.dim
+        for lambdas in ((1, 0, 0), (1, -2, 3)):
+            b = build_third_kind(base, vec(n, 0), vec(n, 1), vec(n, 2), vec(n, 3 * k), lambdas)
+            sols = solve_coboundary(b)
+            assert sols == _dense_coboundary_solutions(b)
+            assert sols.particular == third_kind_pair(vec(n, 0), vec(n, 1), vec(n, 2),
+                                                      vec(n, 3 * k), lambdas)[0]
+        g = direct_product(g, SU2)
+    outcomes = []
+    for b in catalog_bialgebras():
+        sols = solve_coboundary(b)
+        assert sols == _dense_coboundary_solutions(b)
+        outcomes.append(sols.is_empty)
+    assert outcomes == [False, False, False, True, False, False, False]   # noncob4_53
 
 
 def test_bracket_compat_matches_per_pair_route():

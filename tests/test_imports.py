@@ -2,7 +2,8 @@
 that module, every private module-level function or class is used
 somewhere in the library, only the modules that exterior names touch the
 integer form of elements and tables, the pointwise dual-bracket route reads
-none of it, and every linalg name the benchmark uses exists.
+none of it, the coboundary system and the elimination kernel build no
+Fraction, and every linalg name the benchmark uses exists.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -124,6 +125,37 @@ def test_pointwise_dual_route_stays_off_the_integer_tables():
                                 "dual_bracket_pointwise_route")
     assert "schouten" in names
     assert names.isdisjoint(INTEGER_FORM)
+
+
+def reachable_functions(source: str, name: str) -> set[str]:
+    """`name` and the module-level functions of the same source that it
+    refers to, directly or through each other."""
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [name]
+    while todo:
+        fn = todo.pop()
+        if fn not in seen:
+            seen.add(fn)
+            todo += function_references(source, fn) & defined
+    return seen
+
+
+def test_reachable_functions_are_reported():
+    source = "def f(): return g()\ndef g(): return h\ndef h(): pass\ndef k(): f()\n"
+    assert reachable_functions(source, "f") == {"f", "g", "h"}
+
+
+def test_coboundary_system_and_kernel_stay_integer():
+    # solve_coboundary's system is built from the integer tables and solved
+    # by the integer kernel of solve_rows; only its output becomes Fraction
+    linalg_source = (ROOT / "src" / "liejacobi" / "linalg.py").read_text()
+    assert "_echelon" in function_references(linalg_source, "solve_rows")
+    kernel = reachable_functions(linalg_source, "_echelon")
+    assert kernel >= {"_echelon", "_eliminate", "_primitive"}
+    references = [function_references(linalg_source, fn) for fn in sorted(kernel)]
+    bialgebra_source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
+    references.append(function_references(bialgebra_source, "_coboundary_system"))
+    assert all(names.isdisjoint({"Fraction", "ZERO"}) for names in references)
 
 
 def benchmark_linalg_names() -> set[str]:

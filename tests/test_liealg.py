@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     ad_matrix,
+    bracket_jacobiator_reference,
     bracket_reference,
     compact_algebras,
     determinant,
@@ -27,6 +28,7 @@ from helpers import (
 )
 from liejacobi.bialgebra import GeneralizedBialgebra, check_glb
 from liejacobi.catalog import catalog, catalog_names, heisenberg
+from liejacobi import exterior, liealg
 from liejacobi.exterior import Form, Multivector
 from liejacobi.liealg import (
     LieAlgebra,
@@ -104,12 +106,62 @@ def test_validate_matches_bracket_composition():
     lie, non_lie = mixed_algebras()
     for g in lie + non_lie:
         expected = tuple(((i, j, k), res) for i, j, k in combinations(range(g.dim), 3)
-                         if not (res := jacobiator_reference(g, i, j, k)).is_zero())
+                         if not (res := bracket_jacobiator_reference(g, i, j, k)).is_zero())
         assert g.validate().violations == expected, g.name
         assert g.validate().passed == (g in lie)
     # the residuals carry the mixed denominators
     assert any(c.denominator > 1 for g in non_lie for _, res in g.validate().violations
                for c in res.terms.values())
+
+
+def test_validate_matches_per_call_table_sums():
+    lie, non_lie = mixed_algebras()
+    for g in _catalog_algebras() + lie + non_lie:
+        assert g.validate() == jacobiator_reference(g), g.name
+    assert all(not g.validate().passed for g in non_lie)
+
+
+def test_validate_sums_once_and_builds_fresh_residuals(monkeypatch):
+    # the sums are kept with the algebra; every call builds its own
+    # residual elements, as many as the report holds
+    built, sweeps = [], []
+    post_init, triples = exterior._Element.__post_init__, liealg.combinations
+    def counting(self):
+        built.append(self)
+        post_init(self)
+    def sweep(items, k):
+        sweeps.append(k)
+        return triples(items, k)
+    monkeypatch.setattr(exterior._Element, "__post_init__", counting)
+    monkeypatch.setattr(liealg, "combinations", sweep)
+    for g in mixed_algebras()[1]:
+        sweeps.clear()
+        reports, counts = [], []
+        for _ in range(3):
+            built.clear()
+            reports.append(g.validate())
+            counts.append(len(built))
+        assert sweeps == [3]            # one pass over the basis triples
+        assert counts == [len(reports[0].violations)] * 3 and counts[0] > 0
+        assert reports[0] == reports[1] == reports[2] == jacobiator_reference(g)
+        for a, b in zip(reports[0].violations, reports[1].violations):
+            assert a[1] is not b[1]
+
+
+def test_copies_sum_their_own_jacobiator():
+    g = mixed_algebras()[1][0]
+    g.validate()
+    sums = g._jacobiator
+    structure = dict(g.structure)
+    structure[(0, 1)] = structure[(0, 1)].scale(2)
+    copies = [g.rename("renamed"), replace(g, name="replaced"),
+              pickle.loads(pickle.dumps(g)), replace(g, structure=structure)]
+    for h in copies:
+        assert "_jacobiator" not in vars(h)
+        assert h.validate() == jacobiator_reference(h)
+        assert h._jacobiator is not sums
+    assert [h._jacobiator == sums for h in copies] == [True, True, True, False]
+    assert copies[0].validate().describe().startswith("renamed:")
 
 
 def test_table_holds_integers_over_the_lcm():

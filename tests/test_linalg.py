@@ -3,6 +3,7 @@ Fraction reference routes, sympy and independent recomputation."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,10 +13,17 @@ from helpers import (
     mat_vec_reference,
     mixed_fraction,
     nullspace_reference,
+    rational_system,
     rref_reference,
     solve_reference,
 )
+from liejacobi import linalg
+from liejacobi.bialgebra import _check_glb, _coboundary_system, build_third_kind
+from liejacobi.catalog import catalog
+from liejacobi.exterior import Multivector
+from liejacobi.liealg import abelian, direct_product
 from liejacobi.linalg import (
+    ONE,
     ZERO,
     identity,
     invert,
@@ -27,6 +35,7 @@ from liejacobi.linalg import (
     row_space_basis,
     rref,
     solve,
+    solve_rows,
     transpose,
 )
 
@@ -325,3 +334,134 @@ def test_kernel_matches_sympy():
                 with pytest.raises(ValueError):
                     invert(a)
     assert min(square.values()) > 0
+
+
+# solve_rows: sparse integer rows of [a | b], the right-hand side in column
+# cols, against solve on the same system as Fractions, the reference
+# elimination and sympy
+
+def _integer_rows(rng, a, b):
+    """[a | b] as sparse integer rows: each row over the lcm of its
+    denominators, times a random factor so that rows carry a content."""
+    rows = []
+    for row, bi in zip(a, b):
+        entries = [*row, bi]
+        den = lcm(*(x.denominator for x in entries))
+        f = rng.choice((1, -1)) * rng.randint(1, 6)
+        rows.append({j: x.numerator * (den // x.denominator) * f
+                     for j, x in enumerate(entries) if x})
+    return rows
+
+
+def _solve_cases():
+    """(a, b): the oracle matrices with their last column as b, as a zero b
+    and as b = a x for a random x; then all-zero coefficient blocks."""
+    rng = random.Random(14)
+    cases = []
+    for m in _oracle_matrices():
+        if len(m[0]) < 2:
+            continue
+        a, b = [row[:-1] for row in m], [row[-1] for row in m]
+        x = [mixed_fraction(rng) for _ in a[0]]
+        cases += [(a, b), (a, [ZERO] * len(b)), (a, mat_vec(a, x))]
+    for rows, cols in ((1, 1), (3, 2), (5, 4)):
+        zero = [[ZERO] * cols for _ in range(rows)]
+        cases += [(zero, [ZERO] * rows), (zero, [mixed_fraction(rng) or ONE for _ in range(rows)])]
+    return cases
+
+
+def _kinds(a, b, want):
+    """Which of the covered kinds of system (a, b) is."""
+    kinds = {"inconsistent" if want is None else "consistent"}
+    if want is not None and want[1] and len(a) >= len(a[0]):
+        kinds.add("rank deficient")
+    if not any(x for row in a for x in row):
+        kinds.add("zero coefficients")
+    if any(abs(x.numerator) > 10 ** 90 for row in a for x in row):
+        kinds.add("100 digits " + ("inconsistent" if want is None else "consistent"))
+    return kinds
+
+
+def test_solve_rows_matches_solve_and_reference():
+    rng = random.Random(41)
+    seen = set()
+    for a, b in _solve_cases():
+        want = solve_reference(a, b)
+        rows = _integer_rows(rng, a, b)
+        copies = [dict(row) for row in rows]
+        got = solve_rows(rows, len(a[0]))
+        assert got == want == solve(a, b), (a, b)
+        assert rows == copies           # the caller's rows are left as they were
+        if got is not None:
+            assert _all_fractions([got[0]]) and _all_fractions(got[1])
+        seen |= _kinds(a, b, want)
+    assert seen == {"consistent", "inconsistent", "rank deficient", "zero coefficients",
+                    "100 digits consistent", "100 digits inconsistent"}
+
+
+def test_solve_rows_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    for a, b in _solve_cases():
+        cols = len(a[0])
+        m, pivots = _sympy_matrix(sympy, [[*row, bi] for row, bi in zip(a, b)]).rref()
+        got = solve_rows(_integer_rows(rng, a, b), cols)
+        if cols in pivots:
+            assert got is None, (a, b)
+            continue
+        x = [ZERO] * cols
+        for r, pc in enumerate(pivots):
+            x[pc] = _from_sympy(m[r, cols])
+        null = [[_from_sympy(v) for v in h] for h in _sympy_matrix(sympy, a).nullspace()]
+        assert got == (x, null), (a, b)
+
+
+def _third_kind_system(k):
+    """The coboundary system of the third-kind bialgebra on su2^k x R^2
+    (triple in the first su2, e4 the first R direction): (rows, scales, width)."""
+    g = catalog("su2")
+    for _ in range(k - 1):
+        g = direct_product(g, catalog("su2"))
+    g = direct_product(g, abelian(2))
+    v = lambda i: Multivector.basis(g.dim, i)
+    b = build_third_kind(g, v(0), v(1), v(2), v(3 * k), (1, -2, 3))
+    return (*_coboundary_system(b, *_check_glb(b)[1:]), g.dim * (g.dim - 1) // 2)
+
+
+def test_solve_rows_on_a_tall_system():
+    # the 1274 x 92 system of the dim-14 third-kind bialgebra, consistent as
+    # built and inconsistent once one right-hand side entry moves
+    rows, scales, width = _third_kind_system(4)
+    assert (len(rows), width + 1) == (1274, 92)
+    a, b = rational_system(rows, scales, width)
+    got = solve_rows(rows, width)
+    assert got is not None and got == solve(a, b) == solve_reference(a, b)
+    k = next(k for k, row in enumerate(rows) if width in row)
+    rows[k] = {**rows[k], width: rows[k][width] + scales[k]}
+    b[k] += 1
+    assert solve_reference(a, b) is None
+    assert solve_rows(rows, width) is None and solve(a, b) is None
+
+
+def test_inconsistent_solve_stops_at_the_right_hand_side(monkeypatch):
+    # once the right-hand side column leads, no row is eliminated at it
+    eliminate, columns = linalg._eliminate, []
+    def recording(row, pivot, c):
+        columns.append(c)
+        return eliminate(row, pivot, c)
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    rng = random.Random(47)
+    inconsistent = 0
+    for a, b in _solve_cases():
+        cols = len(a[0])
+        for got in (solve_rows(_integer_rows(rng, a, b), cols), solve(a, b)):
+            assert (got is None) == (solve_reference(a, b) is None)
+            if got is None:
+                inconsistent += 1
+                assert cols not in columns
+            columns.clear()
+    assert inconsistent > 100
+    # the coboundary shape: a zero 147 x 21 block, 129 right-hand sides
+    rhs = [ZERO] * 18 + [mixed_fraction(rng) or ONE for _ in range(129)]
+    assert solve([[ZERO] * 21 for _ in rhs], rhs) is None
+    assert columns == []
