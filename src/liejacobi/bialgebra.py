@@ -34,9 +34,11 @@ from liejacobi.liealg import (
     LinearMap,
     Subspace,
     ValidationReport,
+    _frame,
+    _restrict,
+    _restrict_pair,
     abelian,
     center,
-    change_basis,
     coordinates,
     direct_product,
     dual_label,
@@ -44,11 +46,10 @@ from liejacobi.liealg import (
     is_compact,
     is_derivation,
     killing_form,
-    restrict,
     restrict_bivector,
 )
 from liejacobi import linalg
-from liejacobi.linalg import ZERO, invert, nullspace, solve, solve_rows, transpose
+from liejacobi.linalg import ZERO, nullspace, solve, solve_rows
 from liejacobi.schouten import (
     check_cocycle,
     ce_differential,
@@ -417,6 +418,12 @@ def build_dual_bracket(y: YbData) -> LieAlgebra:
     report = check_yb_hypotheses(y)
     if not report.passed:
         raise ValueError(report.describe())
+    return _assemble_dual(y)
+
+
+def _assemble_dual(y: YbData) -> LieAlgebra:
+    """build_dual_bracket once the hypotheses are known to hold: both routes,
+    their comparison and check_glb."""
     g = y.g
     structure = dual_bracket_adjoint_route(g, y.phi0, y.r, y.x0)
     other = dual_bracket_pointwise_route(g, y.phi0, y.r, y.x0)
@@ -464,7 +471,8 @@ def build_from_jacobi(y: YbData) -> JacobiBuildResult:
         failures.append("phi0 is not a 1-cocycle")
     if failures:
         raise ValueError("jacobi construction preconditions fail:\n  " + "\n  ".join(failures))
-    dual = build_dual_bracket(y)
+    # these preconditions make the three Yang-Baxter hypotheses hold
+    dual = _assemble_dual(y)
     bialgebra = GeneralizedBialgebra(g, dual, y.phi0, y.x0)
     _check_sharp_homomorphism(g, dual, y.r)
     full_even = g.dim % 2 == 0 and rank(jp) == g.dim
@@ -894,8 +902,7 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
     incl = char.inclusion
     compact_h = _require_compact(h)
     ls = jacobi_to_lcs(char.pair)
-    phi0_h = Form.from_coeffs([pair(b.phi0, incl.apply_element(h.basis_vector(a)))
-                               for a in range(h.dim)])
+    phi0_h = Form.from_coeffs(incl.transpose().apply(b.phi0.coeffs()))
     if ls.lee != -phi0_h:
         raise ValueError("lee form of the restricted pair differs from -phi0")
     y0w_raw = _b_dual_cocycle(compact_h.center, ls.lee)
@@ -911,21 +918,17 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
     derived = compact_h.derived
     if derived.rank != 3 or Subspace.from_vectors(h.dim, kernel_rows).rows != derived.rows:
         raise ValueError("kernel of the lee form does not match the derived algebra")
-    h_prime = restrict(h, kernel_rows, f"{h.name}.red")
-    eta_prime = Form.from_coeffs([pair(eta_bar, Multivector.from_coeffs(row))
-                                  for row in kernel_rows])
-    reduced = contact_to_jacobi(ContactStructure(h_prime, eta_prime))
-
     # r' = r + y0w ^ x0 restricts to the reduced contact pair
     r_prime = char.pair.r + wedge(y0w, char.pair.x0)
-    restricted = restrict_bivector(r_prime, kernel_rows)
-    x0_coords = coordinates(kernel_rows, char.pair.x0.coeffs())
-    if restricted is None or x0_coords is None:
+    kernel, h_prime, restricted, x0_restricted = _restrict_pair(
+        h, kernel_rows, f"{h.name}.red", r_prime, char.pair.x0)
+    eta_prime = Form.from_coeffs(kernel.transpose().apply(eta_bar.coeffs()))
+    reduced = contact_to_jacobi(ContactStructure(h_prime, eta_prime))
+    if restricted is None or x0_restricted is None:
         raise ValueError("contact reduction left the kernel of the lee form")
-    if reduced.r != restricted or reduced.x0 != Multivector.from_coeffs(x0_coords):
+    if reduced.r != restricted or reduced.x0 != x0_restricted:
         raise ValueError("contact reduction does not reproduce the restricted pair")
 
-    kernel = LinearMap.from_columns(kernel_rows)
     triple_h = tuple(kernel.apply_element(t) for t in su2_triple(h_prime))
     lam_coords = coordinates([(-t).coeffs() for t in triple_h], char.pair.x0.coeffs())
     if lam_coords is None:
@@ -934,9 +937,8 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
     r_expected, x0_expected = third_kind_pair(*triple_h, e4_res, lambdas)
     if r_expected != char.pair.r or x0_expected != char.pair.x0:
         raise ValueError("restricted pair does not take the standard three-parameter form")
-    to_ambient = lambda v: Multivector.from_coeffs(incl.apply(v.coeffs()))
-    return ThirdKindCertificate(char, tuple(to_ambient(t) for t in triple_h),
-                                to_ambient(e4_res), lambdas)
+    return ThirdKindCertificate(char, tuple(map(incl.apply_element, triple_h)),
+                                incl.apply_element(e4_res), lambdas)
 
 
 def _classify_semidirect(b: GeneralizedBialgebra) -> SemidirectCertificate:
@@ -951,40 +953,27 @@ def _classify_semidirect(b: GeneralizedBialgebra) -> SemidirectCertificate:
     m = n - 1
     if len(kernel_rows) != m:
         raise ValueError("theta0 does not have a hyperplane kernel")
-    h = restrict(g, kernel_rows, f"{g.name}.factor")
 
-    # adapted coordinates: kernel basis followed by x0; the dual basis
-    # transforms contravariantly, by the inverse transpose
-    p_matrix = transpose(kernel_rows + [b.x0.coeffs()])
-    adapted_dual = change_basis(gs, transpose(invert(p_matrix))).structure
-
-    dual_structure = {}
-    psi_star_rows = []
-    for a in range(m):
-        mixed = adapted_dual.get((a, m), Multivector.zero(n, 1))
-        coeffs = mixed.coeffs()
-        if coeffs[m] != 0:
-            raise ValueError("adapted dual bracket leaks outside the factor")
-        psi_star_rows.append([coeffs[i] for i in range(m)])
-    for a in range(m):
-        psi_star_rows[a][a] += 1
-    psi_star = LinearMap.from_columns(psi_star_rows)   # rows of Psi* are columns of Psi
-    psi = psi_star.transpose()
-    for a in range(m):
-        for c in range(a + 1, m):
-            value = adapted_dual.get((a, c), Multivector.zero(n, 1))
-            coeffs = value.coeffs()
-            if coeffs[m] != 0:
-                raise ValueError("adapted dual bracket leaks outside the factor")
-            restricted = Multivector.from_coeffs(coeffs[:m])
-            if not restricted.is_zero():
-                dual_structure[(a, c)] = restricted
-    h_star = LieAlgebra(f"{h.name}*", m, tuple(dual_label(f"e{a + 1}") for a in range(m)),
-                        dual_structure)
+    # adapted coordinates: the kernel basis, then x0.  The dual basis is the
+    # rows of the left inverse L, and B^T is the left inverse of L^T.  x0 is
+    # central in g and a 1-cocycle of g*, so no bracket reaches the last basis
+    # vector (the reconstruction check would see one that did).
+    adapted = kernel_rows + [b.x0.coeffs()]
+    columns, inverse = frame = _frame(adapted, n)
+    primal = _restrict(g, adapted, g.name, frame)
+    dual = _restrict(gs, inverse.rows, gs.name, (inverse.transpose(), columns.transpose()))
+    # h and h* are the leading blocks: the brackets of the first m basis vectors
+    block = lambda adapted: {(a, c): value.coeffs()[:m]
+                             for (a, c), value in adapted.structure.items() if c < m}
+    h = LieAlgebra.from_brackets(f"{g.name}.factor", m, block(primal))
+    h_star = LieAlgebra.from_brackets(f"{h.name}*", m, block(dual),
+                                      tuple(map(dual_label, h.basis_labels)))
+    # Psi* - id maps e^a to the mixed bracket [e^a, e^m]*
+    mixed = LinearMap.from_rows([dual.bracket_basis(a, m).coeffs()[:m] for a in range(m)])
+    psi = mixed.add(LinearMap.identity(m))
 
     rebuilt = build_semidirect_glb(h, h_star, psi)
-    adapted_primal = change_basis(g, p_matrix).structure
-    if adapted_primal != rebuilt.g.structure or adapted_dual != rebuilt.g_star.structure:
+    if primal.structure != rebuilt.g.structure or dual.structure != rebuilt.g_star.structure:
         raise ValueError("semidirect reconstruction does not match the input")
     inclusion = LinearMap.from_columns(kernel_rows)
     return SemidirectCertificate(theta0, h, h_star, psi, inclusion)

@@ -11,8 +11,8 @@ the reduced denominators of its coefficients (D = 1 for zero).  It is
 private to the library, not to this module.  Its readers, with `_ints`, and
 builders, with `_from_ints`, outside this module are:
   - `liealg`: the integer structure-constant table `_ad`, its column view
-    `_columns`, `_vector`, the Jacobi check `validate` and
-    `LinearMap.apply_element`;
+    `_columns`, `_vector`, the Jacobi check `validate`,
+    `LinearMap.apply_element` and `_push` (2-vectors in new coordinates);
   - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
   - `bialgebra`: `_twisted_ad` (the action X.P = [X, P] - phi0(X) P of g on
     2-vectors), `_check_glb` (d_{*X0} and the compatibility residuals, read

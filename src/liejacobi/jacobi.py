@@ -13,16 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from liejacobi.exterior import Form, Multivector, contract, evaluate, pair, wedge, wedge_power
+from liejacobi.exterior import Form, Multivector, contract, pair, wedge, wedge_power
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
     Subspace,
+    _push,
+    _restrict_pair,
     abelian,
-    coordinates,
     direct_product,
-    restrict,
-    restrict_bivector,
 )
 from liejacobi import linalg
 from liejacobi.linalg import ZERO, invert, mat_vec, solve
@@ -136,21 +135,15 @@ def _characteristic_checked(jp: JacobiPair) -> CharacteristicSubalgebra:
     # characteristic_subalgebra after check_jacobi(jp) has passed
     g = jp.algebra
     sub = _span_with_x0(jp)
-    m = sub.rank
-    h_vectors = [list(row) for row in sub.rows]
-    restricted = restrict(g, h_vectors, f"{g.name}.char")
-    # r lives in Lambda^2 of the subspace whenever the pair is valid
-    r_h = restrict_bivector(jp.r, h_vectors)
+    inclusion, restricted, r_h, x0_h = _restrict_pair(g, sub.rows, f"{g.name}.char", jp.r, jp.x0)
+    # r and x0 live in the subspace whenever the pair is valid
     if r_h is None:
         raise ValueError("r does not lie in the second exterior power of the characteristic subspace")
-    x0_coords = coordinates(h_vectors, jp.x0.coeffs()) if m else None
-    if m and x0_coords is None:
+    if x0_h is None:
         raise ValueError("x0 does not lie in the characteristic subspace")
-    x0_h = Multivector.from_coeffs(x0_coords) if m else Multivector.zero(0, 0)
-    restricted_pair = JacobiPair(restricted, r_h, x0_h)
-    tag = "contact" if m % 2 else "lcs"
-    inclusion = LinearMap.from_columns(h_vectors) if m else LinearMap.from_rows([[] for _ in range(g.dim)])
-    return CharacteristicSubalgebra(sub, restricted, restricted_pair, tag, inclusion)
+    tag = "contact" if sub.rank % 2 else "lcs"
+    return CharacteristicSubalgebra(sub, restricted, JacobiPair(restricted, r_h, x0_h), tag,
+                                    inclusion)
 
 
 @dataclass(frozen=True)
@@ -219,20 +212,13 @@ def _flat_contact(cs: ContactStructure) -> LinearMap:
 def contact_to_jacobi(cs: ContactStructure) -> JacobiPair:
     """Reeb vector and 2-vector of a contact form: X0 = b^{-1}(eta), r = d eta pulled back."""
     g, eta = cs.algebra, cs.eta
-    n = g.dim
     d_eta = ce_differential(g, eta)
     binv = invert(_flat_contact(cs).rows)
     x0 = Multivector.from_coeffs(mat_vec(binv, eta.coeffs()))
     if not contract(x0, d_eta).is_zero() or pair(eta, x0) != 1:
         raise ValueError("flat map inversion did not produce the Reeb vector")
-    inverse_images = [Multivector.from_coeffs([row[i] for row in binv]) for i in range(n)]
-    terms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = evaluate(d_eta, inverse_images[i], inverse_images[j])
-            if c != 0:
-                terms[(i, j)] = c
-    jp = JacobiPair(g, Multivector.from_terms(n, 2, terms), x0)
+    # r(e^i, e^j) = d eta(b^{-1} e^i, b^{-1} e^j)
+    jp = JacobiPair(g, _push(LinearMap.from_columns(binv), d_eta), x0)
     report = check_jacobi(jp)
     if not report.passed:
         raise ValueError("contact data produced an invalid pair:\n" + report.describe())
@@ -274,17 +260,10 @@ def _flat_matrix(omega2: Form) -> list[list[Fraction]]:
 def lcs_to_jacobi(ls: LcsStructure) -> JacobiPair:
     """X0 = b^{-1}(lee) and r with #_r = -b^{-1} for the 2-form's flat map b."""
     g = ls.algebra
-    n = g.dim
     binv = invert(_flat_matrix(ls.omega2))
     x0 = Multivector.from_coeffs(mat_vec(binv, ls.lee.coeffs()))
-    terms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            # r(e^i, e^j) = e^j(#_r e^i) with #_r = -b^{-1}
-            c = -binv[j][i]
-            if c != 0:
-                terms[(i, j)] = c
-    jp = JacobiPair(g, Multivector.from_terms(n, 2, terms), x0)
+    # r(e^i, e^j) = e^j(#_r e^i) with #_r = -b^{-1}, which is Omega(b^{-1} e^i, b^{-1} e^j)
+    jp = JacobiPair(g, _push(LinearMap.from_columns(binv), ls.omega2), x0)
     report = check_jacobi(jp)
     if not report.passed:
         raise ValueError("l.c.s. data produced an invalid pair:\n" + report.describe())

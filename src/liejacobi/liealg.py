@@ -13,7 +13,10 @@ the table; validate builds its report from those sums on every call.
 Structural computations (center, derived algebra, cocycles, derivations,
 compactness) reduce to the integer kernel of linalg, and a linear map
 applies its matrix, kept as integers over one common denominator, in int
-arithmetic too.
+arithmetic too.  Every change of coordinates (coordinates, restrict,
+restrict_bivector, change_basis and the restrictions of a Jacobi pair)
+eliminates its basis once: it reads the left inverse L of the matrix B whose
+columns are the basis, and accepts L v only when B (L v) == v.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from liejacobi import linalg
-from liejacobi.exterior import Form, Multivector, evaluate, wedge
+from liejacobi.exterior import Form, Multivector, evaluate
 from liejacobi.linalg import ZERO, Matrix, frac
 
 # Largest algebra dimension accepted from documents and catalog names.  The
@@ -262,9 +265,12 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, coeffs: Iterable) -> bool:
+        # rows in reduced echelon form: v is in the span iff v - sum_k v[p_k] row_k = 0
         v = [frac(c) for c in coeffs]
-        mat = [list(r) for r in self.rows]
-        return linalg.rank(mat + [v]) == self.rank
+        for row in self.rows:
+            c = v[next(j for j, x in enumerate(row) if x)]
+            v = [x - c * y for x, y in zip(v, row)]
+        return not any(v)
 
     def contains_element(self, e) -> bool:
         if e.grade != 1 and not e.is_zero():
@@ -354,14 +360,15 @@ class LinearMap:
         return [Fraction(sum(map(mul, [row[j] for j in support], nums)), den * d) for row in rows]
 
     def apply_element(self, e):
+        grade = min(1, self.codomain_dim)    # the grade-0 zero in dimension 0
         if e.is_zero():
-            return type(e).zero(self.codomain_dim, 1)
+            return type(e).zero(self.codomain_dim, grade)
         if e.grade != 1:
             raise ValueError("a linear map applies to grade-1 elements")
         nums, d = e._ints()
         den, rows = self._ints
         acc = {(i,): sum(row[k] * x for (k,), x in nums.items()) for i, row in enumerate(rows)}
-        return type(e)._from_ints(self.codomain_dim, 1, acc, den * d)
+        return type(e)._from_ints(self.codomain_dim, grade, acc, den * d)
 
     def transpose(self) -> "LinearMap":
         return LinearMap.from_rows(linalg.transpose(self.rows))
@@ -566,69 +573,88 @@ def semidirect_by_derivation(h: LieAlgebra, psi: LinearMap, name: str | None = N
     return LieAlgebra(name or f"{h.name}:line", n, standard_labels(n), structure)
 
 
-def change_basis(g: LieAlgebra, columns: Matrix, name: str | None = None) -> LieAlgebra:
-    """Structure constants in a new basis; columns are the new basis vectors."""
-    p = [list(r) for r in columns]
-    p_inv = linalg.invert(p)
-    n = g.dim
+def _frame(basis: Sequence[Sequence], n: int) -> tuple[LinearMap, LinearMap]:
+    """(B, L): B has the n-vectors of basis as its columns and L = invert(B)
+    is its left inverse, the one elimination of the basis."""
+    columns = LinearMap.from_rows([[b[i] for b in basis] for i in range(n)])
+    return columns, LinearMap.from_rows(linalg.invert(columns.rows))
+
+
+def _push(matrix: LinearMap, p: Multivector | Form) -> Multivector:
+    """sum p^ij (M e_i) ^ (M e_j) for a 2-vector or 2-form p and a matrix M of
+    k rows, summed in int; the zero of grade k when k < 2."""
+    nums, dp = p._ints()
+    den, rows = matrix._ints
+    k = matrix.codomain_dim
+    acc = {(a, b): sum(v * (rows[a][i] * rows[b][j] - rows[a][j] * rows[b][i])
+                       for (i, j), v in nums.items()) for a, b in combinations(range(k), 2)}
+    return Multivector._from_ints(k, min(k, 2), acc, dp * den * den)
+
+
+def _in_span(frame: tuple[LinearMap, LinearMap], e: Multivector, push) -> Multivector | None:
+    # e in the new coordinates, pushed by L (LinearMap.apply_element for a
+    # vector, _push for a 2-vector), accepted only when B pushes it back to e
+    value = push(frame[1], e)
+    return value if push(frame[0], value) == e else None
+
+
+def _restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str,
+              frame: tuple[LinearMap, LinearMap]) -> LieAlgebra:
+    # restrict, reading coordinates from the frame of the basis
+    vectors = [Multivector.from_coeffs(b) for b in basis]
     structure: dict[tuple[int, int], Multivector] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            fi = Multivector.from_coeffs([p[r][i] for r in range(n)])
-            fj = Multivector.from_coeffs([p[r][j] for r in range(n)])
-            br = g.bracket(fi, fj)
-            v = Multivector.from_coeffs(linalg.mat_vec(p_inv, br.coeffs()))
-            if not v.is_zero():
-                structure[(i, j)] = v
-    return LieAlgebra(name or g.name, n, standard_labels(n), structure)
+    for a, b in combinations(range(len(vectors)), 2):
+        bracket = g.bracket(vectors[a], vectors[b])
+        value = _in_span(frame, bracket, LinearMap.apply_element)
+        if value is None:
+            labels = g.basis_labels
+            raise ValueError(
+                f"span is not bracket-closed: [{vectors[a].render(labels)}, "
+                f"{vectors[b].render(labels)}] = {bracket.render(labels)} lies outside")
+        if not value.is_zero():
+            structure[(a, b)] = value
+    return LieAlgebra(name, len(vectors), standard_labels(len(vectors)), structure)
+
+
+def _restrict_pair(g: LieAlgebra, basis: Sequence[Sequence], name: str, r: Multivector,
+                   x0: Multivector) -> tuple:
+    # (B, restrict(g, basis, name), r_h, x0_h) from one left inverse: r and
+    # x0 in the new coordinates (None outside the span) and B mapping back
+    frame = _frame(basis, g.dim)
+    return (frame[0], _restrict(g, basis, name, frame), _in_span(frame, r, _push),
+            _in_span(frame, x0, LinearMap.apply_element))
+
+
+def change_basis(g: LieAlgebra, columns: Matrix, name: str | None = None) -> LieAlgebra:
+    """Structure constants in a new basis; columns are the new basis vectors.
+    This is restrict on a full family; singular columns raise ValueError."""
+    return restrict(g, linalg.transpose(columns), name or g.name)
 
 
 def coordinates(basis: Sequence[Sequence], v: Iterable) -> list[Fraction] | None:
-    """Coordinates of v in the given independent vectors, or None outside their span."""
+    """Coordinates of v in the given independent vectors, or None outside
+    their span; a dependent family raises ValueError."""
     v = list(v)
-    sol = linalg.solve([[b[i] for b in basis] for i in range(len(v))], v)
-    return None if sol is None else sol[0]
+    columns, inverse = _frame(basis, len(v))
+    coords = inverse.apply(v)
+    return coords if columns.apply(coords) == v else None
 
 
 def restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str) -> LieAlgebra:
     """Bracket of g on the span of independent vectors, in that basis.
 
-    A span that is not bracket-closed raises ValueError naming the witness
-    bracket.
+    A span that is not bracket-closed raises ValueError naming the first
+    witness bracket; a dependent family raises ValueError too.
     """
-    vectors = [Multivector.from_coeffs(b) for b in basis]
-    m = len(basis)
-    structure: dict[tuple[int, int], Multivector] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            bracket = g.bracket(vectors[a], vectors[b])
-            coords = coordinates(basis, bracket.coeffs())
-            if coords is None:
-                labels = g.basis_labels
-                raise ValueError(
-                    f"span is not bracket-closed: [{vectors[a].render(labels)}, "
-                    f"{vectors[b].render(labels)}] = {bracket.render(labels)} lies outside")
-            value = Multivector.from_coeffs(coords)
-            if not value.is_zero():
-                structure[(a, b)] = value
-    return LieAlgebra(name, m, standard_labels(m), structure)
+    return _restrict(g, basis, name, _frame(basis, g.dim))
 
 
 def restrict_bivector(r: Multivector, basis: Iterable[Iterable]) -> Multivector | None:
     """Coordinates of r in the wedge basis of independent vectors, or None
-    when r does not lie in the second exterior power of their span.
+    when r does not lie in the second exterior power of their span; a
+    dependent family raises ValueError.
 
     A span of fewer than two vectors holds only r = 0, returned as the
     top-grade zero Multivector.zero(m, m), the convention wedge uses.
     """
-    vectors = [Multivector.from_coeffs(b) for b in basis]
-    if len(vectors) < 2:
-        return Multivector.zero(len(vectors), len(vectors)) if r.is_zero() else None
-    pairs = list(combinations(range(len(vectors)), 2))
-    wedges = [wedge(vectors[a], vectors[b]) for a, b in pairs]
-    ambient = list(combinations(range(r.dim), 2))
-    coords = coordinates([[w.coefficient(idx) for idx in ambient] for w in wedges],
-                         [r.coefficient(idx) for idx in ambient])
-    if coords is None:
-        return None
-    return Multivector.from_terms(len(vectors), 2, dict(zip(pairs, coords)))
+    return _in_span(_frame([list(b) for b in basis], r.dim), r, _push)

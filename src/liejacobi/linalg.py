@@ -5,20 +5,21 @@ fractions.Fraction (ints are accepted), and every result entry is a Fraction.
 
 One fraction-free elimination kernel, `_echelon`, works on sparse integer
 rows {column: nonzero int}; rref, rank, row_space_basis, nullspace, solve,
-solve_rows and invert read their answers from it.  A Fraction matrix
-enters the kernel through one front end that scales each row's nonzero
-entries to integers by the lcm of their denominators; solve_rows takes
-rows that are integers already, as solve_coboundary builds them from the
-integer tables, with the right-hand side in column cols.  The kernel
-eliminates by cross-multiplication and divides every updated row by its
-content, so no row carries a common factor.  Rows wait in buckets keyed by
-their leading column: a column no row starts at costs nothing, and solve
-and solve_rows stop as soon as the smallest leading column left is the
-right-hand side's, since the system is then inconsistent.  Fractions are
-built only for the output, each entry of a pivot row over its pivot.  The
-reduced row echelon form is unique, so this is exactly the form that
-elimination over Fraction gives.  mat_vec sums in int too, and the LDL^T
-of is_definite uses Bareiss's exact division (Math. Comp. 22, 1968).
+solve_rows and invert, the left inverse that liealg computes once per basis,
+read their answers from it.  A Fraction matrix enters the kernel through one
+front end that scales each row's nonzero entries to integers by the lcm of
+their denominators; solve_rows takes rows that are integers already, as
+solve_coboundary builds them from the integer tables, with the right-hand
+side in column cols.  The kernel eliminates by cross-multiplication and
+divides every updated row by its content, so no row carries a common factor.
+Rows wait in buckets keyed by their leading column: a column no row starts
+at costs nothing, and solve and solve_rows stop as soon as the smallest
+leading column left is the right-hand side's, since the system is then
+inconsistent.  Fractions are built only for the output, each entry of a
+pivot row over its pivot.  The reduced row echelon form is unique, so this
+is exactly the form that elimination over Fraction gives.  mat_vec sums in
+int too, and the LDL^T of is_definite uses Bareiss's exact division
+(Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -234,13 +235,14 @@ def solve_rows(rows, cols: int) -> tuple[Vector, list[Vector]] | None:
 
 
 def invert(a: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises ValueError when singular."""
-    n = len(a)
-    eye = identity(n)
-    m, pivots = rref([[*row, *e] for row, e in zip(a, eye)])
-    if pivots[:n] != list(range(n)):
+    """Left inverse L (L B = I) of a matrix B of independent columns: the first
+    rows of the reduced [B | I], the inverse for square B; else ValueError."""
+    n, m = len(a), len(a[0]) if a else 0
+    rows, pivots = _echelon(_rows([*row, *e] for row, e in zip(a, identity(n))), m + n)
+    if pivots[:m] != list(range(m)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
+    return [[Fraction(row.get(m + j, 0), row[k]) for j in range(n)]
+            for k, row in enumerate(rows[:m])]
 
 
 def is_definite(a: Matrix, positive: bool) -> tuple[bool, list[Fraction]]:

@@ -3,7 +3,8 @@ mixed denominators, maps induced on exterior powers, and reference routes for
 the exterior and structure-constant kernels, the coboundary system, the
 bracket and contraction compatibilities of check_glb, the coadjoint and
 pointwise dual brackets, the sharp-map homomorphism certificate, the
-invariant scalar product and the integer linear-algebra kernel."""
+invariant scalar product, the coordinate solvers of liealg and the integer
+linear-algebra kernel."""
 
 import random
 from dataclasses import replace
@@ -25,7 +26,7 @@ from liejacobi.liealg import (
     killing_form,
     standard_labels,
 )
-from liejacobi.linalg import ONE, ZERO, invert, mat_mul, mat_vec, transpose, zeros
+from liejacobi.linalg import ONE, ZERO, invert, mat_mul, mat_vec, solve, transpose, zeros
 from liejacobi.schouten import ce_differential, schouten, twisted_schouten
 
 
@@ -441,6 +442,61 @@ def invariant_scalar_product_reference(g):
 def b_dual_reference(b_form, covector):
     """Vector v with B(v, .) = covector, by inverting the matrix of B."""
     return mat_vec(invert(b_form.rows), list(covector))
+
+
+# Reference routes for the coordinate solvers of liealg, which read one left
+# inverse per basis: one solve per vector, one wedge-basis system per
+# 2-vector, and the inverse matrix times each bracket for a change of basis.
+
+def coordinates_reference(basis, v):
+    v = list(v)
+    sol = solve([[b[i] for b in basis] for i in range(len(v))], v)
+    return None if sol is None else sol[0]
+
+
+def restrict_reference(g, basis, name):
+    vectors = [Multivector.from_coeffs(b) for b in basis]
+    structure = {}
+    for a, b in combinations(range(len(basis)), 2):
+        bracket = g.bracket(vectors[a], vectors[b])
+        coords = coordinates_reference(basis, bracket.coeffs())
+        if coords is None:
+            labels = g.basis_labels
+            raise ValueError(
+                f"span is not bracket-closed: [{vectors[a].render(labels)}, "
+                f"{vectors[b].render(labels)}] = {bracket.render(labels)} lies outside")
+        value = Multivector.from_coeffs(coords)
+        if not value.is_zero():
+            structure[(a, b)] = value
+    return LieAlgebra(name, len(basis), standard_labels(len(basis)), structure)
+
+
+def restrict_bivector_reference(r, basis):
+    vectors = [Multivector.from_coeffs(b) for b in basis]
+    if len(vectors) < 2:
+        return Multivector.zero(len(vectors), len(vectors)) if r.is_zero() else None
+    pairs = list(combinations(range(len(vectors)), 2))
+    wedges = [wedge(vectors[a], vectors[b]) for a, b in pairs]
+    ambient = list(combinations(range(r.dim), 2))
+    coords = coordinates_reference([[w.coefficient(idx) for idx in ambient] for w in wedges],
+                                   [r.coefficient(idx) for idx in ambient])
+    if coords is None:
+        return None
+    return Multivector.from_terms(len(vectors), 2, dict(zip(pairs, coords)))
+
+
+def change_basis_reference(g, columns, name=None):
+    p = [list(r) for r in columns]
+    p_inv = invert(p)
+    n = g.dim
+    structure = {}
+    for i, j in combinations(range(n), 2):
+        fi = Multivector.from_coeffs([p[r][i] for r in range(n)])
+        fj = Multivector.from_coeffs([p[r][j] for r in range(n)])
+        v = Multivector.from_coeffs(mat_vec(p_inv, g.bracket(fi, fj).coeffs()))
+        if not v.is_zero():
+            structure[(i, j)] = v
+    return LieAlgebra(name or g.name, n, standard_labels(n), structure)
 
 
 # Reference routes for the integer kernel of linalg: Gaussian elimination,

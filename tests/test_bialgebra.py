@@ -59,8 +59,8 @@ from liejacobi.bialgebra import (
 )
 from liejacobi import bialgebra, jacobi, linalg
 from liejacobi.catalog import catalog, catalog_names, heisenberg
-from liejacobi.exterior import Form, Multivector, pair, wedge
-from liejacobi.jacobi import ContactStructure, check_jacobi, contact_to_jacobi
+from liejacobi.exterior import Form, Multivector, contract, pair, wedge
+from liejacobi.jacobi import ContactStructure, JacobiPair, check_jacobi, contact_to_jacobi
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
@@ -570,10 +570,70 @@ def test_build_from_jacobi_refuses_a_wrong_dual(monkeypatch):
     structure = dict(dual.structure)
     structure[(1, 2)] = structure[(1, 2)].scale(2)
     wrong = LieAlgebra(dual.name, dual.dim, dual.basis_labels, structure)
-    monkeypatch.setattr(bialgebra, "build_dual_bracket", lambda _: wrong)
+    monkeypatch.setattr(bialgebra, "_assemble_dual", lambda _: wrong)
     with pytest.raises(ValueError, match="^sharp map is not a homomorphism; "
                                          "construction is inconsistent$"):
         build_from_jacobi(y)
+
+
+def test_yb_hypotheses_are_checked_by_build_dual_bracket_only(monkeypatch):
+    # build_from_jacobi's preconditions imply the hypotheses, so it skips them
+    calls = []
+    check = bialgebra.check_yb_hypotheses
+    monkeypatch.setattr(bialgebra, "check_yb_hypotheses", lambda y: calls.append(y) or check(y))
+    y = YbData(catalog("u2"), Form.basis(4, 3), mv(4, 2, {(1, 2): 1, (0, 3): 1}), -vec(4, 0))
+    result = build_from_jacobi(y)
+    assert calls == []
+    assert build_dual_bracket(y) == result.bialgebra.g_star
+    assert calls == [y]
+
+
+def jacobi_yb_data():
+    """YbData that meet build_from_jacobi's preconditions: the u2, gl2r and
+    abelian(4) Jacobi families at seeded scales, the pairs extracted from the
+    catalog's compact bialgebras, and seeded second- and third-kind data on
+    su2 x R^2."""
+    rng = random.Random(83)
+    nonzero = lambda: mixed_fraction(rng) or F(1)
+    data = []
+    for g in (catalog("u2"), catalog("gl2r"), abelian(4)):
+        phi0 = Form.basis(4, 3) if g.structure else Form.basis(4, 1)
+        r = mv(4, 2, {(1, 2): 1, (0, 3): 1}) if g.structure else mv(4, 2, {(0, 1): 1})
+        for c in (F(1), nonzero(), nonzero()):
+            data.append(YbData(g, phi0, r.scale(c), -vec(4, 0).scale(c)))
+    for name in ("firstkind4", "secondkind4", "thirdkind_u2"):
+        b = catalog(name)
+        data.append(YbData(b.g, b.phi0, extract_jacobi(b, unit_center_vector(b.g, b.phi0)).pair.r,
+                           b.x0))
+    g = direct_product(SU2, abelian(2))
+    e = [g.basis_vector(i) for i in range(5)]
+    for _ in range(4):
+        # e1 and e2 commute; phi0 takes the values that i(phi0) r = x0 forces
+        c1, c2 = (e[3].scale(nonzero()) + e[4].scale(nonzero()) for _ in range(2))
+        e1, e2 = e[rng.randrange(3)].scale(nonzero()) + c1, c2
+        lam, lam1, lam2 = nonzero(), mixed_fraction(rng), mixed_fraction(rng)
+        try:
+            phi0 = bialgebra._solve_cocycle_with_values(
+                g, [(e1.coeffs(), lam2 / lam), (e2.coeffs(), -lam1 / lam)])
+        except ValueError:
+            continue     # c1 and c2 dependent
+        data.append(YbData(g, phi0, wedge(e1, e2).scale(lam), e1.scale(lam1) + e2.scale(lam2)))
+        e4 = e[3].scale(nonzero()) + e[4].scale(mixed_fraction(rng))
+        r, x0 = third_kind_pair(e[0], e[1], e[2], e4, [mixed_fraction(rng) for _ in range(3)])
+        phi0 = bialgebra._solve_cocycle_with_values(
+            g, [(v.coeffs(), value) for v, value in zip((e[0], e[1], e[2], e4), (0, 0, 0, 1))])
+        data.append(YbData(g, phi0, r, x0))
+    return data
+
+
+def test_jacobi_preconditions_imply_the_yb_hypotheses():
+    data = jacobi_yb_data()
+    for y in data:
+        assert check_jacobi(JacobiPair(y.g, y.r, y.x0)).passed
+        assert contract(y.phi0, y.r) == y.x0
+        assert ce_differential(y.g, y.phi0).is_zero()
+        assert check_yb_hypotheses(y).passed, y
+    assert len(data) >= 18 and sum(y.g.dim == 5 for y in data) >= 6
 
 
 def test_extraction_checks_the_jacobi_pair_once(monkeypatch):

@@ -3,18 +3,17 @@ that module, every private module-level function or class is used
 somewhere in the library, only the modules that exterior names touch the
 integer form of elements and tables, the pointwise dual-bracket route reads
 none of it, the coboundary system and the elimination kernel build no
-Fraction, and every linalg name the benchmark uses exists.
+Fraction, and every liejacobi name the benchmark uses exists.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
-
-from liejacobi import linalg
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "liejacobi").glob("*.py"))
@@ -158,36 +157,70 @@ def test_coboundary_system_and_kernel_stay_integer():
     assert all(names.isdisjoint({"Fraction", "ZERO"}) for names in references)
 
 
-def benchmark_linalg_names() -> set[str]:
-    """linalg names that benchmarks/workloads.py calls through its module
-    handle (self.linalg, or a local name bound to it) and that
-    benchmarks/tracer.py names in span strings such as "linalg.rref"."""
+LAYERS = ("linalg", "exterior", "liealg", "schouten", "jacobi", "bialgebra", "documents",
+          "catalog", "cli")
+
+
+def _dotted(node) -> list[str]:
+    """The names of an attribute chain a.b.c, or [] when it does not start
+    at a plain name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.insert(0, node.attr)
+        node = node.value
+    return [node.id, *parts] if isinstance(node, ast.Name) else []
+
+
+def benchmark_layer_names() -> set[tuple[str, str]]:
+    """(layer, dotted name) for each liejacobi name that
+    benchmarks/workloads.py reaches through a layer handle (self.liealg, or a
+    local name bound to one, as in la = self.linalg) and that
+    benchmarks/tracer.py names as a span, such as "liealg.LieAlgebra.validate"
+    (metric keys such as out["linalg.rref.cells"] are left out)."""
     names = set()
     tree = ast.parse((ROOT / "benchmarks" / "workloads.py").read_text())
-    handles = set()
+    handles = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
             target, value = node.targets[0], node.value
             pairs = (zip(target.elts, value.elts) if isinstance(value, ast.Tuple)
                      and isinstance(target, ast.Tuple) else [(target, value)])
             for t, v in pairs:
-                if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "linalg":
-                    handles.add(t.id)
+                chain = _dotted(v)
+                if (isinstance(t, ast.Name) and len(chain) == 2 and chain[0] == "self"
+                        and chain[1] in LAYERS):
+                    handles[t.id] = chain[1]
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            owner = node.value
-            if ((isinstance(owner, ast.Name) and owner.id in handles)
-                    or (isinstance(owner, ast.Attribute) and owner.attr == "linalg")):
-                names.add(node.attr)
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else []
+        if chain[:1] == ["self"] and len(chain) > 2 and chain[1] in LAYERS:
+            names.add((chain[1], ".".join(chain[2:])))
+        elif len(chain) > 1 and chain[0] in handles:
+            names.add((handles[chain[0]], ".".join(chain[1:])))
     tree = ast.parse((ROOT / "benchmarks" / "tracer.py").read_text())
+    keys = {id(node.slice) for node in ast.walk(tree) if isinstance(node, ast.Subscript)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                and node.value.startswith("linalg.")):
-            names.add(node.value.split(".")[1])
+                and id(node) not in keys and node.value.split(".")[0] in LAYERS
+                and "." in node.value):
+            layer, name = node.value.split(".", 1)
+            names.add((layer, name))
     return names
 
 
 def test_benchmark_linalg_names_exist():
-    names = benchmark_linalg_names()
-    assert {"identity", "mat_mul", "invert", "rref"} <= names
-    assert [name for name in sorted(names) if not callable(getattr(linalg, name, None))] == []
+    # every liejacobi name the benchmark uses, so that a rename cannot
+    # silently break it
+    names = benchmark_layer_names()
+    assert {("linalg", "identity"), ("linalg", "mat_mul"), ("linalg", "invert"),
+            ("linalg", "rref"), ("liealg", "change_basis"), ("liealg", "one_cocycles"),
+            ("bialgebra", "solve_coboundary"), ("jacobi", "contact_to_jacobi"),
+            ("exterior", "Multivector.from_coeffs"), ("cli", "main"),
+            ("liealg", "LieAlgebra.validate"), ("documents", "parse")} <= names
+    missing = []
+    for layer, name in sorted(names):
+        obj = importlib.import_module(f"liejacobi.{layer}")
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{layer}.{name}")
+    assert missing == []

@@ -25,6 +25,7 @@ from liejacobi.jacobi import (
     sharp,
 )
 from liejacobi.liealg import abelian, change_basis, direct_product, one_cocycles
+from liejacobi.schouten import ce_differential
 
 
 def _su2_contact_pair(l1, l2, l3):
@@ -257,6 +258,55 @@ def test_lcs_roundtrips_on_random_algebras():
         back = jacobi_to_lcs(jp)
         assert back.omega2 == ls.omega2 and back.lee == ls.lee
     assert len(cases) == 8 and sum(not ls.lee.is_zero() for ls in cases) >= 4
+
+
+def _conformal_forms(g, lee):
+    """Basis of the 2-forms omega with d(omega) = lee ^ omega, a linear
+    condition on omega for a fixed Lee form."""
+    pairs = list(combinations(range(g.dim), 2))
+    triples = list(combinations(range(g.dim), 3))
+    images = []
+    for ij in pairs:
+        e = Form.from_terms(g.dim, 2, {ij: 1})
+        image = ce_differential(g, e) - wedge(lee, e)
+        images.append([image.coefficient(t) for t in triples])
+    system = [[image[t] for image in images] for t in range(len(triples))]
+    return [Form.from_terms(g.dim, 2, dict(zip(pairs, v))) for v in linalg.nullspace(system)]
+
+
+def test_lcs_roundtrips_on_seeded_conformal_forms():
+    # non-abelian algebras of dim 4 and 6 in seeded mixed-denominator bases,
+    # a seeded closed Lee form and a seeded 2-form among those with
+    # d(omega) = lee ^ omega that the constructor accepts
+    rng = random.Random(2029)
+    u2, sol = catalog("u2"), catalog("solvable2")
+    nonzero_lee = 0
+    for g in (u2, catalog("gl2r"), direct_product(heisenberg(1), abelian(1)),
+              direct_product(u2, sol), direct_product(sol, direct_product(sol, sol))):
+        g = change_basis(g, random_basis(rng, g.dim), name=f"{g.name}.mixed")
+        cocycles = one_cocycles(g).elements()
+        found = 0
+        for _ in range(60):
+            lee = Form.zero(g.dim, 1)
+            for c in cocycles:
+                lee = lee + c.scale(rng.randint(-2, 2))
+            omega = Form.zero(g.dim, 2)
+            for f in _conformal_forms(g, lee):
+                omega = omega + f.scale(mixed_fraction(rng))
+            try:
+                ls = LcsStructure(g, omega, lee)
+            except ValueError:
+                continue     # degenerate
+            jp = lcs_to_jacobi(ls)
+            assert check_jacobi(jp).passed and rank(jp) == g.dim
+            back = jacobi_to_lcs(jp)
+            assert (back.omega2, back.lee) == (ls.omega2, ls.lee)
+            found += 1
+            nonzero_lee += not lee.is_zero()
+            if found == 4:
+                break
+        assert found, g.name
+    assert nonzero_lee >= 16
 
 
 def test_lcs_rank_test_matches_wedge_power():

@@ -13,7 +13,9 @@ from helpers import (
     ad_matrix,
     bracket_jacobiator_reference,
     bracket_reference,
+    change_basis_reference,
     compact_algebras,
+    coordinates_reference,
     determinant,
     fm,
     invariant_scalar_product_reference,
@@ -23,13 +25,23 @@ from helpers import (
     mixed_algebras,
     mixed_fraction,
     mv,
+    random_basis,
+    random_element,
     random_fraction,
+    restrict_bivector_reference,
+    restrict_reference,
     vec,
 )
-from liejacobi.bialgebra import GeneralizedBialgebra, check_glb
+from liejacobi.bialgebra import (
+    GeneralizedBialgebra,
+    _classify_semidirect,
+    build_semidirect_glb,
+    check_glb,
+    glb_from_cocycle,
+)
 from liejacobi.catalog import catalog, catalog_names, heisenberg
-from liejacobi import exterior, liealg
-from liejacobi.exterior import Form, Multivector
+from liejacobi import exterior, liealg, linalg
+from liejacobi.exterior import Form, Multivector, wedge
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
@@ -54,7 +66,7 @@ from liejacobi.liealg import (
     semidirect_by_derivation,
     standard_labels,
 )
-from liejacobi.linalg import ZERO, identity, mat_mul, transpose
+from liejacobi.linalg import ONE, ZERO, identity, mat_mul, rank, transpose
 
 
 def test_constructor_rejects_malformed_input():
@@ -496,3 +508,174 @@ def test_subspace_membership():
 def test_dual_labels():
     g = catalog("su2")
     assert g.dual_labels == ("e^1", "e^2", "e^3")
+
+
+# One left inverse per basis: coordinates, restrict, restrict_bivector and
+# change_basis read L = linalg.invert(B) for the matrix B of the basis and
+# accept L v only when B (L v) == v.  They must agree exactly with the
+# reference routes in helpers, which solve one system per vector or 2-vector.
+
+def _outcome(fn, *args):
+    # the result, or the message of the ValueError raised
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _basis_cases():
+    """(algebra, basis): catalog algebras, heisenberg(1, n) and seeded
+    mixed-denominator algebras, each with the identity, a seeded
+    mixed-denominator and a dense unimodular family, the first 0, 1, 2 and
+    n - 1 vectors of each (spans that are mostly not bracket-closed), and the
+    rows of the center and the derived algebra."""
+    rng = random.Random(61)
+    su2_r2 = direct_product(catalog("su2"), abelian(2))
+    cases = []
+    for g in (_catalog_algebras() + mixed_algebras()[0]
+              + [change_basis(su2_r2, _dense_unimodular(5, 4))]):
+        n = g.dim
+        for family in (identity(n), transpose(random_basis(rng, n)),
+                       transpose(_dense_unimodular(n, n))):
+            cases += [(g, [list(v) for v in family[:k]]) for k in sorted({0, 1, 2, n - 1, n})]
+        cases += [(g, [list(r) for r in s.rows]) for s in (center(g), derived_algebra(g))]
+    return cases
+
+
+def _same_bivector(got, want):
+    return got == want and (got is None or (got.dim, got.grade) == (want.dim, want.grade))
+
+
+def test_coordinate_solvers_match_reference_routes():
+    rng = random.Random(62)
+    closed = opened = inside = outside = wedge_inside = wedge_outside = 0
+    for g, basis in _basis_cases():
+        n, k = g.dim, len(basis)
+        got = _outcome(restrict, g, basis, "h")
+        assert got == _outcome(restrict_reference, g, basis, "h"), (g.name, basis)
+        closed += isinstance(got, LieAlgebra)
+        opened += isinstance(got, str)
+        if k == n:
+            cols = transpose(basis)
+            assert change_basis(g, cols) == change_basis_reference(g, cols)
+            assert change_basis(g, cols, "moved") == change_basis_reference(g, cols, "moved")
+        weights = [mixed_fraction(rng) for _ in basis]
+        combination = [sum((w * b[i] for w, b in zip(weights, basis)), ZERO) for i in range(n)]
+        for v in (combination, [mixed_fraction(rng) for _ in range(n)], [ZERO] * n):
+            got = coordinates(basis, v)
+            assert got == coordinates_reference(basis, v), (g.name, basis, v)
+            inside += got is not None and any(v)
+            outside += got is None
+        if n < 2:
+            continue
+        vectors = [Multivector.from_coeffs(b) for b in basis]
+        wedges = Multivector.zero(n, 2)
+        for a, c in combinations(range(k), 2):
+            wedges = wedges + wedge(vectors[a], vectors[c]).scale(mixed_fraction(rng))
+        for r in (wedges, random_element(rng, Multivector, n, 2, terms=3), Multivector.zero(n, 2)):
+            got = restrict_bivector(r, basis)
+            assert _same_bivector(got, restrict_bivector_reference(r, basis)), (g.name, basis, r)
+            wedge_inside += got is not None and not r.is_zero()
+            wedge_outside += got is None
+    assert min(closed, opened, inside, outside, wedge_inside, wedge_outside) > 20
+
+
+def test_coordinate_solvers_keep_their_small_cases():
+    # families of 0 and 1 vectors, and the witness of a span that is not closed
+    su2 = catalog("su2")
+    assert coordinates([], [0, 0, 0]) == [] and coordinates([], [0, 1, 0]) is None
+    assert coordinates([[0, 2, 0]], [0, 1, 0]) == [Fraction(1, 2)]
+    assert coordinates([[0, 2, 0]], [1, 1, 0]) is None
+    assert restrict(su2, [], "h") == LieAlgebra("h", 0, (), {})
+    assert restrict(su2, [[1, 1, 0]], "h") == LieAlgebra("h", 1, ("e1",), {})
+    with pytest.raises(ValueError, match=r"^span is not bracket-closed: \[e1 \+ e2, e3\] = "
+                                         r"e1 - e2 lies outside$"):
+        restrict(su2, [[1, 1, 0], [0, 0, 1]], "h")
+
+
+def test_dependent_families_raise():
+    su2 = catalog("su2")
+    for basis in ([[1, 2, 0], [2, 4, 0]], [[0, 0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        for call in (lambda: coordinates(basis, [1, 2, 0]), lambda: restrict(su2, basis, "h"),
+                     lambda: restrict_bivector(mv(3, 2, {}), basis)):
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                call()
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        change_basis(su2, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+
+
+def test_restrict_pair_matches_the_three_restrictions():
+    # one left inverse for the bracket, a 2-vector and a vector
+    g = change_basis(direct_product(catalog("su2"), abelian(2)), _dense_unimodular(5, 4))
+    basis = [list(r) for r in derived_algebra(g).rows + center(g).rows[:1]]
+    vectors = [Multivector.from_coeffs(b) for b in basis]
+    r_in = wedge(vectors[0], vectors[3]) + wedge(vectors[1], vectors[2]).scale(Fraction(-2, 3))
+    for r, x0 in ((r_in, vectors[2].scale(3) - vectors[0]),
+                  (wedge(vec(5, 0), vec(5, 1)), g.basis_vector(4)),
+                  (Multivector.zero(5, 2), g.zero_vector())):
+        inclusion, h, r_h, x0_h = liealg._restrict_pair(g, basis, "h", r, x0)
+        assert inclusion == LinearMap.from_columns(basis)
+        assert h == restrict_reference(g, basis, "h")
+        assert _same_bivector(r_h, restrict_bivector_reference(r, basis))
+        coords = coordinates_reference(basis, x0.coeffs())
+        assert x0_h == (None if coords is None else Multivector.from_coeffs(coords))
+
+
+def test_each_basis_is_eliminated_once(monkeypatch):
+    calls = []
+    kernel = linalg._echelon
+
+    def counted(rows, stop):
+        calls.append(stop)
+        return kernel(rows, stop)
+
+    def eliminations(fn, *args):
+        start = len(calls)
+        fn(*args)
+        return len(calls) - start
+
+    g = change_basis(direct_product(catalog("su2"), abelian(2)), _dense_unimodular(5, 4))
+    basis = [list(r) for r in derived_algebra(g).rows + center(g).rows[:1]]
+    vectors = [Multivector.from_coeffs(b) for b in basis]
+    r = wedge(vectors[0], vectors[3]) + wedge(vectors[1], vectors[2])
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    assert eliminations(coordinates, basis, g.bracket(vectors[0], vectors[1]).coeffs()) == 1
+    assert eliminations(restrict, g, basis, "h") == 1
+    assert eliminations(restrict_bivector, r, basis) == 1
+    assert eliminations(change_basis, g, _dense_unimodular(5, 6)) == 1
+    assert eliminations(liealg._restrict_pair, g, basis, "h", r, vectors[2]) == 1
+    # _classify_semidirect eliminates its adapted basis once, besides the
+    # invariant product, the kernel of theta0 and the rebuilt bialgebra
+    zero_dual = LieAlgebra("su2*", 3, ("f1", "f2", "f3"), {})
+    ad1 = LinearMap.from_columns([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    semidirect = [glb_from_cocycle(heisenberg(1), Form.basis(3, 0)),
+                  build_semidirect_glb(catalog("su2"), zero_dual, ad1)]
+    for b in semidirect:
+        cert = _classify_semidirect(b)
+        others = (eliminations(invariant_scalar_product, b.g)
+                  + eliminations(linalg.nullspace, [cert.theta0.coeffs()])
+                  + eliminations(build_semidirect_glb, cert.subalgebra, cert.dual_subalgebra,
+                                 cert.psi))
+        assert eliminations(_classify_semidirect, b) == others + 1
+
+
+def test_subspace_contains_matches_the_rank_route(monkeypatch):
+    rng = random.Random(63)
+    seen = set()
+    for n in (1, 2, 3, 5):
+        for k in (0, 1, n):
+            vectors = [[mixed_fraction(rng) or ONE for _ in range(n)] for _ in range(k)]
+            s = Subspace.from_vectors(n, vectors)
+            rows = [list(r) for r in s.rows]
+            seen.add((n, s.rank))
+            weights = [mixed_fraction(rng) for _ in vectors]
+            inside = [sum((w * v[i] for w, v in zip(weights, vectors)), ZERO) for i in range(n)]
+            candidates = [inside, [mixed_fraction(rng) for _ in range(n)], [ZERO] * n, *rows]
+            for v in candidates:
+                assert s.contains(v) == (rank(rows + [v]) == s.rank), (rows, v)
+    assert {(5, 0), (5, 1), (5, 5), (3, 3)} <= seen
+    u2_center = center(catalog("u2"))
+    calls = []
+    monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(args))
+    assert u2_center.contains([0, 0, 0, 7]) and not u2_center.contains([1, 0, 0, 7])
+    assert not calls

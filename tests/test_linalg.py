@@ -336,6 +336,34 @@ def test_kernel_matches_sympy():
     assert min(square.values()) > 0
 
 
+def test_tall_invert_is_the_left_inverse_of_sympy_rref():
+    # L = the first m rows of the reduced [B | I] for an n x m matrix B of
+    # independent columns, so L B = I; dependent columns and wide matrices raise
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(73)
+    outcomes = {True: 0, False: 0}
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, n + 1)
+        b = [[mixed_fraction(rng) for _ in range(m)] for _ in range(n)]
+        if m > 1 and rng.random() < 0.3:
+            for row in b:
+                row[-1] = row[0] * 3 - row[1] if m > 2 else row[0] * 2
+        s = _sympy_matrix(sympy, b)
+        independent = s.rank() == m
+        outcomes[independent] += 1
+        if not independent:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                invert(b)
+            continue
+        reduced = sympy.Matrix.hstack(s, sympy.eye(n)).rref()[0]
+        left = invert(b)
+        assert left == [[_from_sympy(reduced[i, m + j]) for j in range(n)] for i in range(m)]
+        assert mat_mul(left, b) == identity(m)
+    assert min(outcomes.values()) > 10
+    assert invert([[], []]) == []
+
+
 # solve_rows: sparse integer rows of [a | b], the right-hand side in column
 # cols, against solve on the same system as Fractions, the reference
 # elimination and sympy
