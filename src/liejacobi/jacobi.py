@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from liejacobi.exterior import Form, Multivector, contract, pair, wedge, wedge_power
 from liejacobi.liealg import (
@@ -262,8 +263,9 @@ def lcs_to_jacobi(ls: LcsStructure) -> JacobiPair:
     g = ls.algebra
     binv = invert(_flat_matrix(ls.omega2))
     x0 = Multivector.from_coeffs(mat_vec(binv, ls.lee.coeffs()))
-    # r(e^i, e^j) = e^j(#_r e^i) with #_r = -b^{-1}, which is Omega(b^{-1} e^i, b^{-1} e^j)
-    jp = JacobiPair(g, _push(LinearMap.from_columns(binv), ls.omega2), x0)
+    # r(e^i, e^j) = e^j(#_r e^i) with #_r = -b^{-1}
+    terms = {(i, j): -binv[j][i] for i, j in combinations(range(g.dim), 2) if binv[j][i]}
+    jp = JacobiPair(g, Multivector.from_terms(g.dim, 2, terms), x0)
     report = check_jacobi(jp)
     if not report.passed:
         raise ValueError("l.c.s. data produced an invalid pair:\n" + report.describe())

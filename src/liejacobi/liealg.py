@@ -14,9 +14,8 @@ Structural computations (center, derived algebra, cocycles, derivations,
 compactness) reduce to the integer kernel of linalg, and a linear map
 applies its matrix, kept as integers over one common denominator, in int
 arithmetic too.  Every change of coordinates (coordinates, restrict,
-restrict_bivector, change_basis and the restrictions of a Jacobi pair)
-eliminates its basis once: it reads the left inverse L of the matrix B whose
-columns are the basis, and accepts L v only when B (L v) == v.
+restrict_bivector, change_basis, a Jacobi pair's restriction) eliminates its
+basis B once for its left inverse L, and accepts L v only when B (L v) == v.
 """
 
 from __future__ import annotations
@@ -237,20 +236,21 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of an algebra or of its dual, kept in reduced echelon form."""
+    """Subspace of an algebra or of its dual; the constructor reduces its rows."""
 
     dim: int
     rows: tuple[tuple[Fraction, ...], ...]
     dual: bool = False
 
+    def __post_init__(self):
+        mat = [[frac(c) for c in v] for v in self.rows]
+        if any(len(row) != self.dim for row in mat):
+            raise ValueError("vector length must equal the ambient dimension")
+        object.__setattr__(self, "rows", tuple(tuple(r) for r in linalg.row_space_basis(mat)))
+
     @classmethod
     def from_vectors(cls, dim: int, vectors: Iterable[Iterable], dual: bool = False) -> "Subspace":
-        mat = [[frac(c) for c in v] for v in vectors]
-        for row in mat:
-            if len(row) != dim:
-                raise ValueError("vector length must equal the ambient dimension")
-        basis = linalg.row_space_basis(mat)
-        return cls(dim, tuple(tuple(r) for r in basis), dual)
+        return cls(dim, tuple(tuple(v) for v in vectors), dual)
 
     @classmethod
     def from_elements(cls, elements: Iterable) -> "Subspace":
@@ -267,6 +267,8 @@ class Subspace:
     def contains(self, coeffs: Iterable) -> bool:
         # rows in reduced echelon form: v is in the span iff v - sum_k v[p_k] row_k = 0
         v = [frac(c) for c in coeffs]
+        if len(v) != self.dim:
+            raise ValueError("vector length must equal the ambient dimension")
         for row in self.rows:
             c = v[next(j for j, x in enumerate(row) if x)]
             v = [x - c * y for x, y in zip(v, row)]
@@ -635,9 +637,8 @@ def coordinates(basis: Sequence[Sequence], v: Iterable) -> list[Fraction] | None
     """Coordinates of v in the given independent vectors, or None outside
     their span; a dependent family raises ValueError."""
     v = list(v)
-    columns, inverse = _frame(basis, len(v))
-    coords = inverse.apply(v)
-    return coords if columns.apply(coords) == v else None
+    value = _in_span(_frame(basis, len(v)), Multivector.from_coeffs(v), LinearMap.apply_element)
+    return None if value is None else [value.coefficient((i,)) for i in range(value.dim)]
 
 
 def restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str) -> LieAlgebra:

@@ -3,7 +3,7 @@ that module, every private module-level function or class is used
 somewhere in the library, only the modules that exterior names touch the
 integer form of elements and tables, the pointwise dual-bracket route reads
 none of it, the coboundary system and the elimination kernel build no
-Fraction, and every liejacobi name the benchmark uses exists.
+Fraction, and every liejacobi name the benchmark uses exists and is callable.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -221,6 +221,6 @@ def test_benchmark_linalg_names_exist():
         obj = importlib.import_module(f"liejacobi.{layer}")
         for part in name.split("."):
             obj = getattr(obj, part, None)
-        if obj is None:
+        if obj is None or not callable(obj):
             missing.append(f"{layer}.{name}")
     assert missing == []

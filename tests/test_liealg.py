@@ -679,3 +679,21 @@ def test_subspace_contains_matches_the_rank_route(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(args))
     assert u2_center.contains([0, 0, 0, 7]) and not u2_center.contains([1, 0, 0, 7])
     assert not calls
+
+
+def test_subspace_checks_lengths_and_reduces_its_rows():
+    s = Subspace.from_vectors(3, [[1, 2, 0], [0, 0, 1]])
+    for v in ([1, 2], [1, 2, 0, 0]):
+        with pytest.raises(ValueError, match="vector length"):
+            s.contains(v)
+    with pytest.raises(ValueError, match="vector length"):
+        Subspace(3, ((1, 2),))
+    assert Subspace(3, s.rows) == s and Subspace(3, ()).contains([0, 0, 0])
+    assert replace(s, dual=True).rows == s.rows
+    # rows given to the constructor directly are reduced, so contains holds for any rows
+    for rows in ([[2, 4, 0], [0, 0, 3]],                    # pivots not 1
+                 [[0, 0, 1], [1, 2, 0], [0, 0, 0]],         # pivots decreasing, a zero row
+                 [[1, 2, 1], [0, 0, 1]]):                   # not reduced above a pivot
+        direct = Subspace(3, tuple(tuple(r) for r in rows))
+        assert direct == s and direct.rows == s.rows
+        assert direct.contains([3, 6, -1]) and not direct.contains([0, 1, 0])
