@@ -34,6 +34,7 @@ from liejacobi.liealg import (
     LinearMap,
     Subspace,
     ValidationReport,
+    _contraction,
     _frame,
     _restrict,
     _restrict_pair,
@@ -334,17 +335,6 @@ def _check_route_args(g: LieAlgebra, phi0: Form, r: Multivector, x0: Multivector
             raise ValueError(f"{name} must have grade {grade}")
 
 
-def _bivector_matrix(r: Multivector) -> tuple[list[list[int]], int]:
-    """(R, dr): r(e^a, e^b) = R[a][b] / dr, R antisymmetric, so that
-    (#_r e^a)_b = R[a][b] / dr."""
-    n = r.dim
-    nums, dr = r._ints()
-    rows = [[0] * n for _ in range(n)]
-    for (a, b), v in nums.items():
-        rows[a][b], rows[b][a] = v, -v
-    return rows, dr
-
-
 def dual_bracket_adjoint_route(g: LieAlgebra, phi0: Form, r: Multivector,
                                x0: Multivector) -> dict:
     """Dual structure constants via coadjoint operators:
@@ -353,12 +343,14 @@ def dual_bracket_adjoint_route(g: LieAlgebra, phi0: Form, r: Multivector,
 
     Summed as integers from the table's columns: d e^i = -sum_{a<b} c_ab^i
     e^a^e^b, i(s)(e^a^e^b) = s_a e^b - s_b e^a and (#_r e^j)_m = r(e^j, e^m),
-    over den * dr * dphi * dx."""
+    read from the columns of the integer form of _contraction(r) over dr,
+    all over den * dr * dphi * dx."""
     _check_route_args(g, phi0, r, x0)
     n = g.dim
     den = g._ad[0]
     columns = g._columns
-    rr, dr = _bivector_matrix(r)
+    dr, rows = _contraction(r)._ints
+    rr = list(zip(*rows))     # rr[a] = #_r e^a over dr
     phis, dphi = phi0._ints()
     xs, dx = x0._ints()
     x = [xs.get((m,), 0) for m in range(n)]
@@ -483,9 +475,11 @@ def build_from_jacobi(y: YbData) -> JacobiBuildResult:
 
 def _check_sharp_homomorphism(g: LieAlgebra, dual: LieAlgebra, r: Multivector) -> None:
     """Raise unless #_r [e^i, e^j]* = -[#_r e^i, #_r e^j] for all i < j.
-    With #_r e^a = sum_m R[a][m] e_m / dr, both sides are summed as integers
-    over den* * den * dr^2 from the two tables."""
-    rr, dr = _bivector_matrix(r)
+    With #_r e^a = sum_m R[a][m] e_m / dr, R[a] the column a of the integer
+    form of _contraction(r), both sides are summed as integers over
+    den* * den * dr^2 from the two tables."""
+    dr, rows = _contraction(r)._ints
+    rr = list(zip(*rows))
     dens, dual_table = dual._ad
     den, table = g._ad
     n = g.dim

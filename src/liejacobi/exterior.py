@@ -19,9 +19,10 @@ builders, with `_from_ints`, outside this module are:
     from the tables of g, g*), `_coboundary_system` (the integer rows of
     solve_coboundary, from that action and the forms of d_{*X0}(e_i)),
     the adjoint kernel `dual_bracket_adjoint_route` (the dual bracket from
-    the columns of g and the forms of r, phi0, X0) and the certificate
+    the columns of g and the forms of phi0, X0) and the certificate
     `_check_sharp_homomorphism` (-#_r a homomorphism g* -> g, from both
-    tables).
+    tables); both read r as `liealg._contraction(r)`, the one matrix of a
+    2-tensor, through that matrix's integer form.
 The kernels here, element arithmetic and the structure-constant sums of
 `liealg`, `schouten` and `bialgebra` sum in int arithmetic and return
 results through `_Element._from_ints`, which reduces the sums by one gcd and

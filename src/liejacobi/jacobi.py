@@ -6,6 +6,9 @@ Rank counts the characteristic subspace im(#_r) + <X0>, which is always a
 subalgebra; odd rank restricts to a contact form, even rank to a locally
 conformal symplectic (l.c.s.) pair.  The conversions here are exact inverses
 of each other and every constructor re-verifies the defining identities.
+Every matrix of a 2-tensor here, #_r and the flat maps of omega2 and d eta,
+is liealg's `_contraction`, and `_inverse_tensor` reads r or omega2 back
+from the inverse of one.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
     Subspace,
+    _contraction,
     _push,
     _restrict_pair,
     abelian,
@@ -88,13 +92,20 @@ def sharp(obj: JacobiPair | Multivector) -> LinearMap:
         raise TypeError("sharp expects a jacobi pair or a 2-vector")
     if not r.is_zero() and r.grade != 2:
         raise ValueError("sharp is defined for 2-vectors")
-    n = r.dim
-    cols = [contract(Form.basis(n, j), r).coeffs() for j in range(n)]
-    return LinearMap.from_columns(cols)
+    return _contraction(r)
+
+
+def _inverse_tensor(p: Multivector | Form, kind: type) -> tuple:
+    """(q, M^-1) for M = _contraction(p): q is the 2-tensor of the given kind
+    with _contraction(q) = -M^-1, read as q^ij = -M^-1[j][i]."""
+    minv = invert(_contraction(p).rows)
+    terms = {(i, j): -minv[j][i] for i, j in combinations(range(p.dim), 2) if minv[j][i]}
+    return kind.from_terms(p.dim, 2, terms), minv
 
 
 def _span_with_x0(jp: JacobiPair) -> Subspace:
-    vectors = sharp(jp).transpose().rows
+    # #_r is antisymmetric, so its rows span its image
+    vectors = sharp(jp).rows
     vectors.append(jp.x0.coeffs())
     return Subspace.from_vectors(jp.algebra.dim, vectors)
 
@@ -188,8 +199,8 @@ class LcsStructure:
             raise TypeError("lee must be a 1-form on the algebra")
         if not self.lee.is_zero() and self.lee.grade != 1:
             raise ValueError("lee must have grade 1")
-        # omega2^k != 0 exactly when the flat matrix has full rank
-        if linalg.rank(_flat_matrix(self.omega2)) < n:
+        # omega2^k != 0 exactly when the flat map has full rank
+        if linalg.rank(_contraction(self.omega2).rows) < n:
             raise ValueError("omega2 is degenerate: omega2^k = 0")
         if not ce_differential(self.algebra, self.lee).is_zero():
             raise ValueError("lee form is not a 1-cocycle")
@@ -198,24 +209,15 @@ class LcsStructure:
             raise ValueError("d(omega2) != lee ^ omega2")
 
 
-def _flat_contact(cs: ContactStructure) -> LinearMap:
-    # b_eta(X) = i(X)(d eta) + eta(X) eta, written in dual coordinates.
-    g, eta = cs.algebra, cs.eta
-    d_eta = ce_differential(g, eta)
-    cols = []
-    for j in range(g.dim):
-        x = Multivector.basis(g.dim, j)
-        form = contract(x, d_eta) + eta.scale(pair(eta, x))
-        cols.append(form.coeffs())
-    return LinearMap.from_columns(cols)
-
-
 def contact_to_jacobi(cs: ContactStructure) -> JacobiPair:
     """Reeb vector and 2-vector of a contact form: X0 = b^{-1}(eta), r = d eta pulled back."""
     g, eta = cs.algebra, cs.eta
     d_eta = ce_differential(g, eta)
-    binv = invert(_flat_contact(cs).rows)
-    x0 = Multivector.from_coeffs(mat_vec(binv, eta.coeffs()))
+    # b_eta(X) = i(X)(d eta) + eta(X) eta: the contraction of d eta plus eta (x) eta
+    e = eta.coeffs()
+    binv = invert([[c + a * b for c, b in zip(row, e)]
+                   for a, row in zip(e, _contraction(d_eta).matrix)])
+    x0 = Multivector.from_coeffs(mat_vec(binv, e))
     if not contract(x0, d_eta).is_zero() or pair(eta, x0) != 1:
         raise ValueError("flat map inversion did not produce the Reeb vector")
     # r(e^i, e^j) = d eta(b^{-1} e^i, b^{-1} e^j)
@@ -235,7 +237,7 @@ def jacobi_to_contact(jp: JacobiPair) -> ContactStructure:
     n = g.dim
     if n % 2 == 0 or rank(jp) != n:
         raise ValueError("jacobi pair does not have full odd rank")
-    rows = sharp(jp).transpose().rows
+    rows = sharp(jp).rows     # spans im(#_r), #_r being antisymmetric
     rhs = [ZERO for _ in rows]
     rows.append(jp.x0.coeffs())
     rhs.append(Fraction(1))
@@ -250,22 +252,11 @@ def jacobi_to_contact(jp: JacobiPair) -> ContactStructure:
     return cs
 
 
-def _flat_matrix(omega2: Form) -> list[list[Fraction]]:
-    # b_Omega(X) = i(X) Omega in dual coordinates: b[i][j] = Omega(e_j, e_i)
-    rows = [[ZERO] * omega2.dim for _ in range(omega2.dim)]
-    for (a, c), w in omega2.terms.items():
-        rows[a][c], rows[c][a] = -w, w
-    return rows
-
-
 def lcs_to_jacobi(ls: LcsStructure) -> JacobiPair:
     """X0 = b^{-1}(lee) and r with #_r = -b^{-1} for the 2-form's flat map b."""
     g = ls.algebra
-    binv = invert(_flat_matrix(ls.omega2))
-    x0 = Multivector.from_coeffs(mat_vec(binv, ls.lee.coeffs()))
-    # r(e^i, e^j) = e^j(#_r e^i) with #_r = -b^{-1}
-    terms = {(i, j): -binv[j][i] for i, j in combinations(range(g.dim), 2) if binv[j][i]}
-    jp = JacobiPair(g, Multivector.from_terms(g.dim, 2, terms), x0)
+    r, binv = _inverse_tensor(ls.omega2, Multivector)
+    jp = JacobiPair(g, r, Multivector.from_coeffs(mat_vec(binv, ls.lee.coeffs())))
     report = check_jacobi(jp)
     if not report.passed:
         raise ValueError("l.c.s. data produced an invalid pair:\n" + report.describe())
@@ -278,16 +269,8 @@ def jacobi_to_lcs(jp: JacobiPair) -> LcsStructure:
     n = g.dim
     if n % 2 or rank(jp) != n:
         raise ValueError("jacobi pair does not have full even rank")
-    sharp_matrix = sharp(jp).rows
-    flat = [[-c for c in row] for row in invert(sharp_matrix)]
-    terms = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = flat[j][i]   # Omega(e_i, e_j) = b(e_i)(e_j)
-            if c != 0:
-                terms[(i, j)] = c
-    omega2 = Form.from_terms(n, 2, terms)
-    lee = Form.from_coeffs(mat_vec(flat, jp.x0.coeffs()))
+    omega2, sinv = _inverse_tensor(jp.r, Form)
+    lee = Form.from_coeffs([-c for c in mat_vec(sinv, jp.x0.coeffs())])
     ls = LcsStructure(g, omega2, lee)
     back = lcs_to_jacobi(ls)
     if back.r != jp.r or back.x0 != jp.x0:

@@ -11,11 +11,15 @@ summed from them in int arithmetic, with one Fraction built per output
 coefficient.  The Jacobi identity is summed once per algebra and kept with
 the table; validate builds its report from those sums on every call.
 Structural computations (center, derived algebra, cocycles, derivations,
-compactness) reduce to the integer kernel of linalg, and a linear map
-applies its matrix, kept as integers over one common denominator, in int
-arithmetic too.  Every change of coordinates (coordinates, restrict,
-restrict_bivector, change_basis, a Jacobi pair's restriction) eliminates its
-basis B once for its left inverse L, and accepts L v only when B (L v) == v.
+compactness) reduce to the integer kernel of linalg, the center on integer
+rows read from the table.  A linear map applies its matrix, kept as
+integers over one common denominator, in int arithmetic too.  The one
+matrix of a 2-vector or 2-form p is `_contraction`, x -> i(x)p read from
+p's terms: the sharp map, the contact and l.c.s. flat maps and the
+dual-bracket kernels all read it.  Every change of coordinates
+(coordinates, restrict, restrict_bivector, change_basis, a Jacobi pair's
+restriction) eliminates its basis B once for its left inverse L, and
+accepts L v only when B (L v) == v.
 """
 
 from __future__ import annotations
@@ -292,14 +296,14 @@ def annihilator(s: Subspace) -> Subspace:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """{x : [x, y] = 0 for all y}."""
-    rows = []
-    for j in range(g.dim):
-        ad_cols = [g.bracket_basis(i, j).coeffs() for i in range(g.dim)]
-        for component in range(g.dim):
-            rows.append([ad_cols[i][component] for i in range(g.dim)])
-    basis = linalg.nullspace(rows) if rows else []
-    return Subspace.from_vectors(g.dim, basis)
+    """{x : [x, y] = 0 for all y}: the solutions of sum_i x_i N_ij^k = 0,
+    one integer row {i: N_ij^k} of the table per (j, k)."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for i, row in enumerate(g._ad[1]):
+        for j, terms in row.items():
+            for k, v in terms.items():
+                rows.setdefault((j, k), {})[i] = v
+    return Subspace.from_vectors(g.dim, linalg.solve_rows(rows.values(), g.dim)[1])
 
 
 def derived_algebra(g: LieAlgebra) -> Subspace:
@@ -580,6 +584,17 @@ def _frame(basis: Sequence[Sequence], n: int) -> tuple[LinearMap, LinearMap]:
     is its left inverse, the one elimination of the basis."""
     columns = LinearMap.from_rows([[b[i] for b in basis] for i in range(n)])
     return columns, LinearMap.from_rows(linalg.invert(columns.rows))
+
+
+def _contraction(p: Multivector | Form) -> LinearMap:
+    """The map x -> i(x)p of a 2-vector or 2-form p, read from its terms:
+    entry [b][a] = p^ab = -entry [a][b], so column j is the contraction of
+    the j-th basis element of the opposite kind into p."""
+    n = p.dim
+    rows = [[ZERO] * n for _ in range(n)]
+    for (a, b), c in p.terms.items():
+        rows[b][a], rows[a][b] = c, -c
+    return LinearMap(tuple(map(tuple, rows)))
 
 
 def _push(matrix: LinearMap, p: Multivector | Form) -> Multivector:

@@ -3,6 +3,7 @@ mixed denominators, maps induced on exterior powers, and reference routes for
 the exterior and structure-constant kernels, the coboundary system, the
 bracket and contraction compatibilities of check_glb, the coadjoint and
 pointwise dual brackets, the sharp-map homomorphism certificate, the
+contraction matrix of a 2-tensor and the contact flat map, the center, the
 invariant scalar product, the coordinate solvers of liealg and the integer
 linear-algebra kernel."""
 
@@ -14,10 +15,10 @@ from itertools import combinations
 from liejacobi.bialgebra import GeneralizedBialgebra
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.exterior import Form, Multivector, contract, evaluate_on, pair, sort_index, wedge
-from liejacobi.jacobi import sharp
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
+    Subspace,
     ValidationReport,
     abelian,
     change_basis,
@@ -26,7 +27,17 @@ from liejacobi.liealg import (
     killing_form,
     standard_labels,
 )
-from liejacobi.linalg import ONE, ZERO, invert, mat_mul, mat_vec, solve, transpose, zeros
+from liejacobi.linalg import (
+    ONE,
+    ZERO,
+    invert,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    solve,
+    transpose,
+    zeros,
+)
 from liejacobi.schouten import ce_differential, schouten, twisted_schouten
 
 
@@ -351,6 +362,30 @@ def contraction_compat_reference(b):
     return tuple(entries)
 
 
+def contraction_reference(p):
+    """Matrix of x -> i(x)p for a 2-vector or 2-form p: column j is
+    contract(basis_j, p), basis_j the j-th basis element of the opposite
+    kind, one element per column."""
+    dual = Form if isinstance(p, Multivector) else Multivector
+    cols = []
+    for j in range(p.dim):
+        image = contract(dual.basis(p.dim, j), p)
+        cols.append([image.coefficient((i,)) for i in range(p.dim)])
+    return LinearMap.from_columns(cols)
+
+
+def flat_contact_reference(cs):
+    """b_eta(X) = i(X)(d eta) + eta(X) eta in dual coordinates, one
+    contraction, scale, pairing and sum per basis vector."""
+    g, eta = cs.algebra, cs.eta
+    d_eta = ce_differential(g, eta)
+    cols = []
+    for j in range(g.dim):
+        x = Multivector.basis(g.dim, j)
+        cols.append((contract(x, d_eta) + eta.scale(pair(eta, x))).coeffs())
+    return LinearMap.from_columns(cols)
+
+
 def coadjoint_reference(g, x, alpha):
     """(coad_x alpha)(e_k) = -alpha([x, e_k])."""
     return Form.from_coeffs([-pair(alpha, g.bracket(x, g.basis_vector(k))) for k in range(g.dim)])
@@ -359,7 +394,7 @@ def coadjoint_reference(g, x, alpha):
 def dual_bracket_adjoint_reference(g, phi0, r, x0):
     """[a,b]* = coad_{#r b} a - coad_{#r a} b + r(a,b) phi0 + i(x0)(a^b) on
     basis covectors, nonzero entries only."""
-    images = [Multivector.from_coeffs(col) for col in zip(*sharp(r).matrix)]
+    images = [Multivector.from_coeffs(col) for col in zip(*contraction_reference(r).matrix)]
     structure = {}
     for i, j in combinations(range(g.dim), 2):
         ei, ej = g.basis_form(i), g.basis_form(j)
@@ -394,8 +429,8 @@ def dual_bracket_pointwise_reference(g, phi0, r, x0):
 
 def sharp_homomorphism_reference(g, dual, r):
     """#_r [e^i, e^j]* == -[#_r e^i, #_r e^j] for every pair, through the
-    public sharp map and brackets."""
-    sharp_map = sharp(r)
+    reference contraction matrix and the public brackets."""
+    sharp_map = contraction_reference(r)
     images = [Multivector.from_coeffs(col) for col in zip(*sharp_map.matrix)]
     return all(sharp_map.apply_element(dual.bracket_basis(i, j))
                == -g.bracket(images[i], images[j])
@@ -418,6 +453,18 @@ def compact_algebras():
               direct_product(su2, abelian(2)), direct_product(direct_product(su2, su2), abelian(2))):
         out += [g, change_basis(g, random_basis(rng, g.dim), name=f"{g.name}.mixed")]
     return out
+
+
+def center_reference(g):
+    """The center as the nullspace of the n^2 x n matrix of the components
+    of [e_i, e_j], one bracket_basis element per (i, j)."""
+    rows = []
+    for j in range(g.dim):
+        ad_cols = [g.bracket_basis(i, j).coeffs() for i in range(g.dim)]
+        for component in range(g.dim):
+            rows.append([ad_cols[i][component] for i in range(g.dim)])
+    basis = nullspace(rows) if rows else []
+    return Subspace.from_vectors(g.dim, basis)
 
 
 def invariant_scalar_product_reference(g):

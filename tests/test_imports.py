@@ -2,8 +2,9 @@
 that module, every private module-level function or class is used
 somewhere in the library, only the modules that exterior names touch the
 integer form of elements and tables, the pointwise dual-bracket route reads
-none of it, the coboundary system and the elimination kernel build no
-Fraction, and every liejacobi name the benchmark uses exists and is callable.
+neither that form nor the contraction matrix of r, the coboundary system
+and the elimination kernel build no Fraction, and every liejacobi name the
+benchmark uses exists and is callable.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -119,11 +120,12 @@ def test_function_references_are_reported():
 
 def test_pointwise_dual_route_stays_off_the_integer_tables():
     # the pointwise route cross-checks the integer kernel of the adjoint
-    # route, so it goes through schouten and never reads a table itself
+    # route, so it goes through schouten and never reads a table itself, nor
+    # the contraction matrix of r that the adjoint route reads
     names = function_references((ROOT / "src" / "liejacobi" / "bialgebra.py").read_text(),
                                 "dual_bracket_pointwise_route")
     assert "schouten" in names
-    assert names.isdisjoint(INTEGER_FORM)
+    assert names.isdisjoint(INTEGER_FORM | {"_contraction"})
 
 
 def reachable_functions(source: str, name: str) -> set[str]:

@@ -6,10 +6,19 @@ from itertools import combinations
 
 import pytest
 
-from helpers import fm, mixed_fraction, mv, random_basis, vec
+from helpers import (
+    contraction_reference,
+    dense_element,
+    flat_contact_reference,
+    fm,
+    mixed_fraction,
+    mv,
+    random_basis,
+    vec,
+)
 from liejacobi import jacobi, linalg
 from liejacobi.catalog import catalog, heisenberg
-from liejacobi.exterior import Form, Multivector, wedge, wedge_power
+from liejacobi.exterior import Form, Multivector, evaluate, evaluate_on, wedge, wedge_power
 from liejacobi.jacobi import (
     ContactStructure,
     JacobiPair,
@@ -24,7 +33,14 @@ from liejacobi.jacobi import (
     rank,
     sharp,
 )
-from liejacobi.liealg import abelian, change_basis, direct_product, one_cocycles
+from liejacobi.liealg import (
+    LinearMap,
+    _contraction,
+    abelian,
+    change_basis,
+    direct_product,
+    one_cocycles,
+)
 from liejacobi.schouten import ce_differential
 
 
@@ -72,7 +88,6 @@ def test_check_jacobi_sl2r_family_constraint():
 
 def test_sharp_matrix_oracle():
     # beta(#_r alpha) = r(alpha, beta)
-    from liejacobi.exterior import evaluate_on
     g = abelian(2)
     jp = JacobiPair(g, mv(2, 2, {(0, 1): 1}), Multivector.zero(2, 1))
     m = sharp(jp)
@@ -82,19 +97,49 @@ def test_sharp_matrix_oracle():
     assert all(c == 0 for row in sharp(zero_pair).rows for c in row)
 
 
-def test_sharp_defining_property():
-    # beta(#_r alpha) = r(alpha, beta) on every basis pair
-    from liejacobi.exterior import evaluate_on
-    pairs = [_su2_contact_pair(1, 2, -1)]
+def _two_tensors():
+    """Jacobi pairs of two catalog entries, the pairs and the d eta of the
+    seeded contact forms in dense mixed-denominator bases, and seeded
+    2-vectors and 2-forms at dims 0-8: zero, sparse, dense and with
+    100-digit coefficients (below dim 2 only the top-grade zero)."""
     y = catalog("solvable3_51")
-    pairs.append(JacobiPair(y.g, y.r, y.x0))
-    for jp in pairs:
-        n = jp.algebra.dim
-        m = sharp(jp)
+    out = [_su2_contact_pair(1, 2, -1), JacobiPair(y.g, y.r, y.x0)]
+    for cs in _random_contact_structures():
+        out += [contact_to_jacobi(cs), ce_differential(cs.algebra, cs.eta)]
+    rng = random.Random(2030)
+    big = lambda: Fraction(rng.randrange(-10 ** 100, 10 ** 100), rng.randrange(1, 10 ** 100))
+    for n in range(9):
+        for kind in (Multivector, Form):
+            if n < 2:
+                out.append(kind.zero(n, n))
+                continue
+            pairs = list(combinations(range(n), 2))
+            sparse = rng.sample(pairs, min(3, len(pairs)))
+            out += [kind.zero(n, 2),
+                    kind.from_terms(n, 2, {ij: mixed_fraction(rng) or 1 for ij in sparse}),
+                    dense_element(rng, kind, n, 2),
+                    kind.from_terms(n, 2, {ij: big() for ij in pairs})]
+    return out
+
+
+def test_sharp_defining_property():
+    # beta(#_r alpha) = r(alpha, beta) on every basis pair, and for a 2-form
+    # Y(i(X) Omega) = Omega(X, Y); the contraction matrix equals the
+    # reference built one contraction per column
+    for obj in _two_tensors():
+        p = obj.r if isinstance(obj, JacobiPair) else obj
+        n = p.dim
+        m = _contraction(p) if isinstance(p, Form) else sharp(obj)
+        assert m == _contraction(p) == contraction_reference(p)
         for a in range(n):
             image = m.apply([Fraction(1 if i == a else 0) for i in range(n)])
             for b in range(n):
-                expected = evaluate_on(jp.r, Form.basis(n, a), Form.basis(n, b))
+                if p.grade != 2:
+                    expected = 0     # the zero of a space without 2-tensors
+                elif isinstance(p, Form):
+                    expected = evaluate(p, Multivector.basis(n, a), Multivector.basis(n, b))
+                else:
+                    expected = evaluate_on(p, Form.basis(n, a), Form.basis(n, b))
                 assert image[b] == expected
 
 
@@ -224,9 +269,14 @@ def _random_contact_structures():
     return out
 
 
-def test_contact_roundtrips_on_random_algebras():
+def test_contact_roundtrips_on_random_algebras(monkeypatch):
+    # the matrix contact_to_jacobi inverts is b_eta(X) = i(X)(d eta) + eta(X) eta
+    inverted = []
+    monkeypatch.setattr(jacobi, "invert", lambda a: inverted.append(a) or linalg.invert(a))
     for cs in _random_contact_structures():
+        inverted.clear()
         jp = contact_to_jacobi(cs)
+        assert LinearMap.from_rows(inverted[0]) == flat_contact_reference(cs)
         assert check_jacobi(jp).passed and rank(jp) == cs.algebra.dim
         assert jacobi_to_contact(jp).eta == cs.eta
 
@@ -331,7 +381,7 @@ def test_lcs_rank_test_matches_wedge_power():
             continue
         degenerate = wedge_power(omega, n // 2).is_zero()
         counts[degenerate] += 1
-        assert (linalg.rank(jacobi._flat_matrix(omega)) < n) == degenerate
+        assert (linalg.rank(_contraction(omega).rows) < n) == degenerate
         try:
             LcsStructure(abelian(n), omega, Form.zero(n, 1))
             assert not degenerate

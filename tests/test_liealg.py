@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     ad_matrix,
     bracket_jacobiator_reference,
+    center_reference,
     bracket_reference,
     change_basis_reference,
     compact_algebras,
@@ -194,6 +195,17 @@ def test_center_derived_annihilator():
     assert derived_algebra(catalog("su2")).rank == 3
     ann = annihilator(derived_algebra(h))
     assert ann.rank == 2 and ann.dual
+
+
+def test_center_matches_reference():
+    # the center solved on integer rows of the table equals the nullspace of
+    # the bracket components, as the same reduced Subspace, on Lie algebras
+    # and on seeded brackets that are not Lie
+    algebras = (compact_algebras() + _catalog_algebras() + sum(mixed_algebras(), [])
+                + [abelian(n) for n in range(4)] + [LieAlgebra("zero", 0, ())])
+    for g in algebras:
+        assert center(g) == center_reference(g), g.name
+    assert {center(abelian(n)).rank for n in range(4)} == {0, 1, 2, 3}
 
 
 def test_one_cocycles_are_closed_forms():
