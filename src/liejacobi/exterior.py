@@ -2,14 +2,18 @@
 
 Multivectors and forms are maps from strictly increasing index tuples to
 nonzero rational coefficients.  All normalization (index sorting, sign
-bookkeeping, dropping zeros) happens at construction, so equality is plain
-dictionary comparison.  A grade-0 element is a scalar stored under the empty
-index; an empty term map is the zero element of any grade.
+bookkeeping, dropping zeros) happens at construction.  A grade-0 element is
+a scalar stored under the empty index; an empty term map is the zero element
+of any grade.
 
-Every element also has one integer form: the numerators over D, the lcm of
-the reduced denominators of its coefficients (D = 1 for zero).  It is
-private to the library, not to this module.  Its readers, with `_ints`, and
-builders, with `_from_ints`, outside this module are:
+An element is held as its integer form: the numerators over D, the lcm of
+the reduced denominators of its coefficients (D = 1 for zero).  The form is
+canonical, so equality, `is_zero` and element arithmetic read it directly.
+`terms`, the read-only map from index to Fraction, is built from the form
+on first read and then kept; the public constructor, `from_terms`,
+`from_coeffs` and pickling take Fractions and compute the form at once.
+The form is private to the library, not to this module.  Its readers, with
+`_ints`, and builders, with `_from_ints`, outside this module are:
   - `liealg`: the integer structure-constant table `_ad`, its column view
     `_columns`, `_vector`, the Jacobi check `validate`,
     `LinearMap.apply_element` and `_push` (2-vectors in new coordinates);
@@ -25,11 +29,9 @@ builders, with `_from_ints`, outside this module are:
     2-tensor, through that matrix's integer form.
 The kernels here, element arithmetic and the structure-constant sums of
 `liealg`, `schouten` and `bialgebra` sum in int arithmetic and return
-results through `_Element._from_ints`, which reduces the sums by one gcd and
-builds one Fraction per output coefficient.
-The form of a kernel output is known when it is built; that of an element
-built from Fractions is computed on first use and kept.  `terms` is
-read-only, so the kept form cannot go stale.
+results through `_Element._from_ints`, which reduces the sums by one gcd
+and keeps them as the form: a kernel output whose terms nobody reads, such
+as a residual that is only tested for zero, never builds a Fraction.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from liejacobi.linalg import ONE, ZERO, frac
+from liejacobi.linalg import ZERO, frac
 
 Index = tuple[int, ...]
 
@@ -90,38 +92,27 @@ def merge_sorted(a: Index, b: Index) -> tuple[Index, int]:
     return tuple(out), sign
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class _Element:
     """Shared implementation for multivectors and forms.
 
-    The constructor copies `terms` into a read-only mapping, so a caller's
-    later change to its dict cannot reach the element.
+    Every constructor sets the integer form `_form` = (nums, den) through
+    `_hold`.  The public constructor copies `terms` into a read-only
+    mapping, so a caller's later change to its dict cannot reach the
+    element.
     """
 
     dim: int
     grade: int
-    terms: Mapping[Index, Fraction]
 
-    _form = None    # (nums, den), the integer form, once known; see _ints
+    _terms = None    # the read-only Fraction map, once built; see terms
 
     def __init__(self, dim: int, grade: int, terms: Mapping[Index, Fraction] | None = None):
-        _set(self, "dim", dim)
-        _set(self, "grade", grade)
-        _set(self, "terms", MappingProxyType(dict(terms or {})))
-        self.__post_init__()
-
-    @classmethod
-    def _new(cls, dim: int, grade: int, terms: dict, form=None):
-        # constructor for a dict built here that nobody else holds: wrapped,
-        # not copied, and validated like any other
-        self = object.__new__(cls)
-        _set(self, "dim", dim)
-        _set(self, "grade", grade)
-        _set(self, "terms", MappingProxyType(terms))
-        if form is not None:
-            _set(self, "_form", form)
-        self.__post_init__()
-        return self
+        terms = dict(terms or {})
+        den = lcm(*(c.denominator for c in terms.values()))
+        self._hold(dim, grade, ({idx: c.numerator * (den // c.denominator)
+                                 for idx, c in terms.items()}, den))
+        _set(self, "_terms", MappingProxyType(terms))
 
     @classmethod
     def _from_ints(cls, dim: int, grade: int, acc: dict, scale: int):
@@ -136,28 +127,40 @@ class _Element:
         if g != 1:
             scale //= g
             nums = {idx: v // g for idx, v in nums.items()}
-        return cls._new(dim, grade, {idx: Fraction(v, scale) for idx, v in nums.items()},
-                        (nums, scale))
+        return object.__new__(cls)._hold(dim, grade, (nums, scale))
+
+    def _hold(self, dim: int, grade: int, form: tuple[dict, int]):
+        # the state every constructor sets, validated like any other element
+        _set(self, "dim", dim)
+        _set(self, "grade", grade)
+        _set(self, "_form", form)
+        self.__post_init__()
+        return self
 
     def _ints(self) -> tuple[dict, int]:
         """(nums, den) with terms[idx] == nums[idx] / den, den the lcm of the
         reduced denominators; the caller must not change nums."""
-        form = self._form
-        if form is None:
-            den = 1
-            for c in self.terms.values():
-                den = lcm(den, c.denominator)
-            form = ({idx: c.numerator * (den // c.denominator) for idx, c in self.terms.items()},
-                    den)
-            _set(self, "_form", form)
-        return form
+        return self._form
+
+    @property
+    def terms(self) -> Mapping[Index, Fraction]:
+        """Read-only map from index to coefficient, built from the integer
+        form on first read and then kept."""
+        terms = self._terms
+        if terms is None:
+            nums, den = self._form
+            terms = MappingProxyType({idx: Fraction(v, den) for idx, v in nums.items()})
+            _set(self, "_terms", terms)
+        return terms
 
     def __post_init__(self):
-        # validation of every element, whichever constructor built it
+        # validation of every element, whichever constructor built it, on the
+        # integer form: the terms' indices, and a zero numerator for each zero
+        # coefficient
         dim, grade = self.dim, self.grade
         if not 0 <= grade <= dim:
             raise ValueError(f"grade {grade} out of range for dimension {dim}")
-        for idx, c in self.terms.items():
+        for idx, c in self._form[0].items():
             if len(idx) != grade:
                 raise ValueError(f"index {idx} does not match grade {grade}")
             for t in range(1, grade):
@@ -173,19 +176,23 @@ class _Element:
         # a mappingproxy cannot be pickled; copy and pickle through the constructor
         return (type(self), (self.dim, self.grade, dict(self.terms)))
 
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(dim={self.dim!r}, grade={self.grade!r}, "
+                f"terms={self.terms!r})")
+
     @classmethod
     def zero(cls, dim: int, grade: int = 0):
-        return cls._new(dim, grade, {})
+        return cls._from_ints(dim, grade, {}, 1)
 
     @classmethod
     def scalar(cls, dim: int, value) -> "_Element":
         c = frac(value)
-        return cls._new(dim, 0, {(): c} if c != 0 else {})
+        return cls(dim, 0, {(): c} if c != 0 else {})
 
     @classmethod
     def basis(cls, dim: int, i: int):
         """The i-th basis element, as a grade-1 element."""
-        return cls._new(dim, 1, {(i,): ONE}, ({(i,): 1}, 1))
+        return cls._from_ints(dim, 1, {(i,): 1}, 1)
 
     @classmethod
     def from_terms(cls, dim: int, grade: int, raw: Mapping[Iterable[int], object]):
@@ -199,16 +206,16 @@ class _Element:
             if sign == 0:
                 continue
             acc[key] = acc.get(key, ZERO) + sign * coeff
-        return cls._new(dim, grade, {k: v for k, v in acc.items() if v != 0})
+        return cls(dim, grade, {k: v for k, v in acc.items() if v != 0})
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable) -> "_Element":
         """Grade-1 element from a coefficient list over the basis."""
         cs = [frac(c) for c in coeffs]
-        return cls._new(len(cs), 1, {(i,): c for i, c in enumerate(cs) if c != 0})
+        return cls(len(cs), 1, {(i,): c for i, c in enumerate(cs) if c != 0})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._form[0]
 
     def coefficient(self, idx: Iterable[int]) -> Fraction:
         key, sign = sort_index(idx)
@@ -220,7 +227,8 @@ class _Element:
         """Coefficient list over the basis; grade 1 only."""
         if self.grade != 1:
             raise ValueError("coefficient lists only make sense at grade 1")
-        return [self.terms.get((i,), ZERO) for i in range(self.dim)]
+        terms = self.terms
+        return [terms.get((i,), ZERO) for i in range(self.dim)]
 
     def scalar_value(self) -> Fraction:
         if self.grade != 0 and not self.is_zero():
@@ -228,11 +236,13 @@ class _Element:
         return self.terms.get((), ZERO)
 
     def __eq__(self, other) -> bool:
+        # the integer form is canonical, so equal elements have equal forms
         if type(self) is not type(other) or self.dim != other.dim:
             return NotImplemented
-        if not self.terms and not other.terms:
+        a, b = self._form, other._form
+        if not a[0] and not b[0]:
             return True
-        return self.grade == other.grade and self.terms == other.terms
+        return self.grade == other.grade and a == b
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -251,14 +261,14 @@ class _Element:
     def _add(self, other, sign: int):
         # self + sign * other
         self._check_compatible(other)
-        if not self.terms:
+        na, da = self._form
+        nb, db = other._form
+        if not na:
             return other if sign == 1 else -other
-        if not other.terms:
+        if not nb:
             return self
         if self.grade != other.grade:
             raise ValueError(f"cannot add grade {self.grade} to grade {other.grade}")
-        na, da = self._ints()
-        nb, db = other._ints()
         scale = lcm(da, db)
         fa, fb = scale // da, sign * (scale // db)
         acc = {idx: v * fa for idx, v in na.items()}
@@ -267,17 +277,15 @@ class _Element:
         return type(self)._from_ints(self.dim, self.grade, acc, scale)
 
     def __neg__(self):
-        form = self._form
-        if form is not None:
-            form = ({idx: -v for idx, v in form[0].items()}, form[1])
-        return type(self)._new(self.dim, self.grade,
-                               {k: -v for k, v in self.terms.items()}, form)
+        nums, den = self._form
+        return type(self)._from_ints(self.dim, self.grade, {idx: -v for idx, v in nums.items()},
+                                     den)
 
     def scale(self, c):
         f = frac(c)
         if f == 0:
             return type(self).zero(self.dim, self.grade)
-        nums, den = self._ints()
+        nums, den = self._form
         p = f.numerator
         return type(self)._from_ints(self.dim, self.grade, {k: p * v for k, v in nums.items()},
                                      den * f.denominator)
@@ -361,9 +369,9 @@ def contract(one: _Element, target: _Element) -> _Element:
         raise ValueError("can only contract with a grade-1 element")
     if target.grade == 0:
         return type(target).zero(target.dim, 0)
-    if not one.terms:
-        return type(target).zero(target.dim, target.grade - 1)
     n1, d1 = one._ints()
+    if not n1:
+        return type(target).zero(target.dim, target.grade - 1)
     nt, dt = target._ints()
     acc: dict[Index, int] = {}
     for idx, c in nt.items():

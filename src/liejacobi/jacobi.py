@@ -234,16 +234,15 @@ def jacobi_to_contact(jp: JacobiPair) -> ContactStructure:
     eta is the unique 1-form vanishing on im(#_r) with eta(X0) = 1.
     """
     g = jp.algebra
-    n = g.dim
-    if n % 2 == 0 or rank(jp) != n:
-        raise ValueError("jacobi pair does not have full odd rank")
     rows = sharp(jp).rows     # spans im(#_r), #_r being antisymmetric
     rhs = [ZERO for _ in rows]
     rows.append(jp.x0.coeffs())
     rhs.append(Fraction(1))
-    sol = solve(rows, rhs)
+    # for odd n, #_r has rank at most n - 1, so eta exists and is unique
+    # exactly when im(#_r) + <X0> is everything: one elimination decides both
+    sol = solve(rows, rhs) if g.dim % 2 else None
     if sol is None or sol[1]:
-        raise ValueError("contact form reconstruction is not determined")
+        raise ValueError("jacobi pair does not have full odd rank")
     eta = Form.from_coeffs(sol[0])
     cs = ContactStructure(g, eta)
     back = contact_to_jacobi(cs)

@@ -7,9 +7,10 @@ common denominator den (the lcm of all the algebra's denominators), with
 c_ij^k = N_ij^k / den, and a column view of it listing the nonzero N_ij^k
 of each k.  The bracket, the Jacobi identity, the Killing form, the Schouten
 and Chevalley-Eilenberg sums and the bialgebra compatibility residuals are
-summed from them in int arithmetic, with one Fraction built per output
-coefficient.  The Jacobi identity is summed once per algebra and kept with
-the table; validate builds its report from those sums on every call.
+summed from them in int arithmetic; an element result keeps the sums as its
+integer form, and the Killing form builds one Fraction per entry.  The
+Jacobi identity is summed once per algebra and kept with the table;
+validate builds its report from those sums on every call.
 Structural computations (center, derived algebra, cocycles, derivations,
 compactness) reduce to the integer kernel of linalg, the center on integer
 rows read from the table.  A linear map applies its matrix, kept as

@@ -15,10 +15,14 @@ check_cocycle and raises ValueError otherwise.
 schouten, ce_differential and check_cocycle sum over the algebra's integer
 structure-constant table: they read their arguments' integer forms
 (numerators over a common denominator, see exterior), sum the products in int
-arithmetic, and build one Fraction per output coefficient.  ce_differential
-is the derivation extension of d e^m = -sum_{a<b} c_ab^m e^a^e^b over the
-table's columns (LieAlgebra._columns), driven by the terms of its argument:
-d of a basis element is one column, read with no sum over the basis.
+arithmetic, and keep the sums as the integer form of the output, whose
+Fraction terms are built only if read.  schouten and ce_differential split
+each term of their arguments once per call (`_split`); schouten merges each
+pair of remainders once and inserts the bracket's index with bisect.
+ce_differential is the derivation extension of d e^m = -sum_{a<b} c_ab^m
+e^a^e^b over the table's columns (LieAlgebra._columns), driven by the terms
+of its argument: d of a basis element is one column, read with no sum over
+the basis.
 """
 
 from __future__ import annotations
@@ -44,34 +48,45 @@ def schouten(g: LieAlgebra, p: Multivector, q: Multivector) -> Multivector:
         raise ValueError("dimension mismatch with the algebra")
     k, kp = p.grade, q.grade
     out_grade = min(max(k + kp - 1, 0), g.dim)
-    out = Multivector.zero(g.dim, out_grade)
     if k == 0 or kp == 0:
-        return out
+        return Multivector.zero(g.dim, out_grade)
     front = 1 if k % 2 else -1  # (-1)^{k+1}
     den, table = g._ad
     ps, dp = p._ints()
     qs, dq = q._ints()
+    q_parts = _split(qs)
+    merged: dict[tuple, tuple] = {}     # (rest_p, rest_q) -> merge_sorted(rest_p, rest_q)
     acc: dict[tuple[int, ...], int] = {}
-    for pi, a in ps.items():
-        for qi, b in qs.items():
-            for ipos in range(k):
-                for jpos in range(kp):
-                    bracket = table[pi[ipos]].get(qi[jpos])
-                    if bracket is None:
-                        continue
-                    pos_sign = -1 if (ipos + jpos) % 2 else 1
-                    rest_p = pi[:ipos] + pi[ipos + 1:]
-                    rest_q = qi[:jpos] + qi[jpos + 1:]
-                    rest, merge_sign = merge_sorted(rest_p, rest_q)
-                    if merge_sign == 0:
-                        continue
-                    base = front * pos_sign * merge_sign * a * b
-                    for m, c in bracket.items():
-                        full, ins_sign = merge_sorted((m,), rest)
-                        if ins_sign == 0:
-                            continue
-                        acc[full] = acc.get(full, 0) + base * ins_sign * c
+    for i, a, rest_p in _split(ps):
+        row = table[i]
+        for j, b, rest_q in q_parts:
+            bracket = row.get(j)
+            if bracket is None:
+                continue
+            key = (rest_p, rest_q)
+            hit = merged.get(key)
+            if hit is None:
+                hit = merged[key] = merge_sorted(rest_p, rest_q)
+            rest, merge_sign = hit
+            if merge_sign == 0:
+                continue
+            base = front * merge_sign * a * b
+            for m, c in bracket.items():
+                if m in rest:
+                    continue
+                # e_m^rest sorted: e_m passes pos entries of rest
+                pos = bisect(rest, m)
+                t = base * c
+                full = rest[:pos] + (m,) + rest[pos:]
+                acc[full] = acc.get(full, 0) + (-t if pos % 2 else t)
     return Multivector._from_ints(g.dim, out_grade, acc, dp * dq * den)
+
+
+def _split(nums: dict) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(x, (-1)^pos v, the index without x) for each entry x, at position
+    pos, of each index of an integer form {index: v}."""
+    return [(x, -v if pos % 2 else v, idx[:pos] + idx[pos + 1:])
+            for idx, v in nums.items() for pos, x in enumerate(idx)]
 
 
 def check_cocycle(source: LieAlgebra, cocycle: _Element) -> None:
@@ -131,18 +146,15 @@ def ce_differential(source: LieAlgebra, element: _Element) -> _Element:
     columns = source._columns
     nums, dw = element._ints()
     acc: dict[tuple[int, ...], int] = {}
-    for idx, v in nums.items():
-        for p, m in enumerate(idx):
-            rest = idx[:p] + idx[p + 1:]
-            base = v if p % 2 else -v       # -(-1)^p v
-            for a, b, c in columns[m]:
-                if a in rest or b in rest:
-                    continue
-                # e^a^e^b^rest sorted: e^b passes pb entries of rest, e^a passes pa
-                pa, pb = bisect(rest, a), bisect(rest, b)
-                full = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
-                t = base * c
-                acc[full] = acc.get(full, 0) + (-t if (pa + pb) % 2 else t)
+    for m, v, rest in _split(nums):     # v = (-1)^p nums[idx], m at position p
+        for a, b, c in columns[m]:
+            if a in rest or b in rest:
+                continue
+            # e^a^e^b^rest sorted: e^b passes pb entries of rest, e^a passes pa
+            pa, pb = bisect(rest, a), bisect(rest, b)
+            full = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
+            t = v * c
+            acc[full] = acc.get(full, 0) + (t if (pa + pb) % 2 else -t)
     return type(element)._from_ints(n, k + 1, acc, dw * source._ad[0])
 
 

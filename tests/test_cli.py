@@ -227,6 +227,21 @@ def test_contact_rejects_degenerate_form(tmp_path, capsys):
     assert code == 1
 
 
+def test_contact_rejects_rank_deficient_odd_pair(tmp_path, capsys):
+    # rank 2 on abelian(3) and rank 1 on su2: exit 1 with the library's message
+    g = liealg.abelian(3)
+    abelian3 = write(tmp_path, "a3.json", g)
+    r = write(tmp_path, "r.json", mv(3, 2, {(0, 1): 1}), g.basis_labels)
+    x0 = write(tmp_path, "x0.json", vec(3, 0), catalog("su2").basis_labels)
+    for argv in (["--algebra", abelian3, "--r", r], ["--name", "su2", "--x0", x0]):
+        code, out, err = run(capsys, "contact", *argv)
+        assert (code, out, err) == (1, "jacobi pair does not have full odd rank\n", "")
+        code, payload = machine(capsys, "contact", *argv)
+        assert code == 1
+        assert payload["report"] == {"passed": False,
+                                     "error": "jacobi pair does not have full odd rank"}
+
+
 def test_lcs_both_directions(tmp_path, capsys):
     g = catalog("solvable2")
     algebra = write(tmp_path, "g.json", g)

@@ -22,6 +22,7 @@ from helpers import (
     vec,
     wedge_reference,
 )
+from liejacobi.catalog import catalog
 from liejacobi.exterior import (
     Form,
     Multivector,
@@ -33,6 +34,7 @@ from liejacobi.exterior import (
     wedge,
     wedge_power,
 )
+from liejacobi.schouten import schouten
 
 
 def _perm_sign(perm):
@@ -256,14 +258,87 @@ def test_terms_are_read_only_and_copied():
 def test_elements_survive_pickle_and_deepcopy():
     p = mv(4, 2, {(0, 1): Fraction(1, 2), (2, 3): Fraction(-5, 3)})
     f = fm(4, 1, {(1,): Fraction(2, 7)})
-    for e in (p, f, Form.zero(4, 2)):
-        e._ints()
+    # kernel outputs too, pickled before their terms are built
+    kernel = (p - p.scale(3), contract(f, p), wedge(f, f), Form._from_ints(4, 1, {(2,): 6}, 4))
+    for e in (p, f, Form.zero(4, 2)) + kernel:
         for copied in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
             assert type(copied) is type(e) and copied == e and copied.grade == e.grade
-            assert copied._ints() == e._ints()
+            assert copied._ints() == e._ints() and copied.terms == e.terms
             with pytest.raises(TypeError):
                 copied.terms[(0, 1)] = Fraction(1)
     assert pickle.loads(pickle.dumps(p)) + p == p.scale(2)
+
+
+def _seeded_terms(rng, dim, grade, digits):
+    # random coefficients with up to `digits` digits on some of the indices
+    bound = 10 ** digits
+    indices = list(itertools.combinations(range(dim), grade))
+    return {idx: Fraction(rng.choice((-1, 1)) * rng.randint(1, bound), rng.randint(1, bound))
+            for idx in rng.sample(indices, rng.randint(0, len(indices)))}
+
+
+def test_integer_built_elements_equal_fraction_built():
+    rng = random.Random(71)
+    cases = [(Multivector, 3, 2, {}), (Form, 0, 0, {}), (Multivector, 2, 0, {(): Fraction(-7, 3)})]
+    for _ in range(120):
+        dim = rng.randint(0, 6)
+        cls, grade = rng.choice((Multivector, Form)), rng.randint(0, dim)
+        cases.append((cls, dim, grade, _seeded_terms(rng, dim, grade, rng.choice((1, 3, 100)))))
+    assert any(len(str(c.numerator)) > 90 for *_, terms in cases for c in terms.values())
+    for cls, dim, grade, terms in cases:
+        # the same coefficients over an unreduced scale, with zero entries
+        scale = lcm(*(c.denominator for c in terms.values())) * rng.randint(1, 10 ** 6)
+        acc = {idx: c.numerator * (scale // c.denominator) for idx, c in terms.items()}
+        if grade:
+            acc[tuple(range(grade))] = acc.get(tuple(range(grade)), 0)
+        built = cls._from_ints(dim, grade, acc, scale)
+        expected = cls(dim, grade, terms)
+        assert built._terms is None
+        assert built == expected and built.grade == expected.grade
+        assert built._ints() == expected._ints()
+        assert built.terms == expected.terms and dict(built.terms) == terms
+        _assert_canonical(built)
+        assert built.terms is built.terms     # built once, then kept
+        with pytest.raises(TypeError):
+            built.terms[(0,) * grade] = Fraction(1)
+
+
+def test_integer_form_is_validated():
+    for grade, acc in ((1, {(3,): 1}), (1, {(-1,): 2}), (2, {(1, 0): 1}), (2, {(0,): 1})):
+        with pytest.raises(ValueError):
+            Multivector._from_ints(3, grade, acc, 2)
+    with pytest.raises(ValueError, match="grade 4 out of range"):
+        Form._from_ints(3, 4, {}, 1)
+    # _from_ints drops a zero entry; a held form with one is refused
+    assert Multivector._from_ints(3, 1, {(0,): 0, (1,): 2}, 4) == mv(3, 1, {(1,): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="zero coefficients must be dropped"):
+        object.__new__(Multivector)._hold(3, 1, ({(0,): 0}, 1))
+    with pytest.raises(ValueError, match="zero coefficients must be dropped"):
+        Multivector(3, 1, {(0,): Fraction(0)})
+
+
+def test_zero_tests_and_equality_leave_terms_unbuilt():
+    g = catalog("su2")
+    r = Multivector._from_ints(3, 2, {(1, 2): 1}, 1)
+    x0 = -g.basis_vector(0)
+    residual = schouten(g, r, r) - wedge(x0, r).scale(2)
+    assert residual.is_zero()
+    assert schouten(g, x0, r) == Multivector.zero(3, 2)
+    x, y = g.basis_vector(0), g.basis_vector(1)
+    outputs = schouten(g, x, y), g.bracket(x, y), contract(Form.basis(3, 1), r)
+    assert outputs[0] == outputs[1] and outputs[0] != -outputs[1]
+    assert outputs[2] + x0.scale(0) == g.basis_vector(2)
+    for e in (residual, r, x0, x, y) + outputs:
+        assert e._terms is None
+
+
+def test_repr_is_unchanged():
+    assert repr(mv(3, 2, {(0, 1): Fraction(1, 2), (1, 2): -2})) == (
+        "Multivector(dim=3, grade=2, terms=mappingproxy("
+        "{(0, 1): Fraction(1, 2), (1, 2): Fraction(-2, 1)}))")
+    assert repr(Form._from_ints(2, 1, {(1,): 6}, 4)) == (
+        "Form(dim=2, grade=1, terms=mappingproxy({(1,): Fraction(3, 2)}))")
+    assert repr(Form.zero(2, 2)) == "Form(dim=2, grade=2, terms=mappingproxy({}))"
 
 
 def test_grade_mixing_rejected():

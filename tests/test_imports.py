@@ -106,9 +106,14 @@ def test_integer_form_stays_in_its_modules():
 
 
 def function_references(source: str, name: str) -> set[str]:
-    """Names and attributes the module-level function `name` refers to."""
-    node = next(node for node in ast.parse(source).body
-                if isinstance(node, ast.FunctionDef) and node.name == name)
+    """Names and attributes the module-level function `name`, or the method
+    `Class.method`, refers to."""
+    body = ast.parse(source).body
+    *owner, name = name.split(".")
+    if owner:
+        body = next(node for node in body
+                    if isinstance(node, ast.ClassDef) and node.name == owner[0]).body
+    node = next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
     return {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
             if isinstance(n, (ast.Attribute, ast.Name))}
 
@@ -116,6 +121,8 @@ def function_references(source: str, name: str) -> set[str]:
 def test_function_references_are_reported():
     assert function_references("def f(g):\n    return h(g._ad)\ndef h(): pass\n", "f") == {
         "g", "h", "_ad"}
+    assert function_references("class C:\n    def f(self):\n        return Fraction(1)\n",
+                               "C.f") == {"Fraction"}
 
 
 def test_pointwise_dual_route_stays_off_the_integer_tables():
@@ -157,6 +164,16 @@ def test_coboundary_system_and_kernel_stay_integer():
     bialgebra_source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
     references.append(function_references(bialgebra_source, "_coboundary_system"))
     assert all(names.isdisjoint({"Fraction", "ZERO"}) for names in references)
+
+
+def test_integer_built_elements_build_no_fraction():
+    # _from_ints keeps the integer form only, and _hold, which it hands the
+    # form to, stores it; Fraction terms are built on their first read
+    exterior_source = (ROOT / "src" / "liejacobi" / "exterior.py").read_text()
+    names = function_references(exterior_source, "_Element._from_ints")
+    assert "_hold" in names
+    for fn in ("_Element._from_ints", "_Element._hold"):
+        assert function_references(exterior_source, fn).isdisjoint({"Fraction", "ZERO"})
 
 
 LAYERS = ("linalg", "exterior", "liealg", "schouten", "jacobi", "bialgebra", "documents",

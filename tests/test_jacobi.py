@@ -414,9 +414,13 @@ def test_contact_rejects_degenerate_form():
         ContactStructure(abelian(3), Form.basis(3, 0))
     with pytest.raises(ValueError):
         ContactStructure(catalog("su2"), Form.zero(3, 1))
-    with pytest.raises(ValueError):
-        jacobi_to_contact(JacobiPair(abelian(3), mv(3, 2, {(0, 1): 1}),
-                                     Multivector.zero(3, 1)))
+    # odd pairs of rank 2 and 1: no eta (the system is inconsistent), and
+    # more than one
+    for jp in (JacobiPair(abelian(3), mv(3, 2, {(0, 1): 1}), Multivector.zero(3, 1)),
+               JacobiPair(catalog("su2"), Multivector.zero(3, 2), vec(3, 0))):
+        assert check_jacobi(jp).passed and rank(jp) < 3
+        with pytest.raises(ValueError, match="^jacobi pair does not have full odd rank$"):
+            jacobi_to_contact(jp)
 
 
 def test_lcs_symplectic_solvable2():
