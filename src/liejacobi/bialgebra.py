@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm
 
-from liejacobi.exterior import Form, Multivector, contract, pair, wedge
+from liejacobi.exterior import Form, Multivector, _check_argument, contract, pair, wedge
 from liejacobi.jacobi import (
     _characteristic_checked,
     CharacteristicSubalgebra,
@@ -25,7 +25,6 @@ from liejacobi.jacobi import (
     check_jacobi,
     contact_to_jacobi,
     jacobi_to_lcs,
-    rank,
     sharp,
 )
 from liejacobi.liealg import (
@@ -72,15 +71,8 @@ class GeneralizedBialgebra:
     def __post_init__(self):
         if self.g.dim != self.g_star.dim:
             raise ValueError("g and g* must have the same dimension")
-        n = self.g.dim
-        if not isinstance(self.phi0, Form) or self.phi0.dim != n:
-            raise TypeError("phi0 must be a 1-form on g")
-        if not self.phi0.is_zero() and self.phi0.grade != 1:
-            raise ValueError("phi0 must have grade 1")
-        if not isinstance(self.x0, Multivector) or self.x0.dim != n:
-            raise TypeError("x0 must be a vector of g")
-        if not self.x0.is_zero() and self.x0.grade != 1:
-            raise ValueError("x0 must have grade 1")
+        _check_argument("phi0", self.phi0, Form, self.g.dim, 1)
+        _check_argument("x0", self.x0, Multivector, self.g.dim, 1)
 
 
 @dataclass(frozen=True)
@@ -255,14 +247,7 @@ class YbData:
     x0: Multivector
 
     def __post_init__(self):
-        n = self.g.dim
-        for name, e, kind, grade in (("phi0", self.phi0, Form, 1),
-                                     ("r", self.r, Multivector, 2),
-                                     ("x0", self.x0, Multivector, 1)):
-            if not isinstance(e, kind) or e.dim != n:
-                raise TypeError(f"{name} must be a dimension-{n} {kind.__name__.lower()}")
-            if not e.is_zero() and e.grade != grade:
-                raise ValueError(f"{name} must have grade {grade}")
+        _check_route_args(self.g, self.phi0, self.r, self.x0)
 
 
 @dataclass(frozen=True)
@@ -324,15 +309,9 @@ def check_yb_hypotheses(y: YbData) -> YbReport:
 def _check_route_args(g: LieAlgebra, phi0: Form, r: Multivector, x0: Multivector) -> None:
     # the dual-bracket routes take their arguments apart by index, so a wrong
     # dimension or grade must be refused before it can be misread
-    n = g.dim
-    for name, e, kind, grade in (("phi0", phi0, Form, 1), ("r", r, Multivector, 2),
-                                 ("x0", x0, Multivector, 1)):
-        if not isinstance(e, kind):
-            raise TypeError(f"{name} must be a {kind.__name__.lower()}")
-        if e.dim != n:
-            raise ValueError(f"{name} must have dimension {n}")
-        if not e.is_zero() and e.grade != grade:
-            raise ValueError(f"{name} must have grade {grade}")
+    _check_argument("phi0", phi0, Form, g.dim, 1)
+    _check_argument("r", r, Multivector, g.dim, 2)
+    _check_argument("x0", x0, Multivector, g.dim, 1)
 
 
 def dual_bracket_adjoint_route(g: LieAlgebra, phi0: Form, r: Multivector,
@@ -467,9 +446,9 @@ def build_from_jacobi(y: YbData) -> JacobiBuildResult:
     dual = _assemble_dual(y)
     bialgebra = GeneralizedBialgebra(g, dual, y.phi0, y.x0)
     _check_sharp_homomorphism(g, dual, y.r)
-    full_even = g.dim % 2 == 0 and rank(jp) == g.dim
-    if full_even and linalg.rank(sharp(y.r).rows) != g.dim:
-        raise ValueError("matrix is singular")   # cannot happen at full rank
+    # #_r has even rank, so an even-dimensional pair has full rank exactly
+    # when #_r does
+    full_even = g.dim % 2 == 0 and linalg.rank(sharp(y.r).rows) == g.dim
     return JacobiBuildResult(bialgebra, SharpCertificate(True, full_even))
 
 
@@ -573,8 +552,7 @@ def glb_from_cocycle(g: LieAlgebra, phi: Form) -> GeneralizedBialgebra:
     for the dual cocycle condition to hold.
     """
     n = g.dim
-    if not isinstance(phi, Form) or phi.dim != n or (not phi.is_zero() and phi.grade != 1):
-        raise TypeError("phi must be a 1-form on g")
+    _check_argument("phi", phi, Form, n, 1)
     check_cocycle(g, phi)
     base = abelian(n, name=f"{g.name}.base")
     dual = LieAlgebra(f"{g.name}.cocycle*", n, tuple(dual_label(l) for l in base.basis_labels),
@@ -910,7 +888,7 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
     eta_bar = -contract(y0w, ls.omega2)
     kernel_rows = nullspace([ls.lee.coeffs()])
     derived = compact_h.derived
-    if derived.rank != 3 or Subspace.from_vectors(h.dim, kernel_rows).rows != derived.rows:
+    if derived.rank != 3 or Subspace(h.dim, kernel_rows).rows != derived.rows:
         raise ValueError("kernel of the lee form does not match the derived algebra")
     # r' = r + y0w ^ x0 restricts to the reduced contact pair
     r_prime = char.pair.r + wedge(y0w, char.pair.x0)

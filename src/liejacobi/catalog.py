@@ -89,7 +89,7 @@ def _noncob4_53() -> GeneralizedBialgebra:
 
 def _firstkind4() -> GeneralizedBialgebra:
     g = abelian(4)
-    h = Subspace.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    h = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     return build_first_kind(g, h, Multivector.from_terms(4, 2, {(0, 1): 1}),
                             g.basis_form(2))
 

@@ -32,6 +32,13 @@ The kernels here, element arithmetic and the structure-constant sums of
 results through `_Element._from_ints`, which reduces the sums by one gcd
 and keeps them as the form: a kernel output whose terms nobody reads, such
 as a residual that is only tested for zero, never builds a Fraction.
+
+An element input of a fixed kind, dimension and grade (the entries of a
+generalized bialgebra, of Yang-Baxter data and of a Jacobi pair, a contact,
+l.c.s. or cocycle form, the twist of a central extension) is checked by one
+rule, `_check_argument`: an element of the wrong kind raises TypeError; one
+of another dimension, a zero element where a nonzero one is needed, or a
+nonzero element of another grade raises ValueError.  Zero is of every grade.
 """
 
 from __future__ import annotations
@@ -224,8 +231,9 @@ class _Element:
         return sign * self.terms.get(key, ZERO)
 
     def coeffs(self) -> list[Fraction]:
-        """Coefficient list over the basis; grade 1 only."""
-        if self.grade != 1:
+        """Coefficient list over the basis; grade 1 only, zero being of every
+        grade."""
+        if self.grade != 1 and not self.is_zero():
             raise ValueError("coefficient lists only make sense at grade 1")
         terms = self.terms
         return [terms.get((i,), ZERO) for i in range(self.dim)]
@@ -325,6 +333,20 @@ class Multivector(_Element):
 
 class Form(_Element):
     """Alternating covariant tensor over the dual of the chosen basis."""
+
+
+def _check_argument(name: str, e, kind: type, dim: int, grade: int, nonzero: bool = False) -> None:
+    """Refuse the input e unless it is a `kind` element of dimension dim
+    that has the given grade, or is zero and nonzero is not set."""
+    if not isinstance(e, kind):
+        raise TypeError(f"{name} must be a {kind.__name__.lower()}")
+    if e.dim != dim:
+        raise ValueError(f"{name} must have dimension {dim}")
+    if e.is_zero():
+        if nonzero:
+            raise ValueError(f"{name} must be nonzero")
+    elif e.grade != grade:
+        raise ValueError(f"{name} must have grade {grade}")
 
 
 def wedge(a: _Element, b: _Element) -> _Element:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from liejacobi.exterior import Form, Multivector, contract, pair, wedge, wedge_power
+from liejacobi.exterior import (Form, Multivector, _check_argument, contract, pair, wedge,
+                                wedge_power)
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
@@ -42,15 +43,8 @@ class JacobiPair:
     x0: Multivector
 
     def __post_init__(self):
-        n = self.algebra.dim
-        if not isinstance(self.r, Multivector) or not isinstance(self.x0, Multivector):
-            raise TypeError("jacobi pair needs multivector entries")
-        if self.r.dim != n or self.x0.dim != n:
-            raise ValueError("dimension mismatch with the algebra")
-        if not self.r.is_zero() and self.r.grade != 2:
-            raise ValueError("r must have grade 2")
-        if not self.x0.is_zero() and self.x0.grade != 1:
-            raise ValueError("x0 must have grade 1")
+        _check_argument("r", self.r, Multivector, self.algebra.dim, 2)
+        _check_argument("x0", self.x0, Multivector, self.algebra.dim, 1)
 
 
 @dataclass(frozen=True)
@@ -107,7 +101,7 @@ def _span_with_x0(jp: JacobiPair) -> Subspace:
     # #_r is antisymmetric, so its rows span its image
     vectors = sharp(jp).rows
     vectors.append(jp.x0.coeffs())
-    return Subspace.from_vectors(jp.algebra.dim, vectors)
+    return Subspace(jp.algebra.dim, vectors)
 
 
 def rank(jp: JacobiPair) -> int:
@@ -169,10 +163,7 @@ class ContactStructure:
         n = self.algebra.dim
         if n % 2 == 0:
             raise ValueError("contact structures need odd dimension")
-        if not isinstance(self.eta, Form) or self.eta.dim != n:
-            raise TypeError("eta must be a 1-form on the algebra")
-        if self.eta.is_zero() or self.eta.grade != 1:
-            raise ValueError("eta must be a nonzero 1-form")
+        _check_argument("eta", self.eta, Form, n, 1, nonzero=True)
         k = n // 2
         volume = wedge(self.eta, wedge_power(ce_differential(self.algebra, self.eta), k))
         if volume.is_zero():
@@ -191,14 +182,8 @@ class LcsStructure:
         n = self.algebra.dim
         if n % 2:
             raise ValueError("l.c.s. structures need even dimension")
-        if not isinstance(self.omega2, Form) or self.omega2.dim != n:
-            raise TypeError("omega2 must be a 2-form on the algebra")
-        if self.omega2.is_zero() or self.omega2.grade != 2:
-            raise ValueError("omega2 must be a nonzero 2-form")
-        if not isinstance(self.lee, Form) or self.lee.dim != n:
-            raise TypeError("lee must be a 1-form on the algebra")
-        if not self.lee.is_zero() and self.lee.grade != 1:
-            raise ValueError("lee must have grade 1")
+        _check_argument("omega2", self.omega2, Form, n, 2, nonzero=True)
+        _check_argument("lee", self.lee, Form, n, 1)
         # omega2^k != 0 exactly when the flat map has full rank
         if linalg.rank(_contraction(self.omega2).rows) < n:
             raise ValueError("omega2 is degenerate: omega2^k = 0")
@@ -265,10 +250,12 @@ def lcs_to_jacobi(ls: LcsStructure) -> JacobiPair:
 def jacobi_to_lcs(jp: JacobiPair) -> LcsStructure:
     """Inverse of lcs_to_jacobi for pairs of full even rank: b = -#_r^{-1}."""
     g = jp.algebra
-    n = g.dim
-    if n % 2 or rank(jp) != n:
-        raise ValueError("jacobi pair does not have full even rank")
-    omega2, sinv = _inverse_tensor(jp.r, Form)
+    # #_r has even rank, so the pair has full even rank exactly when #_r is
+    # invertible; for odd n it never is
+    try:
+        omega2, sinv = _inverse_tensor(jp.r, Form)
+    except ValueError:
+        raise ValueError("jacobi pair does not have full even rank") from None
     lee = Form.from_coeffs([-c for c in mat_vec(sinv, jp.x0.coeffs())])
     ls = LcsStructure(g, omega2, lee)
     back = lcs_to_jacobi(ls)

@@ -12,12 +12,12 @@ integer form, and the Killing form builds one Fraction per entry.  The
 Jacobi identity is summed once per algebra and kept with the table;
 validate builds its report from those sums on every call.
 Structural computations (center, derived algebra, cocycles, derivations,
-compactness) reduce to the integer kernel of linalg, the center on integer
-rows read from the table.  A linear map applies its matrix, kept as
-integers over one common denominator, in int arithmetic too.  The one
-matrix of a 2-vector or 2-form p is `_contraction`, x -> i(x)p read from
-p's terms: the sharp map, the contact and l.c.s. flat maps and the
-dual-bracket kernels all read it.  Every change of coordinates
+compactness) reduce to the integer kernel of linalg, the center and the
+derivations on integer rows read from the table.  A linear map applies
+its matrix, kept as integers over one common denominator, in int
+arithmetic too.  The one matrix of a 2-vector or 2-form p is
+`_contraction`, x -> i(x)p read from p's terms: the sharp map, the contact
+and l.c.s. flat maps and the dual-bracket kernels all read it.  Every change of coordinates
 (coordinates, restrict, restrict_bivector, change_basis, a Jacobi pair's
 restriction) eliminates its basis B once for its left inverse L, and
 accepts L v only when B (L v) == v.
@@ -35,7 +35,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from liejacobi import linalg
-from liejacobi.exterior import Form, Multivector, evaluate
+from liejacobi.exterior import Form, Multivector, _check_argument
 from liejacobi.linalg import ZERO, Matrix, frac
 
 # Largest algebra dimension accepted from documents and catalog names.  The
@@ -254,16 +254,12 @@ class Subspace:
         object.__setattr__(self, "rows", tuple(tuple(r) for r in linalg.row_space_basis(mat)))
 
     @classmethod
-    def from_vectors(cls, dim: int, vectors: Iterable[Iterable], dual: bool = False) -> "Subspace":
-        return cls(dim, tuple(tuple(v) for v in vectors), dual)
-
-    @classmethod
     def from_elements(cls, elements: Iterable) -> "Subspace":
         elems = list(elements)
         if not elems:
             raise ValueError("need at least one element to infer the ambient space")
         dual = isinstance(elems[0], Form)
-        return cls.from_vectors(elems[0].dim, [e.coeffs() for e in elems], dual)
+        return cls(elems[0].dim, [e.coeffs() for e in elems], dual)
 
     @property
     def rank(self) -> int:
@@ -282,7 +278,7 @@ class Subspace:
     def contains_element(self, e) -> bool:
         if e.grade != 1 and not e.is_zero():
             raise ValueError("membership is defined for grade-1 elements")
-        return self.contains(e.coeffs() if not e.is_zero() else [ZERO] * self.dim)
+        return self.contains(e.coeffs())
 
     def elements(self) -> list:
         cls = Form if self.dual else Multivector
@@ -293,7 +289,7 @@ def annihilator(s: Subspace) -> Subspace:
     """All covectors (or vectors, if s is dual) vanishing on s."""
     rows = [list(r) for r in s.rows]
     basis = linalg.nullspace(rows) if rows else [list(r) for r in linalg.identity(s.dim)]
-    return Subspace.from_vectors(s.dim, basis, dual=not s.dual)
+    return Subspace(s.dim, basis, dual=not s.dual)
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -304,13 +300,13 @@ def center(g: LieAlgebra) -> Subspace:
         for j, terms in row.items():
             for k, v in terms.items():
                 rows.setdefault((j, k), {})[i] = v
-    return Subspace.from_vectors(g.dim, linalg.solve_rows(rows.values(), g.dim)[1])
+    return Subspace(g.dim, linalg.solve_rows(rows.values(), g.dim)[1])
 
 
 def derived_algebra(g: LieAlgebra) -> Subspace:
     """Span of all brackets [e_i, e_j]."""
     vectors = [v.coeffs() for v in g.structure.values()]
-    return Subspace.from_vectors(g.dim, vectors)
+    return Subspace(g.dim, vectors)
 
 
 def one_cocycles(g: LieAlgebra) -> Subspace:
@@ -394,44 +390,38 @@ class LinearMap:
         return sum((frac(a) * b for a, b in zip(x_coeffs, my)), ZERO)
 
 
+def _leibniz_rows(g: LieAlgebra) -> list[dict[int, int]]:
+    """The Leibniz rule psi[e_i, e_j] - [psi e_i, e_j] - [e_i, psi e_j] = 0 as
+    one integer row {a * n + b: N} per i < j and component m over the
+    unknowns psi[a][b], read from the table (den cancels)."""
+    n = g.dim
+    table = g._ad[1]
+    rows = []
+    for i, j in combinations(range(n), 2):
+        for m in range(n):
+            row = {m * n + k: v for k, v in table[i].get(j, {}).items()}
+            # -[psi e_i, e_j] - [e_i, psi e_j] = sum_a psi[a][i] [e_j, e_a] - psi[a][j] [e_i, e_a]
+            for s, t, sign in ((j, i, 1), (i, j, -1)):
+                for a, terms in table[s].items():
+                    if m in terms:
+                        row[a * n + t] = row.get(a * n + t, 0) + sign * terms[m]
+            rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
 def is_derivation(g: LieAlgebra, psi: LinearMap) -> bool:
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = psi.apply_element(g.bracket_basis(i, j))
-            rhs = (g.bracket(psi.apply_element(g.basis_vector(i)), g.basis_vector(j))
-                   + g.bracket(g.basis_vector(i), psi.apply_element(g.basis_vector(j))))
-            if lhs != rhs:
-                return False
-    return True
+    """Whether psi, an n x n matrix, satisfies the Leibniz rule on g."""
+    if psi.codomain_dim != g.dim or psi.domain_dim != g.dim:
+        raise ValueError(f"a derivation of {g.name} needs a {g.dim} x {g.dim} matrix")
+    flat = [x for row in psi._ints[1] for x in row]
+    return not any(sum(v * flat[c] for c, v in row.items()) for row in _leibniz_rows(g))
 
 
 def derivations(g: LieAlgebra) -> list[LinearMap]:
-    """Basis of the derivation algebra, by solving the Leibniz constraints."""
+    """Basis of the derivation algebra, by solving the Leibniz rows."""
     n = g.dim
-    rows = []
-    # unknowns: psi[a][b] flattened as a * n + b
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = g.bracket_basis(i, j).coeffs()
-            for component in range(n):
-                row = [ZERO] * (n * n)
-                for b in range(n):
-                    # psi applied to [e_i, e_j]
-                    row[component * n + b] += cij[b]
-                for a in range(n):
-                    # [psi e_i, e_j] contributes psi[a][i] [e_a, e_j]
-                    row[a * n + i] -= g.bracket_basis(a, j).coeffs()[component]
-                    # [e_i, psi e_j] contributes psi[a][j] [e_i, e_a]
-                    row[a * n + j] -= g.bracket_basis(i, a).coeffs()[component]
-                rows.append(row)
-    if not rows:
-        basis = [list(r) for r in linalg.identity(n * n)]
-    else:
-        basis = linalg.nullspace(rows)
-    maps = []
-    for flat in basis:
-        maps.append(LinearMap.from_rows([[flat[a * n + b] for b in range(n)] for a in range(n)]))
-    return maps
+    return [LinearMap.from_rows([flat[a * n:(a + 1) * n] for a in range(n)])
+            for flat in linalg.solve_rows(_leibniz_rows(g), n * n)[1]]
 
 
 def killing_form(g: LieAlgebra) -> LinearMap:
@@ -543,8 +533,7 @@ def central_extension(h: LieAlgebra, omega: Form, name: str | None = None) -> Li
     """
     from liejacobi.schouten import ce_differential
 
-    if omega.dim != h.dim or (omega.grade != 2 and not omega.is_zero()):
-        raise ValueError("omega must be a 2-form on h")
+    _check_argument("omega", omega, Form, h.dim, 2)
     if not ce_differential(h, omega).is_zero():
         raise ValueError("omega is not closed, so the extension would not be a Lie algebra")
     n = h.dim + 1
@@ -552,7 +541,7 @@ def central_extension(h: LieAlgebra, omega: Form, name: str | None = None) -> Li
     for i in range(h.dim):
         for j in range(i + 1, h.dim):
             head = h.bracket_basis(i, j).coeffs()
-            tail = -evaluate(omega, h.basis_vector(i), h.basis_vector(j))
+            tail = -omega.coefficient((i, j))      # -omega(e_i, e_j)
             v = Multivector.from_coeffs(head + [tail])
             if not v.is_zero():
                 structure[(i, j)] = v
@@ -562,8 +551,6 @@ def central_extension(h: LieAlgebra, omega: Form, name: str | None = None) -> Li
 def semidirect_by_derivation(h: LieAlgebra, psi: LinearMap, name: str | None = None) -> LieAlgebra:
     """h extended by a line acting through a derivation:
     [(x, a), (y, b)] = ([x, y] + a psi(y) - b psi(x), 0)."""
-    if psi.codomain_dim != h.dim or psi.domain_dim != h.dim:
-        raise ValueError("psi must be an endomorphism of h")
     if not is_derivation(h, psi):
         raise ValueError("psi is not a derivation of h")
     n = h.dim + 1

@@ -181,9 +181,3 @@ def twisted_ad(g: LieAlgebra, phi: Form, weight, x: Multivector, s: Multivector)
     if factor != 0:
         out = out - s.scale(factor)
     return out
-
-
-def is_invariant(g: LieAlgebra, phi: Form, weight, s: Multivector) -> bool:
-    """True when the weighted adjoint action of every basis element kills s."""
-    return all(twisted_ad(g, phi, weight, g.basis_vector(i), s).is_zero()
-               for i in range(g.dim))

@@ -30,6 +30,7 @@ from liejacobi.liealg import (
 from liejacobi.linalg import (
     ONE,
     ZERO,
+    identity,
     invert,
     mat_mul,
     mat_vec,
@@ -464,7 +465,48 @@ def center_reference(g):
         for component in range(g.dim):
             rows.append([ad_cols[i][component] for i in range(g.dim)])
     basis = nullspace(rows) if rows else []
-    return Subspace.from_vectors(g.dim, basis)
+    return Subspace(g.dim, basis)
+
+
+# Reference routes for derivations: the Leibniz rule built and tested from
+# bracket elements, which the library replaced by integer rows read from the
+# table.
+
+def is_derivation_reference(g, psi):
+    """psi[e_i, e_j] == [psi e_i, e_j] + [e_i, psi e_j] for all i < j, on
+    elements."""
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = psi.apply_element(g.bracket_basis(i, j))
+            rhs = (g.bracket(psi.apply_element(g.basis_vector(i)), g.basis_vector(j))
+                   + g.bracket(g.basis_vector(i), psi.apply_element(g.basis_vector(j))))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def derivations_reference(g):
+    """Derivation basis from a dense Fraction Leibniz system over the
+    unknowns psi[a][b] at column a * n + b, one bracket element per entry."""
+    n = g.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = g.bracket_basis(i, j).coeffs()
+            for component in range(n):
+                row = [ZERO] * (n * n)
+                for b in range(n):
+                    # psi applied to [e_i, e_j]
+                    row[component * n + b] += cij[b]
+                for a in range(n):
+                    # [psi e_i, e_j] contributes psi[a][i] [e_a, e_j]
+                    row[a * n + i] -= g.bracket_basis(a, j).coeffs()[component]
+                    # [e_i, psi e_j] contributes psi[a][j] [e_i, e_a]
+                    row[a * n + j] -= g.bracket_basis(i, a).coeffs()[component]
+                rows.append(row)
+    basis = nullspace(rows) if rows else [list(r) for r in identity(n * n)]
+    return [LinearMap.from_rows([[flat[a * n + b] for b in range(n)] for a in range(n)])
+            for flat in basis]
 
 
 def invariant_scalar_product_reference(g):

@@ -38,6 +38,7 @@ from liejacobi.bialgebra import (
     _twisted_ad,
     CoboundarySolutions,
     GeneralizedBialgebra,
+    SharpCertificate,
     YbData,
     build_dual_bracket,
     build_first_kind,
@@ -60,13 +61,15 @@ from liejacobi.bialgebra import (
 from liejacobi import bialgebra, jacobi, linalg
 from liejacobi.catalog import catalog, catalog_names, heisenberg
 from liejacobi.exterior import Form, Multivector, contract, pair, wedge
-from liejacobi.jacobi import ContactStructure, JacobiPair, check_jacobi, contact_to_jacobi
+from liejacobi.jacobi import (ContactStructure, JacobiPair, LcsStructure, check_jacobi,
+                              contact_to_jacobi)
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
     Subspace,
     abelian,
     center,
+    central_extension,
     change_basis,
     coordinates,
     direct_product,
@@ -152,6 +155,60 @@ def test_glb_constructor_rejections():
         GeneralizedBialgebra(nb.g, nb.g_star, fm(4, 2, {(0, 1): 1}), nb.x0)
     with pytest.raises(TypeError):
         GeneralizedBialgebra(nb.g, nb.g_star, nb.phi0, Form.basis(4, 0))
+
+
+def argument_sites():
+    """(site, call, valid keyword arguments, the element inputs as
+    (argument, kind, grade, nonzero)) for each site that checks its element
+    inputs by exterior._check_argument."""
+    nb, y, su2 = catalog("noncob4_53"), catalog("h11"), catalog("su2")
+    yb = dict(g=y.g, phi0=y.phi0, r=y.r, x0=y.x0)
+    yb_inputs = [("phi0", Form, 1, False), ("r", Multivector, 2, False),
+                 ("x0", Multivector, 1, False)]
+    return [
+        ("GeneralizedBialgebra", GeneralizedBialgebra,
+         dict(g=nb.g, g_star=nb.g_star, phi0=nb.phi0, x0=nb.x0),
+         [("phi0", Form, 1, False), ("x0", Multivector, 1, False)]),
+        ("dual_bracket_adjoint_route", dual_bracket_adjoint_route, yb, yb_inputs),
+        ("dual_bracket_pointwise_route", dual_bracket_pointwise_route, yb, yb_inputs),
+        ("YbData", YbData, yb, yb_inputs),
+        ("glb_from_cocycle", glb_from_cocycle, dict(g=heisenberg(1), phi=Form.basis(3, 0)),
+         [("phi", Form, 1, False)]),
+        ("JacobiPair", JacobiPair, dict(algebra=su2, r=mv(3, 2, {(1, 2): 1}), x0=-vec(3, 0)),
+         [("r", Multivector, 2, False), ("x0", Multivector, 1, False)]),
+        ("ContactStructure", ContactStructure, dict(algebra=su2, eta=-Form.basis(3, 0)),
+         [("eta", Form, 1, True)]),
+        ("LcsStructure", LcsStructure,
+         dict(algebra=catalog("solvable2"), omega2=fm(2, 2, {(0, 1): -1}), lee=Form.zero(2, 1)),
+         [("omega2", Form, 2, True), ("lee", Form, 1, False)]),
+        ("central_extension", central_extension,
+         dict(h=abelian(2), omega=fm(2, 2, {(0, 1): 1})), [("omega", Form, 2, False)]),
+    ]
+
+
+@pytest.mark.parametrize("call, valid, argument, kind, grade, nonzero", [
+    pytest.param(call, valid, *element, id=f"{site}-{element[0]}")
+    for site, call, valid, inputs in argument_sites() for element in inputs])
+def test_element_inputs_follow_one_rule(call, valid, argument, kind, grade, nonzero):
+    # the wrong kind raises TypeError; another dimension, a forbidden zero
+    # and a nonzero element of another grade raise ValueError; zero of
+    # another grade is accepted where zero is
+    n = valid[argument].dim
+    other_kind = Multivector if kind is Form else Form
+    other_grade = 3 - grade
+    element = lambda cls, dim, k: cls.from_terms(dim, k, {tuple(range(k)): 1})
+    call(**valid)
+    with pytest.raises(TypeError, match=f"^{argument} must be a "):
+        call(**{**valid, argument: element(other_kind, n, grade)})
+    for bad in (element(kind, n + 1, grade), element(kind, n, other_grade)):
+        with pytest.raises(ValueError, match=f"^{argument} must have "):
+            call(**{**valid, argument: bad})
+    for zero in (kind.zero(n, grade), kind.zero(n, other_grade), kind.zero(n, 0)):
+        if nonzero:
+            with pytest.raises(ValueError, match=f"^{argument} must be nonzero$"):
+                call(**{**valid, argument: zero})
+        else:
+            call(**{**valid, argument: zero})
 
 
 def test_dual_bracket_solvable_golden():
@@ -634,6 +691,17 @@ def test_jacobi_preconditions_imply_the_yb_hypotheses():
         assert ce_differential(y.g, y.phi0).is_zero()
         assert check_yb_hypotheses(y).passed, y
     assert len(data) >= 18 and sum(y.g.dim == 5 for y in data) >= 6
+
+
+def test_sharp_certificate_isomorphism_is_full_even_rank():
+    # an isomorphism exactly when the pair's characteristic subspace is all
+    # of an even-dimensional g
+    flags = []
+    for y in jacobi_yb_data():
+        n = y.g.dim
+        flags.append(n % 2 == 0 and jacobi.rank(JacobiPair(y.g, y.r, y.x0)) == n)
+        assert build_from_jacobi(y).certificate == SharpCertificate(True, flags[-1])
+    assert any(flags) and not all(flags)
 
 
 def test_extraction_checks_the_jacobi_pair_once(monkeypatch):

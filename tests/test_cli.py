@@ -242,6 +242,21 @@ def test_contact_rejects_rank_deficient_odd_pair(tmp_path, capsys):
                                      "error": "jacobi pair does not have full odd rank"}
 
 
+@pytest.mark.parametrize("g, r, x0", [
+    # rank n - 2 on an even algebra, and a full-rank contact pair on su2
+    (liealg.abelian(4), mv(4, 2, {(0, 1): 1}), Multivector.zero(4, 1)),
+    (catalog("su2"), mv(3, 2, {(1, 2): 1}), -vec(3, 0)),
+])
+def test_lcs_refuses_a_pair_without_full_even_rank(tmp_path, capsys, g, r, x0):
+    labels = g.basis_labels
+    code, payload = machine(capsys, "lcs", "--algebra", write(tmp_path, "g.json", g),
+                            "--r", write(tmp_path, "r.json", r, labels),
+                            "--x0", write(tmp_path, "x0.json", x0, labels))
+    assert code == 1
+    assert payload["report"] == {"passed": False,
+                                 "error": "jacobi pair does not have full even rank"}
+
+
 def test_lcs_both_directions(tmp_path, capsys):
     g = catalog("solvable2")
     algebra = write(tmp_path, "g.json", g)

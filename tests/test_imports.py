@@ -3,8 +3,9 @@ that module, every private module-level function or class is used
 somewhere in the library, only the modules that exterior names touch the
 integer form of elements and tables, the pointwise dual-bracket route reads
 neither that form nor the contraction matrix of r, the coboundary system
-and the elimination kernel build no Fraction, and every liejacobi name the
-benchmark uses exists and is callable.
+and the elimination kernel build no Fraction, the element inputs of the
+library's constructors go through one argument check, and every liejacobi
+name the benchmark uses exists and is callable.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -133,6 +134,28 @@ def test_pointwise_dual_route_stays_off_the_integer_tables():
                                 "dual_bracket_pointwise_route")
     assert "schouten" in names
     assert names.isdisjoint(INTEGER_FORM | {"_contraction"})
+
+
+# The sites whose element inputs exterior._check_argument checks, by module;
+# YbData goes through the dual-bracket routes' _check_route_args.
+ARGUMENT_SITES = {
+    "bialgebra.py": ("GeneralizedBialgebra.__post_init__", "_check_route_args",
+                     "YbData.__post_init__", "glb_from_cocycle"),
+    "jacobi.py": ("JacobiPair.__post_init__", "ContactStructure.__post_init__",
+                  "LcsStructure.__post_init__"),
+    "liealg.py": ("central_extension",),
+}
+
+
+@pytest.mark.parametrize("module, site", [(m, s) for m, sites in ARGUMENT_SITES.items()
+                                          for s in sites])
+def test_element_inputs_are_checked_by_one_rule(module, site):
+    # one rule decides TypeError against ValueError, so no site raises a
+    # TypeError of its own
+    names = function_references((ROOT / "src" / "liejacobi" / module).read_text(), site)
+    rule = "_check_route_args" if site == "YbData.__post_init__" else "_check_argument"
+    assert rule in names
+    assert "TypeError" not in names
 
 
 def reachable_functions(source: str, name: str) -> set[str]:

@@ -449,8 +449,12 @@ def test_lcs_rejects_bad_data():
     g = abelian(4)
     with pytest.raises(ValueError):
         LcsStructure(g, fm(4, 2, {(0, 1): 1}), Form.zero(4, 1))  # degenerate
-    with pytest.raises(ValueError):
-        jacobi_to_lcs(JacobiPair(g, mv(4, 2, {(0, 1): 1}), Multivector.zero(4, 1)))
+    # a pair of rank n - 2 on an even algebra, and a full-rank contact pair
+    for jp, expected in ((JacobiPair(g, mv(4, 2, {(0, 1): 1}), Multivector.zero(4, 1)), 2),
+                         (JacobiPair(catalog("su2"), mv(3, 2, {(1, 2): 1}), -vec(3, 0)), 3)):
+        assert check_jacobi(jp).passed and rank(jp) == expected
+        with pytest.raises(ValueError, match="^jacobi pair does not have full even rank$"):
+            jacobi_to_lcs(jp)
     sol = catalog("solvable2")
     with pytest.raises(ValueError):
         # lee must be a cocycle: e^2 is, e^1 is not ([e1,e2]=e1)

@@ -17,10 +17,12 @@ from helpers import (
     change_basis_reference,
     compact_algebras,
     coordinates_reference,
+    derivations_reference,
     determinant,
     fm,
     invariant_scalar_product_reference,
     is_definite_reference,
+    is_derivation_reference,
     jacobiator_reference,
     mat_vec_reference,
     mixed_algebras,
@@ -36,6 +38,7 @@ from helpers import (
 from liejacobi.bialgebra import (
     GeneralizedBialgebra,
     _classify_semidirect,
+    build_dual_bracket,
     build_semidirect_glb,
     check_glb,
     glb_from_cocycle,
@@ -380,6 +383,36 @@ def test_derivations_of_su2_are_inner():
     assert len(derivations(abelian(2))) == 4
 
 
+def test_derivations_match_the_element_route():
+    # the Leibniz rows read from the table against the element route, on
+    # Lie and non-Lie brackets: the same basis, and the same verdict on it
+    # and on a seeded matrix
+    rng = random.Random(131)
+    lie, non_lie = mixed_algebras()
+    named = _catalog_algebras() + [build_dual_bracket(catalog(name)) for name in
+                                   ("solvable3_51", "h11", "semidirect4_53")]
+    algebras = named + lie + non_lie + [abelian(n) for n in range(4)]
+    algebras += [change_basis(g, random_basis(rng, g.dim), name=f"{g.name}.mixed")
+                 for g in named]
+    assert len(algebras) == 60
+    for g in algebras:
+        ders = derivations(g)
+        assert ders == derivations_reference(g), g.name
+        n = g.dim
+        seeded = LinearMap.from_rows([[mixed_fraction(rng) for _ in range(n)] for _ in range(n)])
+        for psi in ders + [seeded]:
+            assert is_derivation(g, psi) == is_derivation_reference(g, psi), g.name
+
+
+def test_is_derivation_needs_a_matrix_of_the_algebra_dimension():
+    su2 = catalog("su2")
+    for rows in (identity(2), identity(4), identity(3)[:2]):
+        with pytest.raises(ValueError, match="^a derivation of su2 needs a 3 x 3 matrix$"):
+            is_derivation(su2, LinearMap.from_rows(rows))
+    with pytest.raises(ValueError, match="3 x 3"):
+        semidirect_by_derivation(su2, LinearMap.identity(2))
+
+
 def test_change_basis_preserves_structure():
     g = catalog("sl2r")
     p = [[Fraction(x) for x in row] for row in ((1, 0, 1), (0, 1, 0), (0, 1, 1))]
@@ -511,7 +544,7 @@ def test_structure_is_read_only_and_replace_builds_a_new_table():
 
 
 def test_subspace_membership():
-    s = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+    s = Subspace(3, [[1, 0, 0], [0, 1, 0]])
     assert s.rank == 2
     assert s.contains_element(mv(3, 1, {(0,): 1, (1,): -2}))
     assert not s.contains_element(vec(3, 2))
@@ -677,7 +710,7 @@ def test_subspace_contains_matches_the_rank_route(monkeypatch):
     for n in (1, 2, 3, 5):
         for k in (0, 1, n):
             vectors = [[mixed_fraction(rng) or ONE for _ in range(n)] for _ in range(k)]
-            s = Subspace.from_vectors(n, vectors)
+            s = Subspace(n, vectors)
             rows = [list(r) for r in s.rows]
             seen.add((n, s.rank))
             weights = [mixed_fraction(rng) for _ in vectors]
@@ -694,7 +727,7 @@ def test_subspace_contains_matches_the_rank_route(monkeypatch):
 
 
 def test_subspace_checks_lengths_and_reduces_its_rows():
-    s = Subspace.from_vectors(3, [[1, 2, 0], [0, 0, 1]])
+    s = Subspace(3, [[1, 2, 0], [0, 0, 1]])
     for v in ([1, 2], [1, 2, 0, 0]):
         with pytest.raises(ValueError, match="vector length"):
             s.contains(v)

@@ -25,7 +25,6 @@ from liejacobi.linalg import invert, transpose
 from liejacobi.schouten import (
     ce_differential,
     check_cocycle,
-    is_invariant,
     schouten,
     twisted_ad,
     twisted_differential,
@@ -334,9 +333,13 @@ def test_twisted_ad_is_representation():
             assert lhs == twisted_ad(g, phi, c, g.bracket(x, z), s)
 
 
+def invariant(g, phi, weight, s):
+    """Whether the weighted adjoint action of every basis vector kills s."""
+    return all(twisted_ad(g, phi, weight, g.basis_vector(i), s).is_zero() for i in range(g.dim))
+
+
 def test_is_invariant_examples():
-    assert is_invariant(catalog("su2"), Form.zero(3, 1), Fraction(1),
-                        Multivector.zero(3, 2))
+    assert invariant(catalog("su2"), Form.zero(3, 1), Fraction(1), Multivector.zero(3, 2))
     # any bivector on h(1,1): [r,r] - 2 e3^r is ad-invariant
     h = heisenberg(1)
     rng = random.Random(113)
@@ -344,12 +347,12 @@ def test_is_invariant_examples():
     for _ in range(15):
         r = random_element(rng, Multivector, 3, 2)
         s = schouten(h, r, r) - wedge(vec(3, 2), r).scale(Fraction(2))
-        assert is_invariant(h, zero_phi, Fraction(1), s)
+        assert invariant(h, zero_phi, Fraction(1), s)
     # dim-4 semidirect: i(phi0)r - x0 = e3 is ad_{(phi0,0)}-invariant
     y = catalog("semidirect4_53")
     s = contract(y.phi0, y.r) - y.x0
     assert s == vec(4, 2)
-    assert is_invariant(y.g, y.phi0, Fraction(0), s)
+    assert invariant(y.g, y.phi0, Fraction(0), s)
 
 
 def test_graded_symmetry_identity():
