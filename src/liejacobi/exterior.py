@@ -35,7 +35,8 @@ as a residual that is only tested for zero, never builds a Fraction.
 
 An element input of a fixed kind, dimension and grade (the entries of a
 generalized bialgebra, of Yang-Baxter data and of a Jacobi pair, a contact,
-l.c.s. or cocycle form, the twist of a central extension) is checked by one
+l.c.s. or cocycle form, the twist of a central extension, the spanning
+elements of a subspace and a candidate member) is checked by one
 rule, `_check_argument`: an element of the wrong kind raises TypeError; one
 of another dimension, a zero element where a nonzero one is needed, or a
 nonzero element of another grade raises ValueError.  Zero is of every grade.

@@ -10,7 +10,10 @@ and Chevalley-Eilenberg sums and the bialgebra compatibility residuals are
 summed from them in int arithmetic; an element result keeps the sums as its
 integer form, and the Killing form builds one Fraction per entry.  The
 Jacobi identity is summed once per algebra and kept with the table;
-validate builds its report from those sums on every call.
+validate builds its report from those sums on every call.  They are taken
+on packed rows, one int with one w-bit slot per coefficient (Kronecker
+substitution); w = bit_length(3 n M^2) + 2, for M the largest |N_ij^k|,
+keeps every slot inside +-2^(w-1), so the packing is exact.
 Structural computations (center, derived algebra, cocycles, derivations,
 compactness) reduce to the integer kernel of linalg, the center and the
 derivations on integer rows read from the table.  A linear map applies
@@ -134,19 +137,68 @@ class LieAlgebra:
     def _jacobiator(self) -> tuple[tuple[tuple[int, int, int], dict[int, int]], ...]:
         """((i, j, k), {m: N}) for each basis triple i < j < k whose residual
         [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = sum_m N e_m / den^2
-        is nonzero: N is sum_l N_ab^l N_lc^m over the three cyclic (a, b, c)."""
+        is nonzero: N is sum_l N_ab^l N_lc^m over the three cyclic (a, b, c).
+
+        The sums are taken on packed rows, one int holding one w-bit slot per
+        coefficient.  With M = max |N_ab^c| and w = bit_length(3 n M^2) + 2,
+        every slot value stays strictly inside +-2^(w-1) (a slot of
+        [[e_a,e_b],e_c] is at most n M^2, one of a Jacobi sum at most
+        3 n M^2), so packing and unpacking are exact.  packed[l] is ad(e_l),
+        with N_lc^m in slot c n + m.  pairs[a n + b], for a < b only, is
+        full + sum_l N_ab^l packed[l], where full puts 2^(w-1) in every
+        slot: its slots are then nonnegative, and its block c (shifted by
+        w n c, masked to n w bits) is [[e_a,e_b],e_c] plus bias, the
+        2^(w-1) of each slot of one block.  For i < j < k, block k of
+        pairs[i n + j] plus block i of pairs[j n + k] less block j of
+        pairs[i n + k] is sum_m (N + 2^(w-1)) 2^(w m), inside [0, 2^(w n)),
+        so masking the sum of the three shifted rows gives it: the triple
+        passes exactly when it equals bias and is otherwise decoded into n
+        signed slots.
+        """
         # read from the table only, for the reason given in _ad
+        n = self.dim
         table = self._ad[1]
+        big = 0                     # M: the table holds -N beside every N
+        for row in table:
+            for terms in row.values():
+                for v in terms.values():
+                    if v > big:
+                        big = v
+        if n < 3 or not big:
+            return ()
+        w = (3 * n * big * big).bit_length() + 2
+        span = w * n                # one block of n slots
+        half = 1 << (w - 1)
+        slot = (1 << w) - 1
+        mask = (1 << span) - 1
+        bias = mask // slot * half  # 2^(w-1) in each slot of a block
+        full = ((1 << span * n) - 1) // slot * half     # ... of n blocks
+        packed = []
+        for row in table:
+            q = 0
+            for c, terms in row.items():
+                block = 0
+                for m, v in terms.items():
+                    block += v << (w * m)
+                q += block << (span * c)
+            packed.append(q)
+        pairs = [full] * (n * n)
+        for a, row in enumerate(table):
+            for b, terms in row.items():
+                if a < b:
+                    t = full
+                    for l, x in terms.items():
+                        t += x * packed[l]
+                    pairs[a * n + b] = t
         entries = []
-        for i, j, k in combinations(range(self.dim), 3):
-            acc = [0] * self.dim
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for l, x in table[a].get(b, {}).items():
-                    lc = table[l].get(c)
-                    if lc is not None:
-                        for m, y in lc.items():
-                            acc[m] += x * y
-            if any(acc):
+        for i, j, k in combinations(range(n), 3):
+            s = ((pairs[i * n + j] >> span * k) + (pairs[j * n + k] >> span * i)
+                 - (pairs[i * n + k] >> span * j)) & mask
+            if s != bias:
+                acc = []
+                for _ in range(n):
+                    acc.append((s & slot) - half)
+                    s >>= w
                 entries.append(((i, j, k), dict(enumerate(acc))))
         return tuple(entries)
 
@@ -255,11 +307,15 @@ class Subspace:
 
     @classmethod
     def from_elements(cls, elements: Iterable) -> "Subspace":
+        """The span of grade-1 elements of one kind and dimension, read from
+        the first; the rest must match it."""
         elems = list(elements)
         if not elems:
             raise ValueError("need at least one element to infer the ambient space")
-        dual = isinstance(elems[0], Form)
-        return cls(elems[0].dim, [e.coeffs() for e in elems], dual)
+        kind = Form if isinstance(elems[0], Form) else Multivector
+        for e in elems:
+            _check_argument("element", e, kind, elems[0].dim, 1)
+        return cls(elems[0].dim, [e.coeffs() for e in elems], kind is Form)
 
     @property
     def rank(self) -> int:
@@ -276,8 +332,9 @@ class Subspace:
         return not any(v)
 
     def contains_element(self, e) -> bool:
-        if e.grade != 1 and not e.is_zero():
-            raise ValueError("membership is defined for grade-1 elements")
+        """Membership of a form in a dual subspace or of a multivector in
+        another, of grade 1 or zero."""
+        _check_argument("e", e, Form if self.dual else Multivector, self.dim, 1)
         return self.contains(e.coeffs())
 
     def elements(self) -> list:

@@ -12,7 +12,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from liejacobi.bialgebra import GeneralizedBialgebra
+from liejacobi.bialgebra import GeneralizedBialgebra, glb_from_cocycle
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.exterior import Form, Multivector, contract, evaluate_on, pair, sort_index, wedge
 from liejacobi.liealg import (
@@ -25,6 +25,7 @@ from liejacobi.liealg import (
     direct_product,
     is_compact,
     killing_form,
+    one_cocycles,
     standard_labels,
 )
 from liejacobi.linalg import (
@@ -189,6 +190,36 @@ def mixed_algebras():
     return lie, non_lie
 
 
+def dense_heisenberg_bialgebras(seeds):
+    """(g, g*) of glb_from_cocycle, one pair per seed, built as the
+    coboundary-solve benchmark builds its inputs but without its density
+    filter: heisenberg(1,3) in a seeded unimodular integer basis (shuffled
+    rows of a lower times an upper unitriangular matrix with entries in -1,
+    0, 1) and a nonzero integer combination of its closed 1-forms.  g is
+    abelian(7) and g* carries the dense bracket."""
+    h = heisenberg(3)
+    n = h.dim
+    pairs = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        lower, upper = identity(n), identity(n)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    (lower if i > j else upper)[i][j] = Fraction(rng.choice((-1, 0, 1)))
+        p = mat_mul(lower, upper)
+        rng.shuffle(p)
+        g = change_basis(h, p, name=f"h13.{seed}")
+        cocycles = one_cocycles(g).rows
+        weights = [0] * len(cocycles)
+        while not any(weights):
+            weights = [rng.randint(-2, 2) for _ in cocycles]
+        phi = [sum(w * row[k] for w, row in zip(weights, cocycles)) for k in range(n)]
+        b = glb_from_cocycle(g, Form.from_coeffs(phi))
+        pairs.append((b.g, b.g_star))
+    return pairs
+
+
 # Reference routes for the integer structure-constant kernels.  They read the
 # Fraction structure mapping directly and never touch the integer table, so
 # the library's fast paths are checked against an independent computation.
@@ -216,12 +247,13 @@ def bracket_jacobiator_reference(g, i, j, k):
     return br(br(ei, ej), ek) + br(br(ej, ek), ei) + br(br(ek, ei), ej)
 
 
-def jacobiator_reference(g):
-    """validate's report summed afresh on every call: sum_l c_ab^l c_lc^m
-    over the three cyclic (a, b, c) of each basis triple, in int over den^2
-    from the table, one element per nonzero residual."""
-    den, table = g._ad
-    violations = []
+def jacobiator_sums_reference(g):
+    """LieAlgebra._jacobiator by the triple loop it replaced: for each basis
+    triple i < j < k, sum_l N_ab^l N_lc^m over the three cyclic (a, b, c)
+    one product at a time from the table, kept as {m: N} for every m when
+    some N is nonzero."""
+    table = g._ad[1]
+    entries = []
     for i, j, k in combinations(range(g.dim), 3):
         acc = [0] * g.dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -231,9 +263,18 @@ def jacobiator_reference(g):
                     for m, y in lc.items():
                         acc[m] += x * y
         if any(acc):
-            violations.append(((i, j, k), Multivector._from_ints(
-                g.dim, 1, {(m,): v for m, v in enumerate(acc)}, den * den)))
-    return ValidationReport(g, tuple(violations))
+            entries.append(((i, j, k), dict(enumerate(acc))))
+    return tuple(entries)
+
+
+def jacobiator_reference(g):
+    """validate's report summed afresh on every call from
+    jacobiator_sums_reference, over den^2, one element per nonzero
+    residual."""
+    den = g._ad[0]
+    return ValidationReport(g, tuple(
+        (ijk, Multivector._from_ints(g.dim, 1, {(m,): v for m, v in acc.items()}, den * den))
+        for ijk, acc in jacobiator_sums_reference(g)))
 
 
 def ce_differential_reference(source, element):

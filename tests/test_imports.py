@@ -2,10 +2,11 @@
 that module, every private module-level function or class is used
 somewhere in the library, only the modules that exterior names touch the
 integer form of elements and tables, the pointwise dual-bracket route reads
-neither that form nor the contraction matrix of r, the coboundary system
-and the elimination kernel build no Fraction, the element inputs of the
-library's constructors go through one argument check, and every liejacobi
-name the benchmark uses exists and is callable.
+neither that form nor the contraction matrix of r, the coboundary system,
+the elimination kernel and the Jacobi sums build no Fraction, the Jacobi
+sums make no public call, the element inputs of the library's
+constructors go through one argument check, and every liejacobi name the
+benchmark uses exists and is callable.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -136,6 +137,20 @@ def test_pointwise_dual_route_stays_off_the_integer_tables():
     assert names.isdisjoint(INTEGER_FORM | {"_contraction"})
 
 
+def test_jacobi_sums_read_the_table_only():
+    # the packed Jacobi sums are summed in int from the table, so they build
+    # no Fraction and make no public call that a trace would count
+    source = (ROOT / "src" / "liejacobi" / "liealg.py").read_text()
+    algebra = next(node for node in ast.parse(source).body
+                   if isinstance(node, ast.ClassDef) and node.name == "LieAlgebra")
+    public = {node.name for node in algebra.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert public >= {"bracket", "bracket_basis", "basis_vector", "validate"}
+    names = function_references(source, "LieAlgebra._jacobiator")
+    assert "_ad" in names
+    assert names.isdisjoint(public | {"Fraction"})
+
+
 # The sites whose element inputs exterior._check_argument checks, by module;
 # YbData goes through the dual-bracket routes' _check_route_args.
 ARGUMENT_SITES = {
@@ -143,7 +158,7 @@ ARGUMENT_SITES = {
                      "YbData.__post_init__", "glb_from_cocycle"),
     "jacobi.py": ("JacobiPair.__post_init__", "ContactStructure.__post_init__",
                   "LcsStructure.__post_init__"),
-    "liealg.py": ("central_extension",),
+    "liealg.py": ("central_extension", "Subspace.from_elements", "Subspace.contains_element"),
 }
 
 

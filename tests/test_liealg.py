@@ -17,6 +17,7 @@ from helpers import (
     change_basis_reference,
     compact_algebras,
     coordinates_reference,
+    dense_heisenberg_bialgebras,
     derivations_reference,
     determinant,
     fm,
@@ -24,6 +25,7 @@ from helpers import (
     is_definite_reference,
     is_derivation_reference,
     jacobiator_reference,
+    jacobiator_sums_reference,
     mat_vec_reference,
     mixed_algebras,
     mixed_fraction,
@@ -37,6 +39,7 @@ from helpers import (
 )
 from liejacobi.bialgebra import (
     GeneralizedBialgebra,
+    YbData,
     _classify_semidirect,
     build_dual_bracket,
     build_semidirect_glb,
@@ -178,6 +181,70 @@ def test_copies_sum_their_own_jacobiator():
         assert h._jacobiator is not sums
     assert [h._jacobiator == sums for h in copies] == [True, True, True, False]
     assert copies[0].validate().describe().startswith("renamed:")
+
+
+def _packing_inputs():
+    """(Lie algebras, other brackets) for the packed Jacobi sums: seeded
+    sparse and dense brackets of dims 0-9, Lie algebras of dims 0-9 as given
+    and in seeded dense bases, 100-digit numerators over one 100-digit
+    denominator, and brackets whose every structure constant is M, or +-M
+    with a Jacobi sum near the slot bound."""
+    rng = random.Random(2019)
+    su2 = catalog("su2")
+    lie = [abelian(n) for n in range(10)]
+    for g in (su2, catalog("u2"), heisenberg(2), direct_product(su2, abelian(3)), heisenberg(3),
+              direct_product(direct_product(su2, su2), abelian(2)), heisenberg(4)):
+        lie += [g, change_basis(g, random_basis(rng, g.dim), name=f"{g.name}.dense")]
+    other = []
+    den = rng.randrange(10 ** 99, 10 ** 100)
+    big = lambda: Fraction(rng.choice((-1, 1)) * rng.randrange(10 ** 99, 10 ** 100), den)
+    for dim in range(10):
+        for name, p, coeff in (("sparse", 0.3, lambda: mixed_fraction(rng)),
+                               ("dense", 1.0, lambda: mixed_fraction(rng)),
+                               ("digits", 1.0, big)):
+            structure = {}
+            for ij in combinations(range(dim), 2):
+                v = Multivector.from_coeffs([coeff() if rng.random() < p else 0
+                                             for _ in range(dim)])
+                if not v.is_zero():
+                    structure[ij] = v
+            other.append(LieAlgebra(f"{name}{dim}", dim, standard_labels(dim), structure))
+        for m in (1, 7, 10 ** 100 - 1):
+            rows = {ij: [m] * dim for ij in combinations(range(dim), 2)}
+            other.append(LieAlgebra.from_brackets(f"all{m}.{dim}", dim, rows))
+            if dim >= 3:
+                # signs that make component 0 of the sum on (e1, e2, e3)
+                # (3 dim - 5) m^2, against the slot bound 3 dim m^2
+                rows[(0, 1)] = [m, m, m] + [-m] * (dim - 3)
+                rows[(1, 2)] = [m] + [-m] * (dim - 1)
+                other.append(LieAlgebra.from_brackets(f"signed{m}.{dim}", dim, rows))
+    return lie, other
+
+
+def test_packed_jacobi_sums_match_the_triple_loop():
+    # the sums taken on packed rows equal, entry for entry, the ones summed
+    # one product at a time, on inputs built like the coboundary-solve
+    # benchmark's and on every catalog algebra and dual too
+    lie, other = _packing_inputs()
+    lie += [g for pair in dense_heisenberg_bialgebras(range(6)) for g in pair]
+    # the duals of the catalog bialgebras are among _catalog_algebras
+    entries = [catalog(name) for name in catalog_names() if "(" not in name]
+    lie += _catalog_algebras() + [build_dual_bracket(entry) for entry in entries
+                                  if isinstance(entry, YbData)]
+    for g in lie + other:
+        assert g._jacobiator == jacobiator_sums_reference(g), g.name
+    assert all(g._jacobiator == () for g in lie)
+    failing = [g for g in other if g._jacobiator]
+    assert {g.name for g in failing} >= {f"{name}{dim}" for name in ("dense", "digits")
+                                         for dim in range(3, 10)}
+    # the inputs reach near the slot bound and past 198 digits
+    signed = next(g for g in failing if g.name == "signed7.9")
+    assert signed._jacobiator[0][1][0] == 22 * 7 ** 2
+    digits = next(g for g in failing if g.name == "digits9")
+    assert max(abs(v) for _, acc in digits._jacobiator for v in acc.values()) > 10 ** 198
+    for g in failing:
+        assert g.validate() == jacobiator_reference(g), g.name
+        assert not g.validate().passed
 
 
 def test_table_holds_integers_over_the_lcm():
@@ -548,6 +615,34 @@ def test_subspace_membership():
     assert s.rank == 2
     assert s.contains_element(mv(3, 1, {(0,): 1, (1,): -2}))
     assert not s.contains_element(vec(3, 2))
+
+
+def test_subspace_checks_element_kinds():
+    # a covector is no member of a subspace of vectors, nor a vector of a
+    # dual one, and one subspace is spanned by elements of one kind and
+    # dimension
+    z = center(catalog("u2"))
+    with pytest.raises(TypeError):
+        z.contains_element(Form.basis(4, 3))
+    with pytest.raises(TypeError):
+        one_cocycles(catalog("u2")).contains_element(Multivector.basis(4, 3))
+    with pytest.raises(TypeError):
+        Subspace.from_elements([Form.basis(4, 0), Multivector.basis(4, 1)])
+    with pytest.raises(TypeError):
+        Subspace.from_elements([Multivector.basis(4, 0), Form.basis(4, 1)])
+    with pytest.raises(ValueError):
+        Subspace.from_elements([Multivector.basis(4, 0), Multivector.basis(3, 1)])
+    with pytest.raises(ValueError):
+        z.contains_element(Multivector.basis(3, 0))
+    with pytest.raises(ValueError):
+        z.contains_element(mv(4, 2, {(0, 1): 1}))
+    with pytest.raises(ValueError):
+        Subspace.from_elements([Multivector.basis(4, 0), mv(4, 2, {(0, 1): 1})])
+    assert z.contains_element(Multivector.basis(4, 3))
+    assert z.contains_element(Multivector.zero(4, 2))      # zero is of every grade
+    s = Subspace.from_elements([Form.basis(4, 0), Form.zero(4, 3), Form.basis(4, 1)])
+    assert s.dual and s.rank == 2
+    assert s.contains_element(Form.basis(4, 1)) and not s.contains_element(Form.basis(4, 2))
 
 
 def test_dual_labels():
