@@ -20,11 +20,8 @@ from liejacobi.exterior import Form, Multivector, _check_argument, contract, pai
 from liejacobi.jacobi import (
     _characteristic_checked,
     CharacteristicSubalgebra,
-    ContactStructure,
     JacobiPair,
     check_jacobi,
-    contact_to_jacobi,
-    jacobi_to_lcs,
     sharp,
 )
 from liejacobi.liealg import (
@@ -36,7 +33,6 @@ from liejacobi.liealg import (
     _contraction,
     _frame,
     _restrict,
-    _restrict_pair,
     abelian,
     center,
     coordinates,
@@ -767,11 +763,11 @@ def _candidate_vectors(dim: int):
 def su2_triple(g: LieAlgebra) -> tuple[Multivector, Multivector, Multivector]:
     """Search a 3-dimensional compact algebra for a standard triple.
 
-    Looks for E1 with Killing square -2 whose squared adjoint is -Id on the
-    orthogonal complement, then completes with E2, E3 = [E1, E2].  The search
-    runs over small rational multiples of integer vectors; failure raises
-    with a diagnostic (a rational triple need not exist for every rational
-    form, only for the catalog ones).
+    Looks for E1 with Killing square -2, then for E2 with Killing square -2
+    in the Killing-orthogonal plane of E1, and keeps the first E1, E2,
+    E3 = [E1, E2] that closes the triple.  The search is bounded: E1 and E2
+    are rational multiples of small integer vectors, so it can miss a triple
+    that exists, and failure raises with a diagnostic.
     """
     if g.dim != 3:
         raise ValueError("triple search requires dimension 3")
@@ -792,17 +788,8 @@ def su2_triple(g: LieAlgebra) -> tuple[Multivector, Multivector, Multivector]:
         if v1 is None:
             continue
         e1 = Multivector.from_coeffs(v1)
-        complement = nullspace([k.transpose().apply(v1)])   # v1^T K, as a row
-        if len(complement) != 2:
-            continue
-        ok = True
-        for w in complement:
-            wv = Multivector.from_coeffs(w)
-            if g.bracket(e1, g.bracket(e1, wv)) != -wv:
-                ok = False
-                break
-        if not ok:
-            continue
+        # K v1 = v1^T K, K being symmetric; K(v1, v1) = -2, so this is a plane
+        complement = nullspace([k.apply(v1)])
         for mix in _candidate_vectors(2):
             combo = [mix[0] * complement[0][i] + mix[1] * complement[1][i] for i in range(3)]
             v2 = normalize(combo)
@@ -869,39 +856,29 @@ def _b_dual_cocycle(center_g: Subspace, phi: Form) -> Multivector:
 
 
 def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> ThirdKindCertificate:
+    # Three checks certify the result: su2_triple's triple passes
+    # _check_su2_triple, e4 spans the 1-dimensional center of h, and
+    # third_kind_pair(triple, e4, lambdas) is the characteristic pair (r, x0).
     char = extraction.characteristic
     h = char.algebra
     incl = char.inclusion
     compact_h = _require_compact(h)
-    ls = jacobi_to_lcs(char.pair)
-    phi0_h = Form.from_coeffs(incl.transpose().apply(b.phi0.coeffs()))
-    if ls.lee != -phi0_h:
-        raise ValueError("lee form of the restricted pair differs from -phi0")
-    y0w_raw = _b_dual_cocycle(compact_h.center, ls.lee)
-    y0w = y0w_raw.scale(Fraction(1) / pair(ls.lee, y0w_raw))
     center_h = compact_h.center
+    lee = -Form.from_coeffs(incl.transpose().apply(b.phi0.coeffs()))
+    y0w_raw = _b_dual_cocycle(center_h, lee)
+    y0w = y0w_raw.scale(Fraction(1) / pair(lee, y0w_raw))
     if center_h.rank != 1 or not center_h.contains_element(y0w):
         raise ValueError("restricted algebra does not have the expected 1-dimensional center")
     e4_res = -y0w
 
-    # contact reduction: ker(lee) carries the contact form -i(y0w) Omega
-    eta_bar = -contract(y0w, ls.omega2)
-    kernel_rows = nullspace([ls.lee.coeffs()])
+    # the kernel basis of the lee form fixes the coordinates of h' = [h, h]
+    kernel_rows = nullspace([lee.coeffs()])
     derived = compact_h.derived
     if derived.rank != 3 or Subspace(h.dim, kernel_rows).rows != derived.rows:
         raise ValueError("kernel of the lee form does not match the derived algebra")
-    # r' = r + y0w ^ x0 restricts to the reduced contact pair
-    r_prime = char.pair.r + wedge(y0w, char.pair.x0)
-    kernel, h_prime, restricted, x0_restricted = _restrict_pair(
-        h, kernel_rows, f"{h.name}.red", r_prime, char.pair.x0)
-    eta_prime = Form.from_coeffs(kernel.transpose().apply(eta_bar.coeffs()))
-    reduced = contact_to_jacobi(ContactStructure(h_prime, eta_prime))
-    if restricted is None or x0_restricted is None:
-        raise ValueError("contact reduction left the kernel of the lee form")
-    if reduced.r != restricted or reduced.x0 != x0_restricted:
-        raise ValueError("contact reduction does not reproduce the restricted pair")
-
-    triple_h = tuple(kernel.apply_element(t) for t in su2_triple(h_prime))
+    frame = _frame(kernel_rows, h.dim)
+    h_prime = _restrict(h, kernel_rows, f"{h.name}.red", frame)
+    triple_h = tuple(frame[0].apply_element(t) for t in su2_triple(h_prime))
     lam_coords = coordinates([(-t).coeffs() for t in triple_h], char.pair.x0.coeffs())
     if lam_coords is None:
         raise ValueError("x0 does not lie in the span of the triple")
@@ -917,7 +894,7 @@ def _classify_semidirect(b: GeneralizedBialgebra) -> SemidirectCertificate:
     g, gs = b.g, b.g_star
     n = g.dim
     bform = invariant_scalar_product(g)
-    theta_raw = bform.transpose().apply(b.x0.coeffs())   # x0^T B, as a row
+    theta_raw = bform.apply(b.x0.coeffs())   # B x0 = x0^T B, B being symmetric
     theta_raw_form = Form.from_coeffs(theta_raw)
     scale = pair(theta_raw_form, b.x0)
     theta0 = theta_raw_form.scale(Fraction(1) / scale)

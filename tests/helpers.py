@@ -1,5 +1,6 @@
 """Shared shorthand for building exact elements in tests, seeded algebras with
-mixed denominators, maps induced on exterior powers, and reference routes for
+mixed denominators, seeded compact-kind bialgebras in dense unimodular bases,
+maps induced on exterior powers, and reference routes for
 the exterior and structure-constant kernels, the coboundary system, the
 bracket and contraction compatibilities of check_glb, the coadjoint and
 pointwise dual brackets, the sharp-map homomorphism certificate, the
@@ -12,7 +13,13 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from liejacobi.bialgebra import GeneralizedBialgebra, glb_from_cocycle
+from liejacobi.bialgebra import (
+    GeneralizedBialgebra,
+    build_first_kind,
+    build_second_kind,
+    build_third_kind,
+    glb_from_cocycle,
+)
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.exterior import Form, Multivector, contract, evaluate_on, pair, sort_index, wedge
 from liejacobi.liealg import (
@@ -202,12 +209,7 @@ def dense_heisenberg_bialgebras(seeds):
     pairs = []
     for seed in seeds:
         rng = random.Random(seed)
-        lower, upper = identity(n), identity(n)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    (lower if i > j else upper)[i][j] = Fraction(rng.choice((-1, 0, 1)))
-        p = mat_mul(lower, upper)
+        p = unimodular_basis(rng, n, 1)
         rng.shuffle(p)
         g = change_basis(h, p, name=f"h13.{seed}")
         cocycles = one_cocycles(g).rows
@@ -218,6 +220,80 @@ def dense_heisenberg_bialgebras(seeds):
         b = glb_from_cocycle(g, Form.from_coeffs(phi))
         pairs.append((b.g, b.g_star))
     return pairs
+
+
+def unimodular_basis(rng: random.Random, n: int, radius: int) -> list:
+    """L U for unit lower and upper triangular L and U whose off-diagonal
+    entries are seeded integers in [-radius, radius]: a dense integer basis
+    of determinant 1."""
+    lower, upper = identity(n), identity(n)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                (lower if i > j else upper)[i][j] = Fraction(rng.choice(range(-radius, radius + 1)))
+    return mat_mul(lower, upper)
+
+
+def dense_frame(rng: random.Random, g: LieAlgebra, radius: int):
+    """(g', move): g named "dense" in the basis given by the columns of
+    P = unimodular_basis(rng, g.dim, radius), and the map that moves a
+    builder argument into it: multivectors by P^-1, forms pulled back by P^T."""
+    p = unimodular_basis(rng, g.dim, radius)
+    p_inv, p_t = invert(p), transpose(p)
+    return (change_basis(g, p, name="dense"),
+            lambda e: induced(p_t if isinstance(e, Form) else p_inv, e))
+
+
+def small_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+
+
+def compact_kind_bialgebras(rng: random.Random, count: int, radius: int = 0) -> list:
+    """(kind, bialgebra) pairs drawn as the compact-classify benchmark draws
+    its inputs: on su2 x R^2 (dim 5), a first-, second- and third-kind
+    bialgebra in turn, from small nonzero rationals.  With radius > 0 each
+    one is built in its own dense_frame, every builder argument moved into
+    it."""
+    base = direct_product(catalog("su2"), abelian(2), name="su2xR2")
+    q = lambda: small_rational(rng)
+    out = []
+    for i in range(count):
+        g, move = dense_frame(rng, base, radius) if radius else (base, lambda e: e)
+        v = lambda *coeffs: move(Multivector.from_coeffs(coeffs))
+        kind = ("first", "second", "third")[i % 3]
+        if kind == "first":
+            # h = <u, w> with u in su2 and w the central vector phi0 kills
+            a, b = q(), q()
+            u, w = v(q(), q(), q(), 0, 0), v(0, 0, 0, b, -a)
+            r = wedge(u, w).scale(q())
+            out.append((kind, build_first_kind(g, Subspace.from_elements([u, w]), r,
+                                               move(Form.from_coeffs([0, 0, 0, a, b])))))
+        elif kind == "second":
+            while True:
+                a, b, c, d = q(), q(), q(), q()
+                if a * d != b * c:
+                    break
+            out.append((kind, build_second_kind(g, v(0, 0, 0, a, b), v(0, 0, 0, c, d),
+                                                q(), q(), q())))
+        else:
+            triple = (v(1, 0, 0, 0, 0), v(0, 1, 0, 0, 0), v(0, 0, 1, 0, 0))
+            out.append((kind, build_third_kind(g, *triple, v(0, 0, 0, q(), q()),
+                                               (q(), q(), q()))))
+    return out
+
+
+def third_kind_series(k: int, lambdas, rng: random.Random | None = None,
+                      radius: int = 0) -> GeneralizedBialgebra:
+    """build_third_kind on su2^k x R^2 with the standard triple of the first
+    su2 factor and e4 the first R coordinate; with rng, in a dense_frame."""
+    su2 = catalog("su2")
+    g = su2
+    for _ in range(k - 1):
+        g = direct_product(g, su2)
+    g = direct_product(g, abelian(2), name=f"su2^{k}xR2")
+    n = g.dim
+    g, move = dense_frame(rng, g, radius) if rng else (g, lambda e: e)
+    return build_third_kind(g, *(move(vec(n, i)) for i in (0, 1, 2, n - 2)), lambdas)
 
 
 # Reference routes for the integer structure-constant kernels.  They read the

@@ -14,6 +14,7 @@ from helpers import (
     ce_differential_reference,
     coboundary_system_reference,
     compact_algebras,
+    compact_kind_bialgebras,
     contraction_compat_reference,
     dual_bracket_adjoint_reference,
     dual_bracket_pointwise_reference,
@@ -28,6 +29,7 @@ from helpers import (
     rational_system,
     sharp_homomorphism_reference,
     solve_reference,
+    third_kind_series,
     vec,
 )
 from liejacobi.bialgebra import (
@@ -910,6 +912,55 @@ def test_build_third_kind_mixed_lambdas_roundtrip():
     rebuilt_r, rebuilt_x0 = third_kind_pair(*cert.triple, cert.e4, cert.lambdas)
     assert rebuilt_r == result.extraction.pair.r
     assert rebuilt_x0 == result.extraction.pair.x0
+
+
+def rebuilt_from_certificate(b):
+    """classify_compact's kind and the builder of that kind called on the
+    certificate alone (plus phi0 for the first kind, whose builder takes it)."""
+    result = classify_compact(b)
+    cert, g = result.certificate, b.g
+    if result.kind == "first":
+        incl = cert.characteristic.inclusion
+        span = Subspace.from_elements([incl.apply_element(vec(incl.domain_dim, i))
+                                       for i in range(incl.domain_dim)])
+        return result.kind, build_first_kind(g, span, result.extraction.pair.r, b.phi0)
+    if result.kind == "second":
+        incl = cert.characteristic.inclusion
+        return result.kind, build_second_kind(g, incl.apply_element(vec(2, 0)),
+                                              incl.apply_element(vec(2, 1)),
+                                              cert.lam, cert.lam1, cert.lam2)
+    assert result.kind == "third"
+    return result.kind, build_third_kind(g, *cert.triple, cert.e4, cert.lambdas)
+
+
+def test_each_certificate_rebuilds_its_input():
+    rng = random.Random(2020)
+    cases = [(kind, catalog(name)) for kind, name in
+             (("first", "firstkind4"), ("second", "secondkind4"), ("third", "thirdkind_u2"))]
+    cases += compact_kind_bialgebras(rng, 30)
+    cases += [("third", third_kind_series(k, lambdas))
+              for k in (1, 2, 3) for lambdas in ((1, 0, 0), (1, -2, 3))]
+    for kind, b in cases:
+        assert rebuilt_from_certificate(b) == (kind, b)
+
+    # the same builds in seeded dense bases of determinant 1; a third-kind
+    # case may instead fail the bounded triple search (ROADMAP item 1), and
+    # which ones do is recorded, not avoided
+    dense = compact_kind_bialgebras(rng, 45, radius=1) + compact_kind_bialgebras(rng, 45, radius=2)
+    dense += [("third", third_kind_series(k, (1, -2, 3), rng, radius))
+              for k in (1, 2) for radius in (1, 2) for _ in range(3)]
+    missed = []
+    for i, (kind, b) in enumerate(dense):
+        try:
+            assert rebuilt_from_certificate(b) == (kind, b), i
+        except ValueError as exc:
+            assert kind == "third"
+            assert str(exc) == ("no rational standard triple found in dense.char.red "
+                                "(searched small integer combinations)")
+            missed.append(i)
+    # 14 of the 42 third-kind cases: 2/15 and 7/15 on su2 x R^2 at radius 1
+    # and 2, then 0/3, 2/3, 1/3 and 3/3 on the su2^k x R^2 series
+    assert missed == [2, 38, 50, 56, 62, 68, 83, 86, 89, 93, 95, 96, 99, 101]
 
 
 def test_build_third_kind_failure_modes():

@@ -4,9 +4,9 @@ somewhere in the library, only the modules that exterior names touch the
 integer form of elements and tables, the pointwise dual-bracket route reads
 neither that form nor the contraction matrix of r, the coboundary system,
 the elimination kernel and the Jacobi sums build no Fraction, the Jacobi
-sums make no public call, the element inputs of the library's
-constructors go through one argument check, and every liejacobi name the
-benchmark uses exists and is callable.
+sums make no public call, bialgebra builds no l.c.s. or contact structure,
+the element inputs of the library's constructors go through one argument
+check, and every liejacobi name the benchmark uses exists and is callable.
 
 The package's __init__.py is left out of the import check: it imports names
 to re-export them.
@@ -149,6 +149,31 @@ def test_jacobi_sums_read_the_table_only():
     names = function_references(source, "LieAlgebra._jacobiator")
     assert "_ad" in names
     assert names.isdisjoint(public | {"Fraction"})
+
+
+def module_references(source: str) -> set[str]:
+    """Names, attributes and imported names anywhere in a source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return names
+
+
+def test_module_references_are_reported():
+    assert module_references("from a import b\nimport c.d\nx.y(z)\n") == {"b", "d", "x", "y", "z"}
+
+
+def test_third_kind_classification_reads_no_lcs_or_contact_structure():
+    # the third-kind certificate is read from the characteristic algebra and
+    # checked by third_kind_pair; no l.c.s. or contact structure is rebuilt
+    names = module_references((ROOT / "src" / "liejacobi" / "bialgebra.py").read_text())
+    assert names.isdisjoint({"jacobi_to_lcs", "lcs_to_jacobi", "contact_to_jacobi",
+                             "ContactStructure", "LcsStructure"})
 
 
 # The sites whose element inputs exterior._check_argument checks, by module;
