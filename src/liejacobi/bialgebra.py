@@ -820,6 +820,11 @@ class SecondKindCertificate:
 
 @dataclass(frozen=True)
 class ThirdKindCertificate:
+    """The triple, e4 and lambdas of a third-kind bialgebra, read on its
+    characteristic algebra h.  They fix (r, X0) and phi0 on h only: when the
+    center of g is larger than h's, build_third_kind on them can return
+    another phi0, and so another g*, than the classified input's."""
+
     characteristic: CharacteristicSubalgebra
     triple: tuple          # (E1, E2, E3) in ambient coordinates
     e4: Multivector        # transverse central vector, ambient coordinates

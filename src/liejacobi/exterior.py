@@ -26,9 +26,12 @@ The form is private to the library, not to this module.  Its readers, with
     the columns of g and the forms of phi0, X0) and the certificate
     `_check_sharp_homomorphism` (-#_r a homomorphism g* -> g, from both
     tables); both read r as `liealg._contraction(r)`, the one matrix of a
-    2-tensor, through that matrix's integer form.
+    2-tensor, through that matrix's integer form;
+  - `jacobi`: the residuals of `check_jacobi`, summed from the table, and
+    the contact and l.c.s. maps, which invert and solve integer rows of
+    eta, d eta, omega2, r and X0.
 The kernels here, element arithmetic and the structure-constant sums of
-`liealg`, `schouten` and `bialgebra` sum in int arithmetic and return
+`liealg`, `schouten`, `bialgebra` and `jacobi` sum in int arithmetic and return
 results through `_Element._from_ints`, which reduces the sums by one gcd
 and keeps them as the form: a kernel output whose terms nobody reads, such
 as a residual that is only tested for zero, never builds a Fraction.

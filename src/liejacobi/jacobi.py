@@ -6,15 +6,22 @@ Rank counts the characteristic subspace im(#_r) + <X0>, which is always a
 subalgebra; odd rank restricts to a contact form, even rank to a locally
 conformal symplectic (l.c.s.) pair.  The conversions here are exact inverses
 of each other and every constructor re-verifies the defining identities.
-Every matrix of a 2-tensor here, #_r and the flat maps of omega2 and d eta,
-is liealg's `_contraction`, and `_inverse_tensor` reads r or omega2 back
-from the inverse of one.
+
+check_jacobi and the conversions work on integer forms (see exterior):
+`_jacobi_residuals` sums [r,r] - 2 X0^r and [X0,r] in int from the
+structure-constant table, and the general schouten is not called.  A
+2-tensor is read as the sparse integer rows of its antisymmetric matrix
+(`_antisymmetric`, which is -_contraction over its denominator):
+contact_to_jacobi adds eta (x) eta to those of d eta and inverts the flat
+map with linalg's integer inverse, `_inverse_tensor` reads r or omega2
+back from the integer inverse of the other's matrix for the l.c.s. maps,
+and jacobi_to_contact solves integer rows of #_r and X0.  No Fraction
+matrix is built; the public sharp map is still liealg's `_contraction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from liejacobi.exterior import (Form, Multivector, _check_argument, contract, pair, wedge,
@@ -30,8 +37,8 @@ from liejacobi.liealg import (
     direct_product,
 )
 from liejacobi import linalg
-from liejacobi.linalg import ZERO, invert, mat_vec, solve
-from liejacobi.schouten import ce_differential, schouten
+from liejacobi.linalg import _inverse, solve_rows
+from liejacobi.schouten import ce_differential
 
 
 @dataclass(frozen=True)
@@ -73,10 +80,77 @@ class JacobiReport:
 
 def check_jacobi(jp: JacobiPair) -> JacobiReport:
     """Evaluate both defining identities and report the exact residuals."""
-    g = jp.algebra
-    self_res = schouten(g, jp.r, jp.r) - wedge(jp.x0, jp.r).scale(2)
-    vec_res = schouten(g, jp.x0, jp.r)
-    return JacobiReport(jp, self_res, vec_res)
+    return JacobiReport(jp, *_jacobi_residuals(jp.algebra, jp.r, jp.x0))
+
+
+def _antisymmetric(p: Multivector | Form) -> list[dict[int, int]]:
+    """The numerators of a 2-tensor p as the sparse rows of its
+    antisymmetric matrix: row i maps j to the numerator of p^ij.  Over the
+    denominator of p this is -_contraction(p)."""
+    rows: list[dict[int, int]] = [{} for _ in range(p.dim)]
+    for (i, j), v in p._ints()[0].items():
+        rows[i][j], rows[j][i] = v, -v
+    return rows
+
+
+def _jacobi_residuals(g: LieAlgebra, r: Multivector, x0: Multivector) -> tuple:
+    """([r,r] - 2 X0^r, [X0,r]), summed in int from the table of g.
+
+    With R the antisymmetric matrix of r and C_m[i][k] = N_ik^m, the matrices
+    T_m = R^T C_m R give [r,r]^abc = -2 (T_a[b][c] + T_b[c][a] + T_c[a][b]),
+    and X0^r is x^a R[b][c] + x^b R[c][a] + x^c R[a][b] at abc.  [X0,r] is
+    ad X0 acting on r, A R + R A^T for A[m][i] = sum_k x^k N_ki^m, whose
+    entry [a][b] with a < b is P[a][b] - P[b][a] for P = A R.  A zero
+    residual has the grade that the Schouten bracket and the wedge give
+    it: that of X0^r for the first, of [X0,r] for the second.
+    """
+    n = g.dim
+    den, table = g._ad
+    rows = _antisymmetric(r)
+    dr = r._ints()[1]
+    xs, dx = x0._ints()
+    x = {i: v for (i,), v in xs.items()}
+    # u[m, i] is row i of C_m R and t[m, b, c] = T_m[b][c], over den dr^2
+    u: dict[tuple, dict[int, int]] = {}
+    for i, row in enumerate(table):
+        if rows[i]:
+            for k, bracket in row.items():
+                for m, c in bracket.items():
+                    um = u.setdefault((m, i), {})
+                    for col, v in rows[k].items():
+                        um[col] = um.get(col, 0) + c * v
+    # T_m is antisymmetric, and only its entries [b][c] with b < c and
+    # m, b, c distinct are read
+    t: dict[tuple, int] = {}
+    for (m, i), um in u.items():
+        for b, v in rows[i].items():
+            if b != m:
+                for c, w in um.items():
+                    if b < c and c != m:
+                        t[m, b, c] = t.get((m, b, c), 0) + v * w
+    self_acc = {}
+    for a, b, c in combinations(range(n), 3):
+        rr = t.get((a, b, c), 0) - t.get((b, a, c), 0) + t.get((c, a, b), 0)
+        wedged = (x.get(a, 0) * rows[b].get(c, 0) + x.get(b, 0) * rows[c].get(a, 0)
+                  + x.get(c, 0) * rows[a].get(b, 0))
+        self_acc[a, b, c] = -2 * (rr * dx + wedged * dr * den)
+    # P = A R, over den dx dr
+    p: dict[tuple, int] = {}
+    for k, xk in x.items():
+        for i, bracket in table[k].items():
+            for m, c in bracket.items():
+                f = xk * c
+                for j, v in rows[i].items():
+                    p[m, j] = p.get((m, j), 0) + f * v
+    vec_acc: dict[tuple, int] = {}
+    for (m, j), v in p.items():
+        if m != j:
+            key, v = ((m, j), v) if m < j else ((j, m), -v)
+            vec_acc[key] = vec_acc.get(key, 0) + v
+    grade = 3 if any(self_acc.values()) else min(x0.grade + r.grade, n)
+    return (Multivector._from_ints(n, grade, self_acc, dr * dr * den * dx),
+            Multivector._from_ints(n, min(max(x0.grade + r.grade - 1, 0), n), vec_acc,
+                                   den * dx * dr))
 
 
 def sharp(obj: JacobiPair | Multivector) -> LinearMap:
@@ -90,11 +164,23 @@ def sharp(obj: JacobiPair | Multivector) -> LinearMap:
 
 
 def _inverse_tensor(p: Multivector | Form, kind: type) -> tuple:
-    """(q, M^-1) for M = _contraction(p): q is the 2-tensor of the given kind
-    with _contraction(q) = -M^-1, read as q^ij = -M^-1[j][i]."""
-    minv = invert(_contraction(p).rows)
-    terms = {(i, j): -minv[j][i] for i, j in combinations(range(p.dim), 2) if minv[j][i]}
-    return kind.from_terms(p.dim, 2, terms), minv
+    """(q, L): L = (den, rows) is the integer form of the inverse of the
+    antisymmetric matrix of p, which is -M^-1 for M = _contraction(p), and
+    q is the 2-tensor of the given kind with _contraction(q) = L, read as
+    q^ij = L[j][i]; a singular M raises ValueError."""
+    inverse = _inverse(_antisymmetric(p), p.dim, [p._ints()[1]] * p.dim)
+    den, rows = inverse
+    terms = {(i, j): rows[j][i] for i, j in combinations(range(p.dim), 2)}
+    return kind._from_ints(p.dim, 2, terms, den), inverse
+
+
+def _times(matrix: tuple, v: Multivector | Form, kind: type, sign: int = 1):
+    """The kind element sign * M v for the integer form (den, rows) of a
+    matrix M and a grade-1 v, summed in int."""
+    den, rows = matrix
+    nums, d = v._ints()
+    acc = {(i,): sign * sum(row[k] * x for (k,), x in nums.items()) for i, row in enumerate(rows)}
+    return kind._from_ints(len(rows), 1, acc, den * d)
 
 
 def _span_with_x0(jp: JacobiPair) -> Subspace:
@@ -197,16 +283,24 @@ class LcsStructure:
 def contact_to_jacobi(cs: ContactStructure) -> JacobiPair:
     """Reeb vector and 2-vector of a contact form: X0 = b^{-1}(eta), r = d eta pulled back."""
     g, eta = cs.algebra, cs.eta
+    n = g.dim
     d_eta = ce_differential(g, eta)
-    # b_eta(X) = i(X)(d eta) + eta(X) eta: the contraction of d eta plus eta (x) eta
-    e = eta.coeffs()
-    binv = invert([[c + a * b for c, b in zip(row, e)]
-                   for a, row in zip(e, _contraction(d_eta).matrix)])
-    x0 = Multivector.from_coeffs(mat_vec(binv, e))
+    # b_eta(X) = i(X)(d eta) + eta(X) eta: the contraction of d eta plus
+    # eta (x) eta, in integers over dd de^2
+    nums, de = eta._ints()
+    dd = d_eta._ints()[1]
+    e = [nums.get((i,), 0) for i in range(n)]
+    rows = []
+    for a, row in zip(e, _antisymmetric(d_eta)):
+        entries = {j: a * dd * b - row.get(j, 0) * de * de for j, b in enumerate(e)}
+        rows.append({j: c for j, c in entries.items() if c})
+    binv = _inverse(rows, n, [dd * de * de] * n)
+    x0 = _times(binv, eta, Multivector)
     if not contract(x0, d_eta).is_zero() or pair(eta, x0) != 1:
         raise ValueError("flat map inversion did not produce the Reeb vector")
-    # r(e^i, e^j) = d eta(b^{-1} e^i, b^{-1} e^j)
-    jp = JacobiPair(g, _push(LinearMap.from_columns(binv), d_eta), x0)
+    # r(e^i, e^j) = d eta(b^{-1} e^i, b^{-1} e^j): d eta pushed by the
+    # transpose of b^{-1}
+    jp = JacobiPair(g, _push((binv[0], list(zip(*binv[1]))), d_eta), x0)
     report = check_jacobi(jp)
     if not report.passed:
         raise ValueError("contact data produced an invalid pair:\n" + report.describe())
@@ -219,13 +313,16 @@ def jacobi_to_contact(jp: JacobiPair) -> ContactStructure:
     eta is the unique 1-form vanishing on im(#_r) with eta(X0) = 1.
     """
     g = jp.algebra
-    rows = sharp(jp).rows     # spans im(#_r), #_r being antisymmetric
-    rhs = [ZERO for _ in rows]
-    rows.append(jp.x0.coeffs())
-    rhs.append(Fraction(1))
+    n = g.dim
+    # integer rows of [a | b], the right-hand side in column n: eta vanishes
+    # on the rows of the antisymmetric matrix of r, which span im(#_r), and
+    # takes 1 at X0
+    rows = _antisymmetric(jp.r)
+    nums, dx = jp.x0._ints()
+    rows.append({**{i: v for (i,), v in nums.items()}, n: dx})
     # for odd n, #_r has rank at most n - 1, so eta exists and is unique
     # exactly when im(#_r) + <X0> is everything: one elimination decides both
-    sol = solve(rows, rhs) if g.dim % 2 else None
+    sol = solve_rows(rows, n) if n % 2 else None
     if sol is None or sol[1]:
         raise ValueError("jacobi pair does not have full odd rank")
     eta = Form.from_coeffs(sol[0])
@@ -239,8 +336,9 @@ def jacobi_to_contact(jp: JacobiPair) -> ContactStructure:
 def lcs_to_jacobi(ls: LcsStructure) -> JacobiPair:
     """X0 = b^{-1}(lee) and r with #_r = -b^{-1} for the 2-form's flat map b."""
     g = ls.algebra
-    r, binv = _inverse_tensor(ls.omega2, Multivector)
-    jp = JacobiPair(g, r, Multivector.from_coeffs(mat_vec(binv, ls.lee.coeffs())))
+    # b^{-1} = -L for the inverse L of the antisymmetric matrix of omega2
+    r, inverse = _inverse_tensor(ls.omega2, Multivector)
+    jp = JacobiPair(g, r, _times(inverse, ls.lee, Multivector, -1))
     report = check_jacobi(jp)
     if not report.passed:
         raise ValueError("l.c.s. data produced an invalid pair:\n" + report.describe())
@@ -253,10 +351,11 @@ def jacobi_to_lcs(jp: JacobiPair) -> LcsStructure:
     # #_r has even rank, so the pair has full even rank exactly when #_r is
     # invertible; for odd n it never is
     try:
-        omega2, sinv = _inverse_tensor(jp.r, Form)
+        omega2, inverse = _inverse_tensor(jp.r, Form)
     except ValueError:
         raise ValueError("jacobi pair does not have full even rank") from None
-    lee = Form.from_coeffs([-c for c in mat_vec(sinv, jp.x0.coeffs())])
+    # lee = -#_r^{-1} X0 = L X0 for the inverse L of the antisymmetric matrix of r
+    lee = _times(inverse, jp.x0, Form)
     ls = LcsStructure(g, omega2, lee)
     back = lcs_to_jacobi(ls)
     if back.r != jp.r or back.x0 != jp.x0:

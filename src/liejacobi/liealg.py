@@ -642,12 +642,13 @@ def _contraction(p: Multivector | Form) -> LinearMap:
     return LinearMap(tuple(map(tuple, rows)))
 
 
-def _push(matrix: LinearMap, p: Multivector | Form) -> Multivector:
+def _push(matrix: LinearMap | tuple, p: Multivector | Form) -> Multivector:
     """sum p^ij (M e_i) ^ (M e_j) for a 2-vector or 2-form p and a matrix M of
-    k rows, summed in int; the zero of grade k when k < 2."""
+    k rows, given as a LinearMap or as its integer form (den, rows), summed
+    in int; the zero of grade k when k < 2."""
     nums, dp = p._ints()
-    den, rows = matrix._ints
-    k = matrix.codomain_dim
+    den, rows = matrix._ints if isinstance(matrix, LinearMap) else matrix
+    k = len(rows)
     acc = {(a, b): sum(v * (rows[a][i] * rows[b][j] - rows[a][j] * rows[b][i])
                        for (i, j), v in nums.items()) for a, b in combinations(range(k), 2)}
     return Multivector._from_ints(k, min(k, 2), acc, dp * den * den)

@@ -5,13 +5,17 @@ fractions.Fraction (ints are accepted), and every result entry is a Fraction.
 
 One fraction-free elimination kernel, `_echelon`, works on sparse integer
 rows {column: nonzero int}; rref, rank, row_space_basis, nullspace, solve,
-solve_rows and invert, the left inverse that liealg computes once per basis,
-read their answers from it.  A Fraction matrix enters the kernel through one
-front end that scales each row's nonzero entries to integers by the lcm of
-their denominators; solve_rows takes rows that are integers already, as
-solve_coboundary builds them from the integer tables, with the right-hand
-side in column cols.  The kernel eliminates by cross-multiplication and
-divides every updated row by its content, so no row carries a common factor.
+solve_rows and the integer left inverse `_inverse` read their answers from
+it.  A Fraction matrix enters the kernel through one front end that scales
+each row's nonzero entries to integers by the lcm of their denominators;
+solve_rows and _inverse take rows that are integers already, as
+solve_coboundary and the contact and l.c.s. maps of jacobi build them from
+integer forms, solve_rows with the right-hand side in column cols and
+_inverse with a scale per row, returning the inverse as integers over one
+denominator.  invert, the left inverse that liealg computes once per basis,
+is the Fraction view of _inverse.  The kernel eliminates by
+cross-multiplication and divides every updated row by its content, so no
+row carries a common factor.
 Rows wait in buckets keyed by their leading column: a column no row starts
 at costs nothing, and solve and solve_rows stop as soon as the smallest
 leading column left is the right-hand side's, since the system is then
@@ -234,15 +238,31 @@ def solve_rows(rows, cols: int) -> tuple[Vector, list[Vector]] | None:
     return x, _null_basis(rows, pivots, cols)
 
 
-def invert(a: Matrix) -> Matrix:
-    """Left inverse L (L B = I) of a matrix B of independent columns: the first
-    rows of the reduced [B | I], the inverse for square B; else ValueError."""
-    n, m = len(a), len(a[0]) if a else 0
-    rows, pivots = _echelon(_rows([*row, *e] for row, e in zip(a, identity(n))), m + n)
+def _inverse(rows: list[dict[int, int]], m: int, scales: list[int]) -> tuple[int, list[list[int]]]:
+    """(den, L): L / den is the left inverse (L B = I) of the matrix B of m
+    independent columns whose row i is rows[i] / scales[i], rows being sparse
+    integer rows {column: nonzero int}; else ValueError.  [B | I] scaled by
+    scales[i] in row i is the integer matrix [rows | diag(scales)], with the
+    same reduced echelon form, whose first m rows hold L."""
+    n = len(rows)
+    reduced, pivots = _echelon([{**row, m + i: s} for i, (row, s) in enumerate(zip(rows, scales))],
+                               m + n)
     if pivots[:m] != list(range(m)):
         raise ValueError("matrix is singular")
-    return [[Fraction(row.get(m + j, 0), row[k]) for j in range(n)]
-            for k, row in enumerate(rows[:m])]
+    reduced = reduced[:m]
+    den = lcm(*(row[k] for k, row in enumerate(reduced)))
+    return den, [[row.get(m + j, 0) * (den // row[k]) for j in range(n)]
+                 for k, row in enumerate(reduced)]
+
+
+def invert(a: Matrix) -> Matrix:
+    """Left inverse L (L B = I) of a matrix B of independent columns, the
+    inverse for square B; else ValueError.  The Fraction view of _inverse."""
+    m = len(a[0]) if a else 0
+    sparse = [_sparse(row) for row in a]
+    den, rows = _inverse([dict(zip(support, nums)) for support, nums, _ in sparse], m,
+                         [d for _, _, d in sparse])
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 def is_definite(a: Matrix, positive: bool) -> tuple[bool, list[Fraction]]:

@@ -4,7 +4,8 @@ maps induced on exterior powers, and reference routes for
 the exterior and structure-constant kernels, the coboundary system, the
 bracket and contraction compatibilities of check_glb, the coadjoint and
 pointwise dual brackets, the sharp-map homomorphism certificate, the
-contraction matrix of a 2-tensor and the contact flat map, the center, the
+contraction matrix of a 2-tensor and the contact flat map, the Jacobi
+residuals, the contact and l.c.s. maps by Fraction matrices, the center, the
 invariant scalar product, the coordinate solvers of liealg and the integer
 linear-algebra kernel."""
 
@@ -502,6 +503,54 @@ def flat_contact_reference(cs):
         x = Multivector.basis(g.dim, j)
         cols.append((contract(x, d_eta) + eta.scale(pair(eta, x))).coeffs())
     return LinearMap.from_columns(cols)
+
+
+def jacobi_residuals_reference(jp):
+    """([r,r] - 2 X0^r, [X0,r]) through the general schouten, wedge and
+    scale: the residuals check_jacobi reports, grade of a zero included."""
+    g, r, x0 = jp.algebra, jp.r, jp.x0
+    return schouten(g, r, r) - wedge(x0, r).scale(2), schouten(g, x0, r)
+
+
+def contact_to_jacobi_reference(cs):
+    """(r, X0) of a contact form by the Fraction route: b_eta inverted by
+    invert, X0 = b_eta^-1 eta by mat_vec and r = d eta pushed by the map
+    whose columns are the rows of b_eta^-1."""
+    binv = invert(flat_contact_reference(cs).rows)
+    pushed = induced(LinearMap.from_columns(binv).rows, ce_differential(cs.algebra, cs.eta))
+    return (Multivector(pushed.dim, pushed.grade, pushed.terms),
+            Multivector.from_coeffs(mat_vec(binv, cs.eta.coeffs())))
+
+
+def jacobi_to_contact_reference(jp):
+    """eta of a full odd-rank pair by one solve of the Fraction rows of #_r,
+    with right-hand side 0, and of X0, with right-hand side 1."""
+    n = jp.algebra.dim
+    sol = solve(contraction_reference(jp.r).rows + [jp.x0.coeffs()], [ZERO] * n + [ONE])
+    return Form.from_coeffs(sol[0])
+
+
+def _tensor_from_inverse(minv, kind):
+    # the 2-tensor q with q^ij = -minv[j][i]
+    n = len(minv)
+    return kind.from_terms(n, 2, {(i, j): -minv[j][i] for i, j in combinations(range(n), 2)})
+
+
+def lcs_to_jacobi_reference(ls):
+    """(r, X0) of an l.c.s. structure by the Fraction route: M^-1 from
+    invert for the flat map M of omega2, r^ij = -M^-1[j][i] and X0 =
+    M^-1 lee by mat_vec."""
+    minv = invert(contraction_reference(ls.omega2).rows)
+    return (_tensor_from_inverse(minv, Multivector),
+            Multivector.from_coeffs(mat_vec(minv, ls.lee.coeffs())))
+
+
+def jacobi_to_lcs_reference(jp):
+    """(omega2, lee) of a full even-rank pair by the Fraction route: S^-1
+    from invert for S = #_r, omega2^ij = -S^-1[j][i] and lee = -S^-1 X0."""
+    sinv = invert(contraction_reference(jp.r).rows)
+    return (_tensor_from_inverse(sinv, Form),
+            Form.from_coeffs([-c for c in mat_vec(sinv, jp.x0.coeffs())]))
 
 
 def coadjoint_reference(g, x, alpha):

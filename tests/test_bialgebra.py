@@ -30,6 +30,7 @@ from helpers import (
     sharp_homomorphism_reference,
     solve_reference,
     third_kind_series,
+    unimodular_basis,
     vec,
 )
 from liejacobi.bialgebra import (
@@ -961,6 +962,33 @@ def test_each_certificate_rebuilds_its_input():
     # 14 of the 42 third-kind cases: 2/15 and 7/15 on su2 x R^2 at radius 1
     # and 2, then 0/3, 2/3, 1/3 and 3/3 on the su2^k x R^2 series
     assert missed == [2, 38, 50, 56, 62, 68, 83, 86, 89, 93, 95, 96, 99, 101]
+
+
+def test_third_kind_certificate_fixes_phi0_on_h_only():
+    # a third kind bialgebra on su2 x R^2 moved wholesale into a dense
+    # unimodular basis (phi0 pulled back by P^T, not solved again): the
+    # center of g is larger than that of the characteristic algebra h, so
+    # build_third_kind on the certificate gives back (r, x0) and phi0 on h,
+    # but another phi0 and g*
+    g = direct_product(SU2, abelian(2), name="su2xR2")
+    b = build_third_kind(g, vec(5, 0), vec(5, 1), vec(5, 2), vec(5, 3), (1, -2, 3))
+    p = unimodular_basis(random.Random(1), 5, 1)
+    p_inv = invert(p)
+    moved = GeneralizedBialgebra(change_basis(b.g, p, name="dense"),
+                                 change_basis(b.g_star, transpose(p_inv)),
+                                 induced(transpose(p), b.phi0), induced(p_inv, b.x0))
+    result = classify_compact(moved)
+    cert = result.certificate
+    rebuilt = build_third_kind(moved.g, *cert.triple, cert.e4, cert.lambdas)
+    pair_of = lambda res: (res.extraction.pair.r, res.extraction.pair.x0)
+    assert pair_of(classify_compact(rebuilt)) == pair_of(result)
+    assert rebuilt.g == moved.g and rebuilt.x0 == moved.x0
+    incl = cert.characteristic.inclusion
+    h = [incl.apply_element(vec(incl.domain_dim, j)) for j in range(incl.domain_dim)]
+    assert len(h) == 4
+    assert [pair(rebuilt.phi0, v) for v in h] == [pair(moved.phi0, v) for v in h]
+    assert rebuilt.phi0 != moved.phi0
+    assert dict(rebuilt.g_star.structure) != dict(moved.g_star.structure)
 
 
 def test_build_third_kind_failure_modes():

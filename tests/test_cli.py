@@ -227,6 +227,23 @@ def test_contact_rejects_degenerate_form(tmp_path, capsys):
     assert code == 1
 
 
+def test_degenerate_contact_and_lcs_forms_exit_1(tmp_path, capsys):
+    # a nonzero eta with eta ^ d eta = 0 and a singular omega2: exit 1 with
+    # the library's message
+    a3, a4 = liealg.abelian(3), liealg.abelian(4)
+    for argv, message in (
+            (["contact", "--algebra", write(tmp_path, "a3.json", a3),
+              "--eta", write(tmp_path, "eta.json", Form.basis(3, 0), a3.dual_labels)],
+             "eta ^ (d eta)^k = 0: not an algebraic contact form"),
+            (["lcs", "--algebra", write(tmp_path, "a4.json", a4),
+              "--omega", write(tmp_path, "omega.json", fm(4, 2, {(0, 1): 1}), a4.dual_labels)],
+             "omega2 is degenerate: omega2^k = 0")):
+        assert run(capsys, *argv) == (1, message + "\n", "")
+        code, payload = machine(capsys, *argv)
+        assert code == 1
+        assert payload["report"] == {"passed": False, "error": message}
+
+
 def test_contact_rejects_rank_deficient_odd_pair(tmp_path, capsys):
     # rank 2 on abelian(3) and rank 1 on su2: exit 1 with the library's message
     g = liealg.abelian(3)

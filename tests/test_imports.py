@@ -4,7 +4,8 @@ somewhere in the library, only the modules that exterior names touch the
 integer form of elements and tables, the pointwise dual-bracket route reads
 neither that form nor the contraction matrix of r, the coboundary system,
 the elimination kernel and the Jacobi sums build no Fraction, the Jacobi
-sums make no public call, bialgebra builds no l.c.s. or contact structure,
+sums make no public call, the Jacobi residuals and the contact and l.c.s.
+maps stay on the integer forms, bialgebra builds no l.c.s. or contact structure,
 the element inputs of the library's constructors go through one argument
 check, and every liejacobi name the benchmark uses exists and is callable.
 
@@ -83,7 +84,8 @@ def test_no_unreferenced_private_helpers():
 # structure-constant table (_ad) and its column view (_columns).  exterior's
 # docstring lists the modules that may read and build it.
 INTEGER_FORM = {"_ints", "_from_ints", "_ad", "_columns"}
-INTEGER_FORM_MODULES = {"exterior.py", "liealg.py", "schouten.py", "bialgebra.py"}
+INTEGER_FORM_MODULES = {"exterior.py", "liealg.py", "schouten.py", "bialgebra.py",
+                        "jacobi.py"}
 
 
 def integer_form_uses(source: str) -> list[str]:
@@ -149,6 +151,31 @@ def test_jacobi_sums_read_the_table_only():
     names = function_references(source, "LieAlgebra._jacobiator")
     assert "_ad" in names
     assert names.isdisjoint(public | {"Fraction"})
+
+
+def test_jacobi_kernels_read_the_integer_forms_only():
+    # check_jacobi sums its residuals from the table, and the contact and
+    # l.c.s. maps invert integer rows; none of them goes back through the
+    # general schouten or a Fraction matrix
+    source = (ROOT / "src" / "liejacobi" / "jacobi.py").read_text()
+    banned = {"Fraction", "schouten", "invert", "mat_vec", "from_columns", "solve"}
+    check = function_references(source, "check_jacobi")
+    assert "_jacobi_residuals" in check and "schouten" not in check
+    assert {"_ad", "_ints"} <= function_references(source, "_jacobi_residuals")
+    for fn in ("contact_to_jacobi", "_inverse_tensor"):
+        assert {"_inverse", "_ints"} <= function_references(source, fn)
+    assert "solve_rows" in function_references(source, "jacobi_to_contact")
+    for fn in ("_jacobi_residuals", "_antisymmetric", "_inverse_tensor", "_times",
+               "contact_to_jacobi", "jacobi_to_contact", "lcs_to_jacobi", "jacobi_to_lcs"):
+        assert function_references(source, fn).isdisjoint(banned), fn
+    # invert is the Fraction view of the one integer inverse
+    linalg_source = (ROOT / "src" / "liejacobi" / "linalg.py").read_text()
+    assert "_inverse" in function_references(linalg_source, "invert")
+    assert "_echelon" not in function_references(linalg_source, "invert")
+    kernel = reachable_functions(linalg_source, "_inverse")
+    assert "_echelon" in kernel
+    assert all(function_references(linalg_source, fn).isdisjoint(banned | {"ZERO"})
+               for fn in kernel)
 
 
 def module_references(source: str) -> set[str]:

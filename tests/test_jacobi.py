@@ -7,17 +7,27 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    contact_to_jacobi_reference,
     contraction_reference,
     dense_element,
     flat_contact_reference,
     fm,
+    jacobi_residuals_reference,
+    jacobi_to_contact_reference,
+    jacobi_to_lcs_reference,
+    lcs_to_jacobi_reference,
+    mixed_algebras,
     mixed_fraction,
     mv,
     random_basis,
+    random_element,
+    unimodular_basis,
     vec,
 )
 from liejacobi import jacobi, linalg
-from liejacobi.catalog import catalog, heisenberg
+from liejacobi.bialgebra import YbData
+from liejacobi.catalog import catalog, catalog_names, heisenberg
+from liejacobi.documents import algebras_of
 from liejacobi.exterior import Form, Multivector, evaluate, evaluate_on, wedge, wedge_power
 from liejacobi.jacobi import (
     ContactStructure,
@@ -34,6 +44,7 @@ from liejacobi.jacobi import (
     sharp,
 )
 from liejacobi.liealg import (
+    LieAlgebra,
     LinearMap,
     _contraction,
     abelian,
@@ -84,6 +95,79 @@ def test_check_jacobi_sl2r_family_constraint():
         assert check_jacobi(jp).passed
         full = l1 * l1 + 4 * l2 * l3 != 0
         assert (rank(jp) == 3) == full
+
+
+def _residual_cases():
+    """Pairs (r, X0), valid or not, on an algebra of each dim 0-14 (su2 and
+    heisenberg(1,1) factors and lines, in a seeded mixed-denominator basis
+    up to dim 6 and a dense unimodular one above), the seeded non-Lie
+    brackets of mixed_algebras and the nonlie shape [e1,e2] = e3,
+    [e3,e4] = c e1: r and X0 zero, of the usual or another grade, sparse,
+    dense and with 100-digit numerators and denominators; then the catalog's Yang-Baxter
+    bundles, the zero pair on every catalog algebra, and the contact pairs
+    of the seeded contact forms."""
+    rng = random.Random(2031)
+    big = lambda den=None: Fraction(rng.randrange(-10 ** 100, 10 ** 100),
+                                    den or rng.randrange(1, 10 ** 100))
+    su2, line = catalog("su2"), abelian(1)
+    algebras = []
+    for n in range(15):
+        factors = [su2] * (n // 3) + [[], [line], [catalog("solvable2")]][n % 3]
+        if n >= 6:
+            factors[0] = heisenberg(1)
+        g = abelian(0)
+        for f in factors:
+            g = f if g.dim == 0 else direct_product(g, f)
+        if n >= 2:
+            g = change_basis(g, random_basis(rng, n) if n < 7 else unimodular_basis(rng, n, 1))
+        algebras.append(g)
+    v = lambda *coeffs: Multivector.from_coeffs(coeffs)
+    algebras += mixed_algebras()[1] + [LieAlgebra("nonlie", 4, ("e1", "e2", "e3", "e4"), {
+        (0, 1): v(0, 0, 1, 0), (2, 3): v(Fraction(-7, 3), 0, 0, 0)})]
+    out = []
+    for g in algebras:
+        n = g.dim
+        zeros = [(Multivector.zero(n, min(2, n)), Multivector.zero(n, min(1, n))),
+                 (Multivector.zero(n, 0), Multivector.zero(n, n))]
+        out += [JacobiPair(g, r, x0) for r, x0 in zeros]
+        if n < 2:
+            continue
+        pairs = list(combinations(range(n), 2))
+        # above dim 8 the 100-digit coefficients of an element share one
+        # denominator: independent ones give a common denominator of some
+        # 9000 digits at dim 14, and schouten then takes ~15 s
+        den = None if n <= 8 else big().denominator
+        r_big = Multivector.from_terms(n, 2, {ij: big(den) for ij in pairs})
+        x_big = Multivector.from_coeffs([big(den) for _ in range(n)])
+        sparse = lambda: random_element(rng, Multivector, n, 2, terms=3, bound=7)
+        x_sparse = random_element(rng, Multivector, n, 1, terms=2, bound=7)
+        out += [JacobiPair(g, r, x0) for r, x0 in (
+            (zeros[0][0], dense_element(rng, Multivector, n, 1)), (sparse(), zeros[0][1]),
+            (sparse(), zeros[1][1]), (sparse(), x_sparse),
+            (dense_element(rng, Multivector, n, 2), dense_element(rng, Multivector, n, 1)),
+            (r_big, x_big))]
+    for name in catalog_names()[:-2]:
+        entry = catalog(name)
+        if isinstance(entry, YbData):
+            out.append(JacobiPair(entry.g, entry.r, entry.x0))
+        for g in algebras_of(entry):
+            out.append(JacobiPair(g, Multivector.zero(g.dim, 2), Multivector.zero(g.dim, 1)))
+    out += [_su2_contact_pair(1, 2, -1)]
+    out += [contact_to_jacobi(cs) for cs in _random_contact_structures()]
+    return out
+
+
+def test_jacobi_residuals_match_the_schouten_route():
+    # the table route of check_jacobi against schouten, wedge and scale,
+    # compared with == and on the grade, which a zero residual also carries
+    cases = _residual_cases()
+    reports = [check_jacobi(jp) for jp in cases]
+    for jp, report in zip(cases, reports):
+        ours = (report.self_residual, report.vector_residual)
+        reference = jacobi_residuals_reference(jp)
+        assert [(e.grade, e) for e in ours] == [(e.grade, e) for e in reference]
+    assert {jp.algebra.dim for jp in cases} == set(range(15))
+    assert 40 <= sum(report.passed for report in reports) < len(cases) - 40
 
 
 def test_sharp_matrix_oracle():
@@ -271,12 +355,16 @@ def _random_contact_structures():
 
 def test_contact_roundtrips_on_random_algebras(monkeypatch):
     # the matrix contact_to_jacobi inverts is b_eta(X) = i(X)(d eta) + eta(X) eta
+    # (integer rows, column count, row scales) of the integer inverse
     inverted = []
-    monkeypatch.setattr(jacobi, "invert", lambda a: inverted.append(a) or linalg.invert(a))
+    monkeypatch.setattr(jacobi, "_inverse",
+                        lambda *args: inverted.append(args) or linalg._inverse(*args))
     for cs in _random_contact_structures():
         inverted.clear()
         jp = contact_to_jacobi(cs)
-        assert LinearMap.from_rows(inverted[0]) == flat_contact_reference(cs)
+        rows, m, scales = inverted[0]
+        assert LinearMap.from_rows([[Fraction(row.get(j, 0), s) for j in range(m)]
+                                    for row, s in zip(rows, scales)]) == flat_contact_reference(cs)
         assert check_jacobi(jp).passed and rank(jp) == cs.algebra.dim
         assert jacobi_to_contact(jp).eta == cs.eta
 
@@ -308,6 +396,53 @@ def test_lcs_roundtrips_on_random_algebras():
         back = jacobi_to_lcs(jp)
         assert back.omega2 == ls.omega2 and back.lee == ls.lee
     assert len(cases) == 8 and sum(not ls.lee.is_zero() for ls in cases) >= 4
+
+
+def test_contact_maps_match_the_fraction_route():
+    # contact_to_jacobi and jacobi_to_contact against invert, mat_vec and
+    # from_columns: seeded rational forms on su2, and 100-digit forms on
+    # heisenberg(1,1..3) in dense unimodular frames (dims 3, 5, 7)
+    rng = random.Random(2032)
+    big = lambda: Fraction(rng.randrange(-10 ** 100, 10 ** 100), rng.randrange(1, 10 ** 100))
+    cases = [ContactStructure(catalog("su2"), Form.from_coeffs(
+        [mixed_fraction(rng) or 1 for _ in range(3)])) for _ in range(20)]
+    for k in (1, 2, 3):
+        g = heisenberg(k)
+        g = change_basis(g, unimodular_basis(rng, g.dim, 1), name=f"{g.name}.dense")
+        cases += [ContactStructure(g, Form.from_coeffs([big() for _ in range(g.dim)]))
+                  for _ in range(3)]
+    for cs in cases:
+        jp = contact_to_jacobi(cs)
+        assert (jp.r, jp.x0) == contact_to_jacobi_reference(cs)
+        assert jacobi_to_contact(jp).eta == jacobi_to_contact_reference(jp) == cs.eta
+
+
+def test_lcs_maps_match_the_fraction_route():
+    # lcs_to_jacobi and jacobi_to_lcs against invert and mat_vec: seeded
+    # dense symplectic forms on abelian(n) for n = 2..16, and l.c.s.
+    # structures with a nonzero Lee form from contact pairs times a line
+    rng = random.Random(2033)
+    cases = []
+    for n in range(2, 17, 2):
+        omega = Form.from_terms(n, 2, {ij: mixed_fraction(rng) or 1
+                                       for ij in combinations(range(n), 2)})
+        cases.append(LcsStructure(abelian(n), omega, Form.zero(n, 1)))
+    for cs in _random_contact_structures()[::2]:
+        cases.append(jacobi_to_lcs(lcs_from_contact_times_line(contact_to_jacobi(cs))))
+    for ls in cases:
+        jp = lcs_to_jacobi(ls)
+        assert (jp.r, jp.x0) == lcs_to_jacobi_reference(ls)
+        back = jacobi_to_lcs(jp)
+        assert (back.omega2, back.lee) == jacobi_to_lcs_reference(jp) == (ls.omega2, ls.lee)
+    assert sum(not ls.lee.is_zero() for ls in cases) >= 4
+
+
+def test_degenerate_contact_and_lcs_forms_keep_their_messages():
+    with pytest.raises(ValueError,
+                       match=r"^eta \^ \(d eta\)\^k = 0: not an algebraic contact form$"):
+        ContactStructure(abelian(3), Form.basis(3, 0))
+    with pytest.raises(ValueError, match=r"^omega2 is degenerate: omega2\^k = 0$"):
+        LcsStructure(abelian(4), fm(4, 2, {(0, 1): 1}), Form.zero(4, 1))
 
 
 def _conformal_forms(g, lee):
@@ -401,6 +536,7 @@ def test_lcs_dense_dim16_skips_the_wedge_power(monkeypatch):
                                    for ij in combinations(range(n), 2)})
     ls = LcsStructure(abelian(n), omega, Form.zero(n, 1))
     jp = lcs_to_jacobi(ls)
+    assert (jp.r, jp.x0) == lcs_to_jacobi_reference(ls)
     assert rank(jp) == n and jp.x0.is_zero()
     assert jacobi_to_lcs(jp).omega2 == omega
     # the same form with e^16 dropped is degenerate
