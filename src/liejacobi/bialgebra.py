@@ -22,7 +22,6 @@ from liejacobi.jacobi import (
     CharacteristicSubalgebra,
     JacobiPair,
     check_jacobi,
-    sharp,
 )
 from liejacobi.liealg import (
     CompactnessReport,
@@ -30,8 +29,9 @@ from liejacobi.liealg import (
     LinearMap,
     Subspace,
     ValidationReport,
-    _contraction,
+    _antisymmetric,
     _frame,
+    _rank,
     _restrict,
     abelian,
     center,
@@ -44,7 +44,6 @@ from liejacobi.liealg import (
     killing_form,
     restrict_bivector,
 )
-from liejacobi import linalg
 from liejacobi.linalg import ZERO, nullspace, solve, solve_rows
 from liejacobi.schouten import (
     check_cocycle,
@@ -318,14 +317,14 @@ def dual_bracket_adjoint_route(g: LieAlgebra, phi0: Form, r: Multivector,
 
     Summed as integers from the table's columns: d e^i = -sum_{a<b} c_ab^i
     e^a^e^b, i(s)(e^a^e^b) = s_a e^b - s_b e^a and (#_r e^j)_m = r(e^j, e^m),
-    read from the columns of the integer form of _contraction(r) over dr,
-    all over den * dr * dphi * dx."""
+    read from the rows of the matrix of r over its denominator dr, all over
+    den * dr * dphi * dx."""
     _check_route_args(g, phi0, r, x0)
     n = g.dim
     den = g._ad[0]
     columns = g._columns
-    dr, rows = _contraction(r)._ints
-    rr = list(zip(*rows))     # rr[a] = #_r e^a over dr
+    dr = r._ints()[1]
+    rr = _antisymmetric(r)    # rr[a] = #_r e^a over dr
     phis, dphi = phi0._ints()
     xs, dx = x0._ints()
     x = [xs.get((m,), 0) for m in range(n)]
@@ -338,9 +337,9 @@ def dual_bracket_adjoint_route(g: LieAlgebra, phi0: Form, r: Multivector,
             for k, s, sign in ((i, rr[j], f_coad), (j, rr[i], -f_coad)):
                 for a, b, c in columns[k]:
                     c *= sign
-                    acc[b] -= c * s[a]
-                    acc[a] += c * s[b]
-            r_ij = rr[i][j] * f_phi
+                    acc[b] -= c * s.get(a, 0)
+                    acc[a] += c * s.get(b, 0)
+            r_ij = rr[i].get(j, 0) * f_phi
             if r_ij:
                 for (m,), v in phis.items():
                     acc[m] += r_ij * v
@@ -444,17 +443,17 @@ def build_from_jacobi(y: YbData) -> JacobiBuildResult:
     _check_sharp_homomorphism(g, dual, y.r)
     # #_r has even rank, so an even-dimensional pair has full rank exactly
     # when #_r does
-    full_even = g.dim % 2 == 0 and linalg.rank(sharp(y.r).rows) == g.dim
+    full_even = g.dim % 2 == 0 and _rank(y.r) == g.dim
     return JacobiBuildResult(bialgebra, SharpCertificate(True, full_even))
 
 
 def _check_sharp_homomorphism(g: LieAlgebra, dual: LieAlgebra, r: Multivector) -> None:
     """Raise unless #_r [e^i, e^j]* = -[#_r e^i, #_r e^j] for all i < j.
-    With #_r e^a = sum_m R[a][m] e_m / dr, R[a] the column a of the integer
-    form of _contraction(r), both sides are summed as integers over
-    den* * den * dr^2 from the two tables."""
-    dr, rows = _contraction(r)._ints
-    rr = list(zip(*rows))
+    With #_r e^a = sum_m R[a][m] e_m / dr, R the matrix of r over its
+    denominator dr, both sides are summed as integers over den* * den * dr^2
+    from the two tables."""
+    dr = r._ints()[1]
+    rr = _antisymmetric(r)
     dens, dual_table = dual._ad
     den, table = g._ad
     n = g.dim
@@ -463,15 +462,14 @@ def _check_sharp_homomorphism(g: LieAlgebra, dual: LieAlgebra, r: Multivector) -
             acc = [0] * n
             for k, c in dual_table[i].get(j, {}).items():
                 c *= den * dr
-                for m, v in enumerate(rr[k]):
+                for m, v in rr[k].items():
                     acc[m] += c * v
-            for a, u in enumerate(rr[i]):
-                if u:
-                    for b, terms in table[a].items():
-                        uv = dens * u * rr[j][b]
-                        if uv:
-                            for m, c in terms.items():
-                                acc[m] += uv * c
+            for a, u in rr[i].items():
+                for b, terms in table[a].items():
+                    uv = dens * u * rr[j].get(b, 0)
+                    if uv:
+                        for m, c in terms.items():
+                            acc[m] += uv * c
             if any(acc):
                 raise ValueError("sharp map is not a homomorphism; construction is inconsistent")
 
@@ -609,8 +607,8 @@ def build_first_kind(g: LieAlgebra, h: Subspace, r: Multivector,
         if restricted is None:
             failures.append("r does not lie in the second exterior power of h")
         else:
-            # nondegeneracy on h: the restricted sharp matrix must be invertible
-            if linalg.rank(sharp(restricted).rows) != m:
+            # nondegeneracy on h: the matrix of the restricted r must be invertible
+            if _rank(restricted) != m:
                 failures.append("r is degenerate on h")
     if phi0.is_zero():
         failures.append("phi0 must be nonzero")
@@ -969,7 +967,7 @@ def _classify_checked(b: GeneralizedBialgebra, compact: CompactnessReport) -> Cl
     if b.x0.is_zero():
         h = char.algebra
         abelian_ok = not h.structure
-        nondeg = linalg.rank(sharp(char.pair.r).rows) == m
+        nondeg = _rank(char.pair.r) == m
         if not abelian_ok or not nondeg:
             raise ValueError("extraction contradicts the first-kind normal form")
         return ClassificationResult("first", y0, extraction,

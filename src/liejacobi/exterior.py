@@ -15,8 +15,8 @@ on first read and then kept; the public constructor, `from_terms`,
 The form is private to the library, not to this module.  Its readers, with
 `_ints`, and builders, with `_from_ints`, outside this module are:
   - `liealg`: the integer structure-constant table `_ad`, its column view
-    `_columns`, `_vector`, the Jacobi check `validate`,
-    `LinearMap.apply_element` and `_push` (2-vectors in new coordinates);
+    `_columns`, `_vector`, the Jacobi check `validate`, the one matrix of
+    a 2-tensor `_antisymmetric` and the one push-forward `_push`;
   - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
   - `bialgebra`: `_twisted_ad` (the action X.P = [X, P] - phi0(X) P of g on
     2-vectors), `_check_glb` (d_{*X0} and the compatibility residuals, read
@@ -25,8 +25,7 @@ The form is private to the library, not to this module.  Its readers, with
     the adjoint kernel `dual_bracket_adjoint_route` (the dual bracket from
     the columns of g and the forms of phi0, X0) and the certificate
     `_check_sharp_homomorphism` (-#_r a homomorphism g* -> g, from both
-    tables); both read r as `liealg._contraction(r)`, the one matrix of a
-    2-tensor, through that matrix's integer form;
+    tables); both read r as the rows of `liealg._antisymmetric(r)`;
   - `jacobi`: the residuals of `check_jacobi`, summed from the table, and
     the contact and l.c.s. maps, which invert and solve integer rows of
     eta, d eta, omega2, r and X0.

@@ -10,13 +10,15 @@ of each other and every constructor re-verifies the defining identities.
 check_jacobi and the conversions work on integer forms (see exterior):
 `_jacobi_residuals` sums [r,r] - 2 X0^r and [X0,r] in int from the
 structure-constant table, and the general schouten is not called.  A
-2-tensor is read as the sparse integer rows of its antisymmetric matrix
-(`_antisymmetric`, which is -_contraction over its denominator):
+2-tensor is read as liealg's one matrix of it, the sparse integer rows of
+`_antisymmetric`: the characteristic subspace is spanned by the rows of r
+and X0, the l.c.s. rank test counts the pivots of omega2's (`_rank`),
 contact_to_jacobi adds eta (x) eta to those of d eta and inverts the flat
 map with linalg's integer inverse, `_inverse_tensor` reads r or omega2
 back from the integer inverse of the other's matrix for the l.c.s. maps,
-and jacobi_to_contact solves integer rows of #_r and X0.  No Fraction
-matrix is built; the public sharp map is still liealg's `_contraction`.
+and jacobi_to_contact solves integer rows of #_r and X0.  The inverses are
+applied by liealg's `_push`.  No Fraction matrix is built except by the
+public sharp map, the Fraction view `_contraction` of that matrix.
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
     Subspace,
+    _antisymmetric,
     _contraction,
     _push,
+    _rank,
     _restrict_pair,
     abelian,
     direct_product,
 )
-from liejacobi import linalg
 from liejacobi.linalg import _inverse, solve_rows
 from liejacobi.schouten import ce_differential
 
@@ -81,16 +84,6 @@ class JacobiReport:
 def check_jacobi(jp: JacobiPair) -> JacobiReport:
     """Evaluate both defining identities and report the exact residuals."""
     return JacobiReport(jp, *_jacobi_residuals(jp.algebra, jp.r, jp.x0))
-
-
-def _antisymmetric(p: Multivector | Form) -> list[dict[int, int]]:
-    """The numerators of a 2-tensor p as the sparse rows of its
-    antisymmetric matrix: row i maps j to the numerator of p^ij.  Over the
-    denominator of p this is -_contraction(p)."""
-    rows: list[dict[int, int]] = [{} for _ in range(p.dim)]
-    for (i, j), v in p._ints()[0].items():
-        rows[i][j], rows[j][i] = v, -v
-    return rows
 
 
 def _jacobi_residuals(g: LieAlgebra, r: Multivector, x0: Multivector) -> tuple:
@@ -165,29 +158,21 @@ def sharp(obj: JacobiPair | Multivector) -> LinearMap:
 
 def _inverse_tensor(p: Multivector | Form, kind: type) -> tuple:
     """(q, L): L = (den, rows) is the integer form of the inverse of the
-    antisymmetric matrix of p, which is -M^-1 for M = _contraction(p), and
-    q is the 2-tensor of the given kind with _contraction(q) = L, read as
-    q^ij = L[j][i]; a singular M raises ValueError."""
+    matrix R of p (`_antisymmetric` over p's denominator), and q is the
+    2-tensor of the given kind whose matrix is L^T = -L, read as
+    q^ij = L[j][i]; a singular R raises ValueError."""
     inverse = _inverse(_antisymmetric(p), p.dim, [p._ints()[1]] * p.dim)
     den, rows = inverse
     terms = {(i, j): rows[j][i] for i, j in combinations(range(p.dim), 2)}
     return kind._from_ints(p.dim, 2, terms, den), inverse
 
 
-def _times(matrix: tuple, v: Multivector | Form, kind: type, sign: int = 1):
-    """The kind element sign * M v for the integer form (den, rows) of a
-    matrix M and a grade-1 v, summed in int."""
-    den, rows = matrix
-    nums, d = v._ints()
-    acc = {(i,): sign * sum(row[k] * x for (k,), x in nums.items()) for i, row in enumerate(rows)}
-    return kind._from_ints(len(rows), 1, acc, den * d)
-
-
 def _span_with_x0(jp: JacobiPair) -> Subspace:
-    # #_r is antisymmetric, so its rows span its image
-    vectors = sharp(jp).rows
+    # row a of the matrix of r is #_r e^a, so the rows span im(#_r)
+    n = jp.algebra.dim
+    vectors = [[row.get(j, 0) for j in range(n)] for row in _antisymmetric(jp.r)]
     vectors.append(jp.x0.coeffs())
-    return Subspace(jp.algebra.dim, vectors)
+    return Subspace(n, vectors)
 
 
 def rank(jp: JacobiPair) -> int:
@@ -271,7 +256,7 @@ class LcsStructure:
         _check_argument("omega2", self.omega2, Form, n, 2, nonzero=True)
         _check_argument("lee", self.lee, Form, n, 1)
         # omega2^k != 0 exactly when the flat map has full rank
-        if linalg.rank(_contraction(self.omega2).rows) < n:
+        if _rank(self.omega2) < n:
             raise ValueError("omega2 is degenerate: omega2^k = 0")
         if not ce_differential(self.algebra, self.lee).is_zero():
             raise ValueError("lee form is not a 1-cocycle")
@@ -295,12 +280,12 @@ def contact_to_jacobi(cs: ContactStructure) -> JacobiPair:
         entries = {j: a * dd * b - row.get(j, 0) * de * de for j, b in enumerate(e)}
         rows.append({j: c for j, c in entries.items() if c})
     binv = _inverse(rows, n, [dd * de * de] * n)
-    x0 = _times(binv, eta, Multivector)
+    x0 = _push(binv, eta, Multivector)
     if not contract(x0, d_eta).is_zero() or pair(eta, x0) != 1:
         raise ValueError("flat map inversion did not produce the Reeb vector")
     # r(e^i, e^j) = d eta(b^{-1} e^i, b^{-1} e^j): d eta pushed by the
     # transpose of b^{-1}
-    jp = JacobiPair(g, _push((binv[0], list(zip(*binv[1]))), d_eta), x0)
+    jp = JacobiPair(g, _push((binv[0], list(zip(*binv[1]))), d_eta, Multivector), x0)
     report = check_jacobi(jp)
     if not report.passed:
         raise ValueError("contact data produced an invalid pair:\n" + report.describe())
@@ -338,7 +323,7 @@ def lcs_to_jacobi(ls: LcsStructure) -> JacobiPair:
     g = ls.algebra
     # b^{-1} = -L for the inverse L of the antisymmetric matrix of omega2
     r, inverse = _inverse_tensor(ls.omega2, Multivector)
-    jp = JacobiPair(g, r, _times(inverse, ls.lee, Multivector, -1))
+    jp = JacobiPair(g, r, -_push(inverse, ls.lee, Multivector))
     report = check_jacobi(jp)
     if not report.passed:
         raise ValueError("l.c.s. data produced an invalid pair:\n" + report.describe())
@@ -355,7 +340,7 @@ def jacobi_to_lcs(jp: JacobiPair) -> LcsStructure:
     except ValueError:
         raise ValueError("jacobi pair does not have full even rank") from None
     # lee = -#_r^{-1} X0 = L X0 for the inverse L of the antisymmetric matrix of r
-    lee = _times(inverse, jp.x0, Form)
+    lee = _push(inverse, jp.x0, Form)
     ls = LcsStructure(g, omega2, lee)
     back = lcs_to_jacobi(ls)
     if back.r != jp.r or back.x0 != jp.x0:

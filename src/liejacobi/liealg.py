@@ -16,14 +16,14 @@ substitution); w = bit_length(3 n M^2) + 2, for M the largest |N_ij^k|,
 keeps every slot inside +-2^(w-1), so the packing is exact.
 Structural computations (center, derived algebra, cocycles, derivations,
 compactness) reduce to the integer kernel of linalg, the center and the
-derivations on integer rows read from the table.  A linear map applies
-its matrix, kept as integers over one common denominator, in int
-arithmetic too.  The one matrix of a 2-vector or 2-form p is
-`_contraction`, x -> i(x)p read from p's terms: the sharp map, the contact
-and l.c.s. flat maps and the dual-bracket kernels all read it.  Every change of coordinates
-(coordinates, restrict, restrict_bivector, change_basis, a Jacobi pair's
-restriction) eliminates its basis B once for its left inverse L, and
-accepts L v only when B (L v) == v.
+derivations on integer rows read from the table.  The one matrix of a
+2-tensor p is `_antisymmetric`, integer rows with row a = #_p e^a: `_rank`
+counts its pivots and the sharp map's `_contraction` is its Fraction view.
+The one push-forward, `_push`, applies a matrix's integer form to a vector
+or 2-tensor, as every linear map and change of coordinates (coordinates,
+restrict, restrict_bivector, change_basis, a Jacobi pair's restriction)
+does; each of those eliminates its basis B once for its left inverse L,
+and accepts L v only when B (L v) == v.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 from liejacobi import linalg
 from liejacobi.exterior import Form, Multivector, _check_argument
-from liejacobi.linalg import ZERO, Matrix, frac
+from liejacobi.linalg import ZERO, Matrix, _echelon, frac
 
 # Largest algebra dimension accepted from documents and catalog names.  The
 # Jacobi check is O(dim^3) and derivations solves for dim^2 unknowns, so an
@@ -376,14 +376,19 @@ class LinearMap:
     """Linear map between coordinate spaces; matrix columns are basis images.
 
     The matrix is read-only, so its integer form `_ints`, built on first
-    use, cannot go stale.
+    use, cannot go stale.  Rows of unequal length, and a vector or map of
+    another shape than the map's, raise ValueError; a map with no rows
+    records no domain, so it takes vectors of any length.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "LinearMap":
-        return cls(tuple(tuple(frac(c) for c in row) for row in rows))
+        matrix = tuple(tuple(frac(c) for c in row) for row in rows)
+        if any(len(row) != len(matrix[0]) for row in matrix):
+            raise ValueError("matrix rows must have equal length")
+        return cls(matrix)
 
     @classmethod
     def from_columns(cls, cols: Iterable[Iterable]) -> "LinearMap":
@@ -414,26 +419,32 @@ class LinearMap:
         n = self.domain_dim
         return den, tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(self.codomain_dim))
 
+    def _check_length(self, n: int, expected: int) -> None:
+        if self.matrix and n != expected:
+            raise ValueError(f"expected a vector of length {expected}, not {n}")
+
     def apply(self, coeffs: Iterable) -> list[Fraction]:
-        support, nums, d = linalg._sparse([frac(c) for c in coeffs])
+        v = [frac(c) for c in coeffs]
+        self._check_length(len(v), self.domain_dim)
+        support, nums, d = linalg._sparse(v)
         den, rows = self._ints
         return [Fraction(sum(map(mul, [row[j] for j in support], nums)), den * d) for row in rows]
 
     def apply_element(self, e):
+        self._check_length(e.dim, self.domain_dim)
         grade = min(1, self.codomain_dim)    # the grade-0 zero in dimension 0
         if e.is_zero():
             return type(e).zero(self.codomain_dim, grade)
         if e.grade != 1:
             raise ValueError("a linear map applies to grade-1 elements")
-        nums, d = e._ints()
-        den, rows = self._ints
-        acc = {(i,): sum(row[k] * x for (k,), x in nums.items()) for i, row in enumerate(rows)}
-        return type(e)._from_ints(self.codomain_dim, grade, acc, den * d)
+        return _push(self._ints, e, type(e))
 
     def transpose(self) -> "LinearMap":
         return LinearMap.from_rows(linalg.transpose(self.rows))
 
     def add(self, other: "LinearMap") -> "LinearMap":
+        if (self.codomain_dim, self.domain_dim) != (other.codomain_dim, other.domain_dim):
+            raise ValueError("only maps of the same shape add")
         return LinearMap.from_rows(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
@@ -443,8 +454,9 @@ class LinearMap:
 
     def value(self, x_coeffs: Iterable, y_coeffs: Iterable) -> Fraction:
         """Bilinear form value when the matrix is square: x^T M y."""
-        my = self.apply(y_coeffs)
-        return sum((frac(a) * b for a, b in zip(x_coeffs, my)), ZERO)
+        x = [frac(a) for a in x_coeffs]
+        self._check_length(len(x), self.codomain_dim)
+        return sum(map(mul, x, self.apply(y_coeffs)), ZERO)
 
 
 def _leibniz_rows(g: LieAlgebra) -> list[dict[int, int]]:
@@ -626,39 +638,59 @@ def semidirect_by_derivation(h: LieAlgebra, psi: LinearMap, name: str | None = N
 
 def _frame(basis: Sequence[Sequence], n: int) -> tuple[LinearMap, LinearMap]:
     """(B, L): B has the n-vectors of basis as its columns and L = invert(B)
-    is its left inverse, the one elimination of the basis."""
+    is its left inverse, the one elimination of the basis.  A basis vector
+    of another length raises ValueError."""
+    if any(len(b) != n for b in basis):
+        raise ValueError(f"basis vectors must have length {n}")
     columns = LinearMap.from_rows([[b[i] for b in basis] for i in range(n)])
     return columns, LinearMap.from_rows(linalg.invert(columns.rows))
 
 
+def _antisymmetric(p: Multivector | Form) -> list[dict[int, int]]:
+    """The one matrix of a 2-vector or 2-form p: the sparse integer rows of
+    its antisymmetric matrix R, R[i][j] the numerator of p^ij over the
+    denominator of p, so that row a is #_p e^a."""
+    rows: list[dict[int, int]] = [{} for _ in range(p.dim)]
+    for (i, j), v in p._ints()[0].items():
+        rows[i][j], rows[j][i] = v, -v
+    return rows
+
+
+def _rank(p: Multivector | Form) -> int:
+    """Rank of the matrix of a 2-tensor p: the pivots of its integer rows."""
+    return len(_echelon(_antisymmetric(p), p.dim)[1])
+
+
 def _contraction(p: Multivector | Form) -> LinearMap:
-    """The map x -> i(x)p of a 2-vector or 2-form p, read from its terms:
-    entry [b][a] = p^ab = -entry [a][b], so column j is the contraction of
-    the j-th basis element of the opposite kind into p."""
-    n = p.dim
-    rows = [[ZERO] * n for _ in range(n)]
-    for (a, b), c in p.terms.items():
-        rows[b][a], rows[a][b] = c, -c
-    return LinearMap(tuple(map(tuple, rows)))
+    """The map x -> i(x)p of a 2-vector or 2-form p, -R over the denominator
+    of p for R = _antisymmetric(p): column a is the contraction of the a-th
+    basis element of the opposite kind into p."""
+    d = p._ints()[1]
+    return LinearMap(tuple(tuple(Fraction(-row[j], d) if j in row else ZERO for j in range(p.dim))
+                           for row in _antisymmetric(p)))
 
 
-def _push(matrix: LinearMap | tuple, p: Multivector | Form) -> Multivector:
-    """sum p^ij (M e_i) ^ (M e_j) for a 2-vector or 2-form p and a matrix M of
-    k rows, given as a LinearMap or as its integer form (den, rows), summed
-    in int; the zero of grade k when k < 2."""
+def _push(matrix: tuple, p: Multivector | Form, kind: type):
+    """The kind element M p for the integer form (den, rows) of a matrix M of
+    k rows, summed in int: M v for a vector, sum p^ij (M e_i) ^ (M e_j) for a
+    2-tensor, and for a zero of another grade the zero vector.  The grade is
+    capped at k, the top grade."""
+    den, rows = matrix
     nums, dp = p._ints()
-    den, rows = matrix._ints if isinstance(matrix, LinearMap) else matrix
     k = len(rows)
-    acc = {(a, b): sum(v * (rows[a][i] * rows[b][j] - rows[a][j] * rows[b][i])
-                       for (i, j), v in nums.items()) for a, b in combinations(range(k), 2)}
-    return Multivector._from_ints(k, min(k, 2), acc, dp * den * den)
+    if p.grade == 2:
+        acc = {(a, b): sum(v * (rows[a][i] * rows[b][j] - rows[a][j] * rows[b][i])
+                           for (i, j), v in nums.items()) for a, b in combinations(range(k), 2)}
+        return kind._from_ints(k, min(k, 2), acc, dp * den * den)
+    acc = {(i,): sum(row[j] * x for (j,), x in nums.items()) for i, row in enumerate(rows)}
+    return kind._from_ints(k, min(k, 1), acc, dp * den)
 
 
-def _in_span(frame: tuple[LinearMap, LinearMap], e: Multivector, push) -> Multivector | None:
-    # e in the new coordinates, pushed by L (LinearMap.apply_element for a
-    # vector, _push for a 2-vector), accepted only when B pushes it back to e
-    value = push(frame[1], e)
-    return value if push(frame[0], value) == e else None
+def _in_span(frame: tuple[LinearMap, LinearMap], e: Multivector) -> Multivector | None:
+    # e in the new coordinates, pushed by L, accepted only when B pushes it
+    # back to e
+    value = _push(frame[1]._ints, e, type(e))
+    return value if _push(frame[0]._ints, value, type(e)) == e else None
 
 
 def _restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str,
@@ -668,7 +700,7 @@ def _restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str,
     structure: dict[tuple[int, int], Multivector] = {}
     for a, b in combinations(range(len(vectors)), 2):
         bracket = g.bracket(vectors[a], vectors[b])
-        value = _in_span(frame, bracket, LinearMap.apply_element)
+        value = _in_span(frame, bracket)
         if value is None:
             labels = g.basis_labels
             raise ValueError(
@@ -684,13 +716,15 @@ def _restrict_pair(g: LieAlgebra, basis: Sequence[Sequence], name: str, r: Multi
     # (B, restrict(g, basis, name), r_h, x0_h) from one left inverse: r and
     # x0 in the new coordinates (None outside the span) and B mapping back
     frame = _frame(basis, g.dim)
-    return (frame[0], _restrict(g, basis, name, frame), _in_span(frame, r, _push),
-            _in_span(frame, x0, LinearMap.apply_element))
+    return frame[0], _restrict(g, basis, name, frame), _in_span(frame, r), _in_span(frame, x0)
 
 
 def change_basis(g: LieAlgebra, columns: Matrix, name: str | None = None) -> LieAlgebra:
     """Structure constants in a new basis; columns are the new basis vectors.
-    This is restrict on a full family; singular columns raise ValueError."""
+    This is restrict on a full family; singular columns, or a matrix that is
+    not dim x dim, raise ValueError."""
+    if len(columns) != g.dim or any(len(row) != g.dim for row in columns):
+        raise ValueError(f"a change of basis of {g.name} needs a {g.dim} x {g.dim} matrix")
     return restrict(g, linalg.transpose(columns), name or g.name)
 
 
@@ -698,7 +732,7 @@ def coordinates(basis: Sequence[Sequence], v: Iterable) -> list[Fraction] | None
     """Coordinates of v in the given independent vectors, or None outside
     their span; a dependent family raises ValueError."""
     v = list(v)
-    value = _in_span(_frame(basis, len(v)), Multivector.from_coeffs(v), LinearMap.apply_element)
+    value = _in_span(_frame(basis, len(v)), Multivector.from_coeffs(v))
     return None if value is None else [value.coefficient((i,)) for i in range(value.dim)]
 
 
@@ -719,4 +753,4 @@ def restrict_bivector(r: Multivector, basis: Iterable[Iterable]) -> Multivector 
     A span of fewer than two vectors holds only r = 0, returned as the
     top-grade zero Multivector.zero(m, m), the convention wedge uses.
     """
-    return _in_span(_frame([list(b) for b in basis], r.dim), r, _push)
+    return _in_span(_frame([list(b) for b in basis], r.dim), r)

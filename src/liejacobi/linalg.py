@@ -6,7 +6,8 @@ fractions.Fraction (ints are accepted), and every result entry is a Fraction.
 One fraction-free elimination kernel, `_echelon`, works on sparse integer
 rows {column: nonzero int}; rref, rank, row_space_basis, nullspace, solve,
 solve_rows and the integer left inverse `_inverse` read their answers from
-it.  A Fraction matrix enters the kernel through one front end that scales
+it.  A Fraction matrix enters the kernel through one front end, `_rows`, that
+refuses a row of another length than the first with ValueError and scales
 each row's nonzero entries to integers by the lcm of their denominators;
 solve_rows and _inverse take rows that are integers already, as
 solve_coboundary and the contact and l.c.s. maps of jacobi build them from
@@ -64,6 +65,8 @@ def identity(n: int) -> Matrix:
 def transpose(a: Matrix) -> Matrix:
     if not a:
         return []
+    if any(len(row) != len(a[0]) for row in a):
+        raise ValueError("matrix rows must have equal length")
     return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
@@ -123,14 +126,19 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, 
     return _primitive(out) if out else out
 
 
-def _rows(a: Matrix):
-    """The rows of a as sparse integer rows {column: nonzero int}: each row's
-    nonzero entries scaled by the lcm of their denominators (zero rows
-    dropped)."""
+def _rows(a: Matrix, cols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """(rows, scales): the rows of a as sparse integer rows {column: nonzero
+    int}, row i's nonzero entries times scales[i], the lcm of their
+    denominators.  The one shape check of the Fraction front ends: a row
+    that does not have cols entries raises ValueError."""
+    rows, scales = [], []
     for row in a:
-        support, nums, _ = _sparse(row)
-        if support:
-            yield dict(zip(support, nums))
+        if len(row) != cols:
+            raise ValueError(f"every row must have {cols} entries")
+        support, nums, den = _sparse(row)
+        rows.append(dict(zip(support, nums)))
+        scales.append(den)
+    return rows, scales
 
 
 def _echelon(rows, stop: int) -> tuple[list[dict[int, int]], list[int]] | None:
@@ -168,7 +176,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     if not a:
         return [], []
     cols = len(a[0])
-    rows, pivots = _echelon(_rows(a), cols)
+    rows, pivots = _echelon(_rows(a, cols)[0], cols)
     out = []
     for row, c in zip(rows, pivots):
         v = [ZERO] * cols
@@ -207,15 +215,18 @@ def nullspace(a: Matrix) -> list[Vector]:
     if not a:
         return []
     cols = len(a[0])
-    return _null_basis(*_echelon(_rows(a), cols), cols)
+    return _null_basis(*_echelon(_rows(a, cols)[0], cols), cols)
 
 
 def solve(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
-    """Full solution set of a x = b: (particular, nullspace basis), or None if inconsistent."""
+    """Full solution set of a x = b: (particular, nullspace basis), or None if
+    inconsistent.  b needs one entry per row of a, else ValueError."""
     if not a:
         return ([], []) if all(x == 0 for x in b) else None
+    if len(b) != len(a):
+        raise ValueError(f"the right-hand side must have {len(a)} entries")
     cols = len(a[0])
-    return solve_rows(_rows([*row, bi] for row, bi in zip(a, b)), cols)
+    return solve_rows(_rows([[*row, bi] for row, bi in zip(a, b)], cols + 1)[0], cols)
 
 
 def solve_rows(rows, cols: int) -> tuple[Vector, list[Vector]] | None:
@@ -259,9 +270,8 @@ def invert(a: Matrix) -> Matrix:
     """Left inverse L (L B = I) of a matrix B of independent columns, the
     inverse for square B; else ValueError.  The Fraction view of _inverse."""
     m = len(a[0]) if a else 0
-    sparse = [_sparse(row) for row in a]
-    den, rows = _inverse([dict(zip(support, nums)) for support, nums, _ in sparse], m,
-                         [d for _, _, d in sparse])
+    rows, scales = _rows(a, m)
+    den, rows = _inverse(rows, m, scales)
     return [[Fraction(x, den) for x in row] for row in rows]
 
 

@@ -5,7 +5,9 @@ integer form of elements and tables, the pointwise dual-bracket route reads
 neither that form nor the contraction matrix of r, the coboundary system,
 the elimination kernel and the Jacobi sums build no Fraction, the Jacobi
 sums make no public call, the Jacobi residuals and the contact and l.c.s.
-maps stay on the integer forms, bialgebra builds no l.c.s. or contact structure,
+maps stay on the integer forms, a 2-tensor has one integer matrix and one
+push-forward that only the public sharp map views as Fractions, bialgebra
+builds no l.c.s. or contact structure,
 the element inputs of the library's constructors go through one argument
 check, and every liejacobi name the benchmark uses exists and is callable.
 
@@ -156,7 +158,10 @@ def test_jacobi_sums_read_the_table_only():
 def test_jacobi_kernels_read_the_integer_forms_only():
     # check_jacobi sums its residuals from the table, and the contact and
     # l.c.s. maps invert integer rows; none of them goes back through the
-    # general schouten or a Fraction matrix
+    # general schouten or a Fraction matrix.  A 2-tensor has one matrix,
+    # liealg's integer _antisymmetric, and one push-forward, _push; the
+    # dual-bracket and certificate kernels read that matrix, and only the
+    # public sharp builds its Fraction view _contraction
     source = (ROOT / "src" / "liejacobi" / "jacobi.py").read_text()
     banned = {"Fraction", "schouten", "invert", "mat_vec", "from_columns", "solve"}
     check = function_references(source, "check_jacobi")
@@ -165,9 +170,22 @@ def test_jacobi_kernels_read_the_integer_forms_only():
     for fn in ("contact_to_jacobi", "_inverse_tensor"):
         assert {"_inverse", "_ints"} <= function_references(source, fn)
     assert "solve_rows" in function_references(source, "jacobi_to_contact")
-    for fn in ("_jacobi_residuals", "_antisymmetric", "_inverse_tensor", "_times",
-               "contact_to_jacobi", "jacobi_to_contact", "lcs_to_jacobi", "jacobi_to_lcs"):
+    for fn in ("_jacobi_residuals", "_inverse_tensor", "contact_to_jacobi", "jacobi_to_contact",
+               "lcs_to_jacobi", "jacobi_to_lcs"):
         assert function_references(source, fn).isdisjoint(banned), fn
+    liealg_source = (ROOT / "src" / "liejacobi" / "liealg.py").read_text()
+    assert "_echelon" in function_references(liealg_source, "_rank")
+    for fn in ("_antisymmetric", "_push", "_rank"):
+        assert "Fraction" not in function_references(liealg_source, fn), fn
+    bialgebra_source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
+    for fn in ("dual_bracket_adjoint_route", "_check_sharp_homomorphism"):
+        names = function_references(bialgebra_source, fn)
+        assert "_antisymmetric" in names, fn
+        assert names.isdisjoint({"Fraction", "_contraction", "sharp"}), fn
+    assert "_contraction" in function_references(source, "sharp")
+    modules = {p.name: module_references(p.read_text()) for p in PACKAGE if p.name != "__init__.py"}
+    assert {name for name, refs in modules.items() if "_contraction" in refs} == {"jacobi.py"}
+    assert not [name for name, refs in modules.items() if "sharp" in refs]
     # invert is the Fraction view of the one integer inverse
     linalg_source = (ROOT / "src" / "liejacobi" / "linalg.py").read_text()
     assert "_inverse" in function_references(linalg_source, "invert")

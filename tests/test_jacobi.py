@@ -12,6 +12,7 @@ from helpers import (
     dense_element,
     flat_contact_reference,
     fm,
+    induced,
     jacobi_residuals_reference,
     jacobi_to_contact_reference,
     jacobi_to_lcs_reference,
@@ -46,7 +47,10 @@ from liejacobi.jacobi import (
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
+    _antisymmetric,
     _contraction,
+    _push,
+    _rank,
     abelian,
     change_basis,
     direct_product,
@@ -184,37 +188,57 @@ def test_sharp_matrix_oracle():
 def _two_tensors():
     """Jacobi pairs of two catalog entries, the pairs and the d eta of the
     seeded contact forms in dense mixed-denominator bases, and seeded
-    2-vectors and 2-forms at dims 0-8: zero, sparse, dense and with
-    100-digit coefficients (below dim 2 only the top-grade zero)."""
+    2-vectors and 2-forms at dims 0-14: zero, sparse, dense and with
+    100-digit coefficients (below dim 2 only the top-grade zero).  Above
+    dim 8 the 100-digit coefficients of one element share a denominator:
+    independent ones make the common denominator thousands of digits long
+    and the rank eliminations take seconds."""
     y = catalog("solvable3_51")
     out = [_su2_contact_pair(1, 2, -1), JacobiPair(y.g, y.r, y.x0)]
     for cs in _random_contact_structures():
         out += [contact_to_jacobi(cs), ce_differential(cs.algebra, cs.eta)]
     rng = random.Random(2030)
-    big = lambda: Fraction(rng.randrange(-10 ** 100, 10 ** 100), rng.randrange(1, 10 ** 100))
-    for n in range(9):
+    big = lambda den: Fraction(rng.randrange(-10 ** 100, 10 ** 100),
+                               den or rng.randrange(1, 10 ** 100))
+    for n in range(15):
         for kind in (Multivector, Form):
             if n < 2:
                 out.append(kind.zero(n, n))
                 continue
             pairs = list(combinations(range(n), 2))
             sparse = rng.sample(pairs, min(3, len(pairs)))
+            den = rng.randrange(1, 10 ** 100) if n > 8 else None
             out += [kind.zero(n, 2),
                     kind.from_terms(n, 2, {ij: mixed_fraction(rng) or 1 for ij in sparse}),
                     dense_element(rng, kind, n, 2),
-                    kind.from_terms(n, 2, {ij: big() for ij in pairs})]
+                    kind.from_terms(n, 2, {ij: big(den) for ij in pairs})]
     return out
 
 
 def test_sharp_defining_property():
     # beta(#_r alpha) = r(alpha, beta) on every basis pair, and for a 2-form
     # Y(i(X) Omega) = Omega(X, Y); the contraction matrix equals the
-    # reference built one contraction per column
+    # reference built one contraction per column.  The integer matrix of p
+    # is minus that reference over p's denominator, its rank is the
+    # reference's, and the push-forward by a seeded matrix M is M v on the
+    # reference's rows and on zero (mat_vec), and the map induced on p
+    rng = random.Random(2031)
     for obj in _two_tensors():
         p = obj.r if isinstance(obj, JacobiPair) else obj
-        n = p.dim
+        n, kind = p.dim, type(p)
         m = _contraction(p) if isinstance(p, Form) else sharp(obj)
-        assert m == _contraction(p) == contraction_reference(p)
+        reference = contraction_reference(p)
+        assert m == _contraction(p) == reference
+        d = p._ints()[1]
+        assert ([[Fraction(row.get(j, 0), d) for j in range(n)] for row in _antisymmetric(p)]
+                == [[-x for x in row] for row in reference.rows])
+        assert _rank(p) == linalg.rank(reference.rows)
+        matrix = [[mixed_fraction(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
+                  for _ in range(n)]
+        ints = LinearMap.from_rows(matrix)._ints
+        assert _push(ints, p, kind) == induced(matrix, p)
+        for v in [kind.zero(n, 1)] + [kind.from_coeffs(row) for row in reference.rows] if n else []:
+            assert _push(ints, v, kind) == kind.from_coeffs(linalg.mat_vec(matrix, v.coeffs()))
         for a in range(n):
             image = m.apply([Fraction(1 if i == a else 0) for i in range(n)])
             for b in range(n):

@@ -513,6 +513,40 @@ def test_coordinates_and_restrict_bivector():
     assert restrict_bivector(mv(3, 2, {(0, 1): 1}), basis) is None
 
 
+def test_maps_and_bases_of_the_wrong_shape_raise():
+    # each of these once returned a value: a different matrix, an image in
+    # the wrong dimension, a truncated sum or coordinates of a truncated
+    # vector; the basis solvers raised IndexError
+    g = catalog("su2")
+    for call in (lambda: LinearMap.from_rows([[1, 2], [3], [4, 5]]),
+                 lambda: LinearMap.from_columns([[1], [2, 3]]),
+                 lambda: LinearMap.identity(3).apply_element(Multivector.from_coeffs([1, 2])),
+                 lambda: LinearMap.identity(3).apply_element(Multivector.zero(2, 1)),
+                 lambda: LinearMap.from_rows([[1, 2, 3]]).apply([1, 2]),
+                 lambda: LinearMap.identity(2).add(LinearMap.identity(3)),
+                 lambda: LinearMap.identity(2).value([1, 2], [1, 2, 3]),
+                 lambda: LinearMap.identity(2).value([1, 2, 3], [1, 2]),
+                 lambda: coordinates([[1, 0, 0]], [1, 0]),
+                 lambda: coordinates([[1, 0]], [1, 0, 0]),
+                 lambda: restrict(g, [[1, 0]], "short"),
+                 lambda: restrict(g, [[1, 0, 0, 0]], "long"),
+                 lambda: change_basis(abelian(3), [[1, 0], [0, 1], [0, 0]]),
+                 lambda: change_basis(g, [[1, 0, 0], [0, 1], [0, 0, 1]]),
+                 lambda: restrict_bivector(mv(3, 2, {(0, 1): 1}), [[1, 0], [0, 1]]),
+                 lambda: restrict_bivector(mv(3, 2, {(0, 1): 1}), [[1, 0, 0], [0, 1, 0, 0]])):
+        with pytest.raises(ValueError):
+            call()
+    # a map or basis with no rows keeps its results
+    assert coordinates([], [0, 0, 0]) == [] and coordinates([], [1, 0, 0]) is None
+    assert restrict_bivector(Multivector.zero(3, 2), []) == Multivector.zero(0, 0)
+    assert LinearMap.from_rows([]).apply([1, 2]) == []
+    assert LinearMap.from_rows([]).apply_element(Multivector.from_coeffs([1, 2])).dim == 0
+    assert LinearMap.from_rows([]).value([], [1, 2]) == 0
+    # well-shaped inputs are unchanged
+    assert LinearMap.identity(2).value([1, 2], [3, 4]) == 11
+    assert LinearMap.identity(2).add(LinearMap.identity(2)) == LinearMap.identity(2).scale(2)
+
+
 def test_restrict_bivector_on_spans_below_two():
     assert restrict_bivector(mv(3, 2, {}), [[1, 1, 0]]) == Multivector.zero(1, 1)
     assert restrict_bivector(mv(3, 2, {}), [[1, 1, 0]]).grade == 1

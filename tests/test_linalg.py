@@ -264,6 +264,21 @@ def test_empty_inputs():
     assert is_definite([], positive=True) == (True, [])
 
 
+def test_ragged_rows_and_mismatched_right_hand_sides_raise():
+    # each of these once read a short row as zero-padded, or dropped or
+    # ignored entries, and returned a wrong answer
+    for call in (lambda: rref([[1, 2], [3]]), lambda: rank([[1, 2], [3]]),
+                 lambda: invert([[1, 2], [3]]), lambda: nullspace([[1, 2], [3, 4, 5]]),
+                 lambda: row_space_basis([[1], [2, 3]]), lambda: transpose([[1], [2, 3]]),
+                 lambda: solve([[1, 0], [0, 1]], [1]), lambda: solve([[1, 0]], [1, 5]),
+                 lambda: solve([[1, 0], [0]], [1, 2])):
+        with pytest.raises(ValueError):
+            call()
+    # well-shaped inputs are unchanged
+    assert solve([[1, 0], [0, 1]], [1, 2]) == ([ONE, Fraction(2)], [])
+    assert invert([[1, 2], [3, 4]]) == [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
+
+
 def test_mat_vec_matches_fraction_reference():
     rng = random.Random(41)
     for a in _oracle_matrices():
