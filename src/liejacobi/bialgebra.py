@@ -30,6 +30,7 @@ from liejacobi.liealg import (
     Subspace,
     ValidationReport,
     _antisymmetric,
+    _bracket_rows,
     _frame,
     _rank,
     _restrict,
@@ -44,7 +45,7 @@ from liejacobi.liealg import (
     killing_form,
     restrict_bivector,
 )
-from liejacobi.linalg import ZERO, nullspace, solve, solve_rows
+from liejacobi.linalg import ZERO, _sparse, nullspace, solve_rows
 from liejacobi.schouten import (
     check_cocycle,
     ce_differential,
@@ -355,19 +356,23 @@ def dual_bracket_pointwise_route(g: LieAlgebra, phi0: Form, r: Multivector,
                                  x0: Multivector) -> dict:
     """Dual structure constants by evaluation on basis vectors:
     [a,b]*(X) = -[X,r](a,b) + r(a,b) phi0(X) + a(x0) b(X) - b(x0) a(X),
-    with [e_k, r] and phi0(e_k) computed once per k."""
+    with [e_k, r] computed once per k, over the nonzero terms only."""
     _check_route_args(g, phi0, r, x0)
     n = g.dim
     brackets = [schouten(g, g.basis_vector(k), r).terms for k in range(n)]
-    phi = [phi0.terms.get((k,), ZERO) for k in range(n)]
-    x = [x0.terms.get((k,), ZERO) for k in range(n)]
+    x = x0.terms
     structure = {}
     for i in range(n):
         for j in range(i + 1, n):
-            r_ij = r.terms.get((i, j), ZERO)
-            coeffs = [r_ij * phi[k] - brackets[k].get((i, j), ZERO) for k in range(n)]
-            coeffs[j] += x[i]
-            coeffs[i] -= x[j]
+            coeffs = [-b[(i, j)] if (i, j) in b else ZERO for b in brackets]
+            r_ij = r.terms.get((i, j))
+            if r_ij:
+                for (k,), v in phi0.terms.items():
+                    coeffs[k] += r_ij * v
+            if (i,) in x:
+                coeffs[j] += x[(i,)]
+            if (j,) in x:
+                coeffs[i] -= x[(j,)]
             value = Multivector.from_coeffs(coeffs)
             if not value.is_zero():
                 structure[(i, j)] = value
@@ -563,14 +568,15 @@ def _solve_cocycle_with_values(g: LieAlgebra, constraints: list) -> Form:
     """Deterministic 1-cocycle of g taking prescribed values on given vectors.
 
     `constraints` is a list of (vector coefficients, value) pairs; raises if
-    the combined linear system has no solution.
+    the combined linear system has no solution.  The system is solved on
+    integer rows: phi0 vanishes on the bracket rows of the table, and each
+    constraint is one row with its value in column dim.
     """
-    rows = [v.coeffs() for v in g.structure.values()]
-    rhs = [ZERO] * len(rows)
+    rows = _bracket_rows(g)
     for coeffs, value in constraints:
-        rows.append(list(coeffs))
-        rhs.append(value)
-    sol = solve(rows, rhs)
+        support, nums, _ = _sparse([*coeffs, value])
+        rows.append(dict(zip(support, nums)))
+    sol = solve_rows(rows, g.dim)
     if sol is None:
         raise ValueError("no 1-cocycle satisfies the prescribed values")
     return Form.from_coeffs(sol[0])
@@ -911,9 +917,10 @@ def _classify_semidirect(b: GeneralizedBialgebra) -> SemidirectCertificate:
     # central in g and a 1-cocycle of g*, so no bracket reaches the last basis
     # vector (the reconstruction check would see one that did).
     adapted = kernel_rows + [b.x0.coeffs()]
-    columns, inverse = frame = _frame(adapted, n)
+    columns, (den, inverse) = frame = _frame(adapted, n)
     primal = _restrict(g, adapted, g.name, frame)
-    dual = _restrict(gs, inverse.rows, gs.name, (inverse.transpose(), columns.transpose()))
+    inverse = LinearMap.from_rows([[Fraction(x, den) for x in row] for row in inverse])
+    dual = _restrict(gs, inverse.rows, gs.name, (inverse.transpose(), columns.transpose()._ints))
     # h and h* are the leading blocks: the brackets of the first m basis vectors
     block = lambda adapted: {(a, c): value.coeffs()[:m]
                              for (a, c), value in adapted.structure.items() if c < m}

@@ -16,7 +16,8 @@ The form is private to the library, not to this module.  Its readers, with
 `_ints`, and builders, with `_from_ints`, outside this module are:
   - `liealg`: the integer structure-constant table `_ad`, its column view
     `_columns`, `_vector`, the Jacobi check `validate`, the one matrix of
-    a 2-tensor `_antisymmetric` and the one push-forward `_push`;
+    a 2-tensor `_antisymmetric`, the one push-forward `_push` and the
+    integer rows of `Subspace.from_elements`;
   - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
   - `bialgebra`: `_twisted_ad` (the action X.P = [X, P] - phi0(X) P of g on
     2-vectors), `_check_glb` (d_{*X0} and the compatibility residuals, read
@@ -445,14 +446,3 @@ def evaluate(omega: Form, *vectors: Multivector) -> Fraction:
         prod = wedge(prod, v)
     return pair(omega, prod)
 
-
-def evaluate_on(p: Multivector, *forms: Form) -> Fraction:
-    """P(alpha_1, ..., alpha_k): the mirror of evaluate."""
-    if len(forms) != p.grade:
-        raise ValueError("argument count must match the grade")
-    if p.grade == 0:
-        return p.scalar_value()
-    prod = forms[0]
-    for f in forms[1:]:
-        prod = wedge(prod, f)
-    return pair(prod, p)

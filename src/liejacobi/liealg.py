@@ -8,22 +8,24 @@ c_ij^k = N_ij^k / den, and a column view of it listing the nonzero N_ij^k
 of each k.  The bracket, the Jacobi identity, the Killing form, the Schouten
 and Chevalley-Eilenberg sums and the bialgebra compatibility residuals are
 summed from them in int arithmetic; an element result keeps the sums as its
-integer form, and the Killing form builds one Fraction per entry.  The
-Jacobi identity is summed once per algebra and kept with the table;
-validate builds its report from those sums on every call.  They are taken
-on packed rows, one int with one w-bit slot per coefficient (Kronecker
-substitution); w = bit_length(3 n M^2) + 2, for M the largest |N_ij^k|,
-keeps every slot inside +-2^(w-1), so the packing is exact.
+integer form, and killing_form is the Fraction view of the sums of
+`_killing`.  The Jacobi identity is summed once per algebra and kept with
+the table; validate builds its report from those sums on every call.  They
+are taken on packed rows, one int with one w-bit slot per coefficient
+(Kronecker substitution); w = bit_length(3 n M^2) + 2, for M the largest
+|N_ij^k|, keeps every slot inside +-2^(w-1), so the packing is exact.
 Structural computations (center, derived algebra, cocycles, derivations,
-compactness) reduce to the integer kernel of linalg, the center and the
-derivations on integer rows read from the table.  The one matrix of a
+compactness) reduce to the integer kernel of linalg on integer rows read
+from the table; a Subspace keeps the integer rows its Fraction rows are
+read from, for membership and the compactness test.  The one matrix of a
 2-tensor p is `_antisymmetric`, integer rows with row a = #_p e^a: `_rank`
 counts its pivots and the sharp map's `_contraction` is its Fraction view.
 The one push-forward, `_push`, applies a matrix's integer form to a vector
 or 2-tensor, as every linear map and change of coordinates (coordinates,
 restrict, restrict_bivector, change_basis, a Jacobi pair's restriction)
-does; each of those eliminates its basis B once for its left inverse L,
-and accepts L v only when B (L v) == v.
+does; each of those eliminates its basis B once for the integer form of
+its left inverse L, read from linalg._inverse, and accepts L v only when
+B (L v) == v.
 """
 
 from __future__ import annotations
@@ -293,7 +295,10 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of an algebra or of its dual; the constructor reduces its rows."""
+    """Subspace of an algebra or of its dual.  The constructor reduces its
+    rows; `_reduced` keeps the integer (rows, pivots) of linalg._echelon
+    that `rows` are read from, and membership reads those.  `_from_echelon`
+    builds a Subspace from integer rows reduced once, with no second pass."""
 
     dim: int
     rows: tuple[tuple[Fraction, ...], ...]
@@ -303,7 +308,23 @@ class Subspace:
         mat = [[frac(c) for c in v] for v in self.rows]
         if any(len(row) != self.dim for row in mat):
             raise ValueError("vector length must equal the ambient dimension")
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in linalg.row_space_basis(mat)))
+        self._hold(_echelon(linalg._rows(mat, self.dim)[0], self.dim))
+
+    def _hold(self, reduced: tuple[list[dict[int, int]], list[int]]) -> None:
+        # each entry of a pivot row over its pivot, as rref builds them
+        object.__setattr__(self, "rows", tuple(
+            tuple(Fraction(row[j], row[c]) if j in row else ZERO for j in range(self.dim))
+            for row, c in zip(*reduced)))
+        object.__setattr__(self, "_reduced", reduced)
+
+    @classmethod
+    def _from_echelon(cls, dim: int, reduced: tuple, dual: bool = False) -> "Subspace":
+        # reduced is the output of _echelon on rows of dim columns
+        space = object.__new__(cls)
+        object.__setattr__(space, "dim", dim)
+        object.__setattr__(space, "dual", dual)
+        space._hold(reduced)
+        return space
 
     @classmethod
     def from_elements(cls, elements: Iterable) -> "Subspace":
@@ -313,23 +334,28 @@ class Subspace:
         if not elems:
             raise ValueError("need at least one element to infer the ambient space")
         kind = Form if isinstance(elems[0], Form) else Multivector
+        n = elems[0].dim
         for e in elems:
-            _check_argument("element", e, kind, elems[0].dim, 1)
-        return cls(elems[0].dim, [e.coeffs() for e in elems], kind is Form)
+            _check_argument("element", e, kind, n, 1)
+        rows = [{k: v for (k,), v in e._ints()[0].items()} for e in elems]
+        return cls._from_echelon(n, _echelon(rows, n), kind is Form)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def contains(self, coeffs: Iterable) -> bool:
-        # rows in reduced echelon form: v is in the span iff v - sum_k v[p_k] row_k = 0
+        # the reduced rows are zero at each other's pivots, so v is in the
+        # span iff eliminating v at every pivot by its row leaves zero
         v = [frac(c) for c in coeffs]
         if len(v) != self.dim:
             raise ValueError("vector length must equal the ambient dimension")
-        for row in self.rows:
-            c = v[next(j for j, x in enumerate(row) if x)]
-            v = [x - c * y for x, y in zip(v, row)]
-        return not any(v)
+        support, nums, _ = linalg._sparse(v)
+        w = dict(zip(support, nums))
+        for row, c in zip(*self._reduced):
+            if c in w:
+                w = linalg._eliminate(w, row, c)
+        return not w
 
     def contains_element(self, e) -> bool:
         """Membership of a form in a dual subspace or of a multivector in
@@ -342,11 +368,14 @@ class Subspace:
         return [cls.from_coeffs(r) for r in self.rows]
 
 
+def _kernel(reduced: tuple[list[dict[int, int]], list[int]], n: int, dual: bool) -> Subspace:
+    """The Subspace {x : R x = 0} of the integer reduced rows R of n columns."""
+    return Subspace._from_echelon(n, _echelon(linalg._null_rows(*reduced, n), n), dual)
+
+
 def annihilator(s: Subspace) -> Subspace:
     """All covectors (or vectors, if s is dual) vanishing on s."""
-    rows = [list(r) for r in s.rows]
-    basis = linalg.nullspace(rows) if rows else [list(r) for r in linalg.identity(s.dim)]
-    return Subspace(s.dim, basis, dual=not s.dual)
+    return _kernel(s._reduced, s.dim, not s.dual)
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -357,13 +386,18 @@ def center(g: LieAlgebra) -> Subspace:
         for j, terms in row.items():
             for k, v in terms.items():
                 rows.setdefault((j, k), {})[i] = v
-    return Subspace(g.dim, linalg.solve_rows(rows.values(), g.dim)[1])
+    return _kernel(_echelon(rows.values(), g.dim), g.dim, False)
+
+
+def _bracket_rows(g: LieAlgebra) -> list[dict[int, int]]:
+    """The brackets [e_i, e_j], i < j, as the integer rows {k: N_ij^k} of
+    the table; the caller must not change them."""
+    return [terms for i, row in enumerate(g._ad[1]) for j, terms in row.items() if i < j]
 
 
 def derived_algebra(g: LieAlgebra) -> Subspace:
-    """Span of all brackets [e_i, e_j]."""
-    vectors = [v.coeffs() for v in g.structure.values()]
-    return Subspace(g.dim, vectors)
+    """Span of all brackets [e_i, e_j]: the integer rows of the table."""
+    return Subspace._from_echelon(g.dim, _echelon(_bracket_rows(g), g.dim))
 
 
 def one_cocycles(g: LieAlgebra) -> Subspace:
@@ -376,9 +410,11 @@ class LinearMap:
     """Linear map between coordinate spaces; matrix columns are basis images.
 
     The matrix is read-only, so its integer form `_ints`, built on first
-    use, cannot go stale.  Rows of unequal length, and a vector or map of
-    another shape than the map's, raise ValueError; a map with no rows
-    records no domain, so it takes vectors of any length.
+    use, cannot go stale; products with a map read only that form.  Rows of
+    unequal length, in from_rows or on the first use of a map built
+    directly, and a vector or map of another shape than the map's, raise
+    ValueError; a map with no rows records no domain, so it takes vectors of
+    any length.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -415,8 +451,10 @@ class LinearMap:
     def _ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, rows): the matrix as integers over one common denominator
         den, the lcm of its denominators."""
-        nums, den = linalg._integers([x for row in self.matrix for x in row])
         n = self.domain_dim
+        if any(len(row) != n for row in self.matrix):
+            raise ValueError("matrix rows must have equal length")
+        nums, den = linalg._integers([x for row in self.matrix for x in row])
         return den, tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(self.codomain_dim))
 
     def _check_length(self, n: int, expected: int) -> None:
@@ -493,14 +531,12 @@ def derivations(g: LieAlgebra) -> list[LinearMap]:
             for flat in linalg.solve_rows(_leibniz_rows(g), n * n)[1]]
 
 
-def killing_form(g: LieAlgebra) -> LinearMap:
-    """K(x, y) = trace(ad_x ad_y), as a symmetric matrix over the basis.
-
-    Summed from the integer table: K_ij = sum_{m,l} N_im^l N_jl^m / den^2.
-    """
+def _killing(g: LieAlgebra) -> tuple[int, list[list[int]]]:
+    """(den^2, K): the Killing form is K / den^2, for K_ij = sum_{m,l}
+    N_im^l N_jl^m summed in int from the integer table."""
     n = g.dim
     den, table = g._ad
-    k = linalg.zeros(n, n)
+    k = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             tr = 0
@@ -509,8 +545,15 @@ def killing_form(g: LieAlgebra) -> LinearMap:
                     back = table[j].get(l)      # [e_j, e_l] = sum_m c_jl^m e_m
                     if back is not None and m in back:
                         tr += a * back[m]
-            k[i][j] = k[j][i] = Fraction(tr, den * den)
-    return LinearMap.from_rows(k)
+            k[i][j] = k[j][i] = tr
+    return den * den, k
+
+
+def killing_form(g: LieAlgebra) -> LinearMap:
+    """K(x, y) = trace(ad_x ad_y), as a symmetric matrix over the basis: the
+    Fraction view of the integer sums of `_killing`."""
+    den, k = _killing(g)
+    return LinearMap.from_rows([[Fraction(x, den) for x in row] for row in k])
 
 
 @dataclass(frozen=True)
@@ -536,26 +579,31 @@ class CompactnessReport:
                 f"direct sum: {self.splits}, Killing negative definite on derived: {self.killing_definite}")
 
 
-def _restrict_bilinear(b: LinearMap, vectors: list[list[Fraction]]) -> Matrix:
-    """Gram matrix v^T B w over the vectors, summed in int with B w computed
+def _gram(g: LieAlgebra, d: Subspace) -> tuple[int, list[list[int]]]:
+    """(den, G): the Killing form on the reduced rows of d is G / den.  With
+    s the lcm of the pivots of d's integer rows, the rows scaled to v_a = s
+    times row a of d.rows are integers and G_ab = v_a^T K v_b, K w summed
     once per w."""
-    den, rows = b._ints
-    ints = [linalg._integers(v) for v in vectors]
-    images = [[sum(map(mul, row, nums)) for row in rows] for nums, _ in ints]
-    return [[Fraction(sum(map(mul, nv, bw)), den * dv * dw) for bw, (_, dw) in zip(images, ints)]
-            for nv, dv in ints]
+    den, k = _killing(g)
+    rows, pivots = d._reduced
+    s = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    vectors = [{j: x * (s // row[c]) for j, x in row.items()} for row, c in zip(rows, pivots)]
+    images = [[sum(kr[j] * x for j, x in w.items()) for kr in k] for w in vectors]
+    return den * s * s, [[sum(x * kw[i] for i, x in v.items()) for kw in images] for v in vectors]
 
 
 def is_compact(g: LieAlgebra) -> CompactnessReport:
     """Compact type: the center and derived algebra span g independently and
-    the Killing form is negative definite on the derived algebra."""
+    the Killing form is negative definite on the derived algebra, decided
+    on integer rows: the pivots of both subspaces stacked, and the LDL^T of
+    the integer Gram matrix `_gram`."""
+    n = g.dim
     z = center(g)
     d = derived_algebra(g)
-    splits = (z.rank + d.rank == g.dim
-              and linalg.rank([list(r) for r in z.rows + d.rows]) == g.dim)
-    k = killing_form(g)
-    restricted = _restrict_bilinear(k, [list(r) for r in d.rows])
-    definite, pivots = linalg.is_definite(restricted, positive=False)
+    stacked = z._reduced[0] + d._reduced[0]
+    splits = len(stacked) == n and len(_echelon(stacked, n)[1]) == n
+    den, gram = _gram(g, d)
+    definite, pivots = linalg._definite(gram, den, positive=False)
     return CompactnessReport(g, z, d, splits, definite, tuple(pivots))
 
 
@@ -636,14 +684,17 @@ def semidirect_by_derivation(h: LieAlgebra, psi: LinearMap, name: str | None = N
     return LieAlgebra(name or f"{h.name}:line", n, standard_labels(n), structure)
 
 
-def _frame(basis: Sequence[Sequence], n: int) -> tuple[LinearMap, LinearMap]:
-    """(B, L): B has the n-vectors of basis as its columns and L = invert(B)
-    is its left inverse, the one elimination of the basis.  A basis vector
+def _frame(basis: Sequence[Sequence], n: int) -> tuple[LinearMap, tuple]:
+    """(B, L): B has the n-vectors of basis as its columns and L = (den,
+    rows) is the integer form of its left inverse, read from linalg._inverse
+    on B's integer form, the one elimination of the basis.  A basis vector
     of another length raises ValueError."""
     if any(len(b) != n for b in basis):
         raise ValueError(f"basis vectors must have length {n}")
     columns = LinearMap.from_rows([[b[i] for b in basis] for i in range(n)])
-    return columns, LinearMap.from_rows(linalg.invert(columns.rows))
+    den, rows = columns._ints
+    return columns, linalg._inverse([{j: x for j, x in enumerate(row) if x} for row in rows],
+                                    columns.domain_dim, [den] * n)
 
 
 def _antisymmetric(p: Multivector | Form) -> list[dict[int, int]]:
@@ -686,15 +737,15 @@ def _push(matrix: tuple, p: Multivector | Form, kind: type):
     return kind._from_ints(k, min(k, 1), acc, dp * den)
 
 
-def _in_span(frame: tuple[LinearMap, LinearMap], e: Multivector) -> Multivector | None:
+def _in_span(frame: tuple[LinearMap, tuple], e: Multivector) -> Multivector | None:
     # e in the new coordinates, pushed by L, accepted only when B pushes it
     # back to e
-    value = _push(frame[1]._ints, e, type(e))
+    value = _push(frame[1], e, type(e))
     return value if _push(frame[0]._ints, value, type(e)) == e else None
 
 
 def _restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str,
-              frame: tuple[LinearMap, LinearMap]) -> LieAlgebra:
+              frame: tuple[LinearMap, tuple]) -> LieAlgebra:
     # restrict, reading coordinates from the frame of the basis
     vectors = [Multivector.from_coeffs(b) for b in basis]
     structure: dict[tuple[int, int], Multivector] = {}

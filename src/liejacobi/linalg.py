@@ -1,20 +1,22 @@
 """Exact linear algebra over the rationals, computed with integers.
 
-Matrices are lists of rows and vectors are lists; entries are
-fractions.Fraction (ints are accepted), and every result entry is a Fraction.
+Matrices are lists of rows and vectors are lists; the public functions take
+fractions.Fraction entries (ints are accepted) and return Fractions, and the
+private integer entry points, which the other modules call, integers.
 
 One fraction-free elimination kernel, `_echelon`, works on sparse integer
 rows {column: nonzero int}; rref, rank, row_space_basis, nullspace, solve,
-solve_rows and the integer left inverse `_inverse` read their answers from
-it.  A Fraction matrix enters the kernel through one front end, `_rows`, that
+solve_rows, the integer nullspace rows `_null_rows` and the integer left
+inverse `_inverse` read their answers from it.  A Fraction matrix enters the
+kernel through one front end, `_rows`, that
 refuses a row of another length than the first with ValueError and scales
 each row's nonzero entries to integers by the lcm of their denominators;
 solve_rows and _inverse take rows that are integers already, as
 solve_coboundary and the contact and l.c.s. maps of jacobi build them from
 integer forms, solve_rows with the right-hand side in column cols and
 _inverse with a scale per row, returning the inverse as integers over one
-denominator.  invert, the left inverse that liealg computes once per basis,
-is the Fraction view of _inverse.  The kernel eliminates by
+denominator.  liealg reads the left inverse of a basis from _inverse, and
+invert is its Fraction view.  The kernel eliminates by
 cross-multiplication and divides every updated row by its content, so no
 row carries a common factor.
 Rows wait in buckets keyed by their leading column: a column no row starts
@@ -23,8 +25,9 @@ leading column left is the right-hand side's, since the system is then
 inconsistent.  Fractions are built only for the output, each entry of a
 pivot row over its pivot.  The reduced row echelon form is unique, so this
 is exactly the form that elimination over Fraction gives.  mat_vec sums in
-int too, and the LDL^T of is_definite uses Bareiss's exact division
-(Math. Comp. 22, 1968).
+int too, and the LDL^T of is_definite, whose integer entry point is
+`_definite`, uses Bareiss's exact division (Math. Comp. 22, 1968).  A
+matrix or vector of the wrong shape raises ValueError everywhere.
 """
 
 from __future__ import annotations
@@ -71,9 +74,13 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a b; a row of a with another number of entries than b has rows, or
+    rows of b of unequal length, raise ValueError."""
     if not a or not b:
         return []
     n, k, m = len(a), len(b), len(b[0])
+    if any(len(row) != k for row in a) or any(len(row) != m for row in b):
+        raise ValueError("matrix shapes do not match")
     out = zeros(n, m)
     for i in range(n):
         for j in range(m):
@@ -97,10 +104,13 @@ def _sparse(v) -> tuple[list[int], list[int], int]:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    """a v, summed in int over the nonzero entries of v only."""
+    """a v, summed in int over the nonzero entries of v only; a row of a
+    with another number of entries than v raises ValueError."""
     support, nums, den = _sparse(v)
     out = []
     for row in a:
+        if len(row) != len(v):
+            raise ValueError(f"every row must have {len(v)} entries")
         ints, d = _integers([row[j] for j in support])
         out.append(Fraction(sum(map(mul, ints, nums)), d * den))
     return out
@@ -197,6 +207,17 @@ def row_space_basis(a: Matrix) -> Matrix:
     return m[:len(pivots)]
 
 
+def _null_rows(rows: list[dict[int, int]], pivots: list[int], cols: int) -> list[dict[int, int]]:
+    """The vectors of _null_basis as sparse integer rows, the one of free
+    column fc times the lcm of the pivots of the rows that meet fc."""
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        hits = [(row, pc) for row, pc in zip(rows, pivots) if fc in row]
+        den = lcm(*(row[pc] for row, pc in hits))
+        basis.append({fc: den, **{pc: -row[fc] * (den // row[pc]) for row, pc in hits}})
+    return basis
+
+
 def _null_basis(rows: list[dict[int, int]], pivots: list[int], cols: int) -> list[Vector]:
     """Nullspace basis of the first cols columns of an integer reduced
     echelon form from _echelon, one vector per free column below cols."""
@@ -282,15 +303,28 @@ def is_definite(a: Matrix, positive: bool) -> tuple[bool, list[Fraction]]:
     pivots of the required sign certifies definiteness (congruence with a
     definite diagonal matrix); a definite matrix always offers a usable
     diagonal pivot at every step, so hitting none disproves definiteness.
-    Returns (verdict, pivot list as witness).
-
-    The elimination runs on den * a, den the lcm of the denominators, with
-    Bareiss's exact division by the previous pivot prev: the Schur
-    complement of a is then m / (prev * den), entry by entry.
+    Returns (verdict, pivot list as witness); a matrix that is not square
+    raises ValueError.  The Fraction front end of _definite.
     """
-    n = len(a)
     nums, den = _integers([x for row in a for x in row])
-    m = [nums[i * n:(i + 1) * n] for i in range(n)]
+    it = iter(nums)
+    return _definite([[next(it) for _ in row] for row in a], den, positive)
+
+
+def _definite(rows: list[list[int]], den: int, positive: bool) -> tuple[bool, list[Fraction]]:
+    """is_definite of the matrix rows / den, for integer rows and den > 0.
+
+    The elimination runs on rows and den divided by their common gcd, so on
+    the lcm of the matrix's denominators whatever den is given, with
+    Bareiss's exact division by the previous pivot prev: the Schur
+    complement of rows / den is then m / (prev * den), entry by entry.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("a definiteness test needs a square matrix")
+    g = gcd(den, *(x for row in rows for x in row))
+    den //= g
+    m = [[x // g for x in row] for row in rows]
     alive = list(range(n))
     pivots: list[Fraction] = []
     prev = 1

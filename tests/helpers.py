@@ -1,13 +1,16 @@
 """Shared shorthand for building exact elements in tests, seeded algebras with
-mixed denominators, seeded compact-kind bialgebras in dense unimodular bases,
+mixed denominators, seeded brackets at dims 0-14, seeded compact-kind
+bialgebras in dense unimodular bases,
 maps induced on exterior powers, and reference routes for
 the exterior and structure-constant kernels, the coboundary system, the
 bracket and contraction compatibilities of check_glb, the coadjoint and
 pointwise dual brackets, the sharp-map homomorphism certificate, the
 contraction matrix of a 2-tensor and the contact flat map, the Jacobi
 residuals, the contact and l.c.s. maps by Fraction matrices, the center, the
-invariant scalar product, the coordinate solvers of liealg and the integer
-linear-algebra kernel."""
+derived algebra, annihilators, subspace membership, the Killing form and the
+compactness test, the cocycle with prescribed values, the invariant scalar
+product, the coordinate solvers of liealg and the integer linear-algebra
+kernel."""
 
 import random
 from dataclasses import replace
@@ -22,8 +25,9 @@ from liejacobi.bialgebra import (
     glb_from_cocycle,
 )
 from liejacobi.catalog import catalog, heisenberg
-from liejacobi.exterior import Form, Multivector, contract, evaluate_on, pair, sort_index, wedge
+from liejacobi.exterior import Form, Multivector, contract, pair, sort_index, wedge
 from liejacobi.liealg import (
+    CompactnessReport,
     LieAlgebra,
     LinearMap,
     Subspace,
@@ -44,6 +48,7 @@ from liejacobi.linalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    rank,
     solve,
     transpose,
     zeros,
@@ -123,6 +128,19 @@ def _collect(cls, dim, grade, pieces):
     return cls(dim, grade, {idx: c for idx, c in acc.items() if c})
 
 
+def evaluate_on(p, *forms):
+    """P(alpha_1, ..., alpha_k): the pairing of alpha_1 ^ ... ^ alpha_k with
+    the multivector P, the mirror of exterior.evaluate."""
+    if len(forms) != p.grade:
+        raise ValueError("argument count must match the grade")
+    if p.grade == 0:
+        return p.scalar_value()
+    prod = forms[0]
+    for f in forms[1:]:
+        prod = wedge(prod, f)
+    return pair(prod, p)
+
+
 def wedge_reference(a, b):
     grade = a.grade + b.grade
     if grade > a.dim:
@@ -196,6 +214,40 @@ def mixed_algebras():
                 structure[ij] = v
         non_lie.append(LieAlgebra(f"random{dim}", dim, standard_labels(dim), structure))
     return lie, non_lie
+
+
+def seeded_brackets():
+    """Seeded brackets at dims 0-14, mostly not Lie: sparse (three pairs,
+    two coordinates each), dense (every pair and coordinate, small mixed
+    denominators) and 100-digit (every pair, on every coordinate up to dim 6
+    and on three above), then su2^k x R^2 for k = 1-4 in a dense unimodular
+    basis (dims 5-14, compact).  The 100-digit coefficients of one bracket
+    share a denominator, and above dim 8 all of them share one: independent
+    ones make the table's common denominator thousands of digits long and
+    the eliminations take seconds."""
+    rng = random.Random(2040)
+    out = []
+    for n in range(15):
+        pairs = list(combinations(range(n), 2))
+        sparse, digits = {}, {}
+        for ij in rng.sample(pairs, min(3, len(pairs))):
+            sparse[ij] = [ZERO] * n
+            for k in rng.sample(range(n), 2):
+                sparse[ij][k] = mixed_fraction(rng) or ONE
+        shared = rng.randrange(1, 10 ** 100)
+        for ij in pairs:
+            den = shared if n > 8 else rng.randrange(1, 10 ** 100)
+            digits[ij] = [ZERO] * n
+            for k in rng.sample(range(n), 3) if n > 6 else range(n):
+                digits[ij][k] = Fraction(rng.randrange(-10 ** 100, 10 ** 100), den)
+        dense = {ij: [mixed_fraction(rng) for _ in range(n)] for ij in pairs}
+        out += [LieAlgebra.from_brackets(f"{kind}{n}", n, brackets)
+                for kind, brackets in (("sparse", sparse), ("dense", dense), ("digits", digits))]
+    g = abelian(2)
+    for _ in range(4):
+        g = direct_product(catalog("su2"), g)
+        out.append(dense_frame(rng, g, 1)[0])
+    return out
 
 
 def dense_heisenberg_bialgebras(seeds):
@@ -632,6 +684,68 @@ def center_reference(g):
             rows.append([ad_cols[i][component] for i in range(g.dim)])
     basis = nullspace(rows) if rows else []
     return Subspace(g.dim, basis)
+
+
+def derived_algebra_reference(g):
+    """The span of the coefficient lists of the brackets, reduced by the
+    public constructor."""
+    return Subspace(g.dim, [v.coeffs() for v in g.structure.values()])
+
+
+def annihilator_reference(s):
+    """The nullspace of the Fraction rows of s, or every vector when s is
+    zero, reduced by the public constructor."""
+    rows = [list(r) for r in s.rows]
+    basis = nullspace(rows) if rows else [list(r) for r in identity(s.dim)]
+    return Subspace(s.dim, basis, dual=not s.dual)
+
+
+def contains_reference(s, coeffs):
+    """Membership by Fraction elimination on the reduced rows of s: v is in
+    the span iff v - sum_k v[p_k] row_k = 0."""
+    v = [Fraction(c) for c in coeffs]
+    for row in s.rows:
+        c = v[next(j for j, x in enumerate(row) if x)]
+        v = [x - c * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def killing_form_reference(g):
+    """K_ij = sum_{m,l} c_im^l c_jl^m over the Fraction terms of
+    bracket_basis."""
+    n = g.dim
+    c = [[g.bracket_basis(i, m).terms for m in range(n)] for i in range(n)]
+    return LinearMap.from_rows([[sum((a * c[j][l].get((m,), ZERO) for m in range(n)
+                                      for (l,), a in c[i][m].items()), ZERO)
+                                 for j in range(n)] for i in range(n)])
+
+
+def is_compact_reference(g):
+    """The compactness report by Fraction routes: the reference center and
+    derived algebra, the rank of their stacked rows, and the Fraction LDL^T
+    of the Gram matrix v^T (K w) of the reference Killing form K on the
+    derived rows."""
+    n = g.dim
+    z, d = center_reference(g), derived_algebra_reference(g)
+    splits = z.rank + d.rank == n and rank([list(r) for r in z.rows + d.rows]) == n
+    k = killing_form_reference(g).matrix
+    images = [[sum((x * y for x, y in zip(row, w)), ZERO) for row in k] for w in d.rows]
+    gram = [[sum((x * y for x, y in zip(v, kw)), ZERO) for kw in images] for v in d.rows]
+    definite, pivots = is_definite_reference(gram, positive=False)
+    return CompactnessReport(g, z, d, splits, definite, tuple(pivots))
+
+
+def solve_cocycle_reference(g, constraints):
+    """The 1-cocycle of bialgebra._solve_cocycle_with_values from one
+    Fraction system: the brackets' coefficient lists with value 0, then the
+    constraint vectors with their values; None when inconsistent."""
+    rows = [v.coeffs() for v in g.structure.values()]
+    rhs = [ZERO] * len(rows)
+    for coeffs, value in constraints:
+        rows.append(list(coeffs))
+        rhs.append(Fraction(value))
+    sol = solve(rows, rhs)
+    return None if sol is None else Form.from_coeffs(sol[0])
 
 
 # Reference routes for derivations: the Leibniz rule built and tested from

@@ -27,7 +27,9 @@ from helpers import (
     random_basis,
     random_element,
     rational_system,
+    seeded_brackets,
     sharp_homomorphism_reference,
+    solve_cocycle_reference,
     solve_reference,
     third_kind_series,
     unimodular_basis,
@@ -1178,3 +1180,28 @@ def test_b_dual_of_cocycle_matches_inverse_route():
         y = b_dual_reference(invariant_scalar_product_reference(b.g), b.phi0.coeffs())
         scale = pair(b.phi0, Multivector.from_coeffs(y))
         assert classify_compact(b).y0 == Multivector.from_coeffs([c / scale for c in y])
+
+
+def test_cocycle_with_values_matches_the_fraction_system():
+    # the integer rows of the table and the constraints give the cocycle of
+    # one Fraction system, or both raise: seeded brackets at dims 1-14, the
+    # compact algebras (center vectors with prescribed values) and mixed
+    # denominators, with one to three seeded or center constraints
+    rng = random.Random(2043)
+    outcomes = set()
+    for g in seeded_brackets() + compact_algebras() + sum(mixed_algebras(), []):
+        n = g.dim
+        if not n:
+            continue
+        vectors = [list(r) for r in center(g).rows] + [[mixed_fraction(rng) for _ in range(n)]
+                                                       for _ in range(2)]
+        for k in (1, 2, 3):
+            constraints = [(v, mixed_fraction(rng)) for v in vectors[:k]]
+            expected = solve_cocycle_reference(g, constraints)
+            try:
+                got = bialgebra._solve_cocycle_with_values(g, constraints)
+            except ValueError:
+                got = None
+            assert got == expected, (g.name, constraints)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}

@@ -13,6 +13,7 @@ from helpers import (
     add_reference,
     contract_reference,
     cov,
+    evaluate_on,
     fm,
     mv,
     pair_reference,
@@ -28,7 +29,6 @@ from liejacobi.exterior import (
     Multivector,
     contract,
     evaluate,
-    evaluate_on,
     pair,
     sort_index,
     wedge,

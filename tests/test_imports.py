@@ -6,7 +6,8 @@ neither that form nor the contraction matrix of r, the coboundary system,
 the elimination kernel and the Jacobi sums build no Fraction, the Jacobi
 sums make no public call, the Jacobi residuals and the contact and l.c.s.
 maps stay on the integer forms, a 2-tensor has one integer matrix and one
-push-forward that only the public sharp map views as Fractions, bialgebra
+push-forward that only the public sharp map views as Fractions, the
+compactness test, subspaces and basis frames stay on integer rows, bialgebra
 builds no l.c.s. or contact structure,
 the element inputs of the library's constructors go through one argument
 check, and every liejacobi name the benchmark uses exists and is callable.
@@ -272,6 +273,41 @@ def test_coboundary_system_and_kernel_stay_integer():
     bialgebra_source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
     references.append(function_references(bialgebra_source, "_coboundary_system"))
     assert all(names.isdisjoint({"Fraction", "ZERO"}) for names in references)
+
+
+def test_compactness_subspaces_and_frames_stay_integer():
+    # the compactness test, the center, the derived algebra, the frames of
+    # the coordinate solvers and subspace membership run on the integer rows
+    # of linalg's kernel and build no Fraction themselves; the split and the
+    # definiteness are decided on integers, not through killing_form,
+    # linalg.rank or a Fraction Gram matrix
+    liealg_source = (ROOT / "src" / "liejacobi" / "liealg.py").read_text()
+    for fn in ("is_compact", "_gram", "_killing", "center", "derived_algebra", "_bracket_rows",
+               "annihilator", "_kernel", "_frame", "_in_span", "Subspace.contains",
+               "Subspace.from_elements"):
+        assert "Fraction" not in function_references(liealg_source, fn), fn
+    names = function_references(liealg_source, "is_compact")
+    assert {"_definite", "_echelon", "_gram", "_reduced"} <= names
+    assert names.isdisjoint({"killing_form", "rank", "_restrict_bilinear", "is_definite"})
+    assert "_killing" in function_references(liealg_source, "_gram")
+    assert "_killing" in function_references(liealg_source, "killing_form")
+    for fn in ("center", "annihilator"):
+        assert "_kernel" in function_references(liealg_source, fn), fn
+    for fn in ("_kernel", "derived_algebra", "Subspace.from_elements"):
+        assert "_from_echelon" in function_references(liealg_source, fn), fn
+    assert "_null_rows" in function_references(liealg_source, "_kernel")
+    frame = function_references(liealg_source, "_frame")
+    assert "_inverse" in frame and "invert" not in frame
+    contains = function_references(liealg_source, "Subspace.contains")
+    assert {"_reduced", "_eliminate"} <= contains and "rows" not in contains
+    linalg_source = (ROOT / "src" / "liejacobi" / "linalg.py").read_text()
+    assert "_definite" in function_references(linalg_source, "is_definite")
+    assert function_references(linalg_source, "_null_rows").isdisjoint({"Fraction", "ZERO"})
+    # the cocycle with prescribed values solves integer rows of the table
+    bialgebra_source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
+    names = function_references(bialgebra_source, "_solve_cocycle_with_values")
+    assert {"_bracket_rows", "solve_rows"} <= names
+    assert names.isdisjoint({"Fraction", "solve", "structure"})
 
 
 def test_integer_built_elements_build_no_fraction():

@@ -10,6 +10,7 @@ from helpers import (
     contact_to_jacobi_reference,
     contraction_reference,
     dense_element,
+    evaluate_on,
     flat_contact_reference,
     fm,
     induced,
@@ -29,7 +30,7 @@ from liejacobi import jacobi, linalg
 from liejacobi.bialgebra import YbData
 from liejacobi.catalog import catalog, catalog_names, heisenberg
 from liejacobi.documents import algebras_of
-from liejacobi.exterior import Form, Multivector, evaluate, evaluate_on, wedge, wedge_power
+from liejacobi.exterior import Form, Multivector, evaluate, wedge, wedge_power
 from liejacobi.jacobi import (
     ContactStructure,
     JacobiPair,

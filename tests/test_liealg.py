@@ -11,21 +11,25 @@ import pytest
 
 from helpers import (
     ad_matrix,
+    annihilator_reference,
     bracket_jacobiator_reference,
     center_reference,
     bracket_reference,
     change_basis_reference,
     compact_algebras,
+    contains_reference,
     coordinates_reference,
     dense_heisenberg_bialgebras,
     derivations_reference,
     determinant,
     fm,
     invariant_scalar_product_reference,
+    is_compact_reference,
     is_definite_reference,
     is_derivation_reference,
     jacobiator_reference,
     jacobiator_sums_reference,
+    killing_form_reference,
     mat_vec_reference,
     mixed_algebras,
     mixed_fraction,
@@ -35,6 +39,8 @@ from helpers import (
     random_fraction,
     restrict_bivector_reference,
     restrict_reference,
+    seeded_brackets,
+    unimodular_basis,
     vec,
 )
 from liejacobi.bialgebra import (
@@ -53,7 +59,7 @@ from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
     Subspace,
-    _restrict_bilinear,
+    _gram,
     abelian,
     annihilator,
     center,
@@ -353,7 +359,8 @@ def test_gram_matrices_and_killing_pivots_match_fraction_route():
         vectors = [list(r) for r in report.derived.rows]
         gram = [[sum((v[i] * k.matrix[i][j] * w[j] for i in range(g.dim) for j in range(g.dim)),
                      ZERO) for w in vectors] for v in vectors]
-        assert _restrict_bilinear(k, vectors) == gram
+        den, ints = _gram(g, report.derived)
+        assert [[Fraction(x, den) for x in row] for row in ints] == gram
         assert ((report.killing_definite, list(report.killing_pivots))
                 == is_definite_reference(gram, positive=False))
     assert verdicts == {True, False}
@@ -516,9 +523,13 @@ def test_coordinates_and_restrict_bivector():
 def test_maps_and_bases_of_the_wrong_shape_raise():
     # each of these once returned a value: a different matrix, an image in
     # the wrong dimension, a truncated sum or coordinates of a truncated
-    # vector; the basis solvers raised IndexError
+    # vector; the basis solvers raised IndexError.  A map built directly
+    # from ragged rows once kept them as its integer form
     g = catalog("su2")
     for call in (lambda: LinearMap.from_rows([[1, 2], [3], [4, 5]]),
+                 lambda: LinearMap(((1, 2), (3,)))._ints,
+                 lambda: LinearMap(((1, 2), (3,), (4, 5, 6)))._ints,
+                 lambda: LinearMap(((1,), (2, 3))).apply([1]),
                  lambda: LinearMap.from_columns([[1], [2, 3]]),
                  lambda: LinearMap.identity(3).apply_element(Multivector.from_coeffs([1, 2])),
                  lambda: LinearMap.identity(3).apply_element(Multivector.zero(2, 1)),
@@ -543,6 +554,7 @@ def test_maps_and_bases_of_the_wrong_shape_raise():
     assert LinearMap.from_rows([]).apply_element(Multivector.from_coeffs([1, 2])).dim == 0
     assert LinearMap.from_rows([]).value([], [1, 2]) == 0
     # well-shaped inputs are unchanged
+    assert LinearMap(((1, 2), (3, 4)))._ints == (1, ((1, 2), (3, 4)))
     assert LinearMap.identity(2).value([1, 2], [3, 4]) == 11
     assert LinearMap.identity(2).add(LinearMap.identity(2)) == LinearMap.identity(2).scale(2)
 
@@ -685,8 +697,8 @@ def test_dual_labels():
 
 
 # One left inverse per basis: coordinates, restrict, restrict_bivector and
-# change_basis read L = linalg.invert(B) for the matrix B of the basis and
-# accept L v only when B (L v) == v.  They must agree exactly with the
+# change_basis read the integer form of L from linalg._inverse on the matrix
+# B of the basis and accept L v only when B (L v) == v.  They must agree exactly with the
 # reference routes in helpers, which solve one system per vector or 2-vector.
 
 def _outcome(fn, *args):
@@ -871,3 +883,65 @@ def test_subspace_checks_lengths_and_reduces_its_rows():
         direct = Subspace(3, tuple(tuple(r) for r in rows))
         assert direct == s and direct.rows == s.rows
         assert direct.contains([3, 6, -1]) and not direct.contains([0, 1, 0])
+
+
+# The integer routes of the compactness test, the subspaces and the frames
+# against the Fraction references in helpers, with ==: seeded brackets at
+# dims 0-14 (sparse, dense, 100-digit and compact in dense bases), the
+# compact, catalog and mixed-denominator algebras and the zero algebra.
+
+def _integer_route_algebras():
+    # n32, free 2-step nilpotent on three generators, has center = derived
+    # algebra of dims 3 + 3 = 6: they add up to dim 6 but do not split g
+    n32 = LieAlgebra.from_brackets("n32", 6, {(0, 1): [0, 0, 0, 1, 0, 0], (0, 2): [0, 0, 0, 0, 1, 0],
+                                              (1, 2): [0, 0, 0, 0, 0, 1]})
+    return (seeded_brackets() + compact_algebras() + _catalog_algebras()
+            + sum(mixed_algebras(), []) + [LieAlgebra("zero", 0, ()), n32])
+
+
+def _members(rng, s):
+    # a combination of the rows, a seeded vector, zero and the first rows
+    rows = [list(r) for r in s.rows]
+    inside = [sum((mixed_fraction(rng) * r[i] for r in rows), ZERO) for i in range(s.dim)]
+    return [inside, [mixed_fraction(rng) for _ in range(s.dim)], [ZERO] * s.dim, *rows[:2]]
+
+
+def test_integer_subspaces_and_compactness_match_fraction_references():
+    rng = random.Random(2041)
+    verdicts, members, overlaps = set(), set(), 0
+    for g in _integer_route_algebras():
+        report = is_compact(g)      # center(g) and derived_algebra(g) with the pivots
+        assert report == is_compact_reference(g), g.name
+        assert killing_form(g) == killing_form_reference(g), g.name
+        verdicts.add((report.splits, report.killing_definite))
+        overlaps += report.center.rank + report.derived.rank == g.dim and not report.splits
+        for s in (report.center, report.derived, annihilator(report.derived)):
+            assert annihilator(s) == annihilator_reference(s), g.name
+            for v in _members(rng, s):
+                members.add(s.contains(v))
+                assert s.contains(v) == contains_reference(s, v), (g.name, v)
+    assert verdicts == {(True, True), (True, False), (False, False)}
+    assert members == {True, False} and overlaps
+
+
+def test_frames_match_fraction_references():
+    # coordinates and restrict on the derived and center rows, a dense
+    # unimodular basis and its first two vectors, of each seeded bracket
+    # (test_coordinate_solvers_match_reference_routes covers the others)
+    rng = random.Random(2042)
+    closed = opened = inside = outside = 0
+    for g in seeded_brackets():
+        n = g.dim
+        full = unimodular_basis(rng, n, 1)
+        for basis in ([list(r) for r in derived_algebra(g).rows], [list(r) for r in center(g).rows],
+                      full, full[:2]):
+            got = _outcome(restrict, g, basis, "h")
+            assert got == _outcome(restrict_reference, g, basis, "h"), (g.name, basis)
+            closed += isinstance(got, LieAlgebra)
+            opened += isinstance(got, str)
+            for v in _members(rng, Subspace(n, basis))[:2] if n else ():
+                coords = coordinates(basis, v)
+                assert coords == coordinates_reference(basis, v), (g.name, basis, v)
+                inside += coords is not None
+                outside += coords is None
+    assert min(closed, opened, inside, outside) > 20

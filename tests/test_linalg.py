@@ -25,6 +25,7 @@ from liejacobi.liealg import abelian, direct_product
 from liejacobi.linalg import (
     ONE,
     ZERO,
+    _definite,
     identity,
     invert,
     is_definite,
@@ -266,17 +267,30 @@ def test_empty_inputs():
 
 def test_ragged_rows_and_mismatched_right_hand_sides_raise():
     # each of these once read a short row as zero-padded, or dropped or
-    # ignored entries, and returned a wrong answer
+    # ignored entries, and returned a wrong answer or raised IndexError
     for call in (lambda: rref([[1, 2], [3]]), lambda: rank([[1, 2], [3]]),
                  lambda: invert([[1, 2], [3]]), lambda: nullspace([[1, 2], [3, 4, 5]]),
                  lambda: row_space_basis([[1], [2, 3]]), lambda: transpose([[1], [2, 3]]),
                  lambda: solve([[1, 0], [0, 1]], [1]), lambda: solve([[1, 0]], [1, 5]),
-                 lambda: solve([[1, 0], [0]], [1, 2])):
+                 lambda: solve([[1, 0], [0]], [1, 2]),
+                 lambda: mat_vec([[1, 2, 3]], [1, 1]), lambda: mat_vec([[1]], [1, 1]),
+                 lambda: mat_mul([[1, 2, 3]], [[1], [2]]), lambda: mat_mul([[1]], [[1, 2], [3]]),
+                 lambda: mat_mul([[1, 2]], [[1], [2, 3]]),
+                 lambda: is_definite([[1, 0, 0], [0, 1, 0]], True),
+                 lambda: is_definite([[1, 0], [0]], True),
+                 lambda: _definite([[1, 0, 0], [0, 1, 0]], 1, True),
+                 lambda: _definite([[1], [0, 1]], 1, False)):
         with pytest.raises(ValueError):
             call()
-    # well-shaped inputs are unchanged
+    # well-shaped inputs are unchanged, and the pivots of the integer
+    # definiteness test do not depend on the common denominator it is given
     assert solve([[1, 0], [0, 1]], [1, 2]) == ([ONE, Fraction(2)], [])
     assert invert([[1, 2], [3, 4]]) == [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
+    assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
+    assert mat_mul([[1, 2]], [[1], [2]]) == [[5]]
+    assert is_definite([[2, 1], [1, 2]], True) == (True, [2, Fraction(3, 2)])
+    assert _definite([[4, 2], [2, 4]], 2, True) == (True, [2, Fraction(3, 2)])
+    assert _definite([[-6, 0], [0, 3]], 3, False) == (False, [-2])
 
 
 def test_mat_vec_matches_fraction_reference():
