@@ -32,6 +32,7 @@ from liejacobi.liealg import (
     _antisymmetric,
     _bracket_rows,
     _frame,
+    _push,
     _rank,
     _restrict,
     abelian,
@@ -886,8 +887,8 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
     if derived.rank != 3 or Subspace(h.dim, kernel_rows).rows != derived.rows:
         raise ValueError("kernel of the lee form does not match the derived algebra")
     frame = _frame(kernel_rows, h.dim)
-    h_prime = _restrict(h, kernel_rows, f"{h.name}.red", frame)
-    triple_h = tuple(frame[0].apply_element(t) for t in su2_triple(h_prime))
+    h_prime = _restrict(h, f"{h.name}.red", frame)
+    triple_h = tuple(_push(frame[0], t, Multivector) for t in su2_triple(h_prime))
     lam_coords = coordinates([(-t).coeffs() for t in triple_h], char.pair.x0.coeffs())
     if lam_coords is None:
         raise ValueError("x0 does not lie in the span of the triple")
@@ -917,10 +918,10 @@ def _classify_semidirect(b: GeneralizedBialgebra) -> SemidirectCertificate:
     # central in g and a 1-cocycle of g*, so no bracket reaches the last basis
     # vector (the reconstruction check would see one that did).
     adapted = kernel_rows + [b.x0.coeffs()]
-    columns, (den, inverse) = frame = _frame(adapted, n)
-    primal = _restrict(g, adapted, g.name, frame)
-    inverse = LinearMap.from_rows([[Fraction(x, den) for x in row] for row in inverse])
-    dual = _restrict(gs, inverse.rows, gs.name, (inverse.transpose(), columns.transpose()._ints))
+    frame = _frame(adapted, n)
+    primal = _restrict(g, g.name, frame)
+    # the dual frame: L^T has the dual basis as its columns, B^T is its inverse
+    dual = _restrict(gs, gs.name, tuple((den, list(zip(*rows))) for den, rows in reversed(frame)))
     # h and h* are the leading blocks: the brackets of the first m basis vectors
     block = lambda adapted: {(a, c): value.coeffs()[:m]
                              for (a, c), value in adapted.structure.items() if c < m}

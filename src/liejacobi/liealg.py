@@ -23,9 +23,9 @@ counts its pivots and the sharp map's `_contraction` is its Fraction view.
 The one push-forward, `_push`, applies a matrix's integer form to a vector
 or 2-tensor, as every linear map and change of coordinates (coordinates,
 restrict, restrict_bivector, change_basis, a Jacobi pair's restriction)
-does; each of those eliminates its basis B once for the integer form of
-its left inverse L, read from linalg._inverse, and accepts L v only when
-B (L v) == v.
+does; each of those reads the integer form of its basis matrix B and
+eliminates B once for the integer form of its left inverse L, read from
+linalg._inverse, and accepts L v only when B (L v) == v.
 """
 
 from __future__ import annotations
@@ -311,10 +311,7 @@ class Subspace:
         self._hold(_echelon(linalg._rows(mat, self.dim)[0], self.dim))
 
     def _hold(self, reduced: tuple[list[dict[int, int]], list[int]]) -> None:
-        # each entry of a pivot row over its pivot, as rref builds them
-        object.__setattr__(self, "rows", tuple(
-            tuple(Fraction(row[j], row[c]) if j in row else ZERO for j in range(self.dim))
-            for row, c in zip(*reduced)))
+        object.__setattr__(self, "rows", tuple(map(tuple, linalg._reduced(*reduced, self.dim))))
         object.__setattr__(self, "_reduced", reduced)
 
     @classmethod
@@ -684,17 +681,18 @@ def semidirect_by_derivation(h: LieAlgebra, psi: LinearMap, name: str | None = N
     return LieAlgebra(name or f"{h.name}:line", n, standard_labels(n), structure)
 
 
-def _frame(basis: Sequence[Sequence], n: int) -> tuple[LinearMap, tuple]:
-    """(B, L): B has the n-vectors of basis as its columns and L = (den,
-    rows) is the integer form of its left inverse, read from linalg._inverse
-    on B's integer form, the one elimination of the basis.  A basis vector
-    of another length raises ValueError."""
+def _frame(basis: Sequence[Sequence], n: int) -> tuple[tuple, tuple]:
+    """(B, L): the integer forms (den, rows) of the matrix B whose columns
+    are the n-vectors of basis and of its left inverse L, read from
+    linalg._inverse, the one elimination of the basis.  A basis vector of
+    another length raises ValueError."""
     if any(len(b) != n for b in basis):
         raise ValueError(f"basis vectors must have length {n}")
-    columns = LinearMap.from_rows([[b[i] for b in basis] for i in range(n)])
-    den, rows = columns._ints
-    return columns, linalg._inverse([{j: x for j, x in enumerate(row) if x} for row in rows],
-                                    columns.domain_dim, [den] * n)
+    m = len(basis)
+    nums, den = linalg._integers([frac(b[i]) for i in range(n) for b in basis])
+    rows = [nums[i * m:(i + 1) * m] for i in range(n)]
+    return (den, rows), linalg._inverse([{j: x for j, x in enumerate(row) if x} for row in rows],
+                                        m, [den] * n)
 
 
 def _antisymmetric(p: Multivector | Form) -> list[dict[int, int]]:
@@ -737,17 +735,19 @@ def _push(matrix: tuple, p: Multivector | Form, kind: type):
     return kind._from_ints(k, min(k, 1), acc, dp * den)
 
 
-def _in_span(frame: tuple[LinearMap, tuple], e: Multivector) -> Multivector | None:
+def _in_span(frame: tuple[tuple, tuple], e: Multivector) -> Multivector | None:
     # e in the new coordinates, pushed by L, accepted only when B pushes it
     # back to e
     value = _push(frame[1], e, type(e))
-    return value if _push(frame[0]._ints, value, type(e)) == e else None
+    return value if _push(frame[0], value, type(e)) == e else None
 
 
-def _restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str,
-              frame: tuple[LinearMap, tuple]) -> LieAlgebra:
-    # restrict, reading coordinates from the frame of the basis
-    vectors = [Multivector.from_coeffs(b) for b in basis]
+def _restrict(g: LieAlgebra, name: str, frame: tuple[tuple, tuple]) -> LieAlgebra:
+    # restrict to the span of the columns of the frame's B, reading
+    # coordinates from the frame
+    den, rows = frame[0]
+    vectors = [Multivector._from_ints(g.dim, 1, {(i,): x for i, x in enumerate(column)}, den)
+               for column in zip(*rows)]
     structure: dict[tuple[int, int], Multivector] = {}
     for a, b in combinations(range(len(vectors)), 2):
         bracket = g.bracket(vectors[a], vectors[b])
@@ -767,7 +767,8 @@ def _restrict_pair(g: LieAlgebra, basis: Sequence[Sequence], name: str, r: Multi
     # (B, restrict(g, basis, name), r_h, x0_h) from one left inverse: r and
     # x0 in the new coordinates (None outside the span) and B mapping back
     frame = _frame(basis, g.dim)
-    return frame[0], _restrict(g, basis, name, frame), _in_span(frame, r), _in_span(frame, x0)
+    inclusion = LinearMap.from_rows([[b[i] for b in basis] for i in range(g.dim)])
+    return inclusion, _restrict(g, name, frame), _in_span(frame, r), _in_span(frame, x0)
 
 
 def change_basis(g: LieAlgebra, columns: Matrix, name: str | None = None) -> LieAlgebra:
@@ -793,7 +794,7 @@ def restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str) -> LieAlgebra:
     A span that is not bracket-closed raises ValueError naming the first
     witness bracket; a dependent family raises ValueError too.
     """
-    return _restrict(g, basis, name, _frame(basis, g.dim))
+    return _restrict(g, name, _frame(basis, g.dim))
 
 
 def restrict_bivector(r: Multivector, basis: Iterable[Iterable]) -> Multivector | None:

@@ -7,8 +7,10 @@ private integer entry points, which the other modules call, integers.
 One fraction-free elimination kernel, `_echelon`, works on sparse integer
 rows {column: nonzero int}; rref, rank, row_space_basis, nullspace, solve,
 solve_rows, the integer nullspace rows `_null_rows` and the integer left
-inverse `_inverse` read their answers from it.  A Fraction matrix enters the
-kernel through one front end, `_rows`, that
+inverse `_inverse` read their answers from it.  `_reduced` reads the
+Fraction rows of the reduced echelon form from it, and the nullspace
+bases of nullspace and solve are the Fraction view of `_null_rows`.  A
+Fraction matrix enters the kernel through one front end, `_rows`, that
 refuses a row of another length than the first with ValueError and scales
 each row's nonzero entries to integers by the lcm of their denominators;
 solve_rows and _inverse take rows that are integers already, as
@@ -187,14 +189,15 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         return [], []
     cols = len(a[0])
     rows, pivots = _echelon(_rows(a, cols)[0], cols)
-    out = []
-    for row, c in zip(rows, pivots):
-        v = [ZERO] * cols
-        p = row[c]
-        for j, x in row.items():
-            v[j] = Fraction(x, p)
-        out.append(v)
-    return out + zeros(len(a) - len(out), cols), pivots
+    return _reduced(rows, pivots, cols) + zeros(len(a) - len(rows), cols), pivots
+
+
+def _reduced(rows: list[dict[int, int]], pivots: list[int], cols: int) -> Matrix:
+    """The nonzero rows of the reduced row echelon form that _echelon's
+    (rows, pivots) of cols columns stand for: each entry of a pivot row over
+    its pivot."""
+    return [[Fraction(row[j], row[c]) if j in row else ZERO for j in range(cols)]
+            for row, c in zip(rows, pivots)]
 
 
 def rank(a: Matrix) -> int:
@@ -208,8 +211,10 @@ def row_space_basis(a: Matrix) -> Matrix:
 
 
 def _null_rows(rows: list[dict[int, int]], pivots: list[int], cols: int) -> list[dict[int, int]]:
-    """The vectors of _null_basis as sparse integer rows, the one of free
-    column fc times the lcm of the pivots of the rows that meet fc."""
+    """A nullspace basis of the first cols columns of an integer reduced
+    echelon form from _echelon as sparse integer rows, one per free column
+    fc below cols: 1 at fc and -row[fc] / row[pc] at the pivot column pc of
+    each row, all times the lcm of the pivots of the rows that meet fc."""
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         hits = [(row, pc) for row, pc in zip(rows, pivots) if fc in row]
@@ -220,13 +225,14 @@ def _null_rows(rows: list[dict[int, int]], pivots: list[int], cols: int) -> list
 
 def _null_basis(rows: list[dict[int, int]], pivots: list[int], cols: int) -> list[Vector]:
     """Nullspace basis of the first cols columns of an integer reduced
-    echelon form from _echelon, one vector per free column below cols."""
+    echelon form from _echelon, one vector per free column below cols: the
+    Fraction view of _null_rows, each vector over its entry at its free
+    column."""
     basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
+    for fc, row in zip((c for c in range(cols) if c not in pivots), _null_rows(rows, pivots, cols)):
         v = [ZERO] * cols
-        v[fc] = ONE
-        for row, pc in zip(rows, pivots):
-            v[pc] = Fraction(-row.get(fc, 0), row[pc])
+        for j, x in row.items():
+            v[j] = Fraction(x, row[fc])
         basis.append(v)
     return basis
 

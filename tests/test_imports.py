@@ -303,6 +303,11 @@ def test_compactness_subspaces_and_frames_stay_integer():
     linalg_source = (ROOT / "src" / "liejacobi" / "linalg.py").read_text()
     assert "_definite" in function_references(linalg_source, "is_definite")
     assert function_references(linalg_source, "_null_rows").isdisjoint({"Fraction", "ZERO"})
+    # one nullspace path and one reduced-rows view: the Fraction nullspace
+    # basis is read from _null_rows, and rref and Subspace from _reduced
+    assert "_null_rows" in function_references(linalg_source, "_null_basis")
+    assert "_reduced" in function_references(linalg_source, "rref")
+    assert "_reduced" in function_references(liealg_source, "Subspace._hold")
     # the cocycle with prescribed values solves integer rows of the table
     bialgebra_source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
     names = function_references(bialgebra_source, "_solve_cocycle_with_values")
