@@ -6,7 +6,8 @@ three compatibility conditions (check_glb).  The constructors here either
 assemble the dual bracket from Yang-Baxter-type data, transplant a cocycle
 onto an abelian base, or instantiate the three compact kinds; the
 classification walks the opposite direction and certifies which kind a
-compact example belongs to.
+compact example belongs to.  The Yang-Baxter check reads [r,r] - 2 x0^r and
+[x0,r] from jacobi's `_jacobi_residuals`, as check_jacobi does.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from math import isqrt, lcm
 from liejacobi.exterior import Form, Multivector, _check_argument, contract, pair, wedge
 from liejacobi.jacobi import (
     _characteristic_checked,
+    _jacobi_residuals,
     CharacteristicSubalgebra,
     JacobiPair,
     check_jacobi,
@@ -287,7 +289,7 @@ def check_yb_hypotheses(y: YbData) -> YbReport:
     """
     g = y.g
     check_cocycle(g, y.phi0)
-    cubic = schouten(g, y.r, y.r) - wedge(y.x0, y.r).scale(2)
+    cubic, x0_commutes = _jacobi_residuals(g, y.r, y.x0)
     vector = contract(y.phi0, y.r) - y.x0
     cubic_entries = []
     vector_entries = []
@@ -299,8 +301,7 @@ def check_yb_hypotheses(y: YbData) -> YbReport:
         res1 = twisted_ad(g, y.phi0, 0, x, vector)
         if not res1.is_zero():
             vector_entries.append((i, res1))
-    return YbReport(y, cubic, tuple(cubic_entries),
-                    schouten(g, y.x0, y.r), vector, tuple(vector_entries))
+    return YbReport(y, cubic, tuple(cubic_entries), x0_commutes, vector, tuple(vector_entries))
 
 
 def _check_route_args(g: LieAlgebra, phi0: Form, r: Multivector, x0: Multivector) -> None:

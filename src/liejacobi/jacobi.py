@@ -8,11 +8,11 @@ conformal symplectic (l.c.s.) pair.  The conversions here are exact inverses
 of each other and every constructor re-verifies the defining identities.
 
 check_jacobi and the conversions work on integer forms (see exterior):
-`_jacobi_residuals` sums [r,r] - 2 X0^r and [X0,r] in int from the
-structure-constant table, and the general schouten is not called.  A
+`_jacobi_residuals`, which bialgebra's Yang-Baxter check reads too, sums
+[r,r] - 2 X0^r and [X0,r] in int from the structure-constant table.  A
 2-tensor is read as liealg's one matrix of it, the sparse integer rows of
-`_antisymmetric`: the characteristic subspace is spanned by the rows of r
-and X0, the l.c.s. rank test counts the pivots of omega2's (`_rank`),
+`_antisymmetric`: the characteristic subspace is reduced from the rows of r
+and X0 by `_echelon`, the l.c.s. rank test counts the pivots of omega2's,
 contact_to_jacobi adds eta (x) eta to those of d eta and inverts the flat
 map with linalg's integer inverse, `_inverse_tensor` reads r or omega2
 back from the integer inverse of the other's matrix for the l.c.s. maps,
@@ -40,7 +40,7 @@ from liejacobi.liealg import (
     abelian,
     direct_product,
 )
-from liejacobi.linalg import _inverse, solve_rows
+from liejacobi.linalg import _echelon, _inverse, solve_rows
 from liejacobi.schouten import ce_differential
 
 
@@ -170,9 +170,8 @@ def _inverse_tensor(p: Multivector | Form, kind: type) -> tuple:
 def _span_with_x0(jp: JacobiPair) -> Subspace:
     # row a of the matrix of r is #_r e^a, so the rows span im(#_r)
     n = jp.algebra.dim
-    vectors = [[row.get(j, 0) for j in range(n)] for row in _antisymmetric(jp.r)]
-    vectors.append(jp.x0.coeffs())
-    return Subspace(n, vectors)
+    rows = _antisymmetric(jp.r) + [{i: v for (i,), v in jp.x0._ints()[0].items()}]
+    return Subspace._from_echelon(n, _echelon(rows, n))
 
 
 def rank(jp: JacobiPair) -> int:

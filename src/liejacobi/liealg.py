@@ -23,9 +23,9 @@ counts its pivots and the sharp map's `_contraction` is its Fraction view.
 The one push-forward, `_push`, applies a matrix's integer form to a vector
 or 2-tensor, as every linear map and change of coordinates (coordinates,
 restrict, restrict_bivector, change_basis, a Jacobi pair's restriction)
-does; each of those reads the integer form of its basis matrix B and
-eliminates B once for the integer form of its left inverse L, read from
-linalg._inverse, and accepts L v only when B (L v) == v.
+does.  Every basis, invariant_scalar_product's too, is eliminated once by
+`_frame` into the integer forms of its matrix B and left inverse L, from
+linalg._inverse; a change of coordinates accepts L v only when B (L v) == v.
 """
 
 from __future__ import annotations
@@ -406,27 +406,27 @@ def one_cocycles(g: LieAlgebra) -> Subspace:
 class LinearMap:
     """Linear map between coordinate spaces; matrix columns are basis images.
 
-    The matrix is read-only, so its integer form `_ints`, built on first
-    use, cannot go stale; products with a map read only that form.  Rows of
-    unequal length, in from_rows or on the first use of a map built
-    directly, and a vector or map of another shape than the map's, raise
-    ValueError; a map with no rows records no domain, so it takes vectors of
-    any length.
+    Construction checks the rows and keeps `_ints`, the integer form
+    linalg._dense of the read-only matrix, which products with the map read.
+    Rows of unequal length, and a vector or map of another shape than the
+    map's, raise ValueError; a map with no rows records no domain, so it
+    takes vectors of any length.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
 
+    def __post_init__(self):
+        if any(len(row) != self.domain_dim for row in self.matrix):
+            raise ValueError("matrix rows must have equal length")
+        object.__setattr__(self, "_ints", linalg._dense(self.matrix))
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "LinearMap":
-        matrix = tuple(tuple(frac(c) for c in row) for row in rows)
-        if any(len(row) != len(matrix[0]) for row in matrix):
-            raise ValueError("matrix rows must have equal length")
-        return cls(matrix)
+        return cls(tuple(tuple(frac(c) for c in row) for row in rows))
 
     @classmethod
     def from_columns(cls, cols: Iterable[Iterable]) -> "LinearMap":
-        cols = [list(c) for c in cols]
-        return cls.from_rows(linalg.transpose([[frac(x) for x in c] for c in cols]))
+        return cls.from_rows(linalg.transpose([list(c) for c in cols]))
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
@@ -444,16 +444,6 @@ class LinearMap:
     def codomain_dim(self) -> int:
         return len(self.matrix)
 
-    @cached_property
-    def _ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(den, rows): the matrix as integers over one common denominator
-        den, the lcm of its denominators."""
-        n = self.domain_dim
-        if any(len(row) != n for row in self.matrix):
-            raise ValueError("matrix rows must have equal length")
-        nums, den = linalg._integers([x for row in self.matrix for x in row])
-        return den, tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(self.codomain_dim))
-
     def _check_length(self, n: int, expected: int) -> None:
         if self.matrix and n != expected:
             raise ValueError(f"expected a vector of length {expected}, not {n}")
@@ -461,9 +451,7 @@ class LinearMap:
     def apply(self, coeffs: Iterable) -> list[Fraction]:
         v = [frac(c) for c in coeffs]
         self._check_length(len(v), self.domain_dim)
-        support, nums, d = linalg._sparse(v)
-        den, rows = self._ints
-        return [Fraction(sum(map(mul, [row[j] for j in support], nums)), den * d) for row in rows]
+        return linalg._mat_vec(self._ints, v)
 
     def apply_element(self, e):
         self._check_length(e.dim, self.domain_dim)
@@ -610,18 +598,19 @@ def invariant_scalar_product(g: LieAlgebra) -> LinearMap:
     Minus the Killing form on the derived algebra, the standard product on the
     chosen center basis, and the two blocks orthogonal to each other.  The
     Killing form vanishes on the center, so B = -K + Q^T Q, where Q holds the
-    center rows of the inverse of the adapted basis (derived rows, then
-    center rows).
+    center rows of the left inverse of the adapted basis (derived rows, then
+    center rows), read from its `_frame`, and K is `_killing`'s.
     """
     report = is_compact(g)
     if not report.compact:
         raise ValueError(f"{g.name} is not of compact type")
-    basis = [list(r) for r in report.derived.rows] + [list(r) for r in report.center.rows]
-    q = linalg.invert(linalg.transpose(basis))[report.derived.rank:]
-    k = killing_form(g).matrix
     n = g.dim
+    dq, rows = _frame(report.derived.rows + report.center.rows, n)[1]
+    q = rows[report.derived.rank:]
+    dk, k = _killing(g)
     return LinearMap.from_rows(
-        [[sum((row[i] * row[j] for row in q), -k[i][j]) for j in range(n)] for i in range(n)])
+        [[Fraction(dk * sum(row[i] * row[j] for row in q) - dq * dq * k[i][j], dk * dq * dq)
+          for j in range(n)] for i in range(n)])
 
 
 def direct_product(g: LieAlgebra, h: LieAlgebra, name: str | None = None) -> LieAlgebra:
@@ -688,11 +677,9 @@ def _frame(basis: Sequence[Sequence], n: int) -> tuple[tuple, tuple]:
     another length raises ValueError."""
     if any(len(b) != n for b in basis):
         raise ValueError(f"basis vectors must have length {n}")
-    m = len(basis)
-    nums, den = linalg._integers([frac(b[i]) for i in range(n) for b in basis])
-    rows = [nums[i * m:(i + 1) * m] for i in range(n)]
+    den, rows = linalg._dense([[frac(b[i]) for b in basis] for i in range(n)])
     return (den, rows), linalg._inverse([{j: x for j, x in enumerate(row) if x} for row in rows],
-                                        m, [den] * n)
+                                        len(basis), [den] * n)
 
 
 def _antisymmetric(p: Multivector | Form) -> list[dict[int, int]]:

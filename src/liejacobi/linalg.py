@@ -26,10 +26,11 @@ at costs nothing, and solve and solve_rows stop as soon as the smallest
 leading column left is the right-hand side's, since the system is then
 inconsistent.  Fractions are built only for the output, each entry of a
 pivot row over its pivot.  The reduced row echelon form is unique, so this
-is exactly the form that elimination over Fraction gives.  mat_vec sums in
-int too, and the LDL^T of is_definite, whose integer entry point is
-`_definite`, uses Bareiss's exact division (Math. Comp. 22, 1968).  A
-matrix or vector of the wrong shape raises ValueError everywhere.
+is exactly the form that elimination over Fraction gives.  `_dense` puts a
+whole matrix over one denominator, for the LDL^T of is_definite (`_definite`,
+Bareiss's exact division, Math. Comp. 22, 1968) and for `_mat_vec`, the one
+int product of mat_vec and of liealg's linear maps.  A matrix or vector of
+the wrong shape raises ValueError everywhere.
 """
 
 from __future__ import annotations
@@ -105,17 +106,28 @@ def _sparse(v) -> tuple[list[int], list[int], int]:
     return support, nums, den
 
 
+def _dense(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, rows): the rows of the rational matrix a, of any lengths, as
+    integers over den, the lcm of all its denominators."""
+    nums, den = _integers([x for row in a for x in row])
+    it = iter(nums)
+    return den, tuple(tuple(next(it) for _ in row) for row in a)
+
+
+def _mat_vec(matrix: tuple, v: Vector) -> Vector:
+    """M v for the integer form (den, rows) of a matrix M, summed in int
+    over the nonzero entries of v only."""
+    den, rows = matrix
+    support, nums, d = _sparse(v)
+    return [Fraction(sum(map(mul, [row[j] for j in support], nums)), den * d) for row in rows]
+
+
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    """a v, summed in int over the nonzero entries of v only; a row of a
-    with another number of entries than v raises ValueError."""
-    support, nums, den = _sparse(v)
-    out = []
-    for row in a:
-        if len(row) != len(v):
-            raise ValueError(f"every row must have {len(v)} entries")
-        ints, d = _integers([row[j] for j in support])
-        out.append(Fraction(sum(map(mul, ints, nums)), d * den))
-    return out
+    """a v, summed in int by _mat_vec; a row of a with another number of
+    entries than v raises ValueError."""
+    if any(len(row) != len(v) for row in a):
+        raise ValueError(f"every row must have {len(v)} entries")
+    return _mat_vec(_dense(a), v)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -312,9 +324,8 @@ def is_definite(a: Matrix, positive: bool) -> tuple[bool, list[Fraction]]:
     Returns (verdict, pivot list as witness); a matrix that is not square
     raises ValueError.  The Fraction front end of _definite.
     """
-    nums, den = _integers([x for row in a for x in row])
-    it = iter(nums)
-    return _definite([[next(it) for _ in row] for row in a], den, positive)
+    den, rows = _dense(a)
+    return _definite(rows, den, positive)
 
 
 def _definite(rows: list[list[int]], den: int, positive: bool) -> tuple[bool, list[Fraction]]:

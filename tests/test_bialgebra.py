@@ -262,6 +262,20 @@ def test_yb_hypotheses_catalog_entries_pass():
         assert check_yb_hypotheses(catalog(name)).passed
 
 
+def test_reports_are_true_exactly_when_they_pass():
+    assert bool(check_glb(catalog("noncob4_53"))) is True
+    assert bool(check_glb(broken_noncob())) is False
+    assert bool(check_yb_hypotheses(catalog("h11"))) is True
+    failing = YbData(SU2, Form.zero(3, 1), mv(3, 2, {(0, 1): 1}), vec(3, 0))
+    assert bool(check_yb_hypotheses(failing)) is False
+
+
+def test_classification_result_describes_its_kind():
+    for name, kind in (("firstkind4", "first"), ("secondkind4", "second"),
+                       ("thirdkind_u2", "third")):
+        assert classify_compact(catalog(name)).describe() == f"kind: {kind}"
+
+
 def test_yb_hypotheses_cocycle_precondition_raises():
     y = YbData(SU2, Form.basis(3, 0), mv(3, 2, {(0, 1): 1}), Multivector.zero(3, 1))
     with pytest.raises(ValueError, match="1-cocycle"):

@@ -373,6 +373,36 @@ def test_glb_classify_checks_once(capsys, monkeypatch, tmp_path):
                                                           ("check_glb", b.g.name)], name
 
 
+def test_glb_classify_reports_a_failing_glb_on_a_compact_base(capsys, tmp_path):
+    # the base u2 is compact, but doubling one g* structure constant breaks
+    # the bracket compatibility: exit 1 with the glb report, no classification
+    doc = documents.to_document(catalog("thirdkind_u2"))
+    doc["g_star"]["brackets"][0]["value"][0]["coeff"] = "2"
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "glb-classify", "--glb", str(path))
+    assert code == 1
+    assert out.startswith("generalized bialgebra fails:")
+    assert "bracket compatibility at (e2, e4): -e1^e2" in out
+    assert "classification" not in out
+    code, payload = machine(capsys, "glb-classify", "--glb", str(path))
+    assert code == 1
+    assert payload["report"]["passed"] is False and "kind" not in payload["report"]
+
+
+def test_glb_classify_semidirect_document_prints_psi(capsys, tmp_path):
+    su2 = catalog("su2")
+    psi = liealg.LinearMap.from_columns([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    b = bialgebra.build_semidirect_glb(su2, liealg.abelian(3), psi)
+    path = write(tmp_path, "semidirect.json", b)
+    code, out, _ = run(capsys, "glb-classify", "--glb", path)
+    assert code == 0 and out == "classification: phi0-zero-semidirect\n"
+    code, payload = machine(capsys, "glb-classify", "--glb", path)
+    assert code == 0
+    assert payload["report"]["kind"] == "phi0-zero-semidirect"
+    assert payload["report"]["psi"] == [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]]
+
+
 def test_glb_classify_noncompact_is_usage_error(capsys):
     code, _, err = run(capsys, "glb-classify", "--name", "noncob4_53")
     assert code == 2 and "compact" in err

@@ -37,6 +37,20 @@ from liejacobi.exterior import (
 from liejacobi.schouten import schouten
 
 
+def test_scalar_value_and_str():
+    # scalar_value reads a grade-0 element or any zero, and str renders with
+    # the default labels e1, e2, ...
+    assert Multivector.scalar(3, "5/2").scalar_value() == Fraction(5, 2)
+    assert Form.scalar(2, 0).scalar_value() == 0
+    assert Multivector.zero(3, 2).scalar_value() == 0
+    for e in (vec(3, 1), cov(3, 0)):
+        with pytest.raises(ValueError, match="not a scalar"):
+            e.scalar_value()
+    assert str(mv(3, 2, {(0, 1): Fraction(1, 2), (1, 2): -3})) == "1/2*e1^e2 - 3*e2^e3"
+    assert str(fm(3, 1, {(2,): Fraction(-2, 3)})) == "-2/3*e3"
+    assert str(Form.zero(3, 2)) == "0"
+
+
 def _perm_sign(perm):
     sign = 1
     for i in range(len(perm)):

@@ -1,6 +1,6 @@
 """Every name a library module, test module or script imports is used in
-that module, every private module-level function or class is used
-somewhere in the library, only the modules that exterior names touch the
+that module, every private module-level function or class and every
+private method of a library class is used somewhere in the library, only the modules that exterior names touch the
 integer form of elements and tables, the pointwise dual-bracket route reads
 neither that form nor the contraction matrix of r, the coboundary system,
 the elimination kernel and the Jacobi sums build no Fraction, the Jacobi
@@ -8,8 +8,10 @@ sums make no public call, the Jacobi residuals and the contact and l.c.s.
 maps stay on the integer forms, a 2-tensor has one integer matrix and one
 push-forward that only the public sharp map views as Fractions, the
 compactness test, subspaces and basis frames stay on integer rows, bialgebra
-builds no l.c.s. or contact structure,
-the element inputs of the library's constructors go through one argument
+builds no l.c.s. or contact structure, each of six primitives (the dense
+integer form of a matrix, the matrix-vector product, the linear map's shape
+check, the left inverse of a basis, the Jacobi residuals and the reduction
+of the characteristic subspace) has one implementation, the element inputs of the library's constructors go through one argument
 check, and every liejacobi name the benchmark uses exists and is callable.
 
 The package's __init__.py is left out of the import check: it imports names
@@ -58,12 +60,14 @@ def test_no_unused_imports(path):
 
 
 def unreferenced_private(sources: list[str]) -> list[str]:
-    """Private module-level functions and classes that no source refers to,
-    by name or as an attribute."""
+    """Private module-level functions and classes, and private methods of
+    module-level classes, that no source refers to, by name or as an
+    attribute."""
     defined, used = set(), set()
     for source in sources:
         tree = ast.parse(source)
-        defined |= {node.name for node in tree.body
+        bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        defined |= {node.name for body in bodies for node in body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name.startswith("_") and not node.name.startswith("__")}
         for node in ast.walk(tree):
@@ -77,6 +81,9 @@ def unreferenced_private(sources: list[str]) -> list[str]:
 def test_unreferenced_private_is_reported():
     assert unreferenced_private(["def _a(): pass\nclass _B: pass\ndef _c(): _a()\n",
                                  "x = m._c\n"]) == ["_B"]
+    methods = ("class C:\n    def _m(self): pass\n    def _n(self): self._m()\n"
+               "    def __init__(self): pass\n")
+    assert unreferenced_private([methods]) == ["_n"]
 
 
 def test_no_unreferenced_private_helpers():
@@ -313,6 +320,49 @@ def test_compactness_subspaces_and_frames_stay_integer():
     names = function_references(bialgebra_source, "_solve_cocycle_with_values")
     assert {"_bracket_rows", "solve_rows"} <= names
     assert names.isdisjoint({"Fraction", "solve", "structure"})
+
+
+def test_one_implementation_per_primitive():
+    linalg_source = (ROOT / "src" / "liejacobi" / "linalg.py").read_text()
+    liealg_source = (ROOT / "src" / "liejacobi" / "liealg.py").read_text()
+    # the dense integer form of a Fraction matrix: _dense, the one reader of
+    # _integers besides the sparse form of a vector
+    for source, fn in ((liealg_source, "LinearMap.__post_init__"), (liealg_source, "_frame"),
+                       (linalg_source, "is_definite")):
+        names = function_references(source, fn)
+        assert "_dense" in names and "_integers" not in names, fn
+    functions = [node.name for node in ast.parse(linalg_source).body
+                 if isinstance(node, ast.FunctionDef)]
+    assert {fn for fn in functions
+            if "_integers" in function_references(linalg_source, fn)} == {"_dense", "_sparse"}
+    modules = {p.name: module_references(p.read_text()) for p in PACKAGE}
+    assert [name for name, refs in modules.items() if "_integers" in refs] == ["linalg.py"]
+    # the matrix-vector product: one int kernel behind mat_vec and LinearMap.apply
+    for source, fn in ((linalg_source, "mat_vec"), (liealg_source, "LinearMap.apply")):
+        names = function_references(source, fn)
+        assert "_mat_vec" in names and names.isdisjoint({"_sparse", "mul", "sum"}), fn
+    # the linear map's shape check, in __post_init__ only, which also keeps _ints
+    linear_map = next(node for node in ast.parse(liealg_source).body
+                      if isinstance(node, ast.ClassDef) and node.name == "LinearMap")
+    assert "_ints" not in {node.name for node in linear_map.body
+                           if isinstance(node, ast.FunctionDef)}
+    assert "ValueError" in function_references(liealg_source, "LinearMap.__post_init__")
+    assert "ValueError" not in function_references(liealg_source, "LinearMap.from_rows")
+    # the left inverse of a basis: _frame eliminates every basis, and no
+    # module calls the Fraction invert
+    names = function_references(liealg_source, "invariant_scalar_product")
+    assert {"_frame", "_killing"} <= names
+    assert names.isdisjoint({"invert", "transpose", "killing_form"})
+    assert not [name for name, refs in modules.items() if "invert" in refs]
+    # the Jacobi residuals: the Yang-Baxter check reads jacobi's
+    names = function_references((ROOT / "src" / "liejacobi" / "bialgebra.py").read_text(),
+                                "check_yb_hypotheses")
+    assert "_jacobi_residuals" in names and names.isdisjoint({"schouten", "wedge"})
+    # the characteristic subspace: integer rows reduced once, as center does
+    names = function_references((ROOT / "src" / "liejacobi" / "jacobi.py").read_text(),
+                                "_span_with_x0")
+    assert {"_antisymmetric", "_echelon", "_from_echelon"} <= names
+    assert names.isdisjoint({"coeffs", "frac", "Fraction"})
 
 
 def test_integer_built_elements_build_no_fraction():

@@ -27,7 +27,7 @@ from helpers import (
     vec,
 )
 from liejacobi import jacobi, linalg
-from liejacobi.bialgebra import YbData
+from liejacobi.bialgebra import YbData, check_yb_hypotheses
 from liejacobi.catalog import catalog, catalog_names, heisenberg
 from liejacobi.documents import algebras_of
 from liejacobi.exterior import Form, Multivector, evaluate, wedge, wedge_power
@@ -48,6 +48,7 @@ from liejacobi.jacobi import (
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
+    Subspace,
     _antisymmetric,
     _contraction,
     _push,
@@ -56,6 +57,8 @@ from liejacobi.liealg import (
     change_basis,
     direct_product,
     one_cocycles,
+    restrict,
+    restrict_bivector,
 )
 from liejacobi.schouten import ce_differential
 
@@ -163,16 +166,49 @@ def _residual_cases():
 
 
 def test_jacobi_residuals_match_the_schouten_route():
-    # the table route of check_jacobi against schouten, wedge and scale,
-    # compared with == and on the grade, which a zero residual also carries
+    # the table route of check_jacobi, and the cubic term and [x0,r] that
+    # check_yb_hypotheses reads from it, against schouten, wedge and scale,
+    # compared with == and on the grade, which a zero residual also carries.
+    # phi0 = 0 is a 1-cocycle on every algebra of positive dimension; the
+    # Yang-Baxter check leaves out the 100-digit cases above dim 8 for time
     cases = _residual_cases()
     reports = [check_jacobi(jp) for jp in cases]
     for jp, report in zip(cases, reports):
-        ours = (report.self_residual, report.vector_residual)
-        reference = jacobi_residuals_reference(jp)
-        assert [(e.grade, e) for e in ours] == [(e.grade, e) for e in reference]
+        reference = [(e.grade, e) for e in jacobi_residuals_reference(jp)]
+        assert [(e.grade, e) for e in (report.self_residual, report.vector_residual)] == reference
+        n = jp.algebra.dim
+        if 1 <= n <= 8:
+            yb = check_yb_hypotheses(YbData(jp.algebra, Form.zero(n, 1), jp.r, jp.x0))
+            assert [(e.grade, e) for e in (yb.cubic, yb.x0_commutes)] == reference
     assert {jp.algebra.dim for jp in cases} == set(range(15))
     assert 40 <= sum(report.passed for report in reports) < len(cases) - 40
+
+
+def test_jacobi_report_is_true_exactly_when_it_passes():
+    for name, passed in (("solvable3_51", True), ("semidirect4_53", False)):
+        y = catalog(name)
+        assert bool(check_jacobi(JacobiPair(y.g, y.r, y.x0))) is passed, name
+
+
+def test_characteristic_span_matches_the_public_subspace_route():
+    # _span_with_x0 reduces the integer rows of r and X0 once; the reference
+    # spans the columns of the contraction matrix of r, which exterior
+    # computes, and X0 through the public Subspace constructor
+    cases = _residual_cases()
+    valid = 0
+    for jp in cases:
+        g = jp.algebra
+        reference = Subspace(g.dim, contraction_reference(jp.r).transpose().rows + [jp.x0.coeffs()])
+        span = jacobi._span_with_x0(jp)
+        assert (span, span._reduced) == (reference, reference._reduced)
+        assert rank(jp) == reference.rank
+        if check_jacobi(jp).passed:
+            valid += 1
+            cs = characteristic_subalgebra(jp)
+            assert cs.subspace == reference
+            assert cs.algebra == restrict(g, reference.rows, f"{g.name}.char")
+            assert cs.pair.r == restrict_bivector(jp.r, reference.rows)
+    assert valid >= 40
 
 
 def test_sharp_matrix_oracle():

@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -332,22 +333,50 @@ def test_compactness_judgements():
     assert "negative definite on derived: False" in is_compact(catalog("sl2r")).describe()
 
 
+def test_reports_are_true_exactly_when_they_pass():
+    non_lie = LieAlgebra.from_brackets("bad", 3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
+    assert bool(catalog("su2").validate()) is True and bool(non_lie.validate()) is False
+    assert bool(is_compact(catalog("u2"))) is True
+    assert bool(is_compact(catalog("sl2r"))) is False
+
+
 def test_linear_map_integer_form_matches_fraction_products():
-    # apply and apply_element sum over the map's integer form; the reference
-    # multiplies Fractions entry by entry
+    # a map keeps the integer form of its matrix from construction, and its
+    # products share one int kernel with mat_vec; the references multiply
+    # Fractions entry by entry, on small mixed denominators, on independent
+    # 100-digit numerators and denominators, and on maps with no rows
+    # (0 x n) or no columns (n x 0)
     rng = random.Random(47)
-    for rows, cols in ((3, 3), (4, 2), (2, 5), (1, 1)):
-        a = [[mixed_fraction(rng) for _ in range(cols)] for _ in range(rows)]
-        f = LinearMap.from_rows(a)
-        for v in ([mixed_fraction(rng) for _ in range(cols)], [ZERO] * cols,
-                  [Fraction(10 ** 90 + 1, 7)] + [ZERO] * (cols - 1)):
-            image = mat_vec_reference(a, v)
-            assert f.apply(v) == image
-            assert all(type(x) is Fraction for x in f.apply(v))
-            for cls in (Multivector, Form):
-                assert f.apply_element(cls.from_coeffs(v)) == cls.from_coeffs(image)
+    big = lambda: Fraction(rng.randrange(-10 ** 100, 10 ** 100), rng.randrange(1, 10 ** 100))
+    for entry in (lambda: mixed_fraction(rng), lambda: big() if rng.random() < 0.7 else ZERO):
+        for rows, cols in ((3, 3), (4, 2), (2, 5), (1, 1), (5, 1)):
+            a = [[entry() for _ in range(cols)] for _ in range(rows)]
+            f = LinearMap.from_rows(a)
+            den = lcm(*(x.denominator for row in a for x in row))
+            assert f._ints == (den, tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                                          for row in a))
+            for v in ([entry() for _ in range(cols)], [ZERO] * cols,
+                      [Fraction(10 ** 90 + 1, 7)] + [ZERO] * (cols - 1)):
+                image = mat_vec_reference(a, v)
+                assert f.apply(v) == linalg.mat_vec(a, v) == image
+                assert all(type(x) is Fraction for x in f.apply(v))
+                for cls in (Multivector, Form):
+                    assert f.apply_element(cls.from_coeffs(v)) == cls.from_coeffs(image)
+                w = [entry() for _ in range(rows)]
+                assert f.transpose().apply(w) == mat_vec_reference(transpose(a), w)
+                if rows == cols:
+                    assert f.value(w, v) == sum((x * y for x, y in zip(w, image)), ZERO)
     with pytest.raises(ValueError):
         f.apply_element(Multivector.from_terms(2, 2, {(0, 1): 1}))
+    for n in (1, 3):
+        no_rows, no_columns = LinearMap.from_rows([]), LinearMap.from_rows([[]] * n)
+        assert no_rows._ints == (1, ()) and no_columns._ints == (1, ((),) * n)
+        v = [big() for _ in range(n)]
+        assert no_rows.apply(v) == linalg.mat_vec([], v) == []
+        assert no_columns.apply([]) == linalg.mat_vec([[]] * n, []) == [ZERO] * n
+        assert no_rows.apply_element(Multivector.from_coeffs(v)) == Multivector.zero(0, 0)
+        assert no_columns.apply_element(Form.zero(0, 0)) == Form.zero(n, 1)
+        assert no_columns.transpose() == no_rows
 
 
 def test_gram_matrices_and_killing_pivots_match_fraction_route():
@@ -399,8 +428,14 @@ def test_invariant_scalar_product():
 
 
 def test_invariant_scalar_product_matches_adapted_route():
-    # -K + Q^T Q equals the congruence P^-T diag(-K_d, I) P^-1 exactly
-    for g in compact_algebras():
+    # -K + Q^T Q equals the congruence P^-T diag(-K_d, I) P^-1 exactly, on
+    # the compact algebras in their own, seeded rational and dense
+    # unimodular bases
+    su2 = catalog("su2")
+    dense = [change_basis(g, _dense_unimodular(g.dim, seed), name=f"{g.name}.dense")
+             for seed, g in enumerate((su2, catalog("u2"), direct_product(su2, abelian(2)),
+                                       direct_product(direct_product(su2, su2), abelian(2))))]
+    for g in compact_algebras() + dense:
         assert invariant_scalar_product(g) == invariant_scalar_product_reference(g), g.name
 
 

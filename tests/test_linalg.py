@@ -46,6 +46,17 @@ def _random_matrix(rng, rows, cols, bound=4):
              for _ in range(cols)] for _ in range(rows)]
 
 
+def test_frac_reads_strings_ints_and_fractions():
+    assert linalg.frac("-3/6") == Fraction(-1, 2) and type(linalg.frac("-3/6")) is Fraction
+    assert linalg.frac("7") == 7 and type(linalg.frac(7)) is Fraction
+    half = Fraction(1, 2)
+    assert linalg.frac(half) is half
+    with pytest.raises(ValueError):
+        linalg.frac("one half")
+    with pytest.raises(TypeError):
+        linalg.frac(0.5)
+
+
 def test_rref_idempotent_and_pivots_unit():
     rng = random.Random(11)
     for _ in range(40):
