@@ -385,13 +385,14 @@ def contract(one: _Element, target: _Element) -> _Element:
     so on decomposable pairs i(phi)(x^y) = phi(x) y - phi(y) x.  Works both
     ways: a form contracting a multivector and a vector contracting a form.
     The result has the kind of target and one grade less; contracting a
-    grade-0 target gives zero.
+    grade-0 target, or contracting with a zero of any grade (zero counts as
+    every grade, as in _check_argument), gives zero.
     """
     if type(one) is type(target):
         raise TypeError("contraction needs a grade-1 element of the opposite kind")
     if one.dim != target.dim:
         raise ValueError("dimension mismatch")
-    if one.grade != 1:
+    if one.grade != 1 and not one.is_zero():
         raise ValueError("can only contract with a grade-1 element")
     if target.grade == 0:
         return type(target).zero(target.dim, 0)

@@ -9,8 +9,10 @@ of each k.  The bracket, the Jacobi identity, the Killing form, the Schouten
 and Chevalley-Eilenberg sums and the bialgebra compatibility residuals are
 summed from them in int arithmetic; an element result keeps the sums as its
 integer form, and killing_form is the Fraction view of the sums of
-`_killing`.  The Jacobi identity is summed once per algebra and kept with
-the table; validate builds its report from those sums on every call.  They
+`_killing`.  The Jacobi identity, the Killing sums, the center, the derived
+algebra and the compactness decision are computed once per algebra and kept
+with the table; validate, killing_form, center, derived_algebra and
+is_compact build their output from them on every call.  The Jacobi sums
 are taken on packed rows, one int with one w-bit slot per coefficient
 (Kronecker substitution); w = bit_length(3 n M^2) + 2, for M the largest
 |N_ij^k|, keeps every slot inside +-2^(w-1), so the packing is exact.
@@ -73,11 +75,15 @@ class LieAlgebra:
 
     structure maps (i, j) with i < j to the bracket [e_i, e_j] as a grade-1
     multivector; absent pairs bracket to zero.  Construction copies it into a
-    read-only mapping, so the integer structure-constant table `_ad`, its
-    column view `_columns` and the Jacobi sums `_jacobiator`, built on first
-    use, cannot go stale; dataclasses.replace, rename and pickling build a
-    new algebra with its own.  Construction does not check the Jacobi
-    identity; use validate() for that.
+    read-only mapping, so the caches built on first use cannot go stale:
+    the integer structure-constant table `_ad`, its column view `_columns`,
+    the Jacobi sums `_jacobiator`, the Killing sums `_killing`, the reduced
+    integer rows `_center` and `_derived` and the compactness decision
+    `_compactness`.  dataclasses.replace, rename and pickling build a new
+    algebra with its own.  The caches hold only integers (and the LDL^T
+    pivots) and make no public call, so the public calls of an operation do
+    not depend on whether they are filled.  Construction does not check the
+    Jacobi identity; use validate() for that.
     """
 
     name: str
@@ -203,6 +209,56 @@ class LieAlgebra:
                     s >>= w
                 entries.append(((i, j, k), dict(enumerate(acc))))
         return tuple(entries)
+
+    @cached_property
+    def _killing(self) -> tuple[int, list[list[int]]]:
+        """(den^2, K): the Killing form is K / den^2, for K_ij = sum_{m,l}
+        N_im^l N_jl^m summed in int from the integer table."""
+        # read from the table only, for the reason given in _ad
+        n = self.dim
+        den, table = self._ad
+        k = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                tr = 0
+                for m, terms in table[i].items():   # [e_i, e_m] = sum_l c_im^l e_l
+                    for l, a in terms.items():
+                        back = table[j].get(l)      # [e_j, e_l] = sum_m c_jl^m e_m
+                        if back is not None and m in back:
+                            tr += a * back[m]
+                k[i][j] = k[j][i] = tr
+        return den * den, k
+
+    @cached_property
+    def _center(self) -> tuple[list[dict[int, int]], list[int]]:
+        """The reduced integer rows (_echelon's (rows, pivots)) of the
+        center {x : [x, y] = 0 for all y}: the solutions of sum_i x_i N_ij^k
+        = 0, one integer row {i: N_ij^k} of the table per (j, k)."""
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        for i, row in enumerate(self._ad[1]):
+            for j, terms in row.items():
+                for k, v in terms.items():
+                    rows.setdefault((j, k), {})[i] = v
+        return _kernel(_echelon(rows.values(), self.dim), self.dim)
+
+    @cached_property
+    def _derived(self) -> tuple[list[dict[int, int]], list[int]]:
+        """The reduced integer rows of the derived algebra, the span of the
+        brackets [e_i, e_j]: the integer rows of the table."""
+        return _echelon(_bracket_rows(self), self.dim)
+
+    @cached_property
+    def _compactness(self) -> tuple[bool, bool, tuple]:
+        """(splits, definite, pivots) of is_compact, decided on integer rows:
+        the pivots of `_center` and `_derived` stacked, and the LDL^T of the
+        integer Gram matrix `_gram` of the Killing form on `_derived`, whose
+        pivots are the only Fractions kept."""
+        n = self.dim
+        stacked = self._center[0] + self._derived[0]
+        splits = len(stacked) == n and len(_echelon(stacked, n)[1]) == n
+        den, gram = _gram(self, self._derived)
+        definite, pivots = linalg._definite(gram, den, positive=False)
+        return splits, definite, tuple(pivots)
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, brackets: Mapping[tuple[int, int], Iterable],
@@ -365,25 +421,20 @@ class Subspace:
         return [cls.from_coeffs(r) for r in self.rows]
 
 
-def _kernel(reduced: tuple[list[dict[int, int]], list[int]], n: int, dual: bool) -> Subspace:
-    """The Subspace {x : R x = 0} of the integer reduced rows R of n columns."""
-    return Subspace._from_echelon(n, _echelon(linalg._null_rows(*reduced, n), n), dual)
+def _kernel(reduced: tuple[list[dict[int, int]], list[int]], n: int) -> tuple:
+    """The reduced integer rows of {x : R x = 0}, for R the integer reduced
+    rows of n columns."""
+    return _echelon(linalg._null_rows(*reduced, n), n)
 
 
 def annihilator(s: Subspace) -> Subspace:
     """All covectors (or vectors, if s is dual) vanishing on s."""
-    return _kernel(s._reduced, s.dim, not s.dual)
+    return Subspace._from_echelon(s.dim, _kernel(s._reduced, s.dim), not s.dual)
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """{x : [x, y] = 0 for all y}: the solutions of sum_i x_i N_ij^k = 0,
-    one integer row {i: N_ij^k} of the table per (j, k)."""
-    rows: dict[tuple[int, int], dict[int, int]] = {}
-    for i, row in enumerate(g._ad[1]):
-        for j, terms in row.items():
-            for k, v in terms.items():
-                rows.setdefault((j, k), {})[i] = v
-    return _kernel(_echelon(rows.values(), g.dim), g.dim, False)
+    """{x : [x, y] = 0 for all y}, read from the rows `g._center`."""
+    return Subspace._from_echelon(g.dim, g._center)
 
 
 def _bracket_rows(g: LieAlgebra) -> list[dict[int, int]]:
@@ -393,8 +444,8 @@ def _bracket_rows(g: LieAlgebra) -> list[dict[int, int]]:
 
 
 def derived_algebra(g: LieAlgebra) -> Subspace:
-    """Span of all brackets [e_i, e_j]: the integer rows of the table."""
-    return Subspace._from_echelon(g.dim, _echelon(_bracket_rows(g), g.dim))
+    """Span of all brackets [e_i, e_j], read from the rows `g._derived`."""
+    return Subspace._from_echelon(g.dim, g._derived)
 
 
 def one_cocycles(g: LieAlgebra) -> Subspace:
@@ -516,28 +567,10 @@ def derivations(g: LieAlgebra) -> list[LinearMap]:
             for flat in linalg.solve_rows(_leibniz_rows(g), n * n)[1]]
 
 
-def _killing(g: LieAlgebra) -> tuple[int, list[list[int]]]:
-    """(den^2, K): the Killing form is K / den^2, for K_ij = sum_{m,l}
-    N_im^l N_jl^m summed in int from the integer table."""
-    n = g.dim
-    den, table = g._ad
-    k = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            tr = 0
-            for m, terms in table[i].items():   # [e_i, e_m] = sum_l c_im^l e_l
-                for l, a in terms.items():
-                    back = table[j].get(l)      # [e_j, e_l] = sum_m c_jl^m e_m
-                    if back is not None and m in back:
-                        tr += a * back[m]
-            k[i][j] = k[j][i] = tr
-    return den * den, k
-
-
 def killing_form(g: LieAlgebra) -> LinearMap:
     """K(x, y) = trace(ad_x ad_y), as a symmetric matrix over the basis: the
-    Fraction view of the integer sums of `_killing`."""
-    den, k = _killing(g)
+    Fraction view of the integer sums `g._killing`."""
+    den, k = g._killing
     return LinearMap.from_rows([[Fraction(x, den) for x in row] for row in k])
 
 
@@ -564,13 +597,13 @@ class CompactnessReport:
                 f"direct sum: {self.splits}, Killing negative definite on derived: {self.killing_definite}")
 
 
-def _gram(g: LieAlgebra, d: Subspace) -> tuple[int, list[list[int]]]:
-    """(den, G): the Killing form on the reduced rows of d is G / den.  With
-    s the lcm of the pivots of d's integer rows, the rows scaled to v_a = s
-    times row a of d.rows are integers and G_ab = v_a^T K v_b, K w summed
-    once per w."""
-    den, k = _killing(g)
-    rows, pivots = d._reduced
+def _gram(g: LieAlgebra, reduced: tuple) -> tuple[int, list[list[int]]]:
+    """(den, G): the Killing form on the reduced rows of a subspace, given
+    by the integer (rows, pivots) of _echelon, is G / den.  With s the lcm
+    of the pivots, the rows scaled to v_a = s times reduced row a are
+    integers and G_ab = v_a^T K v_b, K w summed once per w."""
+    den, k = g._killing
+    rows, pivots = reduced
     s = lcm(*(row[c] for row, c in zip(rows, pivots)))
     vectors = [{j: x * (s // row[c]) for j, x in row.items()} for row, c in zip(rows, pivots)]
     images = [[sum(kr[j] * x for j, x in w.items()) for kr in k] for w in vectors]
@@ -579,17 +612,10 @@ def _gram(g: LieAlgebra, d: Subspace) -> tuple[int, list[list[int]]]:
 
 def is_compact(g: LieAlgebra) -> CompactnessReport:
     """Compact type: the center and derived algebra span g independently and
-    the Killing form is negative definite on the derived algebra, decided
-    on integer rows: the pivots of both subspaces stacked, and the LDL^T of
-    the integer Gram matrix `_gram`."""
-    n = g.dim
-    z = center(g)
-    d = derived_algebra(g)
-    stacked = z._reduced[0] + d._reduced[0]
-    splits = len(stacked) == n and len(_echelon(stacked, n)[1]) == n
-    den, gram = _gram(g, d)
-    definite, pivots = linalg._definite(gram, den, positive=False)
-    return CompactnessReport(g, z, d, splits, definite, tuple(pivots))
+    the Killing form is negative definite on the derived algebra.  The
+    decision is `g._compactness`, made once per algebra on integer rows; the
+    report is built afresh on every call."""
+    return CompactnessReport(g, center(g), derived_algebra(g), *g._compactness)
 
 
 def invariant_scalar_product(g: LieAlgebra) -> LinearMap:
@@ -599,7 +625,7 @@ def invariant_scalar_product(g: LieAlgebra) -> LinearMap:
     chosen center basis, and the two blocks orthogonal to each other.  The
     Killing form vanishes on the center, so B = -K + Q^T Q, where Q holds the
     center rows of the left inverse of the adapted basis (derived rows, then
-    center rows), read from its `_frame`, and K is `_killing`'s.
+    center rows), read from its `_frame`, and K is `g._killing`.
     """
     report = is_compact(g)
     if not report.compact:
@@ -607,7 +633,7 @@ def invariant_scalar_product(g: LieAlgebra) -> LinearMap:
     n = g.dim
     dq, rows = _frame(report.derived.rows + report.center.rows, n)[1]
     q = rows[report.derived.rank:]
-    dk, k = _killing(g)
+    dk, k = g._killing
     return LinearMap.from_rows(
         [[Fraction(dk * sum(row[i] * row[j] for row in q) - dq * dq * k[i][j], dk * dq * dq)
           for j in range(n)] for i in range(n)])

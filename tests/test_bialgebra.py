@@ -1,6 +1,7 @@
 """Dual-bracket construction, bialgebra checks, builders and classification."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -301,6 +302,19 @@ def test_yb_hypotheses_commuting_failure():
     assert not report.passed
     assert report.x0_commutes == mv(3, 2, {(0, 2): 1})
     assert "[x0,r]" in report.describe()
+
+
+def test_zero_phi0_of_any_grade_acts_as_the_grade_one_zero():
+    # YbData takes a zero phi0 of any grade, as the argument check counts
+    # zero as every grade; the hypotheses and the dual bracket must then be
+    # those of the grade-1 zero
+    r = mv(3, 2, {(0, 1): 1})
+    reference = YbData(SU2, Form.zero(3, 1), r, Multivector.zero(3, 1))
+    want, dual = check_yb_hypotheses(reference), build_dual_bracket(reference)
+    for grade in (0, 2):
+        y = YbData(SU2, Form.zero(3, grade), r, Multivector.zero(3, 1))
+        assert replace(check_yb_hypotheses(y), data=reference) == want, grade
+        assert build_dual_bracket(y) == dual, grade
 
 
 def test_build_from_jacobi_u2_family():

@@ -166,6 +166,19 @@ def test_contract_componentwise_oracle():
                 assert got == expected
 
 
+def test_contract_with_a_zero_of_any_grade_gives_zero():
+    rng = random.Random(54)
+    for dim in (2, 3, 4):
+        for k in range(1, dim + 1):
+            p = random_element(rng, Multivector, dim, k)
+            omega = random_element(rng, Form, dim, k)
+            for grade in range(dim + 1):
+                assert contract(Form.zero(dim, grade), p) == Multivector.zero(dim, k - 1)
+                assert contract(Multivector.zero(dim, grade), omega) == Form.zero(dim, k - 1)
+    with pytest.raises(ValueError, match="grade-1"):
+        contract(fm(3, 2, {(0, 1): 1}), mv(3, 2, {(0, 1): 1}))
+
+
 def test_contract_is_wedge_adjoint():
     # <i(a)P, beta> = <a ^ beta, P> for a 1-form a
     rng = random.Random(53)

@@ -4,10 +4,10 @@ private method of a library class is used somewhere in the library, only the mod
 integer form of elements and tables, the pointwise dual-bracket route reads
 neither that form nor the contraction matrix of r, the coboundary system,
 the elimination kernel and the Jacobi sums build no Fraction, the Jacobi
-sums make no public call, the Jacobi residuals and the contact and l.c.s.
-maps stay on the integer forms, a 2-tensor has one integer matrix and one
-push-forward that only the public sharp map views as Fractions, the
-compactness test, subspaces and basis frames stay on integer rows, bialgebra
+sums and the cached invariants of an algebra make no public call, the
+Jacobi residuals and the contact and l.c.s. maps stay on the integer forms,
+a 2-tensor has one integer matrix and one push-forward that only the
+public sharp map views as Fractions, the compactness test, subspaces and basis frames stay on integer rows, bialgebra
 builds no l.c.s. or contact structure, each of six primitives (the dense
 integer form of a matrix, the matrix-vector product, the linear map's shape
 check, the left inverse of a basis, the Jacobi residuals and the reduction
@@ -28,6 +28,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "liejacobi").glob("*.py"))
 SOURCES = ([p for p in PACKAGE if p.name != "__init__.py"]
            + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")))
+
+
+# the private cached bodies that hold each invariant of a LieAlgebra
+CACHED_INVARIANTS = ("LieAlgebra._killing", "LieAlgebra._center", "LieAlgebra._derived",
+                     "LieAlgebra._compactness")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -119,17 +124,31 @@ def test_integer_form_stays_in_its_modules():
     assert users == INTEGER_FORM_MODULES
 
 
-def function_references(source: str, name: str) -> set[str]:
-    """Names and attributes the module-level function `name`, or the method
-    `Class.method`, refers to."""
+def definition(source: str, name: str) -> ast.FunctionDef:
+    """The module-level function `name`, or the method `Class.method`."""
     body = ast.parse(source).body
     *owner, name = name.split(".")
     if owner:
         body = next(node for node in body
                     if isinstance(node, ast.ClassDef) and node.name == owner[0]).body
-    node = next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
-    return {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
-            if isinstance(n, (ast.Attribute, ast.Name))}
+    return next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _references(nodes) -> set[str]:
+    return {n.attr if isinstance(n, ast.Attribute) else n.id for node in nodes
+            for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name))}
+
+
+def function_references(source: str, name: str) -> set[str]:
+    """Names and attributes the module-level function `name`, or the method
+    `Class.method`, refers to."""
+    return _references([definition(source, name)])
+
+
+def body_references(source: str, name: str) -> set[str]:
+    """function_references of the statements of `name` only, leaving out
+    the annotations of its signature."""
+    return _references(definition(source, name).body)
 
 
 def test_function_references_are_reported():
@@ -137,6 +156,7 @@ def test_function_references_are_reported():
         "g", "h", "_ad"}
     assert function_references("class C:\n    def f(self):\n        return Fraction(1)\n",
                                "C.f") == {"Fraction"}
+    assert body_references("def f(g: G) -> H:\n    return h(g)\n", "f") == {"h", "g"}
 
 
 def test_pointwise_dual_route_stays_off_the_integer_tables():
@@ -287,20 +307,25 @@ def test_compactness_subspaces_and_frames_stay_integer():
     # the coordinate solvers and subspace membership run on the integer rows
     # of linalg's kernel and build no Fraction themselves; the split and the
     # definiteness are decided on integers, not through killing_form,
-    # linalg.rank or a Fraction Gram matrix
+    # linalg.rank or a Fraction Gram matrix, once per algebra in the cached
+    # body _compactness, which is_compact reads
     liealg_source = (ROOT / "src" / "liejacobi" / "liealg.py").read_text()
-    for fn in ("is_compact", "_gram", "_killing", "center", "derived_algebra", "_bracket_rows",
-               "annihilator", "_kernel", "_frame", "_in_span", "Subspace.contains",
-               "Subspace.from_elements"):
+    for fn in ("is_compact", "_gram", *CACHED_INVARIANTS, "center", "derived_algebra",
+               "_bracket_rows", "annihilator", "_kernel", "_frame", "_in_span",
+               "Subspace.contains", "Subspace.from_elements"):
         assert "Fraction" not in function_references(liealg_source, fn), fn
-    names = function_references(liealg_source, "is_compact")
-    assert {"_definite", "_echelon", "_gram", "_reduced"} <= names
+    names = function_references(liealg_source, "LieAlgebra._compactness")
+    assert {"_definite", "_echelon", "_gram", "_center", "_derived"} <= names
     assert names.isdisjoint({"killing_form", "rank", "_restrict_bilinear", "is_definite"})
+    names = function_references(liealg_source, "is_compact")
+    assert "_compactness" in names and names.isdisjoint({"_definite", "_echelon", "_gram"})
     assert "_killing" in function_references(liealg_source, "_gram")
     assert "_killing" in function_references(liealg_source, "killing_form")
-    for fn in ("center", "annihilator"):
+    for fn, cache in (("center", "_center"), ("derived_algebra", "_derived")):
+        assert {cache, "_from_echelon"} <= function_references(liealg_source, fn), fn
+    for fn in ("LieAlgebra._center", "annihilator"):
         assert "_kernel" in function_references(liealg_source, fn), fn
-    for fn in ("_kernel", "derived_algebra", "Subspace.from_elements"):
+    for fn in ("annihilator", "Subspace.from_elements"):
         assert "_from_echelon" in function_references(liealg_source, fn), fn
     assert "_null_rows" in function_references(liealg_source, "_kernel")
     frame = function_references(liealg_source, "_frame")
@@ -320,6 +345,43 @@ def test_compactness_subspaces_and_frames_stay_integer():
     names = function_references(bialgebra_source, "_solve_cocycle_with_values")
     assert {"_bracket_rows", "solve_rows"} <= names
     assert names.isdisjoint({"Fraction", "solve", "structure"})
+
+
+def test_cached_invariants_make_no_public_call():
+    # a cached body runs on the first call only, so one that made a public
+    # call would make the traced calls of an op depend on whether the cache
+    # was filled: the bodies, and every private liealg or linalg function
+    # they reach, name no public liejacobi function or class and no public
+    # LieAlgebra method
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    public = set()
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.add(node.name)
+            if isinstance(node, ast.ClassDef) and node.name == "LieAlgebra":
+                public |= {m.name for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
+    assert public >= {"center", "is_compact", "killing_form", "rank", "Subspace", "bracket"}
+    private = {}        # name -> (source, the name function_references takes)
+    for source in (sources["liealg.py"], sources["linalg.py"]):
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                private[node.name] = (source, node.name)
+            if isinstance(node, ast.ClassDef) and node.name == "LieAlgebra":
+                private |= {m.name: (source, f"LieAlgebra.{m.name}") for m in node.body
+                            if isinstance(m, ast.FunctionDef) and m.name.startswith("_")
+                            and not m.name.startswith("__")}
+    for fn in CACHED_INVARIANTS:
+        todo, seen = [fn.split(".")[1]], set()
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                names = body_references(*private[name])
+                assert names.isdisjoint(public), (fn, name, names & public)
+                todo += [n for n in names if n in private]
+        assert "_ad" in seen, fn
 
 
 def test_one_implementation_per_primitive():

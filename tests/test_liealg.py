@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -20,8 +21,10 @@ from helpers import (
     compact_algebras,
     contains_reference,
     coordinates_reference,
+    dense_frame,
     dense_heisenberg_bialgebras,
     derivations_reference,
+    derived_algebra_reference,
     determinant,
     fm,
     invariant_scalar_product_reference,
@@ -388,7 +391,7 @@ def test_gram_matrices_and_killing_pivots_match_fraction_route():
         vectors = [list(r) for r in report.derived.rows]
         gram = [[sum((v[i] * k.matrix[i][j] * w[j] for i in range(g.dim) for j in range(g.dim)),
                      ZERO) for w in vectors] for v in vectors]
-        den, ints = _gram(g, report.derived)
+        den, ints = _gram(g, report.derived._reduced)
         assert [[Fraction(x, den) for x in row] for row in ints] == gram
         assert ((report.killing_definite, list(report.killing_pivots))
                 == is_definite_reference(gram, positive=False))
@@ -980,3 +983,78 @@ def test_frames_match_fraction_references():
                 inside += coords is not None
                 outside += coords is None
     assert min(closed, opened, inside, outside) > 20
+
+
+# Each invariant of an algebra is computed once, on integer data kept in
+# private caches of the LieAlgebra, and every call builds its report,
+# Subspace or LinearMap afresh from them.  A cold algebra, a warm one and the
+# Fraction references in helpers must agree with ==, and the readers of the
+# shared rows must leave the caches as they found them.
+
+_CACHES = ("_killing", "_center", "_derived", "_compactness")
+_READERS = (is_compact, center, derived_algebra, killing_form, one_cocycles,
+            partial(_outcome, invariant_scalar_product))
+
+
+def _invariants(g):
+    return tuple(read(g) for read in _READERS)
+
+
+def _invariant_references(g):
+    # invariant_scalar_product_reference reads is_compact, so only on a copy
+    d, report = derived_algebra_reference(g), is_compact_reference(g)
+    product = (invariant_scalar_product_reference(g) if report.compact
+               else f"{g.name} is not of compact type")
+    return (report, center_reference(g), d, killing_form_reference(g),
+            annihilator_reference(d), product)
+
+
+def _cache_algebras():
+    """The catalog and mixed-denominator Lie algebras, su2^k x R^m in a
+    dense integer basis for k <= 3 and m <= 2, and the non-compact sl2r,
+    heisenberg and solvable algebras."""
+    rng = random.Random(2043)
+    dense = []
+    for k in (1, 2, 3):
+        for m in (0, 1, 2):
+            g = abelian(m)
+            for _ in range(k):
+                g = direct_product(catalog("su2"), g)
+            dense.append(dense_frame(rng, g, 1)[0])
+    return (_catalog_algebras() + mixed_algebras()[0] + dense
+            + [catalog("sl2r"), heisenberg(1), catalog("solvable2")])
+
+
+def test_cached_invariants_match_cold_and_reference_routes():
+    verdicts = set()
+    for g in map(replace, _cache_algebras()):     # catalog algebras may be warm already
+        assert set(_CACHES).isdisjoint(vars(g)), g.name
+        cold = tuple(read(replace(g)) for read in _READERS)    # one fresh copy each
+        assert cold == _invariant_references(replace(g)), g.name
+        first = _invariants(g)
+        kept = copy.deepcopy({name: vars(g)[name] for name in _CACHES})
+        z, d = center(g), derived_algebra(g)
+        for s in (z, d):
+            annihilator(s)
+            s.contains([1] * g.dim)
+            _gram(g, s._reduced)
+        assert isinstance(_outcome(restrict, g, [list(r) for r in d.rows], "d"), LieAlgebra)
+        second = _invariants(g)
+        assert first == cold == second, g.name
+        assert {name: vars(g)[name] for name in _CACHES} == kept, g.name
+        assert not any(a is b for a, b in zip(first, second) if not isinstance(a, str)), g.name
+        verdicts.add(first[0].compact)
+    assert verdicts == {True, False}
+
+
+def test_copies_start_with_empty_invariant_caches():
+    g = direct_product(catalog("su2"), abelian(2))
+    report, k = is_compact(g), killing_form(g)
+    assert set(_CACHES) <= set(vars(g))
+    for h in (g.rename("renamed"), replace(g, name="replaced"), pickle.loads(pickle.dumps(g))):
+        assert set(_CACHES).isdisjoint(vars(h)), h.name
+        assert replace(is_compact(h), algebra=g) == report and killing_form(h) == k
+        assert all(vars(h)[name] is not vars(g)[name] for name in _CACHES), h.name
+    flat = replace(g, structure={})
+    assert set(_CACHES).isdisjoint(vars(flat))
+    assert is_compact(flat) == is_compact_reference(flat) and center(flat).rank == 5

@@ -1,0 +1,82 @@
+"""An op makes the same public calls on a cold algebra and on a warm one.
+
+The invariants of a LieAlgebra are kept in private caches built on first
+use, whose bodies hold only integer data and make no public call.  So an op
+run on a fresh algebra and the same op run again on one whose caches are
+filled must call every public liejacobi function, and every __post_init__,
+the same number of times: a cache that skipped a public call would make a
+profile or trace of one op depend on what ran before it.
+"""
+
+import cProfile
+import pstats
+from pathlib import Path
+
+from liejacobi import cli
+from liejacobi.bialgebra import (build_first_kind, build_second_kind, build_third_kind,
+                                 classify_compact)
+from liejacobi.catalog import catalog
+from liejacobi.documents import serialize
+from liejacobi.exterior import Form, Multivector, wedge
+from liejacobi.liealg import Subspace, abelian, direct_product
+
+PACKAGE = Path(cli.__file__).resolve().parent
+
+
+def _public_calls(fn) -> dict:
+    """ncalls of each public liejacobi function, dunder method and
+    __post_init__ that fn() runs, keyed by (file, line, name)."""
+    profile = cProfile.Profile()
+    profile.runcall(fn)
+    return {key: row[1] for key, row in pstats.Stats(profile).stats.items()
+            if Path(key[0]).parent == PACKAGE
+            and (not key[2].startswith(("_", "<")) or key[2].startswith("__"))}
+
+
+def _su2_r2():
+    return direct_product(catalog("su2"), abelian(2), name="su2xR2")
+
+
+def _v(*coeffs):
+    return Multivector.from_coeffs(list(coeffs))
+
+
+def _first(g):
+    u, w = _v(1, 2, -1, 0, 0), _v(0, 0, 0, 2, -1)
+    return build_first_kind(g, Subspace.from_elements([u, w]), wedge(u, w).scale(3),
+                            Form.from_coeffs([0, 0, 0, 1, 2]))
+
+
+def _second(g):
+    return build_second_kind(g, _v(0, 0, 0, 1, 2), _v(0, 0, 0, 3, 1), 1, 2, -1)
+
+
+def _third(g):
+    e1, e2, e3 = (_v(*(int(k == j) for k in range(5))) for j in range(3))
+    return build_third_kind(g, e1, e2, e3, _v(0, 0, 0, 1, -2), (1, -2, 3))
+
+
+def test_builders_and_classification_call_alike_cold_and_warm():
+    shared = _su2_r2()
+    for build in (_first, _second, _third):
+        op = lambda g: classify_compact(build(g))     # noqa: E731
+        fresh = _su2_r2()
+        cold = _public_calls(lambda: op(fresh))
+        warm = _public_calls(lambda: op(shared))    # warm from the kinds before
+        assert cold == warm, build.__name__
+        names = {name for _, _, name in cold}
+        assert {"is_compact", "center", "derived_algebra", "__post_init__"} <= names
+    assert {"_killing", "_center", "_derived", "_compactness"} <= set(vars(shared))
+
+
+def test_cli_classification_calls_alike_on_each_run(capsys, tmp_path):
+    # the CLI builds its algebra afresh on every call, by name or from a
+    # document, so no earlier call may change the public calls of the next
+    path = tmp_path / "glb.json"
+    path.write_text(serialize(catalog("thirdkind_u2")))
+    for argv in (["glb-classify", "--name", "thirdkind_u2"],
+                 ["glb-classify", "--glb", str(path), "--format", "machine"]):
+        runs = [_public_calls(lambda: cli.main(argv)) for _ in range(2)]
+        assert runs[0] == runs[1], argv
+        assert "is_compact" in {name for _, _, name in runs[0]}, argv
+    capsys.readouterr()
