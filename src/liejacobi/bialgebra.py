@@ -509,8 +509,8 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
     if solution is None:
         return CoboundarySolutions(None, tuple())
     particular, homogeneous = solution
-    def to_bivector(coeffs):
-        return Multivector.from_terms(n, 2, {unknowns[k]: coeffs[k]
+    def to_bivector(coeffs):    # grade min(2, n), as in _d_basis: r = 0 when n < 2
+        return Multivector.from_terms(n, min(2, n), {unknowns[k]: coeffs[k]
                                              for k in range(len(unknowns)) if coeffs[k] != 0})
     return CoboundarySolutions(to_bivector(particular),
                                tuple(to_bivector(h) for h in homogeneous))

@@ -13,7 +13,6 @@ argument parser is built once, at import.
 """
 
 import argparse
-import json
 import sys
 
 from liejacobi.bialgebra import (
@@ -28,7 +27,8 @@ from liejacobi.bialgebra import (
     unit_center_vector,
 )
 from liejacobi.catalog import catalog, catalog_names
-from liejacobi.documents import DocumentError, LimitError, algebras_of, parse, to_document
+from liejacobi.documents import (DocumentError, LimitError, _dump, algebras_of, parse,
+                                  to_document)
 from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import (
     ContactStructure,
@@ -178,16 +178,20 @@ def _doc(obj, labels=None) -> dict:
     return to_document(obj, labels=labels)
 
 
-def _emit(args, document: dict | None, report: dict, text: str) -> None:
+def _emit(args, document: dict | None, report: dict | None, text: str | None) -> None:
+    """Print the document with its report (machine) or the text, where None
+    stands for the document itself; --out FILE gets the document."""
     if args.format == "machine":
         payload = dict(document) if document is not None else {"kind": "report"}
         payload["report"] = report
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _dump(payload, sys.stdout.write)
+    elif text is None:
+        _dump(document, sys.stdout.write)
     else:
         sys.stdout.write(text + "\n")
     if getattr(args, "out", None) and document is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(document, indent=2) + "\n")
+            _dump(document, fh.write)
 
 
 # subcommand handlers; each returns the exit code
@@ -217,6 +221,9 @@ def _cmd_validate(args) -> int:
     reports = [g.validate() for g in algebras]
     document = _doc(obj)
     passed = all(rep.passed for rep in reports)
+    if args.format == "text":     # render only what the format prints
+        _emit(args, document, None, "\n".join(rep.describe() for rep in reports))
+        return 0 if passed else 1
     violations = []
     for rep in reports:
         labels = list(rep.algebra.basis_labels)
@@ -224,9 +231,7 @@ def _cmd_validate(args) -> int:
             violations.append({"algebra": rep.algebra.name,
                                "triple": [labels[i], labels[j], labels[k]],
                                "residual": _doc(res, labels=labels)})
-    report = {"passed": passed, "violations": violations}
-    text = "\n".join(rep.describe() for rep in reports)
-    _emit(args, document, report, text)
+    _emit(args, document, {"passed": passed, "violations": violations}, None)
     return 0 if passed else 1
 
 
@@ -445,15 +450,11 @@ def _cmd_catalog(args) -> int:
     if not getattr(args, "name", None):
         names = catalog_names()
         if args.format == "machine":
-            sys.stdout.write(json.dumps({"kind": "catalog", "names": names},
-                                        indent=2) + "\n")
+            _dump({"kind": "catalog", "names": names}, sys.stdout.write)
         else:
             sys.stdout.write("\n".join(names) + "\n")
         return 0
-    entry = _catalog_entry(args.name)
-    document = _doc(entry)
-    _emit(args, document, {"name": args.name},
-          json.dumps(document, indent=2))
+    _emit(args, _doc(_catalog_entry(args.name)), {"name": args.name}, None)
     return 0
 
 

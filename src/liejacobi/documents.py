@@ -4,6 +4,13 @@ The format is JSON with a fixed schema per "kind".  Rationals travel as
 strings "p" or "p/q" so that files stay exact and diffable; serialization is
 canonical (fixed key order, basis-order brackets, increasing indices), which
 makes serialize(parse(text)) a byte-level fixed point on well-formed files.
+
+_dump is the one JSON output path, for serialize and for every document and
+report the CLI prints or writes.  On a tree of dicts with str keys, lists,
+tuples, str, int, bool and None it writes, byte for byte, what json.dumps
+returns with indent=2, plus "\n"; it does so without the pure-Python encoder
+json.dumps falls back to under an indent, and it hands the text out in
+bounded pieces, so a large report is never held whole.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from math import lcm
 
 from liejacobi.bialgebra import GeneralizedBialgebra, YbData
@@ -351,4 +359,65 @@ def to_document(obj, labels=None) -> dict:
 
 
 def serialize(obj, labels=None) -> str:
-    return json.dumps(to_document(obj, labels), indent=2) + "\n"
+    parts = []
+    _dump(to_document(obj, labels), parts.append)
+    return "".join(parts)
+
+
+_PIECE = 4096   # list entries _dump gathers before it hands them to write
+
+
+def _dump(tree, write) -> None:
+    """Write json.dumps's indent=2 text of tree and "\n" through write(str).
+
+    Strings are escaped by json's C encode_basestring_ascii and any other
+    scalar is json.dumps(scalar); dict keys must be str.  The text is
+    gathered in one list of separator-prefixed pieces, which is joined and
+    written whenever it holds more than _PIECE entries at the start of a
+    container item, and once at the end.
+    """
+    out = []
+    append = out.append
+    piece = _PIECE
+
+    def flush():
+        write("".join(out))
+        out.clear()
+
+    def put(prefix, o, nl):
+        if isinstance(o, dict):
+            if not o:
+                append(prefix + "{}")
+                return
+            inner = nl + "  "
+            comma, sep = "," + inner, prefix + "{" + inner
+            for k, v in o.items():
+                if len(out) > piece:
+                    flush()
+                if type(v) is str:
+                    append(f"{sep}{_escape(k)}: {_escape(v)}")
+                else:
+                    put(f"{sep}{_escape(k)}: ", v, inner)
+                sep = comma
+            append(nl + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append(prefix + "[]")
+                return
+            inner = nl + "  "
+            comma, sep = "," + inner, prefix + "[" + inner
+            for v in o:
+                if len(out) > piece:
+                    flush()
+                if type(v) is str:
+                    append(sep + _escape(v))
+                else:
+                    put(sep, v, inner)
+                sep = comma
+            append(nl + "]")
+        else:
+            append(prefix + (_escape(o) if isinstance(o, str) else json.dumps(o)))
+
+    put("", tree, "\n")
+    append("\n")
+    flush()

@@ -396,6 +396,17 @@ def test_solve_coboundary_affine_set():
         _coboundary_property(b, sols.particular + h)
 
 
+@pytest.mark.parametrize("phi0, x0", [(Form.basis(1, 0), Multivector.zero(1, 1)),
+                                      (Form.zero(1, 1), Multivector.basis(1, 0))])
+def test_solve_coboundary_in_dimension_one(phi0, x0):
+    # Lambda^2 g = 0, so r = 0 is the only candidate and it solves the system
+    b = GeneralizedBialgebra(abelian(1), abelian(1), phi0, x0)
+    assert check_glb(b).passed
+    sols = solve_coboundary(b)
+    assert not sols.is_empty and sols.particular.is_zero()
+    assert sols.homogeneous == ()
+
+
 def test_solve_coboundary_requires_valid_input():
     nb = catalog("noncob4_53")
     bad = GeneralizedBialgebra(nb.g, nb.g_star, Form.basis(4, 0), nb.x0)

@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, text goldens, machine format, --out."""
 
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -462,6 +464,48 @@ def test_out_with_machine_format(tmp_path, capsys):
     assert payload["report"]["passed"] is True
     saved = json.loads(out_file.read_text())
     assert "report" not in saved and saved["kind"] == "jacobi"
+
+
+def test_out_and_machine_output_match_indented_json_dumps(tmp_path, capsys):
+    out_file = tmp_path / "glb.json"
+    code, out, _ = run(capsys, "glb-check", "--name", "noncob4_53", "--format", "machine",
+                       "--out", str(out_file))
+    assert code == 0
+    document = documents.to_document(catalog("noncob4_53"))
+    assert out_file.read_text() == json.dumps(document, indent=2) + "\n"
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    for argv in (["catalog"], ["catalog", "--name", "h11"]):
+        code, out, _ = run(capsys, *argv, "--format", "machine")
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+    code, out, _ = run(capsys, "catalog", "--name", "h11")
+    assert code == 0 and out == serialize(catalog("h11"))
+
+
+def test_machine_output_is_streamed_in_pieces(monkeypatch, capsys):
+    argv = ["validate", "--name", "noncob4_53", "--format", "machine"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    writes = []
+    monkeypatch.setattr(documents, "_PIECE", 1)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(argv) == 0
+    assert len(writes) > 10
+    assert "".join(writes) == whole
+
+
+@pytest.mark.parametrize("phi0, x0", [(Form.basis(1, 0), Multivector.zero(1, 1)),
+                                      (Form.zero(1, 1), Multivector.basis(1, 0))])
+def test_coboundary_solve_in_dimension_one(tmp_path, capsys, phi0, x0):
+    g = liealg.abelian(1)
+    path = write(tmp_path, "glb.json", bialgebra.GeneralizedBialgebra(g, g, phi0, x0))
+    assert run(capsys, "glb-check", "--glb", path)[0] == 0
+    code, payload = machine(capsys, "coboundary-solve", "--glb", path)
+    assert code == 0
+    report = payload["report"]
+    assert report["empty"] is False and report["homogeneous"] == []
+    assert report["particular"]["terms"] == []
+    code, out, _ = run(capsys, "coboundary-solve", "--glb", path)
+    assert code == 0 and "homogeneous solution space has dimension 0" in out
 
 
 def test_heisenberg_parameterized_names(capsys):

@@ -4,12 +4,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import fm, mv, vec
 from liejacobi.bialgebra import GeneralizedBialgebra, build_dual_bracket
-from liejacobi.catalog import catalog, heisenberg
+from liejacobi.catalog import catalog, catalog_names, heisenberg
 from liejacobi.documents import (
     _KINDS,
+    _dump,
     DocumentError,
     LimitError,
     algebras_of,
@@ -306,3 +309,37 @@ def test_yb_document_grade_mismatch():
     doc["x0"]["terms"] = [{"index": ["e1", "e2"], "coeff": "1"}]
     with pytest.raises(DocumentError, match="grade"):
         parse(json.dumps(doc))
+
+
+# trees of every shape a document or report can hold, against the independent
+# route json.dumps(tree, indent=2)
+_texts = st.text(st.sampled_from("aZ09 \"\\/\n\t\x00\x1f\x7féü∂€😀") | st.characters())
+_scalars = (_texts | st.booleans() | st.none()
+            | st.integers(-10 ** 200, 10 ** 200) | st.sampled_from((0, -1, -10 ** 199)))
+_trees = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_texts, inner, max_size=4)),
+    max_leaves=30)
+
+
+def _dumped(tree) -> str:
+    parts = []
+    _dump(tree, parts.append)
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trees)
+@example({})
+@example([[]])
+@example({"a": [{}, [], ()], "b": ("x", 0, -1, True, False, None)})
+def test_writer_matches_indented_json_dumps(tree):
+    assert _dumped(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_serialize_matches_indented_json_dumps_on_the_catalog():
+    names = [n for n in catalog_names() if "(" not in n]
+    for name in names + ["abelian(3)", "heisenberg(1,2)"]:
+        entry = catalog(name)
+        assert serialize(entry) == json.dumps(to_document(entry), indent=2) + "\n"
