@@ -3,106 +3,8 @@
 Everything is done over the rationals with exact arithmetic, so degeneracy
 tests (contact conditions, rank computations, cocycle checks) are decidable
 and every report carries exact residuals.
+
+The public API is the layer modules, liejacobi.linalg, exterior, liealg,
+schouten, jacobi, bialgebra, documents, catalog and cli; the package itself
+re-exports nothing.
 """
-
-from liejacobi.bialgebra import (
-    GeneralizedBialgebra,
-    YbData,
-    build_dual_bracket,
-    build_first_kind,
-    build_from_jacobi,
-    build_second_kind,
-    build_semidirect_glb,
-    build_third_kind,
-    check_glb,
-    check_yb_hypotheses,
-    classify_compact,
-    extract_jacobi,
-    glb_from_cocycle,
-    solve_coboundary,
-)
-from liejacobi.exterior import Form, Multivector, contract, pair, wedge
-from liejacobi.jacobi import (
-    ContactStructure,
-    JacobiPair,
-    LcsStructure,
-    characteristic_subalgebra,
-    check_jacobi,
-    contact_to_jacobi,
-    jacobi_to_contact,
-    jacobi_to_lcs,
-    lcs_from_contact_times_line,
-    lcs_to_jacobi,
-    rank,
-    sharp,
-)
-from liejacobi.liealg import (
-    LieAlgebra,
-    LinearMap,
-    Subspace,
-    abelian,
-    central_extension,
-    direct_product,
-    invariant_scalar_product,
-    is_compact,
-    killing_form,
-    semidirect_by_derivation,
-)
-from liejacobi.catalog import catalog, catalog_names, heisenberg
-from liejacobi.documents import DocumentError, parse, serialize, to_document
-from liejacobi.schouten import ce_differential, schouten, twisted_differential, twisted_schouten
-
-__all__ = [
-    "Form",
-    "Multivector",
-    "contract",
-    "pair",
-    "wedge",
-    "LieAlgebra",
-    "LinearMap",
-    "Subspace",
-    "abelian",
-    "central_extension",
-    "direct_product",
-    "invariant_scalar_product",
-    "is_compact",
-    "killing_form",
-    "semidirect_by_derivation",
-    "ce_differential",
-    "schouten",
-    "twisted_differential",
-    "twisted_schouten",
-    "ContactStructure",
-    "JacobiPair",
-    "LcsStructure",
-    "characteristic_subalgebra",
-    "check_jacobi",
-    "contact_to_jacobi",
-    "jacobi_to_contact",
-    "jacobi_to_lcs",
-    "lcs_from_contact_times_line",
-    "lcs_to_jacobi",
-    "rank",
-    "sharp",
-    "GeneralizedBialgebra",
-    "YbData",
-    "build_dual_bracket",
-    "build_first_kind",
-    "build_from_jacobi",
-    "build_second_kind",
-    "build_semidirect_glb",
-    "build_third_kind",
-    "check_glb",
-    "check_yb_hypotheses",
-    "classify_compact",
-    "extract_jacobi",
-    "glb_from_cocycle",
-    "solve_coboundary",
-    "DocumentError",
-    "catalog",
-    "catalog_names",
-    "heisenberg",
-    "parse",
-    "serialize",
-    "to_document",
-]

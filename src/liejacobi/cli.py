@@ -219,11 +219,12 @@ def _cmd_validate(args) -> int:
         _emit(args, None, {"passed": True}, "document is schema-valid")
         return 0
     reports = [g.validate() for g in algebras]
-    document = _doc(obj)
     passed = all(rep.passed for rep in reports)
-    if args.format == "text":     # render only what the format prints
+    if args.format == "text":     # render only what the format prints and --out writes
+        document = _doc(obj) if getattr(args, "out", None) else None
         _emit(args, document, None, "\n".join(rep.describe() for rep in reports))
         return 0 if passed else 1
+    document = _doc(obj)
     violations = []
     for rep in reports:
         labels = list(rep.algebra.basis_labels)

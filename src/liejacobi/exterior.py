@@ -221,9 +221,10 @@ class _Element:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable) -> "_Element":
-        """Grade-1 element from a coefficient list over the basis."""
+        """Grade-1 element from a coefficient list over the basis; the empty
+        list gives the grade-0 zero of dimension 0, which has no grade 1."""
         cs = [frac(c) for c in coeffs]
-        return cls(len(cs), 1, {(i,): c for i, c in enumerate(cs) if c != 0})
+        return cls(len(cs), min(1, len(cs)), {(i,): c for i, c in enumerate(cs) if c != 0})
 
     def is_zero(self) -> bool:
         return not self._form[0]
@@ -434,16 +435,3 @@ def pair(omega: Form, p: Multivector) -> Fraction:
         if v is not None:
             total += c * v
     return Fraction(total, do * dp)
-
-
-def evaluate(omega: Form, *vectors: Multivector) -> Fraction:
-    """omega(X_1, ..., X_k) as the pairing with X_1 ^ ... ^ X_k."""
-    if len(vectors) != omega.grade:
-        raise ValueError("argument count must match the grade")
-    if omega.grade == 0:
-        return omega.scalar_value()
-    prod = vectors[0]
-    for v in vectors[1:]:
-        prod = wedge(prod, v)
-    return pair(omega, prod)
-

@@ -37,8 +37,6 @@ from liejacobi.liealg import (
     _push,
     _rank,
     _restrict_pair,
-    abelian,
-    direct_product,
 )
 from liejacobi.linalg import _echelon, _inverse, solve_rows
 from liejacobi.schouten import ce_differential
@@ -345,24 +343,3 @@ def jacobi_to_lcs(jp: JacobiPair) -> LcsStructure:
     if back.r != jp.r or back.x0 != jp.x0:
         raise ValueError("l.c.s. reconstruction failed to invert the pair")
     return ls
-
-
-def lcs_from_contact_times_line(jp: JacobiPair, name: str | None = None) -> JacobiPair:
-    """Extend a full-rank contact pair on h to an l.c.s. pair on h x R.
-
-    The product algebra gets r = r_h + e_new ^ X0 with the same X0; the
-    result has full even rank.
-    """
-    h = jp.algebra
-    n = h.dim
-    if n % 2 == 0 or rank(jp) != n:
-        raise ValueError("input pair must have full odd rank")
-    g = direct_product(h, abelian(1), name=name or f"{h.name}xR")
-    r_ext = Multivector.from_terms(n + 1, 2, dict(jp.r.terms))
-    x0_ext = Multivector.from_terms(n + 1, 1, dict(jp.x0.terms))
-    line = Multivector.basis(n + 1, n)
-    ext = JacobiPair(g, r_ext + wedge(line, x0_ext), x0_ext)
-    report = check_jacobi(ext)
-    if not report.passed:
-        raise ValueError("product construction produced an invalid pair:\n" + report.describe())
-    return ext

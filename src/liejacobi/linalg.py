@@ -5,11 +5,11 @@ fractions.Fraction entries (ints are accepted) and return Fractions, and the
 private integer entry points, which the other modules call, integers.
 
 One fraction-free elimination kernel, `_echelon`, works on sparse integer
-rows {column: nonzero int}; rref, rank, row_space_basis, nullspace, solve,
-solve_rows, the integer nullspace rows `_null_rows` and the integer left
-inverse `_inverse` read their answers from it.  `_reduced` reads the
-Fraction rows of the reduced echelon form from it, and the nullspace
-bases of nullspace and solve are the Fraction view of `_null_rows`.  A
+rows {column: nonzero int}; rref, nullspace, solve, solve_rows, the integer
+nullspace rows `_null_rows` and the integer left inverse `_inverse` read
+their answers from it.  `_reduced` reads the Fraction rows of the reduced
+echelon form from it, and the nullspace bases of nullspace and solve are
+the Fraction view of `_null_rows`.  A
 Fraction matrix enters the kernel through one front end, `_rows`, that
 refuses a row of another length than the first with ValueError and scales
 each row's nonzero entries to integers by the lcm of their denominators;
@@ -210,16 +210,6 @@ def _reduced(rows: list[dict[int, int]], pivots: list[int], cols: int) -> Matrix
     its pivot."""
     return [[Fraction(row[j], row[c]) if j in row else ZERO for j in range(cols)]
             for row, c in zip(rows, pivots)]
-
-
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
-
-
-def row_space_basis(a: Matrix) -> Matrix:
-    """Nonzero rows of the reduced echelon form: a canonical basis of the row space."""
-    m, pivots = rref(a)
-    return m[:len(pivots)]
 
 
 def _null_rows(rows: list[dict[int, int]], pivots: list[int], cols: int) -> list[dict[int, int]]:

@@ -1,16 +1,16 @@
 """Shared shorthand for building exact elements in tests, seeded algebras with
 mixed denominators, seeded brackets at dims 0-14, seeded compact-kind
-bialgebras in dense unimodular bases,
-maps induced on exterior powers, and reference routes for
-the exterior and structure-constant kernels, the coboundary system, the
-bracket and contraction compatibilities of check_glb, the coadjoint and
-pointwise dual brackets, the sharp-map homomorphism certificate, the
-contraction matrix of a 2-tensor and the contact flat map, the Jacobi
-residuals, the contact and l.c.s. maps by Fraction matrices, the center, the
-derived algebra, annihilators, subspace membership, the Killing form and the
-compactness test, the cocycle with prescribed values, the invariant scalar
-product, the coordinate solvers of liealg and the integer linear-algebra
-kernel."""
+bialgebras in dense unimodular bases, maps induced on exterior powers, the
+evaluation of forms on vectors and of multivectors on covectors, l.c.s. pairs
+from contact pairs times a line, and reference routes for the exterior and
+structure-constant kernels, the coboundary system, the bracket and contraction
+compatibilities of check_glb, the coadjoint and pointwise dual brackets, the
+sharp-map homomorphism certificate, the contraction matrix of a 2-tensor and
+the contact flat map, the Jacobi residuals, the contact and l.c.s. maps by
+Fraction matrices, the center, the derived algebra, annihilators, subspace
+membership, the Killing form and the compactness test, the cocycle with
+prescribed values, the invariant scalar product, the coordinate solvers of
+liealg and the integer linear-algebra kernel."""
 
 import random
 from dataclasses import replace
@@ -26,6 +26,7 @@ from liejacobi.bialgebra import (
 )
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.exterior import Form, Multivector, contract, pair, sort_index, wedge
+from liejacobi.jacobi import JacobiPair
 from liejacobi.liealg import (
     CompactnessReport,
     LieAlgebra,
@@ -48,7 +49,7 @@ from liejacobi.linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    rank,
+    rref,
     solve,
     transpose,
     zeros,
@@ -128,9 +129,21 @@ def _collect(cls, dim, grade, pieces):
     return cls(dim, grade, {idx: c for idx, c in acc.items() if c})
 
 
+def evaluate(omega, *vectors):
+    """omega(X_1, ..., X_k) as the pairing with X_1 ^ ... ^ X_k."""
+    if len(vectors) != omega.grade:
+        raise ValueError("argument count must match the grade")
+    if omega.grade == 0:
+        return omega.scalar_value()
+    prod = vectors[0]
+    for v in vectors[1:]:
+        prod = wedge(prod, v)
+    return pair(omega, prod)
+
+
 def evaluate_on(p, *forms):
     """P(alpha_1, ..., alpha_k): the pairing of alpha_1 ^ ... ^ alpha_k with
-    the multivector P, the mirror of exterior.evaluate."""
+    the multivector P, the mirror of evaluate."""
     if len(forms) != p.grade:
         raise ValueError("argument count must match the grade")
     if p.grade == 0:
@@ -582,6 +595,16 @@ def jacobi_to_contact_reference(jp):
     return Form.from_coeffs(sol[0])
 
 
+def lcs_from_contact_times_line(jp):
+    """The l.c.s. pair on h x R of a full-rank contact pair (r, X0) on h:
+    r + e_new ^ X0 with the same X0, of full even rank."""
+    h, n = jp.algebra, jp.algebra.dim
+    g = direct_product(h, abelian(1), name=f"{h.name}xR")
+    x0 = Multivector.from_terms(n + 1, 1, dict(jp.x0.terms))
+    r = Multivector.from_terms(n + 1, 2, dict(jp.r.terms)) + wedge(Multivector.basis(n + 1, n), x0)
+    return JacobiPair(g, r, x0)
+
+
 def _tensor_from_inverse(minv, kind):
     # the 2-tensor q with q^ij = -minv[j][i]
     n = len(minv)
@@ -727,7 +750,7 @@ def is_compact_reference(g):
     derived rows."""
     n = g.dim
     z, d = center_reference(g), derived_algebra_reference(g)
-    splits = z.rank + d.rank == n and rank([list(r) for r in z.rows + d.rows]) == n
+    splits = z.rank + d.rank == n and len(rref([list(r) for r in z.rows + d.rows])[1]) == n
     k = killing_form_reference(g).matrix
     images = [[sum((x * y for x, y in zip(row, w)), ZERO) for row in k] for w in d.rows]
     gram = [[sum((x * y for x, y in zip(v, kw)), ZERO) for kw in images] for v in d.rows]

@@ -456,6 +456,17 @@ def test_out_writes_canonical_document(tmp_path, capsys):
     assert "report" not in payload
 
 
+def test_validate_text_builds_the_document_only_for_out(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "_doc", lambda obj, labels=None: built.append(obj) or {})
+    code, out, _ = run(capsys, "validate", "--name", "noncob4_53")
+    assert code == 0 and "Jacobi identity holds" in out and built == []
+    monkeypatch.undo()
+    out_file = tmp_path / "glb.json"
+    assert run(capsys, "validate", "--name", "noncob4_53", "--out", str(out_file))[0] == 0
+    assert out_file.read_text() == serialize(catalog("noncob4_53"))
+
+
 def test_out_with_machine_format(tmp_path, capsys):
     out_file = tmp_path / "pair.json"
     code, payload = machine(capsys, "jacobi-check", "--name", "solvable3_51",
@@ -506,6 +517,17 @@ def test_coboundary_solve_in_dimension_one(tmp_path, capsys, phi0, x0):
     assert report["particular"]["terms"] == []
     code, out, _ = run(capsys, "coboundary-solve", "--glb", path)
     assert code == 0 and "homogeneous solution space has dimension 0" in out
+
+
+@pytest.mark.parametrize("sub", ["validate", "glb-check", "glb-classify", "coboundary-solve"])
+def test_glb_document_in_dimension_zero(tmp_path, capsys, sub):
+    # the dimension-0 bialgebra's phi0 and x0 are grade-0 zeros, and its
+    # document parses back to it
+    g = liealg.abelian(0)
+    path = write(tmp_path, "glb.json", bialgebra.GeneralizedBialgebra(
+        g, g, Form.zero(0, 0), Multivector.zero(0, 0)))
+    code, _, err = run(capsys, sub, "--glb", path)
+    assert (code, err) == (0, "")
 
 
 def test_heisenberg_parameterized_names(capsys):

@@ -22,9 +22,9 @@ from liejacobi.documents import (
     serialize,
     to_document,
 )
-from liejacobi.exterior import Form
+from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import ContactStructure, JacobiPair, LcsStructure
-from liejacobi.liealg import MAX_DIGITS, MAX_DIM
+from liejacobi.liealg import MAX_DIGITS, MAX_DIM, abelian
 
 
 def _sample_objects():
@@ -34,6 +34,10 @@ def _sample_objects():
                ContactStructure(catalog("su2"), Form.basis(3, 0)),
                LcsStructure(catalog("solvable2"), fm(2, 2, {(0, 1): -1}),
                             Form.zero(2, 1))]
+    # abelian bialgebras in dimension 1 and 0, which has no grade 1: its phi0
+    # and x0 are the grade-0 zeros
+    samples += [GeneralizedBialgebra(abelian(n), abelian(n), Form.zero(n, min(1, n)),
+                                     Multivector.zero(n, min(1, n))) for n in (1, 0)]
     return samples
 
 

@@ -13,6 +13,7 @@ from helpers import (
     add_reference,
     contract_reference,
     cov,
+    evaluate,
     evaluate_on,
     fm,
     mv,
@@ -28,7 +29,6 @@ from liejacobi.exterior import (
     Form,
     Multivector,
     contract,
-    evaluate,
     pair,
     sort_index,
     wedge,
@@ -205,13 +205,18 @@ def test_contract_antiderivation_on_decomposables():
 
 
 def test_evaluate_agrees_with_pair():
+    # the tests' evaluation of a 2-form, the pairing with x ^ y, against
+    # omega(x, y) = sum_{i<j} omega_ij (x^i y^j - x^j y^i)
     rng = random.Random(61)
     for _ in range(40):
         dim = rng.randint(2, 4)
         omega = random_element(rng, Form, dim, 2)
         x = random_element(rng, Multivector, dim, 1)
         y = random_element(rng, Multivector, dim, 1)
-        assert evaluate(omega, x, y) == pair(omega, wedge(x, y))
+        xs, ys = x.coeffs(), y.coeffs()
+        expected = sum((c * (xs[i] * ys[j] - xs[j] * ys[i])
+                        for (i, j), c in omega.terms.items()), Fraction(0))
+        assert evaluate(omega, x, y) == pair(omega, wedge(x, y)) == expected
 
 
 def test_evaluate_on_vectors():

@@ -2,7 +2,8 @@
 
 The battery runs every subcommand on every catalog entry, in text and in
 machine format, and records exit code, stdout and stderr.  The scripts run
-in-process with their usual arguments.  To regenerate the goldens after a
+in-process with their usual arguments, and the README's library example
+must print what its comment lines say.  To regenerate the goldens after a
 deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden_output.py --write
@@ -47,6 +48,15 @@ def cli_battery() -> str:
     return "".join(chunks)
 
 
+def readme_example() -> tuple[str, str]:
+    """The python block under "## Library example" in the README and the
+    output that its `# ` comment lines give."""
+    section = (ROOT / "README.md").read_text().split("## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = "".join(line[2:] + "\n" for line in block.splitlines() if line.startswith("# "))
+    return block, expected
+
+
 def script_output(name: str, *argv: str) -> str:
     saved = sys.argv
     sys.argv = [name, *argv]
@@ -69,6 +79,13 @@ PRODUCERS = {
 def test_output_matches_golden(golden):
     expected = (GOLDEN / golden).read_text(encoding="utf-8")
     assert PRODUCERS[golden]() == expected
+
+
+def test_readme_library_example_prints_its_comments():
+    block, expected = readme_example()
+    assert expected
+    out, err = _captured(lambda: exec(compile(block, "README.md", "exec"), {}))
+    assert (out, err) == (expected, "")
 
 
 if __name__ == "__main__":

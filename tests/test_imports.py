@@ -1,33 +1,36 @@
-"""Every name a library module, test module or script imports is used in
-that module, every private module-level function or class and every
-private method of a library class is used somewhere in the library, only the modules that exterior names touch the
-integer form of elements and tables, the pointwise dual-bracket route reads
-neither that form nor the contraction matrix of r, the coboundary system,
-the elimination kernel and the Jacobi sums build no Fraction, the Jacobi
-sums and the cached invariants of an algebra make no public call, the
-Jacobi residuals and the contact and l.c.s. maps stay on the integer forms,
-a 2-tensor has one integer matrix and one push-forward that only the
-public sharp map views as Fractions, the compactness test, subspaces and basis frames stay on integer rows, bialgebra
-builds no l.c.s. or contact structure, each of six primitives (the dense
-integer form of a matrix, the matrix-vector product, the linear map's shape
-check, the left inverse of a basis, the Jacobi residuals and the reduction
-of the characteristic subspace) has one implementation, the element inputs of the library's constructors go through one argument
-check, and every liejacobi name the benchmark uses exists and is callable.
-
-The package's __init__.py is left out of the import check: it imports names
-to re-export them.
+"""Every name a library module, test module or script imports is used in that
+module, every private module-level function or class and every private
+method of a library class is used somewhere in the library, every public
+name of a layer module is used by the library, a script, the benchmark or
+the README or is allowlisted with a reason, only the modules that exterior
+names touch the integer form of elements and tables, the pointwise
+dual-bracket route reads neither that form nor the contraction matrix of r,
+the coboundary system, the elimination kernel and the Jacobi sums build no
+Fraction, the Jacobi sums and the cached invariants of an algebra make no
+public call, the Jacobi residuals and the contact and l.c.s. maps stay on
+the integer forms, a 2-tensor has one integer matrix and one push-forward
+that only the public sharp map views as Fractions, the compactness test,
+subspaces and basis frames stay on integer rows, bialgebra builds no l.c.s.
+or contact structure, each of six primitives (the dense integer form of a
+matrix, the matrix-vector product, the linear map's shape check, the left
+inverse of a basis, the Jacobi residuals and the reduction of the
+characteristic subspace) has one implementation, the element inputs of the
+library's constructors go through one argument check, and every liejacobi
+name the benchmark uses exists and is callable.
 """
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "liejacobi").glob("*.py"))
-SOURCES = ([p for p in PACKAGE if p.name != "__init__.py"]
-           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")))
+SOURCES = (PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+           + sorted((ROOT / "scripts").glob("*.py")))
 
 
 # the private cached bodies that hold each invariant of a LieAlgebra
@@ -94,6 +97,125 @@ def test_unreferenced_private_is_reported():
 def test_no_unreferenced_private_helpers():
     assert unreferenced_private([p.read_text() for p in PACKAGE]) == []
 
+
+# Public names that nothing but the tests uses, each with the reason it stays
+# public.
+PUBLIC_ALLOWLIST = {
+    ("jacobi", "sharp"): "the paper's #_r, the one Fraction view of a 2-tensor's matrix",
+    ("schouten", "twisted_schouten"): "the paper's phi0-twisted Schouten bracket, whose graded "
+                                      "Jacobi and Leibniz identities the property suites check",
+}
+
+
+def public_names(source: str) -> set[str]:
+    """Public module-level functions, classes and assigned names of a source."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def layer_references(source: str, own: str | None = None) -> set[tuple[str, str]]:
+    """(layer, name) for each public layer name a source uses: a name
+    imported from a layer, an attribute of a layer module bound by an import
+    and, in the layer `own` itself, its own names outside their own
+    definitions.  A name is resolved in its layer only, so a method or
+    another layer's function of the same name does not count."""
+    tree = ast.parse(source)
+    imported, handles = {}, {}     # local name -> (layer, name); local name -> layer
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "liejacobi":
+            handles |= {a.asname or a.name: a.name for a in node.names if a.name in LAYERS}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("liejacobi."):
+            layer = node.module.split(".")[1]
+            imported |= {a.asname or a.name: (layer, a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            handles |= {a.asname: a.name.split(".")[1] for a in node.names
+                        if a.asname and a.name.startswith("liejacobi.")}
+    own_names = public_names(source) if own else set()
+    refs = set()
+    for statement in tree.body:
+        defined = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in imported:
+                    refs.add(imported[node.id])
+                elif node.id in own_names and node.id != defined:
+                    refs.add((own, node.id))
+            elif isinstance(node, ast.Attribute):
+                chain = _dotted(node)
+                if len(chain) > 1 and chain[0] in handles:
+                    refs.add((handles[chain[0]], chain[1]))
+    return refs
+
+
+def readme_references(text: str) -> set[tuple[str, str]]:
+    """(layer, name) for each public name the README sets in code: what its
+    python blocks use, `layer.name` or `liejacobi.layer.name` anywhere, and a
+    bare `name` in the paragraph of the layer, the bullet `liejacobi.layer`
+    that it stands in (up to the next heading)."""
+    refs, layer = set(), None
+    for block in re.findall(r"```python\n(.*?)```", text, re.S):
+        refs |= layer_references(block)
+    for line in re.sub(r"```.*?```", "", text, flags=re.S).splitlines():
+        if line.startswith("#"):
+            layer = None
+        bullet = re.match(r"- `liejacobi\.(\w+)`", line)
+        if bullet:
+            layer = bullet.group(1)
+        for code in re.findall(r"`([^`]+)`", line):
+            parts = code.removeprefix("liejacobi.").split(".")
+            if len(parts) > 1 and parts[0] in LAYERS:
+                refs.add((parts[0], parts[1]))
+            elif layer and code.isidentifier():
+                refs.add((layer, code))
+    return refs
+
+
+def unreferenced_public(modules: dict[str, str], references: set[tuple[str, str]]) -> list[str]:
+    """layer.name for each public name of a layer module that no reference
+    names."""
+    return sorted(f"{layer}.{name}" for layer, source in modules.items()
+                  for name in public_names(source) if (layer, name) not in references)
+
+
+def test_unreferenced_public_is_reported():
+    modules = {
+        "linalg": "ZERO = ONE = 0\ndef rank(a): return rank(a)\ndef rref(a): return ZERO\n"
+                  "def _echelon(): pass\n",
+        "liealg": "class Subspace:\n    def rank(self): pass\n"
+                  "def center(g): return Subspace().rank\n",
+        "jacobi": "from liejacobi.linalg import rref, ONE\ndef rank(jp): return rref(jp)\n",
+    }
+    script = "import liejacobi.liealg as la\nla.center(None)\n"
+    readme = "- `liejacobi.jacobi` - the `rank` of a pair\n## Next\n`center` and `linalg.rref`\n"
+    refs = set().union(*(layer_references(s, layer) for layer, s in modules.items()))
+    assert ("linalg", "ONE") not in refs           # imported but never used
+    refs |= layer_references(script) | readme_references(readme)
+    assert ("liealg", "center") in refs and ("linalg", "rref") in refs
+    assert ("jacobi", "center") not in refs        # the bare name falls outside the bullet
+    assert unreferenced_public(modules, refs) == ["linalg.ONE", "linalg.rank"]
+    assert layer_references("from liejacobi import linalg as la\nla.rank([])\n") == {
+        ("linalg", "rank")}
+
+
+def test_every_public_name_is_used():
+    # a public name is called in the library, used by a script or the
+    # benchmark, set in code in the README, or allowlisted with a reason
+    assert all(PUBLIC_ALLOWLIST.values())
+    modules = {p.stem: p.read_text() for p in PACKAGE if p.stem in LAYERS}
+    assert set(modules) == set(LAYERS)
+    refs = set().union(*(layer_references(source, layer) for layer, source in modules.items()))
+    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py")):
+        refs |= layer_references(path.read_text())
+    refs |= {(layer, name.split(".")[0]) for layer, name in benchmark_layer_names()}
+    refs |= readme_references((ROOT / "README.md").read_text())
+    assert unreferenced_public(modules, refs) == sorted(f"{layer}.{name}"
+                                                        for layer, name in PUBLIC_ALLOWLIST)
 
 # The integer form: element numerators (_ints, _from_ints), the integer
 # structure-constant table (_ad) and its column view (_columns).  exterior's
@@ -211,7 +333,7 @@ def test_jacobi_kernels_read_the_integer_forms_only():
         assert "_antisymmetric" in names, fn
         assert names.isdisjoint({"Fraction", "_contraction", "sharp"}), fn
     assert "_contraction" in function_references(source, "sharp")
-    modules = {p.name: module_references(p.read_text()) for p in PACKAGE if p.name != "__init__.py"}
+    modules = {p.name: module_references(p.read_text()) for p in PACKAGE}
     assert {name for name, refs in modules.items() if "_contraction" in refs} == {"jacobi.py"}
     assert not [name for name, refs in modules.items() if "sharp" in refs]
     # invert is the Fraction view of the one integer inverse
@@ -307,7 +429,7 @@ def test_compactness_subspaces_and_frames_stay_integer():
     # the coordinate solvers and subspace membership run on the integer rows
     # of linalg's kernel and build no Fraction themselves; the split and the
     # definiteness are decided on integers, not through killing_form,
-    # linalg.rank or a Fraction Gram matrix, once per algebra in the cached
+    # a public rank or a Fraction Gram matrix, once per algebra in the cached
     # body _compactness, which is_compact reads
     liealg_source = (ROOT / "src" / "liejacobi" / "liealg.py").read_text()
     for fn in ("is_compact", "_gram", *CACHED_INVARIANTS, "center", "derived_algebra",
@@ -504,3 +626,12 @@ def test_benchmark_linalg_names_exist():
         if obj is None or not callable(obj):
             missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_import_gives_the_module(layer):
+    # the package binds no name of its own over a layer module, so
+    # `import liejacobi.catalog as m` gives the module, not the function
+    namespace = {}
+    exec(f"import liejacobi.{layer} as m", namespace)
+    assert namespace["m"] is sys.modules[f"liejacobi.{layer}"]

@@ -10,6 +10,7 @@ from helpers import (
     contact_to_jacobi_reference,
     contraction_reference,
     dense_element,
+    evaluate,
     evaluate_on,
     flat_contact_reference,
     fm,
@@ -17,6 +18,7 @@ from helpers import (
     jacobi_residuals_reference,
     jacobi_to_contact_reference,
     jacobi_to_lcs_reference,
+    lcs_from_contact_times_line,
     lcs_to_jacobi_reference,
     mixed_algebras,
     mixed_fraction,
@@ -30,7 +32,7 @@ from liejacobi import jacobi, linalg
 from liejacobi.bialgebra import YbData, check_yb_hypotheses
 from liejacobi.catalog import catalog, catalog_names, heisenberg
 from liejacobi.documents import algebras_of
-from liejacobi.exterior import Form, Multivector, evaluate, wedge, wedge_power
+from liejacobi.exterior import Form, Multivector, wedge, wedge_power
 from liejacobi.jacobi import (
     ContactStructure,
     JacobiPair,
@@ -40,7 +42,6 @@ from liejacobi.jacobi import (
     contact_to_jacobi,
     jacobi_to_contact,
     jacobi_to_lcs,
-    lcs_from_contact_times_line,
     lcs_to_jacobi,
     rank,
     sharp,
@@ -269,7 +270,7 @@ def test_sharp_defining_property():
         d = p._ints()[1]
         assert ([[Fraction(row.get(j, 0), d) for j in range(n)] for row in _antisymmetric(p)]
                 == [[-x for x in row] for row in reference.rows])
-        assert _rank(p) == linalg.rank(reference.rows)
+        assert _rank(p) == len(linalg.rref(reference.rows)[1])
         matrix = [[mixed_fraction(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
                   for _ in range(n)]
         ints = LinearMap.from_rows(matrix)._ints
@@ -577,7 +578,7 @@ def test_lcs_rank_test_matches_wedge_power():
             continue
         degenerate = wedge_power(omega, n // 2).is_zero()
         counts[degenerate] += 1
-        assert (linalg.rank(_contraction(omega).rows) < n) == degenerate
+        assert (len(linalg.rref(_contraction(omega).rows)[1]) < n) == degenerate
         try:
             LcsStructure(abelian(n), omega, Form.zero(n, 1))
             assert not degenerate
@@ -668,10 +669,3 @@ def test_lcs_from_contact_times_line_matches_family():
     assert check_jacobi(lifted).passed
     assert rank(lifted) == 4
     assert jacobi_to_lcs(lifted).lee == -Form.basis(4, 3)
-
-
-def test_lcs_from_contact_requires_contact_rank():
-    g = abelian(3)
-    jp = JacobiPair(g, mv(3, 2, {(0, 1): 1}), Multivector.zero(3, 1))
-    with pytest.raises(ValueError):
-        lcs_from_contact_times_line(jp)

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     ce_differential_reference,
     dense_element,
+    evaluate,
     fm,
     induced,
     mixed_algebras,
@@ -19,7 +20,7 @@ from helpers import (
     vec,
 )
 from liejacobi.catalog import catalog, heisenberg
-from liejacobi.exterior import Form, Multivector, contract, evaluate, pair, wedge
+from liejacobi.exterior import Form, Multivector, contract, pair, wedge
 from liejacobi.liealg import LieAlgebra, abelian, change_basis, standard_labels
 from liejacobi.linalg import invert, transpose
 from liejacobi.schouten import (
