@@ -33,6 +33,7 @@ from liejacobi.liealg import (
     ValidationReport,
     _antisymmetric,
     _bracket_rows,
+    _embed,
     _frame,
     _push,
     _rank,
@@ -47,6 +48,8 @@ from liejacobi.liealg import (
     is_derivation,
     killing_form,
     restrict_bivector,
+    semidirect_by_derivation,
+    standard_labels,
 )
 from liejacobi.linalg import ZERO, _sparse, nullspace, solve_rows
 from liejacobi.schouten import (
@@ -909,29 +912,27 @@ def _classify_semidirect(b: GeneralizedBialgebra) -> SemidirectCertificate:
     theta_raw_form = Form.from_coeffs(theta_raw)
     scale = pair(theta_raw_form, b.x0)
     theta0 = theta_raw_form.scale(Fraction(1) / scale)
-    kernel_rows = nullspace([theta0.coeffs()])
+    kernel_rows = nullspace([theta0.coeffs()])      # theta0(x0) = 1: a hyperplane
     m = n - 1
-    if len(kernel_rows) != m:
-        raise ValueError("theta0 does not have a hyperplane kernel")
 
     # adapted coordinates: the kernel basis, then x0.  The dual basis is the
     # rows of the left inverse L, and B^T is the left inverse of L^T.  x0 is
     # central in g and a 1-cocycle of g*, so no bracket reaches the last basis
-    # vector (the reconstruction check would see one that did).
+    # vector (_embed would refuse one that did).
     adapted = kernel_rows + [b.x0.coeffs()]
     frame = _frame(adapted, n)
     primal = _restrict(g, g.name, frame)
     # the dual frame: L^T has the dual basis as its columns, B^T is its inverse
     dual = _restrict(gs, gs.name, tuple((den, list(zip(*rows))) for den, rows in reversed(frame)))
-    # h and h* are the leading blocks: the brackets of the first m basis vectors
-    block = lambda adapted: {(a, c): value.coeffs()[:m]
+    # h and h* are the leading blocks: the brackets of the first m basis
+    # vectors, and Psi* - id maps e^a to the mixed bracket [e^a, e^m]*
+    block = lambda adapted: {(a, c): _embed(value, m)
                              for (a, c), value in adapted.structure.items() if c < m}
-    h = LieAlgebra.from_brackets(f"{g.name}.factor", m, block(primal))
-    h_star = LieAlgebra.from_brackets(f"{h.name}*", m, block(dual),
-                                      tuple(map(dual_label, h.basis_labels)))
-    # Psi* - id maps e^a to the mixed bracket [e^a, e^m]*
-    mixed = LinearMap.from_rows([dual.bracket_basis(a, m).coeffs()[:m] for a in range(m)])
-    psi = mixed.add(LinearMap.identity(m))
+    h = LieAlgebra(f"{g.name}.factor", m, standard_labels(m), block(primal))
+    h_star = LieAlgebra(f"{h.name}*", m, h.dual_labels, block(dual))
+    zero = Multivector.zero(m, 1)
+    psi = LinearMap.from_rows([_embed(dual.structure.get((a, m), zero), m).coeffs()
+                               for a in range(m)]).add(LinearMap.identity(m))
 
     rebuilt = build_semidirect_glb(h, h_star, psi)
     if primal.structure != rebuilt.g.structure or dual.structure != rebuilt.g_star.structure:
@@ -1009,27 +1010,17 @@ def build_semidirect_glb(h: LieAlgebra, h_star: LieAlgebra,
         failures.append("(h, h*) is not a Lie bialgebra:\n" + base_report.describe())
     if not is_derivation(h, psi):
         failures.append("psi is not a derivation of h")
-    psi_star_minus = psi.transpose().add(LinearMap.identity(m).scale(-1))
-    if not is_derivation(h_star, psi_star_minus):
+    # [e^a, e^m]* = (psi* - id) e^a: g* is h* extended by the derivation id - psi*
+    derivation = LinearMap.identity(m).add(psi.transpose().scale(-1))
+    if not is_derivation(h_star, derivation):
         failures.append("psi* - id is not a derivation of h*")
     if failures:
         raise ValueError("semidirect hypotheses fail:\n  " + "\n  ".join(failures))
 
     g = direct_product(h, abelian(1), name=f"{h.name}xR")
-    n = m + 1
-    structure = {}
-    for a in range(m):
-        for c in range(a + 1, m):
-            value = h_star.bracket_basis(a, c)
-            if not value.is_zero():
-                structure[(a, c)] = Multivector.from_coeffs(list(value.coeffs()) + [ZERO])
-    for a in range(m):
-        image = psi_star_minus.apply(h_star.basis_form(a).coeffs())
-        value = Multivector.from_coeffs(list(image) + [ZERO])
-        if not value.is_zero():
-            structure[(a, m)] = value
-    g_star = LieAlgebra(f"{g.name}*", n, g.dual_labels, structure)
-    b = GeneralizedBialgebra(g, g_star, Form.zero(n, 1), Multivector.basis(n, m))
+    g_star = LieAlgebra(f"{g.name}*", g.dim, g.dual_labels,
+                        semidirect_by_derivation(h_star, derivation).structure)
+    b = GeneralizedBialgebra(g, g_star, Form.zero(g.dim, 1), Multivector.basis(g.dim, m))
     report = check_glb(b)
     if not report.passed:
         raise ValueError("semidirect construction failed:\n" + report.describe())

@@ -111,10 +111,7 @@ def _load_algebra(args) -> tuple[LieAlgebra, object]:
                              f"found kind {type(g).__name__.lower()}")
     elif getattr(args, "name", None):
         entry = _catalog_entry(args.name)
-        algebras = algebras_of(entry)
-        if not algebras:
-            raise UsageError(f"catalog entry is a {type(entry).__name__}, not an algebra")
-        g = algebras[0]
+        g = algebras_of(entry)[0]      # every catalog entry carries an algebra
     else:
         raise UsageError("provide --algebra FILE or --name NAME")
     if g.dim < 2:
@@ -140,10 +137,8 @@ def _load_pair(args) -> tuple[JacobiPair, object]:
         r = Multivector.zero(g.dim, 2)
     if x0 is None:
         x0 = Multivector.zero(g.dim, 1)
-    try:
-        return JacobiPair(g, r, x0), entry
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    # the catalog's pairs and _element_file's elements fit g, so this cannot raise
+    return JacobiPair(g, r, x0), entry
 
 
 def _load_yb(args) -> YbData:
@@ -153,10 +148,7 @@ def _load_yb(args) -> YbData:
         phi0 = _element_file(args, "phi0", jp.algebra)
     if phi0 is None:
         phi0 = Form.zero(jp.algebra.dim, 1)
-    try:
-        return YbData(jp.algebra, phi0, jp.r, jp.x0)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    return YbData(jp.algebra, phi0, jp.r, jp.x0)      # phi0 fits g, as the pair does
 
 
 def _load_glb(args) -> GeneralizedBialgebra:

@@ -16,8 +16,9 @@ The form is private to the library, not to this module.  Its readers, with
 `_ints`, and builders, with `_from_ints`, outside this module are:
   - `liealg`: the integer structure-constant table `_ad`, its column view
     `_columns`, `_vector`, the Jacobi check `validate`, the one matrix of
-    a 2-tensor `_antisymmetric`, the one push-forward `_push` and the
-    integer rows of `Subspace.from_elements`;
+    a 2-tensor `_antisymmetric`, the one push-forward `_push`, the
+    integer rows of `Subspace.from_elements` and the one inclusion
+    `_embed` of a smaller algebra's vectors in an algebra built from it;
   - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
   - `bialgebra`: `_twisted_ad` (the action X.P = [X, P] - phi0(X) P of g on
     2-vectors), `_check_glb` (d_{*X0} and the compatibility residuals, read

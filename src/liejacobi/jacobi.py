@@ -5,7 +5,8 @@ A Jacobi pair on a Lie algebra g is a 2-vector r and a vector X0 with
 Rank counts the characteristic subspace im(#_r) + <X0>, which is always a
 subalgebra; odd rank restricts to a contact form, even rank to a locally
 conformal symplectic (l.c.s.) pair.  The conversions here are exact inverses
-of each other and every constructor re-verifies the defining identities.
+of each other and every constructor re-verifies the defining identities; a
+conversion failing on a pair that is not a Jacobi pair reports its residuals.
 
 check_jacobi and the conversions work on integer forms (see exterior):
 `_jacobi_residuals`, which bialgebra's Yang-Baxter check reads too, sums
@@ -199,10 +200,16 @@ def characteristic_subalgebra(jp: JacobiPair) -> CharacteristicSubalgebra:
     The subspace is provably bracket-closed for every valid Jacobi pair, so a
     closure failure is reported as an error carrying the witness bracket.
     """
+    _require_jacobi(jp)
+    return _characteristic_checked(jp)
+
+
+def _require_jacobi(jp: JacobiPair) -> None:
+    # raise "not a jacobi pair" with the residuals when jp fails check_jacobi:
+    # a conversion fails on such a pair too, and this names the real cause
     report = check_jacobi(jp)
     if not report.passed:
         raise ValueError("not a jacobi pair:\n" + report.describe())
-    return _characteristic_checked(jp)
 
 
 def _characteristic_checked(jp: JacobiPair) -> CharacteristicSubalgebra:
@@ -307,11 +314,14 @@ def jacobi_to_contact(jp: JacobiPair) -> ContactStructure:
     sol = solve_rows(rows, n) if n % 2 else None
     if sol is None or sol[1]:
         raise ValueError("jacobi pair does not have full odd rank")
-    eta = Form.from_coeffs(sol[0])
-    cs = ContactStructure(g, eta)
-    back = contact_to_jacobi(cs)
-    if back.r != jp.r or back.x0 != jp.x0:
-        raise ValueError("contact reconstruction failed to invert the pair")
+    try:
+        cs = ContactStructure(g, Form.from_coeffs(sol[0]))
+        back = contact_to_jacobi(cs)
+        if back.r != jp.r or back.x0 != jp.x0:
+            raise ValueError("contact reconstruction failed to invert the pair")
+    except ValueError:
+        _require_jacobi(jp)
+        raise
     return cs
 
 
@@ -337,9 +347,12 @@ def jacobi_to_lcs(jp: JacobiPair) -> LcsStructure:
     except ValueError:
         raise ValueError("jacobi pair does not have full even rank") from None
     # lee = -#_r^{-1} X0 = L X0 for the inverse L of the antisymmetric matrix of r
-    lee = _push(inverse, jp.x0, Form)
-    ls = LcsStructure(g, omega2, lee)
-    back = lcs_to_jacobi(ls)
-    if back.r != jp.r or back.x0 != jp.x0:
-        raise ValueError("l.c.s. reconstruction failed to invert the pair")
+    try:
+        ls = LcsStructure(g, omega2, _push(inverse, jp.x0, Form))
+        back = lcs_to_jacobi(ls)
+        if back.r != jp.r or back.x0 != jp.x0:
+            raise ValueError("l.c.s. reconstruction failed to invert the pair")
+    except ValueError:
+        _require_jacobi(jp)
+        raise
     return ls

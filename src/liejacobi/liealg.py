@@ -28,6 +28,8 @@ restrict, restrict_bivector, change_basis, a Jacobi pair's restriction)
 does.  Every basis, invariant_scalar_product's too, is eliminated once by
 `_frame` into the integer forms of its matrix B and left inverse L, from
 linalg._inverse; a change of coordinates accepts L v only when B (L v) == v.
+Algebras built from smaller ones, and bialgebra's semidirect classification
+reading them back, move vectors between dimensions by one inclusion `_embed`.
 """
 
 from __future__ import annotations
@@ -639,14 +641,19 @@ def invariant_scalar_product(g: LieAlgebra) -> LinearMap:
           for j in range(n)] for i in range(n)])
 
 
+def _embed(v: Multivector, n: int, offset: int = 0) -> Multivector:
+    """The grade-1 vector v in dimension n, index i moved to i + offset, on
+    the integer form; a term landing outside 0..n-1 raises ValueError."""
+    nums, den = v._ints()
+    return Multivector._from_ints(n, 1, {(i + offset,): x for (i,), x in nums.items()}, den)
+
+
 def direct_product(g: LieAlgebra, h: LieAlgebra, name: str | None = None) -> LieAlgebra:
     """Product algebra on fresh labels e1..e_{m+n}; blocks do not interact."""
     n = g.dim + h.dim
-    structure: dict[tuple[int, int], Multivector] = {}
-    for (i, j), v in g.structure.items():
-        structure[(i, j)] = Multivector.from_coeffs(v.coeffs() + [ZERO] * h.dim)
-    for (i, j), v in h.structure.items():
-        structure[(i + g.dim, j + g.dim)] = Multivector.from_coeffs([ZERO] * g.dim + v.coeffs())
+    structure = {key: _embed(v, n) for key, v in g.structure.items()}
+    structure.update({(i + g.dim, j + g.dim): _embed(v, n, g.dim)
+                      for (i, j), v in h.structure.items()})
     return LieAlgebra(name or f"{g.name}(+){h.name}", n, standard_labels(n), structure)
 
 
@@ -666,14 +673,13 @@ def central_extension(h: LieAlgebra, omega: Form, name: str | None = None) -> Li
     if not ce_differential(h, omega).is_zero():
         raise ValueError("omega is not closed, so the extension would not be a Lie algebra")
     n = h.dim + 1
+    brackets = {key: _embed(v, n) for key, v in h.structure.items()}
+    zero, last = Multivector.zero(n, 1), Multivector.basis(n, h.dim)
     structure: dict[tuple[int, int], Multivector] = {}
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            head = h.bracket_basis(i, j).coeffs()
-            tail = -omega.coefficient((i, j))      # -omega(e_i, e_j)
-            v = Multivector.from_coeffs(head + [tail])
-            if not v.is_zero():
-                structure[(i, j)] = v
+    for key in sorted(brackets.keys() | omega.terms.keys()):
+        v = brackets.get(key, zero) - omega.coefficient(key) * last   # -omega(e_i, e_j) e_n
+        if not v.is_zero():
+            structure[key] = v
     return LieAlgebra(name or f"{h.name}+center", n, standard_labels(n), structure)
 
 
@@ -683,17 +689,13 @@ def semidirect_by_derivation(h: LieAlgebra, psi: LinearMap, name: str | None = N
     if not is_derivation(h, psi):
         raise ValueError("psi is not a derivation of h")
     n = h.dim + 1
-    structure: dict[tuple[int, int], Multivector] = {}
+    structure = {key: _embed(v, n) for key, v in h.structure.items()}
     for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            v = Multivector.from_coeffs(h.bracket_basis(i, j).coeffs() + [ZERO])
-            if not v.is_zero():
-                structure[(i, j)] = v
-        # [e_i, e_{n}] = -psi(e_i)
-        v = Multivector.from_coeffs([-c for c in psi.apply([ZERO] * i + [Fraction(1)] + [ZERO] * (h.dim - i - 1))] + [ZERO])
+        v = -_embed(psi.apply_element(h.basis_vector(i)), n)     # [e_i, e_n] = -psi(e_i)
         if not v.is_zero():
             structure[(i, h.dim)] = v
-    return LieAlgebra(name or f"{h.name}:line", n, standard_labels(n), structure)
+    return LieAlgebra(name or f"{h.name}:line", n, standard_labels(n),
+                      dict(sorted(structure.items())))
 
 
 def _frame(basis: Sequence[Sequence], n: int) -> tuple[tuple, tuple]:

@@ -10,7 +10,8 @@ the contact flat map, the Jacobi residuals, the contact and l.c.s. maps by
 Fraction matrices, the center, the derived algebra, annihilators, subspace
 membership, the Killing form and the compactness test, the cocycle with
 prescribed values, the invariant scalar product, the coordinate solvers of
-liealg and the integer linear-algebra kernel."""
+liealg, the algebras built from smaller ones by padding Fraction coefficient
+lists, and the integer linear-algebra kernel."""
 
 import random
 from dataclasses import replace
@@ -682,6 +683,56 @@ def sharp_homomorphism_reference(g, dual, r):
 # Reference routes for the invariant scalar product B of a compact-type
 # algebra and for B-duals of covectors: the adapted-basis congruence and a
 # matrix inverse, which the library replaced by closed forms.
+
+def direct_product_reference(g, h, name=None):
+    """direct_product by padding each factor's Fraction coefficient lists
+    with zeros: g's brackets, then h's moved by g.dim."""
+    n = g.dim + h.dim
+    structure = {}
+    for (i, j), v in g.structure.items():
+        structure[(i, j)] = Multivector.from_coeffs(v.coeffs() + [ZERO] * h.dim)
+    for (i, j), v in h.structure.items():
+        structure[(i + g.dim, j + g.dim)] = Multivector.from_coeffs([ZERO] * g.dim + v.coeffs())
+    return LieAlgebra(name or f"{g.name}(+){h.name}", n, standard_labels(n), structure)
+
+
+def central_extension_reference(h, omega, name=None):
+    """central_extension without the closedness check, by padding: [e_i, e_j]
+    of h with -omega(e_i, e_j) appended, for every pair i < j in order."""
+    n = h.dim + 1
+    structure = {}
+    for i, j in combinations(range(h.dim), 2):
+        v = Multivector.from_coeffs(h.bracket_basis(i, j).coeffs() + [-omega.coefficient((i, j))])
+        if not v.is_zero():
+            structure[(i, j)] = v
+    return LieAlgebra(name or f"{h.name}+center", n, standard_labels(n), structure)
+
+
+def semidirect_by_derivation_reference(h, psi, name=None):
+    """semidirect_by_derivation without the derivation check, by padding:
+    [e_i, e_j] of h, then [e_i, e_n] = -psi(e_i), in the order (i, j) for
+    j = i+1..n."""
+    brackets = {}
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
+            brackets[(i, j)] = h.bracket_basis(i, j).coeffs() + [ZERO]
+        brackets[(i, h.dim)] = [-c for c in psi.apply(
+            [ZERO] * i + [ONE] + [ZERO] * (h.dim - i - 1))] + [ZERO]
+    return LieAlgebra.from_brackets(name or f"{h.name}:line", h.dim + 1, brackets)
+
+
+def semidirect_dual_reference(g, h_star, psi):
+    """The dual algebra of build_semidirect_glb on the base g = h x R, by
+    padding: [e^a, e^c]* of h*, then [e^a, e^m]* = (psi* - id) e^a."""
+    m = h_star.dim
+    brackets = {}
+    for a, c in combinations(range(m), 2):
+        brackets[(a, c)] = h_star.bracket_basis(a, c).coeffs() + [ZERO]
+    psi_star_minus = psi.transpose().add(LinearMap.identity(m).scale(-1))
+    for a in range(m):
+        brackets[(a, m)] = psi_star_minus.apply(h_star.basis_form(a).coeffs()) + [ZERO]
+    return LieAlgebra.from_brackets(f"{g.name}*", m + 1, brackets, g.dual_labels)
+
 
 def compact_algebras():
     """Compact-type algebras: su2, u2, the bases of the three compact catalog

@@ -29,6 +29,7 @@ from helpers import (
     random_element,
     rational_system,
     seeded_brackets,
+    semidirect_dual_reference,
     sharp_homomorphism_reference,
     solve_cocycle_reference,
     solve_reference,
@@ -1122,6 +1123,7 @@ def test_build_semidirect_glb_abelian():
     b = build_semidirect_glb(h, h_star, psi)
     assert b.g.dim == 3 and b.x0 == vec(3, 2) and b.phi0.is_zero()
     assert dict(b.g_star.structure) == {(1, 2): mv(3, 1, {(1,): 1})}
+    assert b.g_star == semidirect_dual_reference(b.g, h_star, psi)
     assert check_glb(b).passed
     result = classify_compact(b)
     assert result.kind == "phi0-zero-semidirect"
@@ -1142,6 +1144,25 @@ def test_build_semidirect_glb_nonabelian_base():
     assert cert.psi.rows == ad1.rows
     assert cert.theta0 == Form.basis(4, 3)
     assert dict(cert.subalgebra.structure) == dict(SU2.structure)
+    assert b.g_star == semidirect_dual_reference(b.g, h_star, ad1)
+
+
+@pytest.mark.parametrize("a, c", [(0, 0), (1, 2), (Fraction(-1, 2), 3)])
+def test_semidirect_glb_over_a_nonabelian_dual_round_trips(a, c):
+    # h* = solvable2 is nonabelian, so g* holds h*'s bracket beside the
+    # derivation's; psi* - id = [[a, c], [0, 0]] is a derivation of h* for
+    # every a, c, and the classification reads h, h* and psi back
+    h = abelian(2)
+    h_star = LieAlgebra("solvable2*", 2, ("e^1", "e^2"), catalog("solvable2").structure)
+    psi = LinearMap.from_rows([[a + 1, c], [0, 1]]).transpose()
+    b = build_semidirect_glb(h, h_star, psi)
+    assert b.g_star == semidirect_dual_reference(b.g, h_star, psi)
+    assert check_glb(b).passed
+    result = classify_compact(b)
+    assert result.kind == "phi0-zero-semidirect"
+    assert result.certificate.psi == psi
+    assert result.certificate.dual_subalgebra.rename(h_star.name) == h_star
+    assert result.certificate.subalgebra.rename(h.name) == h
 
 
 def test_build_semidirect_glb_rejections():

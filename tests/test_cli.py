@@ -78,6 +78,9 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "jacobi-check")
     assert code == 2 and "error:" in err
     assert run(capsys, "glb-check", "--name", "su2")[0] == 2   # not a glb entry
+    # a parameter the catalog refuses is a usage error naming the bound
+    assert run(capsys, "rank", "--name", "heisenberg(1,0)") == (
+        2, "", "error: heisenberg(1,n) needs n >= 1\n")
 
 
 def test_validate_judges_files(tmp_path, capsys):

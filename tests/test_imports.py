@@ -14,7 +14,8 @@ subspaces and basis frames stay on integer rows, bialgebra builds no l.c.s.
 or contact structure, each of six primitives (the dense integer form of a
 matrix, the matrix-vector product, the linear map's shape check, the left
 inverse of a basis, the Jacobi residuals and the reduction of the
-characteristic subspace) has one implementation, the element inputs of the
+characteristic subspace) has one implementation, algebras built from
+smaller ones include them through one primitive, the element inputs of the
 library's constructors go through one argument check, and every liejacobi
 name the benchmark uses exists and is callable.
 """
@@ -547,6 +548,27 @@ def test_one_implementation_per_primitive():
                                 "_span_with_x0")
     assert {"_antisymmetric", "_echelon", "_from_echelon"} <= names
     assert names.isdisjoint({"coeffs", "frac", "Fraction"})
+
+
+def test_built_algebras_include_through_one_primitive():
+    # an algebra built from smaller ones includes their vectors through
+    # liealg._embed, on the integer form, and pads no Fraction coefficient
+    # list; build_semidirect_glb builds g and g* with two of those
+    # constructors, and _classify_semidirect reads h, h* and psi - id back
+    # through _embed too
+    liealg_source = (ROOT / "src" / "liejacobi" / "liealg.py").read_text()
+    bialgebra_source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
+    padding = {"coeffs", "from_coeffs", "ZERO", "bracket_basis"}
+    for fn in ("direct_product", "central_extension", "semidirect_by_derivation"):
+        names = function_references(liealg_source, fn)
+        assert "_embed" in names and names.isdisjoint(padding), fn
+    names = function_references(bialgebra_source, "build_semidirect_glb")
+    assert {"direct_product", "semidirect_by_derivation"} <= names
+    assert names.isdisjoint(padding)
+    names = function_references(bialgebra_source, "_classify_semidirect")
+    assert "_embed" in names
+    assert names.isdisjoint({"ZERO", "bracket_basis", "from_brackets"})
+    assert "_ints" in function_references(liealg_source, "_embed")
 
 
 def test_integer_built_elements_build_no_fraction():

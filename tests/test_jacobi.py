@@ -621,6 +621,34 @@ def test_contact_rejects_degenerate_form():
             jacobi_to_contact(jp)
 
 
+def test_conversions_blame_a_pair_that_is_not_a_jacobi_pair(monkeypatch):
+    # the catalog pairs of h11 and semidirect4_53 fail check_jacobi; the
+    # contact map then fails at its round trip and the l.c.s. map at
+    # LcsStructure, and both report the residuals as characteristic_subalgebra
+    # does
+    for name, convert in (("h11", jacobi_to_contact), ("semidirect4_53", jacobi_to_lcs)):
+        y = catalog(name)
+        jp = JacobiPair(y.g, y.r, y.x0)
+        report = check_jacobi(jp)
+        assert not report.passed
+        for fn in (convert, characteristic_subalgebra):
+            with pytest.raises(ValueError) as info:
+                fn(jp)
+            assert str(info.value) == "not a jacobi pair:\n" + report.describe()
+    # on a Jacobi pair a failing round trip keeps its own message
+    contact_pair = contact_to_jacobi(ContactStructure(catalog("su2"), -Form.basis(3, 0)))
+    lcs_pair = JacobiPair(catalog("u2"), mv(4, 2, {(1, 2): 1, (0, 3): 1}), -vec(4, 0))
+    zero_pair = lambda structure: JacobiPair(structure.algebra,
+                                             Multivector.zero(structure.algebra.dim, 2),
+                                             Multivector.zero(structure.algebra.dim, 1))
+    monkeypatch.setattr(jacobi, "contact_to_jacobi", zero_pair)
+    monkeypatch.setattr(jacobi, "lcs_to_jacobi", zero_pair)
+    with pytest.raises(ValueError, match="^contact reconstruction failed to invert the pair$"):
+        jacobi_to_contact(contact_pair)
+    with pytest.raises(ValueError, match=r"^l\.c\.s\. reconstruction failed to invert the pair$"):
+        jacobi_to_lcs(lcs_pair)
+
+
 def test_lcs_symplectic_solvable2():
     g = catalog("solvable2")
     ls = LcsStructure(g, fm(2, 2, {(0, 1): -1}), Form.zero(2, 1))

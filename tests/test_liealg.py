@@ -17,6 +17,7 @@ from helpers import (
     bracket_jacobiator_reference,
     center_reference,
     bracket_reference,
+    central_extension_reference,
     change_basis_reference,
     compact_algebras,
     contains_reference,
@@ -26,6 +27,7 @@ from helpers import (
     derivations_reference,
     derived_algebra_reference,
     determinant,
+    direct_product_reference,
     fm,
     invariant_scalar_product_reference,
     is_compact_reference,
@@ -44,6 +46,7 @@ from helpers import (
     restrict_bivector_reference,
     restrict_reference,
     seeded_brackets,
+    semidirect_by_derivation_reference,
     unimodular_basis,
     vec,
 )
@@ -84,6 +87,7 @@ from liejacobi.liealg import (
     standard_labels,
 )
 from liejacobi.linalg import ONE, ZERO, identity, mat_mul, rref, transpose
+from liejacobi.schouten import ce_differential
 
 
 def test_constructor_rejects_malformed_input():
@@ -289,7 +293,6 @@ def test_center_matches_reference():
 
 
 def test_one_cocycles_are_closed_forms():
-    from liejacobi.schouten import ce_differential
     for name in ("su2", "solvable2", "h11", "semidirect4_53"):
         entry = catalog(name)
         g = entry if isinstance(entry, LieAlgebra) else entry.g
@@ -484,6 +487,50 @@ def test_semidirect_by_derivation():
     assert not is_derivation(catalog("su2"), rot)
     with pytest.raises(ValueError):
         semidirect_by_derivation(catalog("su2"), rot)
+
+
+def _closed_two_forms(g):
+    """Closed 2-forms of g: the exact d e^k and the products a ^ b of closed
+    1-forms, the nonzero ones."""
+    exact = [ce_differential(g, g.basis_form(k)) for k in range(g.dim)]
+    closed = [Form.from_coeffs(row) for row in one_cocycles(g).rows]
+    forms = exact + [wedge(a, b) for a, b in combinations(closed, 2)]
+    return [omega for omega in forms if not omega.is_zero()]
+
+
+def test_built_algebras_match_the_padding_reference():
+    # products, central and semidirect extensions include the smaller
+    # algebras' vectors through _embed; the Fraction padding they replaced
+    # gives the same algebra with its brackets in the same order, which
+    # check_cocycle reads to name the first failing bracket
+    def same(built, reference):
+        return built == reference and list(built.structure) == list(reference.structure)
+
+    su2, solvable2 = catalog("su2"), catalog("solvable2")
+    algebras = _catalog_algebras() + [heisenberg(4)]
+    assert heisenberg(1) in algebras and solvable2 in algebras
+    counts = [0, 0]
+    for g in algebras:
+        for left, right in ((g, su2), (solvable2, g), (g, g)):
+            assert same(direct_product(left, right), direct_product_reference(left, right))
+        for omega in _closed_two_forms(g):
+            counts[0] += bool(set(omega.terms) & set(g.structure))
+            assert same(central_extension(g, omega), central_extension_reference(g, omega))
+        for psi in derivations(g):
+            counts[1] += bool(g.structure)
+            assert same(semidirect_by_derivation(g, psi),
+                        semidirect_by_derivation_reference(g, psi)), g.name
+    # twists that land on an existing bracket, and derivations of a
+    # nonabelian algebra, are both exercised
+    assert min(counts) > 0
+    omega = Form.from_terms(2, 2, {(0, 1): 1})
+    extended = central_extension(solvable2, omega)
+    assert same(extended, central_extension_reference(solvable2, omega))
+    assert dict(extended.structure) == {(0, 1): mv(3, 1, {(0,): 1, (2,): -1})}
+    for n in range(1, 5):
+        omega = Form.from_terms(2 * n, 2, {(2 * i, 2 * i + 1): -1 for i in range(n)})
+        assert same(heisenberg(n), central_extension_reference(abelian(2 * n), omega,
+                                                              f"heisenberg(1,{n})"))
 
 
 def test_derivations_of_su2_are_inner():
