@@ -35,6 +35,9 @@ from liejacobi.liealg import (
     _bracket_rows,
     _embed,
     _frame,
+    _in_span,
+    _kernel,
+    _pivot_frame,
     _push,
     _rank,
     _restrict,
@@ -47,11 +50,10 @@ from liejacobi.liealg import (
     is_compact,
     is_derivation,
     killing_form,
-    restrict_bivector,
     semidirect_by_derivation,
     standard_labels,
 )
-from liejacobi.linalg import ZERO, _sparse, nullspace, solve_rows
+from liejacobi.linalg import ZERO, _echelon, _null_basis, _sparse, nullspace, solve_rows
 from liejacobi.schouten import (
     check_cocycle,
     ce_differential,
@@ -127,18 +129,17 @@ def check_glb(b: GeneralizedBialgebra) -> GlbReport:
     return _check_glb(b)[0]
 
 
-def _check_glb(b: GeneralizedBialgebra) -> tuple[GlbReport, list[Multivector], list[dict]]:
-    # check_glb, also handing over d_basis[i] = d_{*X0}(e_i) and the action rho
-    # of _twisted_ad.  The residuals are summed as integers from the tables;
-    # an element is built only for a nonzero residual.
+def _check_glb(b: GeneralizedBialgebra) -> tuple[GlbReport, list[Multivector]]:
+    # check_glb, also handing over d_basis[i] = d_{*X0}(e_i).  The residuals
+    # are summed as integers from the tables; an element is built only for a
+    # nonzero residual.
     g, gs = b.g, b.g_star
     d_basis = _d_basis(b)
     phi, dphi = b.phi0._ints()
     phi = [phi.get((i,), 0) for i in range(g.dim)]     # phi0(e_i) = phi[i] / dphi
-    rho = _twisted_ad(g, phi, dphi)
     return GlbReport(b, g.validate(), gs.validate(), ce_differential(g, b.phi0),
-                     ce_differential(gs, b.x0), _bracket_compat(g, dphi, rho, d_basis),
-                     pair(b.phi0, b.x0), _contraction_compat(b, phi, dphi)), d_basis, rho
+                     ce_differential(gs, b.x0), _bracket_compat(g, phi, dphi, d_basis),
+                     pair(b.phi0, b.x0), _contraction_compat(b, phi, dphi)), d_basis
 
 
 def _d_basis(b: GeneralizedBialgebra) -> list[Multivector]:
@@ -158,41 +159,40 @@ def _d_basis(b: GeneralizedBialgebra) -> list[Multivector]:
     return out
 
 
-def _twisted_ad(g: LieAlgebra, phi: list[int], dphi: int) -> list[dict]:
-    """The action X.P = [X, P] - phi0(X) P of g on 2-vectors, phi0(e_i) =
-    phi[i] / dphi: rho[i][(a, c)] = {(p, q): N}, a < c, p < q, N != 0, with
-      e_i.(e_a^e_c) = [e_i, e_a]^e_c + e_a^[e_i, e_c] - phi0(e_i) e_a^e_c
-                    = sum N e_p^e_q / (den * dphi);
-    rho[i] is empty when e_i acts by zero (empty table row, phi0(e_i) = 0)."""
+def _twisted_ad(g: LieAlgebra, phi: list[int], dphi: int, s: int, terms: dict,
+                acc: dict, sign: int = 1) -> dict:
+    """Add sign times e_s.P to acc and return acc, for the action
+    X.P = [X, P] - phi0(X) P of g on 2-vectors, phi0(e_s) = phi[s] / dphi,
+    and P = sum terms[a, c] e_a^e_c (a < c) over an integer form: with
+      e_s.(e_a^e_c) = [e_s, e_a]^e_c + e_a^[e_s, e_c] - phi0(e_s) e_a^e_c,
+    acc[p, q] gains the integers N with e_s.P = sum N e_p^e_q over den * dphi
+    times the denominator of the terms.  Only the support of P is read."""
     den, table = g._ad
-    rho = []
-    for i, row in enumerate(table):
-        twist = -den * phi[i]
-        block = {}
-        if row or twist:
-            for a, c in combinations(range(g.dim), 2):
-                acc = {(a, c): twist}
-                for m, x in row.get(a, {}).items():     # [e_i, e_a]^e_c
-                    if m != c:
-                        key, x = ((m, c), x) if m < c else ((c, m), -x)
-                        acc[key] = acc.get(key, 0) + dphi * x
-                for m, x in row.get(c, {}).items():     # e_a^[e_i, e_c]
-                    if m != a:
-                        key, x = ((a, m), x) if a < m else ((m, a), -x)
-                        acc[key] = acc.get(key, 0) + dphi * x
-                block[a, c] = {key: v for key, v in acc.items() if v}
-        rho.append(block)
-    return rho
+    row = table[s]
+    twist = -den * phi[s] * sign
+    for (a, c), v in terms.items():
+        if twist:
+            acc[a, c] = acc.get((a, c), 0) + twist * v
+        v *= sign * dphi
+        for m, x in row.get(a, {}).items():     # [e_s, e_a]^e_c
+            if m != c:
+                key, x = ((m, c), x) if m < c else ((c, m), -x)
+                acc[key] = acc.get(key, 0) + v * x
+        for m, x in row.get(c, {}).items():     # e_a^[e_s, e_c]
+            if m != a:
+                key, x = ((a, m), x) if a < m else ((m, a), -x)
+                acc[key] = acc.get(key, 0) + v * x
+    return acc
 
 
-def _bracket_compat(g: LieAlgebra, dphi: int, rho: list[dict], d_basis) -> tuple:
+def _bracket_compat(g: LieAlgebra, phi: list[int], dphi: int, d_basis) -> tuple:
     """((i, j), residual) entries, nonzero only, of
       d_{*X0}[e_i, e_j] - e_i.d_basis[j] + e_j.d_basis[i],
-    with the action of _twisted_ad and d_{*X0} linear:
-    d_{*X0}[e_i, e_j] = sum_k c_ij^k d_basis[k].  twisted_schouten refuses a
-    phi0 that is not a 1-cocycle; this states that failure as a residual.
-    Summed as integers over den * L * dphi, L the lcm of the d_basis
-    denominators."""
+    with the action of _twisted_ad applied to the terms of d_basis only and
+    d_{*X0} linear: d_{*X0}[e_i, e_j] = sum_k c_ij^k d_basis[k].
+    twisted_schouten refuses a phi0 that is not a 1-cocycle; this states
+    that failure as a residual.  Summed as integers over den * L * dphi, L
+    the lcm of the d_basis denominators."""
     den, table = g._ad
     forms = [d._ints() for d in d_basis]
     scale = lcm(1, *(dd for _, dd in forms))
@@ -206,10 +206,8 @@ def _bracket_compat(g: LieAlgebra, dphi: int, rho: list[dict], d_basis) -> tuple
                 for idx, v in d[k].items():
                     acc[idx] = acc.get(idx, 0) + c * v
             for s, t, sign in ((i, j, -1), (j, i, 1)):
-                if rho[s]:      # else e_s acts by zero
-                    for ac, v in d[t].items():
-                        for key, x in rho[s][ac].items():
-                            acc[key] = acc.get(key, 0) + sign * v * x
+                if table[s] or phi[s]:      # else e_s acts by zero
+                    _twisted_ad(g, phi, dphi, s, d[t], acc, sign)
             if any(acc.values()):
                 entries.append(((i, j), Multivector._from_ints(g.dim, 2, acc, den * scale * dphi)))
     return tuple(entries)
@@ -503,12 +501,12 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
     coefficients of r; the full affine solution set is returned because the
     generator is never unique.
     """
-    report, d_basis, rho = _check_glb(b)
+    report, d_basis = _check_glb(b)
     if not report.passed:
         raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
     n = b.g.dim
     unknowns = list(combinations(range(n), 2))
-    solution = solve_rows(_coboundary_system(b, d_basis, rho)[0], len(unknowns))
+    solution = solve_rows(_coboundary_system(b, d_basis)[0], len(unknowns))
     if solution is None:
         return CoboundarySolutions(None, tuple())
     particular, homogeneous = solution
@@ -519,28 +517,33 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
                                tuple(to_bivector(h) for h in homogeneous))
 
 
-def _coboundary_system(b: GeneralizedBialgebra, d_basis: list[Multivector],
-                       rho: list[dict]) -> tuple[list[dict[int, int]], list[int]]:
+def _coboundary_system(b: GeneralizedBialgebra,
+                       d_basis: list[Multivector]) -> tuple[list[dict[int, int]], list[int]]:
     """(rows, scales) of e_i.r = d_basis[i] over the coefficients of r, with
-    the action rho of _twisted_ad: one sparse integer row {column: int} per
-    i and target e_p^e_q, one column per e_a^e_c, both in combinations
-    order, and the right-hand side in column width, the number of pairs.
-    rows[k] over scales[k] is the equation: rho over den * dphi and
-    d_basis[i] over its denominator dd_i give row (i, pq) =
-    {col(ac): x * dd_i, width: num_pq * den * dphi} over den * dphi * dd_i."""
-    pairs = list(combinations(range(b.g.dim), 2))
+    the action of _twisted_ad applied to each basis 2-vector: one sparse
+    integer row {column: int} per i and target e_p^e_q, one column per
+    e_a^e_c, both in combinations order, and the right-hand side in column
+    width, the number of pairs.  rows[k] over scales[k] is the equation: the
+    action over den * dphi and d_basis[i] over its denominator dd_i give row
+    (i, pq) = {col(ac): x * dd_i, width: num_pq * den * dphi} over
+    den * dphi * dd_i."""
+    g = b.g
+    pairs = list(combinations(range(g.dim), 2))
     position = {t: k for k, t in enumerate(pairs)}
     width = len(pairs)
-    scale = b.g._ad[0] * b.phi0._ints()[1]
+    phi, dphi = b.phi0._ints()
+    phi = [phi.get((i,), 0) for i in range(g.dim)]
+    scale = g._ad[0] * dphi
     rows: list[dict[int, int]] = []
     scales: list[int] = []
-    for block, d in zip(rho, d_basis):
+    for i, d in enumerate(d_basis):
         nums, dd = d._ints()
         block_rows: list[dict[int, int]] = [{} for _ in pairs]
-        for ac, image in block.items():
-            col = position[ac]
-            for pq, x in image.items():
-                block_rows[position[pq]][col] = x * dd
+        if g._ad[1][i] or phi[i]:       # else e_i acts by zero
+            for col, ac in enumerate(pairs):
+                for pq, x in _twisted_ad(g, phi, dphi, i, {ac: 1}, {}).items():
+                    if x:
+                        block_rows[position[pq]][col] = x * dd
         for pq, v in nums.items():
             block_rows[position[pq]][width] = v * scale
         rows += block_rows
@@ -614,7 +617,7 @@ def build_first_kind(g: LieAlgebra, h: Subspace, r: Multivector,
         if m:
             failures.append("r is degenerate on h")
     else:
-        restricted = restrict_bivector(r, h.rows)
+        restricted = _in_span(_pivot_frame(h), r)    # r in the basis h.rows
         if restricted is None:
             failures.append("r does not lie in the second exterior power of h")
         else:
@@ -863,10 +866,27 @@ class ClassificationResult:
 def _b_dual_cocycle(center_g: Subspace, phi: Form) -> Multivector:
     """v with B(v, .) = phi, for the invariant scalar product B and a 1-cocycle
     phi: phi kills [g, g], and B is the identity on the RREF center rows z_k
-    and orthogonal to [g, g], so v = sum_k phi(z_k) z_k."""
-    values = [pair(phi, z) for z in center_g.elements()]
-    return Multivector.from_coeffs([sum((a * z[i] for a, z in zip(values, center_g.rows)), ZERO)
-                                    for i in range(center_g.dim)])
+    and orthogonal to [g, g], so v = sum_k phi(z_k) z_k.  Summed in int: with
+    s the lcm of the pivots of the integer reduced rows, w_k = s z_k is an
+    integer row and v = sum_k P(w_k) w_k / (dphi s^2), phi = P / dphi."""
+    nums, dphi = phi._ints()
+    rows, pivots = center_g._reduced
+    s = lcm(1, *(row[c] for row, c in zip(rows, pivots)))
+    acc: dict[tuple[int], int] = {}
+    for row, c in zip(rows, pivots):
+        w = {i: x * (s // row[c]) for i, x in row.items()}
+        value = sum(v * w.get(i, 0) for (i,), v in nums.items())
+        for i, x in w.items():
+            acc[(i,)] = acc.get((i,), 0) + value * x
+    return Multivector._from_ints(center_g.dim, min(1, center_g.dim), acc, dphi * s * s)
+
+
+def _same_span(a: tuple, b: tuple) -> bool:
+    """Whether two integer reduced echelon forms (rows, pivots) of _echelon
+    span one space: the same pivots and rows equal up to sign, each row
+    being the primitive integer multiple of one row of the RREF."""
+    return a[1] == b[1] and all(p == q or p == {j: -x for j, x in q.items()}
+                                for p, q in zip(a[0], b[0]))
 
 
 def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> ThirdKindCertificate:
@@ -885,12 +905,15 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
         raise ValueError("restricted algebra does not have the expected 1-dimensional center")
     e4_res = -y0w
 
-    # the kernel basis of the lee form fixes the coordinates of h' = [h, h]
-    kernel_rows = nullspace([lee.coeffs()])
-    derived = compact_h.derived
-    if derived.rank != 3 or Subspace(h.dim, kernel_rows).rows != derived.rows:
+    # the kernel basis of the lee form fixes the coordinates of h' = [h, h];
+    # the kernel must be h', compared on the integer reduced rows
+    n = h.dim
+    reduced = _echelon([{i: v for (i,), v in lee._ints()[0].items()}], n)
+    derived = compact_h.derived._reduced
+    if len(derived[1]) != 3 or not _same_span(_kernel(reduced, n), derived):
         raise ValueError("kernel of the lee form does not match the derived algebra")
-    frame = _frame(kernel_rows, h.dim)
+    kernel_rows = _null_basis(*reduced, n)      # nullspace([lee.coeffs()]), not reduced again
+    frame = _frame(kernel_rows, n)
     h_prime = _restrict(h, f"{h.name}.red", frame)
     triple_h = tuple(_push(frame[0], t, Multivector) for t in su2_triple(h_prime))
     lam_coords = coordinates([(-t).coeffs() for t in triple_h], char.pair.x0.coeffs())

@@ -20,10 +20,13 @@ The form is private to the library, not to this module.  Its readers, with
     integer rows of `Subspace.from_elements` and the one inclusion
     `_embed` of a smaller algebra's vectors in an algebra built from it;
   - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
-  - `bialgebra`: `_twisted_ad` (the action X.P = [X, P] - phi0(X) P of g on
-    2-vectors), `_check_glb` (d_{*X0} and the compatibility residuals, read
-    from the tables of g, g*), `_coboundary_system` (the integer rows of
-    solve_coboundary, from that action and the forms of d_{*X0}(e_i)),
+  - `bialgebra`: `_check_glb` (d_{*X0} and the compatibility residuals,
+    read from the tables of g, g*), whose `_bracket_compat` applies the
+    action kernel `_twisted_ad` (X.P = [X, P] - phi0(X) P, from the table
+    of g) to the terms of each d_{*X0}(e_i) only, `_coboundary_system`
+    (the integer rows of solve_coboundary, that action on each basis
+    2-vector and the forms of d_{*X0}(e_i)), the dual vector
+    `_b_dual_cocycle` of a cocycle (from phi and the integer center rows),
     the adjoint kernel `dual_bracket_adjoint_route` (the dual bracket from
     the columns of g and the forms of phi0, X0) and the certificate
     `_check_sharp_homomorphism` (-#_r a homomorphism g* -> g, from both

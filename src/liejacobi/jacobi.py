@@ -216,7 +216,7 @@ def _characteristic_checked(jp: JacobiPair) -> CharacteristicSubalgebra:
     # characteristic_subalgebra after check_jacobi(jp) has passed
     g = jp.algebra
     sub = _span_with_x0(jp)
-    inclusion, restricted, r_h, x0_h = _restrict_pair(g, sub.rows, f"{g.name}.char", jp.r, jp.x0)
+    inclusion, restricted, r_h, x0_h = _restrict_pair(g, sub, f"{g.name}.char", jp.r, jp.x0)
     # r and x0 live in the subspace whenever the pair is valid
     if r_h is None:
         raise ValueError("r does not lie in the second exterior power of the characteristic subspace")

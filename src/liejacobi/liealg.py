@@ -10,9 +10,10 @@ and Chevalley-Eilenberg sums and the bialgebra compatibility residuals are
 summed from them in int arithmetic; an element result keeps the sums as its
 integer form, and killing_form is the Fraction view of the sums of
 `_killing`.  The Jacobi identity, the Killing sums, the center, the derived
-algebra and the compactness decision are computed once per algebra and kept
-with the table; validate, killing_form, center, derived_algebra and
-is_compact build their output from them on every call.  The Jacobi sums
+algebra, the compactness decision and the Leibniz rows of the derivations
+are computed once per algebra and kept with the table; validate,
+killing_form, center, derived_algebra, is_compact, is_derivation and
+derivations build their output from them on every call.  The Jacobi sums
 are taken on packed rows, one int with one w-bit slot per coefficient
 (Kronecker substitution); w = bit_length(3 n M^2) + 2, for M the largest
 |N_ij^k|, keeps every slot inside +-2^(w-1), so the packing is exact.
@@ -24,10 +25,12 @@ read from, for membership and the compactness test.  The one matrix of a
 counts its pivots and the sharp map's `_contraction` is its Fraction view.
 The one push-forward, `_push`, applies a matrix's integer form to a vector
 or 2-tensor, as every linear map and change of coordinates (coordinates,
-restrict, restrict_bivector, change_basis, a Jacobi pair's restriction)
-does.  Every basis, invariant_scalar_product's too, is eliminated once by
-`_frame` into the integer forms of its matrix B and left inverse L, from
-linalg._inverse; a change of coordinates accepts L v only when B (L v) == v.
+restrict, change_basis, a Jacobi pair's restriction) does.  Every basis,
+invariant_scalar_product's too, is eliminated once by `_frame` into the
+integer forms of its matrix B and left inverse L, from linalg._inverse,
+except the rows of a Subspace: `_pivot_frame` reads B from the reduced rows
+and takes for L the choice of the pivot coordinates, with no elimination.
+A change of coordinates accepts L v only when B (L v) == v.
 Algebras built from smaller ones, and bialgebra's semidirect classification
 reading them back, move vectors between dimensions by one inclusion `_embed`.
 """
@@ -80,9 +83,10 @@ class LieAlgebra:
     read-only mapping, so the caches built on first use cannot go stale:
     the integer structure-constant table `_ad`, its column view `_columns`,
     the Jacobi sums `_jacobiator`, the Killing sums `_killing`, the reduced
-    integer rows `_center` and `_derived` and the compactness decision
-    `_compactness`.  dataclasses.replace, rename and pickling build a new
-    algebra with its own.  The caches hold only integers (and the LDL^T
+    integer rows `_center` and `_derived`, the compactness decision
+    `_compactness` and the Leibniz rows `_leibniz` of the derivations.
+    dataclasses.replace, rename and pickling build a new algebra with its
+    own.  The caches hold only integers (and the LDL^T
     pivots) and make no public call, so the public calls of an operation do
     not depend on whether they are filled.  Construction does not check the
     Jacobi identity; use validate() for that.
@@ -261,6 +265,27 @@ class LieAlgebra:
         den, gram = _gram(self, self._derived)
         definite, pivots = linalg._definite(gram, den, positive=False)
         return splits, definite, tuple(pivots)
+
+    @cached_property
+    def _leibniz(self) -> tuple[dict[int, int], ...]:
+        """The Leibniz rule psi[e_i, e_j] - [psi e_i, e_j] - [e_i, psi e_j] = 0
+        as one integer row {a * n + b: N} per i < j and component m over the
+        unknowns psi[a][b], read from the table (den cancels).  is_derivation
+        and derivations read the rows and must not change them."""
+        n = self.dim
+        table = self._ad[1]
+        rows = []
+        for i, j in combinations(range(n), 2):
+            for m in range(n):
+                row = {m * n + k: v for k, v in table[i].get(j, {}).items()}
+                # -[psi e_i, e_j] - [e_i, psi e_j]
+                #     = sum_a psi[a][i] [e_j, e_a] - psi[a][j] [e_i, e_a]
+                for s, t, sign in ((j, i, 1), (i, j, -1)):
+                    for a, terms in table[s].items():
+                        if m in terms:
+                            row[a * n + t] = row.get(a * n + t, 0) + sign * terms[m]
+                rows.append({c: v for c, v in row.items() if v})
+        return tuple(rows)
 
     @classmethod
     def from_brackets(cls, name: str, dim: int, brackets: Mapping[tuple[int, int], Iterable],
@@ -535,38 +560,19 @@ class LinearMap:
         return sum(map(mul, x, self.apply(y_coeffs)), ZERO)
 
 
-def _leibniz_rows(g: LieAlgebra) -> list[dict[int, int]]:
-    """The Leibniz rule psi[e_i, e_j] - [psi e_i, e_j] - [e_i, psi e_j] = 0 as
-    one integer row {a * n + b: N} per i < j and component m over the
-    unknowns psi[a][b], read from the table (den cancels)."""
-    n = g.dim
-    table = g._ad[1]
-    rows = []
-    for i, j in combinations(range(n), 2):
-        for m in range(n):
-            row = {m * n + k: v for k, v in table[i].get(j, {}).items()}
-            # -[psi e_i, e_j] - [e_i, psi e_j] = sum_a psi[a][i] [e_j, e_a] - psi[a][j] [e_i, e_a]
-            for s, t, sign in ((j, i, 1), (i, j, -1)):
-                for a, terms in table[s].items():
-                    if m in terms:
-                        row[a * n + t] = row.get(a * n + t, 0) + sign * terms[m]
-            rows.append({c: v for c, v in row.items() if v})
-    return rows
-
-
 def is_derivation(g: LieAlgebra, psi: LinearMap) -> bool:
     """Whether psi, an n x n matrix, satisfies the Leibniz rule on g."""
     if psi.codomain_dim != g.dim or psi.domain_dim != g.dim:
         raise ValueError(f"a derivation of {g.name} needs a {g.dim} x {g.dim} matrix")
     flat = [x for row in psi._ints[1] for x in row]
-    return not any(sum(v * flat[c] for c, v in row.items()) for row in _leibniz_rows(g))
+    return not any(sum(v * flat[c] for c, v in row.items()) for row in g._leibniz)
 
 
 def derivations(g: LieAlgebra) -> list[LinearMap]:
     """Basis of the derivation algebra, by solving the Leibniz rows."""
     n = g.dim
     return [LinearMap.from_rows([flat[a * n:(a + 1) * n] for a in range(n)])
-            for flat in linalg.solve_rows(_leibniz_rows(g), n * n)[1]]
+            for flat in linalg.solve_rows(g._leibniz, n * n)[1]]
 
 
 def killing_form(g: LieAlgebra) -> LinearMap:
@@ -710,6 +716,19 @@ def _frame(basis: Sequence[Sequence], n: int) -> tuple[tuple, tuple]:
                                         len(basis), [den] * n)
 
 
+def _pivot_frame(sub: Subspace) -> tuple[tuple, tuple]:
+    """The frame (B, L) of the basis sub.rows, read from the integer reduced
+    rows of sub with no elimination: B holds the rows over their pivots as
+    columns, over the lcm of the pivots, and L, which picks the pivot
+    coordinates, is a left inverse, since each row is 1 at its own pivot and
+    0 at the others."""
+    rows, pivots = sub._reduced
+    den = lcm(1, *(row[c] for row, c in zip(rows, pivots)))
+    scaled = [(row, den // row[c]) for row, c in zip(rows, pivots)]
+    return ((den, tuple(tuple(row.get(i, 0) * f for row, f in scaled) for i in range(sub.dim))),
+            (1, tuple(tuple(int(i == c) for i in range(sub.dim)) for c in pivots)))
+
+
 def _antisymmetric(p: Multivector | Form) -> list[dict[int, int]]:
     """The one matrix of a 2-vector or 2-form p: the sparse integer rows of
     its antisymmetric matrix R, R[i][j] the numerator of p^ij over the
@@ -777,12 +796,13 @@ def _restrict(g: LieAlgebra, name: str, frame: tuple[tuple, tuple]) -> LieAlgebr
     return LieAlgebra(name, len(vectors), standard_labels(len(vectors)), structure)
 
 
-def _restrict_pair(g: LieAlgebra, basis: Sequence[Sequence], name: str, r: Multivector,
-                   x0: Multivector) -> tuple:
-    # (B, restrict(g, basis, name), r_h, x0_h) from one left inverse: r and
-    # x0 in the new coordinates (None outside the span) and B mapping back
-    frame = _frame(basis, g.dim)
-    inclusion = LinearMap.from_rows([[b[i] for b in basis] for i in range(g.dim)])
+def _restrict_pair(g: LieAlgebra, sub: Subspace, name: str, r: Multivector,
+                  x0: Multivector) -> tuple:
+    # (B, the bracket of g on sub in the basis sub.rows, r_h, x0_h) from the
+    # pivot frame of sub: r and x0 in the new coordinates (None outside the
+    # span) and B mapping back
+    frame = _pivot_frame(sub)
+    inclusion = LinearMap(tuple(tuple(row[i] for row in sub.rows) for i in range(g.dim)))
     return inclusion, _restrict(g, name, frame), _in_span(frame, r), _in_span(frame, x0)
 
 
@@ -810,14 +830,3 @@ def restrict(g: LieAlgebra, basis: Sequence[Sequence], name: str) -> LieAlgebra:
     witness bracket; a dependent family raises ValueError too.
     """
     return _restrict(g, name, _frame(basis, g.dim))
-
-
-def restrict_bivector(r: Multivector, basis: Iterable[Iterable]) -> Multivector | None:
-    """Coordinates of r in the wedge basis of independent vectors, or None
-    when r does not lie in the second exterior power of their span; a
-    dependent family raises ValueError.
-
-    A span of fewer than two vectors holds only r = 0, returned as the
-    top-grade zero Multivector.zero(m, m), the convention wedge uses.
-    """
-    return _in_span(_frame([list(b) for b in basis], r.dim), r)

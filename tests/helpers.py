@@ -9,9 +9,10 @@ sharp-map homomorphism certificate, the contraction matrix of a 2-tensor and
 the contact flat map, the Jacobi residuals, the contact and l.c.s. maps by
 Fraction matrices, the center, the derived algebra, annihilators, subspace
 membership, the Killing form and the compactness test, the cocycle with
-prescribed values, the invariant scalar product, the coordinate solvers of
-liealg, the algebras built from smaller ones by padding Fraction coefficient
-lists, and the integer linear-algebra kernel."""
+prescribed values, the invariant scalar product and the Fraction sum of the
+dual vector of a cocycle, the coordinate solvers of liealg and the
+restriction of a 2-vector to a span, the algebras built from smaller ones by
+padding Fraction coefficient lists, and the integer linear-algebra kernel."""
 
 import random
 from dataclasses import replace
@@ -34,6 +35,8 @@ from liejacobi.liealg import (
     LinearMap,
     Subspace,
     ValidationReport,
+    _frame,
+    _in_span,
     abelian,
     change_basis,
     direct_product,
@@ -887,6 +890,15 @@ def b_dual_reference(b_form, covector):
     return mat_vec(invert(b_form.rows), list(covector))
 
 
+def b_dual_sum_reference(center_g, phi):
+    """sum_k phi(z_k) z_k over the Fraction rows z_k of a center, summed in
+    Fraction: B^-1 phi for the invariant scalar product B of a compact
+    algebra and a 1-cocycle phi."""
+    values = [pair(phi, z) for z in center_g.elements()]
+    return Multivector.from_coeffs([sum((a * z[i] for a, z in zip(values, center_g.rows)), ZERO)
+                                    for i in range(center_g.dim)])
+
+
 # Reference routes for the coordinate solvers of liealg, which read one left
 # inverse per basis: one solve per vector, one wedge-basis system per
 # 2-vector, and the inverse matrix times each bracket for a change of basis.
@@ -912,6 +924,19 @@ def restrict_reference(g, basis, name):
         if not value.is_zero():
             structure[(a, b)] = value
     return LieAlgebra(name, len(basis), standard_labels(len(basis)), structure)
+
+
+def restrict_bivector(r, basis):
+    """Coordinates of r in the wedge basis of independent vectors, or None
+    when r does not lie in the second exterior power of their span; a
+    dependent family raises ValueError.  This was liealg.restrict_bivector
+    until the library stopped calling it: one left inverse from
+    liealg._frame, accepted by liealg._in_span only when B pushes it back.
+
+    A span of fewer than two vectors holds only r = 0, returned as the
+    top-grade zero Multivector.zero(m, m), the convention wedge uses.
+    """
+    return _in_span(_frame([list(b) for b in basis], r.dim), r)
 
 
 def restrict_bivector_reference(r, basis):

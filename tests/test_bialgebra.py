@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     b_dual_reference,
+    b_dual_sum_reference,
     bracket_compat_plain_reference,
     bracket_compat_reference,
     broken_noncob,
@@ -80,6 +81,7 @@ from liejacobi.liealg import (
     change_basis,
     coordinates,
     direct_product,
+    is_compact,
     one_cocycles,
     standard_labels,
 )
@@ -422,12 +424,12 @@ def test_coboundary_system_matches_schouten_route():
     assert any(b.g.structure and not b.phi0.is_zero() for b in cases)
     width = lambda b: b.g.dim * (b.g.dim - 1) // 2
     for b in cases:
-        report, d_basis, rho = _check_glb(b)
+        report, d_basis = _check_glb(b)
         assert report.passed
-        system = rational_system(*_coboundary_system(b, d_basis, rho), width(b))
+        system = rational_system(*_coboundary_system(b, d_basis), width(b))
         assert system == coboundary_system_reference(b)
     for b in seeded_quadruples(random.Random(71)):
-        system = rational_system(*_coboundary_system(b, *_check_glb(b)[1:]), width(b))
+        system = rational_system(*_coboundary_system(b, _check_glb(b)[1]), width(b))
         assert system == coboundary_system_reference(b)
 
 
@@ -495,35 +497,81 @@ def test_bracket_compat_with_a_non_cocycle_phi0_matches_plain_route():
         assert check_glb(b).bracket_compat == bracket_compat_plain_reference(b), b.g.name
 
 
+
+def test_bracket_compat_on_seeded_brackets_matches_both_references():
+    # every seeded bracket at dims 0-14 as g, mostly not Lie, so the inputs
+    # are mostly not generalized bialgebras; g* is the sparse seeded bracket
+    # of the same dimension (the reference's d_* loops over every subset, so
+    # a dense g* would cost it seconds per case), and up to dim 8 also the
+    # dense one.  A 1-cocycle phi0 of g is compared with
+    # bracket_compat_reference, and a seeded phi0, a 1-cocycle or not, with
+    # the plain route
+    rng = random.Random(2045)
+    algebras = seeded_brackets()
+    nonzero = non_cocycle = 0
+    for g in algebras:
+        n = g.dim
+        duals = [h for h in algebras if h.dim == n and h.name.startswith(
+            ("sparse", "dense") if n <= 8 else "sparse")]
+        vector = lambda cls: random_element(rng, cls, n, 1, terms=3)    # noqa: E731
+        cocycle = Form.zero(n, min(1, n))
+        for row in one_cocycles(g).rows:
+            cocycle = cocycle + Form.from_coeffs(row).scale(mixed_fraction(rng))
+        for g_star in duals:
+            x0 = vector(Multivector) if n else Multivector.zero(0, 0)
+            phi0 = vector(Form) if n else Form.zero(0, 0)
+            b = GeneralizedBialgebra(g, g_star, cocycle, x0)
+            got = check_glb(b).bracket_compat
+            assert got == bracket_compat_reference(b), (g.name, g_star.name)
+            b = GeneralizedBialgebra(g, g_star, phi0, x0)
+            got = check_glb(b).bracket_compat
+            assert got == bracket_compat_plain_reference(b), (g.name, g_star.name)
+            nonzero += bool(got)
+            non_cocycle += not ce_differential(g, phi0).is_zero()
+    assert nonzero > 60 and non_cocycle > 60
+
+
 def test_twisted_ad_matches_schouten_route():
-    # rho[i][(a, c)] over den * dphi is e_i.(e_a^e_c) = [e_i, e_a^e_c] -
-    # phi0(e_i) e_a^e_c, here through schouten; phi0 a 1-cocycle of g or not
+    # _twisted_ad adds sign * e_i.P over den * dphi * (P's denominator) to
+    # an accumulator, e_i.P = [e_i, P] - phi0(e_i) P, here through schouten:
+    # on each basis 2-vector into an empty one, and on a seeded P with both
+    # signs into one that already holds a seeded 2-vector; phi0 a 1-cocycle
+    # of g or not
     cases = catalog_bialgebras() + [broken_noncob(),
                                     glb_from_cocycle(heisenberg(2), Form.basis(5, 0))]
     cases += seeded_quadruples(random.Random(76), cocycle_phi0=True)
     cases += seeded_quadruples(random.Random(77))
     assert any(b.phi0._ints()[1] > 1 for b in cases)
     assert any(not ce_differential_reference(b.g, b.phi0).is_zero() for b in cases)
+    rng = random.Random(79)
     skipped = 0
     for b in cases:
         g, n = b.g, b.g.dim
         phi, dphi = b.phi0._ints()
         phi = [phi.get((i,), 0) for i in range(n)]
-        rho = _twisted_ad(g, phi, dphi)
         scale = g._ad[0] * dphi
-        assert len(rho) == n
+        as_bivector = lambda acc, den: Multivector.from_terms(     # noqa: E731
+            n, 2, {pq: Fraction(v, den) for pq, v in acc.items()})
         for i in range(n):
             x = g.basis_vector(i)
-            if not g._ad[1][i] and not phi[i]:
-                assert rho[i] == {}
-                skipped += 1
+            action = lambda p: schouten(g, x, p) - p.scale(pair(b.phi0, x))    # noqa: E731
             for ac in combinations(range(n), 2):
-                p = Multivector.from_terms(n, 2, {ac: 1})
-                image = rho[i].get(ac, {})
-                assert all(image.values()) and all(a < c for a, c in image)
-                got = Multivector.from_terms(n, 2, {pq: Fraction(v, scale)
-                                                    for pq, v in image.items()})
-                assert got == schouten(g, x, p) - p.scale(pair(b.phi0, x)), (g.name, i, ac)
+                image = _twisted_ad(g, phi, dphi, i, {ac: 1}, {})
+                assert all(a < c for a, c in image)
+                assert as_bivector(image, scale) == action(mv(n, 2, {ac: 1})), (g.name, i, ac)
+                if not g._ad[1][i] and not phi[i]:
+                    assert image == {}
+            skipped += not g._ad[1][i] and not phi[i]
+            if n < 2:
+                continue
+            p, q = (random_element(rng, Multivector, n, 2, terms=3) for _ in range(2))
+            (nums, den), (qnums, qden) = p._ints(), q._ints()
+            terms = {pq: v * qden for pq, v in nums.items()}      # P over den * qden
+            for sign in (1, -1):
+                start = {pq: v * scale * den for pq, v in qnums.items()}
+                acc = _twisted_ad(g, phi, dphi, i, terms, start, sign)
+                assert as_bivector(acc, scale * den * qden) == (
+                    q + action(p).scale(sign)), (g.name, i, sign)
     assert skipped >= 5
 
 
@@ -1240,6 +1288,50 @@ def test_b_dual_of_cocycle_matches_inverse_route():
         y = b_dual_reference(invariant_scalar_product_reference(b.g), b.phi0.coeffs())
         scale = pair(b.phi0, Multivector.from_coeffs(y))
         assert classify_compact(b).y0 == Multivector.from_coeffs([c / scale for c in y])
+
+
+
+def test_b_dual_cocycle_matches_the_fraction_sum_on_seeded_brackets():
+    # the integer sum against the Fraction sum of b_dual_sum_reference on
+    # the center of every seeded bracket, for seeded covectors; on the
+    # compact ones, in dense unimodular bases, against B^-1 phi for the
+    # 1-cocycles phi too
+    rng = random.Random(2046)
+    compact = wide = 0
+    for g in seeded_brackets():
+        z = center(g)
+        wide += z.rank > 1
+        phis = [random_element(rng, Form, g.dim, 1, terms=3) for _ in range(2)] if g.dim else []
+        for phi in phis:
+            assert _b_dual_cocycle(z, phi) == b_dual_sum_reference(z, phi), g.name
+        if is_compact(g).compact:
+            compact += 1
+            b_ref = invariant_scalar_product_reference(g)
+            for row in one_cocycles(g).rows:
+                phi = Form.from_coeffs(row).scale(mixed_fraction(rng) or 1)
+                assert _b_dual_cocycle(z, phi).coeffs() == b_dual_reference(b_ref, phi.coeffs())
+    assert compact >= 4 and wide >= 4
+
+
+def test_same_span_matches_the_fraction_subspaces():
+    # _same_span decides on two integer echelon forms what == decides on
+    # the Subspaces of the same rows: a span given again by negated, scaled
+    # and reversed rows, and spans that differ in one row, mostly with the
+    # same pivots, so that the rows and not only the pivots decide
+    rng = random.Random(2047)
+    reduce = lambda rows, n: linalg._echelon(linalg._rows(rows, n)[0], n)    # noqa: E731
+    outcomes = set()
+    for n in range(1, 7):
+        for k in range(n + 1):
+            rows = [[mixed_fraction(rng) or F(1) for _ in range(n)] for _ in range(k)]
+            moved = [[-c * (i + 2) for c in row] for i, row in enumerate(reversed(rows))]
+            changed = rows[:-1] + [[mixed_fraction(rng) for _ in range(n)]]
+            for other in (moved, changed, [list(r) for r in linalg.identity(n)[:k]]):
+                a, b = reduce(rows, n), reduce(other, n)
+                same = bialgebra._same_span(a, b)
+                assert same == (Subspace(n, rows) == Subspace(n, other)), (rows, other)
+                outcomes.add((same, a[1] == b[1]))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_cocycle_with_values_matches_the_fraction_system():

@@ -10,7 +10,9 @@ Fraction, the Jacobi sums and the cached invariants of an algebra make no
 public call, the Jacobi residuals and the contact and l.c.s. maps stay on
 the integer forms, a 2-tensor has one integer matrix and one push-forward
 that only the public sharp map views as Fractions, the compactness test,
-subspaces and basis frames stay on integer rows, bialgebra builds no l.c.s.
+subspaces and basis frames stay on integer rows, a Subspace's frame is read
+from its reduced rows with no elimination, the glb residuals apply one
+action kernel on the support of d_basis, bialgebra builds no l.c.s.
 or contact structure, each of six primitives (the dense integer form of a
 matrix, the matrix-vector product, the linear map's shape check, the left
 inverse of a basis, the Jacobi residuals and the reduction of the
@@ -36,7 +38,7 @@ SOURCES = (PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 # the private cached bodies that hold each invariant of a LieAlgebra
 CACHED_INVARIANTS = ("LieAlgebra._killing", "LieAlgebra._center", "LieAlgebra._derived",
-                     "LieAlgebra._compactness")
+                     "LieAlgebra._compactness", "LieAlgebra._leibniz")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -289,7 +291,7 @@ def test_pointwise_dual_route_stays_off_the_integer_tables():
     names = function_references((ROOT / "src" / "liejacobi" / "bialgebra.py").read_text(),
                                 "dual_bracket_pointwise_route")
     assert "schouten" in names
-    assert names.isdisjoint(INTEGER_FORM | {"_contraction"})
+    assert names.isdisjoint(INTEGER_FORM | {"_contraction", "_twisted_ad"})
 
 
 def test_jacobi_sums_read_the_table_only():
@@ -425,6 +427,31 @@ def test_coboundary_system_and_kernel_stay_integer():
     assert all(names.isdisjoint({"Fraction", "ZERO"}) for names in references)
 
 
+def test_glb_residuals_act_on_the_support_of_d_basis():
+    # the action X.P = [X, P] - phi0(X) P is one kernel, _twisted_ad, that
+    # reads the table and is applied to given integer terms: the bracket
+    # compatibility applies it to the terms of d_basis[t] only and the
+    # coboundary system to each basis 2-vector, and no prebuilt action rho
+    # is handed over
+    source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
+    assert "_ad" in function_references(source, "_twisted_ad")
+    for fn in ("_bracket_compat", "_coboundary_system"):
+        names = function_references(source, fn)
+        assert {"_ad", "_twisted_ad"} <= names and "rho" not in names, fn
+    for fn in ("_check_glb", "solve_coboundary"):
+        assert "rho" not in function_references(source, fn), fn
+    assert function_references(source, "_twisted_ad").isdisjoint({"Fraction", "combinations"})
+    # the dual vector of a cocycle is summed from the integer center rows
+    names = function_references(source, "_b_dual_cocycle")
+    assert {"_reduced", "_ints", "_from_ints"} <= names
+    assert names.isdisjoint({"pair", "elements", "from_coeffs", "Fraction", "ZERO"})
+    # the third kind compares the kernel of the lee form with the derived
+    # algebra on integer reduced rows, not through the public Subspace
+    names = function_references(source, "_classify_third")
+    assert {"_kernel", "_echelon", "_same_span", "_reduced"} <= names
+    assert "Subspace" not in names
+
+
 def test_compactness_subspaces_and_frames_stay_integer():
     # the compactness test, the center, the derived algebra, the frames of
     # the coordinate solvers and subspace membership run on the integer rows
@@ -434,7 +461,7 @@ def test_compactness_subspaces_and_frames_stay_integer():
     # body _compactness, which is_compact reads
     liealg_source = (ROOT / "src" / "liejacobi" / "liealg.py").read_text()
     for fn in ("is_compact", "_gram", *CACHED_INVARIANTS, "center", "derived_algebra",
-               "_bracket_rows", "annihilator", "_kernel", "_frame", "_in_span",
+               "_bracket_rows", "annihilator", "_kernel", "_frame", "_pivot_frame", "_in_span",
                "Subspace.contains", "Subspace.from_elements"):
         assert "Fraction" not in function_references(liealg_source, fn), fn
     names = function_references(liealg_source, "LieAlgebra._compactness")
@@ -453,6 +480,15 @@ def test_compactness_subspaces_and_frames_stay_integer():
     assert "_null_rows" in function_references(liealg_source, "_kernel")
     frame = function_references(liealg_source, "_frame")
     assert "_inverse" in frame and "invert" not in frame
+    # a Subspace's frame is read from its reduced rows with no elimination,
+    # and the characteristic restriction and the first kind read it
+    names = function_references(liealg_source, "_pivot_frame")
+    assert "_reduced" in names and names.isdisjoint({"_inverse", "_echelon", "_frame", "Fraction"})
+    names = function_references(liealg_source, "_restrict_pair")
+    assert "_pivot_frame" in names and "_frame" not in names
+    names = function_references((ROOT / "src" / "liejacobi" / "bialgebra.py").read_text(),
+                                "build_first_kind")
+    assert {"_pivot_frame", "_in_span"} <= names and "_frame" not in names
     contains = function_references(liealg_source, "Subspace.contains")
     assert {"_reduced", "_eliminate"} <= contains and "rows" not in contains
     linalg_source = (ROOT / "src" / "liejacobi" / "linalg.py").read_text()

@@ -25,6 +25,7 @@ from helpers import (
     mv,
     random_basis,
     random_element,
+    restrict_bivector,
     unimodular_basis,
     vec,
 )
@@ -59,7 +60,6 @@ from liejacobi.liealg import (
     direct_product,
     one_cocycles,
     restrict,
-    restrict_bivector,
 )
 from liejacobi.schouten import ce_differential
 

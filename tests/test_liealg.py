@@ -43,6 +43,7 @@ from helpers import (
     random_basis,
     random_element,
     random_fraction,
+    restrict_bivector,
     restrict_bivector_reference,
     restrict_reference,
     seeded_brackets,
@@ -60,8 +61,9 @@ from liejacobi.bialgebra import (
     glb_from_cocycle,
 )
 from liejacobi.catalog import catalog, catalog_names, heisenberg
-from liejacobi import exterior, liealg, linalg
+from liejacobi import exterior, jacobi, liealg, linalg
 from liejacobi.exterior import Form, Multivector, wedge
+from liejacobi.jacobi import JacobiPair
 from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
@@ -82,7 +84,6 @@ from liejacobi.liealg import (
     killing_form,
     one_cocycles,
     restrict,
-    restrict_bivector,
     semidirect_by_derivation,
     standard_labels,
 )
@@ -876,15 +877,18 @@ def test_dependent_families_raise():
 
 
 def test_restrict_pair_matches_the_three_restrictions():
-    # one left inverse for the bracket, a 2-vector and a vector
+    # one pivot frame for the bracket, a 2-vector and a vector, in the
+    # basis of the subspace's reduced rows
     g = change_basis(direct_product(catalog("su2"), abelian(2)), _dense_unimodular(5, 4))
-    basis = [list(r) for r in derived_algebra(g).rows + center(g).rows[:1]]
+    sub = Subspace.from_elements(derived_algebra(g).elements() + center(g).elements()[:1])
+    basis = [list(r) for r in sub.rows]
+    assert sub.rank == 4 and any(x not in (0, 1) for row in basis for x in row)
     vectors = [Multivector.from_coeffs(b) for b in basis]
     r_in = wedge(vectors[0], vectors[3]) + wedge(vectors[1], vectors[2]).scale(Fraction(-2, 3))
     for r, x0 in ((r_in, vectors[2].scale(3) - vectors[0]),
                   (wedge(vec(5, 0), vec(5, 1)), g.basis_vector(4)),
                   (Multivector.zero(5, 2), g.zero_vector())):
-        inclusion, h, r_h, x0_h = liealg._restrict_pair(g, basis, "h", r, x0)
+        inclusion, h, r_h, x0_h = liealg._restrict_pair(g, sub, "h", r, x0)
         assert inclusion == LinearMap.from_columns(basis)
         assert h == restrict_reference(g, basis, "h")
         assert _same_bivector(r_h, restrict_bivector_reference(r, basis))
@@ -914,7 +918,9 @@ def test_each_basis_is_eliminated_once(monkeypatch):
     assert eliminations(restrict, g, basis, "h") == 1
     assert eliminations(restrict_bivector, r, basis) == 1
     assert eliminations(change_basis, g, _dense_unimodular(5, 6)) == 1
-    assert eliminations(liealg._restrict_pair, g, basis, "h", r, vectors[2]) == 1
+    # a Subspace frame is read from the reduced rows the Subspace keeps
+    sub = Subspace(5, basis)
+    assert eliminations(liealg._restrict_pair, g, sub, "h", r, vectors[2]) == 0
     # _classify_semidirect eliminates its adapted basis once, besides the
     # invariant product, the kernel of theta0 and the rebuilt bialgebra
     zero_dual = LieAlgebra("su2*", 3, ("f1", "f2", "f3"), {})
@@ -1030,6 +1036,40 @@ def test_frames_match_fraction_references():
                 inside += coords is not None
                 outside += coords is None
     assert min(closed, opened, inside, outside) > 20
+
+
+def test_pivot_frames_match_eliminated_frames():
+    # _in_span through the pivot frame of a Subspace, read from its reduced
+    # rows, against the frame _frame eliminates from sub.rows, with ==, on
+    # the center, the derived algebra and a characteristic subspace of each
+    # seeded bracket: combinations of the rows and their wedges (members),
+    # seeded vectors and 2-vectors (mostly not), zeros and r itself
+    rng = random.Random(2044)
+    inside = outside = 0
+    for g in seeded_brackets():
+        n = g.dim
+        r = random_element(rng, Multivector, n, 2, terms=3)
+        x0 = random_element(rng, Multivector, n, 1, terms=1)
+        spaces = [center(g), derived_algebra(g)]
+        if n >= 2:
+            spaces.append(jacobi._span_with_x0(JacobiPair(g, r, x0)))
+        for sub in spaces:
+            frames = liealg._pivot_frame(sub), liealg._frame(sub.rows, n)
+            rows = sub.elements()
+            combination = lambda: sum((v.scale(mixed_fraction(rng)) for v in rows),  # noqa: E731
+                                      Multivector.zero(n, min(1, n)))
+            candidates = [combination(), Multivector.zero(n, min(1, n))]
+            if n:
+                candidates.append(random_element(rng, Multivector, n, 1, terms=3))
+            if n >= 2:
+                candidates += [wedge(combination(), combination()), r, Multivector.zero(n, 2),
+                               random_element(rng, Multivector, n, 2, terms=3)]
+            for e in candidates:
+                got, want = (liealg._in_span(frame, e) for frame in frames)
+                assert _same_bivector(got, want), (g.name, sub.rows, e)
+                inside += got is not None and not e.is_zero()
+                outside += got is None
+    assert min(inside, outside) > 50
 
 
 # Each invariant of an algebra is computed once, on integer data kept in

@@ -489,7 +489,7 @@ def _third_kind_system(k):
     g = direct_product(g, abelian(2))
     v = lambda i: Multivector.basis(g.dim, i)
     b = build_third_kind(g, v(0), v(1), v(2), v(3 * k), (1, -2, 3))
-    return (*_coboundary_system(b, *_check_glb(b)[1:]), g.dim * (g.dim - 1) // 2)
+    return (*_coboundary_system(b, _check_glb(b)[1]), g.dim * (g.dim - 1) // 2)
 
 
 def test_solve_rows_on_a_tall_system():

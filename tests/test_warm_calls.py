@@ -10,15 +10,17 @@ profile or trace of one op depend on what ran before it.
 
 import cProfile
 import pstats
+from functools import cached_property
 from pathlib import Path
 
 from liejacobi import cli
-from liejacobi.bialgebra import (build_first_kind, build_second_kind, build_third_kind,
-                                 classify_compact)
+from liejacobi import liealg
+from liejacobi.bialgebra import (build_first_kind, build_second_kind, build_semidirect_glb,
+                                 build_third_kind, classify_compact)
 from liejacobi.catalog import catalog
 from liejacobi.documents import serialize
 from liejacobi.exterior import Form, Multivector, wedge
-from liejacobi.liealg import Subspace, abelian, direct_product
+from liejacobi.liealg import LieAlgebra, LinearMap, Subspace, abelian, direct_product
 
 PACKAGE = Path(cli.__file__).resolve().parent
 
@@ -80,3 +82,34 @@ def test_cli_classification_calls_alike_on_each_run(capsys, tmp_path):
         assert runs[0] == runs[1], argv
         assert "is_compact" in {name for _, _, name in runs[0]}, argv
     capsys.readouterr()
+
+
+def test_semidirect_build_tests_its_derivation_on_rows_kept_once(monkeypatch):
+    # build_semidirect_glb tests that id - psi* is a derivation of h* twice,
+    # for its own hypotheses and inside semidirect_by_derivation: the
+    # Leibniz rows are kept once per algebra, so the second test is one dot
+    # product, and a cold h* and a warm one make the same public calls
+    def solvable2_star():
+        return LieAlgebra("solvable2*", 2, ("e^1", "e^2"), catalog("solvable2").structure)
+
+    psi = LinearMap.from_rows([[2, 0], [3, 1]])
+    warm = solvable2_star()
+    build_semidirect_glb(abelian(2), warm, psi)
+    assert "_leibniz" in vars(warm)
+    kept = [dict(row) for row in warm._leibniz]
+    fresh = solvable2_star()
+    cold = _public_calls(lambda: build_semidirect_glb(abelian(2), fresh, psi))
+    assert cold == _public_calls(lambda: build_semidirect_glb(abelian(2), warm, psi))
+    assert sum(n for (_, _, name), n in cold.items() if name == "is_derivation") == 3
+    # the cached rows are read, never changed, by is_derivation and by the
+    # elimination of derivations
+    liealg.derivations(warm)
+    assert [dict(row) for row in warm._leibniz] == kept
+    # each algebra builds its rows once: h for psi, h* for both tests
+    built = []
+    rows = LieAlgebra.__dict__["_leibniz"].func
+    counted = cached_property(lambda g: built.append(g.name) or rows(g))
+    counted.__set_name__(LieAlgebra, "_leibniz")
+    monkeypatch.setattr(LieAlgebra, "_leibniz", counted)
+    build_semidirect_glb(abelian(2), solvable2_star(), psi)
+    assert built == ["abelian(2)", "solvable2*"]
