@@ -36,7 +36,6 @@ from liejacobi.liealg import (
     _embed,
     _frame,
     _in_span,
-    _kernel,
     _pivot_frame,
     _push,
     _rank,
@@ -53,7 +52,7 @@ from liejacobi.liealg import (
     semidirect_by_derivation,
     standard_labels,
 )
-from liejacobi.linalg import ZERO, _echelon, _null_basis, _sparse, nullspace, solve_rows
+from liejacobi.linalg import ZERO, _null_rows, _sparse, nullspace, solve_rows
 from liejacobi.schouten import (
     check_cocycle,
     ce_differential,
@@ -617,7 +616,7 @@ def build_first_kind(g: LieAlgebra, h: Subspace, r: Multivector,
         if m:
             failures.append("r is degenerate on h")
     else:
-        restricted = _in_span(_pivot_frame(h), r)    # r in the basis h.rows
+        restricted = _in_span(_pivot_frame(*h._reduced, h.dim), r)    # r in the basis h.rows
         if restricted is None:
             failures.append("r does not lie in the second exterior power of h")
         else:
@@ -863,57 +862,55 @@ class ClassificationResult:
         return f"kind: {self.kind}"
 
 
-def _b_dual_cocycle(center_g: Subspace, phi: Form) -> Multivector:
-    """v with B(v, .) = phi, for the invariant scalar product B and a 1-cocycle
-    phi: phi kills [g, g], and B is the identity on the RREF center rows z_k
-    and orthogonal to [g, g], so v = sum_k phi(z_k) z_k.  Summed in int: with
-    s the lcm of the pivots of the integer reduced rows, w_k = s z_k is an
-    integer row and v = sum_k P(w_k) w_k / (dphi s^2), phi = P / dphi."""
+def _unit_dual(center: tuple, phi: Form) -> Multivector | None:
+    """v / phi(v) for the v with B(v, .) = phi, B the invariant scalar product
+    and phi a 1-cocycle, or None when phi(v) = 0.  phi kills [g, g], and B is
+    the identity on the RREF center rows z_k and orthogonal to [g, g], so
+    v = sum_k phi(z_k) z_k and phi(v) = sum_k phi(z_k)^2.  Summed in int from
+    the integer reduced center rows (rows, pivots): with s the lcm of the
+    pivots, w_k = s z_k is an integer row, and for phi = P / dphi,
+    v / phi(v) = dphi sum_k P(w_k) w_k / sum_k P(w_k)^2."""
     nums, dphi = phi._ints()
-    rows, pivots = center_g._reduced
+    rows, pivots = center
     s = lcm(1, *(row[c] for row, c in zip(rows, pivots)))
     acc: dict[tuple[int], int] = {}
+    norm = 0
     for row, c in zip(rows, pivots):
         w = {i: x * (s // row[c]) for i, x in row.items()}
         value = sum(v * w.get(i, 0) for (i,), v in nums.items())
+        norm += value * value
         for i, x in w.items():
-            acc[(i,)] = acc.get((i,), 0) + value * x
-    return Multivector._from_ints(center_g.dim, min(1, center_g.dim), acc, dphi * s * s)
-
-
-def _same_span(a: tuple, b: tuple) -> bool:
-    """Whether two integer reduced echelon forms (rows, pivots) of _echelon
-    span one space: the same pivots and rows equal up to sign, each row
-    being the primitive integer multiple of one row of the RREF."""
-    return a[1] == b[1] and all(p == q or p == {j: -x for j, x in q.items()}
-                                for p, q in zip(a[0], b[0]))
+            acc[(i,)] = acc.get((i,), 0) + dphi * value * x
+    return Multivector._from_ints(phi.dim, 1, acc, norm) if norm else None
 
 
 def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> ThirdKindCertificate:
     # Three checks certify the result: su2_triple's triple passes
     # _check_su2_triple, e4 spans the 1-dimensional center of h, and
     # third_kind_pair(triple, e4, lambdas) is the characteristic pair (r, x0).
+    # h is compact with no second test: the invariant positive definite
+    # form of the compact g restricts to it.  The lee form is -phi0 on h, so
+    # e4 is the unit dual vector of phi0 on h, and ker(lee) = ker(phi0 on h).
     char = extraction.characteristic
-    h = char.algebra
-    incl = char.inclusion
-    compact_h = _require_compact(h)
-    center_h = compact_h.center
-    lee = -Form.from_coeffs(incl.transpose().apply(b.phi0.coeffs()))
-    y0w_raw = _b_dual_cocycle(center_h, lee)
-    y0w = y0w_raw.scale(Fraction(1) / pair(lee, y0w_raw))
-    if center_h.rank != 1 or not center_h.contains_element(y0w):
+    h, incl, n = char.algebra, char.inclusion, char.algebra.dim
+    den, rows = incl._ints
+    phi_h = _push((den, tuple(zip(*rows))), b.phi0, Form)
+    e4_res = _unit_dual(h._center, phi_h)
+    if len(h._center[1]) != 1 or e4_res is None:
         raise ValueError("restricted algebra does not have the expected 1-dimensional center")
-    e4_res = -y0w
 
-    # the kernel basis of the lee form fixes the coordinates of h' = [h, h];
-    # the kernel must be h', compared on the integer reduced rows
-    n = h.dim
-    reduced = _echelon([{i: v for (i,), v in lee._ints()[0].items()}], n)
-    derived = compact_h.derived._reduced
-    if len(derived[1]) != 3 or not _same_span(_kernel(reduced, n), derived):
+    # ker(lee) = h' = [h, h]: lee is nonzero on the 4-dimensional h, so this
+    # holds when h' has 3 pivots and lee vanishes on its rows.  The null rows
+    # of the one row phi_h (its own reduced echelon form), read at their free
+    # columns, are the basis nullspace([phi_h.coeffs()]) that fixes the
+    # coordinates of h'.
+    nums = {i: v for (i,), v in phi_h._ints()[0].items()}
+    derived_rows, derived_pivots = h._derived
+    if len(derived_pivots) != 3 or any(sum(v * row.get(i, 0) for i, v in nums.items())
+                                       for row in derived_rows):
         raise ValueError("kernel of the lee form does not match the derived algebra")
-    kernel_rows = _null_basis(*reduced, n)      # nullspace([lee.coeffs()]), not reduced again
-    frame = _frame(kernel_rows, n)
+    pivot = min(nums)
+    frame = _pivot_frame(_null_rows([nums], [pivot], n), [c for c in range(n) if c != pivot], n)
     h_prime = _restrict(h, f"{h.name}.red", frame)
     triple_h = tuple(_push(frame[0], t, Multivector) for t in su2_triple(h_prime))
     lam_coords = coordinates([(-t).coeffs() for t in triple_h], char.pair.x0.coeffs())
@@ -988,11 +985,9 @@ def _classify_checked(b: GeneralizedBialgebra, compact: CompactnessReport) -> Cl
     if b.phi0.is_zero():
         return ClassificationResult("phi0-zero-semidirect", None, None, _classify_semidirect(b))
 
-    y_raw = _b_dual_cocycle(compact.center, b.phi0)
-    scale = pair(b.phi0, y_raw)
-    if scale == 0:
+    y0 = _unit_dual(compact.center._reduced, b.phi0)
+    if y0 is None:
         raise ValueError("phi0 vanishes on its dual vector; no unit central vector exists")
-    y0 = y_raw.scale(Fraction(1) / scale)
     extraction = _extract_checked(b, y0, compact.center)
     char = extraction.characteristic
     m = char.subspace.rank

@@ -180,7 +180,8 @@ def _emit(args, document: dict | None, report: dict | None, text: str | None) ->
     elif text is None:
         _dump(document, sys.stdout.write)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
     if getattr(args, "out", None) and document is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             _dump(document, fh.write)

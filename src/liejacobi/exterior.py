@@ -26,7 +26,7 @@ The form is private to the library, not to this module.  Its readers, with
     of g) to the terms of each d_{*X0}(e_i) only, `_coboundary_system`
     (the integer rows of solve_coboundary, that action on each basis
     2-vector and the forms of d_{*X0}(e_i)), the dual vector
-    `_b_dual_cocycle` of a cocycle (from phi and the integer center rows),
+    `_unit_dual` of a cocycle (from phi and the integer center rows),
     the adjoint kernel `dual_bracket_adjoint_route` (the dual bracket from
     the columns of g and the forms of phi0, X0) and the certificate
     `_check_sharp_homomorphism` (-#_r a homomorphism g* -> g, from both

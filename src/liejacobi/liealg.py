@@ -28,8 +28,10 @@ or 2-tensor, as every linear map and change of coordinates (coordinates,
 restrict, change_basis, a Jacobi pair's restriction) does.  Every basis,
 invariant_scalar_product's too, is eliminated once by `_frame` into the
 integer forms of its matrix B and left inverse L, from linalg._inverse,
-except the rows of a Subspace: `_pivot_frame` reads B from the reduced rows
-and takes for L the choice of the pivot coordinates, with no elimination.
+except pivoted integer rows, each nonzero at its own pivot and zero at the
+others' (a Subspace's reduced rows, or linalg._null_rows at their free
+columns): `_pivot_frame` reads B from the rows and takes for L the choice
+of the pivot coordinates, with no elimination.
 A change of coordinates accepts L v only when B (L v) == v.
 Algebras built from smaller ones, and bialgebra's semidirect classification
 reading them back, move vectors between dimensions by one inclusion `_embed`.
@@ -716,17 +718,16 @@ def _frame(basis: Sequence[Sequence], n: int) -> tuple[tuple, tuple]:
                                         len(basis), [den] * n)
 
 
-def _pivot_frame(sub: Subspace) -> tuple[tuple, tuple]:
-    """The frame (B, L) of the basis sub.rows, read from the integer reduced
-    rows of sub with no elimination: B holds the rows over their pivots as
-    columns, over the lcm of the pivots, and L, which picks the pivot
-    coordinates, is a left inverse, since each row is 1 at its own pivot and
-    0 at the others."""
-    rows, pivots = sub._reduced
+def _pivot_frame(rows: list[dict[int, int]], pivots: list[int], n: int) -> tuple[tuple, tuple]:
+    """The frame (B, L) of integer rows of n columns, each nonzero at its own
+    pivot and zero at the others' (a Subspace's reduced rows, or _null_rows
+    at its free columns), with no elimination: B holds the rows over their
+    pivot entries as columns, over the lcm of those entries, and L, which
+    picks the pivot coordinates, is a left inverse."""
     den = lcm(1, *(row[c] for row, c in zip(rows, pivots)))
     scaled = [(row, den // row[c]) for row, c in zip(rows, pivots)]
-    return ((den, tuple(tuple(row.get(i, 0) * f for row, f in scaled) for i in range(sub.dim))),
-            (1, tuple(tuple(int(i == c) for i in range(sub.dim)) for c in pivots)))
+    return ((den, tuple(tuple(row.get(i, 0) * f for row, f in scaled) for i in range(n))),
+            (1, tuple(tuple(int(i == c) for i in range(n)) for c in pivots)))
 
 
 def _antisymmetric(p: Multivector | Form) -> list[dict[int, int]]:
@@ -801,7 +802,7 @@ def _restrict_pair(g: LieAlgebra, sub: Subspace, name: str, r: Multivector,
     # (B, the bracket of g on sub in the basis sub.rows, r_h, x0_h) from the
     # pivot frame of sub: r and x0 in the new coordinates (None outside the
     # span) and B mapping back
-    frame = _pivot_frame(sub)
+    frame = _pivot_frame(*sub._reduced, sub.dim)
     inclusion = LinearMap(tuple(tuple(row[i] for row in sub.rows) for i in range(g.dim)))
     return inclusion, _restrict(g, name, frame), _in_span(frame, r), _in_span(frame, x0)
 

@@ -39,11 +39,11 @@ from helpers import (
     vec,
 )
 from liejacobi.bialgebra import (
-    _b_dual_cocycle,
     _check_glb,
     _check_sharp_homomorphism,
     _coboundary_system,
     _twisted_ad,
+    _unit_dual,
     CoboundarySolutions,
     GeneralizedBialgebra,
     SharpCertificate,
@@ -76,6 +76,7 @@ from liejacobi.liealg import (
     LinearMap,
     Subspace,
     abelian,
+    annihilator,
     center,
     central_extension,
     change_basis,
@@ -143,6 +144,20 @@ def test_check_glb_perturbed_x0():
     assert len(report.bracket_compat) == 6
     assert len(report.contraction_compat) == 3
     assert "phi0(x0) = 1" in report.describe()
+    # a base and a dual bracket that fail the Jacobi identity are each named
+    bracket = {(0, 1): mv(3, 1, {(1,): 1}), (0, 2): mv(3, 1, {(1,): 1}),
+               (1, 2): mv(3, 1, {(0,): 1})}
+    g = LieAlgebra("bad", 3, standard_labels(3), bracket)
+    broken = GeneralizedBialgebra(g, LieAlgebra("bad*", 3, g.dual_labels, bracket),
+                                  Form.zero(3, 1), Multivector.zero(3, 1))
+    assert check_glb(broken).describe() == (
+        "generalized bialgebra fails:\n"
+        "  base algebra: bad: Jacobi identity fails on 1 triple(s)\n"
+        "  (e1,e2,e3): residual e1\n"
+        "  dual algebra: bad*: Jacobi identity fails on 1 triple(s)\n"
+        "  (e^1,e^2,e^3): residual e^1\n"
+        "  bracket compatibility at (e1, e2): 2*e1^e2 - e1^e3\n"
+        "  bracket compatibility at (e1, e3): -e1^e2")
 
 
 def test_check_glb_perturbed_phi0():
@@ -363,6 +378,11 @@ def test_build_from_jacobi_rejects_non_jacobi_pair():
     y = catalog("semidirect4_53")
     with pytest.raises(ValueError, match="jacobi construction preconditions"):
         build_from_jacobi(y)
+    # r = x0 = 0 is a Jacobi pair, but e^1 is no 1-cocycle of su2
+    with pytest.raises(ValueError) as exc:
+        build_from_jacobi(YbData(SU2, Form.basis(3, 0), Multivector.zero(3, 2),
+                                 Multivector.zero(3, 1)))
+    assert str(exc.value) == "jacobi construction preconditions fail:\n  phi0 is not a 1-cocycle"
 
 
 def _coboundary_property(b, r):
@@ -884,7 +904,11 @@ def test_catalog_glb_entries_pass_and_classify():
         b = catalog(name)
         assert check_glb(b).passed
         if kind is not None:
-            assert classify_compact(b).kind == kind
+            result = classify_compact(b)
+            assert result.kind == kind
+            if kind == "third":
+                # the classifier does not test h again: h inherits compactness from g
+                assert is_compact(result.certificate.characteristic.algebra).compact
 
 
 def test_build_first_kind_and_classify():
@@ -931,6 +955,15 @@ def test_build_first_kind_failure_modes():
         build_first_kind(abelian(4),
                          Subspace.from_elements([vec(4, 0), vec(4, 1)]),
                          mv(4, 2, {(0, 1): 1}), Form.zero(4, 1))
+    with pytest.raises(ValueError) as exc:
+        build_first_kind(abelian(4), Subspace.from_elements([vec(4, 0), vec(4, 1)]),
+                         mv(4, 2, {(0, 2): 1}), Form.basis(4, 3))
+    assert str(exc.value) == ("first-kind hypotheses fail:\n"
+                              "  r does not lie in the second exterior power of h")
+    with pytest.raises(ValueError) as exc:
+        build_first_kind(abelian(6), Subspace.from_elements([vec(6, i) for i in range(4)]),
+                         mv(6, 2, {(0, 1): 1}), Form.basis(6, 5))
+    assert str(exc.value) == "first-kind hypotheses fail:\n  r is degenerate on h"
 
 
 def test_build_second_kind_and_classify():
@@ -990,6 +1023,7 @@ def test_build_third_kind_and_classify():
         assert rebuilt_r == result.extraction.pair.r
         assert rebuilt_x0 == result.extraction.pair.x0
         assert result.extraction.characteristic.algebra.dim == 4
+        assert is_compact(result.extraction.characteristic.algebra).compact
 
 
 def test_build_third_kind_mixed_lambdas_roundtrip():
@@ -1000,6 +1034,7 @@ def test_build_third_kind_mixed_lambdas_roundtrip():
     cert = result.certificate
     assert cert.lambdas == (-1, 2, 3)
     assert [v.render(g.basis_labels) for v in cert.triple] == ["-e1", "-e2", "e3"]
+    assert is_compact(cert.characteristic.algebra).compact
     rebuilt_r, rebuilt_x0 = third_kind_pair(*cert.triple, cert.e4, cert.lambdas)
     assert rebuilt_r == result.extraction.pair.r
     assert rebuilt_x0 == result.extraction.pair.x0
@@ -1021,6 +1056,7 @@ def rebuilt_from_certificate(b):
                                               incl.apply_element(vec(2, 1)),
                                               cert.lam, cert.lam1, cert.lam2)
     assert result.kind == "third"
+    assert is_compact(cert.characteristic.algebra).compact
     return result.kind, build_third_kind(g, *cert.triple, cert.e4, cert.lambdas)
 
 
@@ -1069,6 +1105,7 @@ def test_third_kind_certificate_fixes_phi0_on_h_only():
                                  induced(transpose(p), b.phi0), induced(p_inv, b.x0))
     result = classify_compact(moved)
     cert = result.certificate
+    assert is_compact(cert.characteristic.algebra).compact
     rebuilt = build_third_kind(moved.g, *cert.triple, cert.e4, cert.lambdas)
     pair_of = lambda res: (res.extraction.pair.r, res.extraction.pair.x0)
     assert pair_of(classify_compact(rebuilt)) == pair_of(result)
@@ -1162,6 +1199,10 @@ def test_su2_triple_rejections():
         su2_triple(abelian(4))
     with pytest.raises(ValueError, match="no rational standard triple"):
         su2_triple(abelian(3))
+    with pytest.raises(ValueError) as exc:
+        su2_triple(catalog("sl2r"))
+    assert str(exc.value) == ("no rational standard triple found in sl2r "
+                              "(searched small integer combinations)")
 
 
 def test_build_semidirect_glb_abelian():
@@ -1221,6 +1262,18 @@ def test_build_semidirect_glb_rejections():
     with pytest.raises(ValueError, match="same dimension"):
         build_semidirect_glb(SU2, LieAlgebra("x", 2, ("f1", "f2"), {}),
                              LinearMap.identity(3))
+    # su2 with its own bracket on the dual is no Lie bialgebra, and psi = 0
+    # makes psi* - id = -id, no derivation of a nonabelian h*
+    su2_dual = LieAlgebra("su2*", 3, SU2.dual_labels, SU2.structure)
+    with pytest.raises(ValueError) as exc:
+        build_semidirect_glb(SU2, su2_dual, LinearMap.from_rows([[0] * 3] * 3))
+    assert str(exc.value) == ("semidirect hypotheses fail:\n"
+                              "  (h, h*) is not a Lie bialgebra:\n"
+                              "generalized bialgebra fails:\n"
+                              "  bracket compatibility at (e1, e2): e1^e2\n"
+                              "  bracket compatibility at (e1, e3): e1^e3\n"
+                              "  bracket compatibility at (e2, e3): e2^e3\n"
+                              "  psi* - id is not a derivation of h*")
 
 
 def test_classify_lie_bialgebra_kind():
@@ -1234,6 +1287,16 @@ def test_classify_lie_bialgebra_kind():
 def test_classify_rejects_noncompact():
     with pytest.raises(ValueError, match="not of compact type"):
         classify_compact(catalog("noncob4_53"))
+    # a compact base with phi0 doubled is refused with the failed residuals
+    tk = catalog("thirdkind_u2")
+    with pytest.raises(ValueError) as exc:
+        classify_compact(GeneralizedBialgebra(tk.g, tk.g_star, tk.phi0.scale(2), tk.x0))
+    assert str(exc.value) == ("input is not a generalized bialgebra:\n"
+                              "generalized bialgebra fails:\n"
+                              "  bracket compatibility at (e2, e4): e1^e2 + e3^e4\n"
+                              "  bracket compatibility at (e3, e4): e1^e3 - e2^e4\n"
+                              "  contraction identity at e2: e3\n"
+                              "  contraction identity at e3: -e2")
 
 
 def _permute_glb(b, perm):
@@ -1273,65 +1336,57 @@ def test_every_catalog_entry_passes_its_validator():
             assert entry.validate().passed, name
 
 
+def _unit(v, phi):
+    # v / phi(v), or None when phi(v) = 0
+    scale = pair(phi, v)
+    return v.scale(Fraction(1) / scale) if scale else None
+
+
 def test_b_dual_of_cocycle_matches_inverse_route():
-    # B^-1 phi = sum_k phi(z_k) z_k over the center rows, for every 1-cocycle phi
+    # B^-1 phi / phi(B^-1 phi) for every 1-cocycle phi, B^-1 phi = sum_k
+    # phi(z_k) z_k over the center rows; None for the zero cocycle
     for g in compact_algebras():
         b_ref = invariant_scalar_product_reference(g)
         z = center(g)
         cocycles = [list(row) for row in one_cocycles(g).rows]
         cocycles.append([sum(Fraction(k + 2, 3) * row[i] for k, row in enumerate(cocycles))
                          for i in range(g.dim)])
-        for phi in cocycles:
-            assert _b_dual_cocycle(z, Form.from_coeffs(phi)).coeffs() == b_dual_reference(b_ref, phi)
+        for phi in map(Form.from_coeffs, cocycles):
+            want = _unit(Multivector.from_coeffs(b_dual_reference(b_ref, phi.coeffs())), phi)
+            assert _unit_dual(z._reduced, phi) == want, g.name
+            assert (want is None) == phi.is_zero(), g.name
     for name in ("firstkind4", "secondkind4", "thirdkind_u2"):
         b = catalog(name)
         y = b_dual_reference(invariant_scalar_product_reference(b.g), b.phi0.coeffs())
-        scale = pair(b.phi0, Multivector.from_coeffs(y))
-        assert classify_compact(b).y0 == Multivector.from_coeffs([c / scale for c in y])
-
+        assert classify_compact(b).y0 == _unit(Multivector.from_coeffs(y), b.phi0)
 
 
 def test_b_dual_cocycle_matches_the_fraction_sum_on_seeded_brackets():
-    # the integer sum against the Fraction sum of b_dual_sum_reference on
-    # the center of every seeded bracket, for seeded covectors; on the
+    # the integer sum against the Fraction sum of b_dual_sum_reference,
+    # normalized, on the center of every seeded bracket, for seeded
+    # covectors and for covectors vanishing on the center (None); on the
     # compact ones, in dense unimodular bases, against B^-1 phi for the
     # 1-cocycles phi too
     rng = random.Random(2046)
-    compact = wide = 0
+    compact = wide = nones = 0
     for g in seeded_brackets():
         z = center(g)
         wide += z.rank > 1
         phis = [random_element(rng, Form, g.dim, 1, terms=3) for _ in range(2)] if g.dim else []
+        phis += [Form.from_coeffs(row).scale(mixed_fraction(rng) or 1)
+                 for row in annihilator(z).rows[:2]]
         for phi in phis:
-            assert _b_dual_cocycle(z, phi) == b_dual_sum_reference(z, phi), g.name
+            got = _unit_dual(z._reduced, phi)
+            assert got == _unit(b_dual_sum_reference(z, phi), phi), g.name
+            nones += got is None and z.rank > 0
         if is_compact(g).compact:
             compact += 1
             b_ref = invariant_scalar_product_reference(g)
             for row in one_cocycles(g).rows:
                 phi = Form.from_coeffs(row).scale(mixed_fraction(rng) or 1)
-                assert _b_dual_cocycle(z, phi).coeffs() == b_dual_reference(b_ref, phi.coeffs())
-    assert compact >= 4 and wide >= 4
-
-
-def test_same_span_matches_the_fraction_subspaces():
-    # _same_span decides on two integer echelon forms what == decides on
-    # the Subspaces of the same rows: a span given again by negated, scaled
-    # and reversed rows, and spans that differ in one row, mostly with the
-    # same pivots, so that the rows and not only the pivots decide
-    rng = random.Random(2047)
-    reduce = lambda rows, n: linalg._echelon(linalg._rows(rows, n)[0], n)    # noqa: E731
-    outcomes = set()
-    for n in range(1, 7):
-        for k in range(n + 1):
-            rows = [[mixed_fraction(rng) or F(1) for _ in range(n)] for _ in range(k)]
-            moved = [[-c * (i + 2) for c in row] for i, row in enumerate(reversed(rows))]
-            changed = rows[:-1] + [[mixed_fraction(rng) for _ in range(n)]]
-            for other in (moved, changed, [list(r) for r in linalg.identity(n)[:k]]):
-                a, b = reduce(rows, n), reduce(other, n)
-                same = bialgebra._same_span(a, b)
-                assert same == (Subspace(n, rows) == Subspace(n, other)), (rows, other)
-                outcomes.add((same, a[1] == b[1]))
-    assert outcomes == {(True, True), (False, True), (False, False)}
+                want = _unit(Multivector.from_coeffs(b_dual_reference(b_ref, phi.coeffs())), phi)
+                assert _unit_dual(z._reduced, phi) == want, g.name
+    assert compact >= 4 and wide >= 4 and nones >= 10
 
 
 def test_cocycle_with_values_matches_the_fraction_system():

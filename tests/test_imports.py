@@ -441,15 +441,22 @@ def test_glb_residuals_act_on_the_support_of_d_basis():
     for fn in ("_check_glb", "solve_coboundary"):
         assert "rho" not in function_references(source, fn), fn
     assert function_references(source, "_twisted_ad").isdisjoint({"Fraction", "combinations"})
-    # the dual vector of a cocycle is summed from the integer center rows
-    names = function_references(source, "_b_dual_cocycle")
-    assert {"_reduced", "_ints", "_from_ints"} <= names
-    assert names.isdisjoint({"pair", "elements", "from_coeffs", "Fraction", "ZERO"})
-    # the third kind compares the kernel of the lee form with the derived
-    # algebra on integer reduced rows, not through the public Subspace
+    # the unit dual vector of a cocycle is summed from the integer center
+    # rows, one primitive for the classifier and its third kind
+    names = function_references(source, "_unit_dual")
+    assert {"_ints", "_from_ints"} <= names
+    assert names.isdisjoint({"pair", "elements", "from_coeffs", "Fraction", "ZERO", "scale"})
+    assert {"_unit_dual", "_reduced"} <= function_references(source, "_classify_checked")
+    # the third kind eliminates each subspace of h once: the center and the
+    # derived algebra are read from h's cached rows, with no second
+    # compactness test, and the frame of ker(lee) from lee's null rows at
+    # their free columns, with no second elimination of that basis
     names = function_references(source, "_classify_third")
-    assert {"_kernel", "_echelon", "_same_span", "_reduced"} <= names
-    assert "Subspace" not in names
+    assert {"_pivot_frame", "_null_rows", "_unit_dual", "_center", "_derived", "_push"} <= names
+    assert names.isdisjoint({"_frame", "_kernel", "_null_basis", "_echelon", "_require_compact",
+                             "is_compact", "transpose", "Subspace", "Fraction"})
+    for gone in ("_b_dual_cocycle", "_same_span"):
+        assert f"def {gone}(" not in source, gone
 
 
 def test_compactness_subspaces_and_frames_stay_integer():
@@ -480,15 +487,16 @@ def test_compactness_subspaces_and_frames_stay_integer():
     assert "_null_rows" in function_references(liealg_source, "_kernel")
     frame = function_references(liealg_source, "_frame")
     assert "_inverse" in frame and "invert" not in frame
-    # a Subspace's frame is read from its reduced rows with no elimination,
-    # and the characteristic restriction and the first kind read it
+    # pivoted integer rows give their frame with no elimination: the
+    # characteristic restriction and the first kind read a Subspace's
+    # reduced rows through it
     names = function_references(liealg_source, "_pivot_frame")
-    assert "_reduced" in names and names.isdisjoint({"_inverse", "_echelon", "_frame", "Fraction"})
+    assert names.isdisjoint({"_inverse", "_echelon", "_frame", "Fraction"})
     names = function_references(liealg_source, "_restrict_pair")
-    assert "_pivot_frame" in names and "_frame" not in names
+    assert {"_pivot_frame", "_reduced"} <= names and "_frame" not in names
     names = function_references((ROOT / "src" / "liejacobi" / "bialgebra.py").read_text(),
                                 "build_first_kind")
-    assert {"_pivot_frame", "_in_span"} <= names and "_frame" not in names
+    assert {"_pivot_frame", "_reduced", "_in_span"} <= names and "_frame" not in names
     contains = function_references(liealg_source, "Subspace.contains")
     assert {"_reduced", "_eliminate"} <= contains and "rows" not in contains
     linalg_source = (ROOT / "src" / "liejacobi" / "linalg.py").read_text()

@@ -57,7 +57,9 @@ from liejacobi.bialgebra import (
     _classify_semidirect,
     build_dual_bracket,
     build_semidirect_glb,
+    build_third_kind,
     check_glb,
+    classify_compact,
     glb_from_cocycle,
 )
 from liejacobi.catalog import catalog, catalog_names, heisenberg
@@ -913,7 +915,8 @@ def test_each_basis_is_eliminated_once(monkeypatch):
     basis = [list(r) for r in derived_algebra(g).rows + center(g).rows[:1]]
     vectors = [Multivector.from_coeffs(b) for b in basis]
     r = wedge(vectors[0], vectors[3]) + wedge(vectors[1], vectors[2])
-    monkeypatch.setattr(linalg, "_echelon", counted)
+    for module in (linalg, liealg, jacobi):
+        monkeypatch.setattr(module, "_echelon", counted)
     assert eliminations(coordinates, basis, g.bracket(vectors[0], vectors[1]).coeffs()) == 1
     assert eliminations(restrict, g, basis, "h") == 1
     assert eliminations(restrict_bivector, r, basis) == 1
@@ -934,6 +937,14 @@ def test_each_basis_is_eliminated_once(monkeypatch):
                   + eliminations(build_semidirect_glb, cert.subalgebra, cert.dual_subalgebra,
                                  cert.psi))
         assert eliminations(_classify_semidirect, b) == others + 1
+    # a third-kind classification on a base whose invariants are known
+    # eliminates the characteristic subspace, h's center (its bracket rows
+    # and their kernel) and derived algebra, the plane of su2_triple and the
+    # triple's frame for the lambdas: ker(lee) is read from lee's null rows
+    # and h is not tested for compactness again
+    su2xr2 = direct_product(catalog("su2"), abelian(2))
+    third = build_third_kind(su2xr2, *(vec(5, i) for i in range(4)), (1, -2, 3))
+    assert eliminations(classify_compact, third) == 6
 
 
 def test_subspace_contains_matches_the_rank_route(monkeypatch):
@@ -1039,13 +1050,16 @@ def test_frames_match_fraction_references():
 
 
 def test_pivot_frames_match_eliminated_frames():
-    # _in_span through the pivot frame of a Subspace, read from its reduced
-    # rows, against the frame _frame eliminates from sub.rows, with ==, on
-    # the center, the derived algebra and a characteristic subspace of each
-    # seeded bracket: combinations of the rows and their wedges (members),
+    # _in_span through a pivot frame, read with no elimination, against the
+    # frame _frame eliminates from the same basis, with ==, on each seeded
+    # bracket: the reduced rows of its center, its derived algebra and a
+    # characteristic subspace against sub.rows, and the null rows of each
+    # at their free columns (and of a covector row as it stands, not made
+    # primitive) against the nullspace basis, which are B's columns.
+    # Candidates are combinations of the basis and their wedges (members),
     # seeded vectors and 2-vectors (mostly not), zeros and r itself
     rng = random.Random(2044)
-    inside = outside = 0
+    seen = {"rows": [0, 0], "null rows": [0, 0]}    # kind -> [members, non-members]
     for g in seeded_brackets():
         n = g.dim
         r = random_element(rng, Multivector, n, 2, terms=3)
@@ -1053,10 +1067,29 @@ def test_pivot_frames_match_eliminated_frames():
         spaces = [center(g), derived_algebra(g)]
         if n >= 2:
             spaces.append(jacobi._span_with_x0(JacobiPair(g, r, x0)))
+        cases = []
         for sub in spaces:
-            frames = liealg._pivot_frame(sub), liealg._frame(sub.rows, n)
-            rows = sub.elements()
-            combination = lambda: sum((v.scale(mixed_fraction(rng)) for v in rows),  # noqa: E731
+            rows, pivots = sub._reduced
+            cases.append(("rows", liealg._pivot_frame(rows, pivots, n),
+                          [list(v) for v in sub.rows]))
+            if rows:
+                free = [c for c in range(n) if c not in pivots]
+                cases.append(("null rows",
+                              liealg._pivot_frame(linalg._null_rows(rows, pivots, n), free, n),
+                              linalg.nullspace([list(v) for v in sub.rows])))
+        if n:
+            row = {i: rng.choice((-6, 6)) * rng.randrange(1, 9)
+                   for i in rng.sample(range(n), min(n, 3))}
+            free = [c for c in range(n) if c != min(row)]
+            cases.append(("null rows",
+                          liealg._pivot_frame(linalg._null_rows([row], [min(row)], n), free, n),
+                          linalg.nullspace([[row.get(i, 0) for i in range(n)]])))
+        for kind, frame, basis in cases:
+            den, columns = frame[0]
+            assert [[Fraction(c[j], den) for c in columns] for j in range(len(basis))] == basis
+            frames = frame, liealg._frame(basis, n)
+            vectors = [Multivector.from_coeffs(v) for v in basis]
+            combination = lambda: sum((v.scale(mixed_fraction(rng)) for v in vectors),  # noqa: E731
                                       Multivector.zero(n, min(1, n)))
             candidates = [combination(), Multivector.zero(n, min(1, n))]
             if n:
@@ -1065,11 +1098,11 @@ def test_pivot_frames_match_eliminated_frames():
                 candidates += [wedge(combination(), combination()), r, Multivector.zero(n, 2),
                                random_element(rng, Multivector, n, 2, terms=3)]
             for e in candidates:
-                got, want = (liealg._in_span(frame, e) for frame in frames)
-                assert _same_bivector(got, want), (g.name, sub.rows, e)
-                inside += got is not None and not e.is_zero()
-                outside += got is None
-    assert min(inside, outside) > 50
+                got, want = (liealg._in_span(f, e) for f in frames)
+                assert _same_bivector(got, want), (g.name, basis, e)
+                seen[kind][0] += got is not None and not e.is_zero()
+                seen[kind][1] += got is None
+    assert min(seen["rows"]) > 50 and min(seen["null rows"]) > 50, seen
 
 
 # Each invariant of an algebra is computed once, on integer data kept in
