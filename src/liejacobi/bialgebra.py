@@ -7,13 +7,18 @@ assemble the dual bracket from Yang-Baxter-type data, transplant a cocycle
 onto an abelian base, or instantiate the three compact kinds; the
 classification walks the opposite direction and certifies which kind a
 compact example belongs to.  The Yang-Baxter check reads [r,r] - 2 x0^r and
-[x0,r] from jacobi's `_jacobi_residuals`, as check_jacobi does.
+[x0,r] from jacobi's `_jacobi_residuals`, as check_jacobi does.  The
+compatibility sums of check_glb are kept per bialgebra object as integers
+and made into elements afresh on each call, so a check of an object that
+a builder has checked sums nothing again; the builders return the object
+they checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import isqrt, lcm
 
@@ -64,7 +69,13 @@ from liejacobi.schouten import (
 
 @dataclass(frozen=True)
 class GeneralizedBialgebra:
-    """Quadruple ((g, phi0), (g*, x0)); check_glb decides validity."""
+    """Quadruple ((g, phi0), (g*, x0)); check_glb decides validity.
+
+    The integer sums of check_glb are kept in the private cache `_compat`,
+    built on first use; dataclasses.replace and pickling build a new
+    quadruple with its own.  Like the caches of LieAlgebra, it holds only
+    integers and makes no public call.
+    """
 
     g: LieAlgebra
     g_star: LieAlgebra
@@ -76,6 +87,24 @@ class GeneralizedBialgebra:
             raise ValueError("g and g* must have the same dimension")
         _check_argument("phi0", self.phi0, Form, self.g.dim, 1)
         _check_argument("x0", self.x0, Multivector, self.g.dim, 1)
+
+    def __reduce__(self):
+        # pickle the four fields only, so that a copy starts with no cache
+        return (GeneralizedBialgebra, (self.g, self.g_star, self.phi0, self.x0))
+
+    @cached_property
+    def _compat(self) -> tuple[tuple, tuple, tuple]:
+        """(d_basis, bracket, contraction): the integer forms (acc, scale) of
+        d_{*X0}(e_i) from _d_basis, and the nonzero residuals of
+        _bracket_compat as ((i, j), acc, scale) and of _contraction_compat
+        as (i, acc, scale)."""
+        # integers only, read from private forms and tables, for the reason
+        # given in LieAlgebra._ad; _check_glb makes the elements afresh
+        phi, dphi = self.phi0._ints()
+        phi = [phi.get((i,), 0) for i in range(self.g.dim)]     # phi0(e_i) = phi[i] / dphi
+        d_basis = _d_basis(self)
+        return (d_basis, _bracket_compat(self.g, phi, dphi, d_basis),
+                _contraction_compat(self, phi, dphi))
 
 
 @dataclass(frozen=True)
@@ -129,22 +158,25 @@ def check_glb(b: GeneralizedBialgebra) -> GlbReport:
 
 
 def _check_glb(b: GeneralizedBialgebra) -> tuple[GlbReport, list[Multivector]]:
-    # check_glb, also handing over d_basis[i] = d_{*X0}(e_i).  The residuals
-    # are summed as integers from the tables; an element is built only for a
-    # nonzero residual.
-    g, gs = b.g, b.g_star
-    d_basis = _d_basis(b)
-    phi, dphi = b.phi0._ints()
-    phi = [phi.get((i,), 0) for i in range(g.dim)]     # phi0(e_i) = phi[i] / dphi
+    # check_glb, also handing over d_basis[i] = d_{*X0}(e_i).  The integer
+    # sums are kept in b._compat and made elements afresh on every call; an
+    # element is built only for a nonzero residual.
+    g, gs, n = b.g, b.g_star, b.g.dim
+    d_forms, bracket, contraction = b._compat
+    d_basis = [Multivector._from_ints(n, min(2, n), acc, scale) for acc, scale in d_forms]
     return GlbReport(b, g.validate(), gs.validate(), ce_differential(g, b.phi0),
-                     ce_differential(gs, b.x0), _bracket_compat(g, phi, dphi, d_basis),
-                     pair(b.phi0, b.x0), _contraction_compat(b, phi, dphi)), d_basis
+                     ce_differential(gs, b.x0),
+                     tuple((ij, Multivector._from_ints(n, 2, acc, scale))
+                           for ij, acc, scale in bracket),
+                     pair(b.phi0, b.x0),
+                     tuple((i, Multivector._from_ints(n, 1, acc, scale))
+                           for i, acc, scale in contraction)), d_basis
 
 
-def _d_basis(b: GeneralizedBialgebra) -> list[Multivector]:
-    """d_{*X0}(e_i) = d_*(e_i) + X0^e_i for each i, where
+def _d_basis(b: GeneralizedBialgebra) -> tuple[tuple[dict, int], ...]:
+    """The integer forms (acc, scale) of d_{*X0}(e_i) = d_*(e_i) + X0^e_i,
+    d_{*X0}(e_i) = sum acc[a, c] e_a^e_c / scale, where
     d_*(e_i) = -sum_{a<b} c*_ab^i e_a^e_b is column i of the table of g*."""
-    n = b.g.dim
     dens = b.g_star._ad[0]
     xs, dx = b.x0._ints()
     out = []
@@ -154,8 +186,8 @@ def _d_basis(b: GeneralizedBialgebra) -> list[Multivector]:
             if l != i:
                 key, v = ((l, i), v) if l < i else ((i, l), -v)
                 acc[key] = acc.get(key, 0) + dens * v
-        out.append(Multivector._from_ints(n, min(2, n), acc, dens * dx))
-    return out
+        out.append((acc, dens * dx))
+    return tuple(out)
 
 
 def _twisted_ad(g: LieAlgebra, phi: list[int], dphi: int, s: int, terms: dict,
@@ -185,17 +217,17 @@ def _twisted_ad(g: LieAlgebra, phi: list[int], dphi: int, s: int, terms: dict,
 
 
 def _bracket_compat(g: LieAlgebra, phi: list[int], dphi: int, d_basis) -> tuple:
-    """((i, j), residual) entries, nonzero only, of
-      d_{*X0}[e_i, e_j] - e_i.d_basis[j] + e_j.d_basis[i],
-    with the action of _twisted_ad applied to the terms of d_basis only and
-    d_{*X0} linear: d_{*X0}[e_i, e_j] = sum_k c_ij^k d_basis[k].
-    twisted_schouten refuses a phi0 that is not a 1-cocycle; this states
-    that failure as a residual.  Summed as integers over den * L * dphi, L
-    the lcm of the d_basis denominators."""
+    """((i, j), acc, scale) entries, nonzero only, of the residuals
+      d_{*X0}[e_i, e_j] - e_i.d_basis[j] + e_j.d_basis[i] = acc / scale,
+    d_basis the integer forms of _d_basis, with the action of _twisted_ad
+    applied to the terms of d_basis only and d_{*X0} linear:
+    d_{*X0}[e_i, e_j] = sum_k c_ij^k d_basis[k].  twisted_schouten refuses
+    a phi0 that is not a 1-cocycle; this states that failure as a residual.
+    Summed as integers over den * L * dphi, L the lcm of the d_basis
+    scales."""
     den, table = g._ad
-    forms = [d._ints() for d in d_basis]
-    scale = lcm(1, *(dd for _, dd in forms))
-    d = [{idx: v * (scale // dd) for idx, v in nums.items()} for nums, dd in forms]
+    scale = lcm(1, *(dd for _, dd in d_basis))
+    d = [{idx: v * (scale // dd) for idx, v in nums.items()} for nums, dd in d_basis]
     entries = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -208,14 +240,15 @@ def _bracket_compat(g: LieAlgebra, phi: list[int], dphi: int, d_basis) -> tuple:
                 if table[s] or phi[s]:      # else e_s acts by zero
                     _twisted_ad(g, phi, dphi, s, d[t], acc, sign)
             if any(acc.values()):
-                entries.append(((i, j), Multivector._from_ints(g.dim, 2, acc, den * scale * dphi)))
+                entries.append(((i, j), acc, den * scale * dphi))
     return tuple(entries)
 
 
 def _contraction_compat(b: GeneralizedBialgebra, phi: list[int], dphi: int) -> tuple:
-    """(i, residual) entries, nonzero only, of i(phi0) d_*(e_i) + [X0, e_i],
-    where i(phi0)(e_a^e_b) = phi0(e_a) e_b - phi0(e_b) e_a.  Summed as
-    integers over den * den* * dphi * dx from the two tables."""
+    """(i, acc, scale) entries, nonzero only, of the residuals
+    i(phi0) d_*(e_i) + [X0, e_i] = sum acc[(m,)] e_m / scale, where
+    i(phi0)(e_a^e_b) = phi0(e_a) e_b - phi0(e_b) e_a.  Summed as integers
+    over den * den* * dphi * dx from the two tables."""
     den, table = b.g._ad
     dens = b.g_star._ad[0]
     xs, dx = b.x0._ints()
@@ -231,8 +264,7 @@ def _contraction_compat(b: GeneralizedBialgebra, phi: list[int], dphi: int) -> t
             for m, x in table[l].get(i, {}).items():
                 acc[m] = acc.get(m, 0) + v * x
         if any(acc.values()):
-            entries.append((i, Multivector._from_ints(
-                b.g.dim, 1, {(m,): v for m, v in acc.items()}, den * dens * dphi * dx)))
+            entries.append((i, {(m,): v for m, v in acc.items()}, den * dens * dphi * dx))
     return tuple(entries)
 
 
@@ -391,23 +423,25 @@ def build_dual_bracket(y: YbData) -> LieAlgebra:
     report = check_yb_hypotheses(y)
     if not report.passed:
         raise ValueError(report.describe())
-    return _assemble_dual(y)
+    return _assemble_dual(y).g_star
 
 
-def _assemble_dual(y: YbData) -> LieAlgebra:
-    """build_dual_bracket once the hypotheses are known to hold: both routes,
-    their comparison and check_glb."""
+def _assemble_dual(y: YbData) -> GeneralizedBialgebra:
+    """The quadruple of build_dual_bracket once the hypotheses are known to
+    hold: both routes, their comparison and check_glb, which fills the
+    quadruple's cache."""
     g = y.g
     structure = dual_bracket_adjoint_route(g, y.phi0, y.r, y.x0)
     other = dual_bracket_pointwise_route(g, y.phi0, y.r, y.x0)
     if structure != other:
         raise ValueError("dual bracket routes disagree; construction is inconsistent")
-    dual = LieAlgebra(f"{g.name}*", g.dim, g.dual_labels, structure)
-    glb_report = check_glb(GeneralizedBialgebra(g, dual, y.phi0, y.x0))
+    b = GeneralizedBialgebra(g, LieAlgebra(f"{g.name}*", g.dim, g.dual_labels, structure),
+                             y.phi0, y.x0)
+    glb_report = check_glb(b)
     if not glb_report.passed:
         raise ValueError("assembled pair is not a generalized bialgebra:\n"
                          + glb_report.describe())
-    return dual
+    return b
 
 
 @dataclass(frozen=True)
@@ -445,9 +479,8 @@ def build_from_jacobi(y: YbData) -> JacobiBuildResult:
     if failures:
         raise ValueError("jacobi construction preconditions fail:\n  " + "\n  ".join(failures))
     # these preconditions make the three Yang-Baxter hypotheses hold
-    dual = _assemble_dual(y)
-    bialgebra = GeneralizedBialgebra(g, dual, y.phi0, y.x0)
-    _check_sharp_homomorphism(g, dual, y.r)
+    bialgebra = _assemble_dual(y)
+    _check_sharp_homomorphism(g, bialgebra.g_star, y.r)
     # #_r has even rank, so an even-dimensional pair has full rank exactly
     # when #_r does
     full_even = g.dim % 2 == 0 and _rank(y.r) == g.dim

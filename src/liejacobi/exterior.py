@@ -21,7 +21,9 @@ The form is private to the library, not to this module.  Its readers, with
     `_embed` of a smaller algebra's vectors in an algebra built from it;
   - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
   - `bialgebra`: `_check_glb` (d_{*X0} and the compatibility residuals,
-    read from the tables of g, g*), whose `_bracket_compat` applies the
+    read from the tables of g, g*: their integer sums are kept per
+    bialgebra object in `GeneralizedBialgebra._compat` and made into
+    elements afresh on each call), whose `_bracket_compat` applies the
     action kernel `_twisted_ad` (X.P = [X, P] - phi0(X) P, from the table
     of g) to the terms of each d_{*X0}(e_i) only, `_coboundary_system`
     (the integer rows of solve_coboundary, that action on each basis

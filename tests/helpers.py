@@ -4,7 +4,8 @@ bialgebras in dense unimodular bases, maps induced on exterior powers, the
 evaluation of forms on vectors and of multivectors on covectors, l.c.s. pairs
 from contact pairs times a line, and reference routes for the exterior and
 structure-constant kernels, the coboundary system, the bracket and contraction
-compatibilities of check_glb, the coadjoint and pointwise dual brackets, the
+compatibilities of check_glb and its integer sums taken afresh on each call,
+the coadjoint and pointwise dual brackets, the
 sharp-map homomorphism certificate, the contraction matrix of a 2-tensor and
 the contact flat map, the Jacobi residuals, the contact and l.c.s. maps by
 Fraction matrices, the center, the derived algebra, annihilators, subspace
@@ -18,9 +19,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from liejacobi.bialgebra import (
+    _twisted_ad,
     GeneralizedBialgebra,
+    GlbReport,
     build_first_kind,
     build_second_kind,
     build_third_kind,
@@ -267,27 +271,32 @@ def seeded_brackets():
     return out
 
 
-def dense_heisenberg_bialgebras(seeds):
-    """(g, g*) of glb_from_cocycle, one pair per seed, built as the
-    coboundary-solve benchmark builds its inputs but without its density
-    filter: heisenberg(1,3) in a seeded unimodular integer basis (shuffled
-    rows of a lower times an upper unitriangular matrix with entries in -1,
-    0, 1) and a nonzero integer combination of its closed 1-forms.  g is
-    abelian(7) and g* carries the dense bracket."""
+def dense_heisenberg_cocycle(seed):
+    """(g, phi), built as the coboundary-solve benchmark builds its inputs
+    but without its density filter: heisenberg(1,3) in a seeded unimodular
+    integer basis (shuffled rows of a lower times an upper unitriangular
+    matrix with entries in -1, 0, 1) and a nonzero integer combination phi
+    of its closed 1-forms."""
     h = heisenberg(3)
     n = h.dim
+    rng = random.Random(seed)
+    p = unimodular_basis(rng, n, 1)
+    rng.shuffle(p)
+    g = change_basis(h, p, name=f"h13.{seed}")
+    cocycles = one_cocycles(g).rows
+    weights = [0] * len(cocycles)
+    while not any(weights):
+        weights = [rng.randint(-2, 2) for _ in cocycles]
+    return g, Form.from_coeffs([sum(w * row[k] for w, row in zip(weights, cocycles))
+                                for k in range(n)])
+
+
+def dense_heisenberg_bialgebras(seeds):
+    """(g, g*) of glb_from_cocycle on dense_heisenberg_cocycle, one pair per
+    seed: g is abelian(7) and g* carries the dense bracket."""
     pairs = []
     for seed in seeds:
-        rng = random.Random(seed)
-        p = unimodular_basis(rng, n, 1)
-        rng.shuffle(p)
-        g = change_basis(h, p, name=f"h13.{seed}")
-        cocycles = one_cocycles(g).rows
-        weights = [0] * len(cocycles)
-        while not any(weights):
-            weights = [rng.randint(-2, 2) for _ in cocycles]
-        phi = [sum(w * row[k] for w, row in zip(weights, cocycles)) for k in range(n)]
-        b = glb_from_cocycle(g, Form.from_coeffs(phi))
+        b = glb_from_cocycle(*dense_heisenberg_cocycle(seed))
         pairs.append((b.g, b.g_star))
     return pairs
 
@@ -511,11 +520,13 @@ def bracket_compat_reference(b):
     phi0 must be a 1-cocycle of b.g."""
     g = b.g
     d = lambda p: ce_differential(b.g_star, p) + wedge(b.x0, p)
+    basis = [g.basis_vector(i) for i in range(g.dim)]
+    d_basis = [d(e) for e in basis]
     entries = []
     for i, j in combinations(range(g.dim), 2):
-        ei, ej = g.basis_vector(i), g.basis_vector(j)
-        res = (d(g.bracket_basis(i, j)) - twisted_schouten(g, b.phi0, ei, d(ej))
-               + twisted_schouten(g, b.phi0, ej, d(ei)))
+        ei, ej = basis[i], basis[j]
+        res = (d(g.bracket_basis(i, j)) - twisted_schouten(g, b.phi0, ei, d_basis[j])
+               + twisted_schouten(g, b.phi0, ej, d_basis[i]))
         if not res.is_zero():
             entries.append(((i, j), res))
     return tuple(entries)
@@ -528,13 +539,68 @@ def bracket_compat_plain_reference(b):
     g = b.g
     d = lambda p: ce_differential_reference(b.g_star, p) + wedge_reference(b.x0, p)
     twisted = lambda x, p: schouten(g, x, p) - p.scale(pair_reference(b.phi0, x))
+    basis = [g.basis_vector(i) for i in range(g.dim)]
+    d_basis = [d(e) for e in basis]
     entries = []
     for i, j in combinations(range(g.dim), 2):
-        ei, ej = g.basis_vector(i), g.basis_vector(j)
-        res = d(bracket_reference(g, ei, ej)) - twisted(ei, d(ej)) + twisted(ej, d(ei))
+        ei, ej = basis[i], basis[j]
+        res = (d(bracket_reference(g, ei, ej)) - twisted(ei, d_basis[j])
+               + twisted(ej, d_basis[i]))
         if not res.is_zero():
             entries.append(((i, j), res))
     return tuple(entries)
+
+
+def check_glb_reference(b):
+    """(report, d_basis) of _check_glb with every integer sum taken afresh on
+    each call and each element built as soon as it is summed, keeping
+    nothing on the bialgebra object; the residual kernel _twisted_ad is the
+    library's."""
+    g, gs = b.g, b.g_star
+    n = g.dim
+    den, table = g._ad
+    dens = gs._ad[0]
+    xs, dx = b.x0._ints()
+    phi, dphi = b.phi0._ints()
+    phi = [phi.get((i,), 0) for i in range(n)]
+    d_basis = []
+    for i, column in enumerate(gs._columns):
+        acc = {(a, c): -dx * v for a, c, v in column}
+        for (l,), v in xs.items():
+            if l != i:
+                key, v = ((l, i), v) if l < i else ((i, l), -v)
+                acc[key] = acc.get(key, 0) + dens * v
+        d_basis.append(Multivector._from_ints(n, min(2, n), acc, dens * dx))
+    forms = [d._ints() for d in d_basis]
+    scale = lcm(1, *(dd for _, dd in forms))
+    d = [{idx: v * (scale // dd) for idx, v in nums.items()} for nums, dd in forms]
+    bracket = []
+    for i, j in combinations(range(n), 2):
+        acc = {}
+        for k, c in table[i].get(j, {}).items():
+            for idx, v in d[k].items():
+                acc[idx] = acc.get(idx, 0) + c * dphi * v
+        for s, t, sign in ((i, j, -1), (j, i, 1)):
+            if table[s] or phi[s]:
+                _twisted_ad(g, phi, dphi, s, d[t], acc, sign)
+        if any(acc.values()):
+            bracket.append(((i, j), Multivector._from_ints(n, 2, acc, den * scale * dphi)))
+    contraction = []
+    for i, column in enumerate(gs._columns):
+        acc = {}
+        for a, c, v in column:
+            v *= den * dx
+            acc[c] = acc.get(c, 0) - v * phi[a]
+            acc[a] = acc.get(a, 0) + v * phi[c]
+        for (l,), v in xs.items():
+            for m, x in table[l].get(i, {}).items():
+                acc[m] = acc.get(m, 0) + v * dens * dphi * x
+        if any(acc.values()):
+            contraction.append((i, Multivector._from_ints(
+                n, 1, {(m,): v for m, v in acc.items()}, den * dens * dphi * dx)))
+    return GlbReport(b, g.validate(), gs.validate(), ce_differential(g, b.phi0),
+                     ce_differential(gs, b.x0), tuple(bracket), pair(b.phi0, b.x0),
+                     tuple(contraction)), d_basis
 
 
 def contraction_compat_reference(b):

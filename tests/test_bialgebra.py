@@ -1,5 +1,6 @@
 """Dual-bracket construction, bialgebra checks, builders and classification."""
 
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from helpers import (
     bracket_compat_reference,
     broken_noncob,
     ce_differential_reference,
+    check_glb_reference,
     coboundary_system_reference,
     compact_algebras,
     compact_kind_bialgebras,
@@ -624,6 +626,53 @@ def test_contraction_compat_matches_reference():
         assert check_glb(b).contraction_compat == contraction_compat_reference(b), b.g.name
 
 
+def test_check_glb_kept_sums_match_sums_taken_afresh():
+    # the integer sums of check_glb are kept per bialgebra object: a warm
+    # object, a cold copy and the reference, which sums everything afresh on
+    # each call, give == reports, failing ones included, and == d_basis
+    cases = catalog_bialgebras() + [broken_noncob()] + seeded_quadruples(random.Random(78))
+    assert sum(not check_glb(b).passed for b in cases) >= 10
+    for b in cases:
+        assert "_compat" in vars(b)
+        cold = replace(b)
+        assert "_compat" not in vars(cold)
+        assert _check_glb(b) == _check_glb(cold) == check_glb_reference(b), b.g.name
+
+
+def test_check_glb_makes_its_elements_afresh_on_every_call():
+    # two reports of one object share no integer form, with each other or
+    # with the kept sums, so no caller can reach the cache through one
+    for b in [broken_noncob(), *seeded_quadruples(random.Random(79))]:
+        runs = [_check_glb(b) for _ in range(2)]
+        forms = [[e._ints()[0] for e in (*d_basis,
+                                          *(res for _, res in report.bracket_compat),
+                                          *(res for _, res in report.contraction_compat))]
+                 for report, d_basis in runs]
+        assert forms[0] == forms[1] and forms[0], b.g.name
+        kept = [acc for acc, _ in b._compat[0]]
+        kept += [entry[1] for entry in (*b._compat[1], *b._compat[2])]
+        ids = [{id(nums) for nums in run} for run in forms]
+        assert not ids[0] & ids[1] and not (ids[0] | ids[1]) & set(map(id, kept)), b.g.name
+
+
+def test_pickled_bialgebra_carries_no_cache():
+    for b in catalog_bialgebras() + [broken_noncob()]:
+        check_glb(b)
+        copied = pickle.loads(pickle.dumps(b))
+        assert copied == b and "_compat" not in vars(copied)
+        assert check_glb(copied) == check_glb(b)
+
+
+def test_builders_return_the_quadruple_they_checked():
+    # build_from_jacobi hands back the object _assemble_dual checked, so a
+    # classification of it finds the glb sums already kept
+    y = YbData(catalog("u2"), Form.basis(4, 3), mv(4, 2, {(1, 2): 1, (0, 3): 1}), -vec(4, 0))
+    built = build_from_jacobi(y).bialgebra
+    assert "_compat" in vars(built)
+    assert build_dual_bracket(y) == built.g_star
+    assert built == GeneralizedBialgebra(y.g, built.g_star, y.phi0, y.x0)
+
+
 def test_dual_bracket_adjoint_route_matches_reference():
     # the library's coad_x alpha = i(x) d alpha against one bracket and one
     # pairing per basis vector, on the Yang-Baxter catalog data and on seeded
@@ -740,7 +789,8 @@ def test_build_from_jacobi_refuses_a_wrong_dual(monkeypatch):
     structure = dict(dual.structure)
     structure[(1, 2)] = structure[(1, 2)].scale(2)
     wrong = LieAlgebra(dual.name, dual.dim, dual.basis_labels, structure)
-    monkeypatch.setattr(bialgebra, "_assemble_dual", lambda _: wrong)
+    monkeypatch.setattr(bialgebra, "_assemble_dual",
+                        lambda _: GeneralizedBialgebra(y.g, wrong, y.phi0, y.x0))
     with pytest.raises(ValueError, match="^sharp map is not a homomorphism; "
                                          "construction is inconsistent$"):
         build_from_jacobi(y)

@@ -6,20 +6,21 @@ the README or is allowlisted with a reason, only the modules that exterior
 names touch the integer form of elements and tables, the pointwise
 dual-bracket route reads neither that form nor the contraction matrix of r,
 the coboundary system, the elimination kernel and the Jacobi sums build no
-Fraction, the Jacobi sums and the cached invariants of an algebra make no
-public call, the Jacobi residuals and the contact and l.c.s. maps stay on
-the integer forms, a 2-tensor has one integer matrix and one push-forward
-that only the public sharp map views as Fractions, the compactness test,
-subspaces and basis frames stay on integer rows, a Subspace's frame is read
-from its reduced rows with no elimination, the glb residuals apply one
-action kernel on the support of d_basis, bialgebra builds no l.c.s.
-or contact structure, each of six primitives (the dense integer form of a
-matrix, the matrix-vector product, the linear map's shape check, the left
-inverse of a basis, the Jacobi residuals and the reduction of the
-characteristic subspace) has one implementation, algebras built from
-smaller ones include them through one primitive, the element inputs of the
-library's constructors go through one argument check, and every liejacobi
-name the benchmark uses exists and is callable.
+Fraction, the Jacobi sums, the cached invariants of an algebra and the
+cached glb sums of a generalized bialgebra make no public call, the Jacobi
+residuals and the contact and l.c.s. maps stay on the integer forms, a
+2-tensor has one integer matrix and one push-forward that only the public
+sharp map views as Fractions, the compactness test, subspaces and basis
+frames stay on integer rows, a Subspace's frame is read from its reduced
+rows with no elimination, the glb residuals apply one action kernel on the
+support of d_basis, bialgebra builds no l.c.s. or contact structure, each
+of six primitives (the dense integer form of a matrix, the matrix-vector
+product, the linear map's shape check, the left inverse of a basis, the
+Jacobi residuals and the reduction of the characteristic subspace) has one
+implementation, algebras built from smaller ones include them through one
+primitive, the element inputs of the library's constructors go through one
+argument check, and every liejacobi name the benchmark uses exists and is
+callable.
 """
 
 import ast
@@ -517,9 +518,11 @@ def test_compactness_subspaces_and_frames_stay_integer():
 def test_cached_invariants_make_no_public_call():
     # a cached body runs on the first call only, so one that made a public
     # call would make the traced calls of an op depend on whether the cache
-    # was filled: the bodies, and every private liealg or linalg function
-    # they reach, name no public liejacobi function or class and no public
-    # LieAlgebra method
+    # was filled: the bodies, and every private liealg, linalg or bialgebra
+    # function they reach, name no public liejacobi function or class, no
+    # public LieAlgebra method and no element builder _from_ints.  The
+    # bodies are those of a LieAlgebra and the glb sums of a
+    # GeneralizedBialgebra, which reach the glb kernels
     sources = {p.name: p.read_text() for p in PACKAGE}
     public = set()
     for source in sources.values():
@@ -531,24 +534,28 @@ def test_cached_invariants_make_no_public_call():
                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
     assert public >= {"center", "is_compact", "killing_form", "rank", "Subspace", "bracket"}
     private = {}        # name -> (source, the name function_references takes)
-    for source in (sources["liealg.py"], sources["linalg.py"]):
+    for source in (sources["liealg.py"], sources["linalg.py"], sources["bialgebra.py"]):
         for node in ast.parse(source).body:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                assert node.name not in private, node.name
                 private[node.name] = (source, node.name)
-            if isinstance(node, ast.ClassDef) and node.name == "LieAlgebra":
-                private |= {m.name: (source, f"LieAlgebra.{m.name}") for m in node.body
+            if isinstance(node, ast.ClassDef) and node.name in ("LieAlgebra",
+                                                                "GeneralizedBialgebra"):
+                private |= {m.name: (source, f"{node.name}.{m.name}") for m in node.body
                             if isinstance(m, ast.FunctionDef) and m.name.startswith("_")
                             and not m.name.startswith("__")}
-    for fn in CACHED_INVARIANTS:
+    for fn in (*CACHED_INVARIANTS, "GeneralizedBialgebra._compat"):
         todo, seen = [fn.split(".")[1]], set()
         while todo:
             name = todo.pop()
             if name not in seen:
                 seen.add(name)
                 names = body_references(*private[name])
-                assert names.isdisjoint(public), (fn, name, names & public)
+                banned = names & (public | {"_from_ints"})
+                assert not banned, (fn, name, banned)
                 todo += [n for n in names if n in private]
         assert "_ad" in seen, fn
+    assert {"_d_basis", "_bracket_compat", "_twisted_ad", "_contraction_compat"} <= seen
 
 
 def test_one_implementation_per_primitive():

@@ -1,22 +1,26 @@
 """An op makes the same public calls on a cold algebra and on a warm one.
 
-The invariants of a LieAlgebra are kept in private caches built on first
-use, whose bodies hold only integer data and make no public call.  So an op
-run on a fresh algebra and the same op run again on one whose caches are
-filled must call every public liejacobi function, and every __post_init__,
-the same number of times: a cache that skipped a public call would make a
-profile or trace of one op depend on what ran before it.
+The invariants of a LieAlgebra, and the glb sums of a GeneralizedBialgebra,
+are kept in private caches built on first use, whose bodies hold only
+integer data and make no public call.  So an op run on a fresh algebra and
+the same op run again on one whose caches are filled must call every public
+liejacobi function, and every __post_init__, the same number of times: a
+cache that skipped a public call would make a profile or trace of one op
+depend on what ran before it.
 """
 
 import cProfile
 import pstats
+from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
+from helpers import dense_heisenberg_cocycle
 from liejacobi import cli
 from liejacobi import liealg
 from liejacobi.bialgebra import (build_first_kind, build_second_kind, build_semidirect_glb,
-                                 build_third_kind, classify_compact)
+                                 build_third_kind, check_glb, classify_compact, glb_from_cocycle,
+                                 solve_coboundary)
 from liejacobi.catalog import catalog
 from liejacobi.documents import serialize
 from liejacobi.exterior import Form, Multivector, wedge
@@ -69,6 +73,25 @@ def test_builders_and_classification_call_alike_cold_and_warm():
         names = {name for _, _, name in cold}
         assert {"is_compact", "center", "derived_algebra", "__post_init__"} <= names
     assert {"_killing", "_center", "_derived", "_compactness"} <= set(vars(shared))
+
+
+def test_glb_checks_call_alike_cold_and_warm():
+    # glb_from_cocycle checks b and keeps its glb sums, which the check in
+    # solve_coboundary reads: the op calls alike on a fresh dense
+    # heisenberg(1,3) and on one an earlier op warmed, and a check of one
+    # object calls alike before and after its sums are kept
+    op = lambda g, phi: solve_coboundary(glb_from_cocycle(g, phi))     # noqa: E731
+    fresh, phi = dense_heisenberg_cocycle(5)
+    warm = dense_heisenberg_cocycle(5)[0]
+    op(warm, phi)
+    assert _public_calls(lambda: op(fresh, phi)) == _public_calls(lambda: op(warm, phi))
+    b = replace(glb_from_cocycle(warm, phi))
+    assert "_compat" not in vars(b)
+    runs = [_public_calls(lambda: check_glb(b)) for _ in range(2)]
+    assert "_compat" in vars(b)
+    assert runs[0] == runs[1]
+    assert {"validate", "ce_differential", "pair", "__post_init__"} <= {
+        name for _, _, name in runs[0]}
 
 
 def test_cli_classification_calls_alike_on_each_run(capsys, tmp_path):
