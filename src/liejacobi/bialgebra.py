@@ -107,6 +107,13 @@ class GeneralizedBialgebra:
                 _contraction_compat(self, phi, dphi))
 
 
+def _nested(intro: str, report) -> str:
+    """intro, then report.describe() two spaces deeper than intro on every
+    line: the one layout of a report inside another report's entries."""
+    indent = "\n" + " " * (len(intro) - len(intro.lstrip(" ")) + 2)
+    return intro + indent + report.describe().replace("\n", indent)
+
+
 @dataclass(frozen=True)
 class GlbReport:
     bialgebra: GeneralizedBialgebra
@@ -135,9 +142,9 @@ class GlbReport:
         labels, duals = g.basis_labels, self.bialgebra.g_star.basis_labels
         lines = ["generalized bialgebra fails:"]
         if not self.primal.passed:
-            lines.append("  base algebra: " + self.primal.describe())
+            lines.append(_nested("  base algebra:", self.primal))
         if not self.dual.passed:
-            lines.append("  dual algebra: " + self.dual.describe())
+            lines.append(_nested("  dual algebra:", self.dual))
         if not self.phi0_cocycle.is_zero():
             lines.append(f"  d(phi0) = {self.phi0_cocycle.render(duals)}")
         if not self.x0_cocycle.is_zero():
@@ -1058,15 +1065,15 @@ def build_semidirect_glb(h: LieAlgebra, h_star: LieAlgebra,
     base_report = check_glb(GeneralizedBialgebra(h, h_star, Form.zero(m, 1),
                                                  Multivector.zero(m, 1)))
     if not base_report.passed:
-        failures.append("(h, h*) is not a Lie bialgebra:\n" + base_report.describe())
+        failures.append(_nested("  (h, h*) is not a Lie bialgebra:", base_report))
     if not is_derivation(h, psi):
-        failures.append("psi is not a derivation of h")
+        failures.append("  psi is not a derivation of h")
     # [e^a, e^m]* = (psi* - id) e^a: g* is h* extended by the derivation id - psi*
     derivation = LinearMap.identity(m).add(psi.transpose().scale(-1))
     if not is_derivation(h_star, derivation):
-        failures.append("psi* - id is not a derivation of h*")
+        failures.append("  psi* - id is not a derivation of h*")
     if failures:
-        raise ValueError("semidirect hypotheses fail:\n  " + "\n  ".join(failures))
+        raise ValueError("\n".join(["semidirect hypotheses fail:", *failures]))
 
     g = direct_product(h, abelian(1), name=f"{h.name}xR")
     g_star = LieAlgebra(f"{g.name}*", g.dim, g.dual_labels,

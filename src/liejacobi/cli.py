@@ -3,7 +3,8 @@
 Exit codes are total: 0 when all requested checks pass, 1 when a check
 fails (a report is still emitted), 2 for input or usage errors.  With
 --format machine the output is the result document plus a "report" object
-whose entries are exact serialized residuals, never bare booleans.
+whose entries are exact serialized residuals, never bare booleans; that of a
+check comes from documents._report, the one machine form of a check report.
 
 Handlers return the code of a check that ran and raise otherwise; main maps
 UsageError and OSError to exit 2 (only validate reports a malformed document
@@ -27,8 +28,8 @@ from liejacobi.bialgebra import (
     unit_center_vector,
 )
 from liejacobi.catalog import catalog, catalog_names
-from liejacobi.documents import (DocumentError, LimitError, _dump, algebras_of, parse,
-                                  to_document)
+from liejacobi.documents import (DocumentError, LimitError, _dump, _report, algebras_of,
+                                  parse, to_document)
 from liejacobi.exterior import Form, Multivector
 from liejacobi.jacobi import (
     ContactStructure,
@@ -166,10 +167,6 @@ def _load_glb(args) -> GeneralizedBialgebra:
     raise UsageError("provide --glb FILE or --name NAME")
 
 
-def _doc(obj, labels=None) -> dict:
-    return to_document(obj, labels=labels)
-
-
 def _emit(args, document: dict | None, report: dict | None, text: str | None) -> None:
     """Print the document with its report (machine) or the text, where None
     stands for the document itself; --out FILE gets the document."""
@@ -214,36 +211,30 @@ def _cmd_validate(args) -> int:
     reports = [g.validate() for g in algebras]
     passed = all(rep.passed for rep in reports)
     if args.format == "text":     # render only what the format prints and --out writes
-        document = _doc(obj) if getattr(args, "out", None) else None
+        document = to_document(obj) if getattr(args, "out", None) else None
         _emit(args, document, None, "\n".join(rep.describe() for rep in reports))
         return 0 if passed else 1
-    document = _doc(obj)
-    violations = []
-    for rep in reports:
-        labels = list(rep.algebra.basis_labels)
-        for (i, j, k), res in rep.violations:
-            violations.append({"algebra": rep.algebra.name,
-                               "triple": [labels[i], labels[j], labels[k]],
-                               "residual": _doc(res, labels=labels)})
-    _emit(args, document, {"passed": passed, "violations": violations}, None)
+    violations = [{"algebra": rep.algebra.name, **entry}
+                  for rep in reports for entry in _report(rep)["violations"]]
+    _emit(args, to_document(obj), {"passed": passed, "violations": violations}, None)
     return 0 if passed else 1
 
 
-def _cmd_jacobi_check(args) -> int:
-    jp, _ = _load_pair(args)
-    rep = check_jacobi(jp)
-    labels = list(jp.algebra.basis_labels)
-    report = {"passed": rep.passed,
-              "self_residual": _doc(rep.self_residual, labels=labels),
-              "vector_residual": _doc(rep.vector_residual, labels=labels)}
-    _emit(args, _doc(jp), report, rep.describe())
-    return 0 if rep.passed else 1
+def _check(load, check):
+    """The handler of a check subcommand.  check is called through its name
+    here, so that a wrapper put on the name (benchmarks/tracer.py) runs."""
+    def handler(args) -> int:
+        obj = load(args)
+        rep = globals()[check.__name__](obj)
+        _emit(args, to_document(obj), _report(rep), rep.describe())
+        return 0 if rep.passed else 1
+    return handler
 
 
 def _cmd_rank(args) -> int:
     jp, _ = _load_pair(args)
     value = rank(jp)
-    _emit(args, _doc(jp), {"rank": value}, f"rank = {value}")
+    _emit(args, to_document(jp), {"rank": value}, f"rank = {value}")
     return 0
 
 
@@ -255,7 +246,7 @@ def _cmd_char_sub(args) -> int:
               "inclusion": inclusion}
     text = (f"characteristic subalgebra: dimension {cs.algebra.dim}, "
             f"induced structure {cs.tag}")
-    _emit(args, _doc(cs.pair), report, text)
+    _emit(args, to_document(cs.pair), report, text)
     return 0
 
 
@@ -266,17 +257,17 @@ def _cmd_contact(args) -> int:
         jp = contact_to_jacobi(ContactStructure(g, eta))
         labels = list(g.basis_labels)
         report = {"passed": True,
-                  "reeb": _doc(jp.x0, labels=labels),
-                  "r": _doc(jp.r, labels=labels)}
+                  "reeb": to_document(jp.x0, labels=labels),
+                  "r": to_document(jp.r, labels=labels)}
         text = (f"contact form accepted; Reeb vector {jp.x0.render(labels)}, "
                 f"r = {jp.r.render(labels)}")
-        _emit(args, _doc(jp), report, text)
+        _emit(args, to_document(jp), report, text)
         return 0
     jp, _ = _load_pair(args)
     structure = jacobi_to_contact(jp)
     duals = list(g.dual_labels)
-    report = {"passed": True, "eta": _doc(structure.eta, labels=duals)}
-    _emit(args, _doc(structure), report,
+    report = {"passed": True, "eta": to_document(structure.eta, labels=duals)}
+    _emit(args, to_document(structure), report,
           f"contact form eta = {structure.eta.render(duals)}")
     return 0
 
@@ -290,46 +281,23 @@ def _cmd_lcs(args) -> int:
         jp = lcs_to_jacobi(LcsStructure(g, omega2, lee))
         labels = list(g.basis_labels)
         report = {"passed": True,
-                  "r": _doc(jp.r, labels=labels),
-                  "x0": _doc(jp.x0, labels=labels)}
+                  "r": to_document(jp.r, labels=labels),
+                  "x0": to_document(jp.x0, labels=labels)}
         text = (f"l.c.s. structure accepted; r = {jp.r.render(labels)}, "
                 f"x0 = {jp.x0.render(labels)}")
-        _emit(args, _doc(jp), report, text)
+        _emit(args, to_document(jp), report, text)
         return 0
     jp, _ = _load_pair(args)
     structure = jacobi_to_lcs(jp)
     duals = list(g.dual_labels)
     report = {"passed": True,
-              "omega": _doc(structure.omega2, labels=duals),
-              "lee": _doc(structure.lee, labels=duals)}
+              "omega": to_document(structure.omega2, labels=duals),
+              "lee": to_document(structure.lee, labels=duals)}
     text = (f"l.c.s. structure: omega = {structure.omega2.render(duals)}, "
             f"lee = {structure.lee.render(duals)}")
-    _emit(args, _doc(structure), report, text)
+    _emit(args, to_document(structure), report, text)
     return 0
 
-
-def _yb_report(rep) -> dict:
-    g = rep.data.g
-    labels = list(g.basis_labels)
-    return {
-        "passed": rep.passed,
-        "cubic": _doc(rep.cubic, labels=labels),
-        "cubic_invariance": [
-            {"basis": labels[i], "residual": _doc(res, labels=labels)}
-            for i, res in rep.cubic_invariance],
-        "x0_commutes": _doc(rep.x0_commutes, labels=labels),
-        "vector": _doc(rep.vector, labels=labels),
-        "vector_invariance": [
-            {"basis": labels[i], "residual": _doc(res, labels=labels)}
-            for i, res in rep.vector_invariance],
-    }
-
-
-def _cmd_yb_check(args) -> int:
-    y = _load_yb(args)
-    rep = check_yb_hypotheses(y)
-    _emit(args, _doc(y), _yb_report(rep), rep.describe())
-    return 0 if rep.passed else 1
 
 
 def _cmd_yb_build(args) -> int:
@@ -341,35 +309,9 @@ def _cmd_yb_build(args) -> int:
         brackets.append(f"[{duals[i]},{duals[j]}]* = {value.render(duals)}")
     text = f"dual algebra {dual.name}:\n  " + "\n  ".join(brackets) \
         if brackets else f"dual algebra {dual.name}: abelian"
-    _emit(args, _doc(dual), {"passed": True, "dual": dual.name}, text)
+    _emit(args, to_document(dual), {"passed": True, "dual": dual.name}, text)
     return 0
 
-
-def _glb_report(rep) -> dict:
-    g = rep.bialgebra.g
-    labels = list(g.basis_labels)
-    duals = list(rep.bialgebra.g_star.basis_labels)
-    return {
-        "passed": rep.passed,
-        "primal_jacobi": rep.primal.passed,
-        "dual_jacobi": rep.dual.passed,
-        "phi0_cocycle": _doc(rep.phi0_cocycle, labels=duals),
-        "x0_cocycle": _doc(rep.x0_cocycle, labels=labels),
-        "pairing": str(rep.pairing),
-        "bracket_compat": [
-            {"i": labels[i], "j": labels[j], "residual": _doc(res, labels=labels)}
-            for (i, j), res in rep.bracket_compat],
-        "contraction_compat": [
-            {"basis": labels[i], "residual": _doc(res, labels=labels)}
-            for i, res in rep.contraction_compat],
-    }
-
-
-def _cmd_glb_check(args) -> int:
-    b = _load_glb(args)
-    rep = check_glb(b)
-    _emit(args, _doc(b), _glb_report(rep), rep.describe())
-    return 0 if rep.passed else 1
 
 
 def _cmd_glb_extract(args) -> int:
@@ -381,15 +323,15 @@ def _cmd_glb_extract(args) -> int:
     result = extract_jacobi(b, y0)
     labels = list(b.g.basis_labels)
     report = {"passed": True,
-              "y0": _doc(y0, labels=labels),
-              "r": _doc(result.pair.r, labels=labels),
-              "x0": _doc(result.pair.x0, labels=labels),
+              "y0": to_document(y0, labels=labels),
+              "r": to_document(result.pair.r, labels=labels),
+              "x0": to_document(result.pair.x0, labels=labels),
               "characteristic_tag": result.characteristic.tag}
     text = (f"extracted jacobi pair from y0 = {y0.render(labels)}:\n"
             f"  r = {result.pair.r.render(labels)}\n"
             f"  x0 = {result.pair.x0.render(labels)}\n"
             f"  characteristic structure: {result.characteristic.tag}")
-    _emit(args, _doc(result.pair), report, text)
+    _emit(args, to_document(result.pair), report, text)
     return 0
 
 
@@ -413,13 +355,13 @@ def _cmd_glb_classify(args) -> int:
                          + compactness.describe())
     rep = check_glb(b)
     if not rep.passed:
-        _emit(args, _doc(b), _glb_report(rep), rep.describe())
+        _emit(args, to_document(b), _report(rep), rep.describe())
         return 1
     result = _classify_checked(b, compactness)
     report = {"passed": True, **_certificate_report(result)}
     if result.y0 is not None:
-        report["y0"] = _doc(result.y0, labels=list(b.g.basis_labels))
-    _emit(args, _doc(b), report, f"classification: {result.kind}")
+        report["y0"] = to_document(result.y0, labels=list(b.g.basis_labels))
+    _emit(args, to_document(b), report, f"classification: {result.kind}")
     return 0
 
 
@@ -429,14 +371,14 @@ def _cmd_coboundary_solve(args) -> int:
     labels = list(b.g.basis_labels)
     report = {"empty": solutions.is_empty,
               "particular": (None if solutions.particular is None
-                             else _doc(solutions.particular, labels=labels)),
-              "homogeneous": [_doc(h, labels=labels) for h in solutions.homogeneous]}
+                             else to_document(solutions.particular, labels=labels)),
+              "homogeneous": [to_document(h, labels=labels) for h in solutions.homogeneous]}
     if solutions.is_empty:
         text = "no solution: the dual bracket is not a twisted coboundary"
     else:
         text = (f"particular solution r = {solutions.particular.render(labels)}; "
                 f"homogeneous solution space has dimension {len(solutions.homogeneous)}")
-    _emit(args, _doc(b), report, text)
+    _emit(args, to_document(b), report, text)
     return 0
 
 
@@ -448,7 +390,7 @@ def _cmd_catalog(args) -> int:
         else:
             sys.stdout.write("\n".join(names) + "\n")
         return 0
-    _emit(args, _doc(_catalog_entry(args.name)), {"name": args.name}, None)
+    _emit(args, to_document(_catalog_entry(args.name)), {"name": args.name}, None)
     return 0
 
 
@@ -456,14 +398,15 @@ def _cmd_catalog(args) -> int:
 # this order
 _SUBCOMMANDS = {
     "validate": (_cmd_validate, ("algebra", "glb", "name")),
-    "jacobi-check": (_cmd_jacobi_check, ("algebra", "name", "r", "x0")),
+    "jacobi-check": (_check(lambda args: _load_pair(args)[0], check_jacobi),
+                     ("algebra", "name", "r", "x0")),
     "rank": (_cmd_rank, ("algebra", "name", "r", "x0")),
     "char-sub": (_cmd_char_sub, ("algebra", "name", "r", "x0")),
     "contact": (_cmd_contact, ("algebra", "name", "r", "x0", "eta")),
     "lcs": (_cmd_lcs, ("algebra", "name", "r", "x0", "omega", "lee")),
-    "yb-check": (_cmd_yb_check, ("algebra", "name", "r", "x0", "phi0")),
+    "yb-check": (_check(_load_yb, check_yb_hypotheses), ("algebra", "name", "r", "x0", "phi0")),
     "yb-build": (_cmd_yb_build, ("algebra", "name", "r", "x0", "phi0")),
-    "glb-check": (_cmd_glb_check, ("glb", "name")),
+    "glb-check": (_check(_load_glb, check_glb), ("glb", "name")),
     "glb-extract": (_cmd_glb_extract, ("glb", "name")),
     "glb-classify": (_cmd_glb_classify, ("glb", "name")),
     "coboundary-solve": (_cmd_coboundary_solve, ("glb", "name")),

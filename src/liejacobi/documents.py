@@ -10,7 +10,8 @@ report the CLI prints or writes.  On a tree of dicts with str keys, lists,
 tuples, str, int, bool and None it writes, byte for byte, what json.dumps
 returns with indent=2, plus "\n"; it does so without the pure-Python encoder
 json.dumps falls back to under an indent, and it hands the text out in
-bounded pieces, so a large report is never held whole.
+bounded pieces, so a large report is never held whole.  _report is the one
+machine form of a check report, which _dump writes for --format machine.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from math import lcm
 
-from liejacobi.bialgebra import GeneralizedBialgebra, YbData
+from liejacobi.bialgebra import GeneralizedBialgebra, GlbReport, YbData, YbReport
 from liejacobi.exterior import Form, Multivector
-from liejacobi.jacobi import ContactStructure, JacobiPair, LcsStructure
-from liejacobi.liealg import MAX_DIGITS, MAX_DIM, LieAlgebra
+from liejacobi.jacobi import ContactStructure, JacobiPair, JacobiReport, LcsStructure
+from liejacobi.liealg import MAX_DIGITS, MAX_DIM, LieAlgebra, ValidationReport
 
 
 class DocumentError(ValueError):
@@ -356,6 +357,54 @@ def to_document(obj, labels=None) -> dict:
     if isinstance(obj, (Form, Multivector)):
         return _render_element(obj, labels, standalone=True)
     raise TypeError(f"no document form for {type(obj).__name__}")
+
+
+# check report class -> (checked object, (machine key, attribute) in output order)
+_REPORTS = {
+    ValidationReport: ("algebra", (("violations", "violations"),)),
+    JacobiReport: ("pair", (("self_residual", "self_residual"),
+                            ("vector_residual", "vector_residual"))),
+    YbReport: ("data", (("cubic", "cubic"), ("cubic_invariance", "cubic_invariance"),
+                        ("x0_commutes", "x0_commutes"), ("vector", "vector"),
+                        ("vector_invariance", "vector_invariance"))),
+    GlbReport: ("bialgebra", (("primal_jacobi", "primal"), ("dual_jacobi", "dual"),
+                              ("phi0_cocycle", "phi0_cocycle"), ("x0_cocycle", "x0_cocycle"),
+                              ("pairing", "pairing"), ("bracket_compat", "bracket_compat"),
+                              ("contraction_compat", "contraction_compat"))),
+}
+
+
+def _report(rep) -> dict:
+    """The machine form of a check report: "passed", then the fields _REPORTS
+    names.  A nested report becomes its verdict, a Fraction its string, an
+    element its document on the labels of the checked object's first algebra
+    (its last, g* of a glb, for a Form) and an entry its index and "residual"."""
+    subject, fields = _REPORTS[type(rep)]
+    algebras = algebras_of(getattr(rep, subject))
+    labels = algebras[0].basis_labels
+    out = {"passed": rep.passed}
+    for key, attr in fields:
+        value = getattr(rep, attr)
+        if isinstance(value, ValidationReport):
+            value = value.passed
+        elif isinstance(value, Fraction):
+            value = str(value)
+        elif isinstance(value, (Form, Multivector)):
+            side = algebras[-1] if isinstance(value, Form) else algebras[0]
+            value = to_document(value, labels=side.basis_labels)
+        else:
+            value = [{**_entry_index(index, labels), "residual": to_document(res, labels=labels)}
+                     for index, res in value]
+        out[key] = value
+    return out
+
+
+def _entry_index(index, labels) -> dict:
+    if isinstance(index, int):
+        return {"basis": labels[index]}
+    if len(index) == 2:
+        return {"i": labels[index[0]], "j": labels[index[1]]}
+    return {"triple": [labels[k] for k in index]}
 
 
 def serialize(obj, labels=None) -> str:

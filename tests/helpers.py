@@ -7,7 +7,8 @@ structure-constant kernels, the coboundary system, the bracket and contraction
 compatibilities of check_glb and its integer sums taken afresh on each call,
 the coadjoint and pointwise dual brackets, the
 sharp-map homomorphism certificate, the contraction matrix of a 2-tensor and
-the contact flat map, the Jacobi residuals, the contact and l.c.s. maps by
+the contact flat map, the Jacobi residuals, the machine forms of the check
+reports written out by hand, the contact and l.c.s. maps by
 Fraction matrices, the center, the derived algebra, annihilators, subspace
 membership, the Killing form and the compactness test, the cocycle with
 prescribed values, the invariant scalar product and the Fraction sum of the
@@ -25,12 +26,14 @@ from liejacobi.bialgebra import (
     _twisted_ad,
     GeneralizedBialgebra,
     GlbReport,
+    YbData,
     build_first_kind,
     build_second_kind,
     build_third_kind,
     glb_from_cocycle,
 )
 from liejacobi.catalog import catalog, heisenberg
+from liejacobi.documents import to_document
 from liejacobi.exterior import Form, Multivector, contract, pair, sort_index, wedge
 from liejacobi.jacobi import JacobiPair
 from liejacobi.liealg import (
@@ -116,6 +119,24 @@ def induced(matrix, element):
             term = wedge(term, images[a])
         out = out + term
     return out
+
+
+def cubic_noninvariant_yb():
+    """The algebra of semidirect4_53 with phi0 = 0, x0 = 0 and
+    r = e1^e2 + e3^e4: [r,r] - 2 x0^r = -2 e1^e2^e3 is not invariant at e4,
+    the only failing Yang-Baxter hypothesis."""
+    return YbData(catalog("semidirect4_53").g, Form.zero(4, 1),
+                  mv(4, 2, {(0, 1): 1, (2, 3): 1}), Multivector.zero(4, 1))
+
+
+def non_lie_glb():
+    """A quadruple whose base "bad" and dual "bad*" share one bracket that
+    fails the Jacobi identity at (e1,e2,e3)."""
+    bracket = {(0, 1): mv(3, 1, {(1,): 1}), (0, 2): mv(3, 1, {(1,): 1}),
+               (1, 2): mv(3, 1, {(0,): 1})}
+    g = LieAlgebra("bad", 3, standard_labels(3), bracket)
+    return GeneralizedBialgebra(g, LieAlgebra("bad*", 3, g.dual_labels, bracket),
+                                Form.zero(3, 1), Multivector.zero(3, 1))
 
 
 def broken_noncob():
@@ -209,6 +230,25 @@ def pair_reference(omega, p):
 
 def mixed_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+
+
+def seeded_quadruples(rng, cocycle_phi0=False):
+    """Quadruples on the algebras with mixed denominators, Lie or not, with a
+    dual of the same dimension, a random x0 and a random phi0, or a random
+    1-cocycle phi0 of g when cocycle_phi0 is set."""
+    lie, non_lie = mixed_algebras()
+    out = []
+    for g in lie + non_lie:
+        g_star = rng.choice([h for h in lie + non_lie if h.dim == g.dim])
+        vector = lambda cls: cls.from_coeffs([mixed_fraction(rng) for _ in range(g.dim)])
+        if cocycle_phi0:
+            phi0 = Form.zero(g.dim, 1)
+            for row in one_cocycles(g).rows:
+                phi0 = phi0 + Form.from_coeffs(row).scale(mixed_fraction(rng))
+        else:
+            phi0 = vector(Form)
+        out.append(GeneralizedBialgebra(g, g_star, phi0, vector(Multivector)))
+    return out
 
 
 def random_basis(rng: random.Random, n: int) -> list:
@@ -601,6 +641,63 @@ def check_glb_reference(b):
     return GlbReport(b, g.validate(), gs.validate(), ce_differential(g, b.phi0),
                      ce_differential(gs, b.x0), tuple(bracket), pair(b.phi0, b.x0),
                      tuple(contraction)), d_basis
+
+
+# The machine forms of the check reports, as the command line wrote them out
+# by hand, field by field, before documents._report: the reference for it.
+
+def validation_report_reference(reports) -> dict:
+    """validate's report over the ValidationReports of a document's algebras."""
+    violations = []
+    for rep in reports:
+        labels = list(rep.algebra.basis_labels)
+        for (i, j, k), res in rep.violations:
+            violations.append({"algebra": rep.algebra.name,
+                               "triple": [labels[i], labels[j], labels[k]],
+                               "residual": to_document(res, labels=labels)})
+    return {"passed": all(rep.passed for rep in reports), "violations": violations}
+
+
+def jacobi_report_reference(rep) -> dict:
+    labels = list(rep.pair.algebra.basis_labels)
+    return {"passed": rep.passed,
+            "self_residual": to_document(rep.self_residual, labels=labels),
+            "vector_residual": to_document(rep.vector_residual, labels=labels)}
+
+
+def yb_report_reference(rep) -> dict:
+    labels = list(rep.data.g.basis_labels)
+    return {
+        "passed": rep.passed,
+        "cubic": to_document(rep.cubic, labels=labels),
+        "cubic_invariance": [
+            {"basis": labels[i], "residual": to_document(res, labels=labels)}
+            for i, res in rep.cubic_invariance],
+        "x0_commutes": to_document(rep.x0_commutes, labels=labels),
+        "vector": to_document(rep.vector, labels=labels),
+        "vector_invariance": [
+            {"basis": labels[i], "residual": to_document(res, labels=labels)}
+            for i, res in rep.vector_invariance],
+    }
+
+
+def glb_report_reference(rep) -> dict:
+    labels = list(rep.bialgebra.g.basis_labels)
+    duals = list(rep.bialgebra.g_star.basis_labels)
+    return {
+        "passed": rep.passed,
+        "primal_jacobi": rep.primal.passed,
+        "dual_jacobi": rep.dual.passed,
+        "phi0_cocycle": to_document(rep.phi0_cocycle, labels=duals),
+        "x0_cocycle": to_document(rep.x0_cocycle, labels=labels),
+        "pairing": str(rep.pairing),
+        "bracket_compat": [
+            {"i": labels[i], "j": labels[j], "residual": to_document(res, labels=labels)}
+            for (i, j), res in rep.bracket_compat],
+        "contraction_compat": [
+            {"basis": labels[i], "residual": to_document(res, labels=labels)}
+            for i, res in rep.contraction_compat],
+    }
 
 
 def contraction_compat_reference(b):

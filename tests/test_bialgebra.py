@@ -20,6 +20,7 @@ from helpers import (
     compact_algebras,
     compact_kind_bialgebras,
     contraction_compat_reference,
+    cubic_noninvariant_yb,
     dual_bracket_adjoint_reference,
     dual_bracket_pointwise_reference,
     fm,
@@ -28,10 +29,12 @@ from helpers import (
     mixed_algebras,
     mixed_fraction,
     mv,
+    non_lie_glb,
     random_basis,
     random_element,
     rational_system,
     seeded_brackets,
+    seeded_quadruples,
     semidirect_dual_reference,
     sharp_homomorphism_reference,
     solve_cocycle_reference,
@@ -108,25 +111,6 @@ def catalog_bialgebras():
                                           "thirdkind_u2")])
 
 
-def seeded_quadruples(rng, cocycle_phi0=False):
-    """Quadruples on the algebras with mixed denominators, Lie or not, with a
-    dual of the same dimension, a random x0 and a random phi0, or a random
-    1-cocycle phi0 of g when cocycle_phi0 is set."""
-    lie, non_lie = mixed_algebras()
-    out = []
-    for g in lie + non_lie:
-        g_star = rng.choice([h for h in lie + non_lie if h.dim == g.dim])
-        vector = lambda cls: cls.from_coeffs([mixed_fraction(rng) for _ in range(g.dim)])
-        if cocycle_phi0:
-            phi0 = Form.zero(g.dim, 1)
-            for row in one_cocycles(g).rows:
-                phi0 = phi0 + Form.from_coeffs(row).scale(mixed_fraction(rng))
-        else:
-            phi0 = vector(Form)
-        out.append(GeneralizedBialgebra(g, g_star, phi0, vector(Multivector)))
-    return out
-
-
 def test_check_glb_noncob_golden():
     report = check_glb(catalog("noncob4_53"))
     assert report.passed
@@ -147,17 +131,14 @@ def test_check_glb_perturbed_x0():
     assert len(report.contraction_compat) == 3
     assert "phi0(x0) = 1" in report.describe()
     # a base and a dual bracket that fail the Jacobi identity are each named
-    bracket = {(0, 1): mv(3, 1, {(1,): 1}), (0, 2): mv(3, 1, {(1,): 1}),
-               (1, 2): mv(3, 1, {(0,): 1})}
-    g = LieAlgebra("bad", 3, standard_labels(3), bracket)
-    broken = GeneralizedBialgebra(g, LieAlgebra("bad*", 3, g.dual_labels, bracket),
-                                  Form.zero(3, 1), Multivector.zero(3, 1))
-    assert check_glb(broken).describe() == (
+    assert check_glb(non_lie_glb()).describe() == (
         "generalized bialgebra fails:\n"
-        "  base algebra: bad: Jacobi identity fails on 1 triple(s)\n"
-        "  (e1,e2,e3): residual e1\n"
-        "  dual algebra: bad*: Jacobi identity fails on 1 triple(s)\n"
-        "  (e^1,e^2,e^3): residual e^1\n"
+        "  base algebra:\n"
+        "    bad: Jacobi identity fails on 1 triple(s)\n"
+        "      (e1,e2,e3): residual e1\n"
+        "  dual algebra:\n"
+        "    bad*: Jacobi identity fails on 1 triple(s)\n"
+        "      (e^1,e^2,e^3): residual e^1\n"
         "  bracket compatibility at (e1, e2): 2*e1^e2 - e1^e3\n"
         "  bracket compatibility at (e1, e3): -e1^e2")
 
@@ -322,6 +303,18 @@ def test_yb_hypotheses_commuting_failure():
     assert not report.passed
     assert report.x0_commutes == mv(3, 2, {(0, 2): 1})
     assert "[x0,r]" in report.describe()
+
+
+def test_yb_hypotheses_cubic_invariance_failure():
+    # [r,r] - 2 x0^r = -2 e1^e2^e3 is moved by e4 alone; the other two
+    # hypotheses hold
+    report = check_yb_hypotheses(cubic_noninvariant_yb())
+    assert not report.passed
+    assert report.cubic == mv(4, 3, {(0, 1, 2): -2})
+    assert report.cubic_invariance == ((3, mv(4, 3, {(0, 1, 2): -4})),)
+    assert report.x0_commutes.is_zero() and report.vector_invariance == ()
+    assert report.describe() == ("yang-baxter hypotheses fail:\n"
+                                 "  [r,r]-2*x0^r not invariant at e4: -4*e1^e2^e3")
 
 
 def test_zero_phi0_of_any_grade_acts_as_the_grade_one_zero():
@@ -1319,10 +1312,10 @@ def test_build_semidirect_glb_rejections():
         build_semidirect_glb(SU2, su2_dual, LinearMap.from_rows([[0] * 3] * 3))
     assert str(exc.value) == ("semidirect hypotheses fail:\n"
                               "  (h, h*) is not a Lie bialgebra:\n"
-                              "generalized bialgebra fails:\n"
-                              "  bracket compatibility at (e1, e2): e1^e2\n"
-                              "  bracket compatibility at (e1, e3): e1^e3\n"
-                              "  bracket compatibility at (e2, e3): e2^e3\n"
+                              "    generalized bialgebra fails:\n"
+                              "      bracket compatibility at (e1, e2): e1^e2\n"
+                              "      bracket compatibility at (e1, e3): e1^e3\n"
+                              "      bracket compatibility at (e2, e3): e2^e3\n"
                               "  psi* - id is not a derivation of h*")
 
 

@@ -461,7 +461,7 @@ def test_out_writes_canonical_document(tmp_path, capsys):
 
 def test_validate_text_builds_the_document_only_for_out(tmp_path, capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(cli, "_doc", lambda obj, labels=None: built.append(obj) or {})
+    monkeypatch.setattr(cli, "to_document", lambda obj, labels=None: built.append(obj) or {})
     code, out, _ = run(capsys, "validate", "--name", "noncob4_53")
     assert code == 0 and "Jacobi identity holds" in out and built == []
     monkeypatch.undo()
