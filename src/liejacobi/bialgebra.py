@@ -11,7 +11,13 @@ compact example belongs to.  The Yang-Baxter check reads [r,r] - 2 x0^r and
 compatibility sums of check_glb are kept per bialgebra object as integers
 and made into elements afresh on each call, so a check of an object that
 a builder has checked sums nothing again; the builders return the object
-they checked.
+they checked.  Classification, extraction and the kind builders read the
+center of g one way, from its cached integer rows `g._center`, and decide
+compactness from `g._compactness`: y0 is `_unit_dual` of phi0 on those
+rows, y0 is central when `liealg._in_rows` eliminates it to zero by them,
+unit_center_vector sums phi0 on them in int, and the semidirect theta0 is
+the 1-cocycle with prescribed values on them.  On success none of these
+builds a compactness report, a center Subspace or the invariant product.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from liejacobi.jacobi import (
     check_jacobi,
 )
 from liejacobi.liealg import (
-    CompactnessReport,
     LieAlgebra,
     LinearMap,
     Subspace,
@@ -40,24 +45,23 @@ from liejacobi.liealg import (
     _bracket_rows,
     _embed,
     _frame,
+    _in_rows,
     _in_span,
     _pivot_frame,
     _push,
     _rank,
     _restrict,
     abelian,
-    center,
     coordinates,
     direct_product,
     dual_label,
-    invariant_scalar_product,
     is_compact,
     is_derivation,
     killing_form,
     semidirect_by_derivation,
     standard_labels,
 )
-from liejacobi.linalg import ZERO, _null_rows, _sparse, nullspace, solve_rows
+from liejacobi.linalg import ZERO, _null_rows, _reduced, _sparse, nullspace, solve_rows
 from liejacobi.schouten import (
     check_cocycle,
     ce_differential,
@@ -477,14 +481,14 @@ def build_from_jacobi(y: YbData) -> JacobiBuildResult:
     jp = JacobiPair(g, y.r, y.x0)
     jacobi_report = check_jacobi(jp)
     if not jacobi_report.passed:
-        failures.append(jacobi_report.describe())
+        failures.append(_nested("  (r, x0) is not a jacobi pair:", jacobi_report))
     vector = contract(y.phi0, y.r) - y.x0
     if not vector.is_zero():
-        failures.append(f"i(phi0) r - x0 = {vector.render(g.basis_labels)}")
+        failures.append(f"  i(phi0) r - x0 = {vector.render(g.basis_labels)}")
     if not ce_differential(g, y.phi0).is_zero():
-        failures.append("phi0 is not a 1-cocycle")
+        failures.append("  phi0 is not a 1-cocycle")
     if failures:
-        raise ValueError("jacobi construction preconditions fail:\n  " + "\n  ".join(failures))
+        raise ValueError("\n".join(["jacobi construction preconditions fail:", *failures]))
     # these preconditions make the three Yang-Baxter hypotheses hold
     bialgebra = _assemble_dual(y)
     _check_sharp_homomorphism(g, bialgebra.g_star, y.r)
@@ -629,11 +633,12 @@ def _solve_cocycle_with_values(g: LieAlgebra, constraints: list) -> Form:
     return Form.from_coeffs(sol[0])
 
 
-def _require_compact(g: LieAlgebra) -> CompactnessReport:
-    report = is_compact(g)
-    if not report.compact:
-        raise ValueError(f"{g.name} is not of compact type: " + report.describe())
-    return report
+def _require_compact(g: LieAlgebra) -> None:
+    # decided by the cached g._compactness; is_compact's report only
+    # describes a failure
+    splits, definite, _ = g._compactness
+    if not (splits and definite):
+        raise ValueError(f"{g.name} is not of compact type: " + is_compact(g).describe())
 
 
 def build_first_kind(g: LieAlgebra, h: Subspace, r: Multivector,
@@ -758,14 +763,14 @@ def extract_jacobi(b: GeneralizedBialgebra, y0: Multivector) -> ExtractionResult
     report = check_glb(b)
     if not report.passed:
         raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
-    return _extract_checked(b, y0, center(b.g))
+    _check_argument("y0", y0, Multivector, b.g.dim, 1)
+    return _extract_checked(b, y0)
 
 
-def _extract_checked(b: GeneralizedBialgebra, y0: Multivector,
-                     center_g: Subspace) -> ExtractionResult:
-    # extract_jacobi after check_glb(b) has passed; center_g is center(b.g)
+def _extract_checked(b: GeneralizedBialgebra, y0: Multivector) -> ExtractionResult:
+    # extract_jacobi after check_glb(b) has passed, y0 a vector of g
     g = b.g
-    if not center_g.contains_element(y0):
+    if not _in_rows(g._center, {i: v for (i,), v in y0._ints()[0].items()}):
         raise ValueError("y0 must be central in g")
     if pair(b.phi0, y0) != 1:
         raise ValueError("y0 must satisfy phi0(y0) = 1")
@@ -784,11 +789,16 @@ def _extract_checked(b: GeneralizedBialgebra, y0: Multivector,
 
 def unit_center_vector(g: LieAlgebra, phi0: Form) -> Multivector | None:
     """Deterministic central vector with phi0-value 1, if one exists:
-    z / phi0(z) for the first center row z with phi0(z) != 0."""
-    for z in center(g).elements():
-        value = pair(phi0, z)
-        if value != 0:
-            return z.scale(Fraction(1) / value)
+    z / phi0(z) for the first reduced center row z with phi0(z) != 0.
+    Read in int from the integer rows w of `g._center`: for phi0 = P / d,
+    z / phi0(z) = d w / P(w), built as d P(w) w over P(w)^2 > 0."""
+    _check_argument("phi0", phi0, Form, g.dim, 1)
+    nums, d = phi0._ints()
+    for w in g._center[0]:
+        value = sum(v * w.get(i, 0) for (i,), v in nums.items())
+        if value:
+            return Multivector._from_ints(g.dim, 1, {(i,): d * value * x for i, x in w.items()},
+                                          value * value)
     return None
 
 
@@ -967,11 +977,15 @@ def _classify_third(b: GeneralizedBialgebra, extraction: ExtractionResult) -> Th
 def _classify_semidirect(b: GeneralizedBialgebra) -> SemidirectCertificate:
     g, gs = b.g, b.g_star
     n = g.dim
-    bform = invariant_scalar_product(g)
-    theta_raw = bform.apply(b.x0.coeffs())   # B x0 = x0^T B, B being symmetric
-    theta_raw_form = Form.from_coeffs(theta_raw)
-    scale = pair(theta_raw_form, b.x0)
-    theta0 = theta_raw_form.scale(Fraction(1) / scale)
+    # theta0 = B(x0, .) / B(x0, x0) for the invariant scalar product B, which
+    # is the identity on the reduced center rows z_l and orthogonal to
+    # [g, g].  x0 is central (check_glb passed with phi0 = 0), so
+    # x0 = sum_l c_l z_l for c_l its entry at the pivot of z_l, and theta0 is
+    # the 1-cocycle with theta0(z_l) = c_l / |c|^2.
+    c = [b.x0.coefficient((p,)) for p in g._center[1]]
+    norm = sum(x * x for x in c)
+    theta0 = _solve_cocycle_with_values(g, [(z, x / norm)
+                                            for z, x in zip(_reduced(*g._center, n), c)])
     kernel_rows = nullspace([theta0.coeffs()])      # theta0(x0) = 1: a hyperplane
     m = n - 1
 
@@ -1011,24 +1025,25 @@ def classify_compact(b: GeneralizedBialgebra) -> ClassificationResult:
     phi0 = 0, x0 != 0 the algebra splits off the line through x0 and the
     dual is a semidirect product encoded by a derivation.
     """
-    compact = _require_compact(b.g)
+    _require_compact(b.g)
     report = check_glb(b)
     if not report.passed:
         raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
-    return _classify_checked(b, compact)
+    return _classify_checked(b)
 
 
-def _classify_checked(b: GeneralizedBialgebra, compact: CompactnessReport) -> ClassificationResult:
-    # classify_compact after check_glb(b) has passed; compact is is_compact(b.g)
+def _classify_checked(b: GeneralizedBialgebra) -> ClassificationResult:
+    # classify_compact after b.g has been found compact and check_glb(b) has
+    # passed
     if b.phi0.is_zero() and b.x0.is_zero():
         return ClassificationResult("lie-bialgebra", None, None, None)
     if b.phi0.is_zero():
         return ClassificationResult("phi0-zero-semidirect", None, None, _classify_semidirect(b))
 
-    y0 = _unit_dual(compact.center._reduced, b.phi0)
+    y0 = _unit_dual(b.g._center, b.phi0)
     if y0 is None:
         raise ValueError("phi0 vanishes on its dual vector; no unit central vector exists")
-    extraction = _extract_checked(b, y0, compact.center)
+    extraction = _extract_checked(b, y0)
     char = extraction.characteristic
     m = char.subspace.rank
 

@@ -251,8 +251,8 @@ def _cmd_char_sub(args) -> int:
 
 
 def _cmd_contact(args) -> int:
-    g, _ = _load_algebra(args)
     if getattr(args, "eta", None):
+        g, _ = _load_algebra(args)
         eta = _element_file(args, "eta", g)
         jp = contact_to_jacobi(ContactStructure(g, eta))
         labels = list(g.basis_labels)
@@ -265,7 +265,7 @@ def _cmd_contact(args) -> int:
         return 0
     jp, _ = _load_pair(args)
     structure = jacobi_to_contact(jp)
-    duals = list(g.dual_labels)
+    duals = list(jp.algebra.dual_labels)
     report = {"passed": True, "eta": to_document(structure.eta, labels=duals)}
     _emit(args, to_document(structure), report,
           f"contact form eta = {structure.eta.render(duals)}")
@@ -273,8 +273,8 @@ def _cmd_contact(args) -> int:
 
 
 def _cmd_lcs(args) -> int:
-    g, _ = _load_algebra(args)
     if getattr(args, "omega", None):
+        g, _ = _load_algebra(args)
         omega2 = _element_file(args, "omega", g)
         lee = (_element_file(args, "lee", g)
                if getattr(args, "lee", None) else Form.zero(g.dim, 1))
@@ -289,7 +289,7 @@ def _cmd_lcs(args) -> int:
         return 0
     jp, _ = _load_pair(args)
     structure = jacobi_to_lcs(jp)
-    duals = list(g.dual_labels)
+    duals = list(jp.algebra.dual_labels)
     report = {"passed": True,
               "omega": to_document(structure.omega2, labels=duals),
               "lee": to_document(structure.lee, labels=duals)}
@@ -357,7 +357,7 @@ def _cmd_glb_classify(args) -> int:
     if not rep.passed:
         _emit(args, to_document(b), _report(rep), rep.describe())
         return 1
-    result = _classify_checked(b, compactness)
+    result = _classify_checked(b)
     report = {"passed": True, **_certificate_report(result)}
     if result.y0 is not None:
         report["y0"] = to_document(result.y0, labels=list(b.g.basis_labels))

@@ -423,50 +423,49 @@ def _dump(tree, write) -> None:
     scalar is json.dumps(scalar); dict keys must be str.  The text is
     gathered in one list of separator-prefixed pieces, which is joined and
     written whenever it holds more than _PIECE entries at the start of a
-    container item, and once at the end.
+    container item, and once at the end.  _put is a module function, not a
+    closure that calls itself, so a call leaves no reference cycle behind.
     """
     out = []
+    _put(out, write, "", tree, "\n")
+    out.append("\n")
+    write("".join(out))
+
+
+def _put(out: list, write, prefix: str, o, nl: str) -> None:
+    # the pieces of o after prefix, each line after its first opening with nl
     append = out.append
-    piece = _PIECE
-
-    def flush():
-        write("".join(out))
-        out.clear()
-
-    def put(prefix, o, nl):
-        if isinstance(o, dict):
-            if not o:
-                append(prefix + "{}")
-                return
-            inner = nl + "  "
-            comma, sep = "," + inner, prefix + "{" + inner
-            for k, v in o.items():
-                if len(out) > piece:
-                    flush()
-                if type(v) is str:
-                    append(f"{sep}{_escape(k)}: {_escape(v)}")
-                else:
-                    put(f"{sep}{_escape(k)}: ", v, inner)
-                sep = comma
-            append(nl + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                append(prefix + "[]")
-                return
-            inner = nl + "  "
-            comma, sep = "," + inner, prefix + "[" + inner
-            for v in o:
-                if len(out) > piece:
-                    flush()
-                if type(v) is str:
-                    append(sep + _escape(v))
-                else:
-                    put(sep, v, inner)
-                sep = comma
-            append(nl + "]")
-        else:
-            append(prefix + (_escape(o) if isinstance(o, str) else json.dumps(o)))
-
-    put("", tree, "\n")
-    append("\n")
-    flush()
+    if isinstance(o, dict):
+        if not o:
+            append(prefix + "{}")
+            return
+        inner = nl + "  "
+        comma, sep = "," + inner, prefix + "{" + inner
+        for k, v in o.items():
+            if len(out) > _PIECE:
+                write("".join(out))
+                out.clear()
+            if type(v) is str:
+                append(f"{sep}{_escape(k)}: {_escape(v)}")
+            else:
+                _put(out, write, f"{sep}{_escape(k)}: ", v, inner)
+            sep = comma
+        append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            append(prefix + "[]")
+            return
+        inner = nl + "  "
+        comma, sep = "," + inner, prefix + "[" + inner
+        for v in o:
+            if len(out) > _PIECE:
+                write("".join(out))
+                out.clear()
+            if type(v) is str:
+                append(sep + _escape(v))
+            else:
+                _put(out, write, sep, v, inner)
+            sep = comma
+        append(nl + "]")
+    else:
+        append(prefix + (_escape(o) if isinstance(o, str) else json.dumps(o)))

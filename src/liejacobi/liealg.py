@@ -20,13 +20,16 @@ are taken on packed rows, one int with one w-bit slot per coefficient
 Structural computations (center, derived algebra, cocycles, derivations,
 compactness) reduce to the integer kernel of linalg on integer rows read
 from the table; a Subspace keeps the integer rows its Fraction rows are
-read from, for membership and the compactness test.  The one matrix of a
+read from, for membership and the compactness test, and `_in_rows` is the
+one membership test in reduced integer rows, which Subspace.contains and
+bialgebra's centrality test of y0 share.  The one matrix of a
 2-tensor p is `_antisymmetric`, integer rows with row a = #_p e^a: `_rank`
 counts its pivots and the sharp map's `_contraction` is its Fraction view.
 The one push-forward, `_push`, applies a matrix's integer form to a vector
 or 2-tensor, as every linear map and change of coordinates (coordinates,
 restrict, change_basis, a Jacobi pair's restriction) does.  Every basis,
-invariant_scalar_product's too, is eliminated once by `_frame` into the
+invariant_scalar_product's too (no bialgebra step reads that map: they
+take the center from `_center`), is eliminated once by `_frame` into the
 integer forms of its matrix B and left inverse L, from linalg._inverse,
 except pivoted integer rows, each nonzero at its own pivot and zero at the
 others' (a Subspace's reduced rows, or linalg._null_rows at their free
@@ -427,17 +430,11 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, coeffs: Iterable) -> bool:
-        # the reduced rows are zero at each other's pivots, so v is in the
-        # span iff eliminating v at every pivot by its row leaves zero
         v = [frac(c) for c in coeffs]
         if len(v) != self.dim:
             raise ValueError("vector length must equal the ambient dimension")
         support, nums, _ = linalg._sparse(v)
-        w = dict(zip(support, nums))
-        for row, c in zip(*self._reduced):
-            if c in w:
-                w = linalg._eliminate(w, row, c)
-        return not w
+        return _in_rows(self._reduced, dict(zip(support, nums)))
 
     def contains_element(self, e) -> bool:
         """Membership of a form in a dual subspace or of a multivector in
@@ -448,6 +445,16 @@ class Subspace:
     def elements(self) -> list:
         cls = Form if self.dual else Multivector
         return [cls.from_coeffs(r) for r in self.rows]
+
+
+def _in_rows(reduced: tuple[list[dict[int, int]], list[int]], w: dict[int, int]) -> bool:
+    """Whether the integer row w lies in the span of the reduced integer
+    rows (rows, pivots): they are zero at each other's pivots, so it does iff
+    eliminating w at every pivot by its row leaves zero."""
+    for row, c in zip(*reduced):
+        if c in w:
+            w = linalg._eliminate(w, row, c)
+    return not w
 
 
 def _kernel(reduced: tuple[list[dict[int, int]], list[int]], n: int) -> tuple:

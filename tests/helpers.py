@@ -12,7 +12,9 @@ reports written out by hand, the contact and l.c.s. maps by
 Fraction matrices, the center, the derived algebra, annihilators, subspace
 membership, the Killing form and the compactness test, the cocycle with
 prescribed values, the invariant scalar product and the Fraction sum of the
-dual vector of a cocycle, the coordinate solvers of liealg and the
+dual vector of a cocycle, the semidirect certificate read through the
+invariant product, the unit central vector read from the center Subspace,
+the coordinate solvers of liealg and the
 restriction of a 2-vector to a span, the algebras built from smaller ones by
 padding Fraction coefficient lists, and the integer linear-algebra kernel."""
 
@@ -26,9 +28,11 @@ from liejacobi.bialgebra import (
     _twisted_ad,
     GeneralizedBialgebra,
     GlbReport,
+    SemidirectCertificate,
     YbData,
     build_first_kind,
     build_second_kind,
+    build_semidirect_glb,
     build_third_kind,
     glb_from_cocycle,
 )
@@ -42,11 +46,15 @@ from liejacobi.liealg import (
     LinearMap,
     Subspace,
     ValidationReport,
+    _embed,
     _frame,
     _in_span,
+    _restrict,
     abelian,
+    center,
     change_basis,
     direct_product,
+    invariant_scalar_product,
     is_compact,
     killing_form,
     one_cocycles,
@@ -1046,6 +1054,53 @@ def invariant_scalar_product_reference(g):
                 b_adapted[i][j] = Fraction(1)
     p_inv = invert(transpose(basis))
     return LinearMap.from_rows(mat_mul(transpose(p_inv), mat_mul(b_adapted, p_inv)))
+
+
+def classify_semidirect_reference(b):
+    """The semidirect certificate with theta0 = B(x0, .) / B(x0, x0) read
+    from the n x n matrix of the invariant scalar product B, the kernel of
+    theta0 from nullspace and the adapted basis (kernel, then x0)
+    eliminated by _frame."""
+    g, gs = b.g, b.g_star
+    n = g.dim
+    bform = invariant_scalar_product(g)
+    theta_raw_form = Form.from_coeffs(bform.apply(b.x0.coeffs()))
+    theta0 = theta_raw_form.scale(Fraction(1) / pair(theta_raw_form, b.x0))
+    kernel_rows = nullspace([theta0.coeffs()])
+    m = n - 1
+    frame = _frame(kernel_rows + [b.x0.coeffs()], n)
+    primal = _restrict(g, g.name, frame)
+    dual = _restrict(gs, gs.name, tuple((den, list(zip(*rows))) for den, rows in reversed(frame)))
+    block = lambda adapted: {(a, c): _embed(value, m)
+                             for (a, c), value in adapted.structure.items() if c < m}
+    h = LieAlgebra(f"{g.name}.factor", m, standard_labels(m), block(primal))
+    h_star = LieAlgebra(f"{h.name}*", m, h.dual_labels, block(dual))
+    zero = Multivector.zero(m, 1)
+    psi = LinearMap.from_rows([_embed(dual.structure.get((a, m), zero), m).coeffs()
+                               for a in range(m)]).add(LinearMap.identity(m))
+    rebuilt = build_semidirect_glb(h, h_star, psi)
+    if primal.structure != rebuilt.g.structure or dual.structure != rebuilt.g_star.structure:
+        raise ValueError("semidirect reconstruction does not match the input")
+    return SemidirectCertificate(theta0, h, h_star, psi, LinearMap.from_columns(kernel_rows))
+
+
+def unit_center_vector_reference(g, phi0):
+    """z / phi0(z) for the first Fraction row z of center(g) with
+    phi0(z) != 0, or None."""
+    for z in center(g).elements():
+        value = pair(phi0, z)
+        if value != 0:
+            return z.scale(Fraction(1) / value)
+    return None
+
+
+def moved_glb(b, p):
+    """b in the basis given by the columns of P: g by P, g* by the dual
+    basis P^-T, phi0 pulled back by P^T and x0 moved by P^-1."""
+    p_inv = invert(p)
+    return GeneralizedBialgebra(change_basis(b.g, p, name="dense"),
+                                change_basis(b.g_star, transpose(p_inv)),
+                                induced(transpose(p), b.phi0), induced(p_inv, b.x0))
 
 
 def b_dual_reference(b_form, covector):

@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     b_dual_reference,
     b_dual_sum_reference,
+    classify_semidirect_reference,
     bracket_compat_plain_reference,
     bracket_compat_reference,
     broken_noncob,
@@ -28,6 +29,7 @@ from helpers import (
     invariant_scalar_product_reference,
     mixed_algebras,
     mixed_fraction,
+    moved_glb,
     mv,
     non_lie_glb,
     random_basis,
@@ -41,6 +43,7 @@ from helpers import (
     solve_reference,
     third_kind_series,
     unimodular_basis,
+    unit_center_vector_reference,
     vec,
 )
 from liejacobi.bialgebra import (
@@ -190,6 +193,8 @@ def argument_sites():
          [("omega2", Form, 2, True), ("lee", Form, 1, False)]),
         ("central_extension", central_extension,
          dict(h=abelian(2), omega=fm(2, 2, {(0, 1): 1})), [("omega", Form, 2, False)]),
+        ("unit_center_vector", unit_center_vector, dict(g=catalog("u2"), phi0=Form.basis(4, 3)),
+         [("phi0", Form, 1, False)]),
     ]
 
 
@@ -373,6 +378,15 @@ def test_build_from_jacobi_rejects_non_jacobi_pair():
     y = catalog("semidirect4_53")
     with pytest.raises(ValueError, match="jacobi construction preconditions"):
         build_from_jacobi(y)
+    # the failing Jacobi report is nested two spaces deeper than its intro
+    with pytest.raises(ValueError) as exc:
+        build_from_jacobi(catalog("h11"))
+    assert str(exc.value) == ("jacobi construction preconditions fail:\n"
+                              "  (r, x0) is not a jacobi pair:\n"
+                              "    jacobi pair fails:\n"
+                              "      [r,r] - 2*x0^r = -12*e1^e2^e3\n"
+                              "      [x0,r] = 0\n"
+                              "  i(phi0) r - x0 = -e3")
     # r = x0 = 0 is a Jacobi pair, but e^1 is no 1-cocycle of su2
     with pytest.raises(ValueError) as exc:
         build_from_jacobi(YbData(SU2, Form.basis(3, 0), Multivector.zero(3, 2),
@@ -1141,11 +1155,7 @@ def test_third_kind_certificate_fixes_phi0_on_h_only():
     # but another phi0 and g*
     g = direct_product(SU2, abelian(2), name="su2xR2")
     b = build_third_kind(g, vec(5, 0), vec(5, 1), vec(5, 2), vec(5, 3), (1, -2, 3))
-    p = unimodular_basis(random.Random(1), 5, 1)
-    p_inv = invert(p)
-    moved = GeneralizedBialgebra(change_basis(b.g, p, name="dense"),
-                                 change_basis(b.g_star, transpose(p_inv)),
-                                 induced(transpose(p), b.phi0), induced(p_inv, b.x0))
+    moved = moved_glb(b, unimodular_basis(random.Random(1), 5, 1))
     result = classify_compact(moved)
     cert = result.certificate
     assert is_compact(cert.characteristic.algebra).compact
@@ -1201,8 +1211,12 @@ def test_extract_jacobi_rejections():
     with pytest.raises(ValueError, match=r"phi0\(y0\) = 1"):
         extract_jacobi(b, vec(4, 0))
     tk = catalog("thirdkind_u2")
-    with pytest.raises(ValueError, match="central"):
+    with pytest.raises(ValueError, match="^y0 must be central in g$"):
         extract_jacobi(tk, vec(4, 0))
+    with pytest.raises(TypeError, match="^y0 must be a multivector$"):
+        extract_jacobi(tk, Form.basis(4, 3))
+    with pytest.raises(ValueError, match="^y0 must have dimension 4$"):
+        extract_jacobi(tk, vec(5, 3))
     nb = catalog("noncob4_53")
     bad = GeneralizedBialgebra(nb.g, nb.g_star, Form.basis(4, 0), nb.x0)
     with pytest.raises(ValueError, match="not a generalized bialgebra"):
@@ -1216,6 +1230,74 @@ def test_unit_center_vector():
     assert unit_center_vector(g, Form.zero(4, 1)) is None
     half = unit_center_vector(abelian(2), Form.from_coeffs([F(2), F(0)]))
     assert half == vec(2, 0).scale(F(1, 2))
+
+
+def semidirect_glbs():
+    """phi0 = 0, x0 != 0 bialgebras on compact bases: the semidirect round
+    trips below, glb_from_cocycle on abelian bases (centers of dimension 2 to
+    5) and build_semidirect_glb over u2 with psi = ad(e1) + 2 e^4 (x) e4."""
+    solvable2_star = LieAlgebra("solvable2*", 2, ("e^1", "e^2"), catalog("solvable2").structure)
+    ad1 = LinearMap.from_columns([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    u2_psi = LinearMap.from_columns([[0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 2]])
+    return [
+        build_semidirect_glb(abelian(2), LieAlgebra("ab2*", 2, ("f1", "f2"), {}),
+                             LinearMap.from_rows([[1, 0], [0, 2]])),
+        build_semidirect_glb(SU2, LieAlgebra("su2*", 3, ("f1", "f2", "f3"), {}), ad1),
+        *(build_semidirect_glb(abelian(2), solvable2_star,
+                               LinearMap.from_rows([[a + 1, c], [0, 1]]).transpose())
+          for a, c in ((0, 0), (1, 2), (F(-1, 2), 3))),
+        glb_from_cocycle(heisenberg(1), Form.basis(3, 0)),
+        glb_from_cocycle(heisenberg(1), Form.from_coeffs([2, F(-1, 3), 0])),
+        glb_from_cocycle(catalog("solvable2"), Form.basis(2, 1)),
+        glb_from_cocycle(heisenberg(2), Form.from_coeffs([1, 0, F(3, 2), -1, 0])),
+        glb_from_cocycle(direct_product(SU2, abelian(2)), Form.from_coeffs([0, 0, 0, 1, -2])),
+        build_semidirect_glb(catalog("u2"), LieAlgebra("u2*", 4, ("f1", "f2", "f3", "f4"), {}),
+                             u2_psi),
+    ]
+
+
+def test_semidirect_certificate_matches_the_invariant_product_route():
+    # theta0 as the cocycle with prescribed values on the center rows, against
+    # the parent's route through the matrix of the invariant product, on each
+    # semidirect bialgebra and on two seeded dense unimodular moves of it:
+    # the certificate fields, the bracket order of h and h*, and y0 = None
+    rng = random.Random(2052)
+    wide = 0
+    for b in semidirect_glbs():
+        wide += center(b.g).rank > 1
+        for moved in (b, *(moved_glb(b, unimodular_basis(rng, b.g.dim, radius))
+                           for radius in (1, 2))):
+            want = classify_semidirect_reference(moved)
+            result = classify_compact(moved)
+            got = result.certificate
+            assert result.kind == "phi0-zero-semidirect" and got == want, moved.g.name
+            for attr in ("subalgebra", "dual_subalgebra"):
+                assert (list(getattr(got, attr).structure)
+                        == list(getattr(want, attr).structure)), moved.g.name
+            assert result.y0 is None
+            assert unit_center_vector(moved.g, moved.phi0) is None
+            assert unit_center_vector_reference(moved.g, moved.phi0) is None
+    assert wide == 10
+
+
+def test_unit_center_vector_matches_the_center_subspace_route():
+    # the integer rows of g._center against the Fraction rows of center(g):
+    # every catalog glb, the semidirect bases with seeded phi0 (zero on the
+    # center too), and the seeded brackets of dims 0-14 with seeded covectors
+    rng = random.Random(2053)
+    nones = found = 0
+    cases = [(b.g, b.phi0) for b in map(catalog, catalog_names()[:-2])
+             if isinstance(b, GeneralizedBialgebra)]
+    assert len(cases) == 4
+    for g in [b.g for b in semidirect_glbs()] + list(seeded_brackets()):
+        cases += [(g, random_element(rng, Form, g.dim, 1, terms=3)) for _ in range(2 if g.dim else 0)]
+        cases += [(g, Form.from_coeffs(row)) for row in annihilator(center(g)).rows[:1]]
+    for g, phi0 in cases:
+        want = unit_center_vector_reference(g, phi0)
+        assert unit_center_vector(g, phi0) == want, g.name
+        nones += want is None
+        found += want is not None
+    assert nones >= 10 and found >= 10
 
 
 def test_su2_triple_golden():

@@ -223,6 +223,22 @@ def test_contact_both_directions(tmp_path, capsys):
     assert payload["report"]["eta"]["terms"] == [{"index": ["e^1"], "coeff": "-1"}]
 
 
+def test_pair_subcommands_parse_each_document_once(tmp_path, capsys, monkeypatch):
+    # contact and lcs without --eta or --omega take the algebra from the
+    # loaded pair, so they parse the algebra, r and x0 once each, as rank does
+    parsed = []
+    monkeypatch.setattr(cli, "parse", lambda text, **kw: parsed.append(text) or parse(text, **kw))
+    for sub, g, r, x0 in (("contact", catalog("su2"), mv(3, 2, {(1, 2): 1}), -vec(3, 0)),
+                          ("lcs", catalog("solvable2"), mv(2, 2, {(0, 1): 1}), vec(2, 0))):
+        argv = ["--algebra", write(tmp_path, "g.json", g),
+                "--r", write(tmp_path, "r.json", r, g.basis_labels),
+                "--x0", write(tmp_path, "x0.json", x0, g.basis_labels)]
+        for command in (sub, "rank"):
+            del parsed[:]
+            assert run(capsys, command, *argv)[0] == 0, command
+            assert len(parsed) == 3, command
+
+
 def test_contact_rejects_degenerate_form(tmp_path, capsys):
     g = catalog("su2")
     algebra = write(tmp_path, "g.json", g)

@@ -1,5 +1,6 @@
 """Document schema: parsing, serialization, fixed points and error paths."""
 
+import gc
 import json
 from fractions import Fraction
 
@@ -340,6 +341,20 @@ def _dumped(tree) -> str:
 @example({"a": [{}, [], ()], "b": ("x", 0, -1, True, False, None)})
 def test_writer_matches_indented_json_dumps(tree):
     assert _dumped(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_writer_leaves_no_garbage():
+    # the writer recurses through a module function, not a closure that
+    # refers to itself, so its calls leave no reference cycle to collect
+    tree = to_document(catalog("thirdkind_u2"))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            _dump(tree, lambda text: None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_serialize_matches_indented_json_dumps_on_the_catalog():

@@ -11,7 +11,8 @@ cached glb sums of a generalized bialgebra make no public call, the Jacobi
 residuals and the contact and l.c.s. maps stay on the integer forms, a
 2-tensor has one integer matrix and one push-forward that only the public
 sharp map views as Fractions, the compactness test, subspaces and basis
-frames stay on integer rows, a Subspace's frame is read from its reduced
+frames stay on integer rows, classification and extraction read the center
+of g from its cached integer rows, a Subspace's frame is read from its reduced
 rows with no elimination, the glb residuals apply one action kernel on the
 support of d_basis, bialgebra builds no l.c.s. or contact structure, each
 of six primitives (the dense integer form of a matrix, the matrix-vector
@@ -447,7 +448,8 @@ def test_glb_residuals_act_on_the_support_of_d_basis():
     names = function_references(source, "_unit_dual")
     assert {"_ints", "_from_ints"} <= names
     assert names.isdisjoint({"pair", "elements", "from_coeffs", "Fraction", "ZERO", "scale"})
-    assert {"_unit_dual", "_reduced"} <= function_references(source, "_classify_checked")
+    names = function_references(source, "_classify_checked")
+    assert {"_unit_dual", "_center"} <= names and "_reduced" not in names
     # the third kind eliminates each subspace of h once: the center and the
     # derived algebra are read from h's cached rows, with no second
     # compactness test, and the frame of ker(lee) from lee's null rows at
@@ -458,6 +460,36 @@ def test_glb_residuals_act_on_the_support_of_d_basis():
                              "is_compact", "transpose", "Subspace", "Fraction"})
     for gone in ("_b_dual_cocycle", "_same_span"):
         assert f"def {gone}(" not in source, gone
+
+
+def test_classification_reads_the_center_from_its_cached_rows():
+    # classification, extraction and the kind builders read the center of g
+    # from the cached integer rows g._center and decide compactness from
+    # g._compactness: the private steps take no center or compactness
+    # argument, and no step builds a center Subspace, a CompactnessReport or
+    # the invariant product on the way
+    source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
+    for fn, params in (("_classify_checked", ["b"]), ("_extract_checked", ["b", "y0"])):
+        assert [a.arg for a in definition(source, fn).args.args] == params, fn
+    assert "_in_rows" in function_references(source, "_extract_checked")
+    public = {"center", "is_compact", "CompactnessReport", "Subspace", "contains_element",
+              "invariant_scalar_product", "elements"}
+    for fn in ("classify_compact", "_classify_checked", "_extract_checked", "extract_jacobi",
+               "unit_center_vector", "_classify_semidirect"):
+        names = function_references(source, fn)
+        assert names.isdisjoint(public), fn
+    for fn in ("_classify_checked", "_extract_checked", "unit_center_vector",
+               "_classify_semidirect"):
+        assert "_center" in function_references(source, fn), fn
+    # theta0 is the cocycle with prescribed values on the center rows, and
+    # the unit central vector sums its value on the integer rows
+    names = function_references(source, "_classify_semidirect")
+    assert "_solve_cocycle_with_values" in names
+    assert names.isdisjoint({"invariant_scalar_product", "pair"})
+    assert function_references(source, "unit_center_vector").isdisjoint(
+        {"center", "pair", "elements"})
+    # compactness is decided from the cache; is_compact only describes a failure
+    assert {"_compactness", "is_compact"} <= function_references(source, "_require_compact")
 
 
 def test_compactness_subspaces_and_frames_stay_integer():
@@ -498,8 +530,12 @@ def test_compactness_subspaces_and_frames_stay_integer():
     names = function_references((ROOT / "src" / "liejacobi" / "bialgebra.py").read_text(),
                                 "build_first_kind")
     assert {"_pivot_frame", "_reduced", "_in_span"} <= names and "_frame" not in names
+    # membership in reduced integer rows is one elimination, _in_rows, which
+    # Subspace.contains and bialgebra's centrality test share
     contains = function_references(liealg_source, "Subspace.contains")
-    assert {"_reduced", "_eliminate"} <= contains and "rows" not in contains
+    assert {"_reduced", "_in_rows"} <= contains and "rows" not in contains
+    assert "_eliminate" not in contains
+    assert "_eliminate" in function_references(liealg_source, "_in_rows")
     linalg_source = (ROOT / "src" / "liejacobi" / "linalg.py").read_text()
     assert "_definite" in function_references(linalg_source, "is_definite")
     assert function_references(linalg_source, "_null_rows").isdisjoint({"Fraction", "ZERO"})

@@ -18,10 +18,11 @@ from pathlib import Path
 from helpers import dense_heisenberg_cocycle
 from liejacobi import cli
 from liejacobi import liealg
-from liejacobi.bialgebra import (build_first_kind, build_second_kind, build_semidirect_glb,
-                                 build_third_kind, check_glb, classify_compact, glb_from_cocycle,
-                                 solve_coboundary)
-from liejacobi.catalog import catalog
+from liejacobi.bialgebra import (GeneralizedBialgebra, _classify_checked, _extract_checked,
+                                 build_first_kind, build_second_kind, build_semidirect_glb,
+                                 build_third_kind, check_glb, classify_compact, extract_jacobi,
+                                 glb_from_cocycle, solve_coboundary, unit_center_vector)
+from liejacobi.catalog import catalog, heisenberg
 from liejacobi.documents import serialize
 from liejacobi.exterior import Form, Multivector, wedge
 from liejacobi.liealg import LieAlgebra, LinearMap, Subspace, abelian, direct_product
@@ -37,6 +38,11 @@ def _public_calls(fn) -> dict:
     return {key: row[1] for key, row in pstats.Stats(profile).stats.items()
             if Path(key[0]).parent == PACKAGE
             and (not key[2].startswith(("_", "<")) or key[2].startswith("__"))}
+
+
+# the public calls that build a CompactnessReport (is_compact, also inside
+# invariant_scalar_product) or a center Subspace (center)
+CENTER_REPORTS = {"is_compact", "center", "derived_algebra", "invariant_scalar_product"}
 
 
 def _su2_r2():
@@ -71,8 +77,45 @@ def test_builders_and_classification_call_alike_cold_and_warm():
         warm = _public_calls(lambda: op(shared))    # warm from the kinds before
         assert cold == warm, build.__name__
         names = {name for _, _, name in cold}
-        assert {"is_compact", "center", "derived_algebra", "__post_init__"} <= names
+        assert "__post_init__" in names and names.isdisjoint(CENTER_REPORTS)
     assert {"_killing", "_center", "_derived", "_compactness"} <= set(vars(shared))
+
+
+def test_center_readers_build_no_center_report():
+    # classification, extraction, the kind builders and unit_center_vector
+    # read the center of g from the cached rows g._center and decide
+    # compactness from g._compactness: on their success paths, on a cold
+    # algebra as on a warm one, they make none of the public calls that
+    # build a CompactnessReport, a center Subspace or the invariant product
+    def names(fn):
+        return {name for _, _, name in _public_calls(fn)}
+
+    def cold(b):
+        return replace(b, g=replace(b.g))     # a new g, with empty caches
+
+    u2_dual = LieAlgebra("u2*", 4, ("f1", "f2", "f3", "f4"), {})
+    psi = LinearMap.from_columns([[0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 2]])
+    su2 = catalog("su2")
+    glbs = [build_semidirect_glb(catalog("u2"), u2_dual, psi),
+            glb_from_cocycle(heisenberg(1), Form.basis(3, 0)),
+            GeneralizedBialgebra(su2, LieAlgebra("su2*", 3, su2.dual_labels, {}),
+                                 Form.zero(3, 1), Multivector.zero(3, 1))]
+    for build in (_first, _second, _third):
+        assert names(lambda: build(_su2_r2())).isdisjoint(CENTER_REPORTS), build.__name__
+        glbs.append(build(_su2_r2()))
+    kinds = []
+    for b in glbs:
+        kinds.append(classify_compact(b).kind)
+        y0 = unit_center_vector(b.g, b.phi0)
+        ops = [classify_compact, _classify_checked,
+               lambda c: unit_center_vector(c.g, c.phi0)]
+        if y0 is not None:
+            ops += [lambda c: extract_jacobi(c, y0), lambda c: _extract_checked(c, y0)]
+        for op in ops:
+            for c in (cold(b), b):
+                assert names(lambda: op(c)).isdisjoint(CENTER_REPORTS), (b.g.name, op)
+    assert kinds == ["phi0-zero-semidirect", "phi0-zero-semidirect", "lie-bialgebra",
+                     "first", "second", "third"]
 
 
 def test_glb_checks_call_alike_cold_and_warm():
