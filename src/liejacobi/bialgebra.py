@@ -7,17 +7,23 @@ assemble the dual bracket from Yang-Baxter-type data, transplant a cocycle
 onto an abelian base, or instantiate the three compact kinds; the
 classification walks the opposite direction and certifies which kind a
 compact example belongs to.  The Yang-Baxter check reads [r,r] - 2 x0^r and
-[x0,r] from jacobi's `_jacobi_residuals`, as check_jacobi does.  The
-compatibility sums of check_glb are kept per bialgebra object as integers
-and made into elements afresh on each call, so a check of an object that
-a builder has checked sums nothing again; the builders return the object
-they checked.  Classification, extraction and the kind builders read the
-center of g one way, from its cached integer rows `g._center`, and decide
-compactness from `g._compactness`: y0 is `_unit_dual` of phi0 on those
-rows, y0 is central when `liealg._in_rows` eliminates it to zero by them,
-unit_center_vector sums phi0 on them in int, and the semidirect theta0 is
-the 1-cocycle with prescribed values on them.  On success none of these
-builds a compactness report, a center Subspace or the invariant product.
+[x0,r] from jacobi's `_jacobi_residuals`, as check_jacobi does, and tests
+the cocycle once; its two invariance residuals, like the compatibility
+residuals and the coboundary system, are summed by schouten's one kernel
+`_twisted_ad` of the weighted action on the terms of the element acted on.
+[x0,r] is that action too, but stays on jacobi's matrix route, which shares
+the matrix of r with the [r,r] sums.  The compatibility sums of check_glb
+are kept per bialgebra object as integers and made into elements afresh on
+each call, so a check of an object that a builder has checked sums nothing
+again; the builders return the object they checked.  A failed check report
+raises through liealg's one gated raise `_require`.  Classification,
+extraction and the kind builders read the center of g one way, from its
+cached integer rows `g._center`, and decide compactness from
+`g._compactness`: y0 is `_unit_dual` of phi0 on those rows, y0 is central
+when `liealg._in_rows` eliminates it to zero by them, unit_center_vector
+sums phi0 on them in int, and the semidirect theta0 is the 1-cocycle with
+prescribed values on them.  On success none of these builds a compactness
+report, a center Subspace or the invariant product.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from liejacobi.liealg import (
     _pivot_frame,
     _push,
     _rank,
+    _require,
     _restrict,
     abelian,
     coordinates,
@@ -63,10 +70,10 @@ from liejacobi.liealg import (
 )
 from liejacobi.linalg import ZERO, _null_rows, _reduced, _sparse, nullspace, solve_rows
 from liejacobi.schouten import (
+    _twisted_ad,
     check_cocycle,
     ce_differential,
     schouten,
-    twisted_ad,
     twisted_differential,
 )
 
@@ -201,37 +208,11 @@ def _d_basis(b: GeneralizedBialgebra) -> tuple[tuple[dict, int], ...]:
     return tuple(out)
 
 
-def _twisted_ad(g: LieAlgebra, phi: list[int], dphi: int, s: int, terms: dict,
-                acc: dict, sign: int = 1) -> dict:
-    """Add sign times e_s.P to acc and return acc, for the action
-    X.P = [X, P] - phi0(X) P of g on 2-vectors, phi0(e_s) = phi[s] / dphi,
-    and P = sum terms[a, c] e_a^e_c (a < c) over an integer form: with
-      e_s.(e_a^e_c) = [e_s, e_a]^e_c + e_a^[e_s, e_c] - phi0(e_s) e_a^e_c,
-    acc[p, q] gains the integers N with e_s.P = sum N e_p^e_q over den * dphi
-    times the denominator of the terms.  Only the support of P is read."""
-    den, table = g._ad
-    row = table[s]
-    twist = -den * phi[s] * sign
-    for (a, c), v in terms.items():
-        if twist:
-            acc[a, c] = acc.get((a, c), 0) + twist * v
-        v *= sign * dphi
-        for m, x in row.get(a, {}).items():     # [e_s, e_a]^e_c
-            if m != c:
-                key, x = ((m, c), x) if m < c else ((c, m), -x)
-                acc[key] = acc.get(key, 0) + v * x
-        for m, x in row.get(c, {}).items():     # e_a^[e_s, e_c]
-            if m != a:
-                key, x = ((a, m), x) if a < m else ((m, a), -x)
-                acc[key] = acc.get(key, 0) + v * x
-    return acc
-
-
 def _bracket_compat(g: LieAlgebra, phi: list[int], dphi: int, d_basis) -> tuple:
     """((i, j), acc, scale) entries, nonzero only, of the residuals
       d_{*X0}[e_i, e_j] - e_i.d_basis[j] + e_j.d_basis[i] = acc / scale,
-    d_basis the integer forms of _d_basis, with the action of _twisted_ad
-    applied to the terms of d_basis only and d_{*X0} linear:
+    d_basis the integer forms of _d_basis, with schouten's action kernel
+    _twisted_ad applied to the terms of d_basis only and d_{*X0} linear:
     d_{*X0}[e_i, e_j] = sum_k c_ij^k d_basis[k].  twisted_schouten refuses
     a phi0 that is not a 1-cocycle; this states that failure as a residual.
     Summed as integers over den * L * dphi, L the lcm of the d_basis
@@ -249,7 +230,7 @@ def _bracket_compat(g: LieAlgebra, phi: list[int], dphi: int, d_basis) -> tuple:
                     acc[idx] = acc.get(idx, 0) + c * v
             for s, t, sign in ((i, j, -1), (j, i, 1)):
                 if table[s] or phi[s]:      # else e_s acts by zero
-                    _twisted_ad(g, phi, dphi, s, d[t], acc, sign)
+                    _twisted_ad(g, s, d[t], acc, sign * dphi, -sign * den * phi[s])
             if any(acc.values()):
                 entries.append(((i, j), acc, den * scale * dphi))
     return tuple(entries)
@@ -330,21 +311,26 @@ def check_yb_hypotheses(y: YbData) -> YbReport:
     phi0 must be a 1-cocycle; that is a precondition of the construction,
     not one of the reported checks, so a violation raises.
     """
-    g = y.g
+    g, n = y.g, y.g.dim
     check_cocycle(g, y.phi0)
     cubic, x0_commutes = _jacobi_residuals(g, y.r, y.x0)
     vector = contract(y.phi0, y.r) - y.x0
-    cubic_entries = []
-    vector_entries = []
-    for i in range(g.dim):
-        x = g.basis_vector(i)
-        res3 = twisted_ad(g, y.phi0, 1, x, cubic)
-        if not res3.is_zero():
-            cubic_entries.append((i, res3))
-        res1 = twisted_ad(g, y.phi0, 0, x, vector)
-        if not res1.is_zero():
-            vector_entries.append((i, res1))
-    return YbReport(y, cubic, tuple(cubic_entries), x0_commutes, vector, tuple(vector_entries))
+    den = g._ad[0]
+    phi, dphi = y.phi0._ints()
+    residuals = []
+    for p, weight in ((cubic, 1), (vector, 0)):
+        # e_i.P = [e_i, P] - (k - weight) phi0(e_i) P over den * dphi * (P's
+        # denominator), summed by schouten's kernel on the terms of P; an
+        # element is built only for a nonzero residual
+        terms, dp = p._ints()
+        twist = -(p.grade - weight) * den
+        entries = []
+        for i in range(n):
+            acc = _twisted_ad(g, i, terms, {}, dphi, twist * phi.get((i,), 0))
+            if any(acc.values()):
+                entries.append((i, Multivector._from_ints(n, p.grade, acc, den * dphi * dp)))
+        residuals.append(tuple(entries))
+    return YbReport(y, cubic, residuals[0], x0_commutes, vector, residuals[1])
 
 
 def _check_route_args(g: LieAlgebra, phi0: Form, r: Multivector, x0: Multivector) -> None:
@@ -431,9 +417,7 @@ def build_dual_bracket(y: YbData) -> LieAlgebra:
     pointwise evaluation route, and the assembled quadruple must pass
     check_glb, which also checks the Jacobi identity of the dual bracket.
     """
-    report = check_yb_hypotheses(y)
-    if not report.passed:
-        raise ValueError(report.describe())
+    _require(check_yb_hypotheses(y))
     return _assemble_dual(y).g_star
 
 
@@ -448,10 +432,7 @@ def _assemble_dual(y: YbData) -> GeneralizedBialgebra:
         raise ValueError("dual bracket routes disagree; construction is inconsistent")
     b = GeneralizedBialgebra(g, LieAlgebra(f"{g.name}*", g.dim, g.dual_labels, structure),
                              y.phi0, y.x0)
-    glb_report = check_glb(b)
-    if not glb_report.passed:
-        raise ValueError("assembled pair is not a generalized bialgebra:\n"
-                         + glb_report.describe())
+    _require(check_glb(b), "assembled pair is not a generalized bialgebra")
     return b
 
 
@@ -545,8 +526,7 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
     generator is never unique.
     """
     report, d_basis = _check_glb(b)
-    if not report.passed:
-        raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
+    _require(report, "input is not a generalized bialgebra")
     n = b.g.dim
     unknowns = list(combinations(range(n), 2))
     solution = solve_rows(_coboundary_system(b, d_basis)[0], len(unknowns))
@@ -563,8 +543,8 @@ def solve_coboundary(b: GeneralizedBialgebra) -> CoboundarySolutions:
 def _coboundary_system(b: GeneralizedBialgebra,
                        d_basis: list[Multivector]) -> tuple[list[dict[int, int]], list[int]]:
     """(rows, scales) of e_i.r = d_basis[i] over the coefficients of r, with
-    the action of _twisted_ad applied to each basis 2-vector: one sparse
-    integer row {column: int} per i and target e_p^e_q, one column per
+    schouten's action kernel _twisted_ad applied to each basis 2-vector: one
+    sparse integer row {column: int} per i and target e_p^e_q, one column per
     e_a^e_c, both in combinations order, and the right-hand side in column
     width, the number of pairs.  rows[k] over scales[k] is the equation: the
     action over den * dphi and d_basis[i] over its denominator dd_i give row
@@ -576,15 +556,16 @@ def _coboundary_system(b: GeneralizedBialgebra,
     width = len(pairs)
     phi, dphi = b.phi0._ints()
     phi = [phi.get((i,), 0) for i in range(g.dim)]
-    scale = g._ad[0] * dphi
+    den, table = g._ad
+    scale = den * dphi
     rows: list[dict[int, int]] = []
     scales: list[int] = []
     for i, d in enumerate(d_basis):
         nums, dd = d._ints()
         block_rows: list[dict[int, int]] = [{} for _ in pairs]
-        if g._ad[1][i] or phi[i]:       # else e_i acts by zero
+        if table[i] or phi[i]:      # else e_i acts by zero
             for col, ac in enumerate(pairs):
-                for pq, x in _twisted_ad(g, phi, dphi, i, {ac: 1}, {}).items():
+                for pq, x in _twisted_ad(g, i, {ac: 1}, {}, dphi, -den * phi[i]).items():
                     if x:
                         block_rows[position[pq]][col] = x * dd
         for pq, v in nums.items():
@@ -609,9 +590,7 @@ def glb_from_cocycle(g: LieAlgebra, phi: Form) -> GeneralizedBialgebra:
                       g.structure)
     b = GeneralizedBialgebra(base, dual, Form.zero(n, 1),
                              Multivector.from_coeffs(phi.coeffs()))
-    report = check_glb(b)
-    if not report.passed:
-        raise ValueError("cocycle construction failed:\n" + report.describe())
+    _require(check_glb(b), "cocycle construction failed")
     return b
 
 
@@ -760,9 +739,7 @@ def extract_jacobi(b: GeneralizedBialgebra, y0: Multivector) -> ExtractionResult
     """Recover the Jacobi pair of a generalized bialgebra from a central y0
     with phi0(y0) = 1: r = -d_{*x0}(y0), then x0 = i(phi0) r and the dual
     bracket must coincide with the one rebuilt from (r, x0, phi0)."""
-    report = check_glb(b)
-    if not report.passed:
-        raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
+    _require(check_glb(b), "input is not a generalized bialgebra")
     _check_argument("y0", y0, Multivector, b.g.dim, 1)
     return _extract_checked(b, y0)
 
@@ -778,9 +755,7 @@ def _extract_checked(b: GeneralizedBialgebra, y0: Multivector) -> ExtractionResu
     if contract(b.phi0, r) != b.x0:
         raise ValueError("extraction failed: i(phi0) r differs from x0")
     jp = JacobiPair(g, r, b.x0)
-    jacobi_report = check_jacobi(jp)
-    if not jacobi_report.passed:
-        raise ValueError("extraction failed:\n" + jacobi_report.describe())
+    _require(check_jacobi(jp), "extraction failed")
     rebuilt = dual_bracket_adjoint_route(g, b.phi0, r, b.x0)
     if rebuilt != dict(b.g_star.structure):
         raise ValueError("extraction failed: dual bracket does not match the rebuilt one")
@@ -1026,9 +1001,7 @@ def classify_compact(b: GeneralizedBialgebra) -> ClassificationResult:
     dual is a semidirect product encoded by a derivation.
     """
     _require_compact(b.g)
-    report = check_glb(b)
-    if not report.passed:
-        raise ValueError("input is not a generalized bialgebra:\n" + report.describe())
+    _require(check_glb(b), "input is not a generalized bialgebra")
     return _classify_checked(b)
 
 
@@ -1094,7 +1067,5 @@ def build_semidirect_glb(h: LieAlgebra, h_star: LieAlgebra,
     g_star = LieAlgebra(f"{g.name}*", g.dim, g.dual_labels,
                         semidirect_by_derivation(h_star, derivation).structure)
     b = GeneralizedBialgebra(g, g_star, Form.zero(g.dim, 1), Multivector.basis(g.dim, m))
-    report = check_glb(b)
-    if not report.passed:
-        raise ValueError("semidirect construction failed:\n" + report.describe())
+    _require(check_glb(b), "semidirect construction failed")
     return b

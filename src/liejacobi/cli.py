@@ -349,10 +349,10 @@ def _certificate_report(result) -> dict:
 
 def _cmd_glb_classify(args) -> int:
     b = _load_glb(args)
-    compactness = is_compact(b.g)
-    if not compactness.compact:
+    splits, definite, _ = b.g._compactness     # is_compact only describes a failure
+    if not (splits and definite):
         raise UsageError("classification needs a compact base algebra:\n"
-                         + compactness.describe())
+                         + is_compact(b.g).describe())
     rep = check_glb(b)
     if not rep.passed:
         _emit(args, to_document(b), _report(rep), rep.describe())

@@ -19,15 +19,19 @@ The form is private to the library, not to this module.  Its readers, with
     a 2-tensor `_antisymmetric`, the one push-forward `_push`, the
     integer rows of `Subspace.from_elements` and the one inclusion
     `_embed` of a smaller algebra's vectors in an algebra built from it;
-  - `schouten`: `schouten`, `ce_differential` and `check_cocycle`;
+  - `schouten`: `schouten`, `ce_differential`, `check_cocycle` and the
+    one kernel `_twisted_ad` of the weighted adjoint action
+    X.P = [X, P] - (k - c) phi0(X) P on k-vectors, from the table of g
+    and the terms of P only;
   - `bialgebra`: `_check_glb` (d_{*X0} and the compatibility residuals,
     read from the tables of g, g*: their integer sums are kept per
     bialgebra object in `GeneralizedBialgebra._compat` and made into
-    elements afresh on each call), whose `_bracket_compat` applies the
-    action kernel `_twisted_ad` (X.P = [X, P] - phi0(X) P, from the table
-    of g) to the terms of each d_{*X0}(e_i) only, `_coboundary_system`
-    (the integer rows of solve_coboundary, that action on each basis
-    2-vector and the forms of d_{*X0}(e_i)), the dual vector
+    elements afresh on each call), whose `_bracket_compat` applies
+    schouten's `_twisted_ad` to the terms of each d_{*X0}(e_i) only,
+    `_coboundary_system` (the integer rows of solve_coboundary, that
+    action on each basis 2-vector and the forms of d_{*X0}(e_i)),
+    `check_yb_hypotheses` (that action on the terms of [r,r] - 2 X0^r and
+    of i(phi0) r - X0, for each basis vector), the dual vector
     `_unit_dual` of a cocycle (from phi and the integer center rows),
     the adjoint kernel `dual_bracket_adjoint_route` (the dual bracket from
     the columns of g and the forms of phi0, X0) and the certificate

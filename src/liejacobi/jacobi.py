@@ -37,6 +37,7 @@ from liejacobi.liealg import (
     _contraction,
     _push,
     _rank,
+    _require,
     _restrict_pair,
 )
 from liejacobi.linalg import _echelon, _inverse, solve_rows
@@ -200,16 +201,8 @@ def characteristic_subalgebra(jp: JacobiPair) -> CharacteristicSubalgebra:
     The subspace is provably bracket-closed for every valid Jacobi pair, so a
     closure failure is reported as an error carrying the witness bracket.
     """
-    _require_jacobi(jp)
+    _require(check_jacobi(jp), "not a jacobi pair")
     return _characteristic_checked(jp)
-
-
-def _require_jacobi(jp: JacobiPair) -> None:
-    # raise "not a jacobi pair" with the residuals when jp fails check_jacobi:
-    # a conversion fails on such a pair too, and this names the real cause
-    report = check_jacobi(jp)
-    if not report.passed:
-        raise ValueError("not a jacobi pair:\n" + report.describe())
 
 
 def _characteristic_checked(jp: JacobiPair) -> CharacteristicSubalgebra:
@@ -290,9 +283,7 @@ def contact_to_jacobi(cs: ContactStructure) -> JacobiPair:
     # r(e^i, e^j) = d eta(b^{-1} e^i, b^{-1} e^j): d eta pushed by the
     # transpose of b^{-1}
     jp = JacobiPair(g, _push((binv[0], list(zip(*binv[1]))), d_eta, Multivector), x0)
-    report = check_jacobi(jp)
-    if not report.passed:
-        raise ValueError("contact data produced an invalid pair:\n" + report.describe())
+    _require(check_jacobi(jp), "contact data produced an invalid pair")
     return jp
 
 
@@ -320,7 +311,7 @@ def jacobi_to_contact(jp: JacobiPair) -> ContactStructure:
         if back.r != jp.r or back.x0 != jp.x0:
             raise ValueError("contact reconstruction failed to invert the pair")
     except ValueError:
-        _require_jacobi(jp)
+        _require(check_jacobi(jp), "not a jacobi pair")
         raise
     return cs
 
@@ -331,9 +322,7 @@ def lcs_to_jacobi(ls: LcsStructure) -> JacobiPair:
     # b^{-1} = -L for the inverse L of the antisymmetric matrix of omega2
     r, inverse = _inverse_tensor(ls.omega2, Multivector)
     jp = JacobiPair(g, r, -_push(inverse, ls.lee, Multivector))
-    report = check_jacobi(jp)
-    if not report.passed:
-        raise ValueError("l.c.s. data produced an invalid pair:\n" + report.describe())
+    _require(check_jacobi(jp), "l.c.s. data produced an invalid pair")
     return jp
 
 
@@ -353,6 +342,6 @@ def jacobi_to_lcs(jp: JacobiPair) -> LcsStructure:
         if back.r != jp.r or back.x0 != jp.x0:
             raise ValueError("l.c.s. reconstruction failed to invert the pair")
     except ValueError:
-        _require_jacobi(jp)
+        _require(check_jacobi(jp), "not a jacobi pair")
         raise
     return ls

@@ -38,6 +38,9 @@ of the pivot coordinates, with no elimination.
 A change of coordinates accepts L v only when B (L v) == v.
 Algebras built from smaller ones, and bialgebra's semidirect classification
 reading them back, move vectors between dimensions by one inclusion `_embed`.
+A failed check report is raised as ValueError by `_require`, the one gated
+raise that jacobi and bialgebra share, kept here in the lowest layer that
+both import.
 """
 
 from __future__ import annotations
@@ -379,6 +382,15 @@ class ValidationReport:
         for (i, j, k), res in self.violations:
             lines.append(f"  ({labels[i]},{labels[j]},{labels[k]}): residual {res.render(list(labels))}")
         return "\n".join(lines)
+
+
+def _require(report, title: str | None = None) -> None:
+    """Raise ValueError with report.describe(), after the line title + ":"
+    when a title is given, unless the check report passed: the one gated
+    raise of the library's check reports."""
+    if not report.passed:
+        raise ValueError(report.describe() if title is None
+                         else title + ":\n" + report.describe())
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,15 @@ ce_differential is the derivation extension of d e^m = -sum_{a<b} c_ab^m
 e^a^e^b over the table's columns (LieAlgebra._columns), driven by the terms
 of its argument: d of a basis element is one column, read with no sum over
 the basis.
+
+The weighted adjoint action X.P = [X, P] - (k - c) phi0(X) P of g on
+k-vectors has one integer kernel, `_twisted_ad`, which the library's
+callers use: bialgebra's compatibility residuals and coboundary system
+(c = 1 on 2-vectors) and its Yang-Baxter check (c = 1 on [r,r] - 2 X0^r,
+c = 0 on i(phi0) r - X0).  The public twisted_ad is its Fraction
+reference.  jacobi's [X0, r] is the same action with phi0 = 0 but stays on
+its matrix route: it shares the matrix of r with the [r, r] sums, and a
+kernel call per term was slower there.
 """
 
 from __future__ import annotations
@@ -181,3 +190,36 @@ def twisted_ad(g: LieAlgebra, phi: Form, weight, x: Multivector, s: Multivector)
     if factor != 0:
         out = out - s.scale(factor)
     return out
+
+
+def _twisted_ad(g: LieAlgebra, s: int, terms: dict, acc: dict, c: int, t: int) -> dict:
+    """Add c den [e_s, P] + t P to acc and return acc, for P = sum terms[idx]
+    e_idx an integer form of any grade and den the table's denominator:
+    entry a of idx, at position p, becomes each m of [e_s, e_a], sorted into
+    the rest of idx at position q with sign (-1)^(p+q).  Only the support of
+    P and the row g._ad[1][s] are read.  The action x.P of twisted_ad is
+    c = dphi, t = -(k - weight) den phi[s] for phi0(e_s) = phi[s] / dphi,
+    over den dphi times P's denominator."""
+    row = g._ad[1][s]
+    # each m is sorted into each rest once per call: a dense P repeats them,
+    # and building the index again for every term is most of the cost there
+    spots: dict[tuple, dict] = {}       # rest -> {m: (m sorted into rest, (-1)^q)}
+    for idx, v in terms.items():
+        if t:
+            acc[idx] = acc.get(idx, 0) + t * v
+        v *= c
+        for p, a in enumerate(idx):
+            image = row.get(a)      # [e_s, e_a]
+            if image:
+                rest = idx[:p] + idx[p + 1:]
+                spot = spots.setdefault(rest, {})
+                w = -v if p % 2 else v
+                for m, x in image.items():
+                    if m not in rest:
+                        hit = spot.get(m)
+                        if hit is None:
+                            q = bisect(rest, m)
+                            hit = spot[m] = (rest[:q] + (m,) + rest[q:], -1 if q % 2 else 1)
+                        full, sign = hit
+                        acc[full] = acc.get(full, 0) + sign * w * x
+    return acc

@@ -5,10 +5,11 @@ evaluation of forms on vectors and of multivectors on covectors, l.c.s. pairs
 from contact pairs times a line, and reference routes for the exterior and
 structure-constant kernels, the coboundary system, the bracket and contraction
 compatibilities of check_glb and its integer sums taken afresh on each call,
-the coadjoint and pointwise dual brackets, the
-sharp-map homomorphism certificate, the contraction matrix of a 2-tensor and
-the contact flat map, the Jacobi residuals, the machine forms of the check
-reports written out by hand, the contact and l.c.s. maps by
+the Yang-Baxter hypotheses by the public weighted adjoint action, the
+coadjoint and pointwise dual brackets, the sharp-map homomorphism
+certificate, the contraction matrix of a 2-tensor and the contact flat map,
+the Jacobi residuals, the machine forms of the check reports written out by
+hand, the contact and l.c.s. maps by
 Fraction matrices, the center, the derived algebra, annihilators, subspace
 membership, the Killing form and the compactness test, the cocycle with
 prescribed values, the invariant scalar product and the Fraction sum of the
@@ -25,11 +26,11 @@ from itertools import combinations
 from math import lcm
 
 from liejacobi.bialgebra import (
-    _twisted_ad,
     GeneralizedBialgebra,
     GlbReport,
     SemidirectCertificate,
     YbData,
+    YbReport,
     build_first_kind,
     build_second_kind,
     build_semidirect_glb,
@@ -39,7 +40,7 @@ from liejacobi.bialgebra import (
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.documents import to_document
 from liejacobi.exterior import Form, Multivector, contract, pair, sort_index, wedge
-from liejacobi.jacobi import JacobiPair
+from liejacobi.jacobi import JacobiPair, _jacobi_residuals
 from liejacobi.liealg import (
     CompactnessReport,
     LieAlgebra,
@@ -73,7 +74,8 @@ from liejacobi.linalg import (
     transpose,
     zeros,
 )
-from liejacobi.schouten import ce_differential, schouten, twisted_schouten
+from liejacobi.schouten import (_twisted_ad, ce_differential, check_cocycle, schouten,
+                                 twisted_ad, twisted_schouten)
 
 
 def mv(dim, grade, terms):
@@ -630,7 +632,7 @@ def check_glb_reference(b):
                 acc[idx] = acc.get(idx, 0) + c * dphi * v
         for s, t, sign in ((i, j, -1), (j, i, 1)):
             if table[s] or phi[s]:
-                _twisted_ad(g, phi, dphi, s, d[t], acc, sign)
+                _twisted_ad(g, s, d[t], acc, sign * dphi, -sign * den * phi[s])
         if any(acc.values()):
             bracket.append(((i, j), Multivector._from_ints(n, 2, acc, den * scale * dphi)))
     contraction = []
@@ -653,6 +655,26 @@ def check_glb_reference(b):
 
 # The machine forms of the check reports, as the command line wrote them out
 # by hand, field by field, before documents._report: the reference for it.
+
+def check_yb_hypotheses_reference(y):
+    """check_yb_hypotheses by the public Fraction route: twisted_ad, which
+    checks the cocycle and calls schouten, on each basis vector."""
+    g = y.g
+    check_cocycle(g, y.phi0)
+    cubic, x0_commutes = _jacobi_residuals(g, y.r, y.x0)
+    vector = contract(y.phi0, y.r) - y.x0
+    cubic_entries = []
+    vector_entries = []
+    for i in range(g.dim):
+        x = g.basis_vector(i)
+        res3 = twisted_ad(g, y.phi0, 1, x, cubic)
+        if not res3.is_zero():
+            cubic_entries.append((i, res3))
+        res1 = twisted_ad(g, y.phi0, 0, x, vector)
+        if not res1.is_zero():
+            vector_entries.append((i, res1))
+    return YbReport(y, cubic, tuple(cubic_entries), x0_commutes, vector, tuple(vector_entries))
+
 
 def validation_report_reference(reports) -> dict:
     """validate's report over the ValidationReports of a document's algebras."""

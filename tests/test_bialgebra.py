@@ -1,6 +1,8 @@
 """Dual-bracket construction, bialgebra checks, builders and classification."""
 
+import cProfile
 import pickle
+import pstats
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 
 from helpers import (
     b_dual_reference,
+    check_yb_hypotheses_reference,
     b_dual_sum_reference,
     classify_semidirect_reference,
     bracket_compat_plain_reference,
@@ -22,6 +25,7 @@ from helpers import (
     compact_kind_bialgebras,
     contraction_compat_reference,
     cubic_noninvariant_yb,
+    dense_frame,
     dual_bracket_adjoint_reference,
     dual_bracket_pointwise_reference,
     fm,
@@ -50,7 +54,6 @@ from liejacobi.bialgebra import (
     _check_glb,
     _check_sharp_homomorphism,
     _coboundary_system,
-    _twisted_ad,
     _unit_dual,
     CoboundarySolutions,
     GeneralizedBialgebra,
@@ -95,7 +98,7 @@ from liejacobi.liealg import (
     standard_labels,
 )
 from liejacobi.linalg import invert, transpose
-from liejacobi.schouten import ce_differential, schouten
+from liejacobi.schouten import _twisted_ad, ce_differential, schouten
 
 F = Fraction
 SU2 = catalog("su2")
@@ -561,47 +564,63 @@ def test_bracket_compat_on_seeded_brackets_matches_both_references():
 
 
 def test_twisted_ad_matches_schouten_route():
-    # _twisted_ad adds sign * e_i.P over den * dphi * (P's denominator) to
-    # an accumulator, e_i.P = [e_i, P] - phi0(e_i) P, here through schouten:
-    # on each basis 2-vector into an empty one, and on a seeded P with both
-    # signs into one that already holds a seeded 2-vector; phi0 a 1-cocycle
-    # of g or not
+    # _twisted_ad(g, s, terms, acc, c, t) adds c den [e_s, P] + t P to acc;
+    # with c = sign * dphi and t = -sign * (k - weight) * den * phi[s] that is
+    # sign * e_s.P over den * dphi * (P's denominator), for the weighted
+    # action e_s.P = [e_s, P] - (k - weight) phi0(e_s) P, here through
+    # schouten: on each basis k-vector (k <= 3, n <= 5) into an empty
+    # accumulator, and on a seeded P of each grade with both signs into one
+    # that already holds a seeded k-vector; weights 0, 1, 2, phi0 a
+    # 1-cocycle of g or not, on the catalog bundles, the seeded quadruples,
+    # the seeded brackets (dims 0-14, 100-digit ones among them) and a
+    # catalog bialgebra in a dense unimodular basis
+    rng = random.Random(79)
     cases = catalog_bialgebras() + [broken_noncob(),
-                                    glb_from_cocycle(heisenberg(2), Form.basis(5, 0))]
+                                    glb_from_cocycle(heisenberg(2), Form.basis(5, 0)),
+                                    moved_glb(catalog("thirdkind_u2"),
+                                              unimodular_basis(random.Random(80), 4, 1))]
     cases += seeded_quadruples(random.Random(76), cocycle_phi0=True)
     cases += seeded_quadruples(random.Random(77))
-    assert any(b.phi0._ints()[1] > 1 for b in cases)
-    assert any(not ce_differential_reference(b.g, b.phi0).is_zero() for b in cases)
-    rng = random.Random(79)
-    skipped = 0
-    for b in cases:
-        g, n = b.g, b.g.dim
-        phi, dphi = b.phi0._ints()
+    pairs = [(b.g, b.phi0) for b in cases]
+    pairs += [(g, random_element(rng, Form, g.dim, min(1, g.dim), terms=3))
+              for g in seeded_brackets()]
+    assert any(phi0._ints()[1] > 1 for _, phi0 in pairs)
+    assert any(not ce_differential_reference(g, phi0).is_zero() for g, phi0 in pairs)
+    skipped = checked = 0
+    for g, phi0 in pairs:
+        n = g.dim
+        den = g._ad[0]
+        phi, dphi = phi0._ints()
         phi = [phi.get((i,), 0) for i in range(n)]
-        scale = g._ad[0] * dphi
-        as_bivector = lambda acc, den: Multivector.from_terms(     # noqa: E731
-            n, 2, {pq: Fraction(v, den) for pq, v in acc.items()})
+        as_element = lambda k, acc, scale: Multivector.from_terms(     # noqa: E731
+            n, k, {idx: Fraction(v, scale) for idx, v in acc.items()})
         for i in range(n):
             x = g.basis_vector(i)
-            action = lambda p: schouten(g, x, p) - p.scale(pair(b.phi0, x))    # noqa: E731
-            for ac in combinations(range(n), 2):
-                image = _twisted_ad(g, phi, dphi, i, {ac: 1}, {})
-                assert all(a < c for a, c in image)
-                assert as_bivector(image, scale) == action(mv(n, 2, {ac: 1})), (g.name, i, ac)
-                if not g._ad[1][i] and not phi[i]:
-                    assert image == {}
+            def action(p, weight):
+                return schouten(g, x, p) - p.scale((p.grade - weight) * pair(phi0, x))
+            for k in range(min(3, n) + 1):
+                for weight in (0, 1, 2):
+                    twist = -(k - weight) * den * phi[i]
+                    for idx in combinations(range(n), k) if n <= 5 else ():
+                        image = _twisted_ad(g, i, {idx: 1}, {}, dphi, twist)
+                        assert all(list(key) == sorted(set(key)) and len(key) == k
+                                   for key in image)
+                        assert as_element(k, image, den * dphi) == action(
+                            mv(n, k, {idx: 1}), weight), (g.name, i, idx, weight)
+                        if not g._ad[1][i] and not phi[i]:
+                            assert image == {}
+                        checked += 1
+                    p, q = (random_element(rng, Multivector, n, k, terms=3) for _ in range(2))
+                    (nums, pden), (qnums, qden) = p._ints(), q._ints()
+                    terms = {idx: v * qden for idx, v in nums.items()}      # P over pden * qden
+                    scale = den * dphi * pden * qden
+                    for sign in (1, -1):
+                        start = {idx: v * den * dphi * pden for idx, v in qnums.items()}
+                        acc = _twisted_ad(g, i, terms, start, sign * dphi, sign * twist)
+                        assert as_element(k, acc, scale) == (
+                            q + action(p, weight).scale(sign)), (g.name, i, k, weight, sign)
             skipped += not g._ad[1][i] and not phi[i]
-            if n < 2:
-                continue
-            p, q = (random_element(rng, Multivector, n, 2, terms=3) for _ in range(2))
-            (nums, den), (qnums, qden) = p._ints(), q._ints()
-            terms = {pq: v * qden for pq, v in nums.items()}      # P over den * qden
-            for sign in (1, -1):
-                start = {pq: v * scale * den for pq, v in qnums.items()}
-                acc = _twisted_ad(g, phi, dphi, i, terms, start, sign)
-                assert as_bivector(acc, scale * den * qden) == (
-                    q + action(p).scale(sign)), (g.name, i, sign)
-    assert skipped >= 5
+    assert skipped >= 5 and checked > 5000
 
 
 def test_solve_coboundary_contains_the_extracted_r():
@@ -861,6 +880,64 @@ def test_jacobi_preconditions_imply_the_yb_hypotheses():
         assert ce_differential(y.g, y.phi0).is_zero()
         assert check_yb_hypotheses(y).passed, y
     assert len(data) >= 18 and sum(y.g.dim == 5 for y in data) >= 6
+
+
+def test_yb_hypotheses_match_the_public_action_route():
+    # check_yb_hypotheses sums both invariance residuals with schouten's
+    # kernel; the public route of twisted_ad on each basis vector gives the
+    # same report, field by field, on the catalog's Yang-Baxter data, data
+    # whose hypotheses hold or fail (a zero phi0 of grade 0 or 2 among
+    # them), and each of these in a dense unimodular basis; a phi0 that is
+    # not a 1-cocycle raises the same error on both routes
+    rng = random.Random(84)
+    data = [catalog(name) for name in catalog_names()
+            if "(" not in name and isinstance(catalog(name), YbData)]
+    assert len(data) == 3
+    data += [cubic_noninvariant_yb(), *jacobi_yb_data()]
+    data += [YbData(SU2, Form.zero(3, grade), mv(3, 2, {(0, 1): 1}), vec(3, 0))
+             for grade in (0, 1, 2)]
+    for g in mixed_algebras()[0] + [catalog("u2"), catalog("gl2r"), heisenberg(2)]:
+        for _ in range(2):
+            phi0 = Form.zero(g.dim, 1)
+            for row in one_cocycles(g).rows:
+                phi0 = phi0 + Form.from_coeffs(row).scale(mixed_fraction(rng))
+            data.append(YbData(g, phi0, random_element(rng, Multivector, g.dim, 2, terms=3),
+                               random_element(rng, Multivector, g.dim, 1, terms=2)))
+    for y in list(data):
+        g, move = dense_frame(rng, y.g, 1)
+        data.append(YbData(g, move(y.phi0), move(y.r), move(y.x0)))
+    failing = {field: 0 for field in ("cubic_invariance", "x0_commutes", "vector_invariance")}
+    for y in data:
+        got, want = check_yb_hypotheses(y), check_yb_hypotheses_reference(y)
+        for field in ("data", "cubic", "cubic_invariance", "x0_commutes", "vector",
+                      "vector_invariance"):
+            assert getattr(got, field) == getattr(want, field), (y.g.name, field)
+        assert got == want and got.describe() == want.describe()
+        for field in failing:
+            failing[field] += bool(getattr(got, field))
+    assert min(failing.values()) >= 5 and sum(not check_yb_hypotheses(y) for y in data) >= 20
+    for g in (SU2, mixed_algebras()[0][0]):
+        y = YbData(g, Form.basis(3, 0), mv(3, 2, {(0, 1): 1}), Multivector.zero(3, 1))
+        with pytest.raises(ValueError) as got:
+            check_yb_hypotheses(y)
+        with pytest.raises(ValueError) as want:
+            check_yb_hypotheses_reference(y)
+        assert str(got.value) == str(want.value)
+
+
+def test_yb_hypotheses_check_the_cocycle_once():
+    # one check_cocycle per check_yb_hypotheses, and no public element call
+    # per basis vector: no twisted_ad, schouten, pair or basis_vector
+    for y in [catalog("h11"), cubic_noninvariant_yb(), *jacobi_yb_data()[:6]]:
+        profile = cProfile.Profile()
+        profile.runcall(check_yb_hypotheses, y)
+        calls = {}
+        for (path, _, name), row in pstats.Stats(profile).stats.items():
+            if "liejacobi" in path:
+                calls[name] = calls.get(name, 0) + row[1]
+        assert calls["check_cocycle"] == 1, y.g.name
+        assert calls["_twisted_ad"] == 2 * y.g.dim, y.g.name
+        assert not {"twisted_ad", "schouten", "pair", "basis_vector"} & set(calls), y.g.name
 
 
 def test_sharp_certificate_isomorphism_is_full_even_rank():

@@ -371,9 +371,10 @@ def test_glb_classify_kinds(capsys):
 
 
 def test_glb_classify_checks_once(capsys, monkeypatch, tmp_path):
-    # one compactness report of the base and one check_glb per command,
-    # across the CLI and the library it calls; read from documents, since
-    # the catalog's builders run their own checks
+    # one check_glb per command and no compactness report on success, across
+    # the CLI and the library it calls: compactness is read from the base's
+    # cache, and is_compact only describes a failure; read from documents,
+    # since the catalog's builders run their own checks
     calls = []
 
     def counting(name, fn):
@@ -390,8 +391,12 @@ def test_glb_classify_checks_once(capsys, monkeypatch, tmp_path):
         calls.clear()
         code, _, _ = run(capsys, "glb-classify", "--glb", path)
         assert code == 0
-        assert [c for c in calls if c[1] == b.g.name] == [("is_compact", b.g.name),
-                                                          ("check_glb", b.g.name)], name
+        assert [c for c in calls if c[1] == b.g.name] == [("check_glb", b.g.name)], name
+    calls.clear()
+    path = write(tmp_path, "noncob4_53.json", catalog("noncob4_53"))
+    code, _, err = run(capsys, "glb-classify", "--glb", path)
+    assert code == 2 and "classification needs a compact base algebra:\n" in err
+    assert calls == [("is_compact", catalog("noncob4_53").g.name)]
 
 
 def test_glb_classify_reports_a_failing_glb_on_a_compact_base(capsys, tmp_path):

@@ -13,11 +13,12 @@ residuals and the contact and l.c.s. maps stay on the integer forms, a
 sharp map views as Fractions, the compactness test, subspaces and basis
 frames stay on integer rows, classification and extraction read the center
 of g from its cached integer rows, a Subspace's frame is read from its reduced
-rows with no elimination, the glb residuals apply one action kernel on the
-support of d_basis, bialgebra builds no l.c.s. or contact structure, each
-of six primitives (the dense integer form of a matrix, the matrix-vector
-product, the linear map's shape check, the left inverse of a basis, the
-Jacobi residuals and the reduction of the characteristic subspace) has one
+rows with no elimination, the glb residuals and the Yang-Baxter check apply
+schouten's one action kernel on the support of their terms, bialgebra
+builds no l.c.s. or contact structure, each of seven primitives (the dense
+integer form of a matrix, the matrix-vector product, the linear map's shape
+check, the left inverse of a basis, the Jacobi residuals, the weighted
+action and the reduction of the characteristic subspace) has one
 implementation, algebras built from smaller ones include them through one
 primitive, the element inputs of the library's constructors go through one
 argument check, and every liejacobi name the benchmark uses exists and is
@@ -290,10 +291,13 @@ def test_pointwise_dual_route_stays_off_the_integer_tables():
     # the pointwise route cross-checks the integer kernel of the adjoint
     # route, so it goes through schouten and never reads a table itself, nor
     # the contraction matrix of r that the adjoint route reads
-    names = function_references((ROOT / "src" / "liejacobi" / "bialgebra.py").read_text(),
-                                "dual_bracket_pointwise_route")
+    source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
+    names = function_references(source, "dual_bracket_pointwise_route")
     assert "schouten" in names
     assert names.isdisjoint(INTEGER_FORM | {"_contraction", "_twisted_ad"})
+    # that kernel is schouten's, and bialgebra keeps no action of its own
+    assert "def _twisted_ad(" in (ROOT / "src" / "liejacobi" / "schouten.py").read_text()
+    assert "def _twisted_ad(" not in source
 
 
 def test_jacobi_sums_read_the_table_only():
@@ -430,19 +434,23 @@ def test_coboundary_system_and_kernel_stay_integer():
 
 
 def test_glb_residuals_act_on_the_support_of_d_basis():
-    # the action X.P = [X, P] - phi0(X) P is one kernel, _twisted_ad, that
-    # reads the table and is applied to given integer terms: the bracket
-    # compatibility applies it to the terms of d_basis[t] only and the
-    # coboundary system to each basis 2-vector, and no prebuilt action rho
-    # is handed over
+    # the weighted action X.P = [X, P] - (k - c) phi0(X) P is one kernel,
+    # schouten's _twisted_ad, that reads the table and is applied to given
+    # integer terms: the bracket compatibility applies it to the terms of
+    # d_basis[t] only, the coboundary system to each basis 2-vector and the
+    # Yang-Baxter check to the terms of its two residuals, and no prebuilt
+    # action rho is handed over
     source = (ROOT / "src" / "liejacobi" / "bialgebra.py").read_text()
-    assert "_ad" in function_references(source, "_twisted_ad")
-    for fn in ("_bracket_compat", "_coboundary_system"):
+    schouten_source = (ROOT / "src" / "liejacobi" / "schouten.py").read_text()
+    kernel = function_references(schouten_source, "_twisted_ad")
+    assert "_ad" in kernel
+    assert kernel.isdisjoint({"Fraction", "combinations", "schouten", "pair", "scale",
+                              "check_cocycle", "_from_ints"})
+    for fn in ("_bracket_compat", "_coboundary_system", "check_yb_hypotheses"):
         names = function_references(source, fn)
         assert {"_ad", "_twisted_ad"} <= names and "rho" not in names, fn
     for fn in ("_check_glb", "solve_coboundary"):
         assert "rho" not in function_references(source, fn), fn
-    assert function_references(source, "_twisted_ad").isdisjoint({"Fraction", "combinations"})
     # the unit dual vector of a cocycle is summed from the integer center
     # rows, one primitive for the classifier and its third kind
     names = function_references(source, "_unit_dual")
@@ -554,11 +562,12 @@ def test_compactness_subspaces_and_frames_stay_integer():
 def test_cached_invariants_make_no_public_call():
     # a cached body runs on the first call only, so one that made a public
     # call would make the traced calls of an op depend on whether the cache
-    # was filled: the bodies, and every private liealg, linalg or bialgebra
-    # function they reach, name no public liejacobi function or class, no
-    # public LieAlgebra method and no element builder _from_ints.  The
-    # bodies are those of a LieAlgebra and the glb sums of a
-    # GeneralizedBialgebra, which reach the glb kernels
+    # was filled: the bodies, and every private liealg, linalg, bialgebra or
+    # schouten function they reach, name no public liejacobi function or
+    # class, no public LieAlgebra method and no element builder _from_ints.
+    # The bodies are those of a LieAlgebra and the glb sums of a
+    # GeneralizedBialgebra, which reach the glb kernels and schouten's action
+    # kernel
     sources = {p.name: p.read_text() for p in PACKAGE}
     public = set()
     for source in sources.values():
@@ -570,7 +579,8 @@ def test_cached_invariants_make_no_public_call():
                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
     assert public >= {"center", "is_compact", "killing_form", "rank", "Subspace", "bracket"}
     private = {}        # name -> (source, the name function_references takes)
-    for source in (sources["liealg.py"], sources["linalg.py"], sources["bialgebra.py"]):
+    for source in (sources["liealg.py"], sources["linalg.py"], sources["bialgebra.py"],
+                   sources["schouten.py"]):
         for node in ast.parse(source).body:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
                 assert node.name not in private, node.name
@@ -626,10 +636,13 @@ def test_one_implementation_per_primitive():
     assert {"_frame", "_killing"} <= names
     assert names.isdisjoint({"invert", "transpose", "killing_form"})
     assert not [name for name, refs in modules.items() if "invert" in refs]
-    # the Jacobi residuals: the Yang-Baxter check reads jacobi's
+    # the Jacobi residuals: the Yang-Baxter check reads jacobi's, and the
+    # weighted action: it sums its invariance residuals with schouten's
+    # kernel and calls no public element function per basis vector
     names = function_references((ROOT / "src" / "liejacobi" / "bialgebra.py").read_text(),
                                 "check_yb_hypotheses")
-    assert "_jacobi_residuals" in names and names.isdisjoint({"schouten", "wedge"})
+    assert {"_jacobi_residuals", "_twisted_ad"} <= names
+    assert names.isdisjoint({"schouten", "wedge", "twisted_ad", "pair", "basis_vector"})
     # the characteristic subspace: integer rows reduced once, as center does
     names = function_references((ROOT / "src" / "liejacobi" / "jacobi.py").read_text(),
                                 "_span_with_x0")

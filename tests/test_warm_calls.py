@@ -146,7 +146,8 @@ def test_cli_classification_calls_alike_on_each_run(capsys, tmp_path):
                  ["glb-classify", "--glb", str(path), "--format", "machine"]):
         runs = [_public_calls(lambda: cli.main(argv)) for _ in range(2)]
         assert runs[0] == runs[1], argv
-        assert "is_compact" in {name for _, _, name in runs[0]}, argv
+        names = {name for _, _, name in runs[0]}
+        assert "check_glb" in names and "is_compact" not in names, argv
     capsys.readouterr()
 
 
