@@ -15,15 +15,17 @@ residuals and the coboundary system, are summed by schouten's one kernel
 the matrix of r with the [r,r] sums.  The compatibility sums of check_glb
 are kept per bialgebra object as integers and made into elements afresh on
 each call, so a check of an object that a builder has checked sums nothing
-again; the builders return the object they checked.  A failed check report
-raises through liealg's one gated raise `_require`.  Classification,
-extraction and the kind builders read the center of g one way, from its
-cached integer rows `g._center`, and decide compactness from
+again; the builders return the object they checked.  GlbReport and
+YbReport declare their fields once, as the rows of liealg's `_Report`; a
+failed check report raises through liealg's one gated raise `_require`, and
+a report inside another's text is laid out by liealg's `_nested`.
+Classification, extraction and the kind builders read the center of g one
+way, from its cached integer rows `g._center`, and decide compactness from
 `g._compactness`: y0 is `_unit_dual` of phi0 on those rows, y0 is central
-when `liealg._in_rows` eliminates it to zero by them, unit_center_vector
-sums phi0 on them in int, and the semidirect theta0 is the 1-cocycle with
-prescribed values on them.  On success none of these builds a compactness
-report, a center Subspace or the invariant product.
+when `liealg._in_rows` eliminates it to zero by them, unit_center_vector is
+that same y0, and the semidirect theta0 is the 1-cocycle with prescribed
+values on them.  On success none of these builds a compactness report, a
+center Subspace or the invariant product.
 """
 
 from __future__ import annotations
@@ -47,12 +49,14 @@ from liejacobi.liealg import (
     LinearMap,
     Subspace,
     ValidationReport,
+    _Report,
     _antisymmetric,
     _bracket_rows,
     _embed,
     _frame,
     _in_rows,
     _in_span,
+    _nested,
     _pivot_frame,
     _push,
     _rank,
@@ -118,15 +122,8 @@ class GeneralizedBialgebra:
                 _contraction_compat(self, phi, dphi))
 
 
-def _nested(intro: str, report) -> str:
-    """intro, then report.describe() two spaces deeper than intro on every
-    line: the one layout of a report inside another report's entries."""
-    indent = "\n" + " " * (len(intro) - len(intro.lstrip(" ")) + 2)
-    return intro + indent + report.describe().replace("\n", indent)
-
-
 @dataclass(frozen=True)
-class GlbReport:
+class GlbReport(_Report):
     bialgebra: GeneralizedBialgebra
     primal: ValidationReport
     dual: ValidationReport
@@ -136,38 +133,14 @@ class GlbReport:
     pairing: Fraction               # phi0(x0)
     contraction_compat: tuple       # (i, residual vector) entries, nonzero only
 
-    @property
-    def passed(self) -> bool:
-        return (self.primal.passed and self.dual.passed
-                and self.phi0_cocycle.is_zero() and self.x0_cocycle.is_zero()
-                and not self.bracket_compat and self.pairing == 0
-                and not self.contraction_compat)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def describe(self) -> str:
-        if self.passed:
-            return "generalized bialgebra: all conditions hold"
-        g = self.bialgebra.g
-        labels, duals = g.basis_labels, self.bialgebra.g_star.basis_labels
-        lines = ["generalized bialgebra fails:"]
-        if not self.primal.passed:
-            lines.append(_nested("  base algebra:", self.primal))
-        if not self.dual.passed:
-            lines.append(_nested("  dual algebra:", self.dual))
-        if not self.phi0_cocycle.is_zero():
-            lines.append(f"  d(phi0) = {self.phi0_cocycle.render(duals)}")
-        if not self.x0_cocycle.is_zero():
-            lines.append(f"  d_*(x0) = {self.x0_cocycle.render(labels)}")
-        for (i, j), res in self.bracket_compat:
-            lines.append(f"  bracket compatibility at ({labels[i]}, {labels[j]}): "
-                         f"{res.render(labels)}")
-        if self.pairing != 0:
-            lines.append(f"  phi0(x0) = {self.pairing}")
-        for i, res in self.contraction_compat:
-            lines.append(f"  contraction identity at {labels[i]}: {res.render(labels)}")
-        return "\n".join(lines)
+    _rows = (("primal_jacobi", "primal", "  base algebra:"),
+             ("dual_jacobi", "dual", "  dual algebra:"),
+             ("phi0_cocycle", "phi0_cocycle", "  d(phi0) = {}"),
+             ("x0_cocycle", "x0_cocycle", "  d_*(x0) = {}"),
+             ("pairing", "pairing", "  phi0(x0) = {}"),
+             ("bracket_compat", "bracket_compat", "  bracket compatibility at ({}, {}): {}"),
+             ("contraction_compat", "contraction_compat", "  contraction identity at {}: {}"))
+    _verdict = ("generalized bialgebra: all conditions hold", "generalized bialgebra fails:")
 
 
 def check_glb(b: GeneralizedBialgebra) -> GlbReport:
@@ -274,7 +247,7 @@ class YbData:
 
 
 @dataclass(frozen=True)
-class YbReport:
+class YbReport(_Report):
     data: YbData
     cubic: Multivector              # [r,r] - 2 x0^r (not required to vanish)
     cubic_invariance: tuple         # (i, residual 3-vector), nonzero only
@@ -282,26 +255,12 @@ class YbReport:
     vector: Multivector             # i(phi0) r - x0 (not required to vanish)
     vector_invariance: tuple        # (i, residual vector), nonzero only
 
-    @property
-    def passed(self) -> bool:
-        return (not self.cubic_invariance and self.x0_commutes.is_zero()
-                and not self.vector_invariance)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def describe(self) -> str:
-        if self.passed:
-            return "yang-baxter hypotheses hold"
-        labels = self.data.g.basis_labels
-        lines = ["yang-baxter hypotheses fail:"]
-        for i, res in self.cubic_invariance:
-            lines.append(f"  [r,r]-2*x0^r not invariant at {labels[i]}: {res.render(labels)}")
-        if not self.x0_commutes.is_zero():
-            lines.append(f"  [x0,r] = {self.x0_commutes.render(labels)}")
-        for i, res in self.vector_invariance:
-            lines.append(f"  i(phi0)r - x0 not invariant at {labels[i]}: {res.render(labels)}")
-        return "\n".join(lines)
+    _rows = (("cubic", "cubic", None),
+             ("cubic_invariance", "cubic_invariance", "  [r,r]-2*x0^r not invariant at {}: {}"),
+             ("x0_commutes", "x0_commutes", "  [x0,r] = {}"),
+             ("vector", "vector", None),
+             ("vector_invariance", "vector_invariance", "  i(phi0)r - x0 not invariant at {}: {}"))
+    _verdict = ("yang-baxter hypotheses hold", "yang-baxter hypotheses fail:")
 
 
 def check_yb_hypotheses(y: YbData) -> YbReport:
@@ -631,11 +590,10 @@ def build_first_kind(g: LieAlgebra, h: Subspace, r: Multivector,
     m = h.rank
     if m % 2:
         failures.append("h must be even-dimensional")
-    for a in range(m):
-        for b in range(a + 1, m):
-            if not g.bracket(basis_vectors[a], basis_vectors[b]).is_zero():
-                failures.append(f"h is not abelian (witness pair {a + 1}, {b + 1})")
-                break
+    witness = next(((a, b) for a, b in combinations(range(m), 2)
+                    if not g.bracket(basis_vectors[a], basis_vectors[b]).is_zero()), None)
+    if witness is not None:
+        failures.append(f"h is not abelian (witness pair {witness[0] + 1}, {witness[1] + 1})")
     if r.is_zero():
         if m:
             failures.append("r is degenerate on h")
@@ -763,18 +721,11 @@ def _extract_checked(b: GeneralizedBialgebra, y0: Multivector) -> ExtractionResu
 
 
 def unit_center_vector(g: LieAlgebra, phi0: Form) -> Multivector | None:
-    """Deterministic central vector with phi0-value 1, if one exists:
-    z / phi0(z) for the first reduced center row z with phi0(z) != 0.
-    Read in int from the integer rows w of `g._center`: for phi0 = P / d,
-    z / phi0(z) = d w / P(w), built as d P(w) w over P(w)^2 > 0."""
+    """Deterministic central vector with phi0-value 1, if one exists: the
+    unit dual vector `_unit_dual` of phi0 on the center rows, the y0 that
+    classify_compact extracts with."""
     _check_argument("phi0", phi0, Form, g.dim, 1)
-    nums, d = phi0._ints()
-    for w in g._center[0]:
-        value = sum(v * w.get(i, 0) for (i,), v in nums.items())
-        if value:
-            return Multivector._from_ints(g.dim, 1, {(i,): d * value * x for i, x in w.items()},
-                                          value * value)
-    return None
+    return _unit_dual(g._center, phi0)
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -888,12 +839,13 @@ class ClassificationResult:
 
 
 def _unit_dual(center: tuple, phi: Form) -> Multivector | None:
-    """v / phi(v) for the v with B(v, .) = phi, B the invariant scalar product
-    and phi a 1-cocycle, or None when phi(v) = 0.  phi kills [g, g], and B is
-    the identity on the RREF center rows z_k and orthogonal to [g, g], so
-    v = sum_k phi(z_k) z_k and phi(v) = sum_k phi(z_k)^2.  Summed in int from
-    the integer reduced center rows (rows, pivots): with s the lcm of the
-    pivots, w_k = s z_k is an integer row, and for phi = P / dphi,
+    """v / phi(v) for v = sum_k phi(z_k) z_k over the RREF center rows z_k,
+    or None when phi(v) = sum_k phi(z_k)^2 is 0, that is when phi kills the
+    center.  For a 1-cocycle phi, v is the vector with B(v, .) = phi, B the
+    invariant scalar product: phi kills [g, g], and B is the identity on the
+    z_k and orthogonal to [g, g].  Summed in int from the integer reduced
+    center rows (rows, pivots): with s the lcm of the pivots, w_k = s z_k is
+    an integer row, and for phi = P / dphi,
     v / phi(v) = dphi sum_k P(w_k) w_k / sum_k P(w_k)^2."""
     nums, dphi = phi._ints()
     rows, pivots = center

@@ -11,7 +11,9 @@ tuples, str, int, bool and None it writes, byte for byte, what json.dumps
 returns with indent=2, plus "\n"; it does so without the pure-Python encoder
 json.dumps falls back to under an indent, and it hands the text out in
 bounded pieces, so a large report is never held whole.  _report is the one
-machine form of a check report, which _dump writes for --format machine.
+machine form of a check report, which _dump writes for --format machine; it
+walks the rows that the report's class declares (liealg._Report), the rows
+that describe() walks too, and names no report class.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from math import lcm
 
-from liejacobi.bialgebra import GeneralizedBialgebra, GlbReport, YbData, YbReport
+from liejacobi.bialgebra import GeneralizedBialgebra, YbData
 from liejacobi.exterior import Form, Multivector
-from liejacobi.jacobi import ContactStructure, JacobiPair, JacobiReport, LcsStructure
-from liejacobi.liealg import MAX_DIGITS, MAX_DIM, LieAlgebra, ValidationReport
+from liejacobi.jacobi import ContactStructure, JacobiPair, LcsStructure
+from liejacobi.liealg import MAX_DIGITS, MAX_DIM, LieAlgebra, _Report
 
 
 class DocumentError(ValueError):
@@ -359,39 +361,24 @@ def to_document(obj, labels=None) -> dict:
     raise TypeError(f"no document form for {type(obj).__name__}")
 
 
-# check report class -> (checked object, (machine key, attribute) in output order)
-_REPORTS = {
-    ValidationReport: ("algebra", (("violations", "violations"),)),
-    JacobiReport: ("pair", (("self_residual", "self_residual"),
-                            ("vector_residual", "vector_residual"))),
-    YbReport: ("data", (("cubic", "cubic"), ("cubic_invariance", "cubic_invariance"),
-                        ("x0_commutes", "x0_commutes"), ("vector", "vector"),
-                        ("vector_invariance", "vector_invariance"))),
-    GlbReport: ("bialgebra", (("primal_jacobi", "primal"), ("dual_jacobi", "dual"),
-                              ("phi0_cocycle", "phi0_cocycle"), ("x0_cocycle", "x0_cocycle"),
-                              ("pairing", "pairing"), ("bracket_compat", "bracket_compat"),
-                              ("contraction_compat", "contraction_compat"))),
-}
-
-
 def _report(rep) -> dict:
-    """The machine form of a check report: "passed", then the fields _REPORTS
-    names.  A nested report becomes its verdict, a Fraction its string, an
-    element its document on the labels of the checked object's first algebra
-    (its last, g* of a glb, for a Form) and an entry its index and "residual"."""
-    subject, fields = _REPORTS[type(rep)]
-    algebras = algebras_of(getattr(rep, subject))
-    labels = algebras[0].basis_labels
+    """The machine form of a check report: "passed", then one entry per row
+    of its class table (liealg._Report) under the row's machine key.  A
+    nested report becomes its verdict, a Fraction its string, an element its
+    document and an entry its index and "residual", on the labels that
+    rep._labels gives them (the checked object's first algebra, its last
+    for a Form)."""
+    by_class = rep._labels()
+    labels = by_class[Multivector]
     out = {"passed": rep.passed}
-    for key, attr in fields:
+    for key, attr, _ in rep._rows:
         value = getattr(rep, attr)
-        if isinstance(value, ValidationReport):
+        if isinstance(value, _Report):
             value = value.passed
         elif isinstance(value, Fraction):
             value = str(value)
         elif isinstance(value, (Form, Multivector)):
-            side = algebras[-1] if isinstance(value, Form) else algebras[0]
-            value = to_document(value, labels=side.basis_labels)
+            value = to_document(value, labels=by_class[type(value)])
         else:
             value = [{**_entry_index(index, labels), "residual": to_document(res, labels=labels)}
                      for index, res in value]

@@ -33,6 +33,7 @@ from liejacobi.liealg import (
     LieAlgebra,
     LinearMap,
     Subspace,
+    _Report,
     _antisymmetric,
     _contraction,
     _push,
@@ -58,27 +59,15 @@ class JacobiPair:
 
 
 @dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(_Report):
     pair: JacobiPair
     self_residual: Multivector     # [r,r] - 2 X0^r
     vector_residual: Multivector   # [X0,r]
 
-    @property
-    def passed(self) -> bool:
-        return self.self_residual.is_zero() and self.vector_residual.is_zero()
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def describe(self) -> str:
-        labels = self.pair.algebra.basis_labels
-        if self.passed:
-            return "jacobi pair: both defining identities hold"
-        return (
-            "jacobi pair fails:\n"
-            f"  [r,r] - 2*x0^r = {self.self_residual.render(labels)}\n"
-            f"  [x0,r] = {self.vector_residual.render(labels)}"
-        )
+    _rows = (("self_residual", "self_residual", "  [r,r] - 2*x0^r = {}"),
+             ("vector_residual", "vector_residual", "  [x0,r] = {}"))
+    _verdict = ("jacobi pair: both defining identities hold", "jacobi pair fails:")
+    _show_zero = True       # a failure lists both residuals, a zero one too
 
 
 def check_jacobi(jp: JacobiPair) -> JacobiReport:

@@ -38,14 +38,18 @@ of the pivot coordinates, with no elimination.
 A change of coordinates accepts L v only when B (L v) == v.
 Algebras built from smaller ones, and bialgebra's semidirect classification
 reading them back, move vectors between dimensions by one inclusion `_embed`.
-A failed check report is raised as ValueError by `_require`, the one gated
-raise that jacobi and bialgebra share, kept here in the lowest layer that
-both import.
+The check reports of this layer, jacobi and bialgebra derive from one base,
+`_Report`, kept here in the lowest layer that has reports: each declares its
+fields once, as a table of (machine key, attribute, text) rows, from which
+`_Report` derives passed, bool and describe(), and documents._report the
+machine form.  A failed check report is raised as ValueError by `_require`,
+the one gated raise that jacobi and bialgebra share, and a report inside
+another's text is laid out by `_nested`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -362,26 +366,93 @@ class LieAlgebra:
         return LieAlgebra(name, self.dim, self.basis_labels, self.structure)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    algebra: LieAlgebra
-    violations: tuple[tuple[tuple[int, int, int], Multivector], ...]
+def _nested(intro: str, report) -> str:
+    """intro, then report.describe() two spaces deeper than intro on every
+    line: the one layout of a report inside another report's entries."""
+    indent = "\n" + " " * (len(intro) - len(intro.lstrip(" ")) + 2)
+    return intro + indent + report.describe().replace("\n", indent)
+
+
+def _holds(value) -> bool:
+    # a report row holds when its value is a passing report, a zero element,
+    # 0 or an empty entry list; an element is asked through is_zero()
+    if isinstance(value, _Report):
+        return value.passed
+    return value.is_zero() if isinstance(value, (Form, Multivector)) else not value
+
+
+class _Report:
+    """A check report whose fields are declared once, in the class table
+    `_rows`: one (machine key, attribute, text) row per dataclass field but
+    the first, the checked object, in output order.  passed, describe() and
+    the machine form (documents._report) all walk the rows.  A row with text
+    None is reported but not checked; every other row is checked, and passed
+    asks each in turn, stopping at the first that does not hold.
+
+    describe() is the pass line of `_verdict`, or its fail header followed by
+    one line per failing row, or per checked row when `_show_zero` is set: a
+    nested report by `_nested`, an entry (index, residual) of an entry list
+    as text.format(*index labels, residual), any other value as
+    text.format(value).  Both lines of `_verdict` are formatted with the
+    report and the number of lines below the header.  `_labels` is the one
+    rule for the labels of both renderers."""
+
+    _rows: tuple = ()
+    _verdict = ("", "")
+    _show_zero = False
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        for _, attr, text in self._rows:
+            if text is not None and not _holds(getattr(self, attr)):
+                return False
+        return True
 
     def __bool__(self) -> bool:
         return self.passed
 
+    def _labels(self) -> dict:
+        """{Multivector: labels, Form: labels}, the labels that the elements
+        of the rows are written on by their class, and entry indices on the
+        Multivector ones: the basis labels of the checked object's first
+        algebra, and for a Form those of its last (g* of a glb)."""
+        subject = getattr(self, fields(self)[0].name)
+        algebras = [subject] if isinstance(subject, LieAlgebra) else [
+            a for a in (getattr(subject, f.name) for f in fields(subject))
+            if isinstance(a, LieAlgebra)]
+        return {Multivector: algebras[0].basis_labels, Form: algebras[-1].basis_labels}
+
     def describe(self) -> str:
         if self.passed:
-            return f"{self.algebra.name}: Jacobi identity holds on all basis triples"
-        lines = [f"{self.algebra.name}: Jacobi identity fails on {len(self.violations)} triple(s)"]
-        labels = self.algebra.basis_labels
-        for (i, j, k), res in self.violations:
-            lines.append(f"  ({labels[i]},{labels[j]},{labels[k]}): residual {res.render(list(labels))}")
-        return "\n".join(lines)
+            return self._verdict[0].format(self, 0)
+        by_class = self._labels()
+        labels = by_class[Multivector]
+        lines = []
+        for _, attr, text in self._rows:
+            value = getattr(self, attr)
+            if text is None or not self._show_zero and _holds(value):
+                continue
+            if isinstance(value, _Report):
+                lines.append(_nested(text, value))
+            elif isinstance(value, tuple):
+                for index, res in value:
+                    index = index if isinstance(index, tuple) else (index,)
+                    lines.append(text.format(*(labels[k] for k in index), res.render(labels)))
+            elif isinstance(value, (Form, Multivector)):
+                lines.append(text.format(value.render(by_class[type(value)])))
+            else:
+                lines.append(text.format(value))
+        return "\n".join([self._verdict[1].format(self, len(lines)), *lines])
+
+
+@dataclass(frozen=True)
+class ValidationReport(_Report):
+    algebra: LieAlgebra
+    violations: tuple[tuple[tuple[int, int, int], Multivector], ...]
+
+    _rows = (("violations", "violations", "  ({},{},{}): residual {}"),)
+    _verdict = ("{0.algebra.name}: Jacobi identity holds on all basis triples",
+                "{0.algebra.name}: Jacobi identity fails on {1} triple(s)")
 
 
 def _require(report, title: str | None = None) -> None:

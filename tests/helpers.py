@@ -8,8 +8,8 @@ compatibilities of check_glb and its integer sums taken afresh on each call,
 the Yang-Baxter hypotheses by the public weighted adjoint action, the
 coadjoint and pointwise dual brackets, the sharp-map homomorphism
 certificate, the contraction matrix of a 2-tensor and the contact flat map,
-the Jacobi residuals, the machine forms of the check reports written out by
-hand, the contact and l.c.s. maps by
+the Jacobi residuals, the machine forms and texts of the check reports written
+out by hand, the contact and l.c.s. maps by
 Fraction matrices, the center, the derived algebra, annihilators, subspace
 membership, the Killing form and the compactness test, the cocycle with
 prescribed values, the invariant scalar product and the Fraction sum of the
@@ -40,7 +40,7 @@ from liejacobi.bialgebra import (
 from liejacobi.catalog import catalog, heisenberg
 from liejacobi.documents import to_document
 from liejacobi.exterior import Form, Multivector, contract, pair, sort_index, wedge
-from liejacobi.jacobi import JacobiPair, _jacobi_residuals
+from liejacobi.jacobi import JacobiPair, JacobiReport, _jacobi_residuals
 from liejacobi.liealg import (
     CompactnessReport,
     LieAlgebra,
@@ -137,6 +137,13 @@ def cubic_noninvariant_yb():
     the only failing Yang-Baxter hypothesis."""
     return YbData(catalog("semidirect4_53").g, Form.zero(4, 1),
                   mv(4, 2, {(0, 1): 1, (2, 3): 1}), Multivector.zero(4, 1))
+
+
+def noncommuting_yb():
+    """The algebra and phi0 of thirdkind_u2 with r = e1^e2 and x0 = e1:
+    every Yang-Baxter residual is nonzero, [x0,r] = e1^e3 among them."""
+    b = catalog("thirdkind_u2")
+    return YbData(b.g, b.phi0, mv(4, 2, {(0, 1): 1}), vec(4, 0))
 
 
 def non_lie_glb():
@@ -730,6 +737,65 @@ def glb_report_reference(rep) -> dict:
     }
 
 
+def describe_reference(rep) -> str:
+    """describe() of a check report, written out class by class, each with
+    its own verdict: the second route for the texts that the report classes
+    derive from their rows.  A nested report sits two spaces deeper than the
+    line that introduces it."""
+    def nested(intro, inner):
+        return "\n".join([intro, *("    " + line for line in describe_reference(inner).split("\n"))])
+
+    if isinstance(rep, ValidationReport):
+        name, labels = rep.algebra.name, rep.algebra.basis_labels
+        if not rep.violations:
+            return f"{name}: Jacobi identity holds on all basis triples"
+        lines = [f"{name}: Jacobi identity fails on {len(rep.violations)} triple(s)"]
+        for (i, j, k), res in rep.violations:
+            lines.append(f"  ({labels[i]},{labels[j]},{labels[k]}): residual {res.render(labels)}")
+        return "\n".join(lines)
+    if isinstance(rep, JacobiReport):
+        labels = rep.pair.algebra.basis_labels
+        if rep.self_residual.is_zero() and rep.vector_residual.is_zero():
+            return "jacobi pair: both defining identities hold"
+        # both residuals, a zero one too
+        return ("jacobi pair fails:\n"
+                f"  [r,r] - 2*x0^r = {rep.self_residual.render(labels)}\n"
+                f"  [x0,r] = {rep.vector_residual.render(labels)}")
+    if isinstance(rep, YbReport):
+        labels = rep.data.g.basis_labels
+        if not rep.cubic_invariance and rep.x0_commutes.is_zero() and not rep.vector_invariance:
+            return "yang-baxter hypotheses hold"
+        lines = ["yang-baxter hypotheses fail:"]
+        for i, res in rep.cubic_invariance:
+            lines.append(f"  [r,r]-2*x0^r not invariant at {labels[i]}: {res.render(labels)}")
+        if not rep.x0_commutes.is_zero():
+            lines.append(f"  [x0,r] = {rep.x0_commutes.render(labels)}")
+        for i, res in rep.vector_invariance:
+            lines.append(f"  i(phi0)r - x0 not invariant at {labels[i]}: {res.render(labels)}")
+        return "\n".join(lines)
+    assert isinstance(rep, GlbReport)
+    labels, duals = rep.bialgebra.g.basis_labels, rep.bialgebra.g_star.basis_labels
+    lines = ["generalized bialgebra fails:"]
+    if rep.primal.violations:
+        lines.append(nested("  base algebra:", rep.primal))
+    if rep.dual.violations:
+        lines.append(nested("  dual algebra:", rep.dual))
+    if not rep.phi0_cocycle.is_zero():
+        lines.append(f"  d(phi0) = {rep.phi0_cocycle.render(duals)}")
+    if not rep.x0_cocycle.is_zero():
+        lines.append(f"  d_*(x0) = {rep.x0_cocycle.render(labels)}")
+    # phi0(x0) comes before the bracket compatibility entries, in the order
+    # of the machine form; the hand-written text had it after them
+    if rep.pairing != 0:
+        lines.append(f"  phi0(x0) = {rep.pairing}")
+    for (i, j), res in rep.bracket_compat:
+        lines.append(f"  bracket compatibility at ({labels[i]}, {labels[j]}): "
+                     f"{res.render(labels)}")
+    for i, res in rep.contraction_compat:
+        lines.append(f"  contraction identity at {labels[i]}: {res.render(labels)}")
+    return "\n".join(lines) if len(lines) > 1 else "generalized bialgebra: all conditions hold"
+
+
 def contraction_compat_reference(b):
     """(i, residual) entries, nonzero only, of i(phi0) d_*(e_i) + [X0, e_i]."""
     g = b.g
@@ -1107,13 +1173,11 @@ def classify_semidirect_reference(b):
 
 
 def unit_center_vector_reference(g, phi0):
-    """z / phi0(z) for the first Fraction row z of center(g) with
-    phi0(z) != 0, or None."""
-    for z in center(g).elements():
-        value = pair(phi0, z)
-        if value != 0:
-            return z.scale(Fraction(1) / value)
-    return None
+    """v / phi0(v) for v = sum phi0(z) z over the Fraction rows z of
+    center(g), or None when phi0(v) = 0."""
+    v = b_dual_sum_reference(center(g), phi0)
+    value = pair(phi0, v)
+    return v.scale(Fraction(1) / value) if value != 0 else None
 
 
 def moved_glb(b, p):

@@ -1074,9 +1074,19 @@ def test_build_first_kind_failure_modes():
     with pytest.raises(ValueError, match="even-dimensional"):
         build_first_kind(abelian(3), Subspace.from_elements([vec(3, 0)]),
                          Multivector.zero(3, 2), Form.basis(3, 2))
-    with pytest.raises(ValueError, match="not abelian"):
+    # one witness pair, the first, however many pairs fail to commute
+    with pytest.raises(ValueError) as exc:
         build_first_kind(SU2, Subspace.from_elements([vec(3, 0), vec(3, 1)]),
                          mv(3, 2, {(0, 1): 1}), Form.basis(3, 2))
+    assert str(exc.value) == ("first-kind hypotheses fail:\n"
+                              "  h is not abelian (witness pair 1, 2)\n"
+                              "  phi0 is not a 1-cocycle")
+    with pytest.raises(ValueError) as exc:
+        build_first_kind(catalog("u2"), Subspace.from_elements([vec(4, i) for i in range(4)]),
+                         mv(4, 2, {(0, 1): 1, (2, 3): 1}), Form.basis(4, 3))
+    assert str(exc.value) == ("first-kind hypotheses fail:\n"
+                              "  h is not abelian (witness pair 1, 2)\n"
+                              "  phi0 must vanish on h")
     with pytest.raises(ValueError, match="degenerate"):
         build_first_kind(abelian(4),
                          Subspace.from_elements([vec(4, 0), vec(4, 1)]),
@@ -1307,6 +1317,12 @@ def test_unit_center_vector():
     assert unit_center_vector(g, Form.zero(4, 1)) is None
     half = unit_center_vector(abelian(2), Form.from_coeffs([F(2), F(0)]))
     assert half == vec(2, 0).scale(F(1, 2))
+    # extraction and classification take the same y0, also where phi0 is
+    # nonzero on more than one center row
+    b = build_first_kind(abelian(4), Subspace.from_elements([vec(4, 0), vec(4, 1)]),
+                         mv(4, 2, {(0, 1): 1}), Form.from_coeffs([0, 0, 1, 1]))
+    y0 = unit_center_vector(b.g, b.phi0)
+    assert y0 == classify_compact(b).y0 == mv(4, 1, {(2,): F(1, 2), (3,): F(1, 2)})
 
 
 def semidirect_glbs():

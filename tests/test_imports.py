@@ -12,17 +12,18 @@ residuals and the contact and l.c.s. maps stay on the integer forms, a
 2-tensor has one integer matrix and one push-forward that only the public
 sharp map views as Fractions, the compactness test, subspaces and basis
 frames stay on integer rows, classification and extraction read the center
-of g from its cached integer rows, a Subspace's frame is read from its reduced
-rows with no elimination, the glb residuals and the Yang-Baxter check apply
-schouten's one action kernel on the support of their terms, bialgebra
-builds no l.c.s. or contact structure, each of seven primitives (the dense
-integer form of a matrix, the matrix-vector product, the linear map's shape
-check, the left inverse of a basis, the Jacobi residuals, the weighted
-action and the reduction of the characteristic subspace) has one
-implementation, algebras built from smaller ones include them through one
-primitive, the element inputs of the library's constructors go through one
-argument check, and every liejacobi name the benchmark uses exists and is
-callable.
+of g from its cached integer rows, the check reports take passed, describe()
+and the machine form from one table of rows per class, a Subspace's frame is
+read from its reduced rows with no elimination, the glb residuals and the
+Yang-Baxter check apply schouten's one action kernel on the support of their
+terms, bialgebra builds no l.c.s. or contact structure, each of seven
+primitives (the dense integer form of a matrix, the matrix-vector product,
+the linear map's shape check, the left inverse of a basis, the Jacobi
+residuals, the weighted action and the reduction of the characteristic
+subspace) has one implementation, algebras built from smaller ones include
+them through one primitive, the element inputs of the library's
+constructors go through one argument check, and every liejacobi name the
+benchmark uses exists and is callable.
 """
 
 import ast
@@ -498,6 +499,32 @@ def test_classification_reads_the_center_from_its_cached_rows():
         {"center", "pair", "elements"})
     # compactness is decided from the cache; is_compact only describes a failure
     assert {"_compactness", "is_compact"} <= function_references(source, "_require_compact")
+
+
+def test_check_reports_take_their_fields_from_one_table():
+    # each check report class declares its fields once, as the rows of
+    # liealg._Report, which alone defines passed, bool and describe(); the
+    # machine form in documents walks the same rows and names no report class
+    reports = {}
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and "_Report" in _references(node.bases):
+                reports[node.name] = {getattr(item, "name", None) for item in node.body}
+                reports[node.name] |= {t.id for item in node.body if isinstance(item, ast.Assign)
+                                       for t in item.targets if isinstance(t, ast.Name)}
+    assert set(reports) == {"ValidationReport", "JacobiReport", "YbReport", "GlbReport"}
+    for name, members in reports.items():
+        assert "_rows" in members, name
+        assert members.isdisjoint({"passed", "__bool__", "describe"}), name
+    liealg_source = (ROOT / "src" / "liejacobi" / "liealg.py").read_text()
+    base = next(node for node in ast.parse(liealg_source).body
+                if isinstance(node, ast.ClassDef) and node.name == "_Report")
+    assert {"passed", "__bool__", "describe"} <= {getattr(item, "name", None)
+                                                   for item in base.body}
+    documents = module_references((ROOT / "src" / "liejacobi" / "documents.py").read_text())
+    assert documents.isdisjoint(set(reports) | {"_REPORTS"})
+    assert "_rows" in function_references(
+        (ROOT / "src" / "liejacobi" / "documents.py").read_text(), "_report")
 
 
 def test_compactness_subspaces_and_frames_stay_integer():

@@ -1,6 +1,8 @@
-"""The machine form of the check reports: documents._report and the report
-of every check subcommand under --format machine equal the fields written out
-by hand in helpers, and _REPORTS leaves no residual field out."""
+"""The machine form and the text of the check reports: documents._report
+and the report of every check subcommand under --format machine equal the
+fields written out by hand in helpers, describe() equals the texts written
+out by hand there, nested reports included, and the rows of each report
+class leave no residual field out."""
 
 import dataclasses
 import inspect
@@ -8,22 +10,33 @@ import json
 import random
 import typing
 
+import pytest
+
 from helpers import (
     broken_noncob,
     cubic_noninvariant_yb,
+    describe_reference,
     glb_report_reference,
     jacobi_report_reference,
     non_lie_glb,
+    noncommuting_yb,
     seeded_quadruples,
     validation_report_reference,
     yb_report_reference,
 )
 from liejacobi import cli
-from liejacobi.bialgebra import GeneralizedBialgebra, YbData, check_glb, check_yb_hypotheses
+from liejacobi.bialgebra import (
+    GeneralizedBialgebra,
+    YbData,
+    build_from_jacobi,
+    build_semidirect_glb,
+    check_glb,
+    check_yb_hypotheses,
+)
 from liejacobi.catalog import catalog, catalog_names
-from liejacobi.documents import _REPORTS, _report, algebras_of, parse, serialize
+from liejacobi.documents import _report, algebras_of, parse, serialize
 from liejacobi.jacobi import JacobiPair, check_jacobi
-from liejacobi.liealg import LieAlgebra
+from liejacobi.liealg import LieAlgebra, LinearMap, _Report
 
 # the catalog entries, the two parameterized ones at small sizes
 NAMES = [n for n in catalog_names() if not n.endswith("n)")] + ["abelian(3)",
@@ -41,7 +54,7 @@ def non_lie_algebra():
 def failing_inputs():
     """Objects with nonzero residuals in every entry shape of a report."""
     return ([broken_noncob(), non_lie_glb(), non_lie_algebra(), cubic_noninvariant_yb(),
-             catalog("h11"), catalog("semidirect4_53")]
+             noncommuting_yb(), catalog("h11"), catalog("semidirect4_53")]
             + seeded_quadruples(random.Random(80)))
 
 
@@ -79,6 +92,45 @@ def test_report_matches_the_fields_written_out():
     # every entry shape has been compared with nonzero residuals
     assert shapes == {("algebra", "triple", "residual"), ("i", "j", "residual"),
                       ("basis", "residual")}
+
+
+def test_describe_matches_the_text_written_out():
+    # the text of every report, passing and failing, against the texts the
+    # report classes wrote out by hand, on the catalog, the failing inputs
+    # and more seeded quadruples, one of them with a 1-cocycle phi0
+    objs = [catalog(name) for name in NAMES] + failing_inputs()
+    objs += seeded_quadruples(random.Random(81)) + seeded_quadruples(random.Random(82), True)
+    failed = set()
+    for obj in objs:
+        for rep in reports_of(obj):
+            want = describe_reference(rep)
+            assert rep.describe() == want, (type(rep).__name__, obj)
+            # a passing text is its one verdict line
+            assert rep.passed == bool(rep) == ("\n" not in want)
+            if not rep.passed:
+                failed.add(type(rep).__name__)
+    assert failed == {cls.__name__ for cls in _Report.__subclasses__()}
+
+
+def test_nested_report_texts():
+    # a failing report inside a construction's preconditions sits two spaces
+    # deeper than the line that introduces it, a report nested twice too
+    y = cubic_noninvariant_yb()
+    with pytest.raises(ValueError) as exc:
+        build_from_jacobi(y)
+    lines = describe_reference(check_jacobi(JacobiPair(y.g, y.r, y.x0))).split("\n")
+    assert str(exc.value) == "\n".join(["jacobi construction preconditions fail:",
+                                        "  (r, x0) is not a jacobi pair:",
+                                        *("    " + line for line in lines)])
+    bad = non_lie_glb()
+    with pytest.raises(ValueError) as exc:
+        build_semidirect_glb(bad.g, bad.g_star, LinearMap.identity(3))
+    lines = describe_reference(check_glb(bad)).split("\n")
+    assert len(lines) > 5
+    assert str(exc.value) == "\n".join(["semidirect hypotheses fail:",
+                                        "  (h, h*) is not a Lie bialgebra:",
+                                        *("    " + line for line in lines),
+                                        "  psi is not a derivation of h"])
 
 
 def test_cubic_invariance_entries():
@@ -157,22 +209,22 @@ def test_machine_payload_matches_the_fields_written_out(capsys, tmp_path):
 
 
 def test_every_residual_field_is_in_the_machine_form():
-    # each row names every field of its report class but the checked object,
-    # once, under distinct machine keys
-    for cls, (subject, fields) in _REPORTS.items():
+    # the rows of each report class name every field but the first, the
+    # checked object, once, under distinct machine keys
+    for cls in _Report.__subclasses__():
         names = [f.name for f in dataclasses.fields(cls)]
-        assert subject in names, cls.__name__
-        assert sorted(attr for _, attr in fields) == sorted(n for n in names if n != subject)
-        keys = [key for key, _ in fields]
+        assert sorted(attr for _, attr, _ in cls._rows) == sorted(names[1:]), cls.__name__
+        keys = [key for key, _, _ in cls._rows]
         assert len(set(keys)) == len(keys) and "passed" not in keys
-    # the report class of validate and of every check subcommand has a row
+    # the report classes of validate and of the check subcommands are
+    # exactly the classes with rows
     checks = {sub: inspect.getclosurevars(handler).nonlocals["check"]
               for sub, (handler, _) in cli._SUBCOMMANDS.items()
               if handler.__qualname__.startswith("_check.")}
     assert set(checks) == {"jacobi-check", "yb-check", "glb-check"}
     classes = {typing.get_type_hints(check)["return"]
                for check in [LieAlgebra.validate, *checks.values()]}
-    assert classes == set(_REPORTS)
+    assert classes == set(_Report.__subclasses__())
 
 
 def test_check_handlers_call_the_check_through_its_name(capsys, monkeypatch):
